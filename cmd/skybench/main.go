@@ -7,6 +7,7 @@
 //	skybench -ex ex3,ex5 -scale reduced
 //	skybench -ex table1              # Table 1 (workload catalog) only
 //	skybench -ex ex5 -seed 7 -profile-runs 10000
+//	skybench -ex ablations,tradeoff  # the design studies of EXPERIMENTS.md
 package main
 
 import (
@@ -40,31 +41,40 @@ type benchOpts struct {
 	ex6Strategies string
 }
 
-// csvWriter is the piece of each result the -csvdir flag consumes.
-type csvWriter interface{ WriteCSV(dir string) error }
-
-// renderCSV renders a result and optionally writes its dataset.
-func renderCSV(o benchOpts, res interface {
-	csvWriter
-	Render() string
-}, err error) (string, error) {
-	if err != nil {
-		return "", err
-	}
-	if o.csvDir != "" {
-		if err := res.WriteCSV(o.csvDir); err != nil {
-			return "", err
-		}
-	}
-	return res.Render(), nil
-}
-
 // experiment is one runnable entry. The registry below is the single source
 // of truth: the -ex help text, the "all" set, and the dispatch loop are all
 // derived from it, so a new experiment registers itself exactly once.
 type experiment struct {
 	name string
 	run  func(o benchOpts) (string, error)
+}
+
+// entry registers an experiment: cfg builds its configuration from the
+// flags, and the entry applies -scale, runs it, writes the -csvdir dataset
+// and renders the result.
+func entry[C interface{ Reduced() C }, R interface {
+	Render() string
+	WriteCSV(dir string) error
+}](name string, cfg func(benchOpts) (C, error), run func(C) (R, error)) experiment {
+	return experiment{name, func(o benchOpts) (string, error) {
+		c, err := cfg(o)
+		if err != nil {
+			return "", err
+		}
+		if o.reduced {
+			c = c.Reduced()
+		}
+		res, err := run(c)
+		if err != nil {
+			return "", err
+		}
+		if o.csvDir != "" {
+			if err := res.WriteCSV(o.csvDir); err != nil {
+				return "", err
+			}
+		}
+		return res.Render(), nil
+	}}
 }
 
 func registry() []experiment {
@@ -76,125 +86,73 @@ func registry() []experiment {
 			}
 			return "Table 1 — workload catalog\n" + t.String(), nil
 		}},
-		{"ex1", func(o benchOpts) (string, error) {
-			cfg := experiments.EX1Config{Seed: o.seed}
-			if o.reduced {
-				cfg = cfg.Reduced()
-			}
-			res, err := experiments.RunEX1(cfg)
-			return renderCSV(o, res, err)
-		}},
-		{"ex2", func(o benchOpts) (string, error) {
-			cfg := experiments.EX2Config{Seed: o.seed}
-			if o.reduced {
-				cfg = cfg.Reduced()
-			}
-			res, err := experiments.RunEX2(cfg)
-			return renderCSV(o, res, err)
-		}},
-		{"ex3", func(o benchOpts) (string, error) {
-			cfg := experiments.EX3Config{Seed: o.seed}
-			if o.reduced {
-				cfg = cfg.Reduced()
-			}
-			res, err := experiments.RunEX3(cfg)
-			return renderCSV(o, res, err)
-		}},
-		{"ex4", func(o benchOpts) (string, error) {
-			cfg := experiments.EX4Config{Seed: o.seed}
-			if o.days > 0 {
-				cfg.Rounds = o.days
-			}
-			if o.reduced {
-				cfg = cfg.Reduced()
-			}
-			res, err := experiments.RunEX4(cfg)
-			return renderCSV(o, res, err)
-		}},
-		{"ex5", func(o benchOpts) (string, error) {
-			cfg := experiments.EX5Config{Seed: o.seed}
-			if o.days > 0 {
-				cfg.Days = o.days
-			}
-			if o.profileRuns > 0 {
-				cfg.ProfileRuns = o.profileRuns
-			}
-			if o.reduced {
-				cfg = cfg.Reduced()
-			}
-			res, err := experiments.RunEX5(cfg)
-			return renderCSV(o, res, err)
-		}},
-		{"ex6", func(o benchOpts) (string, error) {
-			cfg := experiments.EX6Config{Seed: o.seed}
-			if o.reduced {
-				cfg = cfg.Reduced()
-			}
-			if o.ex6Strategies != "" {
-				cfg.Arms = experiments.DefaultEX6Arms()
-				for _, name := range strings.Split(o.ex6Strategies, ",") {
-					name = strings.TrimSpace(name)
-					// Validate up front so a typo fails with the registry's
-					// name listing instead of mid-experiment; the placeholder
-					// AZ satisfies pinned strategies and is re-resolved to the
-					// chaos target inside each cell.
-					if _, err := router.Build(router.StrategySpec{Name: name, AZ: "us-west-1b"}); err != nil {
-						return "", err
-					}
-					cfg.Arms = append(cfg.Arms, experiments.EX6Arm{
-						Label:      name,
-						Strategy:   router.StrategySpec{Name: name},
-						Resilience: router.DefaultResilience(),
-					})
-				}
-			}
-			res, err := experiments.RunEX6(cfg)
-			return renderCSV(o, res, err)
-		}},
-		{"ex7", func(o benchOpts) (string, error) {
-			cfg := experiments.EX7Config{Seed: o.seed}
-			if o.reduced {
-				cfg = cfg.Reduced()
-			}
-			res, err := experiments.RunEX7(cfg)
-			return renderCSV(o, res, err)
-		}},
-		{"ex8", func(o benchOpts) (string, error) {
-			cfg := experiments.EX8Config{Seed: o.seed}
-			if o.reduced {
-				cfg = cfg.Reduced()
-			}
-			res, err := experiments.RunEX8(cfg)
-			return renderCSV(o, res, err)
-		}},
-		{"ex9", func(o benchOpts) (string, error) {
-			cfg := experiments.EX9Config{Seed: o.seed}
-			if o.reduced {
-				cfg = cfg.Reduced()
-			}
-			res, err := experiments.RunEX9(cfg)
-			return renderCSV(o, res, err)
-		}},
-		{"ex10", func(o benchOpts) (string, error) {
-			cfg := experiments.EX10Config{Seed: o.seed}
-			if o.reduced {
-				cfg = cfg.Reduced()
-			}
-			res, err := experiments.RunEX10(cfg)
-			return renderCSV(o, res, err)
-		}},
-		{"ex11", func(o benchOpts) (string, error) {
-			cfg := experiments.EX11Config{Seed: o.seed}
-			if o.profileRuns > 0 {
-				cfg.ProfileRuns = o.profileRuns
-			}
-			if o.reduced {
-				cfg = cfg.Reduced()
-			}
-			res, err := experiments.RunEX11(cfg)
-			return renderCSV(o, res, err)
-		}},
+		entry("ex1", func(o benchOpts) (experiments.EX1Config, error) { return experiments.EX1Config{Seed: o.seed}, nil }, experiments.RunEX1),
+		entry("ex2", func(o benchOpts) (experiments.EX2Config, error) { return experiments.EX2Config{Seed: o.seed}, nil }, experiments.RunEX2),
+		entry("ex3", func(o benchOpts) (experiments.EX3Config, error) { return experiments.EX3Config{Seed: o.seed}, nil }, experiments.RunEX3),
+		entry("ex4", ex4Config, experiments.RunEX4),
+		entry("ex5", ex5Config, experiments.RunEX5),
+		entry("ex6", ex6Config, experiments.RunEX6),
+		entry("ex7", func(o benchOpts) (experiments.EX7Config, error) { return experiments.EX7Config{Seed: o.seed}, nil }, experiments.RunEX7),
+		entry("ex8", func(o benchOpts) (experiments.EX8Config, error) { return experiments.EX8Config{Seed: o.seed}, nil }, experiments.RunEX8),
+		entry("ex9", func(o benchOpts) (experiments.EX9Config, error) { return experiments.EX9Config{Seed: o.seed}, nil }, experiments.RunEX9),
+		entry("ex10", func(o benchOpts) (experiments.EX10Config, error) { return experiments.EX10Config{Seed: o.seed}, nil }, experiments.RunEX10),
+		entry("ex11", ex11Config, experiments.RunEX11),
+		entry("ablations", func(o benchOpts) (experiments.StudyConfig, error) { return experiments.StudyConfig{Seed: o.seed}, nil }, experiments.RunAblations),
+		entry("tradeoff", func(o benchOpts) (experiments.StudyConfig, error) { return experiments.StudyConfig{Seed: o.seed}, nil }, experiments.RunRetryTradeoff),
 	}
+}
+
+func ex4Config(o benchOpts) (experiments.EX4Config, error) {
+	cfg := experiments.EX4Config{Seed: o.seed}
+	if o.days > 0 {
+		cfg.Rounds = o.days
+	}
+	return cfg, nil
+}
+
+func ex5Config(o benchOpts) (experiments.EX5Config, error) {
+	cfg := experiments.EX5Config{Seed: o.seed}
+	if o.days > 0 {
+		cfg.Days = o.days
+	}
+	if o.profileRuns > 0 {
+		cfg.ProfileRuns = o.profileRuns
+	}
+	return cfg, nil
+}
+
+// ex6Config appends one arm per -ex6-strategies name, run with default
+// resilience, to the default arms.
+func ex6Config(o benchOpts) (experiments.EX6Config, error) {
+	cfg := experiments.EX6Config{Seed: o.seed}
+	if o.ex6Strategies == "" {
+		return cfg, nil
+	}
+	cfg.Arms = experiments.DefaultEX6Arms()
+	for _, name := range strings.Split(o.ex6Strategies, ",") {
+		name = strings.TrimSpace(name)
+		// Validate up front so a typo fails with the registry's name
+		// listing instead of mid-experiment; the placeholder AZ satisfies
+		// pinned strategies and is re-resolved to the chaos target inside
+		// each cell.
+		if _, err := router.Build(router.StrategySpec{Name: name, AZ: "us-west-1b"}); err != nil {
+			return cfg, err
+		}
+		cfg.Arms = append(cfg.Arms, experiments.EX6Arm{
+			Label:      name,
+			Strategy:   router.StrategySpec{Name: name},
+			Resilience: router.DefaultResilience(),
+		})
+	}
+	return cfg, nil
+}
+
+func ex11Config(o benchOpts) (experiments.EX11Config, error) {
+	cfg := experiments.EX11Config{Seed: o.seed}
+	if o.profileRuns > 0 {
+		cfg.ProfileRuns = o.profileRuns
+	}
+	return cfg, nil
 }
 
 // experimentNames lists the registry in run order.

@@ -33,36 +33,37 @@ func captureStdout(t *testing.T, fn func() error) (string, error) {
 	return buf.String(), runErr
 }
 
-func TestRunTable1(t *testing.T) {
-	out, err := captureStdout(t, func() error {
-		return run([]string{"-ex", "table1"})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"Table 1", "logistic_regression", "zipper"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("output missing %q", want)
-		}
-	}
-}
-
-func TestRunReducedEx1WithCSV(t *testing.T) {
+// dispatch runs skybench with args plus a -csvdir and requires every wanted
+// string in the output and every named dataset on disk.
+func dispatch(t *testing.T, args []string, wants, csvs []string) {
+	t.Helper()
 	dir := t.TempDir()
 	out, err := captureStdout(t, func() error {
-		return run([]string{"-ex", "ex1", "-scale", "reduced", "-csvdir", dir})
+		return run(append(args, "-csvdir", dir))
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out, "Fig. 3") || !strings.Contains(out, "Fig. 4") {
-		t.Errorf("missing figure sections:\n%s", out)
+	for _, want := range wants {
+		if !strings.Contains(out, want) {
+			t.Errorf("output missing %q:\n%s", want, out)
+		}
 	}
-	for _, f := range []string{"fig3_sleep_sweep.csv", "fig4_saturation.csv"} {
+	for _, f := range csvs {
 		if _, err := os.Stat(filepath.Join(dir, f)); err != nil {
 			t.Errorf("csv %s not written: %v", f, err)
 		}
 	}
+}
+
+func TestRunTable1(t *testing.T) {
+	dispatch(t, []string{"-ex", "table1"}, []string{"Table 1", "logistic_regression", "zipper"}, nil)
+}
+
+func TestRunReducedEx1WithCSV(t *testing.T) {
+	dispatch(t, []string{"-ex", "ex1", "-scale", "reduced"},
+		[]string{"Fig. 3", "Fig. 4"},
+		[]string{"fig3_sleep_sweep.csv", "fig4_saturation.csv"})
 }
 
 func TestRunRejectsBadFlags(t *testing.T) {
@@ -104,7 +105,7 @@ func TestRegistryAgreesWithFlagText(t *testing.T) {
 		}
 		seen[n] = true
 	}
-	for _, want := range []string{"table1", "ex1", "ex6", "ex7", "ex9"} {
+	for _, want := range []string{"table1", "ex1", "ex6", "ex7", "ex9", "ablations", "tradeoff"} {
 		if !seen[want] {
 			t.Errorf("registry missing %s", want)
 		}
@@ -124,40 +125,24 @@ func TestRegistryAgreesWithFlagText(t *testing.T) {
 // TestRunEx7Dispatch runs a mid-registry entry end to end through the CLI:
 // the reduced EX-7 must render its table and write its dataset.
 func TestRunEx7Dispatch(t *testing.T) {
-	dir := t.TempDir()
-	out, err := captureStdout(t, func() error {
-		return run([]string{"-ex", "ex7", "-scale", "reduced", "-csvdir", dir})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"EX-7", "static-once", "periodic", "drift", "headline"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("output missing %q", want)
-		}
-	}
-	if _, err := os.Stat(filepath.Join(dir, "ex7_refresh.csv")); err != nil {
-		t.Errorf("csv not written: %v", err)
-	}
+	dispatch(t, []string{"-ex", "ex7", "-scale", "reduced"},
+		[]string{"EX-7", "static-once", "periodic", "drift", "headline"},
+		[]string{"ex7_refresh.csv"})
 }
 
-// TestRunEx9Dispatch runs the newest registry entry end to end through the
-// CLI: the reduced EX-9 must render its scalability table, prove the
-// engines agreed, and write its dataset.
+// TestRunEx9Dispatch: the reduced EX-9 must render its scalability table,
+// prove the engines agreed, and write its dataset.
 func TestRunEx9Dispatch(t *testing.T) {
-	dir := t.TempDir()
-	out, err := captureStdout(t, func() error {
-		return run([]string{"-ex", "ex9", "-scale", "reduced", "-csvdir", dir})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"EX-9", "Shards", "deterministic across engines: yes"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("output missing %q", want)
-		}
-	}
-	if _, err := os.Stat(filepath.Join(dir, "ex9_scalability.csv")); err != nil {
-		t.Errorf("csv not written: %v", err)
-	}
+	dispatch(t, []string{"-ex", "ex9", "-scale", "reduced"},
+		[]string{"EX-9", "Shards", "deterministic across engines: yes"},
+		[]string{"ex9_scalability.csv"})
+}
+
+// TestRunStudiesDispatch: the ablations and the §4.6 trade-off are reachable
+// only through these two entries, so both must render the quantities
+// EXPERIMENTS.md tabulates and write their datasets.
+func TestRunStudiesDispatch(t *testing.T) {
+	dispatch(t, []string{"-ex", "ablations,tradeoff", "-seed", "0"},
+		[]string{"fan-out", "client calls", "passive", "frozen day 1", "retries per completion", "hold cost USD"},
+		[]string{"ablations.csv", "tradeoff.csv"})
 }

@@ -87,7 +87,7 @@ func run(args []string) error {
 	fs.SetOutput(os.Stderr)
 	addr := fs.String("addr", "127.0.0.1:8080", "listen address")
 	seed := fs.Uint64("seed", 42, "simulation seed")
-	speedup := fs.Float64("speedup", 1000, "virtual seconds per wall second")
+	speedup := fs.Float64("speedup", 1000, "nominal virtual seconds per wall second: each event gap sleeps gap/speedup, and a sleep has a floor of about 1 ms, so the effective ratio is lower (93 at 1000 in bench/baseline/, metric skyd.effective_speedup)")
 	fullMesh := fs.Bool("full-mesh", false, "deploy the full 698-endpoint mesh (slower startup)")
 	refreshMode := fs.String("refresh", "", "characterization maintenance mode: off, age, or drift (empty = disabled)")
 	refreshRate := fs.Float64("refresh-budget-rate", 0, "refresh budget refill, USD per virtual hour (0 = default)")

@@ -74,6 +74,23 @@ func TestAdmitUntilLimitThenShed(t *testing.T) {
 	}
 }
 
+// TestAdmitDoneAllocs pins the gate's per-request cost: an admitted request
+// and its completion, the pair every burst through skyd pays, must not
+// allocate.
+func TestAdmitDoneAllocs(t *testing.T) {
+	c := newController(t, Config{Slots: 900})
+	allocs := testing.AllocsPerRun(1000, func() {
+		tk, err := c.Admit(t0, workload.Sha1Hash, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Done(tk, t0, 50, true)
+	})
+	if allocs != 0 {
+		t.Errorf("Admit+Done allocates %.1f times per request, budget is 0", allocs)
+	}
+}
+
 func TestDisabledNeverSheds(t *testing.T) {
 	c := newController(t, Config{Slots: 2})
 	c.SetEnabled(false)

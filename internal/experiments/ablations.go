@@ -9,12 +9,71 @@ import (
 	"skyfaas/internal/router"
 	"skyfaas/internal/sampler"
 	"skyfaas/internal/sim"
+	"skyfaas/internal/tablefmt"
 	"skyfaas/internal/workload"
 )
 
 // This file holds the ablation studies DESIGN.md §6 calls out: they justify
 // the design choices of the reproduced system rather than regenerate a
 // paper figure.
+
+// StudyConfig configures the studies that sit beside the experiments: the
+// ablations here and the §4.6 trade-off in tradeoff.go. They run at one
+// scale, so Reduced is the identity; it lets cmd/skybench drive them like
+// any experiment.
+type StudyConfig struct{ Seed uint64 }
+
+// Reduced returns c unchanged.
+func (c StudyConfig) Reduced() StudyConfig { return c }
+
+// AblationsResult is the three ablation studies on one seed.
+type AblationsResult struct {
+	Fanout  AblationFanoutResult
+	Passive AblationPassiveResult
+	Stale   AblationStaleResult
+}
+
+// RunAblations runs the three ablation studies.
+func RunAblations(cfg StudyConfig) (AblationsResult, error) {
+	var res AblationsResult
+	var err error
+	if res.Fanout, err = RunAblationFanout(cfg.Seed); err != nil {
+		return AblationsResult{}, err
+	}
+	if res.Passive, err = RunAblationPassive(cfg.Seed); err != nil {
+		return AblationsResult{}, err
+	}
+	if res.Stale, err = RunAblationStaleProfile(cfg.Seed); err != nil {
+		return AblationsResult{}, err
+	}
+	return res, nil
+}
+
+// table lists every quantity of EXPERIMENTS.md's ablation table, one a row.
+func (r AblationsResult) table() *tablefmt.Table {
+	t := tablefmt.New("study", "arm", "quantity", "value")
+	t.Row("fan-out", "tree", "unique FIs", r.Fanout.TreeUniqueFIs)
+	t.Row("fan-out", "tree", "client calls", r.Fanout.TreeClientCalls)
+	t.Row("fan-out", "flat", "unique FIs", r.Fanout.FlatUniqueFIs)
+	t.Row("fan-out", "flat", "client calls", r.Fanout.FlatClientCalls)
+	t.Row("characterization", "polled", "savings %", r.Passive.PolledSavings*100)
+	t.Row("characterization", "polled", "sampling USD", r.Passive.PolledSamplingUSD)
+	t.Row("characterization", "passive", "savings %", r.Passive.PassiveSavings*100)
+	t.Row("characterization", "passive", "sampling USD", r.Passive.PassiveSamplingUSD)
+	t.Row("profile age", "fresh daily", "savings %", r.Stale.FreshSavings*100)
+	t.Row("profile age", "frozen day 1", "savings %", r.Stale.StaleSavings*100)
+	return t
+}
+
+// Render produces the ablation table.
+func (r AblationsResult) Render() string {
+	return "Ablations — tree vs flat fan-out, polled vs passive characterization, fresh vs stale profile\n" + r.table().String()
+}
+
+// WriteCSV emits ablations.csv.
+func (r AblationsResult) WriteCSV(dir string) error {
+	return writeCSVFile(dir, "ablations.csv", r.table())
+}
 
 // AblationFanoutResult compares the recursive-tree fan-out against a flat
 // client fan-out at equal request counts.
@@ -96,6 +155,81 @@ func uniqueFIs(pr sampler.PollResult) int {
 	return len(seen)
 }
 
+// ablationZones is the volatile hop set the routing ablations run over.
+var ablationZones = []string{"us-west-1a", "us-west-1b", "sa-east-1a"}
+
+// routingArm is one arm of a routing ablation: a fresh world in which the
+// workload is profiled over ablationZones and then, on each day, refresh
+// runs and a baseline burst on us-west-1b is followed by a hybrid burst over
+// all three zones. refresh is where the arms of an ablation differ.
+type routingArm struct {
+	days        int
+	workload    workload.ID
+	profileRuns int
+	storeTTL    time.Duration          // 0 = core's default
+	setup       func(rt *core.Runtime) // optional, on the fresh runtime
+	refresh     func(rt *core.Runtime, p *sim.Proc, day int) error
+}
+
+// savings runs the arm and returns hybrid's cumulative savings versus the
+// baseline.
+func (a routingArm) savings(seed uint64) (float64, error) {
+	rt, err := core.New(core.Config{
+		Seed:  seed,
+		Epoch: defaultEpoch,
+		SamplerCfg: sampler.Config{
+			Endpoints: 60, PollSize: 222, Branch: 10,
+			InterPollPause: 500 * time.Millisecond,
+		},
+		CloudOpts: cloudsim.Options{HorizonDays: a.days + 2},
+		StoreTTL:  a.storeTTL,
+		SkipMesh:  true,
+	})
+	if err != nil {
+		return 0, err
+	}
+	if a.setup != nil {
+		a.setup(rt)
+	}
+	var baseTotal, hybTotal float64
+	err = rt.Do(func(p *sim.Proc) error {
+		if _, err := rt.ProfileWorkloads(p, []workload.ID{a.workload}, ablationZones, a.profileRuns); err != nil {
+			return err
+		}
+		p.Sleep(6 * time.Minute)
+		for day := 0; day < a.days; day++ {
+			if err := a.refresh(rt, p, day); err != nil {
+				return err
+			}
+			base, err := rt.Run(p, router.BurstSpec{
+				Strategy: router.Baseline{AZ: "us-west-1b"}, Workload: a.workload,
+				N: 200, Candidates: ablationZones,
+			})
+			if err != nil {
+				return err
+			}
+			p.Sleep(6 * time.Minute)
+			hyb, err := rt.Run(p, router.BurstSpec{
+				Strategy: router.Hybrid{}, Workload: a.workload,
+				N: 200, Candidates: ablationZones,
+			})
+			if err != nil {
+				return err
+			}
+			baseTotal += base.CostUSD
+			hybTotal += hyb.CostUSD
+			if day < a.days-1 {
+				p.Sleep(22 * time.Hour)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return 0, err
+	}
+	return 1 - hybTotal/baseTotal, nil
+}
+
 // AblationPassiveResult compares routing on polled characterizations
 // against free passive ones built from the traffic itself (§4.6).
 type AblationPassiveResult struct {
@@ -113,83 +247,26 @@ type AblationPassiveResult struct {
 // zones twice — once refreshing characterizations by polling, once
 // passively from the traffic — on identical worlds.
 func RunAblationPassive(seed uint64) (AblationPassiveResult, error) {
-	const days = 4
-	zones := []string{"us-west-1a", "us-west-1b", "sa-east-1a"}
-	run := func(passive bool) (float64, float64, error) {
-		rt, err := core.New(core.Config{
-			Seed:  seed,
-			Epoch: defaultEpoch,
-			SamplerCfg: sampler.Config{
-				Endpoints: 60, PollSize: 222, Branch: 10,
-				InterPollPause: 500 * time.Millisecond,
-			},
-			CloudOpts: cloudsim.Options{HorizonDays: days + 2},
-			SkipMesh:  true,
-		})
-		if err != nil {
-			return 0, 0, err
-		}
-		if passive {
-			rt.EnablePassiveCharacterization(24 * time.Hour)
-		}
-		var baseTotal, hybTotal, sampling float64
-		err = rt.Do(func(p *sim.Proc) error {
-			if _, err := rt.ProfileWorkloads(p, []workload.ID{workload.MathService}, zones, 600); err != nil {
-				return err
-			}
-			p.Sleep(6 * time.Minute)
-			for day := 0; day < days; day++ {
-				if passive {
-					rt.RefreshPassive(zones, 100)
-				} else {
-					cost, err := rt.Refresh(p, zones, 3)
-					if err != nil {
-						return err
-					}
-					sampling += cost
-				}
-				base, err := rt.Run(p, router.BurstSpec{
-					Strategy: router.Baseline{AZ: "us-west-1b"}, Workload: workload.MathService,
-					N: 200, Candidates: zones,
-				})
-				if err != nil {
-					return err
-				}
-				p.Sleep(6 * time.Minute)
-				hyb, err := rt.Run(p, router.BurstSpec{
-					Strategy: router.Hybrid{}, Workload: workload.MathService,
-					N: 200, Candidates: zones,
-				})
-				if err != nil {
-					return err
-				}
-				baseTotal += base.CostUSD
-				hybTotal += hyb.CostUSD
-				if day < days-1 {
-					p.Sleep(22 * time.Hour)
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			return 0, 0, err
-		}
-		return 1 - hybTotal/baseTotal, sampling, nil
+	var res AblationPassiveResult
+	arm := routingArm{days: 4, workload: workload.MathService, profileRuns: 600}
+	arm.refresh = func(rt *core.Runtime, p *sim.Proc, _ int) error {
+		cost, err := rt.Refresh(p, ablationZones, 3)
+		res.PolledSamplingUSD += cost
+		return err
 	}
-	polled, polledCost, err := run(false)
-	if err != nil {
+	var err error
+	if res.PolledSavings, err = arm.savings(seed); err != nil {
 		return AblationPassiveResult{}, err
 	}
-	passive, passiveCost, err := run(true)
-	if err != nil {
+	arm.setup = func(rt *core.Runtime) { rt.EnablePassiveCharacterization(24 * time.Hour) }
+	arm.refresh = func(rt *core.Runtime, _ *sim.Proc, _ int) error {
+		rt.RefreshPassive(ablationZones, 100)
+		return nil
+	}
+	if res.PassiveSavings, err = arm.savings(seed); err != nil {
 		return AblationPassiveResult{}, err
 	}
-	return AblationPassiveResult{
-		PolledSavings:      polled,
-		PolledSamplingUSD:  polledCost,
-		PassiveSavings:     passive,
-		PassiveSamplingUSD: passiveCost,
-	}, nil
+	return res, nil
 }
 
 // AblationStaleResult compares routing on fresh daily characterizations
@@ -204,62 +281,18 @@ type AblationStaleResult struct {
 // and reports cumulative savings versus the fixed-zone baseline in each
 // mode. Both runs replay the identical world (same seed).
 func RunAblationStaleProfile(seed uint64) (AblationStaleResult, error) {
-	const days = 5
-	zones := []string{"us-west-1a", "us-west-1b", "sa-east-1a"}
 	run := func(refreshDaily bool) (float64, error) {
-		rt, err := core.New(core.Config{
-			Seed:  seed,
-			Epoch: defaultEpoch,
-			SamplerCfg: sampler.Config{
-				Endpoints: 60, PollSize: 222, Branch: 10,
-				InterPollPause: 500 * time.Millisecond,
-			},
-			CloudOpts: cloudsim.Options{HorizonDays: days + 2},
-			StoreTTL:  1000 * time.Hour, // stale mode relies on old entries staying visible
-			SkipMesh:  true,
-		})
-		if err != nil {
-			return 0, err
-		}
-		var baseTotal, hybTotal float64
-		err = rt.Do(func(p *sim.Proc) error {
-			if _, err := rt.ProfileWorkloads(p, []workload.ID{workload.Zipper}, zones, 450); err != nil {
+		return routingArm{
+			days: 5, workload: workload.Zipper, profileRuns: 450,
+			storeTTL: 1000 * time.Hour, // stale mode relies on old entries staying visible
+			refresh: func(rt *core.Runtime, p *sim.Proc, day int) error {
+				if day > 0 && !refreshDaily {
+					return nil
+				}
+				_, err := rt.Refresh(p, ablationZones, 3)
 				return err
-			}
-			p.Sleep(6 * time.Minute)
-			for day := 0; day < days; day++ {
-				if day == 0 || refreshDaily {
-					if _, err := rt.Refresh(p, zones, 3); err != nil {
-						return err
-					}
-				}
-				base, err := rt.Run(p, router.BurstSpec{
-					Strategy: router.Baseline{AZ: "us-west-1b"}, Workload: workload.Zipper,
-					N: 200, Candidates: zones,
-				})
-				if err != nil {
-					return err
-				}
-				p.Sleep(6 * time.Minute)
-				hyb, err := rt.Run(p, router.BurstSpec{
-					Strategy: router.Hybrid{}, Workload: workload.Zipper,
-					N: 200, Candidates: zones,
-				})
-				if err != nil {
-					return err
-				}
-				baseTotal += base.CostUSD
-				hybTotal += hyb.CostUSD
-				if day < days-1 {
-					p.Sleep(22 * time.Hour)
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			return 0, err
-		}
-		return 1 - hybTotal/baseTotal, nil
+			},
+		}.savings(seed)
 	}
 	fresh, err := run(true)
 	if err != nil {

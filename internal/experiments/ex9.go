@@ -166,10 +166,11 @@ func RunEX9(cfg EX9Config) (EX9Result, error) {
 
 // ---------------------------------------------------------------------------
 
-// MeshLoadConfig drives the raw-scale load shared by EX-9 and
-// BenchmarkShardedMesh: the full default catalog, the full deployment mesh,
-// open-loop invocation chains in every zone, and a slice of cross-region
-// traffic so shards genuinely synchronize.
+// MeshLoadConfig drives the raw-scale load shared by EX-9, the benchmark's
+// cloudsim and sharded-ratio probes and TestMeshLoadAllocs: the full
+// default catalog, the full deployment mesh, open-loop invocation chains in
+// every zone, and a slice of cross-region traffic so shards genuinely
+// synchronize.
 type MeshLoadConfig struct {
 	Seed uint64
 	// Shards is the engine width; <= 1 runs the single-queue engine.

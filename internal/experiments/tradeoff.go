@@ -6,6 +6,7 @@ import (
 	"skyfaas/internal/router"
 	"skyfaas/internal/sampler"
 	"skyfaas/internal/sim"
+	"skyfaas/internal/tablefmt"
 	"skyfaas/internal/workload"
 )
 
@@ -32,8 +33,8 @@ type RetryTradeoffResult struct {
 
 // RunRetryTradeoff runs a baseline and a focus-fastest burst of 1,000
 // zipper invocations on us-west-1b and reports the §4.6 quantities.
-func RunRetryTradeoff(seed uint64) (RetryTradeoffResult, error) {
-	rt, err := newRuntime(seed, 3, sampler.Config{}, 0)
+func RunRetryTradeoff(cfg StudyConfig) (RetryTradeoffResult, error) {
+	rt, err := newRuntime(cfg.Seed, 3, sampler.Config{}, 0)
 	if err != nil {
 		return RetryTradeoffResult{}, err
 	}
@@ -75,4 +76,23 @@ func RunRetryTradeoff(seed uint64) (RetryTradeoffResult, error) {
 		return RetryTradeoffResult{}, err
 	}
 	return res, nil
+}
+
+func (r RetryTradeoffResult) table() *tablefmt.Table {
+	t := tablefmt.New("quantity", "value")
+	t.Row("retries per completion", r.RetriesPerCompletion)
+	t.Row("hold cost USD", r.HoldCostUSD)
+	t.Row("added latency ms", r.AddedLatencyMS)
+	t.Row("savings %", r.SavingsFrac*100)
+	return t
+}
+
+// Render produces the trade-off table.
+func (r RetryTradeoffResult) Render() string {
+	return "§4.6 retry trade-off — 1,000-invocation focus-fastest zipper burst on us-west-1b vs baseline\n" + r.table().String()
+}
+
+// WriteCSV emits tradeoff.csv.
+func (r RetryTradeoffResult) WriteCSV(dir string) error {
+	return writeCSVFile(dir, "tradeoff.csv", r.table())
 }

@@ -12,8 +12,8 @@ import (
 // hotalloc proves allocation-freedom statically. The repo's hot paths —
 // the router's per-invocation issue path, the simulation kernel's event
 // loop, the admission gate — are guarded dynamically by
-// testing.AllocsPerRun and the benchmark gate, but those only fire after
-// the regression is committed. This rule moves the check to `make lint`:
+// testing.AllocsPerRun tests, but those only fire after the regression is
+// committed. This rule moves the check to `make lint`:
 // a function annotated
 //
 //	//lint:hotpath

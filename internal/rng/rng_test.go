@@ -223,17 +223,3 @@ func TestShuffleKeepsElements(t *testing.T) {
 		t.Fatalf("shuffle lost elements: %v", xs)
 	}
 }
-
-func BenchmarkUint64(b *testing.B) {
-	s := New(1)
-	for i := 0; i < b.N; i++ {
-		_ = s.Uint64()
-	}
-}
-
-func BenchmarkSplitIndexed(b *testing.B) {
-	s := New(1)
-	for i := 0; i < b.N; i++ {
-		_ = s.SplitIndexed("host", i)
-	}
-}

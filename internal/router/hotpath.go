@@ -16,10 +16,10 @@ import (
 // frozen into a DecisionTable at those two points, so issuing an invocation
 // copies prebuilt values and touches no allocator.
 //
-// The measured budget (BenchmarkRouteHotPath, TestRouteHotPathAllocs):
-// 0 allocs/op for the pinned strategies (Baseline, RetrySlow, FocusFastest)
-// and the cheapest-zone strategies (Regional, Hybrid, CostAware) alike —
-// the table is strategy-independent once built.
+// The measured budget (TestRouteHotPathAllocs; router.pick_call_allocs in
+// bench/): 0 allocations for the pinned strategies (Baseline, RetrySlow,
+// FocusFastest) and the cheapest-zone strategies (Regional, Hybrid,
+// CostAware) alike — the table is strategy-independent once built.
 
 // DecisionTable is one frozen routing decision: the zone, its mesh
 // endpoint, the ban mask, and the two call variants the burst loop issues

@@ -19,7 +19,7 @@ var testEpoch = time.Date(2026, 3, 1, 0, 0, 0, 0, time.UTC)
 
 // world builds a two-zone cloud: "slow-az" is a 50/50 mix of the baseline
 // 2.5 GHz and EPYC; "fast-az" is 60% 3.0 GHz / 40% baseline.
-func world(t testing.TB) (*sim.Env, *cloudsim.Cloud, *Router) {
+func world(t *testing.T) (*sim.Env, *cloudsim.Cloud, *Router) {
 	t.Helper()
 	env := sim.NewEnv(testEpoch)
 	catalog := []cloudsim.RegionSpec{{

@@ -44,7 +44,7 @@ type item struct {
 // eventHeap is a binary min-heap of items by (at, seq), stored by value
 // with hand-rolled sift functions. The container/heap interface would box
 // every pushed item into an interface and allocate it on the heap; at tens
-// of millions of events per run (EX-9, BenchmarkShardedMesh) that
+// of millions of events per run (EX-9's mesh load) that
 // allocation — and the GC scan load of a pointer-dense queue — dominates
 // the engine, so the queue stays flat.
 type eventHeap []item

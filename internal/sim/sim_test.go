@@ -347,28 +347,21 @@ func TestNestedGoFromProc(t *testing.T) {
 	}
 }
 
-func BenchmarkScheduleRun(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		e := NewEnv(epoch)
-		for j := 0; j < 1000; j++ {
-			e.Schedule(time.Duration(j)*time.Millisecond, func() {})
+// TestScheduleRunAllocs pins the kernel's innermost loop: once the heap has
+// grown to its working size, scheduling a callback and firing it must not
+// allocate (hotalloc proves it statically; this measures it).
+func TestScheduleRunAllocs(t *testing.T) {
+	e := NewEnv(epoch)
+	noop := func() {}
+	allocs := testing.AllocsPerRun(100, func() {
+		for j := 0; j < 64; j++ {
+			e.Schedule(time.Duration(64-j)*time.Microsecond, noop)
 		}
 		if err := e.Run(); err != nil {
-			b.Fatal(err)
+			t.Fatal(err)
 		}
-	}
-}
-
-func BenchmarkProcHandoff(b *testing.B) {
-	e := NewEnv(epoch)
-	e.Go("pingpong", func(p *Proc) error {
-		for i := 0; i < b.N; i++ {
-			p.Sleep(time.Millisecond)
-		}
-		return nil
 	})
-	b.ResetTimer()
-	if err := e.Run(); err != nil {
-		b.Fatal(err)
+	if allocs != 0 {
+		t.Errorf("Schedule+run allocates %.2f times per 64 events, budget is 0", allocs)
 	}
 }

@@ -154,6 +154,22 @@ func (s *Server) handleCharacterizations(ctx context.Context, r *apiReq) (any, *
 	return map[string]any{"characterizations": out}, nil
 }
 
+// Ceilings on the work one request body may ask for. The paper's bursts are
+// 1,000 invocations and its profiles 2,000-10,000 runs, and every limit is
+// at least ten times what cmd/, examples/ and bench/ send. Without them one
+// body sizes the router's burst slab, or holds the single simulation
+// goroutine for as long as the caller likes.
+const (
+	maxBurstN            = 100_000
+	maxProfileRuns       = 100_000
+	maxCharacterizePolls = 200 // the sampler's own bound on polls to saturation
+)
+
+// overLimit is the 400 for a request field above its ceiling.
+func overLimit(field string, got, limit int) *apiError {
+	return apiErrf(http.StatusBadRequest, "bad_request", "%s %d exceeds the limit of %d", field, got, limit)
+}
+
 type characterizeReq struct {
 	AZ    string `json:"az"`
 	Polls int    `json:"polls"`
@@ -166,6 +182,9 @@ func (s *Server) handleCharacterize(ctx context.Context, r *apiReq) (any, *apiEr
 	}
 	if req.Polls <= 0 {
 		req.Polls = 6
+	}
+	if req.Polls > maxCharacterizePolls {
+		return nil, overLimit("polls", req.Polls, maxCharacterizePolls)
 	}
 	var ch charact.Characterization
 	err := s.Exec(func(p *sim.Proc) error {
@@ -209,6 +228,9 @@ func (s *Server) handleProfile(ctx context.Context, r *apiReq) (any, *apiError) 
 	}
 	if req.Runs <= 0 {
 		req.Runs = 300
+	}
+	if req.Runs > maxProfileRuns {
+		return nil, overLimit("runs", req.Runs, maxProfileRuns)
 	}
 	if len(req.Zones) == 0 {
 		return nil, apiErrf(http.StatusBadRequest, "bad_request", "no zones given")
@@ -316,6 +338,9 @@ func (s *Server) handleBurst(ctx context.Context, r *apiReq) (any, *apiError) {
 	}
 	if req.N <= 0 {
 		req.N = 100
+	}
+	if req.N > maxBurstN {
+		return nil, overLimit("n", req.N, maxBurstN)
 	}
 	// Tenant governors run before the global gate: a tenant over its own
 	// quota or budget sheds here without consuming global admission

@@ -299,6 +299,23 @@ func TestBurstValidation(t *testing.T) {
 	}
 }
 
+// TestRequestCeilings: a count above its ceiling is the caller's 400, answered
+// before the burst slab is sized or the simulation goroutine is occupied.
+func TestRequestCeilings(t *testing.T) {
+	s := newTestServer(t)
+	for _, c := range []struct {
+		path string
+		req  map[string]any
+	}{
+		{"/v1/burst", map[string]any{"workload": "zipper", "n": maxBurstN + 1}},
+		{"/v1/characterize", map[string]any{"az": "t1-fast", "polls": maxCharacterizePolls + 1}},
+		{"/v1/profile", map[string]any{"workload": "math_service", "zones": []string{"t1-fast"}, "runs": maxProfileRuns + 1}},
+	} {
+		res, body := do(t, s, "POST", c.path, c.req)
+		wantErr(t, res, body, http.StatusBadRequest, "bad_request")
+	}
+}
+
 func TestProfileValidation(t *testing.T) {
 	s := newTestServer(t)
 	res, body := do(t, s, "POST", "/v1/profile", map[string]any{

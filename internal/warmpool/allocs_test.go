@@ -9,7 +9,7 @@ import (
 )
 
 // syncActuator resolves actuations inline with zero cost variance: the
-// benchmark measures the control loop (forecast, sizing, dispatch), not a
+// test measures the control loop (forecast, sizing, dispatch), not a
 // simulated cloud round trip.
 type syncActuator struct {
 	live map[string]int
@@ -26,11 +26,11 @@ func (a *syncActuator) EnsureWarm(az string, target, floor int, done func(Provis
 	done(r)
 }
 
-// BenchmarkWarmPoolTick measures one steady-state control-loop pass over 32
-// zones with primed forecasters: the per-tick cost skyd pays every
-// TickEvery of virtual time. Gated by BENCH_warmpool.json via `make
-// bench-check`.
-func BenchmarkWarmPoolTick(b *testing.B) {
+// TestTickAllocs pins the allocation budget of one steady-state control-loop
+// pass over 32 zones with primed forecasters, the per-tick cost skyd pays
+// every TickEvery of virtual time: one dispatch closure per actuated zone
+// and nothing per arrival, so the count scales with zones, not with traffic.
+func TestTickAllocs(t *testing.T) {
 	env := sim.NewEnv(epoch)
 	act := &syncActuator{live: make(map[string]int)}
 	zones := make([]string, 32)
@@ -45,7 +45,7 @@ func BenchmarkWarmPoolTick(b *testing.B) {
 		Season:    20 * time.Minute,
 	}, act, constSvc(150), nil)
 	if err != nil {
-		b.Fatal(err)
+		t.Fatal(err)
 	}
 	// Prime two full seasons of diurnal-ish traffic so the seasonal terms
 	// are populated and every zone carries a non-trivial target.
@@ -58,11 +58,26 @@ func BenchmarkWarmPoolTick(b *testing.B) {
 		})
 	}
 	if err := env.RunFor(40 * time.Minute); err != nil {
-		b.Fatal(err)
+		t.Fatal(err)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.tick()
+	// tickAfter is one tick preceded by the given number of arrivals in
+	// every zone, each its own ObserveTraffic call as the router makes them.
+	tickAfter := func(arrivals int) float64 {
+		return testing.AllocsPerRun(200, func() {
+			for _, az := range zones {
+				for i := 0; i < arrivals; i++ {
+					m.ObserveTraffic(az, 1)
+				}
+			}
+			m.tick()
+		})
+	}
+	const budget = 34 // one closure per zone plus two of slack
+	quiet := tickAfter(10)
+	if quiet > budget {
+		t.Errorf("tick over %d zones allocates %.0f times, budget is %d", len(zones), quiet, budget)
+	}
+	if busy := tickAfter(100); busy != quiet {
+		t.Errorf("tick allocates %.0f times after 10x the traffic, %.0f before: an allocation per arrival leaked into the control loop", busy, quiet)
 	}
 }

@@ -270,17 +270,3 @@ func TestUnionFind(t *testing.T) {
 		t.Fatal("components not merged")
 	}
 }
-
-func BenchmarkWorkloads(b *testing.B) {
-	for _, id := range IDs() {
-		id := id
-		b.Run(id.String(), func(b *testing.B) {
-			dir := b.TempDir()
-			for i := 0; i < b.N; i++ {
-				if _, err := Run(id, Input{Seed: uint64(i), TempDir: dir}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
