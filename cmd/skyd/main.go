@@ -7,7 +7,7 @@
 //	curl -XPOST localhost:8080/v1/characterize -d '{"az":"us-west-1a","polls":6}'
 //	curl -XPOST localhost:8080/v1/profile -d '{"workload":"zipper","zones":["us-west-1a"],"runs":300}'
 //	curl -XPOST localhost:8080/v1/burst -d '{"strategy":"hybrid","workload":"zipper","n":200,"candidates":["us-west-1a","sa-east-1a"]}'
-//	curl localhost:8080/healthz      # liveness: is the sim goroutine pumping?
+//	curl localhost:8080/healthz      # liveness: is the sim goroutine taking commands?
 //	curl localhost:8080/metrics      # Prometheus text exposition
 //	curl localhost:8080/metrics.json # same snapshot as JSON
 //
@@ -87,7 +87,7 @@ func run(args []string) error {
 	fs.SetOutput(os.Stderr)
 	addr := fs.String("addr", "127.0.0.1:8080", "listen address")
 	seed := fs.Uint64("seed", 42, "simulation seed")
-	speedup := fs.Float64("speedup", 1000, "nominal virtual seconds per wall second: each event gap sleeps gap/speedup, and a sleep has a floor of about 1 ms, so the effective ratio is lower (93 at 1000 in bench/baseline/, metric skyd.effective_speedup)")
+	speedup := fs.Float64("speedup", 1000, "virtual seconds per wall second: the event at virtual time t is due at start + t/speedup, and lateness is repaid, so the ratio holds (gauge sky_skyd_effective_speedup)")
 	fullMesh := fs.Bool("full-mesh", false, "deploy the full 698-endpoint mesh (slower startup)")
 	refreshMode := fs.String("refresh", "", "characterization maintenance mode: off, age, or drift (empty = disabled)")
 	refreshRate := fs.Float64("refresh-budget-rate", 0, "refresh budget refill, USD per virtual hour (0 = default)")

@@ -3,6 +3,7 @@ package cloudsim
 import (
 	"fmt"
 	"math"
+	"strconv"
 	"time"
 
 	"skyfaas/internal/cpu"
@@ -13,15 +14,25 @@ import (
 // Host is one provisioned machine (a bare-metal instance hosting microVMs).
 // Every function instance placed on a host observes the host's CPU.
 type Host struct {
-	id    string
+	zone  string
+	seq   int
+	id    string // "vm-<zone>-<seq>", built when first asked for
 	kind  cpu.Kind
 	arch  cpu.Arch
 	slots int // FI capacity
 	used  int // live FIs
 }
 
-// ID returns the platform-assigned host identifier a guest can observe.
-func (h *Host) ID() string { return h.id }
+// ID returns the platform-assigned host identifier a guest can observe. A
+// world holds thousands of hosts and a run lands on few of them, so the
+// string is built on first use; like all zone state it is only touched from
+// the zone's own event shard.
+func (h *Host) ID() string {
+	if h.id == "" {
+		h.id = "vm-" + h.zone + "-" + strconv.Itoa(h.seq)
+	}
+	return h.id
+}
 
 // Kind returns the host's processor kind. Only the saaf path and tests may
 // consult this; samplers must infer it from cpuinfo.
@@ -124,6 +135,7 @@ type AZ struct {
 	rand        *rng.Stream
 	hosts       []*Host
 	armHosts    []*Host
+	hostSlab    []Host // day-0 hosts are carved from one allocation per zone
 	deployments map[string]*Deployment
 	targetMix   map[cpu.Kind]float64
 	baseMix     map[cpu.Kind]float64 // day-0 mix, anchor for mean reversion
@@ -154,10 +166,15 @@ func newAZ(c *Cloud, region *Region, spec AZSpec) *AZ {
 		n = 1
 	}
 	az.baseHosts = n
+	arm := spec.ArmPoolFIs / hostFIs
+	az.hostSlab = make([]Host, n+arm)
+	az.hosts = make([]*Host, 0, n)
+	az.armHosts = make([]*Host, 0, arm)
+	draw := az.kindDrawer(az.targetMix)
 	for i := 0; i < n; i++ {
-		az.addHost(az.drawKind(az.targetMix), cpu.X86, hostFIs)
+		az.addHost(draw(), cpu.X86, hostFIs)
 	}
-	for i := 0; i < spec.ArmPoolFIs/hostFIs; i++ {
+	for i := 0; i < arm; i++ {
 		az.addHost(cpu.Graviton, cpu.ARM, hostFIs)
 	}
 	return az
@@ -219,12 +236,13 @@ func (az *AZ) TrueMix() map[cpu.Kind]float64 {
 
 func (az *AZ) addHost(kind cpu.Kind, arch cpu.Arch, slots int) *Host {
 	az.hostSeq++
-	h := &Host{
-		id:    fmt.Sprintf("vm-%s-%d", az.spec.Name, az.hostSeq),
-		kind:  kind,
-		arch:  arch,
-		slots: slots,
+	var h *Host
+	if len(az.hostSlab) > 0 {
+		h, az.hostSlab = &az.hostSlab[0], az.hostSlab[1:]
+	} else {
+		h = new(Host)
 	}
+	*h = Host{zone: az.spec.Name, seq: az.hostSeq, kind: kind, arch: arch, slots: slots}
 	if arch == cpu.ARM {
 		az.armHosts = append(az.armHosts, h)
 	} else {
@@ -233,12 +251,18 @@ func (az *AZ) addHost(kind cpu.Kind, arch cpu.Arch, slots int) *Host {
 	return h
 }
 
-func (az *AZ) drawKind(mix map[cpu.Kind]float64) cpu.Kind {
+// kindDrawer flattens mix once and returns a function that draws host
+// kinds from it off the zone's rng stream, one draw per call. A zone is
+// built from thousands of draws on one mix, so the flattening must not be
+// paid per host.
+func (az *AZ) kindDrawer(mix map[cpu.Kind]float64) func() cpu.Kind {
 	kinds, weights := mixSlices(mix)
-	if len(kinds) == 0 {
-		return cpu.Xeon25
+	return func() cpu.Kind {
+		if len(kinds) == 0 {
+			return cpu.Xeon25
+		}
+		return kinds[az.rand.WeightedChoice(weights)]
 	}
-	return kinds[az.rand.WeightedChoice(weights)]
 }
 
 // deploy registers a function in this zone.
@@ -299,7 +323,7 @@ func (az *AZ) provisionFI(dep *Deployment, host *Host) *FI {
 	az.m.liveFIs.Set(float64(az.liveFIs))
 	az.fiSeq++
 	return &FI{
-		id:   fmt.Sprintf("fi-%s-%d", az.spec.Name, az.fiSeq),
+		id:   "fi-" + az.spec.Name + "-" + strconv.Itoa(az.fiSeq),
 		host: host,
 		dep:  dep,
 		busy: true,
@@ -445,10 +469,11 @@ func (az *AZ) excursion() {
 		kind cpu.Kind
 	}
 	var swapped []swap
+	draw := az.kindDrawer(perturbed)
 	for _, h := range az.hosts {
 		if h.used == 0 && az.rand.Bool(0.35) {
 			swapped = append(swapped, swap{host: h, kind: h.kind})
-			h.kind = az.drawKind(perturbed)
+			h.kind = draw()
 		}
 	}
 	az.env.Schedule(55*time.Minute, func() {
@@ -504,9 +529,10 @@ func (az *AZ) replaceIdleHostsFrom(frac float64, mix map[cpu.Kind]float64) {
 	if frac > 1 {
 		frac = 1
 	}
+	draw := az.kindDrawer(mix)
 	for _, h := range az.hosts {
 		if h.used == 0 && az.rand.Bool(frac) {
-			h.kind = az.drawKind(mix)
+			h.kind = draw()
 		}
 	}
 }
@@ -517,8 +543,9 @@ func (az *AZ) jitterCapacity() {
 		target = 1
 	}
 	hostFIs := az.spec.hostFIs()
+	draw := az.kindDrawer(az.targetMix)
 	for len(az.hosts) < target {
-		az.addHost(az.drawKind(az.targetMix), cpu.X86, hostFIs)
+		az.addHost(draw(), cpu.X86, hostFIs)
 	}
 	// Shrink by removing empty hosts only.
 	for i := len(az.hosts) - 1; i >= 0 && len(az.hosts) > target; i-- {
@@ -548,8 +575,9 @@ func (az *AZ) maybeScaleUp() {
 	}
 	hostFIs := az.spec.hostFIs()
 	az.env.Schedule(az.cloud.opts.ScaleUpDelay, func() {
+		draw := az.kindDrawer(mix)
 		for i := 0; i < count; i++ {
-			az.addHost(az.drawKind(mix), cpu.X86, hostFIs)
+			az.addHost(draw(), cpu.X86, hostFIs)
 		}
 	})
 }

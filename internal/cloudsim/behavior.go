@@ -115,7 +115,7 @@ func (c *Ctx) CPUInfo() string {
 func (c *Ctx) FIID() string { return c.fi.id }
 
 // HostID returns the host identifier visible to the guest.
-func (c *Ctx) HostID() string { return c.fi.host.id }
+func (c *Ctx) HostID() string { return c.fi.host.ID() }
 
 // Cold reports whether this invocation cold-started the instance.
 func (c *Ctx) Cold() bool { return c.cold }

@@ -268,14 +268,15 @@ func shardEnvFor(env *sim.Env, i int) *sim.Env {
 func (c *Cloud) scheduleDrift() {
 	for _, region := range c.regions {
 		for _, az := range region.azs {
-			az := az
+			// One method value per zone, not one per scheduled event.
+			daily, hourly := az.driftDaily, az.driftHourly
 			for day := 1; day <= c.opts.HorizonDays; day++ {
-				az.env.Schedule(time.Duration(day)*24*time.Hour, az.driftDaily)
+				az.env.Schedule(time.Duration(day)*24*time.Hour, daily)
 			}
 			if az.spec.HourlyDrift > 0 {
 				hours := c.opts.HorizonDays * 24
 				for h := 1; h <= hours; h++ {
-					az.env.Schedule(time.Duration(h)*time.Hour, az.driftHourly)
+					az.env.Schedule(time.Duration(h)*time.Hour, hourly)
 				}
 			}
 		}
@@ -547,7 +548,7 @@ func (c *Cloud) process(cl call, sent time.Time, az *AZ) {
 		az.region.inflight[req.Account]--
 		az.releaseFI(fi)
 
-		profile, perr := saaf.Collect(cpu.CPUInfo(fi.host.kind, dep.vcpus()), fi.id, fi.host.id, cold, billedMS)
+		profile, perr := saaf.Collect(cpu.CPUInfo(fi.host.kind, dep.vcpus()), fi.id, fi.host.ID(), cold, billedMS)
 		respErr := handlerErr
 		if respErr == nil && perr != nil {
 			respErr = perr
@@ -560,7 +561,7 @@ func (c *Cloud) process(cl call, sent time.Time, az *AZ) {
 		c.respond(cl, az, Response{
 			Err:           respErr,
 			FI:            fi.id,
-			Host:          fi.host.id,
+			Host:          fi.host.ID(),
 			CPU:           profile.Kind,
 			Cold:          cold,
 			PayloadCached: cached,

@@ -17,13 +17,13 @@ func checkAZInvariants(t *testing.T, az *AZ) {
 	live := 0
 	for _, h := range az.hosts {
 		if h.used < 0 || h.used > h.slots {
-			t.Fatalf("host %s used=%d slots=%d", h.id, h.used, h.slots)
+			t.Fatalf("host %s used=%d slots=%d", h.ID(), h.used, h.slots)
 		}
 		live += h.used
 	}
 	for _, h := range az.armHosts {
 		if h.used < 0 || h.used > h.slots {
-			t.Fatalf("arm host %s used=%d slots=%d", h.id, h.used, h.slots)
+			t.Fatalf("arm host %s used=%d slots=%d", h.ID(), h.used, h.slots)
 		}
 		live += h.used
 	}

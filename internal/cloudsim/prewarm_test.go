@@ -198,10 +198,10 @@ func TestWarmHostsSurviveIdleHostRedraw(t *testing.T) {
 		az.replaceIdleHostsFrom(1, map[cpu.Kind]float64{cpu.EPYC: 1})
 		for _, h := range az.hosts {
 			if warmHosts[h] && h.kind != cpu.Xeon25 {
-				t.Errorf("occupied warm host %s redrawn to %v", h.id, h.kind)
+				t.Errorf("occupied warm host %s redrawn to %v", h.ID(), h.kind)
 			}
 			if !warmHosts[h] && h.kind != cpu.EPYC {
-				t.Errorf("idle host %s not redrawn: %v", h.id, h.kind)
+				t.Errorf("idle host %s not redrawn: %v", h.ID(), h.kind)
 			}
 		}
 	})

@@ -73,11 +73,11 @@ func (c *Cloud) runProbe(cl call, sent time.Time, az *AZ,
 
 	// Respond as soon as the decision is made so the caller can reissue...
 	az.env.Schedule(time.Duration(probeDecisionMS*float64(time.Millisecond)), func() {
-		profile, perr := saaf.Collect(cpu.CPUInfo(fi.host.kind, dep.vcpus()), fi.id, fi.host.id, cold, holdMS)
+		profile, perr := saaf.Collect(cpu.CPUInfo(fi.host.kind, dep.vcpus()), fi.id, fi.host.ID(), cold, holdMS)
 		c.respond(cl, az, Response{
 			Err:           perr,
 			FI:            fi.id,
-			Host:          fi.host.id,
+			Host:          fi.host.ID(),
 			CPU:           kind,
 			Cold:          cold,
 			PayloadCached: cached,

@@ -106,7 +106,7 @@ func TestNormalizeMixProperties(t *testing.T) {
 	}
 }
 
-// Property: drawKind only ever returns kinds with positive share.
+// Property: a kindDrawer only ever returns kinds with positive share.
 func TestDrawKindProperty(t *testing.T) {
 	if err := quick.Check(func(seed uint64, aw, bw uint8) bool {
 		az := &AZ{rand: rng.New(seed)}
@@ -115,8 +115,9 @@ func TestDrawKindProperty(t *testing.T) {
 			cpu.Xeon30: float64(bw),
 			cpu.EPYC:   0, // never drawable
 		}
+		draw := az.kindDrawer(normalizeMix(mix))
 		for i := 0; i < 50; i++ {
-			k := az.drawKind(normalizeMix(mix))
+			k := draw()
 			if k == cpu.EPYC {
 				return false
 			}

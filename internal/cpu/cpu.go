@@ -124,17 +124,54 @@ func (k Kind) Valid() bool {
 	return ok
 }
 
+// maxInterned is the largest guest size whose cpuinfo text is prebuilt: the
+// simulated platforms size a guest at one to six vCPUs, so every text the
+// simulation hands out comes from the table.
+const maxInterned = 6
+
+// cpuinfoTexts holds CPUInfo(k, v) for every catalogued kind and
+// 1 <= v <= maxInterned, and cpuinfoParsed what ParseCPUInfo makes of each.
+// Both are filled once at package initialization and only read afterwards,
+// so the per-invocation render and parse are two lookups, allocation-free
+// and safe from every shard goroutine.
+var (
+	cpuinfoTexts  [numKinds + 1][maxInterned + 1]string
+	cpuinfoParsed = make(map[string]parsedCPUInfo, numKinds*maxInterned)
+)
+
+type parsedCPUInfo struct {
+	kind  Kind
+	procs int
+}
+
+func init() {
+	for k, info := range catalog {
+		for v := 1; v <= maxInterned; v++ {
+			text := renderCPUInfo(info, v)
+			cpuinfoTexts[k][v] = text
+			cpuinfoParsed[text] = parsedCPUInfo{k, v}
+		}
+	}
+}
+
 // CPUInfo renders the /proc/cpuinfo content a guest with vcpus virtual CPUs
 // would observe on a host backed by k. The format carries the fields the
 // saaf profiler inspects (vendor_id, model name, cpu MHz).
 func CPUInfo(k Kind, vcpus int) string {
+	if vcpus < 1 {
+		vcpus = 1
+	}
+	if k >= 1 && int(k) <= numKinds && vcpus <= maxInterned {
+		return cpuinfoTexts[k][vcpus]
+	}
 	info, ok := catalog[k]
 	if !ok {
 		return ""
 	}
-	if vcpus < 1 {
-		vcpus = 1
-	}
+	return renderCPUInfo(info, vcpus)
+}
+
+func renderCPUInfo(info Info, vcpus int) string {
 	var b strings.Builder
 	for i := 0; i < vcpus; i++ {
 		fmt.Fprintf(&b, "processor\t: %d\n", i)
@@ -150,15 +187,20 @@ func CPUInfo(k Kind, vcpus int) string {
 // SAAF does from inside a function instance. It returns the kind and the
 // number of processors listed.
 func ParseCPUInfo(cpuinfo string) (Kind, int, error) {
+	if p, ok := cpuinfoParsed[cpuinfo]; ok {
+		return p.kind, p.procs, nil
+	}
 	var model string
 	procs := 0
-	for _, line := range strings.Split(cpuinfo, "\n") {
+	for rest := cpuinfo; rest != ""; {
+		var line string
+		line, rest, _ = strings.Cut(rest, "\n")
 		switch {
 		case strings.HasPrefix(line, "processor"):
 			procs++
 		case strings.HasPrefix(line, "model name") && model == "":
-			if _, rest, ok := strings.Cut(line, ":"); ok {
-				model = strings.TrimSpace(rest)
+			if _, value, ok := strings.Cut(line, ":"); ok {
+				model = strings.TrimSpace(value)
 			}
 		}
 	}

@@ -20,7 +20,7 @@ func TestFinishFastDrainsPacedRun(t *testing.T) {
 		env.FinishFast()
 	}()
 	start := time.Now()
-	if err := env.RunPaced(3600); err != nil {
+	if err := env.RunPaced(3600, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if fired != 48 {
@@ -38,7 +38,7 @@ func TestFinishFastBeforeRun(t *testing.T) {
 	env.Schedule(10*time.Hour, func() { fired = true })
 	env.FinishFast()
 	start := time.Now()
-	if err := env.RunPaced(1); err != nil {
+	if err := env.RunPaced(1, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !fired || time.Since(start) > time.Second {

@@ -1,0 +1,161 @@
+package sim
+
+import (
+	"errors"
+	"fmt"
+	"math"
+	"time"
+)
+
+// Pacing constants. They describe what a host's timers can do, not what a
+// deployment wants, so they are constants and not options.
+const (
+	// pacedSlack is how far ahead of its deadline an event may fire, in
+	// wall time. A timer wait on a busy Go process does not return in under
+	// about a millisecond, so waiting out a gap much shorter than that
+	// costs more lateness than firing a little early does.
+	pacedSlack = 200 * time.Microsecond
+	// pacedDebtCap bounds how much lateness the loop repays by firing
+	// events back to back. A stall longer than this (a suspended process,
+	// an event storm the CPU cannot keep up with) is forgiven: the schedule
+	// restarts from the next event instead of racing to catch up.
+	pacedDebtCap = 100 * time.Millisecond
+)
+
+// RunPaced is Run against the wall clock: the event at virtual time t fires
+// no earlier than (run start + t/speedup) less a small slack, e.g. speedup
+// 1000 plays one virtual second per wall millisecond. Pacing is by
+// deadline, not by gap: lateness of one wait is repaid by the events after
+// it, so virtual time tracks the wall clock instead of falling behind by
+// every timer's overshoot. The event order is that of Run.
+//
+// inject, when non-nil, makes the run a live server's loop. A function
+// received on it runs on the simulation goroutine at once — a wait in
+// progress is interrupted — at the virtual instant the wall clock implies,
+// clamped so the clock never moves backwards nor past the next queued
+// event. With inject set an empty queue does not end the run: it blocks
+// for the next command, and returns only after FinishFast. A nil inject
+// runs until the queue drains.
+//
+// report, when non-nil, is called after each wait (never per event) with
+// how late the loop is against its schedule (0 when on time) and the ratio
+// of virtual to wall time since the previous call.
+//
+// Sharded groups never pace against the wall clock, so RunPaced rejects
+// grouped members.
+func (e *Env) RunPaced(speedup float64, inject <-chan func(), report func(lag time.Duration, effectiveSpeedup float64)) error {
+	if speedup <= 0 {
+		return fmt.Errorf("sim: non-positive speedup %v", speedup)
+	}
+	if e.group != nil {
+		return errors.New("sim: RunPaced is not supported on a sharded environment")
+	}
+	if e.running {
+		return errors.New("sim: Run re-entered")
+	}
+	e.running = true
+	defer func() { e.running = false }()
+
+	const never = time.Duration(math.MaxInt64)
+	slack := time.Duration(float64(pacedSlack) * speedup)
+	debtCap := time.Duration(float64(pacedDebtCap) * speedup)
+
+	// One timer for every wait. Its ticks are hints only — the loop reads
+	// the clock after any wake-up — so a stale tick left by an interrupted
+	// wait costs one spurious pass, not a wrong clock.
+	timer := time.NewTimer(time.Hour) //lint:allow nodeterm -- the paced loop's one reusable wait timer
+	defer timer.Stop()
+
+	// The schedule is a line through (anchorWall, anchorVirt) with slope
+	// speedup; it is re-anchored on itself at every clock read, which keeps
+	// the float arithmetic small, and onto the next event when debt is
+	// forgiven.
+	anchorWall := time.Now() //lint:allow nodeterm -- pacing maps virtual time onto the wall clock
+	anchorVirt := e.now
+	read := func() time.Duration {
+		now := time.Now() //lint:allow nodeterm -- pacing maps virtual time onto the wall clock
+		anchorVirt += time.Duration(float64(now.Sub(anchorWall)) * speedup)
+		anchorWall = now
+		return anchorVirt
+	}
+	// Events at or before horizon are due (within slack) as of the last
+	// clock read and fire without another one.
+	horizon := e.now + slack
+	lastWall, lastVirt := anchorWall, e.now
+
+	for e.failure == nil && !e.fastForward.Load() {
+		// A command that arrived while events were firing runs at the
+		// current instant.
+		select {
+		case fn := <-inject:
+			fn()
+			continue
+		default:
+		}
+		next := never
+		if len(e.queue) > 0 {
+			if next = e.queue[0].at; next <= horizon {
+				e.fire()
+				continue
+			}
+		} else if inject == nil {
+			break
+		}
+		due := read()
+		var lag time.Duration
+		var cmd func()
+		switch {
+		case next > due+slack:
+			// Ahead of schedule, or idle: wait for the deadline, a command,
+			// or FinishFast.
+			if next != never {
+				timer.Reset(time.Duration(float64(next-due) / speedup))
+			}
+			select {
+			case <-timer.C:
+			case cmd = <-inject:
+			case <-e.wake:
+			}
+			timer.Stop()
+			due = read()
+			lag = max(due-next, 0)
+		case due-next > debtCap:
+			// Too far behind to repay: forgive the debt by restarting the
+			// schedule from the next event.
+			lag = due - next
+			anchorVirt, due = next, next
+		default:
+			horizon = due + slack
+			continue
+		}
+		horizon = due + slack
+		// Where the wall clock puts the simulation on the virtual axis: never
+		// before the clock, never past the next queued event.
+		pos := min(max(due, e.now), next)
+		if cmd != nil {
+			e.now = pos
+			cmd()
+		}
+		if report != nil {
+			if wall := anchorWall.Sub(lastWall); wall > 0 {
+				report(time.Duration(float64(lag)/speedup), float64(pos-lastVirt)/float64(wall))
+			}
+			lastWall, lastVirt = anchorWall, pos
+		}
+	}
+
+	// FinishFast, a failure, or (without inject) a drained queue: run what
+	// is left unpaced and without commands.
+	for e.failure == nil && len(e.queue) > 0 {
+		e.fire()
+	}
+	e.drainProcs()
+	return e.failure
+}
+
+// fire pops the earliest event, advances the clock to it, and runs it.
+func (e *Env) fire() {
+	next := e.queue.pop()
+	e.now = next.at
+	next.fn()
+}

@@ -251,7 +251,7 @@ func TestShardedFailureIsDeterministic(t *testing.T) {
 
 func TestShardedRunPacedRejected(t *testing.T) {
 	g := NewSharded(epoch, 2, time.Millisecond)
-	if err := g.Control().RunPaced(1000); err == nil {
+	if err := g.Control().RunPaced(1000, nil, nil); err == nil {
 		t.Fatal("RunPaced on a sharded member should error")
 	}
 }

@@ -109,13 +109,16 @@ type Env struct {
 	procs   map[*Proc]struct{}
 	failure error
 	running bool
-	// fastForward, once set, makes RunPaced stop sleeping between events:
-	// the remaining queue drains at full speed. It is the one cross-thread
-	// input the kernel accepts — a shutdown knob for live servers whose
-	// queues hold pre-scheduled far-future events (the drift timeline)
-	// that would otherwise pace out for hours. It never reorders events,
-	// so determinism of the event sequence is unaffected.
+	// fastForward, once set, makes RunPaced stop waiting between events:
+	// the remaining queue drains at full speed. With RunPaced's command
+	// channel it is the one cross-thread input the kernel accepts — a
+	// shutdown knob for live servers whose queues hold pre-scheduled
+	// far-future events (the drift timeline) that would otherwise pace out
+	// for hours. It never reorders events, so determinism of the event
+	// sequence is unaffected. wake interrupts a paced wait in progress so
+	// the flag is seen at once.
 	fastForward atomic.Bool
+	wake        chan struct{}
 
 	// group/shard identify this Env as a member of a Sharded group (see
 	// shard.go); both are zero for a standalone single-queue environment.
@@ -131,6 +134,7 @@ func NewEnv(epoch time.Time) *Env {
 	return &Env{
 		epoch: epoch,
 		procs: make(map[*Proc]struct{}),
+		wake:  make(chan struct{}, 1),
 	}
 }
 
@@ -170,7 +174,7 @@ func (e *Env) Run() error {
 	if e.group != nil {
 		return e.group.Run()
 	}
-	return e.run(-1, 0)
+	return e.run(-1)
 }
 
 // RunFor executes events for at most d of virtual time. Events scheduled
@@ -181,35 +185,25 @@ func (e *Env) RunFor(d time.Duration) error {
 	if e.group != nil {
 		return e.group.run(e.now + d)
 	}
-	return e.run(e.now+d, 0)
+	return e.run(e.now + d)
 }
 
-// FinishFast makes a paced run (RunPaced) stop sleeping between events from
-// the next event on, so the remaining queue drains at full speed. Safe to
-// call from any goroutine, before or during the run; it is how a live
-// server shuts down promptly without abandoning queued work. On a sharded
-// member the flag fans out to every shard.
+// FinishFast makes a paced run (RunPaced) stop waiting at once — a wait in
+// progress is interrupted — and stop taking commands, so the remaining
+// queue drains at full speed and the run returns. Safe to call from any
+// goroutine, before or during the run; it is how a live server shuts down
+// promptly without abandoning queued work. On a sharded member the flag
+// fans out to every shard.
 func (e *Env) FinishFast() {
 	if e.group != nil {
 		e.group.FinishFast()
 		return
 	}
 	e.fastForward.Store(true)
-}
-
-// RunPaced is Run with real-time pacing for demos: between consecutive
-// events the scheduler sleeps the virtual gap divided by speedup (e.g.
-// speedup=1000 plays one virtual second per wall millisecond). Sharded
-// groups never pace against the wall clock, so RunPaced rejects grouped
-// members.
-func (e *Env) RunPaced(speedup float64) error {
-	if speedup <= 0 {
-		return fmt.Errorf("sim: non-positive speedup %v", speedup)
+	select {
+	case e.wake <- struct{}{}:
+	default: // a wake-up is already pending
 	}
-	if e.group != nil {
-		return errors.New("sim: RunPaced is not supported on a sharded environment")
-	}
-	return e.run(-1, speedup)
 }
 
 // run is the event loop proper: pop, advance the clock, fire. Per-event
@@ -217,7 +211,7 @@ func (e *Env) RunPaced(speedup float64) error {
 // value heap for the same reason.
 //
 //lint:hotpath
-func (e *Env) run(until time.Duration, speedup float64) error {
+func (e *Env) run(until time.Duration) error {
 	if e.running {
 		return errors.New("sim: Run re-entered")
 	}
@@ -231,22 +225,6 @@ func (e *Env) run(until time.Duration, speedup float64) error {
 			return nil
 		}
 		e.queue.pop()
-		if gap := next.at - e.now; gap > 0 && speedup > 0 {
-			// RunPaced exists to map virtual gaps onto the wall clock for
-			// live demos; determinism of the event order is unaffected.
-			// Sleeping in short chunks keeps a long inter-event gap from
-			// delaying a FinishFast shutdown request.
-			const chunk = 25 * time.Millisecond
-			remaining := time.Duration(float64(gap) / speedup)
-			for remaining > 0 && !e.fastForward.Load() {
-				d := remaining
-				if d > chunk {
-					d = chunk
-				}
-				time.Sleep(d) //lint:allow nodeterm -- intentional wall-clock pacing
-				remaining -= d
-			}
-		}
 		e.now = next.at
 		next.fn()
 	}

@@ -309,8 +309,8 @@ func TestTriggerIdempotent(t *testing.T) {
 
 func TestRunPacedRejectsBadSpeedup(t *testing.T) {
 	e := NewEnv(epoch)
-	if err := e.RunPaced(0); err == nil {
-		t.Fatal("RunPaced(0) accepted")
+	if err := e.RunPaced(0, nil, nil); err == nil {
+		t.Fatal("RunPaced(0, nil, nil) accepted")
 	}
 }
 
@@ -318,7 +318,7 @@ func TestRunPacedExecutes(t *testing.T) {
 	e := NewEnv(epoch)
 	ran := false
 	e.Schedule(time.Millisecond, func() { ran = true })
-	if err := e.RunPaced(1e6); err != nil {
+	if err := e.RunPaced(1e6, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !ran {

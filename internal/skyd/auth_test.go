@@ -26,8 +26,14 @@ const (
 )
 
 // newAuthServer builds a single-zone server with the fixture tenant
-// registry and (optionally) the global admission gate.
+// registry and (optionally) the global admission gate, at very high pacing.
 func newAuthServer(t *testing.T, adm *admission.Config) *Server {
+	t.Helper()
+	return newAuthServerAt(t, adm, 5e6)
+}
+
+// newAuthServerAt is newAuthServer at a chosen speedup.
+func newAuthServerAt(t *testing.T, adm *admission.Config, speedup float64) *Server {
 	t.Helper()
 	rt, err := core.New(core.Config{
 		Seed: 13,
@@ -53,7 +59,7 @@ func newAuthServer(t *testing.T, adm *admission.Config) *Server {
 			t.Fatal(err)
 		}
 	}
-	s, err := New(Config{Runtime: rt, Speedup: 5e6, Admission: adm, Tenants: reg})
+	s, err := New(Config{Runtime: rt, Speedup: speedup, Admission: adm, Tenants: reg})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,9 +32,9 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("GET /metrics.json", s.handleMetricsJSON)
 }
 
-// handleHealth reports whether the simulation goroutine is still pumping
-// commands: it round-trips a no-op through the command queue, so a closed
-// server or a stalled pump answers non-200.
+// handleHealth reports whether the simulation goroutine is still taking
+// commands: it round-trips a no-op through the command channel, so a closed
+// server or a stalled loop answers non-200.
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	var now time.Time
 	errCh := make(chan error, 1)
@@ -54,7 +54,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		}
 	case <-time.After(s.healthTimeout):
 		writeJSON(w, http.StatusServiceUnavailable, map[string]any{
-			"status": "down", "error": "simulation pump stalled",
+			"status": "down", "error": "simulation loop stalled",
 		})
 		return
 	}

@@ -20,6 +20,12 @@ import (
 // process-default registry.
 func newMetricsServer(t *testing.T) (*Server, *metrics.Registry) {
 	t.Helper()
+	return newMetricsServerAt(t, 5e6)
+}
+
+// newMetricsServerAt is newMetricsServer at a chosen speedup.
+func newMetricsServerAt(t *testing.T, speedup float64) (*Server, *metrics.Registry) {
+	t.Helper()
 	reg := metrics.NewRegistry()
 	rt, err := core.New(core.Config{
 		Seed:    9,
@@ -42,7 +48,7 @@ func newMetricsServer(t *testing.T) (*Server, *metrics.Registry) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(Config{Runtime: rt, Speedup: 5e6})
+	s, err := New(Config{Runtime: rt, Speedup: speedup})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,6 +93,8 @@ func TestMetricsExposition(t *testing.T) {
 		`sky_skyd_http_requests_total{code="200",path="/v1/burst"} 1`,
 		"# TYPE sky_cloudsim_billed_ms histogram",
 		"# TYPE sky_skyd_cmd_queue_depth gauge",
+		"# TYPE sky_skyd_paced_lag_ms gauge",
+		"# TYPE sky_skyd_effective_speedup gauge",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("/metrics missing %q", want)
@@ -122,7 +130,7 @@ func TestMetricsJSON(t *testing.T) {
 }
 
 // TestHealthzLifecycle is the PR's health acceptance criterion: 200 while
-// the pump is live, non-200 after Close.
+// the loop is live, non-200 after Close.
 func TestHealthzLifecycle(t *testing.T) {
 	s, _ := newMetricsServer(t)
 	res, body := do(t, s, "GET", "/healthz", nil)
@@ -165,5 +173,27 @@ func TestQueueDepthGaugeSettles(t *testing.T) {
 	depth := reg.Gauge("sky_skyd_cmd_queue_depth", "").Value()
 	if depth != 0 {
 		t.Fatalf("queue depth after quiescence = %v, want 0", depth)
+	}
+}
+
+// TestPacingGauges reads the paced loop's self-report off an idle server:
+// between two commands 20 ms apart nothing is due, so virtual time must
+// have advanced at the configured speedup and the loop must not be late.
+func TestPacingGauges(t *testing.T) {
+	s, reg := newMetricsServerAt(t, 1000)
+	for i := 0; i < 2; i++ {
+		if res, _ := do(t, s, "GET", "/v1/healthz", nil); res.StatusCode != http.StatusOK {
+			t.Fatal("healthz failed")
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	if res, _ := do(t, s, "GET", "/v1/healthz", nil); res.StatusCode != http.StatusOK {
+		t.Fatal("healthz failed")
+	}
+	if eff := reg.Gauge("sky_skyd_effective_speedup", "").Value(); eff < 500 || eff > 1100 {
+		t.Errorf("effective speedup on an idle server = %.1f, want within [500, 1100] of the configured 1000", eff)
+	}
+	if lag := reg.Gauge("sky_skyd_paced_lag_ms", "").Value(); lag < 0 || lag > 50 {
+		t.Errorf("paced lag on an idle server = %.3f ms, want near 0", lag)
 	}
 }

@@ -5,8 +5,9 @@
 //
 // Concurrency model: the simulation kernel is single-threaded by design, so
 // the server runs it on one dedicated goroutine and bridges HTTP handlers
-// in through a command queue. A self-rescheduling pump event drains the
-// queue every PumpEvery of virtual time and spawns each command as a
+// in through a command channel that the paced loop (sim.Env.RunPaced)
+// itself receives from: a command interrupts the loop's wait, is stamped
+// with the virtual instant the wall clock implies, and starts as a
 // cooperative process; handlers block on a reply channel. No handler ever
 // touches the simulation directly.
 package skyd
@@ -39,15 +40,15 @@ type Config struct {
 	// Speedup is the virtual-to-wall time ratio (default 1000: one
 	// virtual second per wall millisecond).
 	Speedup float64
-	// PumpEvery is the virtual-time granularity of command injection
-	// (default 100ms virtual; at the default speedup, 0.1ms wall).
+	// PumpEvery is ignored: commands are injected on arrival. Kept so
+	// existing callers compile; to be removed with ROADMAP 5(b).
 	PumpEvery time.Duration
 	// Metrics is the registry /metrics serves and HTTP instrumentation
 	// reports into (default: the runtime's registry, so one scrape covers
 	// the HTTP layer, the router, and the simulated cloud).
 	Metrics *metrics.Registry
 	// HealthTimeout bounds how long /healthz waits for the simulation
-	// goroutine to answer before reporting the pump stalled (default 5s).
+	// goroutine to answer before reporting the loop stalled (default 5s).
 	HealthTimeout time.Duration
 	// Refresh, when non-nil, enables the continuous characterization-
 	// maintenance control loop on the runtime and starts it with the
@@ -84,9 +85,10 @@ type Config struct {
 type Server struct {
 	rt            *core.Runtime
 	speedup       float64
-	pumpEvery     time.Duration
 	metrics       *metrics.Registry
 	queueDepth    *metrics.Gauge
+	pacedLag      *metrics.Gauge
+	effSpeedup    *metrics.Gauge
 	healthTimeout time.Duration
 
 	// refresher is the maintenance loop the server owns the lifecycle of
@@ -107,13 +109,15 @@ type Server struct {
 	// gate it is mutex-guarded state with no lifecycle of its own.
 	tenants *tenant.Registry
 
-	mux  *http.ServeMux
-	cmds chan func(p *sim.Proc)
+	mux *http.ServeMux
+	// cmds carries commands to the paced loop. It is buffered so handlers
+	// arriving together enqueue without each waiting for the loop's next
+	// pass; past 64 a sender simply blocks until its turn.
+	cmds chan func()
 
 	mu sync.Mutex
 	// closed records that Close began; guarded by mu.
 	closed bool
-	stop   chan struct{}
 	done   chan struct{}
 }
 
@@ -126,9 +130,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Speedup == 0 {
 		cfg.Speedup = 1000
 	}
-	if cfg.PumpEvery == 0 {
-		cfg.PumpEvery = 100 * time.Millisecond
-	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = cfg.Runtime.Metrics()
 	}
@@ -138,17 +139,19 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		rt:            cfg.Runtime,
 		speedup:       cfg.Speedup,
-		pumpEvery:     cfg.PumpEvery,
 		metrics:       cfg.Metrics,
 		healthTimeout: cfg.HealthTimeout,
 		mux:           http.NewServeMux(),
-		cmds:          make(chan func(p *sim.Proc), 64),
-		stop:          make(chan struct{}),
+		cmds:          make(chan func(), 64),
 		done:          make(chan struct{}),
 		tenants:       cfg.Tenants,
 	}
 	s.queueDepth = s.metrics.Gauge("sky_skyd_cmd_queue_depth",
 		"commands enqueued for the simulation goroutine but not yet started")
+	s.pacedLag = s.metrics.Gauge("sky_skyd_paced_lag_ms",
+		"how far the paced loop ran behind its wall-clock schedule at its last wait (0 = on time)")
+	s.effSpeedup = s.metrics.Gauge("sky_skyd_effective_speedup",
+		"virtual seconds per wall second between the paced loop's last two waits")
 	// Arm the maintenance loop before the simulation goroutine starts: the
 	// environment is not yet running, so scheduling its first tick here is
 	// single-threaded and safe.
@@ -193,39 +196,16 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// loop owns the simulation: it pumps queued commands into the environment
-// and paces virtual time against the wall clock.
+// loop owns the simulation: it paces virtual time against the wall clock
+// and takes commands as they arrive, until Close.
 func (s *Server) loop() {
 	defer close(s.done)
-	env := s.rt.Env()
-	var pump func()
-	pump = func() {
-		select {
-		case <-s.stop:
-			// Do not reschedule: outstanding work drains, then Run ends.
-			return
-		default:
-		}
-		for {
-			select {
-			case fn := <-s.cmds:
-				s.queueDepth.Dec()
-				fn2 := fn
-				env.Go("skyd-cmd", func(p *sim.Proc) error {
-					fn2(p)
-					return nil
-				})
-				continue
-			default:
-			}
-			break
-		}
-		env.Schedule(s.pumpEvery, pump)
-	}
-	env.Schedule(0, pump)
 	// The pacing error is unreachable for positive speedups; a failure
 	// inside the model surfaces through the pending command replies.
-	_ = env.RunPaced(s.speedup)
+	_ = s.rt.Env().RunPaced(s.speedup, s.cmds, func(lag time.Duration, effective float64) {
+		s.pacedLag.Set(float64(lag) / float64(time.Millisecond))
+		s.effSpeedup.Set(effective)
+	})
 }
 
 // Exec runs fn as a simulation process and blocks until it finishes.
@@ -237,12 +217,16 @@ func (s *Server) Exec(fn func(p *sim.Proc) error) error {
 	}
 	s.mu.Unlock()
 	reply := make(chan error, 1)
-	// Inc before the send so the pump's matching Dec can never land first
+	// Inc before the send so the loop's matching Dec can never land first
 	// and leave the gauge transiently negative.
 	s.queueDepth.Inc()
 	select {
-	case s.cmds <- func(p *sim.Proc) {
-		reply <- fn(p)
+	case s.cmds <- func() {
+		s.queueDepth.Dec()
+		s.rt.Env().Go("skyd-cmd", func(p *sim.Proc) error {
+			reply <- fn(p)
+			return nil
+		})
 	}:
 	case <-s.done:
 		s.queueDepth.Dec()
@@ -275,12 +259,10 @@ func (s *Server) Close() {
 	if s.warmer != nil {
 		s.warmer.Stop()
 	}
-	close(s.stop)
-	// Drop the real-time pacing for the remaining queue: the cloud
-	// pre-schedules its whole drift timeline (HorizonDays of events), which
-	// at production speedups would otherwise pace out for hours before
-	// RunPaced drains. Outstanding work still runs to completion, just at
-	// full speed.
+	// Wake the paced loop out of its wait and have it stop pacing and
+	// taking commands: what is queued — in-flight bursts, and the cloud's
+	// pre-scheduled drift timeline (HorizonDays of events) — still runs to
+	// completion, at full speed, and then RunPaced returns.
 	s.rt.Env().FinishFast()
 	s.mu.Unlock()
 	<-s.done
