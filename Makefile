@@ -7,11 +7,11 @@ GO ?= go
 # internal/ciparity test asserts the two lists cannot drift.
 RACE_PKGS = ./internal/skyd/ ./internal/sim/ ./internal/metrics/ ./internal/cloudsim/ ./internal/router/ ./internal/chaos/ ./internal/faas/ ./internal/refresh/ ./internal/trace/ ./internal/admission/ ./internal/load/ ./internal/core/ ./internal/experiments/ ./internal/tenant/ ./internal/warmpool/
 
-.PHONY: all build vet fmt-check lint lint-fixtures test race ci smoke bench-smoke reproduce serve clean
+.PHONY: all build vet fmt-check lint lint-fixtures test race fuzz ci smoke bench-smoke reproduce serve clean
 
 all: build vet lint test
 
-ci: build vet fmt-check lint test race smoke bench-smoke
+ci: build vet fmt-check lint test race fuzz smoke bench-smoke
 
 # One reduced pass of the five experiments beyond the paper, through the
 # CLI: proves that chaos and resilient routing (EX-6), drift detection and
@@ -60,6 +60,13 @@ test:
 
 race:
 	$(GO) test -race $(RACE_PKGS)
+
+# Ten seconds of coverage-guided fuzzing per parser of untrusted bytes, on
+# top of the checked-in seed corpora plain `go test` already replays. Go
+# fuzzes one target per invocation, hence one line each.
+fuzz:
+	$(GO) test -run='^$$' -fuzz=FuzzParseCPUInfo -fuzztime=10s ./internal/cpu/
+	$(GO) test -run='^$$' -fuzz=FuzzDecode -fuzztime=10s ./internal/dynfunc/
 
 # Regenerate every paper table/figure at full scale (writes data/*.csv).
 reproduce:

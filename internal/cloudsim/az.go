@@ -146,6 +146,11 @@ type AZ struct {
 	scaleUpUsed bool
 	fault       faultState
 	m           azMetrics
+	// expiry holds the zone's keep-alive timers: they all share one delay,
+	// so one lane on the zone's env fires each where its own Schedule
+	// would have, at the cost of one event-queue entry. It is made on the
+	// zone's first arm, so building a world allocates no lanes.
+	expiry *sim.Lane[idleRef]
 }
 
 func newAZ(c *Cloud, region *Region, spec AZSpec) *AZ {
@@ -382,24 +387,38 @@ func (az *AZ) releaseFI(fi *FI) {
 	az.armExpiry(fi)
 }
 
-// armExpiry schedules the keep-alive reaping of an idle instance, validated
-// by the idleGen captured now: any acquire before the timer fires bumps the
-// generation and voids it. An instance held by the deployment's warm-pool
-// floor is left alive *without* re-arming — it becomes timerless, so a
-// drained event queue can terminate; SetWarmFloor re-arms every idle
-// instance when the floor changes, which is what eventually reaps the
-// excess after a floor is lowered.
+// idleRef is one armed keep-alive timer: the instance and the idleGen it
+// was armed under.
+type idleRef struct {
+	fi  *FI
+	gen uint64
+}
+
+// armExpiry arms the keep-alive reaping of an idle instance on the zone's
+// expiry lane, validated by the idleGen captured now: any acquire before
+// the timer fires bumps the generation and voids it.
 func (az *AZ) armExpiry(fi *FI) {
-	gen := fi.idleGen
-	az.env.Schedule(az.cloud.opts.KeepAlive, func() {
-		if fi.destroyed || fi.busy || fi.idleGen != gen {
-			return
-		}
-		if fi.dep.floor > 0 && fi.dep.warmIdle() <= fi.dep.floor {
-			return
-		}
-		az.destroyFI(fi)
-	})
+	if az.expiry == nil {
+		az.expiry = sim.NewLane(az.env, az.cloud.opts.KeepAlive, az.expire)
+	}
+	az.expiry.Push(idleRef{fi: fi, gen: fi.idleGen})
+}
+
+// expire reaps an instance whose keep-alive ran out, unless the timer has
+// gone stale. An instance held by the deployment's warm-pool floor is left
+// alive *without* re-arming — it becomes timerless, so a drained event
+// queue can terminate; SetWarmFloor re-arms every idle instance when the
+// floor changes, which is what eventually reaps the excess after a floor
+// is lowered.
+func (az *AZ) expire(r idleRef) {
+	fi := r.fi
+	if fi.destroyed || fi.busy || fi.idleGen != r.gen {
+		return
+	}
+	if fi.dep.floor > 0 && fi.dep.warmIdle() <= fi.dep.floor {
+		return
+	}
+	az.destroyFI(fi)
 }
 
 func (az *AZ) destroyFI(fi *FI) {

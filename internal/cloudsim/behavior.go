@@ -88,22 +88,24 @@ func (c *Ctx) Invoke(req Request) Response {
 // with its Response; wait on it with Wait. Handlers use this to fan out
 // child invocations in parallel, as the sampler's branching tree does. The
 // child is invoked from this instance's zone, so its network path — and
-// under a sharded engine, the shard crossing — starts here.
+// under a sharded engine, the shard crossing — starts here. The event's raw
+// value (Event.Value, and what Proc.Wait returns) is a *Response pointing
+// into the platform's record of the request, complete by the time the
+// event triggers; Wait copies it out.
 func (c *Ctx) InvokeAsync(req Request) *sim.Event {
 	ev := sim.NewEvent(c.az.env)
-	c.cloud.StartInvokeFrom(c.az.env, req, func(r Response) { ev.Trigger(r) })
+	c.cloud.start(c.az.env, req, nil, ev)
 	return ev
 }
 
 // Wait blocks the handler until ev triggers and returns the Response it
 // carried.
 func (c *Ctx) Wait(ev *sim.Event) Response {
-	v := c.proc.Wait(ev)
-	r, ok := v.(Response)
+	r, ok := c.proc.Wait(ev).(*Response)
 	if !ok {
 		return Response{Err: ErrBadRequest}
 	}
-	return r
+	return *r
 }
 
 // CPUInfo returns the /proc/cpuinfo content visible inside the instance.

@@ -382,28 +382,42 @@ type Response struct {
 // OK reports success.
 func (r Response) OK() bool { return r.Err == nil }
 
-// call pairs a request with its completion callback while in flight.
-type call struct {
-	req  Request
-	done func(Response)
+// invocation is one request's record from send to delivery. Every step of
+// its life — arrive, process, start, finish, respond, deliver — is a method
+// scheduled as a method value, so a request costs this one record instead
+// of a closure per step that copies the request along.
+type invocation struct {
+	req Request
 	// env is the caller's environment: the response is delivered (and
 	// OnResponse observed) there.
 	env *sim.Env
 	// oneWay is the base network one-way latency drawn at send time; any
 	// fault-injected extra RTT is applied on the zone's own shard.
-	oneWay time.Duration
+	oneWay   time.Duration
+	c        *Cloud
+	az       *AZ
+	dep      *Deployment
+	fi       *FI
+	behavior Behavior
+	// The response goes to done, or, for a waiter of the platform's own
+	// (Cloud.Invoke, Ctx.InvokeAsync), to ev as &resp.
+	done func(Response)
+	ev   *sim.Event
+	// resp is filled in as the request goes: Sent at send, Cold and
+	// PayloadCached at placement, Started at handler start, a handler's
+	// Value and Err at its return, the rest at finish.
+	resp Response
 }
 
 // Invoke performs a blocking invocation from a client or handler process.
 func (c *Cloud) Invoke(p *sim.Proc, req Request) Response {
 	ev := sim.NewEvent(p.Env())
-	c.StartInvokeFrom(p.Env(), req, func(r Response) { ev.Trigger(r) })
-	v := p.Wait(ev)
-	r, ok := v.(Response)
+	c.start(p.Env(), req, nil, ev)
+	r, ok := p.Wait(ev).(*Response)
 	if !ok {
 		return Response{Err: ErrBadRequest}
 	}
-	return r
+	return *r
 }
 
 // StartInvoke performs an asynchronous invocation from the cloud's control
@@ -417,24 +431,34 @@ func (c *Cloud) StartInvoke(req Request, done func(Response)) {
 // the request crosses from the caller's env to the zone's shard under the
 // network latency, and the response is delivered back on from.
 func (c *Cloud) StartInvokeFrom(from *sim.Env, req Request, done func(Response)) {
-	sent := from.Now()
+	c.start(from, req, done, nil)
+}
+
+// start sends one request: its response goes to done, or, for the
+// platform's own waiters, to ev as a *Response.
+func (c *Cloud) start(from *sim.Env, req Request, done func(Response), ev *sim.Event) {
+	inv := &invocation{req: req, env: from, c: c, done: done, ev: ev}
+	inv.resp.Sent = from.Now()
 	az, ok := c.azBy[req.AZ]
 	if !ok {
 		// No such zone: bounce at the provider edge after an intra-cloud
 		// round trip, entirely on the caller's shard.
-		oneWay := c.opts.IntraCloudRTT / 2
-		from.Schedule(oneWay, func() {
-			resp := Response{Err: fmt.Errorf("%w: AZ %q", ErrNoSuchDeployment, req.AZ), Sent: sent}
-			if c.opts.OnResponse != nil {
-				c.opts.OnResponse(req, resp)
-			}
-			from.Schedule(oneWay, func() { done(resp) })
-		})
+		inv.oneWay = c.opts.IntraCloudRTT / 2
+		from.Schedule(inv.oneWay, inv.bounce)
 		return
 	}
-	oneWay := c.baseOneWay(from, req, az)
-	cl := call{req: req, done: done, env: from, oneWay: oneWay}
-	from.SendTo(az.env, oneWay, func() { c.arrive(cl, sent, az) })
+	inv.az = az
+	inv.oneWay = c.baseOneWay(from, req, az)
+	from.SendTo(az.env, inv.oneWay, inv.arrive)
+}
+
+// bounce answers a request for an unknown zone at the provider edge.
+func (inv *invocation) bounce() {
+	inv.resp.Err = fmt.Errorf("%w: AZ %q", ErrNoSuchDeployment, inv.req.AZ)
+	if inv.c.opts.OnResponse != nil {
+		inv.c.opts.OnResponse(inv.req, inv.resp)
+	}
+	inv.env.Schedule(inv.oneWay, inv.handOver)
 }
 
 // baseOneWay is the fault-free one-way network latency from the caller to
@@ -447,74 +471,93 @@ func (c *Cloud) baseOneWay(from *sim.Env, req Request, az *AZ) time.Duration {
 	return c.opts.Latency.RTT(*req.ClientLoc, az.region.spec.Loc, latRand) / 2
 }
 
-// respond ships resp back to the caller's shard. The zone's current
+// respond ships the response back to the caller's shard. The zone's current
 // fault-injected extra RTT is added to the return leg; OnResponse observes
 // the response at delivery, on the caller's shard, so observation order is
 // the caller's deterministic event order.
-func (c *Cloud) respond(cl call, az *AZ, resp Response) {
-	back := cl.oneWay + az.fault.extraRTT/2
-	az.env.SendTo(cl.env, back, func() {
-		if c.opts.OnResponse != nil {
-			c.opts.OnResponse(cl.req, resp)
-		}
-		cl.done(resp)
-	})
+func (inv *invocation) respond() {
+	back := inv.oneWay + inv.az.fault.extraRTT/2
+	inv.az.env.SendTo(inv.env, back, inv.deliver)
+}
+
+// reject answers a request that will not run with err.
+func (inv *invocation) reject(err error) {
+	inv.resp.Err = err
+	inv.respond()
+}
+
+// deliver runs on the caller's shard when the response arrives.
+func (inv *invocation) deliver() {
+	if inv.c.opts.OnResponse != nil {
+		inv.c.opts.OnResponse(inv.req, inv.resp)
+	}
+	inv.handOver()
+}
+
+// handOver gives the response to whoever waits for it.
+func (inv *invocation) handOver() {
+	if inv.ev != nil {
+		inv.ev.Trigger(&inv.resp)
+		return
+	}
+	inv.done(inv.resp)
 }
 
 // arrive runs on the zone's shard when the request reaches the region edge.
 // Fault-injected extra RTT delays processing here — on the zone's side —
 // so the fault state is only ever read by its owning shard.
-func (c *Cloud) arrive(cl call, sent time.Time, az *AZ) {
-	if extra := az.fault.extraRTT / 2; extra > 0 {
-		az.env.Schedule(extra, func() { c.process(cl, sent, az) })
+func (inv *invocation) arrive() {
+	if extra := inv.az.fault.extraRTT / 2; extra > 0 {
+		inv.az.env.Schedule(extra, inv.process)
 		return
 	}
-	c.process(cl, sent, az)
+	inv.process()
 }
 
-func (c *Cloud) process(cl call, sent time.Time, az *AZ) {
-	req := cl.req
+func (inv *invocation) process() {
+	c, az, req := inv.c, inv.az, &inv.req
 	az.m.invocations.Inc()
 	if err := az.rejectChaos(); err != nil {
-		c.respond(cl, az, Response{Err: err, Sent: sent})
+		inv.reject(err)
 		return
 	}
 	dep, ok := az.deployments[req.Function]
 	if !ok {
 		az.m.failBadReq.Inc()
-		c.respond(cl, az, Response{Err: fmt.Errorf("%w: %s/%s", ErrNoSuchDeployment, req.AZ, req.Function), Sent: sent})
+		inv.reject(fmt.Errorf("%w: %s/%s", ErrNoSuchDeployment, req.AZ, req.Function))
 		return
 	}
 	behavior := dep.behavior
 	if req.Work != nil {
 		if !dep.dynamic {
 			az.m.failBadReq.Inc()
-			c.respond(cl, az, Response{Err: fmt.Errorf("%w: work override on non-dynamic deployment", ErrBadRequest), Sent: sent})
+			inv.reject(fmt.Errorf("%w: work override on non-dynamic deployment", ErrBadRequest))
 			return
 		}
 		behavior = req.Work
 	}
 	if behavior == nil {
 		az.m.failBadReq.Inc()
-		c.respond(cl, az, Response{Err: fmt.Errorf("%w: deployment has no behavior", ErrBadRequest), Sent: sent})
+		inv.reject(fmt.Errorf("%w: deployment has no behavior", ErrBadRequest))
 		return
 	}
 
 	if az.region.inflight[req.Account] >= c.opts.Quota {
 		az.m.failThrottled.Inc()
-		c.respond(cl, az, Response{Err: ErrThrottled, Sent: sent})
+		inv.reject(ErrThrottled)
 		return
 	}
 	fi, cold, err := az.acquireFI(dep)
 	if err != nil {
 		az.m.failSaturated.Inc()
-		c.respond(cl, az, Response{Err: err, Sent: sent})
+		inv.reject(err)
 		return
 	}
 	if cold {
 		az.m.coldStarts.Inc()
 	}
 	az.region.inflight[req.Account]++
+	inv.dep, inv.fi, inv.behavior, inv.resp.Cold = dep, fi, behavior, cold
 
 	initDelay := time.Duration(c.opts.OverheadMS * float64(time.Millisecond) / 2)
 	if cold {
@@ -527,83 +570,75 @@ func (c *Cloud) process(cl call, sent time.Time, az *AZ) {
 		initDelay += time.Duration(ms * float64(time.Millisecond))
 	}
 
-	cached := false
 	if req.PayloadHash != "" {
-		cached = fi.cache != nil && hasHash(fi.cache, req.PayloadHash)
-		if !cached {
+		inv.resp.PayloadCached = fi.cache != nil && hasHash(fi.cache, req.PayloadHash)
+		if !inv.resp.PayloadCached {
 			if fi.cache == nil {
 				fi.cache = make(map[string]struct{})
 			}
 			fi.cache[req.PayloadHash] = struct{}{}
 		}
 	}
+	az.env.Schedule(initDelay, inv.start)
+}
 
-	finish := func(started time.Time, value any, handlerErr error) {
-		ended := az.env.Now()
-		billedMS := float64(ended.Sub(started)) / float64(time.Millisecond)
-		billedMS += c.opts.OverheadMS
-		price := c.prices[az.region.spec.Provider]
-		cost := price.Cost(dep.memoryMB, billedMS)
-		c.meter.ChargeIn(req.Account, az.region.spec.Name, cost)
-		az.region.inflight[req.Account]--
-		az.releaseFI(fi)
-
-		profile, perr := saaf.Collect(cpu.CPUInfo(fi.host.kind, dep.vcpus()), fi.id, fi.host.ID(), cold, billedMS)
-		respErr := handlerErr
-		if respErr == nil && perr != nil {
-			respErr = perr
+// start runs the behavior once the instance is initialized.
+func (inv *invocation) start() {
+	c, az, dep := inv.c, inv.az, inv.dep
+	inv.resp.Started = az.env.Now()
+	switch b := inv.behavior.(type) {
+	case SleepBehavior:
+		az.env.Schedule(b.D, inv.finish)
+	case WorkBehavior:
+		dur := c.modelRuntime(az, dep, inv.fi.host, b)
+		az.env.Schedule(dur, inv.finish)
+	case ProbeBehavior:
+		if inv.runProbe(b) {
+			return // declined: probe path owns response and release
 		}
-		if respErr != nil {
-			az.m.failHandler.Inc()
-		} else {
-			az.m.billedMS.Observe(billedMS)
-		}
-		c.respond(cl, az, Response{
-			Err:           respErr,
-			FI:            fi.id,
-			Host:          fi.host.ID(),
-			CPU:           profile.Kind,
-			Cold:          cold,
-			PayloadCached: cached,
-			Sent:          sent,
-			Started:       started,
-			Ended:         ended,
-			BilledMS:      billedMS,
-			CostUSD:       cost,
-			Profile:       profile,
-			Value:         value,
+		dur := c.modelRuntime(az, dep, inv.fi.host, b.Work)
+		extra := time.Duration(probeDecisionMS * float64(time.Millisecond))
+		inv.resp.Value = ProbeOutcome{Ran: true, RuntimeMS: float64(dur) / float64(time.Millisecond)}
+		az.env.Schedule(dur+extra, inv.finish)
+	case HandlerBehavior:
+		ctx := &Ctx{cloud: c, az: az, dep: dep, fi: inv.fi, cold: inv.resp.Cold}
+		az.env.Go("handler/"+dep.name, func(p *sim.Proc) error {
+			ctx.proc = p
+			inv.resp.Value, inv.resp.Err = b.Fn(ctx, inv.req)
+			inv.finish()
+			return nil
 		})
+	default:
+		inv.resp.Err = fmt.Errorf("%w: unknown behavior %T", ErrBadRequest, inv.behavior)
+		inv.finish()
 	}
+}
 
-	az.env.Schedule(initDelay, func() {
-		started := az.env.Now()
-		switch b := behavior.(type) {
-		case SleepBehavior:
-			az.env.Schedule(b.D, func() { finish(started, nil, nil) })
-		case WorkBehavior:
-			dur := c.modelRuntime(az, dep, fi.host, b)
-			az.env.Schedule(dur, func() { finish(started, nil, nil) })
-		case ProbeBehavior:
-			if c.runProbe(cl, sent, az, dep, fi, cold, cached, started, b) {
-				return // declined: probe path owns response and release
-			}
-			dur := c.modelRuntime(az, dep, fi.host, b.Work)
-			extra := time.Duration(probeDecisionMS * float64(time.Millisecond))
-			az.env.Schedule(dur+extra, func() {
-				finish(started, ProbeOutcome{Ran: true, RuntimeMS: float64(dur) / float64(time.Millisecond)}, nil)
-			})
-		case HandlerBehavior:
-			ctx := &Ctx{cloud: c, az: az, dep: dep, fi: fi, cold: cold}
-			az.env.Go("handler/"+dep.name, func(p *sim.Proc) error {
-				ctx.proc = p
-				value, herr := b.Fn(ctx, req)
-				finish(started, value, herr)
-				return nil
-			})
-		default:
-			finish(started, nil, fmt.Errorf("%w: unknown behavior %T", ErrBadRequest, behavior))
-		}
-	})
+// finish bills the run, returns the instance to the warm pool and responds.
+// A handler's error, if any, is already in resp.Err.
+func (inv *invocation) finish() {
+	c, az, dep, fi, r := inv.c, inv.az, inv.dep, inv.fi, &inv.resp
+	r.Ended = az.env.Now()
+	billedMS := float64(r.Ended.Sub(r.Started)) / float64(time.Millisecond)
+	billedMS += c.opts.OverheadMS
+	price := c.prices[az.region.spec.Provider]
+	cost := price.Cost(dep.memoryMB, billedMS)
+	c.meter.ChargeIn(inv.req.Account, az.region.spec.Name, cost)
+	az.region.inflight[inv.req.Account]--
+	az.releaseFI(fi)
+
+	profile, perr := saaf.Collect(cpu.CPUInfo(fi.host.kind, dep.vcpus()), fi.id, fi.host.ID(), r.Cold, billedMS)
+	if r.Err == nil && perr != nil {
+		r.Err = perr
+	}
+	if r.Err != nil {
+		az.m.failHandler.Inc()
+	} else {
+		az.m.billedMS.Observe(billedMS)
+	}
+	r.FI, r.Host, r.CPU = fi.id, fi.host.ID(), profile.Kind
+	r.BilledMS, r.CostUSD, r.Profile = billedMS, cost, profile
+	inv.respond()
 }
 
 func hasHash(set map[string]struct{}, h string) bool {

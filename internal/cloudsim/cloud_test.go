@@ -173,6 +173,39 @@ func TestKeepAliveExpiry(t *testing.T) {
 	}
 }
 
+// TestIdleInstancesShareOneQueueEntry: 1,000 instances going idle in one
+// zone arm 1,000 keep-alive timers, which the zone's expiry lane holds as
+// one event-queue entry, and each still reaps its instance on time.
+func TestIdleInstancesShareOneQueueEntry(t *testing.T) {
+	env, c := testWorld(t, plainAZ(2048), Options{KeepAlive: 5 * time.Minute})
+	deploySleep(t, c, "fn", 100*time.Millisecond)
+	az, _ := c.AZ("test-az-1a")
+	before := env.Pending() // the drift timeline
+	ok := 0
+	for i := 0; i < 1000; i++ {
+		c.StartInvoke(Request{Account: "a", AZ: "test-az-1a", Function: "fn"}, func(r Response) {
+			if r.OK() {
+				ok++
+			}
+		})
+	}
+	if err := env.RunFor(time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	if ok != 1000 || az.WarmIdle("fn") != 1000 {
+		t.Fatalf("%d of 1,000 invocations succeeded, %d instances idle", ok, az.WarmIdle("fn"))
+	}
+	if got := env.Pending() - before; got != 1 {
+		t.Fatalf("1,000 idle instances add %d event-queue entries, want 1", got)
+	}
+	if err := env.RunFor(4*time.Minute + time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if az.LiveFIs() != 0 || env.Pending() != before {
+		t.Fatalf("after the keep-alive: %d instances live, %d queue entries (want 0, %d)", az.LiveFIs(), env.Pending(), before)
+	}
+}
+
 func TestSaturationWhenPoolExhausted(t *testing.T) {
 	// Pool of 128 slots (1 host), sleep long enough that requests overlap.
 	env, c := testWorld(t, plainAZ(128), Options{})

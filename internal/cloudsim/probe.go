@@ -53,13 +53,12 @@ type ProbeOutcome struct {
 // probeDecisionMS is the time the in-function CPU check takes.
 const probeDecisionMS = 2
 
-// runProbe handles ProbeBehavior execution: it is invoked from the arrive
-// path once the instance is initialized. It returns true when it fully
-// handled the request (decline path), false when the caller should run the
-// workload normally.
-func (c *Cloud) runProbe(cl call, sent time.Time, az *AZ,
-	dep *Deployment, fi *FI, cold, cached bool, started time.Time,
-	b ProbeBehavior) bool {
+// runProbe handles ProbeBehavior execution: it is invoked from start once
+// the instance is initialized. It returns true when it fully handled the
+// request (decline path), false when the caller should run the workload
+// normally.
+func (inv *invocation) runProbe(b ProbeBehavior) bool {
+	c, az, dep, fi := inv.c, inv.az, inv.dep, inv.fi
 	// The in-function check reads cpuinfo, like the routing logic the
 	// paper bakes into its dynamic functions.
 	kind, _, err := cpu.ParseCPUInfo(cpu.CPUInfo(fi.host.kind, dep.vcpus()))
@@ -69,32 +68,17 @@ func (c *Cloud) runProbe(cl call, sent time.Time, az *AZ,
 	holdMS := b.holdMS()
 	price := c.prices[az.region.spec.Provider]
 	cost := price.Cost(dep.memoryMB, holdMS)
-	c.meter.ChargeIn(cl.req.Account, az.region.spec.Name, cost)
+	c.meter.ChargeIn(inv.req.Account, az.region.spec.Name, cost)
+	inv.resp.CPU, inv.resp.BilledMS, inv.resp.CostUSD = kind, holdMS, cost
+	inv.resp.Value = ProbeOutcome{Ran: false}
 
 	// Respond as soon as the decision is made so the caller can reissue...
-	az.env.Schedule(time.Duration(probeDecisionMS*float64(time.Millisecond)), func() {
-		profile, perr := saaf.Collect(cpu.CPUInfo(fi.host.kind, dep.vcpus()), fi.id, fi.host.ID(), cold, holdMS)
-		c.respond(cl, az, Response{
-			Err:           perr,
-			FI:            fi.id,
-			Host:          fi.host.ID(),
-			CPU:           kind,
-			Cold:          cold,
-			PayloadCached: cached,
-			Sent:          sent,
-			Started:       started,
-			Ended:         az.env.Now(),
-			BilledMS:      holdMS,
-			CostUSD:       cost,
-			Profile:       profile,
-			Value:         ProbeOutcome{Ran: false},
-		})
-	})
+	az.env.Schedule(time.Duration(probeDecisionMS*float64(time.Millisecond)), inv.decline)
 	// ...but hold the instance (and the quota slot) for the full,
 	// billed hold so the reissued request lands elsewhere. Afterwards the
 	// instance self-terminates unless KeepOnDecline is set.
 	az.env.Schedule(time.Duration(holdMS*float64(time.Millisecond)), func() {
-		az.region.inflight[cl.req.Account]--
+		az.region.inflight[inv.req.Account]--
 		if b.KeepOnDecline {
 			az.releaseFI(fi)
 		} else {
@@ -102,4 +86,13 @@ func (c *Cloud) runProbe(cl call, sent time.Time, az *AZ,
 		}
 	})
 	return true
+}
+
+// decline answers a probe whose instance refused the request: runProbe has
+// filled in the CPU, the bill and the outcome.
+func (inv *invocation) decline() {
+	fi, r := inv.fi, &inv.resp
+	r.Profile, r.Err = saaf.Collect(cpu.CPUInfo(fi.host.kind, inv.dep.vcpus()), fi.id, fi.host.ID(), r.Cold, r.BilledMS)
+	r.FI, r.Host, r.Ended = fi.id, fi.host.ID(), inv.az.env.Now()
+	inv.respond()
 }

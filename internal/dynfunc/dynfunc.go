@@ -30,6 +30,13 @@ import (
 // the paper's maximum tested payload).
 const MaxPayloadBytes = 5 << 20
 
+// maxDecodedBytes bounds the JSON a payload may inflate to. A data file of
+// MaxPayloadBytes rides in the JSON as base64, 4/3 of its size, next to a
+// few dozen bytes of fields; gzip, though, turns a blob of kilobytes into
+// gigabytes, so Decode stops reading here and Encode refuses what Decode
+// would.
+const maxDecodedBytes = 8 << 20
+
 // Payload is what a caller ships to a dynamic function.
 type Payload struct {
 	// Workload selects the function logic by Table-1 name.
@@ -59,6 +66,9 @@ func Encode(p Payload) (Wire, error) {
 	if err != nil {
 		return Wire{}, fmt.Errorf("dynfunc: marshal: %w", err)
 	}
+	if len(raw) > maxDecodedBytes {
+		return Wire{}, fmt.Errorf("dynfunc: payload JSON %d bytes exceeds %d cap", len(raw), maxDecodedBytes)
+	}
 	var gz bytes.Buffer
 	zw := gzip.NewWriter(&gz)
 	if _, err := zw.Write(raw); err != nil {
@@ -76,22 +86,38 @@ func Encode(p Payload) (Wire, error) {
 	return Wire{Blob: blob, Hash: hex.EncodeToString(sum[:16])}, nil
 }
 
-// Decode reverses Encode.
+// Decode reverses Encode. It refuses a blob over MaxPayloadBytes, and one
+// that inflates past maxDecodedBytes, which no payload Encode accepts
+// does.
 func Decode(w Wire) (Payload, error) {
+	if len(w.Blob) > MaxPayloadBytes {
+		return Payload{}, fmt.Errorf("dynfunc: payload %d bytes exceeds %d cap", len(w.Blob), MaxPayloadBytes)
+	}
 	gzBytes := make([]byte, base64.StdEncoding.DecodedLen(len(w.Blob)))
 	n, err := base64.StdEncoding.Decode(gzBytes, w.Blob)
 	if err != nil {
 		return Payload{}, fmt.Errorf("dynfunc: base64: %w", err)
 	}
-	zr, err := gzip.NewReader(bytes.NewReader(gzBytes[:n]))
+	gzBytes = gzBytes[:n]
+	zr, err := gzip.NewReader(bytes.NewReader(gzBytes))
 	if err != nil {
 		return Payload{}, fmt.Errorf("dynfunc: gunzip: %w", err)
 	}
-	raw, err := io.ReadAll(zr)
+	// Measure before buffering: a bomb is refused having inflated no more
+	// than the cap, through a small scratch buffer, and an honest payload
+	// is read into one buffer of its exact size.
+	size, err := io.Copy(io.Discard, io.LimitReader(zr, maxDecodedBytes+1))
 	if err != nil {
 		return Payload{}, fmt.Errorf("dynfunc: gunzip: %w", err)
 	}
-	if err := zr.Close(); err != nil {
+	if size > maxDecodedBytes {
+		return Payload{}, fmt.Errorf("dynfunc: payload inflates past the %d-byte cap", maxDecodedBytes)
+	}
+	if err := zr.Reset(bytes.NewReader(gzBytes)); err != nil {
+		return Payload{}, fmt.Errorf("dynfunc: gunzip: %w", err)
+	}
+	raw := make([]byte, size)
+	if _, err := io.ReadFull(zr, raw); err != nil {
 		return Payload{}, fmt.Errorf("dynfunc: gunzip: %w", err)
 	}
 	var p Payload

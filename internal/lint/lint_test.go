@@ -143,6 +143,8 @@ func TestHotpathRootsAnnotated(t *testing.T) {
 		"(router.DecisionTable).Pick",
 		"(sim.Env).Schedule",
 		"(sim.Env).run",
+		"(sim.Lane).Push",
+		"(sim.Lane).tick",
 		"(admission.Controller).Admit",
 		"(admission.Controller).Done",
 	} {

@@ -132,11 +132,12 @@ func (s *Sampler) Deploy(az string) error {
 	return nil
 }
 
-// treeResult aggregates a subtree's observations as they bubble up.
+// treeResult aggregates a subtree's failures and spend as they bubble up.
+// Reports do not travel with it: every node writes each successful child's
+// report straight into that child's slot of its poll's tree.
 type treeResult struct {
-	reports []saaf.Report
-	failed  int
-	cost    float64
+	failed int
+	cost   float64
 }
 
 // subtreeRequests returns the request count of a subtree rooted at depth.
@@ -150,40 +151,60 @@ func (s *Sampler) subtreeRequests(depth int) int {
 	return total
 }
 
-// treeWork builds the behavior for a tree node at the given depth. Leaves
-// sleep (fast path); internal nodes fan out to the same endpoint and
-// aggregate their children's observations, sleeping concurrently to hold
+// tree is one poll's fan-out: the endpoint every node invokes, how long
+// each request holds its instance, and one report slot per request in
+// preorder, so a node rooted at slot i has its j'th child at
+// i + 1 + j*subtreeRequests(depth-1). Read in slot order, the filled slots
+// are the reports in the order a depth-first walk of the tree meets them.
+type tree struct {
+	s      *Sampler
+	az, fn string
+	sleep  time.Duration
+	leaf   cloudsim.Behavior // shared by every leaf: a leaf writes no slot
+	slots  []saaf.Report
+}
+
+// collect files the response of the node at slot, a subtree of size
+// requests, into agg: its report into its slot and its subtree's failures
+// and spend into the totals. A failed node's subtree is wiped, since its
+// reports never reached the caller.
+func (t *tree) collect(agg *treeResult, r cloudsim.Response, slot, size int) {
+	if !r.OK() {
+		agg.failed += size
+		clear(t.slots[slot : slot+size])
+		return
+	}
+	agg.cost += r.CostUSD
+	t.slots[slot] = r.Profile
+	if sub, ok := r.Value.(treeResult); ok {
+		agg.failed += sub.failed
+		agg.cost += sub.cost
+	}
+}
+
+// work builds the behavior for the tree node at the given depth and slot.
+// Leaves sleep (fast path); internal nodes fan out to the same endpoint
+// and collect their children's observations, sleeping concurrently to hold
 // their own instance.
-func (s *Sampler) treeWork(az, fn string, depth int, sleep time.Duration) cloudsim.Behavior {
+func (t *tree) work(depth, slot int) cloudsim.Behavior {
 	if depth == 0 {
-		return cloudsim.SleepBehavior{D: sleep}
+		return t.leaf
 	}
 	return cloudsim.HandlerBehavior{Fn: func(ctx *cloudsim.Ctx, req cloudsim.Request) (any, error) {
-		childWork := s.treeWork(az, fn, depth-1, sleep)
-		events := make([]*sim.Event, s.cfg.Branch)
+		size := t.s.subtreeRequests(depth - 1)
+		events := make([]*sim.Event, t.s.cfg.Branch)
 		for i := range events {
 			events[i] = ctx.InvokeAsync(cloudsim.Request{
 				Account:  req.Account,
-				AZ:       az,
-				Function: fn,
-				Work:     childWork,
+				AZ:       t.az,
+				Function: t.fn,
+				Work:     t.work(depth-1, slot+1+i*size),
 			})
 		}
-		ctx.Sleep(sleep)
+		ctx.Sleep(t.sleep)
 		agg := treeResult{}
-		for _, ev := range events {
-			r := ctx.Wait(ev)
-			if !r.OK() {
-				agg.failed += s.subtreeRequests(depth - 1)
-				continue
-			}
-			agg.cost += r.CostUSD
-			agg.reports = append(agg.reports, r.Profile)
-			if sub, ok := r.Value.(treeResult); ok {
-				agg.reports = append(agg.reports, sub.reports...)
-				agg.failed += sub.failed
-				agg.cost += sub.cost
-			}
+		for i, ev := range events {
+			t.collect(&agg, ctx.Wait(ev), slot+1+i*size, size)
 		}
 		return agg, nil
 	}}
@@ -221,36 +242,42 @@ func (s *Sampler) Poll(p *sim.Proc, az string, idx int) PollResult {
 }
 
 func (s *Sampler) pollWith(p *sim.Proc, az, fn string, idx int, sleep time.Duration) PollResult {
-	depth := 2
-	roots := s.cfg.roots()
+	const depth = 2
+	roots, size := s.cfg.roots(), s.subtreeRequests(depth)
+	t := &tree{
+		s: s, az: az, fn: fn, sleep: sleep,
+		leaf:  cloudsim.SleepBehavior{D: sleep},
+		slots: make([]saaf.Report, roots*size),
+	}
 	futures := make([]*faas.Future, roots)
 	for i := range futures {
 		futures[i] = s.client.InvokeAsync(faas.Call{
 			AZ:       az,
 			Function: fn,
-			Work:     s.treeWork(az, fn, depth, sleep),
+			Work:     t.work(depth, i*size),
 		})
 	}
-	res := PollResult{
+	var agg treeResult
+	for i, f := range futures {
+		t.collect(&agg, f.Wait(p), i*size, size)
+	}
+	// Compact the filled slots in order; every report names its instance,
+	// so an empty UUID marks a request that never reported.
+	n := 0
+	for _, rep := range t.slots {
+		if rep.UUID != "" {
+			t.slots[n] = rep
+			n++
+		}
+	}
+	return PollResult{
 		Endpoint:  idx,
-		Requested: roots * s.subtreeRequests(depth),
+		Requested: roots * size,
+		Failed:    agg.failed,
+		Reports:   t.slots[:n],
+		NewFIs:    n,
+		CostUSD:   agg.cost,
 	}
-	for _, f := range futures {
-		r := f.Wait(p)
-		if !r.OK() {
-			res.Failed += s.subtreeRequests(depth)
-			continue
-		}
-		res.CostUSD += r.CostUSD
-		res.Reports = append(res.Reports, r.Profile)
-		if sub, ok := r.Value.(treeResult); ok {
-			res.Reports = append(res.Reports, sub.reports...)
-			res.Failed += sub.failed
-			res.CostUSD += sub.cost
-		}
-	}
-	res.NewFIs = len(res.Reports)
-	return res
 }
 
 // Characterize polls a zone until the saturation stop rule fires (or

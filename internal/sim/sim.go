@@ -5,8 +5,10 @@
 // written in one of two styles:
 //
 //   - Callbacks: Env.Schedule(d, fn) runs fn at virtual time now+d. Cheap,
-//     used for mechanical bookkeeping (function-instance expiry, drift
-//     ticks).
+//     used for mechanical bookkeeping (drift ticks, request steps). Timers
+//     that all share one delay — function-instance keep-alive expiry — go
+//     through a Lane, which fires each exactly where Schedule would have
+//     while holding one queue entry for all of them.
 //   - Processes: Env.Go(name, fn) starts a cooperative process — a goroutine
 //     that may block on Proc.Sleep and Proc.Wait. Processes make client-side
 //     logic (pollers issuing requests, routers retrying invocations) read
@@ -255,6 +257,10 @@ func (e *Env) drainProcs() {
 // LiveProcs reports the number of processes that have started but not
 // finished.
 func (e *Env) LiveProcs() int { return len(e.procs) }
+
+// Pending reports the number of entries in the event queue. A Lane counts
+// as one however many timers it holds.
+func (e *Env) Pending() int { return len(e.queue) }
 
 // ---------------------------------------------------------------------------
 // Processes

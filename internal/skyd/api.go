@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"strconv"
@@ -47,12 +48,16 @@ type apiReq struct {
 	acct *tenant.Tenant
 }
 
-// decode reads the JSON request body (1 MiB cap, unknown fields rejected).
+// decode reads the JSON request body: one JSON value and only whitespace
+// after it (1 MiB cap, unknown fields rejected).
 func (r *apiReq) decode(v any) *apiError {
 	dec := json.NewDecoder(http.MaxBytesReader(nil, r.http.Body, 1<<20))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return apiErrf(http.StatusBadRequest, "bad_request", "bad request body: %v", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return apiErrf(http.StatusBadRequest, "bad_request", "bad request body: data after the JSON value")
 	}
 	return nil
 }

@@ -218,6 +218,39 @@ func TestCharacterizeValidation(t *testing.T) {
 	wantErr(t, badRes, rec.Body.Bytes(), http.StatusBadRequest, "bad_request")
 }
 
+// TestDecodeRejectsTrailingBytes: a request body is exactly one JSON value.
+// Anything after it but whitespace is the caller's 400, not silently
+// dropped. Accepted bodies name an unknown zone, so getting past decode
+// shows as the 404 that follows it.
+func TestDecodeRejectsTrailingBytes(t *testing.T) {
+	s := newTestServer(t)
+	for _, c := range []struct {
+		body   string
+		status int
+		code   string
+	}{
+		{`{"az":"ghost"}`, http.StatusNotFound, "unknown_az"},
+		{"{\"az\":\"ghost\"}\n", http.StatusNotFound, "unknown_az"}, // json.Encoder's newline
+		{"{\"az\":\"ghost\"} \r\n\t ", http.StatusNotFound, "unknown_az"},
+		{`{"az":"ghost"}{"az":"t1-fast"}`, http.StatusBadRequest, "bad_request"},
+		{`{"az":"ghost"} {}`, http.StatusBadRequest, "bad_request"},
+		{`{"az":"ghost"}x`, http.StatusBadRequest, "bad_request"},
+		{`{"az":"ghost"}}`, http.StatusBadRequest, "bad_request"},
+		{`{"az":"ghost"}]`, http.StatusBadRequest, "bad_request"},
+		{`{"az":"ghost"} 1`, http.StatusBadRequest, "bad_request"},
+		{`{"az":"ghost"}"`, http.StatusBadRequest, "bad_request"},
+	} {
+		t.Run(c.body, func(t *testing.T) {
+			req := httptest.NewRequest("POST", "/v1/characterize", bytes.NewBufferString(c.body))
+			rec := httptest.NewRecorder()
+			s.ServeHTTP(rec, req)
+			res := rec.Result()
+			defer res.Body.Close()
+			wantErr(t, res, rec.Body.Bytes(), c.status, c.code)
+		})
+	}
+}
+
 func TestProfileThenPerfThenBurst(t *testing.T) {
 	s := newTestServer(t)
 	res, body := do(t, s, "POST", "/v1/profile", map[string]any{
