@@ -67,6 +67,7 @@ race:
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzParseCPUInfo -fuzztime=10s ./internal/cpu/
 	$(GO) test -run='^$$' -fuzz=FuzzDecode -fuzztime=10s ./internal/dynfunc/
+	$(GO) test -run='^$$' -fuzz=FuzzLoadPerfModel -fuzztime=10s ./internal/router/
 
 # Regenerate every paper table/figure at full scale (writes data/*.csv).
 reproduce:

@@ -3,17 +3,16 @@ package cloudsim
 import (
 	"time"
 
-	"skyfaas/internal/cpu"
-	"skyfaas/internal/sim"
 	"skyfaas/internal/workload"
 )
 
 // Behavior describes what a deployment executes per invocation.
 //
-// Sleep and Work behaviors run on the simulator's fast path (pure events,
-// no goroutine); Handler behaviors run as a cooperative process and may
-// perform nested invocations — that is how the sampler's recursive
-// fan-out tree is built.
+// Every behavior runs as platform continuations on its zone's events: no
+// goroutine, no process. Sleep, Work and Probe behaviors time one run on
+// the instance; a FanOut behavior also invokes child requests from the
+// instance and gathers their responses — that is how the sampler's
+// recursive fan-out tree is built.
 type Behavior interface {
 	isBehavior()
 }
@@ -45,98 +44,30 @@ func (w WorkBehavior) scale() float64 {
 	return w.Scale
 }
 
-// HandlerBehavior runs fn as a cooperative process with full access to the
-// instance context, including nested invocations.
-type HandlerBehavior struct {
-	Fn Handler
+// FanOutBehavior is an internal node of a recursive invocation tree (the
+// sampler's polls, §3.1): at its start the node sends N child requests from
+// its own zone, in order, holds its instance for Hold (billed), and then
+// gathers the children's responses in child order. It finishes when the
+// last child has been gathered, so it ends at the later of the hold's end
+// and the delivery of the last child it had to wait for. Event for event it
+// is a process that invoked each child asynchronously, slept for Hold and
+// waited on each child in turn (DESIGN.md, "Keep-alive lane and invocation
+// record").
+type FanOutBehavior struct {
+	// N is the child count.
+	N int
+	// Child builds child i's request. The platform fills in the node's
+	// Account.
+	Child func(i int) Request
+	// Hold is how long the node occupies its instance.
+	Hold time.Duration
+	// Gather is called as Gather(i, r) for every child, in child order. r
+	// is the platform's record of the child and is valid only during the
+	// call.
+	Gather func(i int, r *Response)
+	// Result supplies the node's Response.Value once the last child is
+	// gathered.
+	Result func() any
 }
 
-func (HandlerBehavior) isBehavior() {}
-
-// Handler is the body of a HandlerBehavior deployment.
-type Handler func(ctx *Ctx, req Request) (any, error)
-
-// Ctx is what a running handler can see and do from inside its function
-// instance. Methods must only be called from the handler's own process.
-type Ctx struct {
-	cloud *Cloud
-	az    *AZ
-	dep   *Deployment
-	fi    *FI
-	proc  *sim.Proc
-	cold  bool
-}
-
-// Sleep occupies the instance for d (billed).
-func (c *Ctx) Sleep(d time.Duration) { c.proc.Sleep(d) }
-
-// Compute executes workload w on this instance, occupying it for the
-// modeled duration, and returns that duration.
-func (c *Ctx) Compute(w WorkBehavior) time.Duration {
-	d := c.cloud.modelRuntime(c.az, c.dep, c.fi.host, w)
-	c.proc.Sleep(d)
-	return d
-}
-
-// Invoke performs a nested invocation (intra-cloud latency applies when the
-// request has no client location) and blocks until it completes.
-func (c *Ctx) Invoke(req Request) Response {
-	return c.cloud.Invoke(c.proc, req)
-}
-
-// InvokeAsync starts a nested invocation and returns an event that triggers
-// with its Response; wait on it with Wait. Handlers use this to fan out
-// child invocations in parallel, as the sampler's branching tree does. The
-// child is invoked from this instance's zone, so its network path — and
-// under a sharded engine, the shard crossing — starts here. The event's raw
-// value (Event.Value, and what Proc.Wait returns) is a *Response pointing
-// into the platform's record of the request, complete by the time the
-// event triggers; Wait copies it out.
-func (c *Ctx) InvokeAsync(req Request) *sim.Event {
-	ev := sim.NewEvent(c.az.env)
-	c.cloud.start(c.az.env, req, nil, ev)
-	return ev
-}
-
-// Wait blocks the handler until ev triggers and returns the Response it
-// carried.
-func (c *Ctx) Wait(ev *sim.Event) Response {
-	r, ok := c.proc.Wait(ev).(*Response)
-	if !ok {
-		return Response{Err: ErrBadRequest}
-	}
-	return *r
-}
-
-// CPUInfo returns the /proc/cpuinfo content visible inside the instance.
-func (c *Ctx) CPUInfo() string {
-	return cpu.CPUInfo(c.fi.host.kind, c.dep.vcpus())
-}
-
-// FIID returns the instance identifier.
-func (c *Ctx) FIID() string { return c.fi.id }
-
-// HostID returns the host identifier visible to the guest.
-func (c *Ctx) HostID() string { return c.fi.host.ID() }
-
-// Cold reports whether this invocation cold-started the instance.
-func (c *Ctx) Cold() bool { return c.cold }
-
-// Now returns the current virtual time on this instance's zone.
-func (c *Ctx) Now() time.Time { return c.az.env.Now() }
-
-// CacheHas reports whether a payload hash was already decoded on this
-// instance, and CachePut records one — the dynamic-function payload cache
-// (§3.2).
-func (c *Ctx) CacheHas(hash string) bool {
-	_, ok := c.fi.cache[hash]
-	return ok
-}
-
-// CachePut records a decoded payload hash on this instance.
-func (c *Ctx) CachePut(hash string) {
-	if c.fi.cache == nil {
-		c.fi.cache = make(map[string]struct{})
-	}
-	c.fi.cache[hash] = struct{}{}
-}
+func (FanOutBehavior) isBehavior() {}

@@ -13,6 +13,7 @@ package cloudsim
 import (
 	"fmt"
 	"math"
+	"sync"
 	"time"
 
 	"skyfaas/internal/cpu"
@@ -375,7 +376,8 @@ type Response struct {
 	CostUSD  float64
 	// Profile is the SAAF report attached to successful responses.
 	Profile saaf.Report
-	// Value carries a handler's return value (nil for fast-path behaviors).
+	// Value carries a behavior's result: a ProbeOutcome for a ProbeBehavior,
+	// a FanOutBehavior's Result, nil otherwise.
 	Value any
 }
 
@@ -383,9 +385,15 @@ type Response struct {
 func (r Response) OK() bool { return r.Err == nil }
 
 // invocation is one request's record from send to delivery. Every step of
-// its life — arrive, process, start, finish, respond, deliver — is a method
-// scheduled as a method value, so a request costs this one record instead
-// of a closure per step that copies the request along.
+// its life — arrive, process, start, finish, deliver, and a fan-out node's
+// fanOut and gather — is a method. A record has at most one step pending at
+// a time: step holds it as a method expression, and every Schedule or
+// SendTo passes next, run bound once when the record was first made.
+// Records come from a sync.Pool and go back, zeroed but for next, at their
+// last use: in handOver after done, in Cloud.Invoke after it copies the
+// response, and for a fan-out child at its parent once gathered. No closure
+// may capture a record, since a recycled record is another request's; a
+// warm invocation therefore allocates nothing.
 type invocation struct {
 	req Request
 	// env is the caller's environment: the response is delivered (and
@@ -399,25 +407,72 @@ type invocation struct {
 	dep      *Deployment
 	fi       *FI
 	behavior Behavior
-	// The response goes to done, or, for a waiter of the platform's own
-	// (Cloud.Invoke, Ctx.InvokeAsync), to ev as &resp.
+	// The response goes to done; or Cloud.Invoke waits on ev and reads
+	// resp; or, for a fan-out child, parent gathers resp.
 	done func(Response)
 	ev   *sim.Event
 	// resp is filled in as the request goes: Sent at send, Cold and
-	// PayloadCached at placement, Started at handler start, a handler's
-	// Value and Err at its return, the rest at finish.
+	// PayloadCached at placement, Started at behavior start, a fan-out
+	// node's Value at its last gather, the rest at finish.
 	resp Response
+
+	next func()
+	step func(*invocation)
+
+	// Fan-out links. A child points at its parent and its next sibling;
+	// a parent at the next child it gathers, the count gathered so far,
+	// and whether it is blocked on that child. answered marks a child
+	// that has handed over.
+	parent, sib, kid *invocation
+	gathered         int
+	waiting          bool
+	answered         bool
 }
 
-// Invoke performs a blocking invocation from a client or handler process.
+// records recycles invocation records across requests, clouds and shards.
+// Unlike a plain free list it hands memory back to the GC after a burst,
+// and it is safe across a sharded engine's worker goroutines.
+var records sync.Pool
+
+// record returns a fresh record of req sent from env now.
+func (c *Cloud) record(from *sim.Env, req Request) *invocation {
+	inv, _ := records.Get().(*invocation)
+	if inv == nil {
+		inv = new(invocation)
+		inv.next = inv.run
+	}
+	inv.req, inv.env, inv.c = req, from, c
+	inv.resp.Sent = from.Now()
+	return inv
+}
+
+// recycle zeroes the record at its last use and returns it to the pool.
+// Zeroing here rather than at reuse makes a late reader of a finished
+// request see an empty record at once instead of a plausible stale one.
+func (inv *invocation) recycle() {
+	*inv = invocation{next: inv.next}
+	records.Put(inv)
+}
+
+// then schedules step s of the record on env after d.
+func (inv *invocation) then(env *sim.Env, d time.Duration, s func(*invocation)) {
+	inv.step = s
+	env.Schedule(d, inv.next)
+}
+
+// run is the record's one continuation: it runs the pending step.
+func (inv *invocation) run() { inv.step(inv) }
+
+// Invoke performs a blocking invocation from a client process.
 func (c *Cloud) Invoke(p *sim.Proc, req Request) Response {
 	ev := sim.NewEvent(p.Env())
-	c.start(p.Env(), req, nil, ev)
-	r, ok := p.Wait(ev).(*Response)
-	if !ok {
-		return Response{Err: ErrBadRequest}
-	}
-	return *r
+	inv := c.record(p.Env(), req)
+	inv.ev = ev
+	inv.send()
+	p.Wait(ev)
+	resp := inv.resp
+	inv.recycle()
+	return resp
 }
 
 // StartInvoke performs an asynchronous invocation from the cloud's control
@@ -431,25 +486,26 @@ func (c *Cloud) StartInvoke(req Request, done func(Response)) {
 // the request crosses from the caller's env to the zone's shard under the
 // network latency, and the response is delivered back on from.
 func (c *Cloud) StartInvokeFrom(from *sim.Env, req Request, done func(Response)) {
-	c.start(from, req, done, nil)
+	inv := c.record(from, req)
+	inv.done = done
+	inv.send()
 }
 
-// start sends one request: its response goes to done, or, for the
-// platform's own waiters, to ev as a *Response.
-func (c *Cloud) start(from *sim.Env, req Request, done func(Response), ev *sim.Event) {
-	inv := &invocation{req: req, env: from, c: c, done: done, ev: ev}
-	inv.resp.Sent = from.Now()
-	az, ok := c.azBy[req.AZ]
+// send puts a new record on the wire from its caller's env.
+func (inv *invocation) send() {
+	c, from := inv.c, inv.env
+	az, ok := c.azBy[inv.req.AZ]
 	if !ok {
 		// No such zone: bounce at the provider edge after an intra-cloud
 		// round trip, entirely on the caller's shard.
 		inv.oneWay = c.opts.IntraCloudRTT / 2
-		from.Schedule(inv.oneWay, inv.bounce)
+		inv.then(from, inv.oneWay, (*invocation).bounce)
 		return
 	}
 	inv.az = az
-	inv.oneWay = c.baseOneWay(from, req, az)
-	from.SendTo(az.env, inv.oneWay, inv.arrive)
+	inv.oneWay = c.baseOneWay(from, &inv.req, az)
+	inv.step = (*invocation).arrive
+	from.SendTo(az.env, inv.oneWay, inv.next)
 }
 
 // bounce answers a request for an unknown zone at the provider edge.
@@ -458,12 +514,12 @@ func (inv *invocation) bounce() {
 	if inv.c.opts.OnResponse != nil {
 		inv.c.opts.OnResponse(inv.req, inv.resp)
 	}
-	inv.env.Schedule(inv.oneWay, inv.handOver)
+	inv.then(inv.env, inv.oneWay, (*invocation).handOver)
 }
 
 // baseOneWay is the fault-free one-way network latency from the caller to
 // the zone. Jitter draws come from the caller shard's own stream.
-func (c *Cloud) baseOneWay(from *sim.Env, req Request, az *AZ) time.Duration {
+func (c *Cloud) baseOneWay(from *sim.Env, req *Request, az *AZ) time.Duration {
 	if req.ClientLoc == nil {
 		return c.opts.IntraCloudRTT / 2
 	}
@@ -477,7 +533,8 @@ func (c *Cloud) baseOneWay(from *sim.Env, req Request, az *AZ) time.Duration {
 // the caller's deterministic event order.
 func (inv *invocation) respond() {
 	back := inv.oneWay + inv.az.fault.extraRTT/2
-	inv.az.env.SendTo(inv.env, back, inv.deliver)
+	inv.step = (*invocation).deliver
+	inv.az.env.SendTo(inv.env, back, inv.next)
 }
 
 // reject answers a request that will not run with err.
@@ -494,13 +551,23 @@ func (inv *invocation) deliver() {
 	inv.handOver()
 }
 
-// handOver gives the response to whoever waits for it.
+// handOver gives the response to whoever waits for it. A fan-out child
+// wakes its parent, at this instant, only if the parent is blocked on it —
+// where a process waiting on the child's event would have been woken.
 func (inv *invocation) handOver() {
-	if inv.ev != nil {
-		inv.ev.Trigger(&inv.resp)
-		return
+	switch parent := inv.parent; {
+	case parent != nil:
+		inv.answered = true
+		if parent.waiting && parent.kid == inv {
+			parent.waiting = false
+			parent.then(parent.az.env, 0, (*invocation).gather)
+		}
+	case inv.ev != nil:
+		inv.ev.Trigger(nil)
+	default:
+		inv.done(inv.resp)
+		inv.recycle()
 	}
-	inv.done(inv.resp)
 }
 
 // arrive runs on the zone's shard when the request reaches the region edge.
@@ -508,7 +575,7 @@ func (inv *invocation) handOver() {
 // so the fault state is only ever read by its owning shard.
 func (inv *invocation) arrive() {
 	if extra := inv.az.fault.extraRTT / 2; extra > 0 {
-		inv.az.env.Schedule(extra, inv.process)
+		inv.then(inv.az.env, extra, (*invocation).process)
 		return
 	}
 	inv.process()
@@ -579,7 +646,7 @@ func (inv *invocation) process() {
 			fi.cache[req.PayloadHash] = struct{}{}
 		}
 	}
-	az.env.Schedule(initDelay, inv.start)
+	inv.then(az.env, initDelay, (*invocation).start)
 }
 
 // start runs the behavior once the instance is initialized.
@@ -588,10 +655,10 @@ func (inv *invocation) start() {
 	inv.resp.Started = az.env.Now()
 	switch b := inv.behavior.(type) {
 	case SleepBehavior:
-		az.env.Schedule(b.D, inv.finish)
+		inv.then(az.env, b.D, (*invocation).finish)
 	case WorkBehavior:
 		dur := c.modelRuntime(az, dep, inv.fi.host, b)
-		az.env.Schedule(dur, inv.finish)
+		inv.then(az.env, dur, (*invocation).finish)
 	case ProbeBehavior:
 		if inv.runProbe(b) {
 			return // declined: probe path owns response and release
@@ -599,23 +666,52 @@ func (inv *invocation) start() {
 		dur := c.modelRuntime(az, dep, inv.fi.host, b.Work)
 		extra := time.Duration(probeDecisionMS * float64(time.Millisecond))
 		inv.resp.Value = ProbeOutcome{Ran: true, RuntimeMS: float64(dur) / float64(time.Millisecond)}
-		az.env.Schedule(dur+extra, inv.finish)
-	case HandlerBehavior:
-		ctx := &Ctx{cloud: c, az: az, dep: dep, fi: inv.fi, cold: inv.resp.Cold}
-		az.env.Go("handler/"+dep.name, func(p *sim.Proc) error {
-			ctx.proc = p
-			inv.resp.Value, inv.resp.Err = b.Fn(ctx, inv.req)
-			inv.finish()
-			return nil
-		})
+		inv.then(az.env, dur+extra, (*invocation).finish)
+	case FanOutBehavior:
+		// The node starts at this instant, via the queue, where starting a
+		// process would have put it.
+		inv.then(az.env, 0, (*invocation).fanOut)
 	default:
 		inv.resp.Err = fmt.Errorf("%w: unknown behavior %T", ErrBadRequest, inv.behavior)
 		inv.finish()
 	}
 }
 
+// fanOut sends a fan-out node's children from its zone, in order, linking
+// each to the node, and holds the instance for the node's Hold.
+func (inv *invocation) fanOut() {
+	b := inv.behavior.(FanOutBehavior)
+	env, link := inv.az.env, &inv.kid
+	for i := 0; i < b.N; i++ {
+		req := b.Child(i)
+		req.Account = inv.req.Account
+		kid := inv.c.record(env, req)
+		kid.parent, *link, link = inv, kid, &kid.sib
+		kid.send()
+	}
+	inv.then(env, b.Hold, (*invocation).gather)
+}
+
+// gather runs when a fan-out node's hold ends and whenever the child it is
+// blocked on hands over. It gathers the answered children in child order,
+// recycling each, blocks on the first child still out, and finishes the
+// node after the last.
+func (inv *invocation) gather() {
+	b := inv.behavior.(FanOutBehavior)
+	for kid := inv.kid; kid != nil; kid = inv.kid {
+		if !kid.answered {
+			inv.waiting = true
+			return
+		}
+		b.Gather(inv.gathered, &kid.resp)
+		inv.kid, inv.gathered = kid.sib, inv.gathered+1
+		kid.recycle()
+	}
+	inv.resp.Value = b.Result()
+	inv.finish()
+}
+
 // finish bills the run, returns the instance to the warm pool and responds.
-// A handler's error, if any, is already in resp.Err.
 func (inv *invocation) finish() {
 	c, az, dep, fi, r := inv.c, inv.az, inv.dep, inv.fi, &inv.resp
 	r.Ended = az.env.Now()

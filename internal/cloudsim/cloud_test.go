@@ -457,24 +457,22 @@ func TestPayloadCacheFlag(t *testing.T) {
 	}
 }
 
-func TestHandlerBehaviorNestedInvoke(t *testing.T) {
+func TestFanOutBehaviorNestedInvoke(t *testing.T) {
 	env, c := testWorld(t, plainAZ(1024), Options{})
 	deploySleep(t, c, "leaf", 50*time.Millisecond)
+	oks := 0
 	if _, err := c.Deploy("test-az-1a", "parent", DeployConfig{
 		MemoryMB: 2048,
-		Behavior: HandlerBehavior{Fn: func(ctx *Ctx, req Request) (any, error) {
-			evs := make([]*sim.Event, 3)
-			for i := range evs {
-				evs[i] = ctx.InvokeAsync(Request{Account: req.Account, AZ: "test-az-1a", Function: "leaf"})
-			}
-			oks := 0
-			for _, ev := range evs {
-				if ctx.Wait(ev).OK() {
+		Behavior: FanOutBehavior{
+			N:     3,
+			Child: func(int) Request { return Request{AZ: "test-az-1a", Function: "leaf"} },
+			Gather: func(_ int, r *Response) {
+				if r.OK() {
 					oks++
 				}
-			}
-			return oks, nil
-		}},
+			},
+			Result: func() any { return oks },
+		},
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -500,32 +498,107 @@ func TestHandlerBehaviorNestedInvoke(t *testing.T) {
 	}
 }
 
-func TestHandlerCPUInfoMatchesProfile(t *testing.T) {
-	env, c := testWorld(t, plainAZ(512), Options{})
-	var insideKind cpu.Kind
-	if _, err := c.Deploy("test-az-1a", "inspect", DeployConfig{
-		MemoryMB: 2048,
-		Behavior: HandlerBehavior{Fn: func(ctx *Ctx, req Request) (any, error) {
-			k, _, err := cpu.ParseCPUInfo(ctx.CPUInfo())
-			insideKind = k
-			return nil, err
-		}},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	var resp Response
-	env.Go("client", func(p *sim.Proc) error {
-		resp = c.Invoke(p, Request{Account: "a", AZ: "test-az-1a", Function: "inspect"})
-		return nil
-	})
-	if err := env.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !resp.OK() {
-		t.Fatal(resp.Err)
-	}
-	if insideKind != resp.CPU {
-		t.Errorf("handler saw %v, response says %v", insideKind, resp.CPU)
+// TestFanOutBehaviorGather drives one fan-out node per row and checks the
+// contract the sampler's tree rests on: children are gathered in child
+// order whatever order they answer in, rejected children included; the
+// node ends at the later of its hold's end and the delivery of the last
+// child it had to wait for; the bill covers the hold; and Value is the
+// result func's.
+func TestFanOutBehaviorGather(t *testing.T) {
+	ms := time.Millisecond
+	for _, tc := range []struct {
+		name  string
+		hold  time.Duration
+		kids  []string // child i invokes kids[i]
+		sleep map[string]time.Duration
+	}{
+		{
+			name:  "children delivered before the hold ends",
+			hold:  2 * time.Second,
+			kids:  []string{"k0", "k1", "k2"},
+			sleep: map[string]time.Duration{"k0": 300 * ms, "k1": 100 * ms, "k2": 200 * ms},
+		},
+		{
+			name:  "children delivered after the hold ends",
+			hold:  10 * ms,
+			kids:  []string{"k0", "k1", "k2", "k3"},
+			sleep: map[string]time.Duration{"k0": 400 * ms, "k1": 100 * ms, "k2": 700 * ms, "k3": 50 * ms},
+		},
+		{
+			name:  "rejected child",
+			hold:  100 * ms,
+			kids:  []string{"k0", "ghost", "k2"},
+			sleep: map[string]time.Duration{"k0": 500 * ms, "k2": 50 * ms},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var env *sim.Env
+			delivered := make(map[string]time.Time)
+			env, c := testWorld(t, plainAZ(1024), Options{OnResponse: func(req Request, _ Response) {
+				delivered[req.Function] = env.Now()
+			}})
+			for name, d := range tc.sleep {
+				deploySleep(t, c, name, d)
+			}
+			var order []int
+			var gotErr []error
+			if _, err := c.Deploy("test-az-1a", "node", DeployConfig{
+				MemoryMB: 2048,
+				Behavior: FanOutBehavior{
+					N:     len(tc.kids),
+					Child: func(i int) Request { return Request{AZ: "test-az-1a", Function: tc.kids[i]} },
+					Hold:  tc.hold,
+					Gather: func(i int, r *Response) {
+						order = append(order, i)
+						gotErr = append(gotErr, r.Err)
+						if want, ok := tc.sleep[tc.kids[i]]; ok && r.OK() && r.Ended.Sub(r.Started) != want {
+							t.Errorf("child %d: gathered a response that ran %v, child %d sleeps %v", i, r.Ended.Sub(r.Started), i, want)
+						}
+					},
+					Result: func() any { return "gathered" },
+				},
+			}); err != nil {
+				t.Fatal(err)
+			}
+			var resp Response
+			env.Go("client", func(p *sim.Proc) error {
+				resp = c.Invoke(p, Request{Account: "a", AZ: "test-az-1a", Function: "node"})
+				return nil
+			})
+			if err := env.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if !resp.OK() || resp.Value != "gathered" {
+				t.Fatalf("node response: err %v, value %v", resp.Err, resp.Value)
+			}
+			for i, got := range order {
+				if got != i {
+					t.Fatalf("gather order %v, want child order", order)
+				}
+			}
+			if len(order) != len(tc.kids) {
+				t.Fatalf("gathered %d of %d children", len(order), len(tc.kids))
+			}
+			for i, name := range tc.kids {
+				_, deployed := tc.sleep[name]
+				if rejected := errors.Is(gotErr[i], ErrNoSuchDeployment); rejected == deployed {
+					t.Errorf("child %d (%s): gathered error %v", i, name, gotErr[i])
+				}
+			}
+			end := resp.Started.Add(tc.hold)
+			for _, name := range tc.kids {
+				if at := delivered[name]; at.After(end) {
+					end = at
+				}
+			}
+			if !resp.Ended.Equal(end) {
+				t.Errorf("node ended at +%v, want +%v (hold end or last delivery)", resp.Ended.Sub(resp.Started), end.Sub(resp.Started))
+			}
+			holdMS := float64(tc.hold) / float64(time.Millisecond)
+			if resp.BilledMS < holdMS+c.Options().OverheadMS {
+				t.Errorf("billed %.1f ms, want at least the %.0f ms hold plus overhead", resp.BilledMS, holdMS)
+			}
+		})
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"skyfaas/internal/cpu"
 	"skyfaas/internal/geo"
 	"skyfaas/internal/sim"
-	"skyfaas/internal/workload"
 )
 
 // TestExcursionIsTransient drives the excursion path directly: a chunk of
@@ -93,62 +92,6 @@ func TestExcursionSparesBusyHosts(t *testing.T) {
 		t.Fatalf("busy hosts were flipped: %v", az.TrueMix())
 	}
 	env.Shutdown()
-}
-
-// TestHandlerCtxOps exercises the remaining handler-context surface:
-// Compute, Sleep, cache helpers, and identity accessors.
-func TestHandlerCtxOps(t *testing.T) {
-	env := sim.NewEnv(testEpoch)
-	catalog := []RegionSpec{{
-		Provider: AWS, Name: "r", Loc: geo.Coord{},
-		AZs: []AZSpec{{Name: "r-az", PoolFIs: 256, Mix: map[cpu.Kind]float64{cpu.Xeon25: 1}}},
-	}}
-	cloud := New(env, 3, catalog, Options{HorizonDays: 1})
-	var computeDur time.Duration
-	if _, err := cloud.Deploy("r-az", "handler", DeployConfig{
-		MemoryMB: 2048,
-		Behavior: HandlerBehavior{Fn: func(ctx *Ctx, req Request) (any, error) {
-			if ctx.FIID() == "" || ctx.HostID() == "" {
-				t.Error("missing instance identity")
-			}
-			if !ctx.Cold() {
-				t.Error("first invocation not cold")
-			}
-			if ctx.Now().Before(testEpoch) {
-				t.Error("clock broken")
-			}
-			if ctx.CacheHas("blob") {
-				t.Error("cache pre-populated")
-			}
-			ctx.CachePut("blob")
-			if !ctx.CacheHas("blob") {
-				t.Error("cache put lost")
-			}
-			ctx.Sleep(50 * time.Millisecond)
-			computeDur = ctx.Compute(WorkBehavior{Workload: workload.Sha1Hash})
-			return "done", nil
-		}},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	var resp Response
-	env.Go("client", func(p *sim.Proc) error {
-		resp = cloud.Invoke(p, Request{Account: "a", AZ: "r-az", Function: "handler"})
-		return nil
-	})
-	if err := env.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !resp.OK() || resp.Value != "done" {
-		t.Fatalf("resp = %+v", resp)
-	}
-	if computeDur <= 0 {
-		t.Fatal("Compute returned no duration")
-	}
-	wantMS := 50 + float64(computeDur)/float64(time.Millisecond)
-	if resp.BilledMS < wantMS || resp.BilledMS > wantMS+10 {
-		t.Fatalf("billed %.1fms, want ~%.1f", resp.BilledMS, wantMS)
-	}
 }
 
 // TestAccessors covers the thin read-only surface the experiments lean on.

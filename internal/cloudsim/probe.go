@@ -73,13 +73,16 @@ func (inv *invocation) runProbe(b ProbeBehavior) bool {
 	inv.resp.Value = ProbeOutcome{Ran: false}
 
 	// Respond as soon as the decision is made so the caller can reissue...
-	az.env.Schedule(time.Duration(probeDecisionMS*float64(time.Millisecond)), inv.decline)
+	inv.then(az.env, time.Duration(probeDecisionMS*float64(time.Millisecond)), (*invocation).decline)
 	// ...but hold the instance (and the quota slot) for the full,
 	// billed hold so the reissued request lands elsewhere. Afterwards the
-	// instance self-terminates unless KeepOnDecline is set.
+	// instance self-terminates unless KeepOnDecline is set. The hold
+	// outlives the request, whose record is another request's by then, so
+	// it captures the account rather than the record.
+	account, keep := inv.req.Account, b.KeepOnDecline
 	az.env.Schedule(time.Duration(holdMS*float64(time.Millisecond)), func() {
-		az.region.inflight[inv.req.Account]--
-		if b.KeepOnDecline {
+		az.region.inflight[account]--
+		if keep {
 			az.releaseFI(fi)
 		} else {
 			az.destroyFI(fi)

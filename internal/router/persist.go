@@ -88,11 +88,10 @@ func LoadPerfModel(r io.Reader) (*PerfModel, error) {
 				byKind = make(map[cpu.Kind]*stats.Running)
 				m.byWorkload[spec.ID] = byKind
 			}
-			r := &stats.Running{}
-			for i := 0; i < kjs.N; i++ {
-				r.Add(kjs.MeanMS) // reproduces count and mean exactly
-			}
-			byKind[k] = r
+			// The count comes from the file: restore it in O(1), never by
+			// replaying the mean n times.
+			r := stats.RunningOf(kjs.N, kjs.MeanMS)
+			byKind[k] = &r
 		}
 	}
 	return m, nil

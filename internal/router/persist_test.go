@@ -5,6 +5,7 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"skyfaas/internal/cpu"
 	"skyfaas/internal/workload"
@@ -74,5 +75,36 @@ func TestLoadPerfModelSkipsEmptyEntries(t *testing.T) {
 	}
 	if _, ok := back.Mean(workload.Zipper, cpu.EPYC); ok {
 		t.Fatal("zero-sample entry loaded")
+	}
+}
+
+// TestLoadPerfModelHugeCount: a saved count is restored in O(1), so a file
+// claiming 10^15 samples loads at once, exactly, instead of replaying its
+// mean 10^15 times.
+func TestLoadPerfModelHugeCount(t *testing.T) {
+	const n = 1_000_000_000_000_000
+	in := `{"workloads":[{"workload":"zipper","kinds":[{"cpuModel":"AMD EPYC","n":1000000000000000,"meanMS":4321.5}]}]}`
+	type loaded struct {
+		m   *PerfModel
+		err error
+	}
+	ch := make(chan loaded, 1)
+	go func() {
+		m, err := LoadPerfModel(strings.NewReader(in))
+		ch <- loaded{m, err}
+	}()
+	select {
+	case got := <-ch:
+		if got.err != nil {
+			t.Fatal(got.err)
+		}
+		if s := got.m.Samples(workload.Zipper, cpu.EPYC); s != n {
+			t.Errorf("samples = %d, want %d", s, n)
+		}
+		if mean, _ := got.m.Mean(workload.Zipper, cpu.EPYC); mean != 4321.5 {
+			t.Errorf("mean = %v, want 4321.5", mean)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("LoadPerfModel did not return within 5 s for a count of 10^15")
 	}
 }

@@ -8,7 +8,9 @@
 //     of recursive function invocations — the client only issues a handful
 //     of root requests; the tree fans out platform-side — while each
 //     request sleeps briefly so every concurrent request pins a unique
-//     function instance.
+//     function instance. Leaves are cloudsim SleepBehaviors and internal
+//     nodes cloudsim FanOutBehaviors: the whole tree runs as platform
+//     continuations on the zone's events, with no process per node.
 //   - Each request returns its SAAF profile; deduplicating by instance id
 //     yields new-hardware observations per poll.
 //   - Successive polls cycle endpoints until the zone saturates: when more
@@ -168,7 +170,7 @@ type tree struct {
 // requests, into agg: its report into its slot and its subtree's failures
 // and spend into the totals. A failed node's subtree is wiped, since its
 // reports never reached the caller.
-func (t *tree) collect(agg *treeResult, r cloudsim.Response, slot, size int) {
+func (t *tree) collect(agg *treeResult, r *cloudsim.Response, slot, size int) {
 	if !r.OK() {
 		agg.failed += size
 		clear(t.slots[slot : slot+size])
@@ -183,32 +185,45 @@ func (t *tree) collect(agg *treeResult, r cloudsim.Response, slot, size int) {
 }
 
 // work builds the behavior for the tree node at the given depth and slot.
-// Leaves sleep (fast path); internal nodes fan out to the same endpoint
-// and collect their children's observations, sleeping concurrently to hold
-// their own instance.
+// Leaves sleep; internal nodes fan out to the same endpoint, hold their own
+// instance for the sleep while their children run, and collect the
+// children's observations.
 func (t *tree) work(depth, slot int) cloudsim.Behavior {
 	if depth == 0 {
 		return t.leaf
 	}
-	return cloudsim.HandlerBehavior{Fn: func(ctx *cloudsim.Ctx, req cloudsim.Request) (any, error) {
-		size := t.s.subtreeRequests(depth - 1)
-		events := make([]*sim.Event, t.s.cfg.Branch)
-		for i := range events {
-			events[i] = ctx.InvokeAsync(cloudsim.Request{
-				Account:  req.Account,
-				AZ:       t.az,
-				Function: t.fn,
-				Work:     t.work(depth-1, slot+1+i*size),
-			})
-		}
-		ctx.Sleep(t.sleep)
-		agg := treeResult{}
-		for i, ev := range events {
-			t.collect(&agg, ctx.Wait(ev), slot+1+i*size, size)
-		}
-		return agg, nil
-	}}
+	n := &node{t: t, depth: depth, slot: slot, size: t.s.subtreeRequests(depth - 1)}
+	return cloudsim.FanOutBehavior{
+		N:      t.s.cfg.Branch,
+		Child:  n.child,
+		Hold:   t.sleep,
+		Gather: n.gather,
+		Result: n.result,
+	}
 }
+
+// node is an internal tree node at depth, rooted at slot: its i'th child
+// roots a subtree of size requests at slot+1+i*size, and agg totals what
+// its children's subtrees report.
+type node struct {
+	t                 *tree
+	depth, slot, size int
+	agg               treeResult
+}
+
+func (n *node) child(i int) cloudsim.Request {
+	return cloudsim.Request{
+		AZ:       n.t.az,
+		Function: n.t.fn,
+		Work:     n.t.work(n.depth-1, n.slot+1+i*n.size),
+	}
+}
+
+func (n *node) gather(i int, r *cloudsim.Response) {
+	n.t.collect(&n.agg, r, n.slot+1+i*n.size, n.size)
+}
+
+func (n *node) result() any { return n.agg }
 
 // PollResult is one poll's outcome.
 type PollResult struct {
@@ -259,7 +274,8 @@ func (s *Sampler) pollWith(p *sim.Proc, az, fn string, idx int, sleep time.Durat
 	}
 	var agg treeResult
 	for i, f := range futures {
-		t.collect(&agg, f.Wait(p), i*size, size)
+		r := f.Wait(p)
+		t.collect(&agg, &r, i*size, size)
 	}
 	// Compact the filled slots in order; every report names its instance,
 	// so an empty UUID marks a request that never reported.

@@ -132,6 +132,16 @@ type Running struct {
 	max  float64
 }
 
+// RunningOf returns, in O(1), the accumulator n calls of Add(mean) leave:
+// n samples of that mean, min = max = mean, and no spread. It restores a
+// persisted count and mean. n <= 0 gives the empty accumulator.
+func RunningOf(n int, mean float64) Running {
+	if n <= 0 {
+		return Running{}
+	}
+	return Running{n: n, mean: mean, min: mean, max: mean}
+}
+
 // Add folds x into the accumulator.
 func (r *Running) Add(x float64) {
 	r.n++

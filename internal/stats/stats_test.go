@@ -168,6 +168,26 @@ func TestRunningDirect(t *testing.T) {
 	}
 }
 
+// TestRunningOfMatchesAdds: the O(1) constructor leaves exactly the state n
+// calls of Add(mean) do, field for field.
+func TestRunningOfMatchesAdds(t *testing.T) {
+	if err := quick.Check(func(n uint8, mean float64) bool {
+		if math.IsNaN(mean) || math.IsInf(mean, 0) {
+			return true
+		}
+		var want Running
+		for i := 0; i < int(n); i++ {
+			want.Add(mean)
+		}
+		return RunningOf(int(n), mean) == want
+	}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if RunningOf(-5, 3) != (Running{}) {
+		t.Fatal("a negative count did not give the empty accumulator")
+	}
+}
+
 func TestSeries(t *testing.T) {
 	var s Series
 	if _, ok := s.Last(); ok {
