@@ -68,6 +68,8 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzParseCPUInfo -fuzztime=10s ./internal/cpu/
 	$(GO) test -run='^$$' -fuzz=FuzzDecode -fuzztime=10s ./internal/dynfunc/
 	$(GO) test -run='^$$' -fuzz=FuzzLoadPerfModel -fuzztime=10s ./internal/router/
+	$(GO) test -run='^$$' -fuzz=FuzzBurst -fuzztime=10s ./internal/skyd/
+	$(GO) test -run='^$$' -fuzz=FuzzLoad -fuzztime=10s ./internal/tenant/
 
 # Regenerate every paper table/figure at full scale (writes data/*.csv).
 reproduce:

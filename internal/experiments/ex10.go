@@ -1,18 +1,12 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
-	"skyfaas/internal/admission"
-	"skyfaas/internal/cloudsim"
-	"skyfaas/internal/core"
-	"skyfaas/internal/cpu"
 	"skyfaas/internal/faas"
 	"skyfaas/internal/load"
 	"skyfaas/internal/rng"
-	"skyfaas/internal/sampler"
 	"skyfaas/internal/sim"
 	"skyfaas/internal/tablefmt"
 	"skyfaas/internal/tenant"
@@ -49,16 +43,13 @@ const (
 // EX10Config parameterizes EX-10.
 type EX10Config struct {
 	Seed uint64
-	// Shards selects the simulation engine (0/1 single-queue, N > 1
-	// sharded); replay is byte-identical across values.
+	// Shards selects the simulation engine (see core.Config.Shards).
 	Shards int
-	// Zone is the shared zone (default us-west-1a).
-	Zone string
-	// Workload both tenants run (default sha1_hash, ~1s service time).
-	Workload workload.ID
-	// Quota is the provider-side concurrent execution limit the global gate
-	// protects (default 60; the gate's slot limit is TargetUtil x Quota).
-	Quota int
+	// The shared zone, the workload both tenants run, quota and warmup.
+	openLoop
+	// Retry is the client retry policy (default 6 attempts, 50ms base; the
+	// gate keeps in-flight below the provider quota, so it rarely fires).
+	Retry faas.RetryPolicy
 	// Duration is the measured load span per cell (default 30s virtual).
 	Duration time.Duration
 	// VictimMultiple is the steady tenant's offered rate as a fraction of
@@ -73,27 +64,12 @@ type EX10Config struct {
 	// in-flight comfortable headroom, 20 cap the aggressor.
 	VictimSlots    int
 	AggressorSlots int
-	// InitPolls seeds the gate's service-time estimate (default 2).
-	InitPolls int
-	// ProfileRuns trains the perf model and warms the pool (default 240).
-	ProfileRuns int
-	// Retry is the client retry policy (default 6 attempts, 50ms base; the
-	// gate keeps in-flight below the provider quota, so it rarely fires).
-	Retry faas.RetryPolicy
-	// Sampler overrides the polling configuration (default: EX-8's layout,
-	// scaled to fit the small quota).
-	Sampler sampler.Config
 }
 
 func (c EX10Config) withDefaults() EX10Config {
-	if c.Zone == "" {
-		c.Zone = "us-west-1a"
-	}
-	if c.Workload == 0 {
-		c.Workload = workload.Sha1Hash
-	}
-	if c.Quota == 0 {
-		c.Quota = 60
+	c.openLoop = c.openLoop.withDefaults()
+	if c.Retry.MaxAttempts == 0 {
+		c.Retry = faas.RetryPolicy{MaxAttempts: 6, BaseBackoff: 50 * time.Millisecond}
 	}
 	if c.Duration == 0 {
 		c.Duration = 30 * time.Second
@@ -110,21 +86,6 @@ func (c EX10Config) withDefaults() EX10Config {
 	if c.AggressorSlots == 0 {
 		c.AggressorSlots = 20
 	}
-	if c.InitPolls == 0 {
-		c.InitPolls = 2
-	}
-	if c.ProfileRuns == 0 {
-		c.ProfileRuns = 240
-	}
-	if c.Retry.MaxAttempts == 0 {
-		c.Retry = faas.RetryPolicy{MaxAttempts: 6, BaseBackoff: 50 * time.Millisecond}
-	}
-	if c.Sampler.Endpoints == 0 {
-		c.Sampler = sampler.Config{
-			Endpoints: 40, PollSize: 50, Branch: 7,
-			InterPollPause: 500 * time.Millisecond,
-		}
-	}
 	return c
 }
 
@@ -132,19 +93,17 @@ func (c EX10Config) withDefaults() EX10Config {
 // against a 30-quota world: limit 27 = 20 victim + 7 aggressor).
 func (c EX10Config) Reduced() EX10Config {
 	c = c.withDefaults()
-	c.Quota = 30
+	c.openLoop = c.openLoop.reduced()
 	c.Duration = 12 * time.Second
 	c.VictimSlots = 20
 	c.AggressorSlots = 7
-	c.ProfileRuns = 120
 	return c
 }
 
 // EX10Cell is one arm's measurement: each tenant's load digest.
 type EX10Cell struct {
 	Arm string
-	// CapacityRPS is the gate's capacity estimate in this cell's world;
-	// determinism makes it identical across cells, and RunEX10 checks that.
+	// CapacityRPS is the gate's capacity estimate, the same in every cell.
 	CapacityRPS float64
 	// Victim is the steady tenant's report; Aggressor is zero-valued in the
 	// uncontended arm.
@@ -167,12 +126,7 @@ type EX10Result struct {
 
 // Cell returns the named arm's measurement.
 func (r EX10Result) Cell(arm string) (EX10Cell, bool) {
-	for _, c := range r.Cells {
-		if c.Arm == arm {
-			return c, true
-		}
-	}
-	return EX10Cell{}, false
+	return findCell(r.Cells, func(c EX10Cell) bool { return c.Arm == arm })
 }
 
 // Retention is the victim's goodput in the named arm as a fraction of its
@@ -186,7 +140,9 @@ func (r EX10Result) Retention(arm string) float64 {
 	return c.Victim.GoodputRPS / base.Victim.GoodputRPS
 }
 
-// RunEX10 executes EX-10.
+// RunEX10 executes EX-10. Every arm runs in a fresh world: identical seed,
+// characterization and warmup; only the tenant population and whether the
+// per-tenant governors run differ.
 func RunEX10(cfg EX10Config) (EX10Result, error) {
 	cfg = cfg.withDefaults()
 	res := EX10Result{
@@ -194,200 +150,56 @@ func RunEX10(cfg EX10Config) (EX10Result, error) {
 		VictimSlots: cfg.VictimSlots, AggressorSlots: cfg.AggressorSlots,
 	}
 	for _, arm := range []string{EX10Uncontended, EX10GlobalOnly, EX10PerTenant} {
-		cell, err := runEX10Cell(cfg, arm)
+		var cell EX10Cell
+		err := cfg.runCell(cfg.Seed, cfg.Shards, 0, &res.CapacityRPS, func(p *sim.Proc, w *openLoopWorld) (err error) {
+			cell, _, err = serveEX10(p, w, cfg, arm)
+			return err
+		})
 		if err != nil {
 			return EX10Result{}, fmt.Errorf("ex10: %s: %w", arm, err)
-		}
-		if res.CapacityRPS == 0 {
-			res.CapacityRPS = cell.CapacityRPS
-		} else if res.CapacityRPS != cell.CapacityRPS {
-			// Same seed, same setup — a drifting estimate means the cell
-			// worlds diverged, which would invalidate the comparison.
-			return EX10Result{}, fmt.Errorf("ex10: capacity estimate drifted across cells: %v vs %v",
-				res.CapacityRPS, cell.CapacityRPS)
 		}
 		res.Cells = append(res.Cells, cell)
 	}
 	return res, nil
 }
 
-// runEX10Cell measures one arm in a fresh world: identical seed, identical
-// characterization and warmup — only the tenant population and whether the
-// per-tenant governors run differ.
-func runEX10Cell(cfg EX10Config, arm string) (EX10Cell, error) {
-	rt, err := core.New(core.Config{
-		Seed:       cfg.Seed,
-		Epoch:      defaultEpoch,
-		SamplerCfg: cfg.Sampler,
-		CloudOpts:  cloudsim.Options{Quota: cfg.Quota, HorizonDays: 2},
-		SkipMesh:   true,
-		Shards:     cfg.Shards,
-	})
-	if err != nil {
-		return EX10Cell{}, err
+// serveEX10 runs one arm's tenants against w, returning the tenant
+// registry too (nil outside the per-tenant arm).
+func serveEX10(p *sim.Proc, w *openLoopWorld, cfg EX10Config, arm string) (EX10Cell, *tenant.Registry, error) {
+	cell := EX10Cell{Arm: arm, CapacityRPS: w.capacity}
+	w.spec.Retry = cfg.Retry
+	// The per-tenant governors, present only in the per-tenant arm. The
+	// registry's explicit-now API takes virtual time, so the same seed
+	// replays the quota decisions bit-identically.
+	var reg *tenant.Registry
+	if arm == EX10PerTenant {
+		reg = tenant.NewRegistry(tenant.Config{})
+		for _, t := range []tenant.Tenant{
+			{ID: EX10Victim, Name: "Steady tenant", Keys: []string{"sk-steady"}, QuotaSlots: cfg.VictimSlots},
+			{ID: EX10Aggressor, Name: "Aggressor", Keys: []string{"sk-storm"}, QuotaSlots: cfg.AggressorSlots},
+		} {
+			if err := reg.Create(t, w.rt.Env().Now()); err != nil {
+				return cell, nil, err
+			}
+		}
 	}
-	cell := EX10Cell{Arm: arm}
-	err = rt.Do(func(p *sim.Proc) error {
-		// The same estimate pipeline skyd uses: characterize, train the perf
-		// model, seed the gate. Every arm builds the gate so the capacity
-		// estimate (and hence both offered rates) is byte-identical.
-		if _, err := rt.Refresh(p, []string{cfg.Zone}, cfg.InitPolls); err != nil {
-			return err
-		}
-		if _, err := rt.ProfileWorkloads(p, []workload.ID{cfg.Workload}, []string{cfg.Zone}, cfg.ProfileRuns); err != nil {
-			return err
-		}
-		gate, err := rt.EnableAdmission(admission.Config{})
+	// Each tenant's schedule comes from its own seed stream, so the
+	// aggressor's presence never perturbs the victim's arrival times across
+	// arms.
+	victim, err := constantStream(EX10Victim, cfg.VictimMultiple*w.capacity, cfg.Duration, rng.New(cfg.Seed).Split("ex10/"+EX10Victim), &cell.Victim)
+	if err != nil {
+		return cell, nil, err
+	}
+	streams := []*stream{victim}
+	if arm != EX10Uncontended {
+		storm, err := constantStream(EX10Aggressor, cfg.StormMultiple*w.capacity, cfg.Duration, rng.New(cfg.Seed).Split("ex10/"+EX10Aggressor), &cell.Aggressor)
 		if err != nil {
-			return err
+			return cell, nil, err
 		}
-		cell.CapacityRPS = gate.CapacityRPS(cfg.Workload)
-		if cell.CapacityRPS <= 0 {
-			return fmt.Errorf("no capacity estimate for %s", cfg.Workload)
-		}
-
-		// The per-tenant governors, present only in the per-tenant arm. The
-		// registry's explicit-now API takes virtual time, so the same seed
-		// replays the quota decisions bit-identically.
-		var reg *tenant.Registry
-		if arm == EX10PerTenant {
-			reg = tenant.NewRegistry(tenant.Config{})
-			for _, t := range []tenant.Tenant{
-				{ID: EX10Victim, Name: "Steady tenant", Keys: []string{"sk-steady"}, QuotaSlots: cfg.VictimSlots},
-				{ID: EX10Aggressor, Name: "Aggressor", Keys: []string{"sk-storm"}, QuotaSlots: cfg.AggressorSlots},
-			} {
-				if err := reg.Create(t, rt.Env().Now()); err != nil {
-					return err
-				}
-			}
-		}
-
-		ep, ok := rt.Mesh().Lookup(cfg.Zone, 4096, cpu.X86)
-		if !ok {
-			return fmt.Errorf("no mesh endpoint in %s", cfg.Zone)
-		}
-		env := rt.Env()
-		client := rt.Client()
-		spec := faas.InvokeSpec{
-			Call: faas.Call{
-				AZ:       cfg.Zone,
-				Function: ep.Function,
-				Work:     cloudsim.WorkBehavior{Workload: cfg.Workload},
-			},
-			Retry: cfg.Retry,
-		}
-
-		// Build both tenants' open-loop schedules from independent seed
-		// streams so the aggressor's presence never perturbs the victim's
-		// arrival times across arms.
-		type population struct {
-			id       string
-			offered  float64
-			arrivals []time.Duration
-			rec      *load.Recorder
-		}
-		victim := &population{
-			id:      EX10Victim,
-			offered: cfg.VictimMultiple * cell.CapacityRPS,
-			rec:     load.NewRecorder(),
-		}
-		pops := []*population{victim}
-		if arm != EX10Uncontended {
-			pops = append(pops, &population{
-				id:      EX10Aggressor,
-				offered: cfg.StormMultiple * cell.CapacityRPS,
-				rec:     load.NewRecorder(),
-			})
-		}
-		remaining := 0
-		for _, pop := range pops {
-			sched := load.Schedule{Pattern: load.Constant, PeakRPS: pop.offered, Duration: cfg.Duration}
-			if err := sched.Validate(); err != nil {
-				return err
-			}
-			pop.arrivals = sched.Arrivals(rng.New(cfg.Seed).Split("ex10/" + pop.id))
-			if len(pop.arrivals) == 0 {
-				return fmt.Errorf("empty arrival schedule for %s", pop.id)
-			}
-			remaining += len(pop.arrivals)
-		}
-
-		start := env.Now()
-		drained := sim.NewEvent(env)
-		finish := func() {
-			if remaining--; remaining == 0 {
-				drained.Trigger(nil)
-			}
-		}
-		for _, pop := range pops {
-			id, rec := pop.id, pop.rec
-			for _, at := range pop.arrivals {
-				env.Schedule(at, func() {
-					rec.Begin()
-					// Layer 1: the tenant's own quota. Shedding here never
-					// touches the global gate — that isolation is the whole
-					// point.
-					var lease tenant.Lease
-					if reg != nil {
-						l, acqErr := reg.Acquire(id, 1, env.Now())
-						if acqErr != nil {
-							var le *tenant.LimitError
-							if errors.As(acqErr, &le) {
-								rec.RecordRetryAfter(le.RetryAfter)
-							}
-							rec.Record(load.Shed, 0)
-							finish()
-							return
-						}
-						lease = l
-					}
-					// Layer 2: the shared global gate.
-					tk, admitErr := gate.Admit(env.Now(), cfg.Workload, 1)
-					if admitErr != nil {
-						if reg != nil {
-							reg.Release(lease, env.Now(), 0)
-						}
-						var shed *admission.ShedError
-						if errors.As(admitErr, &shed) {
-							rec.RecordRetryAfter(shed.RetryAfter)
-						}
-						rec.Record(load.Shed, 0)
-						finish()
-						return
-					}
-					sent := env.Now()
-					env.Go("ex10-req", func(rp *sim.Proc) error {
-						resp := client.Do(rp, spec)
-						end := env.Now()
-						gate.Done(tk, end, resp.BilledMS, resp.OK())
-						if reg != nil {
-							reg.Release(lease, end, resp.CostUSD)
-						}
-						latMS := float64(end.Sub(sent)) / float64(time.Millisecond)
-						if resp.OK() {
-							rec.Record(load.OK, latMS)
-						} else {
-							rec.Record(load.Errored, latMS)
-						}
-						finish()
-						return nil
-					})
-				})
-			}
-		}
-		p.Wait(drained)
-		elapsed := env.Now().Sub(start)
-		cell.Victim = victim.rec.Report(victim.offered, elapsed)
-		if arm != EX10Uncontended {
-			agg := pops[1]
-			cell.Aggressor = agg.rec.Report(agg.offered, elapsed)
-		}
-		return nil
-	})
-	if err != nil {
-		return EX10Cell{}, err
+		streams = append(streams, storm)
 	}
-	return cell, nil
+	err = w.serve(p, reg, true, streams...)
+	return cell, reg, err
 }
 
 // Render produces the fairness report.

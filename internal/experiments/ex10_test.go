@@ -1,9 +1,12 @@
 package experiments
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
+
+	"skyfaas/internal/sim"
 )
 
 // TestEX10GoldenFairness pins the fairness story at benchmark scale, seed
@@ -109,5 +112,41 @@ func TestEX10CSV(t *testing.T) {
 	dir := t.TempDir()
 	if err := res.WriteCSV(dir); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestEX10ConservesMoney drives the per-tenant arm through the request
+// pipeline and checks the money over its serve phase: what the tenant
+// registry billed the two tenants adds up to what the cloud metered, every
+// lease is back, and the storm was shed at the tenant stage along the way.
+func TestEX10ConservesMoney(t *testing.T) {
+	for _, seed := range []uint64{42, 7} {
+		cfg := EX10Config{Seed: seed}.Reduced()
+		var capacity, billed, metered float64
+		var inflight int
+		var cell EX10Cell
+		err := cfg.runCell(cfg.Seed, cfg.Shards, 0, &capacity, func(p *sim.Proc, w *openLoopWorld) error {
+			meter := w.rt.Cloud().Meter()
+			before := meter.GrandTotal()
+			c, reg, err := serveEX10(p, w, cfg, EX10PerTenant)
+			cell, metered = c, meter.GrandTotal()-before
+			for _, u := range reg.Usages(w.rt.Env().Now()) {
+				billed += u.SpentUSD
+				inflight += u.Inflight
+			}
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if billed <= 0 || math.Abs(billed-metered) > 1e-12 {
+			t.Errorf("seed %d: tenants billed %.12f USD, the cloud metered %.12f USD over the serve phase", seed, billed, metered)
+		}
+		if inflight != 0 {
+			t.Errorf("seed %d: tenants still hold %d leases", seed, inflight)
+		}
+		if cell.Aggressor.Shed == 0 {
+			t.Errorf("seed %d: the storm was never shed", seed)
+		}
 	}
 }

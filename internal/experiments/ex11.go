@@ -5,16 +5,11 @@ import (
 	"strings"
 	"time"
 
-	"skyfaas/internal/admission"
 	"skyfaas/internal/chaos"
 	"skyfaas/internal/cloudsim"
-	"skyfaas/internal/core"
-	"skyfaas/internal/cpu"
-	"skyfaas/internal/faas"
 	"skyfaas/internal/load"
 	"skyfaas/internal/metrics"
 	"skyfaas/internal/rng"
-	"skyfaas/internal/sampler"
 	"skyfaas/internal/sim"
 	"skyfaas/internal/tablefmt"
 	"skyfaas/internal/warmpool"
@@ -60,15 +55,10 @@ func EX11Arms() []string {
 // EX11Config parameterizes EX-11.
 type EX11Config struct {
 	Seed uint64
-	// Shards selects the simulation engine (0/1 single-queue, N > 1
-	// sharded); replay is byte-identical across values.
+	// Shards selects the simulation engine (see core.Config.Shards).
 	Shards int
-	// Zone is the served zone (default us-west-1a).
-	Zone string
-	// Workload the curve runs (default sha1_hash, ~1s service time).
-	Workload workload.ID
-	// Quota is the provider-side concurrent execution limit (default 60).
-	Quota int
+	// The served zone, the workload the curve runs, quota and warmup.
+	openLoop
 	// KeepAlive is the platform's idle-instance retention (default 60s —
 	// compressed below the diurnal trough so pools actually drain, the
 	// regime the paper's cold-start numbers live in).
@@ -103,24 +93,10 @@ type EX11Config struct {
 	// SpikeMagnitude is the chaos cold-start multiplier in the spike cells
 	// (default 8).
 	SpikeMagnitude float64
-	// InitPolls seeds the characterization (default 2); ProfileRuns trains
-	// the perf model and the gate's service-time estimate (default 240).
-	InitPolls   int
-	ProfileRuns int
-	// Sampler overrides the polling configuration.
-	Sampler sampler.Config
 }
 
 func (c EX11Config) withDefaults() EX11Config {
-	if c.Zone == "" {
-		c.Zone = "us-west-1a"
-	}
-	if c.Workload == 0 {
-		c.Workload = workload.Sha1Hash
-	}
-	if c.Quota == 0 {
-		c.Quota = 60
-	}
+	c.openLoop = c.openLoop.withDefaults()
 	if c.KeepAlive == 0 {
 		c.KeepAlive = time.Minute
 	}
@@ -160,18 +136,6 @@ func (c EX11Config) withDefaults() EX11Config {
 	if c.SpikeMagnitude == 0 {
 		c.SpikeMagnitude = 8
 	}
-	if c.InitPolls == 0 {
-		c.InitPolls = 2
-	}
-	if c.ProfileRuns == 0 {
-		c.ProfileRuns = 240
-	}
-	if c.Sampler.Endpoints == 0 {
-		c.Sampler = sampler.Config{
-			Endpoints: 40, PollSize: 50, Branch: 7,
-			InterPollPause: 500 * time.Millisecond,
-		}
-	}
 	return c
 }
 
@@ -179,7 +143,7 @@ func (c EX11Config) withDefaults() EX11Config {
 // to three 6-minute cycles at 6 rps peak.
 func (c EX11Config) Reduced() EX11Config {
 	c = c.withDefaults()
-	c.Quota = 30
+	c.openLoop = c.openLoop.reduced()
 	c.PeakRPS = 6
 	c.BaseRPS = 0.3
 	c.Period = 6 * time.Minute
@@ -187,7 +151,6 @@ func (c EX11Config) Reduced() EX11Config {
 	c.TickEvery = 15 * time.Second
 	c.Lead = time.Minute
 	c.Floor = 8
-	c.ProfileRuns = 120
 	return c
 }
 
@@ -223,200 +186,114 @@ type EX11Result struct {
 
 // Cell returns the named arm's measurement.
 func (r EX11Result) Cell(arm string) (EX11Cell, bool) {
-	for _, c := range r.Cells {
-		if c.Arm == arm {
-			return c, true
-		}
-	}
-	return EX11Cell{}, false
+	return findCell(r.Cells, func(c EX11Cell) bool { return c.Arm == arm })
 }
 
-// armPlan maps an arm to its policy and whether the chaos spike runs.
-func armPlan(arm string) (warmpool.Mode, bool) {
-	spike := strings.HasSuffix(arm, "-spike")
-	return warmpool.Mode(strings.TrimSuffix(arm, "-spike")), spike
-}
-
-// ex11Arrivals builds the square-wave schedule: each Period spends its
-// first half at BaseRPS and its second half at PeakRPS, with a vertical
-// edge between them. Each segment draws from its own derived stream so the
+// ex11Streams builds the square wave (each Period at BaseRPS, then PeakRPS)
+// as the first cycle, which trains the forecaster, and the measured rest.
+// Each half-period segment draws from its own derived stream so the
 // schedule is independent of how other segments consume randomness.
-func ex11Arrivals(cfg EX11Config, r *rng.Stream) ([]time.Duration, error) {
+func ex11Streams(cfg EX11Config, r *rng.Stream) (train, measured *stream, err error) {
+	streams := []*stream{{}, {}}
 	half := cfg.Period / 2
-	var out []time.Duration
 	for cyc := 0; cyc < cfg.Cycles; cyc++ {
-		start := time.Duration(cyc) * cfg.Period
 		for i, rate := range []float64{cfg.BaseRPS, cfg.PeakRPS} {
-			sched := load.Schedule{Pattern: load.Constant, PeakRPS: rate, Duration: half}
-			if err := sched.Validate(); err != nil {
-				return nil, err
+			seg, err := constantStream("", rate, half, r.SplitIndexed("seg", cyc*2+i), nil)
+			if err != nil {
+				return nil, nil, err
 			}
-			off := start + time.Duration(i)*half
-			for _, at := range sched.Arrivals(r.SplitIndexed("seg", cyc*2+i)) {
-				out = append(out, off+at)
+			off := time.Duration(cyc)*cfg.Period + time.Duration(i)*half
+			s := streams[min(cyc, 1)]
+			for _, at := range seg.at {
+				s.at = append(s.at, off+at)
 			}
 		}
 	}
-	return out, nil
+	return streams[0], streams[1], nil
 }
 
-// RunEX11 executes EX-11.
+// RunEX11 executes EX-11. Every policy runs in a fresh world: identical
+// seed, characterization, warmup and arrival schedule; only the warm-pool
+// mode and the chaos window differ.
 func RunEX11(cfg EX11Config) (EX11Result, error) {
 	cfg = cfg.withDefaults()
 	res := EX11Result{
 		Workload: cfg.Workload, Zone: cfg.Zone,
 		PeakRPS: cfg.PeakRPS, Period: cfg.Period, Cycles: cfg.Cycles,
 	}
+	var capacity float64
 	for _, arm := range EX11Arms() {
-		cell, err := runEX11Cell(cfg, arm)
+		mode, spike := warmpool.Mode(strings.TrimSuffix(arm, "-spike")), strings.HasSuffix(arm, "-spike")
+		cell := EX11Cell{Arm: arm, Mode: mode, Spike: spike}
+		err := cfg.runCell(cfg.Seed, cfg.Shards, cfg.KeepAlive, &capacity, func(p *sim.Proc, w *openLoopWorld) error {
+			// The admission gate is not consulted: its service-time estimate
+			// is the sizer's input.
+			m, err := w.rt.EnableWarmPool(warmpool.Config{
+				Zones:       []string{cfg.Zone},
+				Mode:        mode,
+				TickEvery:   cfg.TickEvery,
+				Window:      cfg.Window,
+				Season:      cfg.Period,
+				Lead:        cfg.Lead,
+				Gamma:       cfg.Gamma,
+				Floor:       cfg.Floor,
+				RatePerHour: cfg.RatePerHour,
+				Cap:         cfg.Cap,
+			}, cfg.Workload)
+			if err != nil {
+				return err
+			}
+			m.Start()
+			if spike {
+				// The spike covers every measured cycle: each cold start the
+				// policy fails to prevent now pays SpikeMagnitude times the
+				// usual initialization.
+				if _, err := w.rt.Chaos().Inject(chaos.Fault{
+					Kind:      chaos.ColdStartSpike,
+					AZ:        cfg.Zone,
+					Start:     cfg.Period,
+					Duration:  time.Duration(cfg.Cycles-1) * cfg.Period,
+					Magnitude: cfg.SpikeMagnitude,
+				}); err != nil {
+					return err
+				}
+			}
+			train, measured, err := ex11Streams(cfg, rng.New(cfg.Seed).Split("ex11/arrivals"))
+			if err != nil {
+				return err
+			}
+			// The forecaster's signal is every arrival, observed as it lands
+			// (skyd wires this to the router's traffic feed). Only the cycles
+			// after the first are measured.
+			observe := func() { m.ObserveTraffic(cfg.Zone, 1) }
+			train.onArrival, measured.onArrival = observe, observe
+			measured.onServed = func(resp cloudsim.Response) {
+				if resp.Cold {
+					cell.Cold++
+				}
+			}
+			var rep load.Report
+			measured.out = &rep
+			if err := w.serve(p, nil, false, train, measured); err != nil {
+				return err
+			}
+			m.Stop()
+			cell.Requests = int(rep.Requests)
+			if cell.Requests > 0 {
+				cell.ColdRate = float64(cell.Cold) / float64(cell.Requests)
+			}
+			cell.Latency, cell.Errors = rep.Latency, rep.Errors
+			st := m.Snapshot()
+			cell.Provisioned, cell.SkippedBudget = st.Provisioned, st.SkippedBudget
+			cell.SpendUSD = w.rt.Cloud().WarmPoolSpend(w.rt.Client().Account())
+			return nil
+		})
 		if err != nil {
 			return EX11Result{}, fmt.Errorf("ex11: %s: %w", arm, err)
 		}
 		res.Cells = append(res.Cells, cell)
 	}
 	return res, nil
-}
-
-// runEX11Cell measures one policy in a fresh world: identical seed,
-// identical characterization, warmup, and arrival schedule — only the
-// warm-pool mode and the chaos window differ.
-func runEX11Cell(cfg EX11Config, arm string) (EX11Cell, error) {
-	mode, spike := armPlan(arm)
-	rt, err := core.New(core.Config{
-		Seed:       cfg.Seed,
-		Epoch:      defaultEpoch,
-		SamplerCfg: cfg.Sampler,
-		CloudOpts: cloudsim.Options{
-			Quota: cfg.Quota, KeepAlive: cfg.KeepAlive, HorizonDays: 2,
-		},
-		SkipMesh: true,
-		Shards:   cfg.Shards,
-	})
-	if err != nil {
-		return EX11Cell{}, err
-	}
-	cell := EX11Cell{Arm: arm, Mode: mode, Spike: spike}
-	err = rt.Do(func(p *sim.Proc) error {
-		// The same estimate pipeline skyd uses: characterize, train the
-		// perf model, seed the admission gate — its service-time estimate
-		// is the sizer's input, so every arm builds it identically.
-		if _, err := rt.Refresh(p, []string{cfg.Zone}, cfg.InitPolls); err != nil {
-			return err
-		}
-		if _, err := rt.ProfileWorkloads(p, []workload.ID{cfg.Workload}, []string{cfg.Zone}, cfg.ProfileRuns); err != nil {
-			return err
-		}
-		if _, err := rt.EnableAdmission(admission.Config{}); err != nil {
-			return err
-		}
-		m, err := rt.EnableWarmPool(warmpool.Config{
-			Zones:       []string{cfg.Zone},
-			Mode:        mode,
-			TickEvery:   cfg.TickEvery,
-			Window:      cfg.Window,
-			Season:      cfg.Period,
-			Lead:        cfg.Lead,
-			Gamma:       cfg.Gamma,
-			Floor:       cfg.Floor,
-			RatePerHour: cfg.RatePerHour,
-			Cap:         cfg.Cap,
-		}, cfg.Workload)
-		if err != nil {
-			return err
-		}
-		m.Start()
-
-		training := cfg.Period
-		if spike {
-			// The spike covers every measured cycle: each cold start the
-			// policy fails to prevent now pays SpikeMagnitude times the
-			// usual initialization.
-			if _, err := rt.Chaos().Inject(chaos.Fault{
-				Kind:      chaos.ColdStartSpike,
-				AZ:        cfg.Zone,
-				Start:     training,
-				Duration:  time.Duration(cfg.Cycles-1) * cfg.Period,
-				Magnitude: cfg.SpikeMagnitude,
-			}); err != nil {
-				return err
-			}
-		}
-
-		ep, ok := rt.Mesh().Lookup(cfg.Zone, 4096, cpu.X86)
-		if !ok {
-			return fmt.Errorf("no mesh endpoint in %s", cfg.Zone)
-		}
-		env := rt.Env()
-		client := rt.Client()
-		spec := faas.InvokeSpec{Call: faas.Call{
-			AZ:       cfg.Zone,
-			Function: ep.Function,
-			Work:     cloudsim.WorkBehavior{Workload: cfg.Workload},
-		}}
-
-		arrivals, err := ex11Arrivals(cfg, rng.New(cfg.Seed).Split("ex11/arrivals"))
-		if err != nil {
-			return err
-		}
-		if len(arrivals) == 0 {
-			return fmt.Errorf("empty arrival schedule")
-		}
-
-		rec := load.NewRecorder()
-		var measuredStart time.Time
-		remaining := len(arrivals)
-		drained := sim.NewEvent(env)
-		for _, at := range arrivals {
-			at := at
-			env.Schedule(at, func() {
-				// The forecaster's signal: arrivals, observed at arrival
-				// time (skyd wires this to the router's traffic feed).
-				m.ObserveTraffic(cfg.Zone, 1)
-				measured := at >= training
-				if measured && measuredStart.IsZero() {
-					measuredStart = env.Now()
-				}
-				sent := env.Now()
-				env.Go("ex11-req", func(rp *sim.Proc) error {
-					resp := client.Do(rp, spec)
-					if measured {
-						cell.Requests++
-						if resp.Cold {
-							cell.Cold++
-						}
-						latMS := float64(env.Now().Sub(sent)) / float64(time.Millisecond)
-						if resp.OK() {
-							rec.Record(load.OK, latMS)
-						} else {
-							rec.Record(load.Errored, latMS)
-						}
-					}
-					if remaining--; remaining == 0 {
-						drained.Trigger(nil)
-					}
-					return nil
-				})
-			})
-		}
-		p.Wait(drained)
-		m.Stop()
-		if cell.Requests > 0 {
-			cell.ColdRate = float64(cell.Cold) / float64(cell.Requests)
-		}
-		elapsed := env.Now().Sub(measuredStart)
-		rep := rec.Report(float64(cell.Requests)/elapsed.Seconds(), elapsed)
-		cell.Latency = rep.Latency
-		cell.Errors = rep.Errors
-		st := m.Snapshot()
-		cell.Provisioned = st.Provisioned
-		cell.SkippedBudget = st.SkippedBudget
-		cell.SpendUSD = rt.Cloud().WarmPoolSpend(rt.Client().Account())
-		return nil
-	})
-	if err != nil {
-		return EX11Cell{}, err
-	}
-	return cell, nil
 }
 
 // Render produces the policy report.

@@ -1,18 +1,12 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
-	"skyfaas/internal/admission"
-	"skyfaas/internal/cloudsim"
-	"skyfaas/internal/core"
-	"skyfaas/internal/cpu"
 	"skyfaas/internal/faas"
 	"skyfaas/internal/load"
 	"skyfaas/internal/rng"
-	"skyfaas/internal/sampler"
 	"skyfaas/internal/sim"
 	"skyfaas/internal/tablefmt"
 	"skyfaas/internal/workload"
@@ -40,47 +34,25 @@ const (
 // EX8Config parameterizes EX-8.
 type EX8Config struct {
 	Seed uint64
-	// Shards selects the simulation engine (0/1 single-queue, N > 1
-	// sharded); replay is byte-identical across values.
+	// Shards selects the simulation engine (see core.Config.Shards).
 	Shards int
-	// Zone is the single zone under load (default us-west-1a).
-	Zone string
-	// Workload under test (default sha1_hash: CPU-bound, ~1s service time,
-	// so a small quota saturates at a low, easily swept rate).
-	Workload workload.ID
-	// Quota is the per-account concurrent execution limit — the scarce
-	// resource overload contends for (default 60).
-	Quota int
+	// The zone, workload, quota and warmup.
+	openLoop
+	// Retry is the client's transient-failure policy; it only matters in
+	// the no-admission arm, where throttles are retried (default 6
+	// attempts, 50ms base backoff, doubling).
+	Retry faas.RetryPolicy
 	// Duration is the measured load span per cell (default 30s virtual).
 	Duration time.Duration
 	// Multiples are the offered-rate sweep points as fractions of the
 	// gate's estimated capacity (default 0.5×–3×).
 	Multiples []float64
-	// InitPolls is the characterization depth that seeds the gate's
-	// service-time estimates (default 2).
-	InitPolls int
-	// ProfileRuns trains the perf model before the gate is seeded and
-	// doubles as warmup for the zone's instance pool (default 240).
-	ProfileRuns int
-	// Retry is the client's transient-failure policy; it only matters in
-	// the no-admission arm, where throttles are retried (default 6
-	// attempts, 50ms base backoff, doubling).
-	Retry faas.RetryPolicy
-	// Sampler overrides the polling configuration. The default is scaled
-	// to fit the small quota so characterization itself isn't throttled
-	// into vacuity.
-	Sampler sampler.Config
 }
 
 func (c EX8Config) withDefaults() EX8Config {
-	if c.Zone == "" {
-		c.Zone = "us-west-1a"
-	}
-	if c.Workload == 0 {
-		c.Workload = workload.Sha1Hash
-	}
-	if c.Quota == 0 {
-		c.Quota = 60
+	c.openLoop = c.openLoop.withDefaults()
+	if c.Retry.MaxAttempts == 0 {
+		c.Retry = faas.RetryPolicy{MaxAttempts: 6, BaseBackoff: 50 * time.Millisecond}
 	}
 	if c.Duration == 0 {
 		c.Duration = 30 * time.Second
@@ -88,31 +60,15 @@ func (c EX8Config) withDefaults() EX8Config {
 	if len(c.Multiples) == 0 {
 		c.Multiples = []float64{0.5, 1, 1.5, 2, 2.5, 3}
 	}
-	if c.InitPolls == 0 {
-		c.InitPolls = 2
-	}
-	if c.ProfileRuns == 0 {
-		c.ProfileRuns = 240
-	}
-	if c.Retry.MaxAttempts == 0 {
-		c.Retry = faas.RetryPolicy{MaxAttempts: 6, BaseBackoff: 50 * time.Millisecond}
-	}
-	if c.Sampler.Endpoints == 0 {
-		c.Sampler = sampler.Config{
-			Endpoints: 40, PollSize: 50, Branch: 7,
-			InterPollPause: 500 * time.Millisecond,
-		}
-	}
 	return c
 }
 
 // Reduced returns a benchmark-scale EX-8.
 func (c EX8Config) Reduced() EX8Config {
 	c = c.withDefaults()
-	c.Quota = 30
+	c.openLoop = c.openLoop.reduced()
 	c.Duration = 12 * time.Second
 	c.Multiples = []float64{0.5, 1, 2, 3}
-	c.ProfileRuns = 120
 	return c
 }
 
@@ -121,8 +77,7 @@ type EX8Cell struct {
 	Arm string
 	// Multiple is the offered rate as a fraction of estimated capacity.
 	Multiple float64
-	// CapacityRPS is the gate's capacity estimate in this cell's world;
-	// determinism makes it identical across cells, and RunEX8 checks that.
+	// CapacityRPS is the gate's capacity estimate, the same in every cell.
 	CapacityRPS float64
 	// Report is the load digest: goodput, shed/error breakdown, latency
 	// quantiles of served requests.
@@ -142,154 +97,33 @@ type EX8Result struct {
 
 // Cell returns the named arm's measurement at the given multiple.
 func (r EX8Result) Cell(arm string, multiple float64) (EX8Cell, bool) {
-	for _, c := range r.Cells {
-		if c.Arm == arm && c.Multiple == multiple {
-			return c, true
-		}
-	}
-	return EX8Cell{}, false
+	return findCell(r.Cells, func(c EX8Cell) bool { return c.Arm == arm && c.Multiple == multiple })
 }
 
-// RunEX8 executes EX-8.
+// RunEX8 executes EX-8. Every cell runs in a fresh world: identical seed,
+// characterization and warmup; only the offered rate and whether the
+// admission gate is consulted differ.
 func RunEX8(cfg EX8Config) (EX8Result, error) {
 	cfg = cfg.withDefaults()
 	res := EX8Result{Workload: cfg.Workload, Zone: cfg.Zone, Quota: cfg.Quota}
 	for _, arm := range []string{EX8NoAdmission, EX8Admission} {
 		for _, m := range cfg.Multiples {
-			cell, err := runEX8Cell(cfg, arm, m)
+			cell := EX8Cell{Arm: arm, Multiple: m}
+			err := cfg.runCell(cfg.Seed, cfg.Shards, 0, &res.CapacityRPS, func(p *sim.Proc, w *openLoopWorld) error {
+				cell.CapacityRPS, w.spec.Retry = w.capacity, cfg.Retry
+				s, err := constantStream("", m*w.capacity, cfg.Duration, rng.New(cfg.Seed).Split("ex8/arrivals"), &cell.Report)
+				if err != nil {
+					return err
+				}
+				return w.serve(p, nil, arm == EX8Admission, s)
+			})
 			if err != nil {
 				return EX8Result{}, fmt.Errorf("ex8: %s %gx: %w", arm, m, err)
-			}
-			if res.CapacityRPS == 0 {
-				res.CapacityRPS = cell.CapacityRPS
-			} else if res.CapacityRPS != cell.CapacityRPS {
-				// Same seed, same setup — a drifting estimate means the cell
-				// worlds diverged, which would invalidate the comparison.
-				return EX8Result{}, fmt.Errorf("ex8: capacity estimate drifted across cells: %v vs %v",
-					res.CapacityRPS, cell.CapacityRPS)
 			}
 			res.Cells = append(res.Cells, cell)
 		}
 	}
 	return res, nil
-}
-
-// runEX8Cell measures one arm at one offered rate in a fresh world:
-// identical seed, identical characterization and warmup — only whether the
-// admission gate is consulted differs.
-func runEX8Cell(cfg EX8Config, arm string, multiple float64) (EX8Cell, error) {
-	rt, err := core.New(core.Config{
-		Seed:       cfg.Seed,
-		Epoch:      defaultEpoch,
-		SamplerCfg: cfg.Sampler,
-		CloudOpts:  cloudsim.Options{Quota: cfg.Quota, HorizonDays: 2},
-		SkipMesh:   true,
-		Shards:     cfg.Shards,
-	})
-	if err != nil {
-		return EX8Cell{}, err
-	}
-	cell := EX8Cell{Arm: arm, Multiple: multiple}
-	gateOn := arm == EX8Admission
-	err = rt.Do(func(p *sim.Proc) error {
-		// Characterize the zone and train the perf model, then seed the gate
-		// from both — the same estimate pipeline skyd uses. The gate is built
-		// in every cell so the capacity estimate (and hence the offered rate)
-		// is byte-identical across arms; the no-admission arm just never
-		// consults it.
-		if _, err := rt.Refresh(p, []string{cfg.Zone}, cfg.InitPolls); err != nil {
-			return err
-		}
-		if _, err := rt.ProfileWorkloads(p, []workload.ID{cfg.Workload}, []string{cfg.Zone}, cfg.ProfileRuns); err != nil {
-			return err
-		}
-		gate, err := rt.EnableAdmission(admission.Config{})
-		if err != nil {
-			return err
-		}
-		cell.CapacityRPS = gate.CapacityRPS(cfg.Workload)
-		if cell.CapacityRPS <= 0 {
-			return fmt.Errorf("no capacity estimate for %s", cfg.Workload)
-		}
-
-		ep, ok := rt.Mesh().Lookup(cfg.Zone, 4096, cpu.X86)
-		if !ok {
-			return fmt.Errorf("no mesh endpoint in %s", cfg.Zone)
-		}
-		offered := multiple * cell.CapacityRPS
-		sched := load.Schedule{Pattern: load.Constant, PeakRPS: offered, Duration: cfg.Duration}
-		if err := sched.Validate(); err != nil {
-			return err
-		}
-		arrivals := sched.Arrivals(rng.New(cfg.Seed).Split("ex8/arrivals"))
-		if len(arrivals) == 0 {
-			return errors.New("empty arrival schedule")
-		}
-
-		env := rt.Env()
-		client := rt.Client()
-		rec := load.NewRecorder()
-		start := env.Now()
-		remaining := len(arrivals)
-		drained := sim.NewEvent(env)
-		finish := func() {
-			if remaining--; remaining == 0 {
-				drained.Trigger(nil)
-			}
-		}
-		spec := faas.InvokeSpec{
-			Call: faas.Call{
-				AZ:       cfg.Zone,
-				Function: ep.Function,
-				Work:     cloudsim.WorkBehavior{Workload: cfg.Workload},
-			},
-			Retry: cfg.Retry,
-		}
-		for _, at := range arrivals {
-			env.Schedule(at, func() {
-				rec.Begin()
-				var ticket admission.Ticket
-				if gateOn {
-					tk, admitErr := gate.Admit(env.Now(), cfg.Workload, 1)
-					if admitErr != nil {
-						var shed *admission.ShedError
-						if errors.As(admitErr, &shed) {
-							rec.RecordRetryAfter(shed.RetryAfter)
-						}
-						// Shedding is a local decision: its latency is the
-						// gate check itself, effectively zero.
-						rec.Record(load.Shed, 0)
-						finish()
-						return
-					}
-					ticket = tk
-				}
-				sent := env.Now()
-				env.Go("ex8-req", func(rp *sim.Proc) error {
-					resp := client.Do(rp, spec)
-					end := env.Now()
-					if gateOn {
-						gate.Done(ticket, end, resp.BilledMS, resp.OK())
-					}
-					latMS := float64(end.Sub(sent)) / float64(time.Millisecond)
-					if resp.OK() {
-						rec.Record(load.OK, latMS)
-					} else {
-						rec.Record(load.Errored, latMS)
-					}
-					finish()
-					return nil
-				})
-			})
-		}
-		p.Wait(drained)
-		cell.Report = rec.Report(offered, env.Now().Sub(start))
-		return nil
-	})
-	if err != nil {
-		return EX8Cell{}, err
-	}
-	return cell, nil
 }
 
 // Render produces the frontier report.

@@ -5,6 +5,7 @@
 package router
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -18,6 +19,11 @@ import (
 	"skyfaas/internal/sim"
 	"skyfaas/internal/workload"
 )
+
+// ErrNoZone is wrapped by Burst when the strategy finds no zone to route
+// to: none of the zones it would weigh is characterized yet, or every
+// candidate was filtered out.
+var ErrNoZone = errors.New("picked no zone")
 
 // Router executes workload bursts over the sky mesh.
 type Router struct {
@@ -203,7 +209,7 @@ func (r *Router) Burst(p *sim.Proc, spec BurstSpec) (BurstResult, error) {
 	tbl, ok := BuildDecisionTable(spec.Strategy, dec, r.mesh, spec.MemoryMB, spec.HoldMS)
 	if !ok {
 		if az := spec.Strategy.PickAZ(dec); az == "" {
-			return BurstResult{}, fmt.Errorf("router: strategy %q picked no zone", spec.Strategy.Name())
+			return BurstResult{}, fmt.Errorf("router: strategy %q %w", spec.Strategy.Name(), ErrNoZone)
 		}
 		return BurstResult{}, fmt.Errorf("router: no mesh endpoint for strategy %q", spec.Strategy.Name())
 	}

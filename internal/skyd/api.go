@@ -14,6 +14,7 @@ import (
 
 	"skyfaas/internal/cloudsim"
 	"skyfaas/internal/metrics"
+	"skyfaas/internal/router"
 	"skyfaas/internal/tenant"
 )
 
@@ -79,12 +80,15 @@ func apiErrf(status int, code, format string, args ...any) *apiError {
 
 // errFromExec classifies an error that surfaced from inside the simulation
 // (or the command queue): addressing errors are the client's fault, a
-// closed server is unavailability, anything else is an upstream failure of
-// the simulated cloud.
+// strategy with no zone to pick is the state's (characterize first or name
+// candidates), a closed server is unavailability, anything else is an
+// upstream failure of the simulated cloud.
 func errFromExec(err error) *apiError {
 	switch {
 	case errors.Is(err, cloudsim.ErrNoSuchAZ):
 		return apiErrf(http.StatusNotFound, "unknown_az", "%v", err)
+	case errors.Is(err, router.ErrNoZone):
+		return apiErrf(http.StatusConflict, "no_zone", "%v", err)
 	case errors.Is(err, ErrClosed):
 		return apiErrf(http.StatusServiceUnavailable, "unavailable", "%v", err)
 	default:

@@ -33,7 +33,7 @@ func newAuthServer(t *testing.T, adm *admission.Config) *Server {
 }
 
 // newAuthServerAt is newAuthServer at a chosen speedup.
-func newAuthServerAt(t *testing.T, adm *admission.Config, speedup float64) *Server {
+func newAuthServerAt(t testing.TB, adm *admission.Config, speedup float64) *Server {
 	t.Helper()
 	rt, err := core.New(core.Config{
 		Seed: 13,

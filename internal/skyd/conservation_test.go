@@ -3,6 +3,7 @@ package skyd
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -18,18 +19,22 @@ import (
 // success, tenant shed, admission shed, an unknown-AZ error from inside the
 // simulation, a command landing while the paced loop is in a wait — and,
 // in half the rounds, closes the server while bursts are in flight. Whatever
-// the interleaving, every request must return (no Exec hangs), and the slots
-// it took must come back: admission inflight and every tenant's leases end
-// at zero.
+// the interleaving, every request must return (no Exec hangs), the slots it
+// took must come back (admission inflight and every tenant's leases end at
+// zero), and money must be conserved: what the tenants were billed adds up
+// to what the simulated cloud metered since the server was built.
 func TestConservationUnderInterleavings(t *testing.T) {
 	const workers, opsPerWorker = 4, 40
 	var mu sync.Mutex
 	seen := map[int]int{} // status -> count, over all rounds
+	var billedTotal float64
 	for round := 0; round < 6; round++ {
 		closeMidBurst := round%2 == 1
 		// Speedup 1000 so that bursts span real paced waits (a few wall
 		// milliseconds) instead of finishing before the next one starts.
 		s := newAuthServerAt(t, &admission.Config{Slots: 24, TargetUtil: 1}, 1000)
+		meter := s.rt.Cloud().Meter()
+		metered := meter.GrandTotal()
 
 		status := func(key string, method, path string, body any) int {
 			buf := new(bytes.Buffer)
@@ -114,11 +119,20 @@ func TestConservationUnderInterleavings(t *testing.T) {
 				t.Errorf("round %d: admission inflight for %s is %d, want 0", round, fn.Workload, fn.Inflight)
 			}
 		}
+		var billed float64
 		for _, u := range s.tenants.Usages(time.Now()) {
 			if u.Inflight != 0 {
 				t.Errorf("round %d: tenant %s still holds %d leases", round, u.Tenant, u.Inflight)
 			}
+			billed += u.SpentUSD
 		}
+		if grown := meter.GrandTotal() - metered; math.Abs(billed-grown) > 1e-12 {
+			t.Errorf("round %d: tenants billed %.12f USD, the cloud metered %.12f USD", round, billed, grown)
+		}
+		billedTotal += billed
+	}
+	if billedTotal <= 0 {
+		t.Error("no burst was billed, so money conservation was never exercised")
 	}
 	// The mix must have reached every ending it was written to reach.
 	for _, code := range []int{200, 404, 429, 503} {

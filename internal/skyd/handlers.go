@@ -336,36 +336,27 @@ func (s *Server) handleBurst(ctx context.Context, r *apiReq) (any, *apiError) {
 		}
 		return nil, apiErrf(http.StatusBadRequest, code, "%v", err)
 	}
-	if req.N <= 0 {
+	if req.N < 0 {
+		return nil, apiErrf(http.StatusBadRequest, "bad_request", "n %d is negative", req.N)
+	}
+	if req.N == 0 {
 		req.N = 100
 	}
 	if req.N > maxBurstN {
 		return nil, overLimit("n", req.N, maxBurstN)
 	}
-	// Tenant governors run before the global gate: a tenant over its own
-	// quota or budget sheds here without consuming global admission
-	// capacity, which is what keeps one tenant's storm from starving the
-	// rest (EX-10).
-	lease, e := s.acquireTenant(r, req.N)
-	if e != nil {
-		return nil, e
+	// The tenant's governors, then the admission gate, one slot per
+	// invocation: a burst over either sheds with a typed 429 before it
+	// reaches the simulation (core.Pipeline).
+	id := ""
+	if r.acct != nil {
+		id = r.acct.ID
 	}
-	// Overload control: the burst must clear the admission gate before it
-	// reaches the simulation — one slot per invocation, so a burst of N
-	// holds N. Over capacity the request sheds with a typed 429 instead of
-	// piling onto the provider quota and triggering retry storms.
-	var ticket admission.Ticket
+	pass, err := s.pipeline.Admit(id, spec.ID, req.N)
+	if err != nil {
+		return nil, admitToAPIError(spec.Name, err)
+	}
 	if gate := s.gate; gate != nil {
-		tk, admitErr := gate.Admit(time.Now(), spec.ID, req.N)
-		if admitErr != nil {
-			s.tenants.Release(lease, time.Now(), 0)
-			var shed *admission.ShedError
-			if errors.As(admitErr, &shed) {
-				return nil, shedToAPIError(spec.Name, shed)
-			}
-			return nil, apiErrf(http.StatusInternalServerError, "internal", "%v", admitErr)
-		}
-		ticket = tk
 		// Batched routing under pressure: reuse the last good placement for
 		// this function instead of re-running the strategy per request.
 		if az, ok := gate.RouteFor(spec.ID, time.Now()); ok {
@@ -395,18 +386,12 @@ func (s *Server) handleBurst(ctx context.Context, r *apiReq) (any, *apiError) {
 		res = got
 		return err
 	})
-	if gate := s.gate; gate != nil {
-		// Release the slots and feed the observed service time back into the
-		// Jindal-style capacity estimate.
-		gate.Done(ticket, time.Now(), res.MeanRunMS(), err == nil && res.Completed > 0)
-		if err == nil && res.AZ != "" {
-			gate.RememberRoute(spec.ID, res.AZ, time.Now())
-		}
-	}
-	// The tenant is billed what the burst actually cost, successful or not.
-	s.tenants.Release(lease, time.Now(), res.CostUSD)
+	s.pipeline.Finish(pass, res.MeanRunMS(), err == nil && res.Completed > 0, res.CostUSD)
 	if err != nil {
 		return nil, errFromExec(err)
+	}
+	if s.gate != nil && res.AZ != "" {
+		s.gate.RememberRoute(spec.ID, res.AZ, time.Now())
 	}
 	perCPU := make(map[string]int, len(res.PerCPU))
 	for k, n := range res.PerCPU {
@@ -428,23 +413,21 @@ func (s *Server) handleBurst(ctx context.Context, r *apiReq) (any, *apiError) {
 	}, nil
 }
 
-// acquireTenant runs the per-tenant quota and budget governors for an
-// N-invocation burst. Auth-off mode (no registry, acct nil) admits freely
-// with a zero lease.
-func (s *Server) acquireTenant(r *apiReq, n int) (tenant.Lease, *apiError) {
-	if s.tenants == nil || r.acct == nil {
-		return tenant.Lease{}, nil
-	}
-	lease, err := s.tenants.Acquire(r.acct.ID, n, time.Now())
-	if err == nil {
-		return lease, nil
-	}
+// admitToAPIError maps a pipeline rejection of a burst of fn onto the
+// envelope: each governor's typed shed is a 429.
+func admitToAPIError(fn string, err error) *apiError {
 	var le *tenant.LimitError
-	if errors.As(err, &le) {
-		return tenant.Lease{}, limitToAPIError(le)
+	var shed *admission.ShedError
+	switch {
+	case errors.As(err, &le):
+		return limitToAPIError(le)
+	case errors.As(err, &shed):
+		return shedToAPIError(fn, shed)
+	default:
+		// tenant.ErrUnknown: the account vanished between authorize and
+		// here (concurrent DELETE).
+		return apiErrf(http.StatusForbidden, "bad_key", "%v", err)
 	}
-	// The account vanished between authorize and here (concurrent DELETE).
-	return tenant.Lease{}, apiErrf(http.StatusForbidden, "bad_key", "%v", err)
 }
 
 // limitToAPIError converts a per-tenant governor rejection into the

@@ -109,6 +109,9 @@ type Server struct {
 	// gate it is mutex-guarded state with no lifecycle of its own.
 	tenants *tenant.Registry
 
+	// pipeline is the burst path over tenants and gate, on the wall clock.
+	pipeline *core.Pipeline
+
 	mux *http.ServeMux
 	// cmds carries commands to the paced loop. It is buffered so handlers
 	// arriving together enqueue without each waiting for the loop's next
@@ -191,6 +194,7 @@ func New(cfg Config) (*Server, error) {
 		// Adopt an externally enabled controller.
 		s.gate = gate
 	}
+	s.pipeline = core.NewPipeline(s.tenants, s.gate, time.Now)
 	s.routes()
 	go s.loop()
 	return s, nil

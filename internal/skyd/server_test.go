@@ -98,15 +98,23 @@ func wantErr(t *testing.T, res *http.Response, body []byte, status int, code str
 	if res.StatusCode != status {
 		t.Fatalf("status %d, want %d: %s", res.StatusCode, status, body)
 	}
+	env := checkEnvelope(t, res, body)
+	if env.Error.Code != code {
+		t.Fatalf("error code %q, want %q: %s", env.Error.Code, code, body)
+	}
+	return env
+}
+
+// checkEnvelope asserts body is the error envelope with a non-empty code
+// and message, and that a retry hint agrees with the Retry-After header.
+func checkEnvelope(t *testing.T, res *http.Response, body []byte) envelope {
+	t.Helper()
 	var env envelope
 	if err := json.Unmarshal(body, &env); err != nil {
 		t.Fatalf("not an envelope: %v: %s", err, body)
 	}
-	if env.Error.Code != code {
-		t.Fatalf("error code %q, want %q: %s", env.Error.Code, code, body)
-	}
-	if env.Error.Message == "" {
-		t.Fatalf("empty error message: %s", body)
+	if env.Error.Code == "" || env.Error.Message == "" {
+		t.Fatalf("empty error code or message: %s", body)
 	}
 	header := res.Header.Get("Retry-After")
 	if env.Error.RetryAfterMS > 0 {
@@ -325,6 +333,10 @@ func TestBurstValidation(t *testing.T) {
 			http.StatusNotFound, "unknown_az"},
 		{map[string]any{"workload": "zipper", "candidates": []string{"t1-fast", "ghost"}},
 			http.StatusNotFound, "unknown_az"},
+		// Hybrid with nothing characterized and no candidates has no zone
+		// to pick: the caller's to fix, not an upstream failure.
+		{map[string]any{"workload": "sha1_hash", "n": 1},
+			http.StatusConflict, "no_zone"},
 	}
 	for _, c := range cases {
 		res, body := do(t, s, "POST", "/v1/burst", c.req)
@@ -332,8 +344,9 @@ func TestBurstValidation(t *testing.T) {
 	}
 }
 
-// TestRequestCeilings: a count above its ceiling is the caller's 400, answered
-// before the burst slab is sized or the simulation goroutine is occupied.
+// TestRequestCeilings: a count above its ceiling, or a negative one, is the
+// caller's 400, answered before the burst slab is sized or the simulation
+// goroutine is occupied.
 func TestRequestCeilings(t *testing.T) {
 	s := newTestServer(t)
 	for _, c := range []struct {
@@ -341,6 +354,7 @@ func TestRequestCeilings(t *testing.T) {
 		req  map[string]any
 	}{
 		{"/v1/burst", map[string]any{"workload": "zipper", "n": maxBurstN + 1}},
+		{"/v1/burst", map[string]any{"workload": "zipper", "n": -5}}, // only 0 takes the default
 		{"/v1/characterize", map[string]any{"az": "t1-fast", "polls": maxCharacterizePolls + 1}},
 		{"/v1/profile", map[string]any{"workload": "math_service", "zones": []string{"t1-fast"}, "runs": maxProfileRuns + 1}},
 	} {

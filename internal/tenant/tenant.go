@@ -500,15 +500,18 @@ func Fixture() []Tenant {
 	}
 }
 
-// Load decodes a tenant list from JSON (an array of Tenant records) and
-// validates each entry; it is the file-based counterpart of Fixture for
-// `skyd -tenants <path>`.
+// Load decodes a tenant list from JSON (one array of Tenant records, with
+// only whitespace after it) and validates each entry; it is the file-based
+// counterpart of Fixture for `skyd -tenants <path>`.
 func Load(src io.Reader) ([]Tenant, error) {
 	dec := json.NewDecoder(src)
 	dec.DisallowUnknownFields()
 	var ts []Tenant
 	if err := dec.Decode(&ts); err != nil {
 		return nil, fmt.Errorf("tenant: bad tenants file: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, errors.New("tenant: bad tenants file: data after the JSON array")
 	}
 	for _, t := range ts {
 		if err := t.Validate(); err != nil {

@@ -271,3 +271,19 @@ func TestLoadJSON(t *testing.T) {
 		t.Error("Load accepted unknown field")
 	}
 }
+
+// TestLoadRejectsTrailingBytes: a tenants file is one JSON array. Anything
+// after it but whitespace is an error, not silently dropped.
+func TestLoadRejectsTrailingBytes(t *testing.T) {
+	const one = `[{"id": "a", "keys": ["ka"]}]`
+	for _, tail := range []string{"", "\n", " \r\n\t "} {
+		if _, err := Load(strings.NewReader(one + tail)); err != nil {
+			t.Errorf("Load(%q): %v", one+tail, err)
+		}
+	}
+	for _, tail := range []string{`[{"id": "b", "keys": ["kb"]}]`, " []", "x", "]", " 1", `"`} {
+		if _, err := Load(strings.NewReader(one + tail)); err == nil {
+			t.Errorf("Load accepted %q", one+tail)
+		}
+	}
+}
