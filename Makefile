@@ -61,15 +61,18 @@ test:
 race:
 	$(GO) test -race $(RACE_PKGS)
 
-# Ten seconds of coverage-guided fuzzing per parser of untrusted bytes, on
-# top of the checked-in seed corpora plain `go test` already replays. Go
-# fuzzes one target per invocation, hence one line each.
+# Ten seconds of coverage-guided fuzzing per parser of untrusted bytes, and
+# of the simulation's event queue against its binary-heap oracle, on top of
+# the checked-in seed corpora plain `go test` already replays. Go fuzzes one
+# target per invocation, hence one line each.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzParseCPUInfo -fuzztime=10s ./internal/cpu/
 	$(GO) test -run='^$$' -fuzz=FuzzDecode -fuzztime=10s ./internal/dynfunc/
 	$(GO) test -run='^$$' -fuzz=FuzzLoadPerfModel -fuzztime=10s ./internal/router/
 	$(GO) test -run='^$$' -fuzz=FuzzBurst -fuzztime=10s ./internal/skyd/
 	$(GO) test -run='^$$' -fuzz=FuzzLoad -fuzztime=10s ./internal/tenant/
+	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=10s ./internal/saaf/
+	$(GO) test -run='^$$' -fuzz=FuzzQueue -fuzztime=10s ./internal/sim/
 
 # Regenerate every paper table/figure at full scale (writes data/*.csv).
 reproduce:

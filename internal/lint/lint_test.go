@@ -129,9 +129,10 @@ func TestRepoClean(t *testing.T) {
 
 // TestHotpathRootsAnnotated pins the //lint:hotpath annotations on the
 // real hot paths: the router's frozen-decision issue path, the simulation
-// kernel's scheduler and event loop, and the admission gate. Deleting one
-// of these annotations silently removes hotalloc coverage from that whole
-// call tree, so their presence is load-bearing and asserted here.
+// kernel's scheduler, event loop and event queue, and the admission gate.
+// Deleting one of these annotations silently removes hotalloc coverage
+// from that whole call tree, so their presence is load-bearing and
+// asserted here.
 func TestHotpathRootsAnnotated(t *testing.T) {
 	roots := lint.HotpathRoots(loadRepo(t))
 	have := make(map[string]bool, len(roots))
@@ -145,6 +146,8 @@ func TestHotpathRootsAnnotated(t *testing.T) {
 		"(sim.Env).run",
 		"(sim.Lane).Push",
 		"(sim.Lane).tick",
+		"(sim.eventQueue).push",
+		"(sim.eventQueue).pop",
 		"(admission.Controller).Admit",
 		"(admission.Controller).Done",
 	} {

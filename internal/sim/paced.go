@@ -37,9 +37,11 @@ const (
 // for the next command, and returns only after FinishFast. A nil inject
 // runs until the queue drains.
 //
-// report, when non-nil, is called after each wait (never per event) with
-// how late the loop is against its schedule (0 when on time) and the ratio
-// of virtual to wall time since the previous call.
+// report, when non-nil, is called after each wait (never per event), before
+// the command that ended it runs, with how late the loop is against its
+// schedule (0 when on time) and the ratio of virtual to wall time since the
+// previous call. It runs on the simulation goroutine, so it may read the
+// environment, e.g. Pending for the depth of the queue the loop waited on.
 //
 // Sharded groups never pace against the wall clock, so RunPaced rejects
 // grouped members.
@@ -93,8 +95,8 @@ func (e *Env) RunPaced(speedup float64, inject <-chan func(), report func(lag ti
 		default:
 		}
 		next := never
-		if len(e.queue) > 0 {
-			if next = e.queue[0].at; next <= horizon {
+		if !e.queue.empty() {
+			if next = e.queue.nextAt(); next <= horizon {
 				e.fire()
 				continue
 			}
@@ -132,21 +134,21 @@ func (e *Env) RunPaced(speedup float64, inject <-chan func(), report func(lag ti
 		// Where the wall clock puts the simulation on the virtual axis: never
 		// before the clock, never past the next queued event.
 		pos := min(max(due, e.now), next)
-		if cmd != nil {
-			e.now = pos
-			cmd()
-		}
 		if report != nil {
 			if wall := anchorWall.Sub(lastWall); wall > 0 {
 				report(time.Duration(float64(lag)/speedup), float64(pos-lastVirt)/float64(wall))
 			}
 			lastWall, lastVirt = anchorWall, pos
 		}
+		if cmd != nil {
+			e.now = pos
+			cmd()
+		}
 	}
 
 	// FinishFast, a failure, or (without inject) a drained queue: run what
 	// is left unpaced and without commands.
-	for e.failure == nil && len(e.queue) > 0 {
+	for e.failure == nil && !e.queue.empty() {
 		e.fire()
 	}
 	e.drainProcs()

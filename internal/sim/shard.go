@@ -162,7 +162,7 @@ func (g *Sharded) post(p crossPost) {
 }
 
 // deliver drains the inbox into the target shards' queues. Only the
-// coordinator calls it, at barriers, so the target heaps are quiescent.
+// coordinator calls it, at barriers, so the target queues are quiescent.
 // Sorting by (at, src, srcSeq) makes delivery order — and therefore the
 // sequence numbers assigned on the target shard — deterministic.
 func (g *Sharded) deliver() {
@@ -186,7 +186,7 @@ func (g *Sharded) deliver() {
 	for _, p := range pending {
 		s := g.shards[p.target]
 		s.seq++
-		s.queue.push(item{at: p.at, seq: s.seq, fn: p.fn})
+		s.queue.push(p.at, s.seq, p.fn)
 	}
 }
 
@@ -195,11 +195,11 @@ func (g *Sharded) next() (time.Duration, bool) {
 	var min time.Duration
 	found := false
 	for _, s := range g.shards {
-		if len(s.queue) == 0 {
+		if s.queue.empty() {
 			continue
 		}
-		if !found || s.queue[0].at < min {
-			min = s.queue[0].at
+		if at := s.queue.nextAt(); !found || at < min {
+			min = at
 		}
 		found = true
 	}
@@ -275,7 +275,7 @@ func (g *Sharded) run(until time.Duration) error {
 		g.windowEnd = end
 		busy := 0
 		for i, s := range g.shards {
-			if len(s.queue) == 0 || s.queue[0].at >= end {
+			if s.queue.empty() || s.queue.nextAt() >= end {
 				continue
 			}
 			if parallel {
@@ -358,7 +358,7 @@ func (e *Env) Group() *Sharded { return e.group }
 // idles through several windows jumps straight to its next event, exactly
 // as the single-queue engine would.
 func (e *Env) runWindow(end time.Duration) {
-	for e.failure == nil && len(e.queue) > 0 && e.queue[0].at < end {
+	for e.failure == nil && !e.queue.empty() && e.queue.nextAt() < end {
 		next := e.queue.pop()
 		e.now = next.at
 		next.fn()

@@ -8,7 +8,11 @@
 //     used for mechanical bookkeeping (drift ticks, request steps). Timers
 //     that all share one delay — function-instance keep-alive expiry — go
 //     through a Lane, which fires each exactly where Schedule would have
-//     while holding one queue entry for all of them.
+//     while holding one queue entry for all of them. The event queue
+//     already keeps a burst that shares a delay as one sorted run behind a
+//     single heap entry (queue.go); what a Lane adds is memory: a
+//     keep-alive timer is a closure-free 32-byte slot instead of a closure
+//     per Schedule.
 //   - Processes: Env.Go(name, fn) starts a cooperative process — a goroutine
 //     that may block on Proc.Sleep and Proc.Wait. Processes make client-side
 //     logic (pollers issuing requests, routers retrying invocations) read
@@ -36,77 +40,13 @@ var ErrAborted = errors.New("sim: process aborted by shutdown")
 // shutdown; the process wrapper recovers it.
 type errAbortSentinel struct{}
 
-// item is a scheduled occurrence in the event queue.
-type item struct {
-	at  time.Duration
-	seq uint64
-	fn  func()
-}
-
-// eventHeap is a binary min-heap of items by (at, seq), stored by value
-// with hand-rolled sift functions. The container/heap interface would box
-// every pushed item into an interface and allocate it on the heap; at tens
-// of millions of events per run (EX-9's mesh load) that
-// allocation — and the GC scan load of a pointer-dense queue — dominates
-// the engine, so the queue stays flat.
-type eventHeap []item
-
-func (h eventHeap) less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-
-func (h *eventHeap) push(it item) {
-	*h = append(*h, it) //lint:allow hotalloc -- amortized queue growth; steady state reuses capacity
-	i := len(*h) - 1
-	q := *h
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !q.less(i, parent) {
-			break
-		}
-		q[i], q[parent] = q[parent], q[i]
-		i = parent
-	}
-}
-
-// pop removes and returns the minimum item. Callers must check Len first.
-func (h *eventHeap) pop() item {
-	q := *h
-	top := q[0]
-	n := len(q) - 1
-	q[0] = q[n]
-	q[n] = item{} // release the fn closure to the GC
-	*h = q[:n]
-	q = q[:n]
-	i := 0
-	for {
-		left := 2*i + 1
-		if left >= n {
-			break
-		}
-		small := left
-		if right := left + 1; right < n && q.less(right, left) {
-			small = right
-		}
-		if !q.less(small, i) {
-			break
-		}
-		q[i], q[small] = q[small], q[i]
-		i = small
-	}
-	return top
-}
-
 // Env is a simulation environment: a virtual clock plus an event queue.
 // An Env must not be shared across OS threads while running; the kernel
 // enforces single-threaded model execution by construction.
 type Env struct {
 	epoch   time.Time
 	now     time.Duration
-	queue   eventHeap
+	queue   eventQueue
 	seq     uint64
 	procs   map[*Proc]struct{}
 	failure error
@@ -157,7 +97,7 @@ func (e *Env) Schedule(d time.Duration, fn func()) {
 		d = 0
 	}
 	e.seq++
-	e.queue.push(item{at: e.now + d, seq: e.seq, fn: fn})
+	e.queue.push(e.now+d, e.seq, fn)
 }
 
 // Fail aborts the run: Run returns err after the current event completes.
@@ -209,8 +149,8 @@ func (e *Env) FinishFast() {
 }
 
 // run is the event loop proper: pop, advance the clock, fire. Per-event
-// work must not allocate (hotalloc-enforced) — the queue itself is a flat
-// value heap for the same reason.
+// work must not allocate (hotalloc-enforced) — the queue itself stores its
+// items by value for the same reason.
 //
 //lint:hotpath
 func (e *Env) run(until time.Duration) error {
@@ -220,13 +160,12 @@ func (e *Env) run(until time.Duration) error {
 	e.running = true
 	defer func() { e.running = false }() //lint:allow hotalloc -- one closure per run, not per event
 
-	for e.failure == nil && len(e.queue) > 0 {
-		next := e.queue[0]
-		if until >= 0 && next.at > until {
+	for e.failure == nil && !e.queue.empty() {
+		if until >= 0 && e.queue.nextAt() > until {
 			e.now = until
 			return nil
 		}
-		e.queue.pop()
+		next := e.queue.pop()
 		e.now = next.at
 		next.fn()
 	}
@@ -260,7 +199,7 @@ func (e *Env) LiveProcs() int { return len(e.procs) }
 
 // Pending reports the number of entries in the event queue. A Lane counts
 // as one however many timers it holds.
-func (e *Env) Pending() int { return len(e.queue) }
+func (e *Env) Pending() int { return e.queue.n }
 
 // ---------------------------------------------------------------------------
 // Processes

@@ -347,9 +347,11 @@ func TestNestedGoFromProc(t *testing.T) {
 	}
 }
 
-// TestScheduleRunAllocs pins the kernel's innermost loop: once the heap has
+// TestScheduleRunAllocs pins the kernel's innermost loop: once the queue has
 // grown to its working size, scheduling a callback and firing it must not
-// allocate (hotalloc proves it statically; this measures it).
+// allocate (hotalloc proves it statically; this measures it). The delays
+// descend, so every event starts a run of its own: emptied runs and their
+// arrays must be reused.
 func TestScheduleRunAllocs(t *testing.T) {
 	e := NewEnv(epoch)
 	noop := func() {}

@@ -13,6 +13,7 @@ import (
 	"skyfaas/internal/geo"
 	"skyfaas/internal/metrics"
 	"skyfaas/internal/sampler"
+	"skyfaas/internal/sim"
 )
 
 // newMetricsServer is newTestServer with an isolated registry, so
@@ -95,6 +96,7 @@ func TestMetricsExposition(t *testing.T) {
 		"# TYPE sky_skyd_cmd_queue_depth gauge",
 		"# TYPE sky_skyd_paced_lag_ms gauge",
 		"# TYPE sky_skyd_effective_speedup gauge",
+		"# TYPE sky_skyd_sim_pending gauge",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("/metrics missing %q", want)
@@ -178,9 +180,23 @@ func TestQueueDepthGaugeSettles(t *testing.T) {
 
 // TestPacingGauges reads the paced loop's self-report off an idle server:
 // between two commands 20 ms apart nothing is due, so virtual time must
-// have advanced at the configured speedup and the loop must not be late.
+// have advanced at the configured speedup, the loop must not be late, and
+// the queue it waited on must hold the cloud's pre-scheduled drift
+// timeline and nothing else.
 func TestPacingGauges(t *testing.T) {
 	s, reg := newMetricsServerAt(t, 1000)
+	// A command's own process has started by the time it runs, so what it
+	// sees queued is the timeline.
+	var timeline int
+	if err := s.Exec(func(p *sim.Proc) error {
+		timeline = p.Env().Pending()
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if timeline == 0 {
+		t.Fatal("an idle server's queue is empty; the drift timeline should be queued")
+	}
 	for i := 0; i < 2; i++ {
 		if res, _ := do(t, s, "GET", "/v1/healthz", nil); res.StatusCode != http.StatusOK {
 			t.Fatal("healthz failed")
@@ -195,5 +211,8 @@ func TestPacingGauges(t *testing.T) {
 	}
 	if lag := reg.Gauge("sky_skyd_paced_lag_ms", "").Value(); lag < 0 || lag > 50 {
 		t.Errorf("paced lag on an idle server = %.3f ms, want near 0", lag)
+	}
+	if pending := reg.Gauge("sky_skyd_sim_pending", "").Value(); pending != float64(timeline) {
+		t.Errorf("sim pending on an idle server = %v, want the drift timeline's %d", pending, timeline)
 	}
 }

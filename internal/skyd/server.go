@@ -89,6 +89,7 @@ type Server struct {
 	queueDepth    *metrics.Gauge
 	pacedLag      *metrics.Gauge
 	effSpeedup    *metrics.Gauge
+	simPending    *metrics.Gauge
 	healthTimeout time.Duration
 
 	// refresher is the maintenance loop the server owns the lifecycle of
@@ -155,6 +156,8 @@ func New(cfg Config) (*Server, error) {
 		"how far the paced loop ran behind its wall-clock schedule at its last wait (0 = on time)")
 	s.effSpeedup = s.metrics.Gauge("sky_skyd_effective_speedup",
 		"virtual seconds per wall second between the paced loop's last two waits")
+	s.simPending = s.metrics.Gauge("sky_skyd_sim_pending",
+		"events in the simulation's queue at the paced loop's last wait, a keep-alive lane counting as one")
 	// Arm the maintenance loop before the simulation goroutine starts: the
 	// environment is not yet running, so scheduling its first tick here is
 	// single-threaded and safe.
@@ -209,6 +212,7 @@ func (s *Server) loop() {
 	_ = s.rt.Env().RunPaced(s.speedup, s.cmds, func(lag time.Duration, effective float64) {
 		s.pacedLag.Set(float64(lag) / float64(time.Millisecond))
 		s.effSpeedup.Set(effective)
+		s.simPending.Set(float64(s.rt.Env().Pending()))
 	})
 }
 
