@@ -198,16 +198,8 @@ func (in *Injector) Inject(f Fault) (int, error) {
 	if !ok {
 		return 0, fmt.Errorf("%w: %q", cloudsim.ErrNoSuchAZ, f.AZ)
 	}
-	// Fault windows run on the target zone's shard: the transitions mutate
-	// zone state, which only the zone's own shard may touch. Inject itself
-	// is called from the control side (an experiment's client process, or
-	// setup code before the run), so under a sharded engine the window
-	// events cross shards through the merge barrier; an onset closer than
-	// the group lookahead is deferred to the lookahead — the earliest
-	// instant another shard can deterministically observe anything.
-	ctl := in.cloud.Env()
-	azEnv := az.Env()
-	now := ctl.Now()
+	env := in.cloud.Env()
+	now := env.Now()
 	in.seq++
 	sc := &scheduled{
 		id:      in.seq,
@@ -219,17 +211,7 @@ func (in *Injector) Inject(f Fault) (int, error) {
 	in.faults = append(in.faults, sc)
 	in.injected[f.Kind].Inc()
 
-	schedule := func(d time.Duration, fn func()) {
-		if azEnv == ctl {
-			azEnv.Schedule(d, fn)
-			return
-		}
-		if min := azEnv.Group().Lookahead(); d < min {
-			d = min
-		}
-		ctl.SendTo(azEnv, d, fn)
-	}
-	schedule(f.Start, func() {
+	env.Schedule(f.Start, func() {
 		sc.state = StateActive
 		in.active.Inc()
 		if f.Kind == DriftBurst {
@@ -238,7 +220,7 @@ func (in *Injector) Inject(f Fault) (int, error) {
 			in.applyState(az)
 		}
 	})
-	schedule(f.Start+f.Duration, func() {
+	env.Schedule(f.Start+f.Duration, func() {
 		sc.state = StateDone
 		in.active.Dec()
 		if f.Kind != DriftBurst {
@@ -257,7 +239,7 @@ func (in *Injector) runDriftBursts(az *cloudsim.AZ, sc *scheduled) {
 			return
 		}
 		az.DriftBurst(sc.fault.Magnitude, sc.fault.Step)
-		az.Env().Schedule(sc.fault.Every, fire)
+		in.cloud.Env().Schedule(sc.fault.Every, fire)
 	}
 	fire()
 }

@@ -86,7 +86,8 @@ func TestMakeCIMatchesWorkflow(t *testing.T) {
 }
 
 // TestWorkflowJobsGuarded: every job must carry a timeout-minutes guard so
-// a hung sharded-sim run fails fast instead of eating the 6-hour default.
+// a hang — a wall-clock pacing test, a fuzz run, a stuck process handoff —
+// fails fast instead of eating the 6-hour default.
 func TestWorkflowJobsGuarded(t *testing.T) {
 	wf := repoFile(t, filepath.Join(".github", "workflows", "ci.yml"))
 	// Two-space-indented keys appear under `on:` too; only the ones after

@@ -26,7 +26,7 @@ type Host struct {
 // ID returns the platform-assigned host identifier a guest can observe. A
 // world holds thousands of hosts and a run lands on few of them, so the
 // string is built on first use; like all zone state it is only touched from
-// the zone's own event shard.
+// the cloud's event loop.
 func (h *Host) ID() string {
 	if h.id == "" {
 		h.id = "vm-" + h.zone + "-" + strconv.Itoa(h.seq)
@@ -125,12 +125,8 @@ func (d *Deployment) vcpus() int {
 // AZ is the live state of one availability zone: a finite, slowly drifting
 // pool of heterogeneous hosts.
 type AZ struct {
-	cloud  *Cloud
-	region *Region
-	// env is the event shard this zone runs on (the region's shard). All of
-	// the zone's mutable state — pools, warm lists, fault flags, its rng
-	// stream — is only ever touched from events on this env.
-	env         *sim.Env
+	cloud       *Cloud
+	region      *Region
 	spec        AZSpec
 	rand        *rng.Stream
 	hosts       []*Host
@@ -157,7 +153,6 @@ func newAZ(c *Cloud, region *Region, spec AZSpec) *AZ {
 	az := &AZ{
 		cloud:       c,
 		region:      region,
-		env:         region.env,
 		spec:        spec,
 		rand:        c.root.Split("az/" + spec.Name),
 		deployments: make(map[string]*Deployment),
@@ -197,10 +192,6 @@ func (az *AZ) Name() string { return az.spec.Name }
 
 // Region returns the owning region.
 func (az *AZ) Region() *Region { return az.region }
-
-// Env returns the event shard the zone runs on. Anything that mutates zone
-// state (fault windows, drift bursts) must schedule here.
-func (az *AZ) Env() *sim.Env { return az.env }
 
 // Spec returns the zone's static specification.
 func (az *AZ) Spec() AZSpec { return az.spec }
@@ -399,7 +390,7 @@ type idleRef struct {
 // the timer fires bumps the generation and voids it.
 func (az *AZ) armExpiry(fi *FI) {
 	if az.expiry == nil {
-		az.expiry = sim.NewLane(az.env, az.cloud.opts.KeepAlive, az.expire)
+		az.expiry = sim.NewLane(az.cloud.env, az.cloud.opts.KeepAlive, az.expire)
 	}
 	az.expiry.Push(idleRef{fi: fi, gen: fi.idleGen})
 }
@@ -495,7 +486,7 @@ func (az *AZ) excursion() {
 			h.kind = draw()
 		}
 	}
-	az.env.Schedule(55*time.Minute, func() {
+	az.cloud.env.Schedule(55*time.Minute, func() {
 		for _, s := range swapped {
 			if s.host.used == 0 {
 				s.host.kind = s.kind
@@ -593,7 +584,7 @@ func (az *AZ) maybeScaleUp() {
 		count = 1
 	}
 	hostFIs := az.spec.hostFIs()
-	az.env.Schedule(az.cloud.opts.ScaleUpDelay, func() {
+	az.cloud.env.Schedule(az.cloud.opts.ScaleUpDelay, func() {
 		draw := az.kindDrawer(mix)
 		for i := 0; i < count; i++ {
 			az.addHost(draw(), cpu.X86, hostFIs)

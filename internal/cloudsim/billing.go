@@ -42,14 +42,11 @@ func (p PriceModel) Cost(memoryMB int, runtimeMS float64) float64 {
 
 // Meter accumulates spend, grouped by a caller-chosen label (experiment
 // phase, policy name, account). Meters are safe for concurrent use so the
-// live-paced examples — and the sharded engine's parallel region shards —
-// can share one across goroutines.
+// live-paced examples can share one across goroutines.
 //
-// Charges accumulate per (label, bucket): the cloud buckets by region, so
-// each bucket only ever receives charges from one shard, in that shard's
-// deterministic event order. Totals sum buckets in sorted order, keeping
-// the floating-point result bit-identical regardless of how shard execution
-// interleaved.
+// Charges accumulate per (label, bucket): the cloud buckets by region.
+// Totals sum buckets in sorted order, so the floating-point result does not
+// depend on map iteration order.
 type Meter struct {
 	mu sync.Mutex
 	// byLabel is cumulative spend per label, split by bucket; guarded by mu.
@@ -72,9 +69,8 @@ func (m *Meter) Charge(label string, cost float64) {
 }
 
 // ChargeIn records cost under label in the named bucket. Callers that can
-// charge concurrently from several shards must use a bucket per shard-owned
-// domain (the cloud uses the region name) so per-bucket accumulation order
-// stays deterministic.
+// charge concurrently from several goroutines must give each one its own
+// bucket so per-bucket accumulation order stays deterministic.
 func (m *Meter) ChargeIn(label, bucket string, cost float64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()

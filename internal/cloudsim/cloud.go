@@ -93,12 +93,7 @@ type AZSpec struct {
 type Region struct {
 	spec RegionSpec
 	azs  []*AZ
-	// env is the event shard this region's zones run on. In a single-queue
-	// cloud it is the cloud's env; under a sharded engine each region is
-	// pinned to one shard so all of its state stays single-threaded.
-	env *sim.Env
 	// inflight tracks per-account concurrent executions for quota purposes.
-	// Owned by the region's shard; never touched from another shard.
 	inflight map[string]int
 }
 
@@ -153,10 +148,9 @@ type Options struct {
 	Metrics *metrics.Registry
 }
 
-// WithDefaults returns o with every zero field replaced by its paper
-// default; exported so engine builders can derive synchronization bounds
-// (the sharded lookahead) from the effective options.
-func (o Options) WithDefaults() Options {
+// withDefaults returns o with every zero field replaced by its paper
+// default.
+func (o Options) withDefaults() Options {
 	if o.KeepAlive == 0 {
 		o.KeepAlive = 5 * time.Minute
 	}
@@ -197,22 +191,13 @@ type Cloud struct {
 	azBy     map[string]*AZ
 	prices   map[Provider]PriceModel
 	meter    *Meter
-	// latRands holds one client-latency jitter stream per shard, indexed by
-	// the calling env's shard, so concurrent shards never interleave draws
-	// on a shared stream. A single-queue cloud has exactly one.
-	latRands []*rng.Stream
+	// latRand draws the client-latency jitter of every geo-located request.
+	latRand *rng.Stream
 }
 
 // New builds a cloud over env from the given catalog. A nil or empty
-// catalog means the full 41-region default world.
-//
-// When env belongs to a sim.Sharded group with more than one shard, the
-// cloud distributes regions round-robin over shards 1..N-1, keeping shard 0
-// (by convention env itself) free for client-side model code; every zone's
-// events then run on its region's shard, synchronized conservatively by the
-// network latency between client and region (the group lookahead must not
-// exceed IntraCloudRTT/2). With a plain env or a one-shard group everything
-// runs on env, byte-identical to the historical single-queue behaviour.
+// catalog means the full 41-region default world. Every zone's events run
+// on env.
 func New(env *sim.Env, seed uint64, catalog []RegionSpec, opts Options) *Cloud {
 	if len(catalog) == 0 {
 		catalog = DefaultCatalog()
@@ -220,25 +205,16 @@ func New(env *sim.Env, seed uint64, catalog []RegionSpec, opts Options) *Cloud {
 	c := &Cloud{
 		env:      env,
 		root:     rng.New(seed).Split("cloud"),
-		opts:     opts.WithDefaults(),
+		opts:     opts.withDefaults(),
 		regionBy: make(map[string]*Region, len(catalog)),
 		azBy:     make(map[string]*AZ),
 		prices:   defaultPrices(),
 		meter:    NewMeter(),
 	}
-	nShards := 1
-	if g := env.Group(); g != nil {
-		nShards = g.NumShards()
-	}
-	c.latRands = make([]*rng.Stream, nShards)
-	c.latRands[0] = c.root.Split("latency")
-	for i := 1; i < nShards; i++ {
-		c.latRands[i] = c.root.Split(fmt.Sprintf("latency/%d", i))
-	}
-	for i, rs := range catalog {
+	c.latRand = c.root.Split("latency")
+	for _, rs := range catalog {
 		region := &Region{
 			spec:     rs,
-			env:      shardEnvFor(env, i),
 			inflight: make(map[string]int),
 		}
 		for _, azSpec := range rs.AZs {
@@ -253,39 +229,26 @@ func New(env *sim.Env, seed uint64, catalog []RegionSpec, opts Options) *Cloud {
 	return c
 }
 
-// shardEnvFor maps the i'th catalog region onto a shard: round-robin over
-// shards 1..N-1, reserving shard 0 for clients. Single-queue setups (plain
-// env or one-shard group) map everything onto env.
-func shardEnvFor(env *sim.Env, i int) *sim.Env {
-	g := env.Group()
-	if g == nil || g.NumShards() < 2 {
-		return env
-	}
-	return g.Shard(1 + i%(g.NumShards()-1))
-}
-
 // scheduleDrift lays out the bounded drift timeline so Env.Run terminates.
-// Each zone's timeline lives on its own shard.
 func (c *Cloud) scheduleDrift() {
 	for _, region := range c.regions {
 		for _, az := range region.azs {
 			// One method value per zone, not one per scheduled event.
 			daily, hourly := az.driftDaily, az.driftHourly
 			for day := 1; day <= c.opts.HorizonDays; day++ {
-				az.env.Schedule(time.Duration(day)*24*time.Hour, daily)
+				c.env.Schedule(time.Duration(day)*24*time.Hour, daily)
 			}
 			if az.spec.HourlyDrift > 0 {
 				hours := c.opts.HorizonDays * 24
 				for h := 1; h <= hours; h++ {
-					az.env.Schedule(time.Duration(h)*time.Hour, hourly)
+					c.env.Schedule(time.Duration(h)*time.Hour, hourly)
 				}
 			}
 		}
 	}
 }
 
-// Env returns the control environment the cloud was built on (shard 0 of a
-// sharded group; the only environment of a single-queue cloud).
+// Env returns the environment the cloud runs on.
 func (c *Cloud) Env() *sim.Env { return c.env }
 
 // Meter returns the cloud-wide billing meter (charged per account).
@@ -387,8 +350,8 @@ func (r Response) OK() bool { return r.Err == nil }
 // invocation is one request's record from send to delivery. Every step of
 // its life — arrive, process, start, finish, deliver, and a fan-out node's
 // fanOut and gather — is a method. A record has at most one step pending at
-// a time: step holds it as a method expression, and every Schedule or
-// SendTo passes next, run bound once when the record was first made.
+// a time: step holds it as a method expression, and every Schedule passes
+// next, run bound once when the record was first made.
 // Records come from a sync.Pool and go back, zeroed but for next, at their
 // last use: in handOver after done, in Cloud.Invoke after it copies the
 // response, and for a fan-out child at its parent once gathered. No closure
@@ -396,11 +359,8 @@ func (r Response) OK() bool { return r.Err == nil }
 // warm invocation therefore allocates nothing.
 type invocation struct {
 	req Request
-	// env is the caller's environment: the response is delivered (and
-	// OnResponse observed) there.
-	env *sim.Env
 	// oneWay is the base network one-way latency drawn at send time; any
-	// fault-injected extra RTT is applied on the zone's own shard.
+	// fault-injected extra RTT is added at the zone.
 	oneWay   time.Duration
 	c        *Cloud
 	az       *AZ
@@ -429,20 +389,21 @@ type invocation struct {
 	answered         bool
 }
 
-// records recycles invocation records across requests, clouds and shards.
-// Unlike a plain free list it hands memory back to the GC after a burst,
-// and it is safe across a sharded engine's worker goroutines.
+// records recycles invocation records across requests and clouds. Unlike a
+// plain free list it hands memory back to the GC after a burst, and it is
+// safe across goroutines: parallel tests, and skyd beside the experiments in
+// one process, share it.
 var records sync.Pool
 
-// record returns a fresh record of req sent from env now.
-func (c *Cloud) record(from *sim.Env, req Request) *invocation {
+// record returns a fresh record of req sent now.
+func (c *Cloud) record(req Request) *invocation {
 	inv, _ := records.Get().(*invocation)
 	if inv == nil {
 		inv = new(invocation)
 		inv.next = inv.run
 	}
-	inv.req, inv.env, inv.c = req, from, c
-	inv.resp.Sent = from.Now()
+	inv.req, inv.c = req, c
+	inv.resp.Sent = c.env.Now()
 	return inv
 }
 
@@ -454,10 +415,10 @@ func (inv *invocation) recycle() {
 	records.Put(inv)
 }
 
-// then schedules step s of the record on env after d.
-func (inv *invocation) then(env *sim.Env, d time.Duration, s func(*invocation)) {
+// then schedules step s of the record after d.
+func (inv *invocation) then(d time.Duration, s func(*invocation)) {
 	inv.step = s
-	env.Schedule(d, inv.next)
+	inv.c.env.Schedule(d, inv.next)
 }
 
 // run is the record's one continuation: it runs the pending step.
@@ -466,7 +427,7 @@ func (inv *invocation) run() { inv.step(inv) }
 // Invoke performs a blocking invocation from a client process.
 func (c *Cloud) Invoke(p *sim.Proc, req Request) Response {
 	ev := sim.NewEvent(p.Env())
-	inv := c.record(p.Env(), req)
+	inv := c.record(req)
 	inv.ev = ev
 	inv.send()
 	p.Wait(ev)
@@ -475,37 +436,28 @@ func (c *Cloud) Invoke(p *sim.Proc, req Request) Response {
 	return resp
 }
 
-// StartInvoke performs an asynchronous invocation from the cloud's control
-// environment; done runs when the response arrives back at the caller
-// (network latency included both ways).
+// StartInvoke performs an asynchronous invocation; done runs when the
+// response arrives back at the caller (network latency included both ways).
 func (c *Cloud) StartInvoke(req Request, done func(Response)) {
-	c.StartInvokeFrom(c.env, req, done)
-}
-
-// StartInvokeFrom is StartInvoke for a caller living on a specific shard:
-// the request crosses from the caller's env to the zone's shard under the
-// network latency, and the response is delivered back on from.
-func (c *Cloud) StartInvokeFrom(from *sim.Env, req Request, done func(Response)) {
-	inv := c.record(from, req)
+	inv := c.record(req)
 	inv.done = done
 	inv.send()
 }
 
-// send puts a new record on the wire from its caller's env.
+// send puts a new record on the wire.
 func (inv *invocation) send() {
-	c, from := inv.c, inv.env
+	c := inv.c
 	az, ok := c.azBy[inv.req.AZ]
 	if !ok {
 		// No such zone: bounce at the provider edge after an intra-cloud
-		// round trip, entirely on the caller's shard.
+		// round trip.
 		inv.oneWay = c.opts.IntraCloudRTT / 2
-		inv.then(from, inv.oneWay, (*invocation).bounce)
+		inv.then(inv.oneWay, (*invocation).bounce)
 		return
 	}
 	inv.az = az
-	inv.oneWay = c.baseOneWay(from, &inv.req, az)
-	inv.step = (*invocation).arrive
-	from.SendTo(az.env, inv.oneWay, inv.next)
+	inv.oneWay = c.baseOneWay(&inv.req, az)
+	inv.then(inv.oneWay, (*invocation).arrive)
 }
 
 // bounce answers a request for an unknown zone at the provider edge.
@@ -514,27 +466,23 @@ func (inv *invocation) bounce() {
 	if inv.c.opts.OnResponse != nil {
 		inv.c.opts.OnResponse(inv.req, inv.resp)
 	}
-	inv.then(inv.env, inv.oneWay, (*invocation).handOver)
+	inv.then(inv.oneWay, (*invocation).handOver)
 }
 
 // baseOneWay is the fault-free one-way network latency from the caller to
-// the zone. Jitter draws come from the caller shard's own stream.
-func (c *Cloud) baseOneWay(from *sim.Env, req *Request, az *AZ) time.Duration {
+// the zone.
+func (c *Cloud) baseOneWay(req *Request, az *AZ) time.Duration {
 	if req.ClientLoc == nil {
 		return c.opts.IntraCloudRTT / 2
 	}
-	latRand := c.latRands[from.Shard()]
-	return c.opts.Latency.RTT(*req.ClientLoc, az.region.spec.Loc, latRand) / 2
+	return c.opts.Latency.RTT(*req.ClientLoc, az.region.spec.Loc, c.latRand) / 2
 }
 
-// respond ships the response back to the caller's shard. The zone's current
+// respond ships the response back to the caller. The zone's current
 // fault-injected extra RTT is added to the return leg; OnResponse observes
-// the response at delivery, on the caller's shard, so observation order is
-// the caller's deterministic event order.
+// the response at delivery.
 func (inv *invocation) respond() {
-	back := inv.oneWay + inv.az.fault.extraRTT/2
-	inv.step = (*invocation).deliver
-	inv.az.env.SendTo(inv.env, back, inv.next)
+	inv.then(inv.oneWay+inv.az.fault.extraRTT/2, (*invocation).deliver)
 }
 
 // reject answers a request that will not run with err.
@@ -543,7 +491,7 @@ func (inv *invocation) reject(err error) {
 	inv.respond()
 }
 
-// deliver runs on the caller's shard when the response arrives.
+// deliver runs when the response arrives back at the caller.
 func (inv *invocation) deliver() {
 	if inv.c.opts.OnResponse != nil {
 		inv.c.opts.OnResponse(inv.req, inv.resp)
@@ -560,7 +508,7 @@ func (inv *invocation) handOver() {
 		inv.answered = true
 		if parent.waiting && parent.kid == inv {
 			parent.waiting = false
-			parent.then(parent.az.env, 0, (*invocation).gather)
+			parent.then(0, (*invocation).gather)
 		}
 	case inv.ev != nil:
 		inv.ev.Trigger(nil)
@@ -570,12 +518,12 @@ func (inv *invocation) handOver() {
 	}
 }
 
-// arrive runs on the zone's shard when the request reaches the region edge.
-// Fault-injected extra RTT delays processing here — on the zone's side —
-// so the fault state is only ever read by its owning shard.
+// arrive runs when the request reaches the region edge. Fault-injected
+// extra RTT delays processing here, on the zone's side, so the fault state
+// is read when the request arrives rather than when it was sent.
 func (inv *invocation) arrive() {
 	if extra := inv.az.fault.extraRTT / 2; extra > 0 {
-		inv.then(inv.az.env, extra, (*invocation).process)
+		inv.then(extra, (*invocation).process)
 		return
 	}
 	inv.process()
@@ -646,19 +594,19 @@ func (inv *invocation) process() {
 			fi.cache[req.PayloadHash] = struct{}{}
 		}
 	}
-	inv.then(az.env, initDelay, (*invocation).start)
+	inv.then(initDelay, (*invocation).start)
 }
 
 // start runs the behavior once the instance is initialized.
 func (inv *invocation) start() {
 	c, az, dep := inv.c, inv.az, inv.dep
-	inv.resp.Started = az.env.Now()
+	inv.resp.Started = c.env.Now()
 	switch b := inv.behavior.(type) {
 	case SleepBehavior:
-		inv.then(az.env, b.D, (*invocation).finish)
+		inv.then(b.D, (*invocation).finish)
 	case WorkBehavior:
 		dur := c.modelRuntime(az, dep, inv.fi.host, b)
-		inv.then(az.env, dur, (*invocation).finish)
+		inv.then(dur, (*invocation).finish)
 	case ProbeBehavior:
 		if inv.runProbe(b) {
 			return // declined: probe path owns response and release
@@ -666,11 +614,11 @@ func (inv *invocation) start() {
 		dur := c.modelRuntime(az, dep, inv.fi.host, b.Work)
 		extra := time.Duration(probeDecisionMS * float64(time.Millisecond))
 		inv.resp.Value = ProbeOutcome{Ran: true, RuntimeMS: float64(dur) / float64(time.Millisecond)}
-		inv.then(az.env, dur+extra, (*invocation).finish)
+		inv.then(dur+extra, (*invocation).finish)
 	case FanOutBehavior:
 		// The node starts at this instant, via the queue, where starting a
 		// process would have put it.
-		inv.then(az.env, 0, (*invocation).fanOut)
+		inv.then(0, (*invocation).fanOut)
 	default:
 		inv.resp.Err = fmt.Errorf("%w: unknown behavior %T", ErrBadRequest, inv.behavior)
 		inv.finish()
@@ -681,15 +629,15 @@ func (inv *invocation) start() {
 // each to the node, and holds the instance for the node's Hold.
 func (inv *invocation) fanOut() {
 	b := inv.behavior.(FanOutBehavior)
-	env, link := inv.az.env, &inv.kid
+	link := &inv.kid
 	for i := 0; i < b.N; i++ {
 		req := b.Child(i)
 		req.Account = inv.req.Account
-		kid := inv.c.record(env, req)
+		kid := inv.c.record(req)
 		kid.parent, *link, link = inv, kid, &kid.sib
 		kid.send()
 	}
-	inv.then(env, b.Hold, (*invocation).gather)
+	inv.then(b.Hold, (*invocation).gather)
 }
 
 // gather runs when a fan-out node's hold ends and whenever the child it is
@@ -714,7 +662,7 @@ func (inv *invocation) gather() {
 // finish bills the run, returns the instance to the warm pool and responds.
 func (inv *invocation) finish() {
 	c, az, dep, fi, r := inv.c, inv.az, inv.dep, inv.fi, &inv.resp
-	r.Ended = az.env.Now()
+	r.Ended = c.env.Now()
 	billedMS := float64(r.Ended.Sub(r.Started)) / float64(time.Millisecond)
 	billedMS += c.opts.OverheadMS
 	price := c.prices[az.region.spec.Provider]
@@ -768,7 +716,7 @@ func (c *Cloud) modelRuntime(az *AZ, dep *Deployment, host *Host, w WorkBehavior
 	ms := spec.BaseMS * w.scale()
 	ms *= spec.CPUFactor(host.kind)
 	ms *= spec.MemoryFactor(dep.memoryMB)
-	ms *= az.contention(az.env.Now())
+	ms *= az.contention(c.env.Now())
 	ms *= az.rand.LogNorm(0, spec.NoiseFrac)
 	ms += w.ExtraMS
 	if ms < 0.1 {

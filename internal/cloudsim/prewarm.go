@@ -3,8 +3,6 @@ package cloudsim
 import (
 	"fmt"
 	"time"
-
-	"skyfaas/internal/sim"
 )
 
 // This file is the warm-pool actuator surface: the primitives a predictive
@@ -20,8 +18,7 @@ import (
 // pre-warms.
 
 // warmPoolPrefix namespaces warm-pool provisioning charges inside an
-// account's meter buckets, one bucket per region so each stays
-// single-writer under the sharded engine.
+// account's meter buckets, one bucket per region.
 const warmPoolPrefix = "warmpool/"
 
 // WarmHoldFactor prices floor-held warm capacity as this fraction of the
@@ -52,10 +49,9 @@ func (c *Cloud) WarmPoolSpend(account string) float64 {
 // the deployment's floor account and restarts the clock. Held capacity is
 // min(floor, live) — like real provisioned-concurrency pricing, the bill
 // covers the capacity the floor reserves whether requests use it or not,
-// but a floor the pool never actually reached costs nothing. Must run on
-// the zone's shard.
+// but a floor the pool never actually reached costs nothing.
 func (az *AZ) settleWarmHold(dep *Deployment) float64 {
-	now := az.env.Now()
+	now := az.cloud.env.Now()
 	since := dep.floorSince
 	dep.floorSince = now
 	if dep.floorAccount == "" || dep.floor <= 0 {
@@ -101,8 +97,8 @@ type ProvisionResult struct {
 // PreWarm provisions n idle instances of fn, billing each initialization to
 // account. Instances are busy (and hold their host slot) for the duration
 // of a cold-start-distributed init, then join the warm pool and arm the
-// normal keep-alive expiry. Must run on the zone's shard. Returns how many
-// instances host capacity allowed and the billed cost.
+// normal keep-alive expiry. Must run inside the simulation. Returns how
+// many instances host capacity allowed and the billed cost.
 func (az *AZ) PreWarm(fn string, n int, account string) (int, float64, error) {
 	dep, ok := az.deployments[fn]
 	if !ok {
@@ -130,7 +126,7 @@ func (az *AZ) PreWarm(fn string, n int, account string) (int, float64, error) {
 		costUSD += cost
 		provisioned++
 		az.m.preWarms.Inc()
-		az.env.Schedule(time.Duration(ms*float64(time.Millisecond)), func() {
+		az.cloud.env.Schedule(time.Duration(ms*float64(time.Millisecond)), func() {
 			if fi.destroyed {
 				return
 			}
@@ -150,7 +146,7 @@ func (az *AZ) PreWarm(fn string, n int, account string) (int, float64, error) {
 // instance already had stays valid and fires first: if the floor no longer
 // holds the instance it is reaped then and the duplicate finds it
 // destroyed; if the floor still holds it, the duplicate checks again one
-// window after this call. Must run on the zone's shard.
+// window after this call. Must run inside the simulation.
 func (az *AZ) SetWarmFloor(fn string, n int) error {
 	dep, ok := az.deployments[fn]
 	if !ok {
@@ -168,8 +164,8 @@ func (az *AZ) SetWarmFloor(fn string, n int) error {
 	return nil
 }
 
-// WarmIdle reports fn's idle warm-instance count. Must run on the zone's
-// shard (exposed for tests and same-shard policies).
+// WarmIdle reports fn's idle warm-instance count (exposed for tests and
+// policies).
 func (az *AZ) WarmIdle(fn string) int {
 	dep, ok := az.deployments[fn]
 	if !ok {
@@ -179,7 +175,7 @@ func (az *AZ) WarmIdle(fn string) int {
 }
 
 // WarmLive reports fn's provisioned instance count (busy + idle +
-// initializing). Must run on the zone's shard.
+// initializing).
 func (az *AZ) WarmLive(fn string) int {
 	dep, ok := az.deployments[fn]
 	if !ok {
@@ -189,22 +185,22 @@ func (az *AZ) WarmLive(fn string) int {
 }
 
 // StartEnsureWarm raises fn in azName toward target provisioned instances
-// and sets its warm floor, from a caller on any shard: the command crosses
-// to the zone's shard under the intra-cloud latency, settles the hold
-// charge accrued under the previous floor, tops up the deficit (target
-// minus currently provisioned instances) via PreWarm, and delivers the
-// result back on the caller's shard. The deficit is measured against
-// *live* instances, not idle ones, so a pool busy serving traffic is not
-// doubled by re-provisioning what will be released back anyway.
-func (c *Cloud) StartEnsureWarm(from *sim.Env, azName, fn string, target, floor int, account string, done func(ProvisionResult)) {
+// and sets its warm floor: the command reaches the zone after the
+// intra-cloud one-way latency, settles the hold charge accrued under the
+// previous floor, tops up the deficit (target minus currently provisioned
+// instances) via PreWarm, and delivers the result back after the same
+// latency. The deficit is measured against *live* instances, not idle ones,
+// so a pool busy serving traffic is not doubled by re-provisioning what
+// will be released back anyway.
+func (c *Cloud) StartEnsureWarm(azName, fn string, target, floor int, account string, done func(ProvisionResult)) {
 	oneWay := c.opts.IntraCloudRTT / 2
 	az, ok := c.azBy[azName]
 	if !ok {
 		res := ProvisionResult{AZ: azName, Function: fn, Err: fmt.Errorf("%w: %q", ErrNoSuchAZ, azName)}
-		from.Schedule(c.opts.IntraCloudRTT, func() { done(res) })
+		c.env.Schedule(c.opts.IntraCloudRTT, func() { done(res) })
 		return
 	}
-	from.SendTo(az.env, oneWay, func() {
+	c.env.Schedule(oneWay, func() {
 		res := ProvisionResult{AZ: azName, Function: fn}
 		if dep, ok := az.deployments[fn]; !ok {
 			res.Err = fmt.Errorf("%w: %s/%s", ErrNoSuchDeployment, azName, fn)
@@ -222,6 +218,6 @@ func (c *Cloud) StartEnsureWarm(from *sim.Env, azName, fn string, target, floor 
 			res.Live = dep.live
 			res.Idle = dep.warmIdle()
 		}
-		az.env.SendTo(from, oneWay, func() { done(res) })
+		c.env.Schedule(oneWay, func() { done(res) })
 	})
 }

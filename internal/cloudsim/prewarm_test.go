@@ -139,10 +139,10 @@ func TestWarmFloorHoldBilling(t *testing.T) {
 	deploySleep(t, c, "fn", 50*time.Millisecond)
 	var first, second ProvisionResult
 	env.Schedule(0, func() {
-		c.StartEnsureWarm(env, "test-az-1a", "fn", 3, 3, "acct", func(r ProvisionResult) { first = r })
+		c.StartEnsureWarm("test-az-1a", "fn", 3, 3, "acct", func(r ProvisionResult) { first = r })
 	})
 	env.Schedule(2*time.Minute, func() {
-		c.StartEnsureWarm(env, "test-az-1a", "fn", 3, 3, "acct", func(r ProvisionResult) { second = r })
+		c.StartEnsureWarm("test-az-1a", "fn", 3, 3, "acct", func(r ProvisionResult) { second = r })
 	})
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
@@ -245,13 +245,13 @@ func TestStartEnsureWarm(t *testing.T) {
 	deploySleep(t, c, "fn", 50*time.Millisecond)
 	var first, second, missing ProvisionResult
 	env.Schedule(0, func() {
-		c.StartEnsureWarm(env, "test-az-1a", "fn", 4, 2, "acct", func(r ProvisionResult) { first = r })
-		c.StartEnsureWarm(env, "nowhere", "fn", 1, 0, "acct", func(r ProvisionResult) { missing = r })
+		c.StartEnsureWarm("test-az-1a", "fn", 4, 2, "acct", func(r ProvisionResult) { first = r })
+		c.StartEnsureWarm("nowhere", "fn", 1, 0, "acct", func(r ProvisionResult) { missing = r })
 	})
 	env.Schedule(30*time.Second, func() {
 		// Pool already at target: the second actuation is a no-op that
 		// reports the idle pool.
-		c.StartEnsureWarm(env, "test-az-1a", "fn", 4, 2, "acct", func(r ProvisionResult) { second = r })
+		c.StartEnsureWarm("test-az-1a", "fn", 4, 2, "acct", func(r ProvisionResult) { second = r })
 	})
 	if err := env.Run(); err != nil {
 		t.Fatal(err)

@@ -73,14 +73,14 @@ func (inv *invocation) runProbe(b ProbeBehavior) bool {
 	inv.resp.Value = ProbeOutcome{Ran: false}
 
 	// Respond as soon as the decision is made so the caller can reissue...
-	inv.then(az.env, time.Duration(probeDecisionMS*float64(time.Millisecond)), (*invocation).decline)
+	inv.then(time.Duration(probeDecisionMS*float64(time.Millisecond)), (*invocation).decline)
 	// ...but hold the instance (and the quota slot) for the full,
 	// billed hold so the reissued request lands elsewhere. Afterwards the
 	// instance self-terminates unless KeepOnDecline is set. The hold
 	// outlives the request, whose record is another request's by then, so
 	// it captures the account rather than the record.
 	account, keep := inv.req.Account, b.KeepOnDecline
-	az.env.Schedule(time.Duration(holdMS*float64(time.Millisecond)), func() {
+	az.cloud.env.Schedule(time.Duration(holdMS*float64(time.Millisecond)), func() {
 		az.region.inflight[account]--
 		if keep {
 			az.releaseFI(fi)
@@ -96,6 +96,6 @@ func (inv *invocation) runProbe(b ProbeBehavior) bool {
 func (inv *invocation) decline() {
 	fi, r := inv.fi, &inv.resp
 	r.Profile, r.Err = saaf.Collect(cpu.CPUInfo(fi.host.kind, inv.dep.vcpus()), fi.id, fi.host.ID(), r.Cold, r.BilledMS)
-	r.FI, r.Host, r.Ended = fi.id, fi.host.ID(), inv.az.env.Now()
+	r.FI, r.Host, r.Ended = fi.id, fi.host.ID(), inv.c.env.Now()
 	inv.respond()
 }

@@ -55,14 +55,6 @@ type Config struct {
 	// SkipMesh replaces the full deployment matrix with a minimal one
 	// (one x86 endpoint per zone) for fast tests.
 	SkipMesh bool
-	// Shards selects the simulation engine: 0 or 1 builds the classic
-	// single-queue engine; N > 1 builds a sharded engine with N event
-	// shards — shard 0 runs the client/router control plane, regions are
-	// spread round-robin over the rest, and shards synchronize
-	// conservatively on the minimum intra-cloud network latency. Replay is
-	// byte-identical across shard counts (asserted by the experiments'
-	// determinism tests).
-	Shards int
 	// Metrics receives runtime instrumentation (router decisions, cloudsim
 	// per-zone counters, latency histograms). Nil means the process-wide
 	// metrics.Default() registry, so CLI tools can dump a single snapshot
@@ -111,19 +103,7 @@ type Runtime struct {
 // New builds a Runtime (deploying the mesh unless cfg.SkipMesh).
 func New(cfg Config) (*Runtime, error) {
 	cfg = cfg.withDefaults()
-	var env *sim.Env
-	if cfg.Shards > 1 {
-		// The lookahead is the minimum one-way network latency between any
-		// two shards: every cross-shard interaction travels the network, so
-		// conservative windows of this width never cut a send short.
-		rtt := cfg.CloudOpts.IntraCloudRTT
-		if rtt == 0 {
-			rtt = cloudsim.Options{}.WithDefaults().IntraCloudRTT
-		}
-		env = sim.NewSharded(cfg.Epoch, cfg.Shards, rtt/2).Control()
-	} else {
-		env = sim.NewEnv(cfg.Epoch)
-	}
+	env := sim.NewEnv(cfg.Epoch)
 	if cfg.CloudOpts.Metrics == nil {
 		cfg.CloudOpts.Metrics = cfg.Metrics
 	}
@@ -308,8 +288,8 @@ func (rt *Runtime) addTrafficSink(fn func(az string, completed int)) {
 
 // runtimeActuator adapts the cloud's warm-pool actuator to the warmpool
 // policy surface: resolve the zone's mesh endpoint once, then drive
-// Cloud.StartEnsureWarm (which hops to the zone's shard and back) billing
-// the runtime's account.
+// Cloud.StartEnsureWarm (one intra-cloud round trip) billing the runtime's
+// account.
 type runtimeActuator struct {
 	rt       *Runtime
 	memoryMB int
@@ -346,7 +326,7 @@ func (a *runtimeActuator) EnsureWarm(az string, target, floor int, done func(war
 		})
 		return
 	}
-	a.rt.cloud.StartEnsureWarm(a.rt.env, az, fn, target, floor, a.rt.client.Account(), func(r cloudsim.ProvisionResult) {
+	a.rt.cloud.StartEnsureWarm(az, fn, target, floor, a.rt.client.Account(), func(r cloudsim.ProvisionResult) {
 		done(warmpool.Provision{
 			Live:        r.Live,
 			Idle:        r.Idle,

@@ -133,7 +133,7 @@ const maxInterned = 6
 // 1 <= v <= maxInterned, and cpuinfoParsed what ParseCPUInfo makes of each.
 // Both are filled once at package initialization and only read afterwards,
 // so the per-invocation render and parse are two lookups, allocation-free
-// and safe from every shard goroutine.
+// and safe from any goroutine.
 var (
 	cpuinfoTexts  [numKinds + 1][maxInterned + 1]string
 	cpuinfoParsed = make(map[string]parsedCPUInfo, numKinds*maxInterned)

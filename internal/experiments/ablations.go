@@ -94,7 +94,7 @@ func RunAblationFanout(seed uint64) (AblationFanoutResult, error) {
 		Endpoints: 4, PollSize: 222, Branch: 10,
 		InterPollPause: 500 * time.Millisecond,
 	}
-	rt, err := newRuntime(seed, 2, cfg, 0)
+	rt, err := newRuntime(seed, 2, cfg)
 	if err != nil {
 		return AblationFanoutResult{}, err
 	}

@@ -12,7 +12,7 @@ import "testing"
 func TestMeshLoadAllocs(t *testing.T) {
 	const invocations, budget = 40_000, 5
 	allocs := testing.AllocsPerRun(1, func() {
-		st, err := RunMeshLoad(MeshLoadConfig{Seed: 5, Shards: 1, Invocations: invocations})
+		st, err := RunMeshLoad(MeshLoadConfig{Seed: 5, Invocations: invocations})
 		if err != nil {
 			t.Fatal(err)
 		}

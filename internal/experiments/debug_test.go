@@ -17,7 +17,7 @@ import (
 // attempts per 200 completions).
 func TestDebugFocusBurst(t *testing.T) {
 	const az, n = "us-west-1b", 1000
-	rt, err := newRuntime(42, 4, sampler.Config{}, 0)
+	rt, err := newRuntime(42, 4, sampler.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestDebugFocusBurst(t *testing.T) {
 // hops from the fixed us-west-1b to sa-east-1a, the zone with the largest
 // share of the fastest CPU, and costs less than the baseline there.
 func TestDebugHybridLogReg(t *testing.T) {
-	rt, err := newRuntime(42, 4, sampler.Config{}, 0)
+	rt, err := newRuntime(42, 4, sampler.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

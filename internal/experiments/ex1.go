@@ -14,9 +14,6 @@ import (
 // Figs. 3 and 4).
 type EX1Config struct {
 	Seed uint64
-	// Shards selects the simulation engine (0/1 single-queue, N > 1
-	// sharded); replay is byte-identical across values.
-	Shards int
 	// AZ is the zone driven to saturation (paper: us-west-1a).
 	AZ string
 	// Sleeps and MemoriesMB are the Fig.-3 sweep axes.
@@ -83,7 +80,7 @@ type EX1Result struct {
 // RunEX1 executes EX-1.
 func RunEX1(cfg EX1Config) (EX1Result, error) {
 	cfg = cfg.withDefaults()
-	rt, err := newRuntime(cfg.Seed, 3, cfg.Sampler, cfg.Shards)
+	rt, err := newRuntime(cfg.Seed, 3, cfg.Sampler)
 	if err != nil {
 		return EX1Result{}, err
 	}

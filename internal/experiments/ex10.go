@@ -43,8 +43,6 @@ const (
 // EX10Config parameterizes EX-10.
 type EX10Config struct {
 	Seed uint64
-	// Shards selects the simulation engine (see core.Config.Shards).
-	Shards int
 	// The shared zone, the workload both tenants run, quota and warmup.
 	openLoop
 	// Retry is the client retry policy (default 6 attempts, 50ms base; the
@@ -151,7 +149,7 @@ func RunEX10(cfg EX10Config) (EX10Result, error) {
 	}
 	for _, arm := range []string{EX10Uncontended, EX10GlobalOnly, EX10PerTenant} {
 		var cell EX10Cell
-		err := cfg.runCell(cfg.Seed, cfg.Shards, 0, &res.CapacityRPS, func(p *sim.Proc, w *openLoopWorld) (err error) {
+		err := cfg.runCell(cfg.Seed, 0, &res.CapacityRPS, func(p *sim.Proc, w *openLoopWorld) (err error) {
 			cell, _, err = serveEX10(p, w, cfg, arm)
 			return err
 		})

@@ -125,7 +125,7 @@ func TestEX10ConservesMoney(t *testing.T) {
 		var capacity, billed, metered float64
 		var inflight int
 		var cell EX10Cell
-		err := cfg.runCell(cfg.Seed, cfg.Shards, 0, &capacity, func(p *sim.Proc, w *openLoopWorld) error {
+		err := cfg.runCell(cfg.Seed, 0, &capacity, func(p *sim.Proc, w *openLoopWorld) error {
 			meter := w.rt.Cloud().Meter()
 			before := meter.GrandTotal()
 			c, reg, err := serveEX10(p, w, cfg, EX10PerTenant)

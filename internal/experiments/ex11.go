@@ -55,8 +55,6 @@ func EX11Arms() []string {
 // EX11Config parameterizes EX-11.
 type EX11Config struct {
 	Seed uint64
-	// Shards selects the simulation engine (see core.Config.Shards).
-	Shards int
 	// The served zone, the workload the curve runs, quota and warmup.
 	openLoop
 	// KeepAlive is the platform's idle-instance retention (default 60s —
@@ -225,7 +223,7 @@ func RunEX11(cfg EX11Config) (EX11Result, error) {
 	for _, arm := range EX11Arms() {
 		mode, spike := warmpool.Mode(strings.TrimSuffix(arm, "-spike")), strings.HasSuffix(arm, "-spike")
 		cell := EX11Cell{Arm: arm, Mode: mode, Spike: spike}
-		err := cfg.runCell(cfg.Seed, cfg.Shards, cfg.KeepAlive, &capacity, func(p *sim.Proc, w *openLoopWorld) error {
+		err := cfg.runCell(cfg.Seed, cfg.KeepAlive, &capacity, func(p *sim.Proc, w *openLoopWorld) error {
 			// The admission gate is not consulted: its service-time estimate
 			// is the sizer's input.
 			m, err := w.rt.EnableWarmPool(warmpool.Config{

@@ -15,9 +15,6 @@ import (
 // Fig. 2: CPU distributions of all 41 regions across three providers).
 type EX2Config struct {
 	Seed uint64
-	// Shards selects the simulation engine (0/1 single-queue, N > 1
-	// sharded); replay is byte-identical across values.
-	Shards int
 	// Regions restricts the sweep (nil = every region in the catalog).
 	Regions []string
 	// PollsPerAZ, when positive, uses the cheap fixed-poll mode instead of
@@ -58,7 +55,7 @@ type EX2Result struct {
 
 // RunEX2 executes EX-2.
 func RunEX2(cfg EX2Config) (EX2Result, error) {
-	rt, err := newRuntime(cfg.Seed, 3, cfg.Sampler, cfg.Shards)
+	rt, err := newRuntime(cfg.Seed, 3, cfg.Sampler)
 	if err != nil {
 		return EX2Result{}, err
 	}

@@ -16,9 +16,6 @@ import (
 // against the at-failure ground truth.
 type EX3Config struct {
 	Seed uint64
-	// Shards selects the simulation engine (0/1 single-queue, N > 1
-	// sharded); replay is byte-identical across values.
-	Shards int
 	// AZs are the evaluated zones (default: the paper's eleven).
 	AZs []string
 	// Sampler overrides the polling configuration.
@@ -73,7 +70,7 @@ type EX3Result struct {
 // RunEX3 executes EX-3.
 func RunEX3(cfg EX3Config) (EX3Result, error) {
 	cfg = cfg.withDefaults()
-	rt, err := newRuntime(cfg.Seed, 3, cfg.Sampler, cfg.Shards)
+	rt, err := newRuntime(cfg.Seed, 3, cfg.Sampler)
 	if err != nil {
 		return EX3Result{}, err
 	}

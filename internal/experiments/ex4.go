@@ -16,9 +16,6 @@ import (
 // hourly sampling of us-west-1b for 24 hours.
 type EX4Config struct {
 	Seed uint64
-	// Shards selects the simulation engine (0/1 single-queue, N > 1
-	// sharded); replay is byte-identical across values.
-	Shards int
 	// AZs are the tracked zones (default: the paper's five).
 	AZs []string
 	// Rounds is the number of daily observations (default 14).
@@ -109,7 +106,7 @@ type EX4Result struct {
 func RunEX4(cfg EX4Config) (EX4Result, error) {
 	cfg = cfg.withDefaults()
 	horizon := cfg.Rounds*cfg.CadenceHours/24 + 3
-	rt, err := newRuntime(cfg.Seed, horizon, cfg.Sampler, cfg.Shards)
+	rt, err := newRuntime(cfg.Seed, horizon, cfg.Sampler)
 	if err != nil {
 		return EX4Result{}, err
 	}

@@ -18,9 +18,6 @@ import (
 // Figs. 9-11 and the headline savings).
 type EX5Config struct {
 	Seed uint64
-	// Shards selects the simulation engine (0/1 single-queue, N > 1
-	// sharded); replay is byte-identical across values.
-	Shards int
 	// ProfileZones are profiled per workload (default: the EX-4 five).
 	ProfileZones []string
 	// ProfileRuns is per-workload-per-zone profiling executions. The paper
@@ -176,7 +173,7 @@ type EX5Result struct {
 // RunEX5 executes EX-5.
 func RunEX5(cfg EX5Config) (EX5Result, error) {
 	cfg = cfg.withDefaults()
-	rt, err := newRuntime(cfg.Seed, cfg.Days+3, cfg.Sampler, cfg.Shards)
+	rt, err := newRuntime(cfg.Seed, cfg.Days+3, cfg.Sampler)
 	if err != nil {
 		return EX5Result{}, err
 	}

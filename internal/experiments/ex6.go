@@ -63,9 +63,6 @@ func EX6Scenarios() []string {
 // EX6Config parameterizes EX-6.
 type EX6Config struct {
 	Seed uint64
-	// Shards selects the simulation engine (0/1 single-queue, N > 1
-	// sharded); replay is byte-identical across values.
-	Shards int
 	// HopZones are the candidate zones (default: EX-5's three).
 	HopZones []string
 	// Workload under test (default zipper).
@@ -202,7 +199,7 @@ func RunEX6(cfg EX6Config) (EX6Result, error) {
 // runEX6Cell measures one (scenario, arm) pair in a fresh runtime, so
 // breaker state, drift damage, and warm pools never leak between cells.
 func runEX6Cell(cfg EX6Config, scenario string, arm EX6Arm) (EX6Cell, error) {
-	rt, err := newRuntime(cfg.Seed, 2, cfg.Sampler, cfg.Shards)
+	rt, err := newRuntime(cfg.Seed, 2, cfg.Sampler)
 	if err != nil {
 		return EX6Cell{}, err
 	}

@@ -65,9 +65,6 @@ func DefaultEX7Arms() []EX7Arm {
 // EX7Config parameterizes EX-7.
 type EX7Config struct {
 	Seed uint64
-	// Shards selects the simulation engine (0/1 single-queue, N > 1
-	// sharded); replay is byte-identical across values.
-	Shards int
 	// HopZones are the candidate zones (default: EX-5's three).
 	HopZones []string
 	// Workload under test (default zipper).
@@ -220,7 +217,7 @@ func RunEX7(cfg EX7Config) (EX7Result, error) {
 // seed, identical chaos, identical traffic — only the refresh trigger
 // differs.
 func runEX7Cell(cfg EX7Config, arm EX7Arm) (EX7Cell, error) {
-	rt, err := newRuntime(cfg.Seed, 2, cfg.Sampler, cfg.Shards)
+	rt, err := newRuntime(cfg.Seed, 2, cfg.Sampler)
 	if err != nil {
 		return EX7Cell{}, err
 	}

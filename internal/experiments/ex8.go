@@ -34,8 +34,6 @@ const (
 // EX8Config parameterizes EX-8.
 type EX8Config struct {
 	Seed uint64
-	// Shards selects the simulation engine (see core.Config.Shards).
-	Shards int
 	// The zone, workload, quota and warmup.
 	openLoop
 	// Retry is the client's transient-failure policy; it only matters in
@@ -109,7 +107,7 @@ func RunEX8(cfg EX8Config) (EX8Result, error) {
 	for _, arm := range []string{EX8NoAdmission, EX8Admission} {
 		for _, m := range cfg.Multiples {
 			cell := EX8Cell{Arm: arm, Multiple: m}
-			err := cfg.runCell(cfg.Seed, cfg.Shards, 0, &res.CapacityRPS, func(p *sim.Proc, w *openLoopWorld) error {
+			err := cfg.runCell(cfg.Seed, 0, &res.CapacityRPS, func(p *sim.Proc, w *openLoopWorld) error {
 				cell.CapacityRPS, w.spec.Retry = w.capacity, cfg.Retry
 				s, err := constantStream("", m*w.capacity, cfg.Duration, rng.New(cfg.Seed).Split("ex8/arrivals"), &cell.Report)
 				if err != nil {

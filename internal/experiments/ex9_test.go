@@ -1,42 +1,53 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
 
-// TestEX9Deterministic: the headline claim — every engine width computes the
-// identical simulation. The speedup column is machine-dependent (it measures
-// real wall clock) and is deliberately not asserted here.
+// TestEX9Deterministic: equal seeds replay the mesh load exactly, and the
+// ignored MeshLoadConfig.Shards leaves it alone, so a caller that still
+// sets it compares two runs of the one engine and always sees them agree.
+// Throughput is machine-dependent (it measures real wall clock) and is
+// deliberately not asserted beyond being positive.
 func TestEX9Deterministic(t *testing.T) {
-	res, err := RunEX9(EX9Config{Seed: 5}.Reduced())
+	cfg := EX9Config{Seed: 5}.Reduced()
+	a, err := RunEX9(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Cells) != 3 {
-		t.Fatalf("cells = %d, want 3", len(res.Cells))
+	b, err := RunEX9(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !res.Deterministic() {
-		t.Errorf("engines diverged: %+v", res.Cells)
+	if a.Checksum != b.Checksum || a.Invocations != b.Invocations {
+		t.Errorf("same seed, different load: %016x/%d vs %016x/%d", a.Checksum, a.Invocations, b.Checksum, b.Invocations)
 	}
-	if res.Zones == 0 || res.Deployments == 0 {
-		t.Errorf("empty world: %d zones, %d deployments", res.Zones, res.Deployments)
+	if a.Zones == 0 || a.Deployments == 0 {
+		t.Errorf("empty world: %d zones, %d deployments", a.Zones, a.Deployments)
 	}
-	for _, c := range res.Cells {
-		if c.Invocations != res.Cells[0].Invocations {
-			t.Errorf("shards=%d completed %d invocations, single queue completed %d",
-				c.Shards, c.Invocations, res.Cells[0].Invocations)
-		}
-		if c.InvPerSec <= 0 {
-			t.Errorf("shards=%d reported no throughput", c.Shards)
-		}
+	if a.Invocations == 0 || a.InvPerSec <= 0 {
+		t.Errorf("no throughput: %+v", a)
 	}
-	if _, ok := res.Cell(4); !ok {
-		t.Error("no 4-shard cell in reduced config")
-	}
-	out := res.Render()
-	if !strings.Contains(out, "EX-9") || !strings.Contains(out, "deterministic across engines: yes") {
+	out := a.Render()
+	if !strings.Contains(out, "EX-9") || !strings.Contains(out, fmt.Sprintf("%016x", a.Checksum)) {
 		t.Errorf("render:\n%s", out)
+	}
+
+	one := MeshLoadConfig{Seed: 5, Invocations: 4000, Workers: 2}
+	four := one
+	one.Shards, four.Shards = 1, 4
+	x, err := RunMeshLoad(one)
+	if err != nil {
+		t.Fatal(err)
+	}
+	y, err := RunMeshLoad(four)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if x.Checksum != y.Checksum || x.Invocations != y.Invocations {
+		t.Errorf("Shards changed the load: %016x/%d vs %016x/%d", x.Checksum, x.Invocations, y.Checksum, y.Invocations)
 	}
 }
 
@@ -57,17 +68,14 @@ func TestEX9SeedSensitivity(t *testing.T) {
 }
 
 func TestEX9WriteCSV(t *testing.T) {
-	res := EX9Result{
-		Zones: 49, Deployments: 698,
-		Cells: []EX9Cell{{Shards: 1, Invocations: 10, WallSeconds: 0.5, InvPerSec: 20, Speedup: 1, Checksum: 7}},
-	}
+	res := EX9Result{Zones: 49, Deployments: 698, Invocations: 10, WallSeconds: 0.5, InvPerSec: 20, Checksum: 7}
 	dir := t.TempDir()
 	if err := res.WriteCSV(dir); err != nil {
 		t.Fatal(err)
 	}
 	got := readCSV(t, dir, "ex9_scalability.csv")
-	if !strings.Contains(got, "shards,invocations,wall_s,inv_per_s,speedup,checksum") ||
-		!strings.Contains(got, "0000000000000007") {
+	if !strings.Contains(got, "zones,deployments,invocations,wall_s,inv_per_s,checksum") ||
+		!strings.Contains(got, "49,698,10,") || !strings.Contains(got, "0000000000000007") {
 		t.Errorf("csv:\n%s", got)
 	}
 }

@@ -34,16 +34,13 @@ func EX3Zones() []string {
 }
 
 // newRuntime builds an experiment world. Experiments only need the minimal
-// mesh (they pick 2 GB endpoints), which keeps construction fast. shards
-// selects the engine: 0/1 single-queue, N > 1 sharded (replay is identical
-// either way; the determinism tests assert it).
-func newRuntime(seed uint64, horizonDays int, samplerCfg sampler.Config, shards int) (*core.Runtime, error) {
+// mesh (they pick 2 GB endpoints), which keeps construction fast.
+func newRuntime(seed uint64, horizonDays int, samplerCfg sampler.Config) (*core.Runtime, error) {
 	return core.New(core.Config{
 		Seed:       seed,
 		Epoch:      defaultEpoch,
 		SamplerCfg: samplerCfg,
 		CloudOpts:  cloudsim.Options{HorizonDays: horizonDays},
 		SkipMesh:   true,
-		Shards:     shards,
 	})
 }

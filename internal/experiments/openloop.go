@@ -93,14 +93,13 @@ type openLoopWorld struct {
 // client process; keepAlive overrides the platform's when set. The first
 // cell's capacity estimate goes into *capacity, and a later cell's that
 // differs means the worlds diverged, which voids the comparison.
-func (c openLoop) runCell(seed uint64, shards int, keepAlive time.Duration, capacity *float64, body func(p *sim.Proc, w *openLoopWorld) error) error {
+func (c openLoop) runCell(seed uint64, keepAlive time.Duration, capacity *float64, body func(p *sim.Proc, w *openLoopWorld) error) error {
 	rt, err := core.New(core.Config{
 		Seed:       seed,
 		Epoch:      defaultEpoch,
 		SamplerCfg: c.Sampler,
 		CloudOpts:  cloudsim.Options{Quota: c.Quota, KeepAlive: keepAlive, HorizonDays: 2},
 		SkipMesh:   true,
-		Shards:     shards,
 	})
 	if err != nil {
 		return err

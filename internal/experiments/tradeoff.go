@@ -34,7 +34,7 @@ type RetryTradeoffResult struct {
 // RunRetryTradeoff runs a baseline and a focus-fastest burst of 1,000
 // zipper invocations on us-west-1b and reports the §4.6 quantities.
 func RunRetryTradeoff(cfg StudyConfig) (RetryTradeoffResult, error) {
-	rt, err := newRuntime(cfg.Seed, 3, sampler.Config{}, 0)
+	rt, err := newRuntime(cfg.Seed, 3, sampler.Config{})
 	if err != nil {
 		return RetryTradeoffResult{}, err
 	}

@@ -42,15 +42,9 @@ const (
 // schedule (0 when on time) and the ratio of virtual to wall time since the
 // previous call. It runs on the simulation goroutine, so it may read the
 // environment, e.g. Pending for the depth of the queue the loop waited on.
-//
-// Sharded groups never pace against the wall clock, so RunPaced rejects
-// grouped members.
 func (e *Env) RunPaced(speedup float64, inject <-chan func(), report func(lag time.Duration, effectiveSpeedup float64)) error {
 	if speedup <= 0 {
 		return fmt.Errorf("sim: non-positive speedup %v", speedup)
-	}
-	if e.group != nil {
-		return errors.New("sim: RunPaced is not supported on a sharded environment")
 	}
 	if e.running {
 		return errors.New("sim: Run re-entered")

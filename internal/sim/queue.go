@@ -31,8 +31,8 @@ type item struct {
 // in key order. A run takes an item only if the item does not precede the
 // run's tail, so each run stays sorted by construction, and merging the
 // runs through their heads yields exactly the order a heap over every item
-// would have. Pushes under an older reserved key (Lane.arm, the shard
-// merge) go through the same rule.
+// would have. Pushes under an older reserved key (Lane.arm) go through the
+// same rule.
 //
 // Placement is best fit: an item joins the run with the latest tail that
 // does not come after it, else it starts a new run. tails keeps the

@@ -55,8 +55,8 @@ func (h *heapQueue) pop() item {
 type scheduler interface {
 	Schedule(d time.Duration, fn func())
 	Elapsed() time.Duration
-	// post queues fn at absolute time at under a fresh sequence number, as
-	// the shard merge delivers a cross-shard send.
+	// post queues fn at absolute time at under a fresh sequence number:
+	// Schedule addressed by instant instead of by delay.
 	post(at time.Duration, fn func())
 	// lane returns the push of a timer FIFO with the given delay.
 	lane(delay time.Duration, fn func(int)) func(int)

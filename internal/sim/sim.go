@@ -61,14 +61,6 @@ type Env struct {
 	// the flag is seen at once.
 	fastForward atomic.Bool
 	wake        chan struct{}
-
-	// group/shard identify this Env as a member of a Sharded group (see
-	// shard.go); both are zero for a standalone single-queue environment.
-	// postSeq numbers this shard's cross-shard sends so the merge barrier
-	// can order same-instant arrivals deterministically.
-	group   *Sharded
-	shard   int
-	postSeq uint64
 }
 
 // NewEnv returns an environment whose virtual clock starts at epoch.
@@ -110,37 +102,20 @@ func (e *Env) Fail(err error) {
 
 // Run executes events until the queue is empty or a failure is recorded.
 // Processes still blocked when the queue drains are aborted so their
-// goroutines exit; their Err reports ErrAborted. On a sharded member the
-// call runs the whole group (see Sharded.Run).
-func (e *Env) Run() error {
-	if e.group != nil {
-		return e.group.Run()
-	}
-	return e.run(-1)
-}
+// goroutines exit; their Err reports ErrAborted.
+func (e *Env) Run() error { return e.run(-1) }
 
 // RunFor executes events for at most d of virtual time. Events scheduled
 // beyond the horizon stay queued; the clock advances exactly to the horizon.
 // Blocked processes are left intact so a subsequent RunFor can resume them.
-// On a sharded member the call runs the whole group (see Sharded.RunFor).
-func (e *Env) RunFor(d time.Duration) error {
-	if e.group != nil {
-		return e.group.run(e.now + d)
-	}
-	return e.run(e.now + d)
-}
+func (e *Env) RunFor(d time.Duration) error { return e.run(e.now + d) }
 
 // FinishFast makes a paced run (RunPaced) stop waiting at once — a wait in
 // progress is interrupted — and stop taking commands, so the remaining
 // queue drains at full speed and the run returns. Safe to call from any
 // goroutine, before or during the run; it is how a live server shuts down
-// promptly without abandoning queued work. On a sharded member the flag
-// fans out to every shard.
+// promptly without abandoning queued work.
 func (e *Env) FinishFast() {
-	if e.group != nil {
-		e.group.FinishFast()
-		return
-	}
 	e.fastForward.Store(true)
 	select {
 	case e.wake <- struct{}{}:

@@ -71,7 +71,7 @@ type Provision struct {
 // Actuator applies one zone's warm-pool decision: raise the deployment
 // toward target provisioned instances and set its keep-alive floor. done
 // must be delivered on the maintainer's env (core.Runtime adapts
-// cloudsim.StartEnsureWarm, which hops to the zone's shard and back).
+// cloudsim.StartEnsureWarm, one intra-cloud round trip).
 type Actuator interface {
 	EnsureWarm(az string, target, floor int, done func(Provision))
 }
