@@ -7,11 +7,11 @@ GO ?= go
 # internal/ciparity test asserts the two lists cannot drift.
 RACE_PKGS = ./internal/skyd/ ./internal/sim/ ./internal/metrics/ ./internal/cloudsim/ ./internal/router/ ./internal/chaos/ ./internal/faas/ ./internal/refresh/ ./internal/trace/ ./internal/admission/ ./internal/load/ ./internal/core/ ./internal/experiments/ ./internal/tenant/ ./internal/warmpool/ ./internal/control/
 
-.PHONY: all build vet fmt-check lint lint-fixtures test race fuzz ci smoke bench-smoke reproduce serve clean
+.PHONY: all build vet fmt-check lint lint-fixtures test race fuzz ci smoke data-check bench-smoke reproduce serve clean
 
 all: build vet lint test
 
-ci: build vet fmt-check lint test race fuzz smoke bench-smoke
+ci: build vet fmt-check lint test race fuzz smoke data-check bench-smoke
 
 # One reduced pass of the five experiments beyond the paper, through the
 # CLI: proves that chaos and resilient routing (EX-6), drift detection and
@@ -21,6 +21,14 @@ ci: build vet fmt-check lint test race fuzz smoke bench-smoke
 # end outside the test harness.
 smoke:
 	$(GO) run ./cmd/skybench -ex ex6,ex7,ex8,ex10,ex11 -scale reduced
+
+# The checked-in reproduction CSVs in data/ must be what the code produces:
+# regenerate EX-1..EX-5 at full scale and the default seed into a scratch
+# directory and compare file by file (~15 s on 2 cores).
+data-check:
+	@tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \
+	$(GO) run ./cmd/skybench -ex ex1,ex2,ex3,ex4,ex5 -csvdir "$$tmp" >/dev/null && \
+	diff -r data "$$tmp" && echo "data/ matches the code"
 
 # The benchmark's own tests (bench/ is a nested module that `go test ./...`
 # here does not see): every workload and the traced run at smoke scale, each

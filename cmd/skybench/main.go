@@ -49,20 +49,25 @@ type experiment struct {
 	run  func(o benchOpts) (string, error)
 }
 
-// entry registers an experiment: cfg builds its configuration from the
-// flags, and the entry applies -scale, runs it, writes the -csvdir dataset
-// and renders the result.
+// entry registers an experiment: seeded builds its full-scale
+// configuration, the entry applies -scale and then flags (the flag
+// overrides, nil when it reads none), runs it, writes the -csvdir dataset
+// and renders the result. The scale goes first so that a flag overrides
+// its preset at either scale.
 func entry[C interface{ Reduced() C }, R interface {
 	Render() string
 	WriteCSV(dir string) error
-}](name string, cfg func(benchOpts) (C, error), run func(C) (R, error)) experiment {
+}](name string, seeded func(seed uint64) C, flags func(C, benchOpts) (C, error), run func(C) (R, error)) experiment {
 	return experiment{name, func(o benchOpts) (string, error) {
-		c, err := cfg(o)
-		if err != nil {
-			return "", err
-		}
+		c := seeded(o.seed)
 		if o.reduced {
 			c = c.Reduced()
+		}
+		if flags != nil {
+			var err error
+			if c, err = flags(c, o); err != nil {
+				return "", err
+			}
 		}
 		res, err := run(c)
 		if err != nil {
@@ -86,32 +91,30 @@ func registry() []experiment {
 			}
 			return "Table 1 — workload catalog\n" + t.String(), nil
 		}},
-		entry("ex1", func(o benchOpts) (experiments.EX1Config, error) { return experiments.EX1Config{Seed: o.seed}, nil }, experiments.RunEX1),
-		entry("ex2", func(o benchOpts) (experiments.EX2Config, error) { return experiments.EX2Config{Seed: o.seed}, nil }, experiments.RunEX2),
-		entry("ex3", func(o benchOpts) (experiments.EX3Config, error) { return experiments.EX3Config{Seed: o.seed}, nil }, experiments.RunEX3),
-		entry("ex4", ex4Config, experiments.RunEX4),
-		entry("ex5", ex5Config, experiments.RunEX5),
-		entry("ex6", ex6Config, experiments.RunEX6),
-		entry("ex7", func(o benchOpts) (experiments.EX7Config, error) { return experiments.EX7Config{Seed: o.seed}, nil }, experiments.RunEX7),
-		entry("ex8", func(o benchOpts) (experiments.EX8Config, error) { return experiments.EX8Config{Seed: o.seed}, nil }, experiments.RunEX8),
-		entry("ex9", func(o benchOpts) (experiments.EX9Config, error) { return experiments.EX9Config{Seed: o.seed}, nil }, experiments.RunEX9),
-		entry("ex10", func(o benchOpts) (experiments.EX10Config, error) { return experiments.EX10Config{Seed: o.seed}, nil }, experiments.RunEX10),
-		entry("ex11", ex11Config, experiments.RunEX11),
-		entry("ablations", func(o benchOpts) (experiments.StudyConfig, error) { return experiments.StudyConfig{Seed: o.seed}, nil }, experiments.RunAblations),
-		entry("tradeoff", func(o benchOpts) (experiments.StudyConfig, error) { return experiments.StudyConfig{Seed: o.seed}, nil }, experiments.RunRetryTradeoff),
+		entry("ex1", func(s uint64) experiments.EX1Config { return experiments.EX1Config{Seed: s} }, nil, experiments.RunEX1),
+		entry("ex2", func(s uint64) experiments.EX2Config { return experiments.EX2Config{Seed: s} }, nil, experiments.RunEX2),
+		entry("ex3", func(s uint64) experiments.EX3Config { return experiments.EX3Config{Seed: s} }, nil, experiments.RunEX3),
+		entry("ex4", func(s uint64) experiments.EX4Config { return experiments.EX4Config{Seed: s} }, ex4Flags, experiments.RunEX4),
+		entry("ex5", func(s uint64) experiments.EX5Config { return experiments.EX5Config{Seed: s} }, ex5Flags, experiments.RunEX5),
+		entry("ex6", func(s uint64) experiments.EX6Config { return experiments.EX6Config{Seed: s} }, ex6Flags, experiments.RunEX6),
+		entry("ex7", func(s uint64) experiments.EX7Config { return experiments.EX7Config{Seed: s} }, nil, experiments.RunEX7),
+		entry("ex8", func(s uint64) experiments.EX8Config { return experiments.EX8Config{Seed: s} }, nil, experiments.RunEX8),
+		entry("ex9", func(s uint64) experiments.EX9Config { return experiments.EX9Config{Seed: s} }, nil, experiments.RunEX9),
+		entry("ex10", func(s uint64) experiments.EX10Config { return experiments.EX10Config{Seed: s} }, nil, experiments.RunEX10),
+		entry("ex11", func(s uint64) experiments.EX11Config { return experiments.EX11Config{Seed: s} }, ex11Flags, experiments.RunEX11),
+		entry("ablations", func(s uint64) experiments.StudyConfig { return experiments.StudyConfig{Seed: s} }, nil, experiments.RunAblations),
+		entry("tradeoff", func(s uint64) experiments.StudyConfig { return experiments.StudyConfig{Seed: s} }, nil, experiments.RunRetryTradeoff),
 	}
 }
 
-func ex4Config(o benchOpts) (experiments.EX4Config, error) {
-	cfg := experiments.EX4Config{Seed: o.seed}
+func ex4Flags(cfg experiments.EX4Config, o benchOpts) (experiments.EX4Config, error) {
 	if o.days > 0 {
 		cfg.Rounds = o.days
 	}
 	return cfg, nil
 }
 
-func ex5Config(o benchOpts) (experiments.EX5Config, error) {
-	cfg := experiments.EX5Config{Seed: o.seed}
+func ex5Flags(cfg experiments.EX5Config, o benchOpts) (experiments.EX5Config, error) {
 	if o.days > 0 {
 		cfg.Days = o.days
 	}
@@ -121,10 +124,9 @@ func ex5Config(o benchOpts) (experiments.EX5Config, error) {
 	return cfg, nil
 }
 
-// ex6Config appends one arm per -ex6-strategies name, run with default
+// ex6Flags appends one arm per -ex6-strategies name, run with default
 // resilience, to the default arms.
-func ex6Config(o benchOpts) (experiments.EX6Config, error) {
-	cfg := experiments.EX6Config{Seed: o.seed}
+func ex6Flags(cfg experiments.EX6Config, o benchOpts) (experiments.EX6Config, error) {
 	if o.ex6Strategies == "" {
 		return cfg, nil
 	}
@@ -147,8 +149,7 @@ func ex6Config(o benchOpts) (experiments.EX6Config, error) {
 	return cfg, nil
 }
 
-func ex11Config(o benchOpts) (experiments.EX11Config, error) {
-	cfg := experiments.EX11Config{Seed: o.seed}
+func ex11Flags(cfg experiments.EX11Config, o benchOpts) (experiments.EX11Config, error) {
 	if o.profileRuns > 0 {
 		cfg.ProfileRuns = o.profileRuns
 	}
@@ -179,8 +180,8 @@ func run(args []string) error {
 	ex6Strategies := fs.String("ex6-strategies", "", "extra EX-6 arms: comma-separated strategy names (see router.Names), run with default resilience")
 	seed := fs.Uint64("seed", 42, "simulation seed (equal seeds replay exactly)")
 	scale := fs.String("scale", "full", "full | reduced")
-	profileRuns := fs.Int("profile-runs", 0, "EX-5 profiling executions per workload per zone (0 = default)")
-	days := fs.Int("days", 0, "EX-4/EX-5 evaluation days (0 = paper's 14)")
+	profileRuns := fs.Int("profile-runs", 0, "EX-5 profiling executions per workload per zone, and EX-11's warmup profiling runs (0 = the scale's default)")
+	days := fs.Int("days", 0, "EX-4/EX-5 evaluation days (0 = the scale's default: the paper's 14 at full scale)")
 	csvDir := fs.String("csvdir", "", "also write each figure's dataset as CSV into this directory")
 	dumpMetrics := fs.Bool("metrics", false, "dump a Prometheus-text metrics snapshot covering all experiments after the run")
 	if err := fs.Parse(args); err != nil {

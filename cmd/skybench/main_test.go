@@ -146,3 +146,31 @@ func TestRunStudiesDispatch(t *testing.T) {
 		[]string{"fan-out", "client calls", "passive", "frozen day 1", "retries per completion", "hold cost USD"},
 		[]string{"ablations.csv", "tradeoff.csv"})
 }
+
+// TestRunReducedHonoursDays: -days overrides the scale preset, so a
+// reduced EX-4 with -days 2 observes each zone on exactly two rounds.
+func TestRunReducedHonoursDays(t *testing.T) {
+	dir := t.TempDir()
+	if _, err := captureStdout(t, func() error {
+		return run([]string{"-ex", "ex4", "-scale", "reduced", "-days", "2", "-csvdir", dir})
+	}); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, "fig6_polls_to_accuracy.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rounds := map[string]int{}
+	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n")[1:] {
+		zone, _, _ := strings.Cut(line, ",")
+		rounds[zone]++
+	}
+	if len(rounds) == 0 {
+		t.Fatal("no rounds written")
+	}
+	for zone, n := range rounds {
+		if n != 2 {
+			t.Errorf("%s: %d rounds, want 2", zone, n)
+		}
+	}
+}

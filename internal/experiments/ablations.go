@@ -155,13 +155,10 @@ func uniqueFIs(pr sampler.PollResult) int {
 	return len(seen)
 }
 
-// ablationZones is the volatile hop set the routing ablations run over.
-var ablationZones = []string{"us-west-1a", "us-west-1b", "sa-east-1a"}
-
 // routingArm is one arm of a routing ablation: a fresh world in which the
-// workload is profiled over ablationZones and then, on each day, refresh
-// runs and a baseline burst on us-west-1b is followed by a hybrid burst over
-// all three zones. refresh is where the arms of an ablation differ.
+// workload is profiled over hopZones and then, on each day, refresh runs
+// and a baseline burst on baselineAZ is followed by a hybrid burst over all
+// three zones. refresh is where the arms of an ablation differ.
 type routingArm struct {
 	days        int
 	workload    workload.ID
@@ -175,15 +172,12 @@ type routingArm struct {
 // baseline.
 func (a routingArm) savings(seed uint64) (float64, error) {
 	rt, err := core.New(core.Config{
-		Seed:  seed,
-		Epoch: defaultEpoch,
-		SamplerCfg: sampler.Config{
-			Endpoints: 60, PollSize: 222, Branch: 10,
-			InterPollPause: 500 * time.Millisecond,
-		},
-		CloudOpts: cloudsim.Options{HorizonDays: a.days + 2},
-		StoreTTL:  a.storeTTL,
-		SkipMesh:  true,
+		Seed:       seed,
+		Epoch:      defaultEpoch,
+		SamplerCfg: reducedSampler,
+		CloudOpts:  cloudsim.Options{HorizonDays: a.days + 2},
+		StoreTTL:   a.storeTTL,
+		SkipMesh:   true,
 	})
 	if err != nil {
 		return 0, err
@@ -193,7 +187,7 @@ func (a routingArm) savings(seed uint64) (float64, error) {
 	}
 	var baseTotal, hybTotal float64
 	err = rt.Do(func(p *sim.Proc) error {
-		if _, err := rt.ProfileWorkloads(p, []workload.ID{a.workload}, ablationZones, a.profileRuns); err != nil {
+		if _, err := rt.ProfileWorkloads(p, []workload.ID{a.workload}, hopZones, a.profileRuns); err != nil {
 			return err
 		}
 		p.Sleep(6 * time.Minute)
@@ -202,8 +196,8 @@ func (a routingArm) savings(seed uint64) (float64, error) {
 				return err
 			}
 			base, err := rt.Run(p, router.BurstSpec{
-				Strategy: router.Baseline{AZ: "us-west-1b"}, Workload: a.workload,
-				N: 200, Candidates: ablationZones,
+				Strategy: router.Baseline{AZ: baselineAZ}, Workload: a.workload,
+				N: 200, Candidates: hopZones,
 			})
 			if err != nil {
 				return err
@@ -211,7 +205,7 @@ func (a routingArm) savings(seed uint64) (float64, error) {
 			p.Sleep(6 * time.Minute)
 			hyb, err := rt.Run(p, router.BurstSpec{
 				Strategy: router.Hybrid{}, Workload: a.workload,
-				N: 200, Candidates: ablationZones,
+				N: 200, Candidates: hopZones,
 			})
 			if err != nil {
 				return err
@@ -250,7 +244,7 @@ func RunAblationPassive(seed uint64) (AblationPassiveResult, error) {
 	var res AblationPassiveResult
 	arm := routingArm{days: 4, workload: workload.MathService, profileRuns: 600}
 	arm.refresh = func(rt *core.Runtime, p *sim.Proc, _ int) error {
-		cost, err := rt.Refresh(p, ablationZones, 3)
+		cost, err := rt.Refresh(p, hopZones, 3)
 		res.PolledSamplingUSD += cost
 		return err
 	}
@@ -260,7 +254,7 @@ func RunAblationPassive(seed uint64) (AblationPassiveResult, error) {
 	}
 	arm.setup = func(rt *core.Runtime) { rt.EnablePassiveCharacterization(24 * time.Hour) }
 	arm.refresh = func(rt *core.Runtime, _ *sim.Proc, _ int) error {
-		rt.RefreshPassive(ablationZones, 100)
+		rt.RefreshPassive(hopZones, 100)
 		return nil
 	}
 	if res.PassiveSavings, err = arm.savings(seed); err != nil {
@@ -289,7 +283,7 @@ func RunAblationStaleProfile(seed uint64) (AblationStaleResult, error) {
 				if day > 0 && !refreshDaily {
 					return nil
 				}
-				_, err := rt.Refresh(p, ablationZones, 3)
+				_, err := rt.Refresh(p, hopZones, 3)
 				return err
 			},
 		}.savings(seed)

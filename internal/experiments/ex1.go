@@ -19,9 +19,6 @@ type EX1Config struct {
 	// Sleeps and MemoriesMB are the Fig.-3 sweep axes.
 	Sleeps     []time.Duration
 	MemoriesMB []int
-	// SecondAccountPolls is how many polls the independent second account
-	// issues after the first account saturates the zone.
-	SecondAccountPolls int
 	// Sampler overrides the polling configuration (zero = paper scale).
 	Sampler sampler.Config
 }
@@ -39,9 +36,6 @@ func (c EX1Config) withDefaults() EX1Config {
 	if len(c.MemoriesMB) == 0 {
 		c.MemoriesMB = []int{2048, 4096}
 	}
-	if c.SecondAccountPolls == 0 {
-		c.SecondAccountPolls = 3
-	}
 	return c
 }
 
@@ -53,12 +47,13 @@ func (c EX1Config) Reduced() EX1Config {
 	c.AZ = "eu-north-1a"
 	c.Sleeps = []time.Duration{50 * time.Millisecond, 250 * time.Millisecond, time.Second}
 	c.MemoriesMB = []int{2048}
-	c.Sampler = sampler.Config{
-		Endpoints: 60, PollSize: 222, Branch: 10,
-		InterPollPause: 500 * time.Millisecond,
-	}
+	c.Sampler = reducedSampler
 	return c
 }
+
+// secondAccountPolls is how many polls the independent second account
+// issues after the first account saturates the zone.
+const secondAccountPolls = 3
 
 // EX1Result carries Fig.-3 and Fig.-4 data.
 type EX1Result struct {
@@ -115,7 +110,7 @@ func RunEX1(cfg EX1Config) (EX1Result, error) {
 		res.SaturationCostUSD = ch.CostUSD
 		res.ObservedFIs = ch.Samples
 		// ...then immediately poll from the independent account B.
-		for i := 0; i < cfg.SecondAccountPolls; i++ {
+		for i := 0; i < secondAccountPolls; i++ {
 			res.SecondAccount = append(res.SecondAccount, second.Poll(p, cfg.AZ, i))
 		}
 		return nil

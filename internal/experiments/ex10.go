@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"skyfaas/internal/faas"
 	"skyfaas/internal/load"
 	"skyfaas/internal/rng"
 	"skyfaas/internal/sim"
@@ -43,19 +42,10 @@ const (
 // EX10Config parameterizes EX-10.
 type EX10Config struct {
 	Seed uint64
-	// The shared zone, the workload both tenants run, quota and warmup.
+	// The quota and warmup.
 	openLoop
-	// Retry is the client retry policy (default 6 attempts, 50ms base; the
-	// gate keeps in-flight below the provider quota, so it rarely fires).
-	Retry faas.RetryPolicy
 	// Duration is the measured load span per cell (default 30s virtual).
 	Duration time.Duration
-	// VictimMultiple is the steady tenant's offered rate as a fraction of
-	// the gate's estimated capacity (default 0.4).
-	VictimMultiple float64
-	// StormMultiple is the aggressor's offered rate as a multiple of
-	// estimated capacity (default 4 — a sustained throttle storm).
-	StormMultiple float64
 	// VictimSlots / AggressorSlots are the per-tenant concurrency quotas in
 	// the per-tenant arm. The defaults partition the gate's slot limit
 	// (TargetUtil x Quota = 54): 34 slots give the victim's ~22 mean
@@ -64,19 +54,19 @@ type EX10Config struct {
 	AggressorSlots int
 }
 
+const (
+	// ex10VictimMultiple is the steady tenant's offered rate as a fraction
+	// of the gate's estimated capacity.
+	ex10VictimMultiple = 0.4
+	// ex10StormMultiple is the aggressor's offered rate as a multiple of
+	// estimated capacity: a sustained throttle storm.
+	ex10StormMultiple = 4
+)
+
 func (c EX10Config) withDefaults() EX10Config {
 	c.openLoop = c.openLoop.withDefaults()
-	if c.Retry.MaxAttempts == 0 {
-		c.Retry = faas.RetryPolicy{MaxAttempts: 6, BaseBackoff: 50 * time.Millisecond}
-	}
 	if c.Duration == 0 {
 		c.Duration = 30 * time.Second
-	}
-	if c.VictimMultiple == 0 {
-		c.VictimMultiple = 0.4
-	}
-	if c.StormMultiple == 0 {
-		c.StormMultiple = 4
 	}
 	if c.VictimSlots == 0 {
 		c.VictimSlots = 34
@@ -144,7 +134,7 @@ func (r EX10Result) Retention(arm string) float64 {
 func RunEX10(cfg EX10Config) (EX10Result, error) {
 	cfg = cfg.withDefaults()
 	res := EX10Result{
-		Workload: cfg.Workload, Zone: cfg.Zone, Quota: cfg.Quota,
+		Workload: openLoopWorkload, Zone: openLoopZone, Quota: cfg.Quota,
 		VictimSlots: cfg.VictimSlots, AggressorSlots: cfg.AggressorSlots,
 	}
 	for _, arm := range []string{EX10Uncontended, EX10GlobalOnly, EX10PerTenant} {
@@ -165,7 +155,7 @@ func RunEX10(cfg EX10Config) (EX10Result, error) {
 // registry too (nil outside the per-tenant arm).
 func serveEX10(p *sim.Proc, w *openLoopWorld, cfg EX10Config, arm string) (EX10Cell, *tenant.Registry, error) {
 	cell := EX10Cell{Arm: arm, CapacityRPS: w.capacity}
-	w.spec.Retry = cfg.Retry
+	w.spec.Retry = clientRetry
 	// The per-tenant governors, present only in the per-tenant arm. The
 	// registry's explicit-now API takes virtual time, so the same seed
 	// replays the quota decisions bit-identically.
@@ -184,13 +174,13 @@ func serveEX10(p *sim.Proc, w *openLoopWorld, cfg EX10Config, arm string) (EX10C
 	// Each tenant's schedule comes from its own seed stream, so the
 	// aggressor's presence never perturbs the victim's arrival times across
 	// arms.
-	victim, err := constantStream(EX10Victim, cfg.VictimMultiple*w.capacity, cfg.Duration, rng.New(cfg.Seed).Split("ex10/"+EX10Victim), &cell.Victim)
+	victim, err := constantStream(EX10Victim, ex10VictimMultiple*w.capacity, cfg.Duration, rng.New(cfg.Seed).Split("ex10/"+EX10Victim), &cell.Victim)
 	if err != nil {
 		return cell, nil, err
 	}
 	streams := []*stream{victim}
 	if arm != EX10Uncontended {
-		storm, err := constantStream(EX10Aggressor, cfg.StormMultiple*w.capacity, cfg.Duration, rng.New(cfg.Seed).Split("ex10/"+EX10Aggressor), &cell.Aggressor)
+		storm, err := constantStream(EX10Aggressor, ex10StormMultiple*w.capacity, cfg.Duration, rng.New(cfg.Seed).Split("ex10/"+EX10Aggressor), &cell.Aggressor)
 		if err != nil {
 			return cell, nil, err
 		}

@@ -55,54 +55,51 @@ func EX11Arms() []string {
 // EX11Config parameterizes EX-11.
 type EX11Config struct {
 	Seed uint64
-	// The served zone, the workload the curve runs, quota and warmup.
+	// The quota and warmup.
 	openLoop
-	// KeepAlive is the platform's idle-instance retention (default 60s —
-	// compressed below the diurnal trough so pools actually drain, the
-	// regime the paper's cold-start numbers live in).
-	KeepAlive time.Duration
-	// PeakRPS / BaseRPS / Period / Cycles shape the square wave: each
-	// Period spends its first half at BaseRPS (the trough) and its second
-	// half at PeakRPS (the plateau), Cycles times (defaults 10 rps,
-	// PeakRPS/20, 12m, 4). The near-silent trough is the point: it must
-	// outlast KeepAlive so pools drain, and the vertical edge rewards the
-	// policy's foresight (or punishes its lack). The first cycle trains
-	// the forecaster and is excluded from measurement.
+	// PeakRPS / Period / Cycles shape the square wave: each Period spends
+	// its first half at a trough of PeakRPS/20 and its second half at
+	// PeakRPS (the plateau), Cycles times (defaults 10 rps, 12m, 4). The
+	// near-silent trough is the point: it must outlast ex11KeepAlive so
+	// pools drain, and the vertical edge rewards the policy's foresight (or
+	// punishes its lack). The first cycle trains the forecaster and is
+	// excluded from measurement.
 	PeakRPS float64
-	BaseRPS float64
 	Period  time.Duration
 	Cycles  int
-	// TickEvery / Window / Lead tune the maintainer (defaults 20s / 30s /
-	// 90s; the season is always Period).
+	// TickEvery / Lead tune the maintainer (defaults 20s / 90s; the
+	// season is always Period).
 	TickEvery time.Duration
-	Window    time.Duration
 	Lead      time.Duration
-	// Gamma is the forecaster's seasonal learning rate (default 0.65 —
-	// higher than the production default because the experiment compresses
-	// a day into minutes and grants the forecaster only one training pass
-	// over the season before measurement starts).
-	Gamma float64
 	// Floor is the pinned policy's fixed warm floor (default 12 — peak
 	// concurrency at the default curve).
 	Floor int
-	// RatePerHour / Cap tune the USD budget governor (defaults 0.50/1.00).
-	RatePerHour float64
-	Cap         float64
-	// SpikeMagnitude is the chaos cold-start multiplier in the spike cells
-	// (default 8).
-	SpikeMagnitude float64
 }
+
+const (
+	// ex11KeepAlive is the platform's idle-instance retention: compressed
+	// below the diurnal trough so pools actually drain, the regime the
+	// paper's cold-start numbers live in.
+	ex11KeepAlive = time.Minute
+	// ex11Window is the forecaster's bucket width.
+	ex11Window = 30 * time.Second
+	// ex11Gamma is the forecaster's seasonal learning rate: higher than the
+	// production default because the experiment compresses a day into
+	// minutes and grants the forecaster only one training pass over the
+	// season before measurement starts.
+	ex11Gamma = 0.65
+	// ex11RatePerHour / ex11Cap tune the USD budget governor.
+	ex11RatePerHour = 0.50
+	ex11Cap         = 1.00
+	// ex11SpikeMagnitude is the chaos cold-start multiplier in the spike
+	// cells.
+	ex11SpikeMagnitude = 8
+)
 
 func (c EX11Config) withDefaults() EX11Config {
 	c.openLoop = c.openLoop.withDefaults()
-	if c.KeepAlive == 0 {
-		c.KeepAlive = time.Minute
-	}
 	if c.PeakRPS == 0 {
 		c.PeakRPS = 10
-	}
-	if c.BaseRPS == 0 {
-		c.BaseRPS = c.PeakRPS / 20
 	}
 	if c.Period == 0 {
 		c.Period = 12 * time.Minute
@@ -113,26 +110,11 @@ func (c EX11Config) withDefaults() EX11Config {
 	if c.TickEvery == 0 {
 		c.TickEvery = 20 * time.Second
 	}
-	if c.Window == 0 {
-		c.Window = 30 * time.Second
-	}
 	if c.Lead == 0 {
 		c.Lead = 90 * time.Second
 	}
-	if c.Gamma == 0 {
-		c.Gamma = 0.65
-	}
 	if c.Floor == 0 {
 		c.Floor = 12
-	}
-	if c.RatePerHour == 0 {
-		c.RatePerHour = 0.50
-	}
-	if c.Cap == 0 {
-		c.Cap = 1.00
-	}
-	if c.SpikeMagnitude == 0 {
-		c.SpikeMagnitude = 8
 	}
 	return c
 }
@@ -143,7 +125,6 @@ func (c EX11Config) Reduced() EX11Config {
 	c = c.withDefaults()
 	c.openLoop = c.openLoop.reduced()
 	c.PeakRPS = 6
-	c.BaseRPS = 0.3
 	c.Period = 6 * time.Minute
 	c.Cycles = 3
 	c.TickEvery = 15 * time.Second
@@ -187,15 +168,17 @@ func (r EX11Result) Cell(arm string) (EX11Cell, bool) {
 	return findCell(r.Cells, func(c EX11Cell) bool { return c.Arm == arm })
 }
 
-// ex11Streams builds the square wave (each Period at BaseRPS, then PeakRPS)
-// as the first cycle, which trains the forecaster, and the measured rest.
-// Each half-period segment draws from its own derived stream so the
-// schedule is independent of how other segments consume randomness.
+// ex11Streams builds the square wave (each Period at PeakRPS/20, then
+// PeakRPS) as the first cycle, which trains the forecaster, and the
+// measured rest. Each half-period segment draws from its own derived stream
+// so the schedule is independent of how other segments consume randomness.
+// The trough divides rather than multiplies by 0.05, so the reduced trough
+// is exactly the double 0.3 (6*0.05 is not).
 func ex11Streams(cfg EX11Config, r *rng.Stream) (train, measured *stream, err error) {
 	streams := []*stream{{}, {}}
 	half := cfg.Period / 2
 	for cyc := 0; cyc < cfg.Cycles; cyc++ {
-		for i, rate := range []float64{cfg.BaseRPS, cfg.PeakRPS} {
+		for i, rate := range []float64{cfg.PeakRPS / 20, cfg.PeakRPS} {
 			seg, err := constantStream("", rate, half, r.SplitIndexed("seg", cyc*2+i), nil)
 			if err != nil {
 				return nil, nil, err
@@ -216,42 +199,42 @@ func ex11Streams(cfg EX11Config, r *rng.Stream) (train, measured *stream, err er
 func RunEX11(cfg EX11Config) (EX11Result, error) {
 	cfg = cfg.withDefaults()
 	res := EX11Result{
-		Workload: cfg.Workload, Zone: cfg.Zone,
+		Workload: openLoopWorkload, Zone: openLoopZone,
 		PeakRPS: cfg.PeakRPS, Period: cfg.Period, Cycles: cfg.Cycles,
 	}
 	var capacity float64
 	for _, arm := range EX11Arms() {
 		mode, spike := warmpool.Mode(strings.TrimSuffix(arm, "-spike")), strings.HasSuffix(arm, "-spike")
 		cell := EX11Cell{Arm: arm, Mode: mode, Spike: spike}
-		err := cfg.runCell(cfg.Seed, cfg.KeepAlive, &capacity, func(p *sim.Proc, w *openLoopWorld) error {
+		err := cfg.runCell(cfg.Seed, ex11KeepAlive, &capacity, func(p *sim.Proc, w *openLoopWorld) error {
 			// The admission gate is not consulted: its service-time estimate
 			// is the sizer's input.
 			m, err := w.rt.EnableWarmPool(warmpool.Config{
-				Zones:       []string{cfg.Zone},
+				Zones:       []string{openLoopZone},
 				Mode:        mode,
 				TickEvery:   cfg.TickEvery,
-				Window:      cfg.Window,
+				Window:      ex11Window,
 				Season:      cfg.Period,
 				Lead:        cfg.Lead,
-				Gamma:       cfg.Gamma,
+				Gamma:       ex11Gamma,
 				Floor:       cfg.Floor,
-				RatePerHour: cfg.RatePerHour,
-				Cap:         cfg.Cap,
-			}, cfg.Workload)
+				RatePerHour: ex11RatePerHour,
+				Cap:         ex11Cap,
+			}, openLoopWorkload)
 			if err != nil {
 				return err
 			}
 			m.Start()
 			if spike {
 				// The spike covers every measured cycle: each cold start the
-				// policy fails to prevent now pays SpikeMagnitude times the
-				// usual initialization.
+				// policy fails to prevent now pays ex11SpikeMagnitude times
+				// the usual initialization.
 				if _, err := w.rt.Chaos().Inject(chaos.Fault{
 					Kind:      chaos.ColdStartSpike,
-					AZ:        cfg.Zone,
+					AZ:        openLoopZone,
 					Start:     cfg.Period,
 					Duration:  time.Duration(cfg.Cycles-1) * cfg.Period,
-					Magnitude: cfg.SpikeMagnitude,
+					Magnitude: ex11SpikeMagnitude,
 				}); err != nil {
 					return err
 				}
@@ -263,7 +246,7 @@ func RunEX11(cfg EX11Config) (EX11Result, error) {
 			// The forecaster's signal is every arrival, observed as it lands
 			// (skyd wires this to the router's traffic feed). Only the cycles
 			// after the first are measured.
-			observe := func() { m.ObserveTraffic(cfg.Zone, 1) }
+			observe := func() { m.ObserveTraffic(openLoopZone, 1) }
 			train.onArrival, measured.onArrival = observe, observe
 			measured.onServed = func(resp cloudsim.Response) {
 				if resp.Cold {
@@ -315,8 +298,8 @@ func (r EX11Result) Render() string {
 	}
 	if rs, ok := r.Cell(EX11ReactiveSpike); ok {
 		if ps, ok2 := r.Cell(EX11PredictiveSpike); ok2 {
-			out += fmt.Sprintf("under an 8x cold-start spike the served p99 gap widens: reactive %.0f ms vs predictive %.0f ms\n",
-				rs.Latency.P99, ps.Latency.P99)
+			out += fmt.Sprintf("under an %dx cold-start spike the served p99 gap widens: reactive %.0f ms vs predictive %.0f ms\n",
+				ex11SpikeMagnitude, rs.Latency.P99, ps.Latency.P99)
 		}
 	}
 	return out

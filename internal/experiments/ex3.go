@@ -32,10 +32,7 @@ func (c EX3Config) withDefaults() EX3Config {
 // Reduced returns a benchmark-scale EX-3 (four zones, small polls).
 func (c EX3Config) Reduced() EX3Config {
 	c.AZs = []string{"eu-north-1a", "us-east-2a", "us-east-2b", "us-west-1a"}
-	c.Sampler = sampler.Config{
-		Endpoints: 60, PollSize: 222, Branch: 10,
-		InterPollPause: 500 * time.Millisecond,
-	}
+	c.Sampler = reducedSampler
 	return c
 }
 

@@ -20,21 +20,23 @@ type EX4Config struct {
 	AZs []string
 	// Rounds is the number of daily observations (default 14).
 	Rounds int
-	// CadenceHours separates observations (default 22, shifting the poll
-	// time across the day as in the paper).
-	CadenceHours int
-	// HourlyAZ gets the 24-hour high-frequency run (default us-west-1b;
-	// empty string disables it).
-	HourlyAZ string
 	// HourlyRounds is the number of hourly observations (default 24).
 	HourlyRounds int
-	// HourlyPolls is the sampling depth of each hourly observation
-	// (default 12 — deep enough that two independent estimates of an
-	// unchanged pool agree within a few percent).
-	HourlyPolls int
 	// Sampler overrides the polling configuration.
 	Sampler sampler.Config
 }
+
+const (
+	// ex4CadenceHours separates daily observations: 22 hours shifts the
+	// poll time across the day, as in the paper.
+	ex4CadenceHours = 22
+	// ex4HourlyAZ gets the 24-hour high-frequency run.
+	ex4HourlyAZ = "us-west-1b"
+	// ex4HourlyPolls is the sampling depth of each hourly observation:
+	// deep enough that two independent estimates of an unchanged pool
+	// agree within a few percent.
+	ex4HourlyPolls = 12
+)
 
 func (c EX4Config) withDefaults() EX4Config {
 	if len(c.AZs) == 0 {
@@ -43,17 +45,8 @@ func (c EX4Config) withDefaults() EX4Config {
 	if c.Rounds == 0 {
 		c.Rounds = 14
 	}
-	if c.CadenceHours == 0 {
-		c.CadenceHours = 22
-	}
-	if c.HourlyAZ == "" {
-		c.HourlyAZ = "us-west-1b"
-	}
 	if c.HourlyRounds == 0 {
 		c.HourlyRounds = 24
-	}
-	if c.HourlyPolls == 0 {
-		c.HourlyPolls = 12
 	}
 	return c
 }
@@ -63,12 +56,8 @@ func (c EX4Config) Reduced() EX4Config {
 	c = c.withDefaults()
 	c.AZs = []string{"us-west-1a", "sa-east-1a"}
 	c.Rounds = 5
-	c.HourlyAZ = "us-west-1b"
 	c.HourlyRounds = 6
-	c.Sampler = sampler.Config{
-		Endpoints: 60, PollSize: 222, Branch: 10,
-		InterPollPause: 500 * time.Millisecond,
-	}
+	c.Sampler = reducedSampler
 	return c
 }
 
@@ -105,7 +94,7 @@ type EX4Result struct {
 // RunEX4 executes EX-4.
 func RunEX4(cfg EX4Config) (EX4Result, error) {
 	cfg = cfg.withDefaults()
-	horizon := cfg.Rounds*cfg.CadenceHours/24 + 3
+	horizon := cfg.Rounds*ex4CadenceHours/24 + 3
 	rt, err := newRuntime(cfg.Seed, horizon, cfg.Sampler)
 	if err != nil {
 		return EX4Result{}, err
@@ -113,7 +102,7 @@ func RunEX4(cfg EX4Config) (EX4Result, error) {
 	res := EX4Result{
 		ByZone:   make(map[string][]EX4Round, len(cfg.AZs)),
 		Zones:    cfg.AZs,
-		HourlyAZ: cfg.HourlyAZ,
+		HourlyAZ: ex4HourlyAZ,
 	}
 	err = rt.Do(func(p *sim.Proc) error {
 		for _, az := range cfg.AZs {
@@ -131,7 +120,7 @@ func RunEX4(cfg EX4Config) (EX4Result, error) {
 				res.ByZone[az] = append(res.ByZone[az], analyzeRound(round, ch, trail))
 			}
 			if round < cfg.Rounds-1 {
-				p.Sleep(time.Duration(cfg.CadenceHours) * time.Hour)
+				p.Sleep(ex4CadenceHours * time.Hour)
 			}
 		}
 		// Fill APEVsDay1 from each zone's first round.
@@ -149,31 +138,29 @@ func RunEX4(cfg EX4Config) (EX4Result, error) {
 		// Fig. 8: hourly sampling of one volatile zone. The 24-hour window
 		// is aligned to start just after a daily reprovisioning boundary so
 		// it measures intra-day behaviour, not the day-boundary jump.
-		if cfg.HourlyAZ != "" {
-			if err := rt.EnsureSamplerEndpoints(cfg.HourlyAZ); err != nil {
-				return err
+		if err := rt.EnsureSamplerEndpoints(ex4HourlyAZ); err != nil {
+			return err
+		}
+		day := 24 * time.Hour
+		sinceBoundary := rt.Env().Elapsed() % day
+		p.Sleep(day - sinceBoundary + 5*time.Minute)
+		var dists []charact.Dist
+		for h := 0; h < cfg.HourlyRounds; h++ {
+			ch, _, err := rt.Sampler().CharacterizeQuick(p, ex4HourlyAZ, ex4HourlyPolls)
+			if err != nil {
+				return fmt.Errorf("hourly %d: %w", h, err)
 			}
-			day := 24 * time.Hour
-			sinceBoundary := rt.Env().Elapsed() % day
-			p.Sleep(day - sinceBoundary + 5*time.Minute)
-			var dists []charact.Dist
-			for h := 0; h < cfg.HourlyRounds; h++ {
-				ch, _, err := rt.Sampler().CharacterizeQuick(p, cfg.HourlyAZ, cfg.HourlyPolls)
-				if err != nil {
-					return fmt.Errorf("hourly %d: %w", h, err)
-				}
-				res.TotalCost += ch.CostUSD
-				dists = append(dists, ch.Dist())
-				if h < cfg.HourlyRounds-1 {
-					p.Sleep(time.Hour)
-				}
+			res.TotalCost += ch.CostUSD
+			dists = append(dists, ch.Dist())
+			if h < cfg.HourlyRounds-1 {
+				p.Sleep(time.Hour)
 			}
-			if len(dists) > 0 {
-				res.HourlyAPE = charact.StabilitySeries(dists[0], dists)
-				for _, v := range res.HourlyAPE {
-					if v <= 10 {
-						res.HourlyWithin10++
-					}
+		}
+		if len(dists) > 0 {
+			res.HourlyAPE = charact.StabilitySeries(dists[0], dists)
+			for _, v := range res.HourlyAPE {
+				if v <= 10 {
+					res.HourlyWithin10++
 				}
 			}
 		}

@@ -18,17 +18,10 @@ import (
 // Figs. 9-11 and the headline savings).
 type EX5Config struct {
 	Seed uint64
-	// ProfileZones are profiled per workload (default: the EX-4 five).
-	ProfileZones []string
 	// ProfileRuns is per-workload-per-zone profiling executions. The paper
 	// used 10,000; the default here is 2,000, which pins per-CPU means to
 	// well under 1% standard error at a fraction of the compute.
 	ProfileRuns int
-	// BaselineAZ anchors the fixed-zone comparisons (paper: us-west-1b).
-	BaselineAZ string
-	// HopZones are the region-hopping candidates (paper: us-west-1a,
-	// us-west-1b, sa-east-1a).
-	HopZones []string
 	// Days is the evaluation span (default 14).
 	Days int
 	// BurstN is the invocations per burst (default 1,000).
@@ -43,17 +36,8 @@ type EX5Config struct {
 }
 
 func (c EX5Config) withDefaults() EX5Config {
-	if len(c.ProfileZones) == 0 {
-		c.ProfileZones = EX4Zones()
-	}
 	if c.ProfileRuns == 0 {
 		c.ProfileRuns = 2000
-	}
-	if c.BaselineAZ == "" {
-		c.BaselineAZ = "us-west-1b"
-	}
-	if len(c.HopZones) == 0 {
-		c.HopZones = []string{"us-west-1a", "us-west-1b", "sa-east-1a"}
 	}
 	if c.Days == 0 {
 		c.Days = 14
@@ -78,10 +62,7 @@ func (c EX5Config) Reduced() EX5Config {
 	c.BurstN = 200
 	c.RefreshPolls = 3
 	c.Workloads = []workload.ID{workload.Zipper, workload.LogisticRegression, workload.GraphBFS}
-	c.Sampler = sampler.Config{
-		Endpoints: 60, PollSize: 222, Branch: 10,
-		InterPollPause: 500 * time.Millisecond,
-	}
+	c.Sampler = reducedSampler
 	return c
 }
 
@@ -179,12 +160,12 @@ func RunEX5(cfg EX5Config) (EX5Result, error) {
 	}
 	res := EX5Result{
 		NormalizedPerf:   make(map[workload.ID]map[cpu.Kind]float64, len(cfg.Workloads)),
-		ZipperAZ:         cfg.BaselineAZ,
+		ZipperAZ:         baselineAZ,
 		HybridByWorkload: make(map[workload.ID]SavingsSeries, len(cfg.Workloads)),
 	}
 	err = rt.Do(func(p *sim.Proc) error {
-		// Step 1 — baseline profiling (Fig. 9).
-		profileCost, err := rt.ProfileWorkloads(p, cfg.Workloads, cfg.ProfileZones, cfg.ProfileRuns)
+		// Step 1 — baseline profiling (Fig. 9) over EX-4's five zones.
+		profileCost, err := rt.ProfileWorkloads(p, cfg.Workloads, EX4Zones(), cfg.ProfileRuns)
 		if err != nil {
 			return err
 		}
@@ -218,7 +199,7 @@ func RunEX5(cfg EX5Config) (EX5Result, error) {
 				Strategy:   strat,
 				Workload:   w,
 				N:          cfg.BurstN,
-				Candidates: cfg.HopZones,
+				Candidates: hopZones,
 			})
 			if err != nil {
 				return StrategyDay{}, err
@@ -229,14 +210,14 @@ func RunEX5(cfg EX5Config) (EX5Result, error) {
 
 		// Step 2 — the two-week routed evaluation.
 		for day := 0; day < cfg.Days; day++ {
-			cost, err := rt.Refresh(p, cfg.HopZones, cfg.RefreshPolls)
+			cost, err := rt.Refresh(p, hopZones, cfg.RefreshPolls)
 			if err != nil {
 				return err
 			}
 			res.SamplingSpendUSD += cost
 
 			for _, w := range cfg.Workloads {
-				base, err := burst(day, router.Baseline{AZ: cfg.BaselineAZ}, w)
+				base, err := burst(day, router.Baseline{AZ: baselineAZ}, w)
 				if err != nil {
 					return err
 				}
@@ -249,11 +230,11 @@ func RunEX5(cfg EX5Config) (EX5Result, error) {
 				s.Days = append(s.Days, hyb)
 
 				if w == workload.Zipper {
-					slow, err := burst(day, router.RetrySlow{AZ: cfg.BaselineAZ}, w)
+					slow, err := burst(day, router.RetrySlow{AZ: baselineAZ}, w)
 					if err != nil {
 						return err
 					}
-					focus, err := burst(day, router.FocusFastest{AZ: cfg.BaselineAZ}, w)
+					focus, err := burst(day, router.FocusFastest{AZ: baselineAZ}, w)
 					if err != nil {
 						return err
 					}

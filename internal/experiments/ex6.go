@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"skyfaas/internal/chaos"
+	"skyfaas/internal/core"
 	"skyfaas/internal/faas"
 	"skyfaas/internal/router"
 	"skyfaas/internal/sampler"
@@ -63,10 +64,6 @@ func EX6Scenarios() []string {
 // EX6Config parameterizes EX-6.
 type EX6Config struct {
 	Seed uint64
-	// HopZones are the candidate zones (default: EX-5's three).
-	HopZones []string
-	// Workload under test (default zipper).
-	Workload workload.ID
 	// BurstN is invocations per burst (default 400 — comfortably under the
 	// 1,000-slot per-region concurrency quota even after the hybrid
 	// strategy's CPU-retry amplification, so calm cells measure routing,
@@ -76,24 +73,17 @@ type EX6Config struct {
 	ProfileRuns int
 	// RefreshPolls is the characterization depth (default 6).
 	RefreshPolls int
-	// StormRate is the throttle-storm rejection probability (default 0.75:
-	// three bounded attempts then survive ~58% of the time).
-	StormRate float64
 	// Arms overrides the policy ladder (default DefaultEX6Arms).
 	Arms []EX6Arm
-	// Scenarios overrides the chaos list (default EX6Scenarios).
-	Scenarios []string
 	// Sampler overrides the polling configuration.
 	Sampler sampler.Config
 }
 
+// ex6StormRate is the throttle-storm rejection probability: three bounded
+// attempts then survive ~58% of the time.
+const ex6StormRate = 0.75
+
 func (c EX6Config) withDefaults() EX6Config {
-	if len(c.HopZones) == 0 {
-		c.HopZones = []string{"us-west-1a", "us-west-1b", "sa-east-1a"}
-	}
-	if c.Workload == 0 {
-		c.Workload = workload.Zipper
-	}
 	if c.BurstN == 0 {
 		c.BurstN = 400
 	}
@@ -103,14 +93,8 @@ func (c EX6Config) withDefaults() EX6Config {
 	if c.RefreshPolls == 0 {
 		c.RefreshPolls = 6
 	}
-	if c.StormRate == 0 {
-		c.StormRate = 0.75
-	}
 	if len(c.Arms) == 0 {
 		c.Arms = DefaultEX6Arms()
-	}
-	if len(c.Scenarios) == 0 {
-		c.Scenarios = EX6Scenarios()
 	}
 	return c
 }
@@ -121,10 +105,7 @@ func (c EX6Config) Reduced() EX6Config {
 	c.BurstN = 150
 	c.ProfileRuns = 450
 	c.RefreshPolls = 3
-	c.Sampler = sampler.Config{
-		Endpoints: 60, PollSize: 222, Branch: 10,
-		InterPollPause: 500 * time.Millisecond,
-	}
+	c.Sampler = reducedSampler
 	return c
 }
 
@@ -156,21 +137,16 @@ type EX6Result struct {
 
 // Cell returns the (scenario, arm) measurement.
 func (r EX6Result) Cell(scenario, arm string) (EX6Cell, bool) {
-	for _, c := range r.Cells {
-		if c.Scenario == scenario && c.Arm == arm {
-			return c, true
-		}
-	}
-	return EX6Cell{}, false
+	return findCell(r.Cells, func(c EX6Cell) bool { return c.Scenario == scenario && c.Arm == arm })
 }
 
 // scenarioFor builds the chaos scenario aimed at az ("calm" = none).
-func scenarioFor(name, az string, stormRate float64) (chaos.Scenario, bool, error) {
+func scenarioFor(name, az string) (chaos.Scenario, bool, error) {
 	switch name {
 	case "calm":
 		return chaos.Scenario{}, false, nil
 	case "throttle-storm":
-		return chaos.ThrottleStormScenario(az, stormRate), true, nil
+		return chaos.ThrottleStormScenario(az, ex6StormRate), true, nil
 	default:
 		sc, ok := chaos.ScenarioByName(name, az)
 		if !ok {
@@ -183,8 +159,8 @@ func scenarioFor(name, az string, stormRate float64) (chaos.Scenario, bool, erro
 // RunEX6 executes EX-6.
 func RunEX6(cfg EX6Config) (EX6Result, error) {
 	cfg = cfg.withDefaults()
-	res := EX6Result{Workload: cfg.Workload}
-	for _, scenario := range cfg.Scenarios {
+	res := EX6Result{Workload: favouriteWorkload}
+	for _, scenario := range EX6Scenarios() {
 		for _, arm := range cfg.Arms {
 			cell, err := runEX6Cell(cfg, scenario, arm)
 			if err != nil {
@@ -196,6 +172,38 @@ func RunEX6(cfg EX6Config) (EX6Result, error) {
 	return res, nil
 }
 
+// favouriteWorkload is the workload EX-6 and EX-7 route: zipper, the
+// workload of EX-5's fixed-zone comparison (Fig. 10).
+const favouriteWorkload = workload.Zipper
+
+// hybridFavourite is the prelude EX-6 and EX-7 share on a fresh world:
+// characterize hopZones polls deep, profile favouriteWorkload over them,
+// let the instances expire, probe which zone the hybrid strategy prefers,
+// and let the probe's instances expire too. It returns that zone, where
+// each experiment then aims its chaos — a fault on a zone nobody routes
+// to proves nothing.
+func hybridFavourite(rt *core.Runtime, p *sim.Proc, polls, profileRuns int) (string, error) {
+	if _, err := rt.Refresh(p, hopZones, polls); err != nil {
+		return "", err
+	}
+	if _, err := rt.ProfileWorkloads(p, []workload.ID{favouriteWorkload}, hopZones, profileRuns); err != nil {
+		return "", err
+	}
+	cooldown := rt.Cloud().Options().KeepAlive + time.Minute
+	p.Sleep(cooldown)
+	probe, err := rt.Run(p, router.BurstSpec{
+		Strategy:   router.Hybrid{},
+		Workload:   favouriteWorkload,
+		N:          50,
+		Candidates: hopZones,
+	})
+	if err != nil {
+		return "", err
+	}
+	p.Sleep(cooldown)
+	return probe.AZ, nil
+}
+
 // runEX6Cell measures one (scenario, arm) pair in a fresh runtime, so
 // breaker state, drift damage, and warm pools never leak between cells.
 func runEX6Cell(cfg EX6Config, scenario string, arm EX6Arm) (EX6Cell, error) {
@@ -205,31 +213,12 @@ func runEX6Cell(cfg EX6Config, scenario string, arm EX6Arm) (EX6Cell, error) {
 	}
 	cell := EX6Cell{Scenario: scenario, Arm: arm.Label}
 	err = rt.Do(func(p *sim.Proc) error {
-		if _, err := rt.Refresh(p, cfg.HopZones, cfg.RefreshPolls); err != nil {
-			return err
-		}
-		if _, err := rt.ProfileWorkloads(p, []workload.ID{cfg.Workload}, cfg.HopZones, cfg.ProfileRuns); err != nil {
-			return err
-		}
-		keepAlive := rt.Cloud().Options().KeepAlive
-		p.Sleep(keepAlive + time.Minute)
-
-		// Probe which zone hybrid prefers so the chaos lands exactly
-		// where smart routing wants to be — a storm on a zone nobody
-		// picks proves nothing.
-		probe, err := rt.Run(p, router.BurstSpec{
-			Strategy:   router.Hybrid{},
-			Workload:   cfg.Workload,
-			N:          50,
-			Candidates: cfg.HopZones,
-		})
+		target, err := hybridFavourite(rt, p, cfg.RefreshPolls, cfg.ProfileRuns)
 		if err != nil {
 			return err
 		}
-		cell.TargetAZ = probe.AZ
-		p.Sleep(keepAlive + time.Minute)
-
-		sc, armed, err := scenarioFor(scenario, cell.TargetAZ, cfg.StormRate)
+		cell.TargetAZ = target
+		sc, armed, err := scenarioFor(scenario, target)
 		if err != nil {
 			return err
 		}
@@ -244,7 +233,7 @@ func runEX6Cell(cfg EX6Config, scenario string, arm EX6Arm) (EX6Cell, error) {
 
 		spec := arm.Strategy
 		if spec.AZ == "" {
-			spec.AZ = cell.TargetAZ
+			spec.AZ = target
 		}
 		strat, err := router.Build(spec,
 			router.WithLocator(router.NewZoneLocator(rt.Cloud())),
@@ -254,9 +243,9 @@ func runEX6Cell(cfg EX6Config, scenario string, arm EX6Arm) (EX6Cell, error) {
 		}
 		r, err := rt.Run(p, router.BurstSpec{
 			Strategy:   strat,
-			Workload:   cfg.Workload,
+			Workload:   favouriteWorkload,
 			N:          cfg.BurstN,
-			Candidates: cfg.HopZones,
+			Candidates: hopZones,
 			Resilience: arm.Resilience,
 		})
 		if err != nil {

@@ -65,85 +65,53 @@ func DefaultEX7Arms() []EX7Arm {
 // EX7Config parameterizes EX-7.
 type EX7Config struct {
 	Seed uint64
-	// HopZones are the candidate zones (default: EX-5's three).
-	HopZones []string
-	// Workload under test (default zipper).
-	Workload workload.ID
 	// BurstN is invocations per measured burst (default 300).
 	BurstN int
 	// Bursts is the number of measured bursts (default 10).
 	Bursts int
-	// BurstEvery is the gap between bursts (default 12m — past the 5m
-	// keep-alive, so each burst's placements re-sample the, possibly
-	// drifted, idle pool).
-	BurstEvery time.Duration
 	// ProfileRuns is per-zone profiling executions (default 2,000).
 	ProfileRuns int
 	// InitPolls is the initial characterization depth (default 6).
 	InitPolls int
-	// RefreshPolls is the maintainer's re-characterization depth
-	// (default 3).
-	RefreshPolls int
-	// DriftMagnitude is the chaos drift-burst idle-pool replacement
-	// fraction (default 0.9).
-	DriftMagnitude float64
-	// DriftStep is the burst's mix-walk step (default 1.0 — a hard regime
-	// change, not gentle churn).
-	DriftStep float64
-	// DriftEvery is the poisoning repetition period. The default (the whole
-	// measurement span) fires exactly one burst: a persistent regime change
-	// the stale model stays wrong about, which is the failure mode refresh
-	// exists to catch. Short periods instead model churn faster than any
-	// sampler can track, where no policy can win.
-	DriftEvery time.Duration
-	// PassiveWindow is the passive collector's sliding window (default
-	// 30m: about two burst intervals of evidence).
-	PassiveWindow time.Duration
-	// Arms overrides the policy ladder (default DefaultEX7Arms).
-	Arms []EX7Arm
 	// Sampler overrides the polling configuration.
 	Sampler sampler.Config
 }
 
+const (
+	// ex7BurstEvery is the gap between bursts: past the 5m keep-alive, so
+	// each burst's placements re-sample the, possibly drifted, idle pool.
+	ex7BurstEvery = 12 * time.Minute
+	// ex7RefreshPolls is the maintainer's re-characterization depth.
+	ex7RefreshPolls = 3
+	// ex7DriftMagnitude is the chaos drift-burst idle-pool replacement
+	// fraction, and ex7DriftStep its mix-walk step: a hard regime change,
+	// not gentle churn.
+	ex7DriftMagnitude = 0.9
+	ex7DriftStep      = 1.0
+	// ex7DriftEvery is the poisoning repetition period: the full-scale
+	// measurement span of (10+1) burst gaps, so it fires exactly one burst
+	// at either scale. That is a persistent regime change the stale model
+	// stays wrong about, the failure mode refresh exists to catch. Short
+	// periods instead model churn faster than any sampler can track, where
+	// no policy can win.
+	ex7DriftEvery = 11 * ex7BurstEvery
+	// ex7PassiveWindow is the passive collector's sliding window: about
+	// two burst intervals of evidence.
+	ex7PassiveWindow = 30 * time.Minute
+)
+
 func (c EX7Config) withDefaults() EX7Config {
-	if len(c.HopZones) == 0 {
-		c.HopZones = []string{"us-west-1a", "us-west-1b", "sa-east-1a"}
-	}
-	if c.Workload == 0 {
-		c.Workload = workload.Zipper
-	}
 	if c.BurstN == 0 {
 		c.BurstN = 300
 	}
 	if c.Bursts == 0 {
 		c.Bursts = 10
 	}
-	if c.BurstEvery == 0 {
-		c.BurstEvery = 12 * time.Minute
-	}
 	if c.ProfileRuns == 0 {
 		c.ProfileRuns = 2000
 	}
 	if c.InitPolls == 0 {
 		c.InitPolls = 6
-	}
-	if c.RefreshPolls == 0 {
-		c.RefreshPolls = 3
-	}
-	if c.DriftMagnitude == 0 {
-		c.DriftMagnitude = 0.9
-	}
-	if c.DriftStep == 0 {
-		c.DriftStep = 1.0
-	}
-	if c.DriftEvery == 0 {
-		c.DriftEvery = time.Duration(c.Bursts+1) * c.BurstEvery
-	}
-	if c.PassiveWindow == 0 {
-		c.PassiveWindow = 30 * time.Minute
-	}
-	if len(c.Arms) == 0 {
-		c.Arms = DefaultEX7Arms()
 	}
 	return c
 }
@@ -155,10 +123,7 @@ func (c EX7Config) Reduced() EX7Config {
 	c.Bursts = 8
 	c.ProfileRuns = 450
 	c.InitPolls = 3
-	c.Sampler = sampler.Config{
-		Endpoints: 60, PollSize: 222, Branch: 10,
-		InterPollPause: 500 * time.Millisecond,
-	}
+	c.Sampler = reducedSampler
 	return c
 }
 
@@ -191,19 +156,14 @@ type EX7Result struct {
 
 // Cell returns the named arm's measurement.
 func (r EX7Result) Cell(arm string) (EX7Cell, bool) {
-	for _, c := range r.Cells {
-		if c.Arm == arm {
-			return c, true
-		}
-	}
-	return EX7Cell{}, false
+	return findCell(r.Cells, func(c EX7Cell) bool { return c.Arm == arm })
 }
 
 // RunEX7 executes EX-7.
 func RunEX7(cfg EX7Config) (EX7Result, error) {
 	cfg = cfg.withDefaults()
-	res := EX7Result{Workload: cfg.Workload}
-	for _, arm := range cfg.Arms {
+	res := EX7Result{Workload: favouriteWorkload}
+	for _, arm := range DefaultEX7Arms() {
 		cell, err := runEX7Cell(cfg, arm)
 		if err != nil {
 			return EX7Result{}, fmt.Errorf("ex7: %s: %w", arm.Label, err)
@@ -221,10 +181,10 @@ func runEX7Cell(cfg EX7Config, arm EX7Arm) (EX7Cell, error) {
 	if err != nil {
 		return EX7Cell{}, err
 	}
-	rt.EnablePassiveCharacterization(cfg.PassiveWindow)
+	rt.EnablePassiveCharacterization(ex7PassiveWindow)
 	rcfg := arm.Refresh
-	rcfg.Zones = append([]string(nil), cfg.HopZones...)
-	rcfg.Polls = cfg.RefreshPolls
+	rcfg.Zones = append([]string(nil), hopZones...)
+	rcfg.Polls = ex7RefreshPolls
 	m, err := rt.EnableRefresh(rcfg)
 	if err != nil {
 		return EX7Cell{}, err
@@ -232,48 +192,30 @@ func runEX7Cell(cfg EX7Config, arm EX7Arm) (EX7Cell, error) {
 	cell := EX7Cell{Arm: arm.Label}
 	err = rt.Do(func(p *sim.Proc) error {
 		defer m.Stop()
-		if _, err := rt.Refresh(p, cfg.HopZones, cfg.InitPolls); err != nil {
+		target, err := hybridFavourite(rt, p, cfg.InitPolls, cfg.ProfileRuns)
+		if err != nil {
 			return err
 		}
-		if _, err := rt.ProfileWorkloads(p, []workload.ID{cfg.Workload}, cfg.HopZones, cfg.ProfileRuns); err != nil {
-			return err
-		}
-		fast := rt.Perf().Kinds(cfg.Workload)
+		cell.TargetAZ = target
+		fast := rt.Perf().Kinds(favouriteWorkload)
 		if len(fast) == 0 {
-			return fmt.Errorf("no perf observations for %s", cfg.Workload)
+			return fmt.Errorf("no perf observations for %s", favouriteWorkload)
 		}
 		fastKind := fast[0]
 		cell.FastKind = fastKind.String()
 
-		keepAlive := rt.Cloud().Options().KeepAlive
-		p.Sleep(keepAlive + time.Minute)
-
-		// Find the zone the hybrid strategy prefers and aim the drift
-		// exactly there: poisoning a zone nobody routes to proves nothing.
-		probe, err := rt.Run(p, router.BurstSpec{
-			Strategy:   router.Hybrid{},
-			Workload:   cfg.Workload,
-			N:          50,
-			Candidates: cfg.HopZones,
-		})
-		if err != nil {
-			return err
-		}
-		cell.TargetAZ = probe.AZ
-		p.Sleep(keepAlive + time.Minute)
-
-		// Poison the favorite — by default one hard regime change at the
-		// start of the span — then start the maintenance loop and route
-		// through the drift.
-		span := time.Duration(cfg.Bursts+1) * cfg.BurstEvery
+		// Poison the favorite — one hard regime change at the start of
+		// the span — then start the maintenance loop and route through
+		// the drift.
+		span := time.Duration(cfg.Bursts+1) * ex7BurstEvery
 		if _, err := rt.Chaos().Inject(chaos.Fault{
 			Kind:      chaos.DriftBurst,
-			AZ:        cell.TargetAZ,
+			AZ:        target,
 			Start:     time.Minute,
 			Duration:  span,
-			Magnitude: cfg.DriftMagnitude,
-			Step:      cfg.DriftStep,
-			Every:     cfg.DriftEvery,
+			Magnitude: ex7DriftMagnitude,
+			Step:      ex7DriftStep,
+			Every:     ex7DriftEvery,
 		}); err != nil {
 			return err
 		}
@@ -285,12 +227,12 @@ func runEX7Cell(cfg EX7Config, arm EX7Arm) (EX7Cell, error) {
 		// lower fast-CPU hit rate (hybrid's CPU-banning retries would mask
 		// staleness as extra attempts and cost instead).
 		for i := 0; i < cfg.Bursts; i++ {
-			p.Sleep(cfg.BurstEvery)
+			p.Sleep(ex7BurstEvery)
 			r, err := rt.Run(p, router.BurstSpec{
 				Strategy:   router.Regional{},
-				Workload:   cfg.Workload,
+				Workload:   favouriteWorkload,
 				N:          cfg.BurstN,
-				Candidates: cfg.HopZones,
+				Candidates: hopZones,
 			})
 			if err != nil {
 				return err

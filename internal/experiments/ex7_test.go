@@ -20,7 +20,7 @@ func runEX7Reduced(t *testing.T, seed uint64) EX7Result {
 // sample-once baseline loses, while spending well under half of what naive
 // periodic re-sampling does on maintenance. The pinned seed is one where
 // the regime change hurts the drifted zone — on neutral draws all arms
-// tie and there is nothing to measure (see the DriftEvery doc in ex7.go).
+// tie and there is nothing to measure (see ex7DriftEvery in ex7.go).
 func TestEX7Reduced(t *testing.T) {
 	res := runEX7Reduced(t, 7)
 	if len(res.Cells) != len(DefaultEX7Arms()) {

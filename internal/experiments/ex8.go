@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"skyfaas/internal/faas"
 	"skyfaas/internal/load"
 	"skyfaas/internal/rng"
 	"skyfaas/internal/sim"
@@ -34,12 +33,8 @@ const (
 // EX8Config parameterizes EX-8.
 type EX8Config struct {
 	Seed uint64
-	// The zone, workload, quota and warmup.
+	// The quota and warmup.
 	openLoop
-	// Retry is the client's transient-failure policy; it only matters in
-	// the no-admission arm, where throttles are retried (default 6
-	// attempts, 50ms base backoff, doubling).
-	Retry faas.RetryPolicy
 	// Duration is the measured load span per cell (default 30s virtual).
 	Duration time.Duration
 	// Multiples are the offered-rate sweep points as fractions of the
@@ -49,9 +44,6 @@ type EX8Config struct {
 
 func (c EX8Config) withDefaults() EX8Config {
 	c.openLoop = c.openLoop.withDefaults()
-	if c.Retry.MaxAttempts == 0 {
-		c.Retry = faas.RetryPolicy{MaxAttempts: 6, BaseBackoff: 50 * time.Millisecond}
-	}
 	if c.Duration == 0 {
 		c.Duration = 30 * time.Second
 	}
@@ -103,12 +95,12 @@ func (r EX8Result) Cell(arm string, multiple float64) (EX8Cell, bool) {
 // admission gate is consulted differ.
 func RunEX8(cfg EX8Config) (EX8Result, error) {
 	cfg = cfg.withDefaults()
-	res := EX8Result{Workload: cfg.Workload, Zone: cfg.Zone, Quota: cfg.Quota}
+	res := EX8Result{Workload: openLoopWorkload, Zone: openLoopZone, Quota: cfg.Quota}
 	for _, arm := range []string{EX8NoAdmission, EX8Admission} {
 		for _, m := range cfg.Multiples {
 			cell := EX8Cell{Arm: arm, Multiple: m}
 			err := cfg.runCell(cfg.Seed, 0, &res.CapacityRPS, func(p *sim.Proc, w *openLoopWorld) error {
-				cell.CapacityRPS, w.spec.Retry = w.capacity, cfg.Retry
+				cell.CapacityRPS, w.spec.Retry = w.capacity, clientRetry
 				s, err := constantStream("", m*w.capacity, cfg.Duration, rng.New(cfg.Seed).Split("ex8/arrivals"), &cell.Report)
 				if err != nil {
 					return err

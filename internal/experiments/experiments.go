@@ -5,7 +5,9 @@
 // paper-style text output.
 //
 // Every Run* function accepts a config whose zero value is the full
-// paper-scale procedure; the Reduced() presets cut scale for benchmarks.
+// paper-scale procedure; the Reduced() presets cut scale for benchmarks. A
+// config holds only what its two scales or a skybench flag set; every
+// other parameter of a procedure is a named constant beside its reason.
 package experiments
 
 import (
@@ -18,6 +20,21 @@ import (
 
 // defaultEpoch starts every experiment on a Monday midnight UTC.
 var defaultEpoch = time.Date(2026, 1, 5, 0, 0, 0, 0, time.UTC)
+
+// hopZones are the region-hopping candidates of EX-5 (paper: us-west-1a,
+// us-west-1b, sa-east-1a), which EX-6, EX-7 and the routing ablations reuse.
+var hopZones = []string{"us-west-1a", "us-west-1b", "sa-east-1a"}
+
+// baselineAZ anchors the fixed-zone comparisons of EX-5 and the routing
+// ablations (paper: us-west-1b).
+const baselineAZ = "us-west-1b"
+
+// reducedSampler polls EX-1 and EX-3..EX-7 at reduced scale, and the
+// routing ablations: the paper's poll shape from 60 endpoints per zone.
+var reducedSampler = sampler.Config{
+	Endpoints: 60, PollSize: 222, Branch: 10,
+	InterPollPause: 500 * time.Millisecond,
+}
 
 // EX4Zones are the five zones the paper tracked daily for two weeks.
 func EX4Zones() []string {

@@ -25,46 +25,46 @@ import (
 
 // openLoop is the configuration the open-loop experiments share.
 type openLoop struct {
-	// Zone is the zone under load (default us-west-1a).
-	Zone string
-	// Workload under test (default sha1_hash: CPU-bound, ~1s service time,
-	// so a small quota saturates at a low, easily swept rate).
-	Workload workload.ID
 	// Quota is the per-account concurrent execution limit the admission
 	// gate protects (default 60; the gate's slot limit is TargetUtil x Quota).
 	Quota int
-	// InitPolls is the characterization depth that seeds the gate's
-	// service-time estimate (default 2).
-	InitPolls int
 	// ProfileRuns trains the perf model before the gate is seeded and
 	// doubles as warmup for the zone's instance pool (default 240).
 	ProfileRuns int
-	// Sampler overrides the polling configuration. The default is scaled
-	// to fit the small quota so characterization isn't throttled itself.
-	Sampler sampler.Config
 }
 
+const (
+	// openLoopZone is the zone under load.
+	openLoopZone = "us-west-1a"
+	// openLoopWorkload is the workload under test: sha1_hash is CPU-bound
+	// with a ~1s service time, so a small quota saturates at a low, easily
+	// swept rate.
+	openLoopWorkload = workload.Sha1Hash
+	// openLoopInitPolls is the characterization depth that seeds the
+	// gate's service-time estimate.
+	openLoopInitPolls = 2
+)
+
+// openLoopSampler is the polling configuration, scaled to fit the small
+// quota so characterization isn't throttled itself.
+var openLoopSampler = sampler.Config{
+	Endpoints: 40, PollSize: 50, Branch: 7,
+	InterPollPause: 500 * time.Millisecond,
+}
+
+// clientRetry is EX-8's and EX-10's client policy for transient failures:
+// 6 attempts, 50ms base backoff, doubling. It matters where throttles
+// reach the client: EX-8's no-admission arm, where they turn into a retry
+// storm; behind EX-10's gate in-flight stays below the provider quota, so
+// it rarely fires.
+var clientRetry = faas.RetryPolicy{MaxAttempts: 6, BaseBackoff: 50 * time.Millisecond}
+
 func (c openLoop) withDefaults() openLoop {
-	if c.Zone == "" {
-		c.Zone = "us-west-1a"
-	}
-	if c.Workload == 0 {
-		c.Workload = workload.Sha1Hash
-	}
 	if c.Quota == 0 {
 		c.Quota = 60
 	}
-	if c.InitPolls == 0 {
-		c.InitPolls = 2
-	}
 	if c.ProfileRuns == 0 {
 		c.ProfileRuns = 240
-	}
-	if c.Sampler.Endpoints == 0 {
-		c.Sampler = sampler.Config{
-			Endpoints: 40, PollSize: 50, Branch: 7,
-			InterPollPause: 500 * time.Millisecond,
-		}
 	}
 	return c
 }
@@ -78,8 +78,7 @@ func (c openLoop) reduced() openLoop {
 
 // openLoopWorld is one cell's world once the shared setup has run.
 type openLoopWorld struct {
-	rt       *core.Runtime
-	workload workload.ID
+	rt *core.Runtime
 	// gate is built in every cell, consulted or not, so its capacity
 	// estimate (rps), and every rate scaled from it, is the same in all.
 	gate     *admission.Controller
@@ -97,7 +96,7 @@ func (c openLoop) runCell(seed uint64, keepAlive time.Duration, capacity *float6
 	rt, err := core.New(core.Config{
 		Seed:       seed,
 		Epoch:      defaultEpoch,
-		SamplerCfg: c.Sampler,
+		SamplerCfg: openLoopSampler,
 		CloudOpts:  cloudsim.Options{Quota: c.Quota, KeepAlive: keepAlive, HorizonDays: 2},
 		SkipMesh:   true,
 	})
@@ -105,22 +104,22 @@ func (c openLoop) runCell(seed uint64, keepAlive time.Duration, capacity *float6
 		return err
 	}
 	return rt.Do(func(p *sim.Proc) error {
-		if _, err := rt.Refresh(p, []string{c.Zone}, c.InitPolls); err != nil {
+		if _, err := rt.Refresh(p, []string{openLoopZone}, openLoopInitPolls); err != nil {
 			return err
 		}
-		if _, err := rt.ProfileWorkloads(p, []workload.ID{c.Workload}, []string{c.Zone}, c.ProfileRuns); err != nil {
+		if _, err := rt.ProfileWorkloads(p, []workload.ID{openLoopWorkload}, []string{openLoopZone}, c.ProfileRuns); err != nil {
 			return err
 		}
 		gate, err := rt.EnableAdmission(admission.Config{})
 		if err != nil {
 			return err
 		}
-		ep, ok := rt.Mesh().Lookup(c.Zone, 4096, cpu.X86)
+		ep, ok := rt.Mesh().Lookup(openLoopZone, 4096, cpu.X86)
 		if !ok {
-			return fmt.Errorf("no mesh endpoint in %s", c.Zone)
+			return fmt.Errorf("no mesh endpoint in %s", openLoopZone)
 		}
-		w := &openLoopWorld{rt: rt, workload: c.Workload, gate: gate, capacity: gate.CapacityRPS(c.Workload),
-			spec: faas.InvokeSpec{Call: faas.Call{AZ: c.Zone, Function: ep.Function, Work: cloudsim.WorkBehavior{Workload: c.Workload}}}}
+		w := &openLoopWorld{rt: rt, gate: gate, capacity: gate.CapacityRPS(openLoopWorkload),
+			spec: faas.InvokeSpec{Call: faas.Call{AZ: openLoopZone, Function: ep.Function, Work: cloudsim.WorkBehavior{Workload: openLoopWorkload}}}}
 		if *capacity != 0 && *capacity != w.capacity {
 			return fmt.Errorf("capacity estimate drifted across cells: %v vs %v", *capacity, w.capacity)
 		}
@@ -186,7 +185,7 @@ func (w *openLoopWorld) serve(p *sim.Proc, tenants *tenant.Registry, admit bool,
 					s.onArrival()
 				}
 				s.rec.Begin()
-				pass, err := pl.Admit(s.tenant, w.workload, 1)
+				pass, err := pl.Admit(s.tenant, openLoopWorkload, 1)
 				if err != nil {
 					s.rec.RecordRetryAfter(retryAfter(err))
 					s.rec.Record(load.Shed, 0)
