@@ -35,3 +35,18 @@ func TestWarmInvokeAllocs(t *testing.T) {
 		t.Errorf("a warm invocation allocates %.0f times, budget is 0", allocs)
 	}
 }
+
+// TestChargeAllocs pins billing a charge at zero heap allocations, once the
+// (label, bucket) pair has been charged before: through ChargeIn, which
+// looks the pair up, and through the cell a request resolves once.
+func TestChargeAllocs(t *testing.T) {
+	m := NewMeter()
+	cell := m.cell("acct", "r1")
+	m.ChargeIn("acct", "r2", 1)
+	if allocs := testing.AllocsPerRun(100, func() { m.ChargeIn("acct", "r2", 1) }); allocs != 0 {
+		t.Errorf("ChargeIn allocates %.0f times, budget is 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { cell.charge(1) }); allocs != 0 {
+		t.Errorf("meterCell.charge allocates %.0f times, budget is 0", allocs)
+	}
+}

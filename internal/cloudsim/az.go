@@ -42,6 +42,7 @@ func (h *Host) Kind() cpu.Kind { return h.kind }
 // deployment, persisting for the keep-alive window after its last use.
 type FI struct {
 	id        string
+	num       int // the instance's number in its zone: the seq in id
 	host      *Host
 	dep       *Deployment
 	busy      bool
@@ -320,6 +321,7 @@ func (az *AZ) provisionFI(dep *Deployment, host *Host) *FI {
 	az.fiSeq++
 	return &FI{
 		id:   "fi-" + az.spec.Name + "-" + strconv.Itoa(az.fiSeq),
+		num:  az.fiSeq,
 		host: host,
 		dep:  dep,
 		busy: true,

@@ -44,23 +44,62 @@ func (p PriceModel) Cost(memoryMB int, runtimeMS float64) float64 {
 // phase, policy name, account). Meters are safe for concurrent use so the
 // live-paced examples can share one across goroutines.
 //
-// Charges accumulate per (label, bucket): the cloud buckets by region.
-// Totals sum buckets in sorted order, so the floating-point result does not
-// depend on map iteration order.
+// Charges accumulate per (label, bucket) in a meterCell: the cloud buckets
+// by region, and resolves each (account, region) cell once. Totals sum
+// buckets in sorted order, so the floating-point result does not depend on
+// map iteration order.
 type Meter struct {
 	mu sync.Mutex
-	// byLabel is cumulative spend per label, split by bucket; guarded by mu.
-	byLabel map[string]map[string]float64
-	// requests counts charges per label; guarded by mu.
-	requests map[string]int
+	// byLabel is each label's spend and charge count; guarded by mu.
+	byLabel map[string]*meterLabel
+}
+
+// meterLabel is one label's spend, split by bucket, and its charge count.
+type meterLabel struct {
+	buckets  map[string]*meterCell
+	requests int
+}
+
+// meterCell is the accumulator of one (label, bucket): a caller that
+// charges the same pair again and again holds the cell instead of naming
+// the pair each time.
+type meterCell struct {
+	m     *Meter
+	label *meterLabel
+	// sum is the cell's spend, like the label's requests under the meter's
+	// mu.
+	sum float64
 }
 
 // NewMeter returns an empty meter.
 func NewMeter() *Meter {
-	return &Meter{
-		byLabel:  make(map[string]map[string]float64),
-		requests: make(map[string]int),
+	return &Meter{byLabel: make(map[string]*meterLabel)}
+}
+
+// cell returns the accumulator of (label, bucket), creating it empty. An
+// empty cell adds nothing to any total.
+func (m *Meter) cell(label, bucket string) *meterCell {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	l, ok := m.byLabel[label]
+	if !ok {
+		l = &meterLabel{buckets: make(map[string]*meterCell)}
+		m.byLabel[label] = l
 	}
+	cell, ok := l.buckets[bucket]
+	if !ok {
+		cell = &meterCell{m: m, label: l}
+		l.buckets[bucket] = cell
+	}
+	return cell
+}
+
+// charge records cost in the cell and counts one charge under its label.
+func (c *meterCell) charge(cost float64) {
+	c.m.mu.Lock()
+	defer c.m.mu.Unlock()
+	c.sum += cost
+	c.label.requests++
 }
 
 // Charge records cost under label in the default bucket.
@@ -72,15 +111,7 @@ func (m *Meter) Charge(label string, cost float64) {
 // charge concurrently from several goroutines must give each one its own
 // bucket so per-bucket accumulation order stays deterministic.
 func (m *Meter) ChargeIn(label, bucket string, cost float64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	buckets, ok := m.byLabel[label]
-	if !ok {
-		buckets = make(map[string]float64)
-		m.byLabel[label] = buckets
-	}
-	buckets[bucket] += cost
-	m.requests[label]++
+	m.cell(label, bucket).charge(cost)
 }
 
 // Total returns the cumulative spend under label, summed over buckets in
@@ -88,22 +119,25 @@ func (m *Meter) ChargeIn(label, bucket string, cost float64) {
 func (m *Meter) Total(label string) float64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return sumBuckets(m.byLabel[label])
+	return m.byLabel[label].sum("")
 }
 
-// sumBuckets adds a label's buckets in sorted key order. Callers hold mu.
-func sumBuckets(buckets map[string]float64) float64 {
-	if len(buckets) == 0 {
+// sum adds the label's buckets whose name starts with prefix, in sorted
+// key order (0 for a nil label). Callers hold mu.
+func (l *meterLabel) sum(prefix string) float64 {
+	if l == nil || len(l.buckets) == 0 {
 		return 0
 	}
-	keys := make([]string, 0, len(buckets))
-	for k := range buckets {
-		keys = append(keys, k)
+	keys := make([]string, 0, len(l.buckets))
+	for k := range l.buckets {
+		if strings.HasPrefix(k, prefix) {
+			keys = append(keys, k)
+		}
 	}
 	sort.Strings(keys)
 	var sum float64
 	for _, k := range keys {
-		sum += buckets[k]
+		sum += l.buckets[k].sum
 	}
 	return sum
 }
@@ -116,29 +150,17 @@ func sumBuckets(buckets map[string]float64) float64 {
 func (m *Meter) TotalPrefix(label, prefix string) float64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	buckets := m.byLabel[label]
-	if len(buckets) == 0 {
-		return 0
-	}
-	keys := make([]string, 0, len(buckets))
-	for k := range buckets {
-		if strings.HasPrefix(k, prefix) {
-			keys = append(keys, k)
-		}
-	}
-	sort.Strings(keys)
-	var sum float64
-	for _, k := range keys {
-		sum += buckets[k]
-	}
-	return sum
+	return m.byLabel[label].sum(prefix)
 }
 
 // Requests returns the number of charges recorded under label.
 func (m *Meter) Requests(label string) int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.requests[label]
+	if l := m.byLabel[label]; l != nil {
+		return l.requests
+	}
+	return 0
 }
 
 // GrandTotal returns spend across every label. Summation follows sorted
@@ -154,7 +176,7 @@ func (m *Meter) GrandTotal() float64 {
 	sort.Strings(labels)
 	var sum float64
 	for _, label := range labels {
-		sum += sumBuckets(m.byLabel[label])
+		sum += m.byLabel[label].sum("")
 	}
 	return sum
 }

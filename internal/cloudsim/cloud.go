@@ -93,8 +93,28 @@ type AZSpec struct {
 type Region struct {
 	spec RegionSpec
 	azs  []*AZ
-	// inflight tracks per-account concurrent executions for quota purposes.
-	inflight map[string]int
+	// accounts holds each account's standing in the region.
+	accounts map[string]*account
+}
+
+// account is one account's standing in one region: its concurrent
+// executions, which the quota caps, and the meter cell its runs there are
+// billed to. A request resolves it once, when its zone processes it.
+type account struct {
+	inflight int
+	bill     *meterCell
+}
+
+// account returns name's standing in the zone's region, creating it on
+// first use.
+func (az *AZ) account(name string) *account {
+	r := az.region
+	a, ok := r.accounts[name]
+	if !ok {
+		a = &account{bill: az.cloud.meter.cell(name, r.spec.Name)}
+		r.accounts[name] = a
+	}
+	return a
 }
 
 // Spec returns the region's static description.
@@ -215,7 +235,7 @@ func New(env *sim.Env, seed uint64, catalog []RegionSpec, opts Options) *Cloud {
 	for _, rs := range catalog {
 		region := &Region{
 			spec:     rs,
-			inflight: make(map[string]int),
+			accounts: make(map[string]*account),
 		}
 		for _, azSpec := range rs.AZs {
 			az := newAZ(c, region, azSpec)
@@ -364,6 +384,7 @@ type invocation struct {
 	oneWay   time.Duration
 	c        *Cloud
 	az       *AZ
+	acct     *account
 	dep      *Deployment
 	fi       *FI
 	behavior Behavior
@@ -557,7 +578,8 @@ func (inv *invocation) process() {
 		return
 	}
 
-	if az.region.inflight[req.Account] >= c.opts.Quota {
+	acct := az.account(req.Account)
+	if acct.inflight >= c.opts.Quota {
 		az.m.failThrottled.Inc()
 		inv.reject(ErrThrottled)
 		return
@@ -571,8 +593,8 @@ func (inv *invocation) process() {
 	if cold {
 		az.m.coldStarts.Inc()
 	}
-	az.region.inflight[req.Account]++
-	inv.dep, inv.fi, inv.behavior, inv.resp.Cold = dep, fi, behavior, cold
+	acct.inflight++
+	inv.acct, inv.dep, inv.fi, inv.behavior, inv.resp.Cold = acct, dep, fi, behavior, cold
 
 	initDelay := time.Duration(c.opts.OverheadMS * float64(time.Millisecond) / 2)
 	if cold {
@@ -667,11 +689,12 @@ func (inv *invocation) finish() {
 	billedMS += c.opts.OverheadMS
 	price := c.prices[az.region.spec.Provider]
 	cost := price.Cost(dep.memoryMB, billedMS)
-	c.meter.ChargeIn(inv.req.Account, az.region.spec.Name, cost)
-	az.region.inflight[inv.req.Account]--
+	inv.acct.bill.charge(cost)
+	inv.acct.inflight--
 	az.releaseFI(fi)
 
 	profile, perr := saaf.Collect(cpu.CPUInfo(fi.host.kind, dep.vcpus()), fi.id, fi.host.ID(), r.Cold, billedMS)
+	profile.Instance = fi.num
 	if r.Err == nil && perr != nil {
 		r.Err = perr
 	}
@@ -732,5 +755,8 @@ func (c *Cloud) Inflight(account, region string) int {
 	if !ok {
 		return 0
 	}
-	return r.inflight[account]
+	if a, ok := r.accounts[account]; ok {
+		return a.inflight
+	}
+	return 0
 }

@@ -702,6 +702,27 @@ func TestMeter(t *testing.T) {
 	}
 }
 
+// TestMeterCell checks that a cell and ChargeIn share one accumulator: an
+// empty cell adds nothing, and a cell's charges count under its label and
+// sum into its bucket beside ChargeIn's.
+func TestMeterCell(t *testing.T) {
+	m := NewMeter()
+	empty := m.cell("idle", "r1")
+	if m.Total("idle") != 0 || m.Requests("idle") != 0 || m.GrandTotal() != 0 {
+		t.Fatalf("an empty cell shows spend: %v/%d", m.Total("idle"), m.Requests("idle"))
+	}
+	cell := m.cell("a", "warmpool/r1")
+	cell.charge(0.5)
+	m.ChargeIn("a", "warmpool/r1", 0.25)
+	m.ChargeIn("a", "r1", 1)
+	if m.cell("a", "warmpool/r1") != cell || empty == cell {
+		t.Fatal("cell does not resolve a pair to one accumulator")
+	}
+	if m.Total("a") != 1.75 || m.Requests("a") != 3 || m.TotalPrefix("a", "warmpool/") != 0.75 {
+		t.Errorf("a: total %v, %d requests, warm-pool %v", m.Total("a"), m.Requests("a"), m.TotalPrefix("a", "warmpool/"))
+	}
+}
+
 func TestDefaultCatalogShape(t *testing.T) {
 	catalog := DefaultCatalog()
 	if len(catalog) != 41 {

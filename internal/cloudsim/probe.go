@@ -58,7 +58,7 @@ const probeDecisionMS = 2
 // request (decline path), false when the caller should run the workload
 // normally.
 func (inv *invocation) runProbe(b ProbeBehavior) bool {
-	c, az, dep, fi := inv.c, inv.az, inv.dep, inv.fi
+	c, az, dep, fi, acct := inv.c, inv.az, inv.dep, inv.fi, inv.acct
 	// The in-function check reads cpuinfo, like the routing logic the
 	// paper bakes into its dynamic functions.
 	kind, _, err := cpu.ParseCPUInfo(cpu.CPUInfo(fi.host.kind, dep.vcpus()))
@@ -68,7 +68,7 @@ func (inv *invocation) runProbe(b ProbeBehavior) bool {
 	holdMS := b.holdMS()
 	price := c.prices[az.region.spec.Provider]
 	cost := price.Cost(dep.memoryMB, holdMS)
-	c.meter.ChargeIn(inv.req.Account, az.region.spec.Name, cost)
+	acct.bill.charge(cost)
 	inv.resp.CPU, inv.resp.BilledMS, inv.resp.CostUSD = kind, holdMS, cost
 	inv.resp.Value = ProbeOutcome{Ran: false}
 
@@ -78,10 +78,10 @@ func (inv *invocation) runProbe(b ProbeBehavior) bool {
 	// billed hold so the reissued request lands elsewhere. Afterwards the
 	// instance self-terminates unless KeepOnDecline is set. The hold
 	// outlives the request, whose record is another request's by then, so
-	// it captures the account rather than the record.
-	account, keep := inv.req.Account, b.KeepOnDecline
+	// it captures the account's standing rather than the record.
+	keep := b.KeepOnDecline
 	az.cloud.env.Schedule(time.Duration(holdMS*float64(time.Millisecond)), func() {
-		az.region.inflight[account]--
+		acct.inflight--
 		if keep {
 			az.releaseFI(fi)
 		} else {
@@ -96,6 +96,7 @@ func (inv *invocation) runProbe(b ProbeBehavior) bool {
 func (inv *invocation) decline() {
 	fi, r := inv.fi, &inv.resp
 	r.Profile, r.Err = saaf.Collect(cpu.CPUInfo(fi.host.kind, inv.dep.vcpus()), fi.id, fi.host.ID(), r.Cold, r.BilledMS)
+	r.Profile.Instance = fi.num
 	r.FI, r.Host, r.Ended = fi.id, fi.host.ID(), inv.c.env.Now()
 	inv.respond()
 }

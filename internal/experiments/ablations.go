@@ -7,6 +7,7 @@ import (
 	"skyfaas/internal/core"
 	"skyfaas/internal/faas"
 	"skyfaas/internal/router"
+	"skyfaas/internal/saaf"
 	"skyfaas/internal/sampler"
 	"skyfaas/internal/sim"
 	"skyfaas/internal/tablefmt"
@@ -108,7 +109,7 @@ func RunAblationFanout(seed uint64) (AblationFanoutResult, error) {
 
 		// Tree fan-out: the client only issues the root requests.
 		tree := s.Poll(p, az, 0)
-		res.TreeUniqueFIs = uniqueFIs(tree)
+		res.TreeUniqueFIs = sampler.UniqueFIs(tree.Reports)
 		res.TreeClientCalls = s.Config().PollSize / (1 + s.Config().Branch + s.Config().Branch*s.Config().Branch)
 
 		// Let the tree's instances expire so the flat poll starts cold.
@@ -121,13 +122,13 @@ func RunAblationFanout(seed uint64) (AblationFanoutResult, error) {
 			Function: flatEndpointName(s, az),
 			Work:     cloudsim.SleepBehavior{D: s.Config().Sleep},
 		}, tree.Requested)
-		seen := make(map[string]struct{}, len(responses))
+		reports := make([]saaf.Report, 0, len(responses))
 		for _, r := range responses {
 			if r.OK() {
-				seen[r.FI] = struct{}{}
+				reports = append(reports, r.Profile)
 			}
 		}
-		res.FlatUniqueFIs = len(seen)
+		res.FlatUniqueFIs = sampler.UniqueFIs(reports)
 		res.FlatClientCalls = tree.Requested
 		return nil
 	})
@@ -145,14 +146,6 @@ func flatEndpointName(s *sampler.Sampler, az string) string {
 
 func flatName(prefix, az string) string {
 	return prefix + "-" + az + "-001"
-}
-
-func uniqueFIs(pr sampler.PollResult) int {
-	seen := make(map[string]struct{}, len(pr.Reports))
-	for _, rep := range pr.Reports {
-		seen[rep.UUID] = struct{}{}
-	}
-	return len(seen)
 }
 
 // routingArm is one arm of a routing ablation: a fresh world in which the

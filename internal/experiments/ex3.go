@@ -110,12 +110,12 @@ func RunEX3(cfg EX3Config) (EX3Result, error) {
 // them.
 func analyzeProgressive(az string, ch charact.Characterization, trail []sampler.PollResult) EX3Zone {
 	truth := ch.Dist()
-	perPoll := perPollUniqueCounts(trail)
+	perPoll := freshCounts(trail)
 	fisByPoll := make([]int, len(trail))
 	cum := 0
 	calls := 0
 	for i, pr := range trail {
-		cum += perPoll[i].Total()
+		cum += pr.NewFIs
 		fisByPoll[i] = cum
 		calls += pr.Requested
 	}
@@ -135,21 +135,12 @@ func analyzeProgressive(az string, ch charact.Characterization, trail []sampler.
 	return zone
 }
 
-// perPollUniqueCounts rebuilds per-poll CPU counts over first-sighting
-// instances only.
-func perPollUniqueCounts(trail []sampler.PollResult) []charact.Counts {
-	seen := make(map[string]struct{})
+// freshCounts lists each poll's CPU counts over its first sightings, as
+// the characterization that made the trail deduplicated them.
+func freshCounts(trail []sampler.PollResult) []charact.Counts {
 	out := make([]charact.Counts, len(trail))
 	for i, pr := range trail {
-		counts := make(charact.Counts)
-		for _, rep := range pr.Reports {
-			if _, dup := seen[rep.UUID]; dup {
-				continue
-			}
-			seen[rep.UUID] = struct{}{}
-			counts.Add(rep.Kind)
-		}
-		out[i] = counts
+		out[i] = pr.Fresh
 	}
 	return out
 }

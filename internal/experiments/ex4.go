@@ -190,7 +190,7 @@ func RunEX4(cfg EX4Config) (EX4Result, error) {
 
 func analyzeRound(round int, ch charact.Characterization, trail []sampler.PollResult) EX4Round {
 	truth := ch.Dist()
-	perPoll := perPollUniqueCounts(trail)
+	perPoll := freshCounts(trail)
 	apes := charact.ProgressiveAPE(perPoll, truth)
 	r := EX4Round{
 		Round:     round,

@@ -155,7 +155,8 @@ func constantStream(tenant string, rps float64, d time.Duration, r *rng.Stream, 
 // serve schedules every stream's arrivals, stream by stream, through the
 // pipeline over tenants (nil: no tenant stage) and, if admit, the gate: a
 // shed is recorded at zero latency (the check is local), an admitted
-// request is served with client.Do and settled. It returns once all are.
+// request is served with client.DoFunc and settled in its callback, with
+// no process per request. It returns once all are.
 func (w *openLoopWorld) serve(p *sim.Proc, tenants *tenant.Registry, admit bool, streams ...*stream) error {
 	env, client := w.rt.Env(), w.rt.Client()
 	var gate *admission.Controller
@@ -193,8 +194,7 @@ func (w *openLoopWorld) serve(p *sim.Proc, tenants *tenant.Registry, admit bool,
 					return
 				}
 				sent := env.Now()
-				env.Go("open-loop-req", func(rp *sim.Proc) error {
-					resp := client.Do(rp, w.spec)
+				served := func(resp cloudsim.Response) {
 					pl.Finish(pass, resp.BilledMS, resp.OK(), resp.CostUSD)
 					if s.onServed != nil {
 						s.onServed(resp)
@@ -205,8 +205,11 @@ func (w *openLoopWorld) serve(p *sim.Proc, tenants *tenant.Registry, admit bool,
 					}
 					s.rec.Record(outcome, float64(env.Now().Sub(sent))/float64(time.Millisecond))
 					finish()
-					return nil
-				})
+				}
+				// Issued at this instant via the queue, and answered at its
+				// arrival instant via the queue: where starting a process to
+				// call client.Do would have, event for event.
+				env.Schedule(0, func() { client.DoFunc(w.spec, served) })
 			})
 		}
 	}

@@ -23,6 +23,9 @@ type Client struct {
 	account string
 	loc     *geo.Coord
 	rand    *rng.Stream
+	// free holds plain envelopes for reuse. A client runs on its cloud's
+	// one simulation thread, so the list needs no lock.
+	free []*envelope
 }
 
 // Option configures a Client.

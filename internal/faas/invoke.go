@@ -2,20 +2,27 @@ package faas
 
 import (
 	"errors"
+	"fmt"
 	"time"
 
 	"skyfaas/internal/cloudsim"
 	"skyfaas/internal/sim"
 )
 
-// This file is the redesigned invocation API: every entry point funnels
-// through a single InvokeSpec carrying the call, its deadline, its retry
-// budget, and its hedge policy. The legacy Invoke/InvokeAsync/InvokeBatch
-// forms survive as thin deprecated wrappers so existing call sites (the
-// sampler, the router's profiling path) migrate incrementally.
+// This file is the invocation envelope: an InvokeSpec carries the call, its
+// deadline, its retry budget and its hedge policy, and one record, the
+// envelope, carries a logical invocation under that spec from its first
+// attempt to its answer as event-queue continuations, with no process of
+// its own. Do blocks a process on it, DoAsync hands back a Future and
+// DoFunc calls back; Invoke is Do with a zero spec. Start, InvokeAsync and
+// InvokeBatch take no spec: they send one bare attempt straight to the
+// cloud, which is what the router's reissue loop and the sampler's polls
+// want.
 
 // ErrDeadlineExceeded is returned when an invocation's deadline elapses
-// before any attempt produced a response.
+// before any attempt produced a response, or when the backoff before the
+// next attempt would end past it; the error then wraps the last attempt's
+// too.
 var ErrDeadlineExceeded = errors.New("faas: invocation deadline exceeded")
 
 // RetryPolicy bounds and paces re-attempts after transient platform
@@ -167,111 +174,186 @@ func Retryable(err error) bool {
 		errors.Is(err, cloudsim.ErrZoneOutage)
 }
 
-// Do performs one logical invocation under spec's envelope, blocking the
-// calling process: attempts are retried per the retry policy, each attempt
-// may be hedged, and the deadline bounds the whole affair. With a zero
-// envelope it is exactly the legacy blocking Invoke.
-func (c *Client) Do(p *sim.Proc, spec InvokeSpec) cloudsim.Response {
-	env := c.cloud.Env()
-	start := env.Now()
-	budget := spec.Retry.maxAttempts()
-	var resp cloudsim.Response
-	for attempt := 1; ; attempt++ {
-		remaining := time.Duration(-1)
-		if spec.Deadline > 0 {
-			remaining = spec.Deadline - env.Now().Sub(start)
-			if remaining <= 0 {
-				return cloudsim.Response{Err: ErrDeadlineExceeded, Sent: env.Now()}
-			}
-		}
-		resp = c.attempt(p, spec, remaining)
-		if resp.OK() || !Retryable(resp.Err) || attempt >= budget {
-			return resp
-		}
-		pause := spec.Retry.Backoff(attempt, c.rand)
-		if spec.Deadline > 0 && env.Now().Add(pause).Sub(start) >= spec.Deadline {
-			return resp // backing off would blow the deadline; surface the failure
-		}
-		p.Sleep(pause)
+// envelope is one logical invocation in flight: its spec, when it began,
+// the attempt it is on and that attempt's answer. Its steps — send an
+// attempt, settle an answer, send again after a backoff — each run as an
+// event, scheduled as a method value bound once when the record was made.
+//
+// A plain envelope (no hedge, no deadline) has one request out at a time
+// and no timer, so once it completes nothing refers to it, and it goes
+// back to its client's free list. A hedged or timed attempt arms timers,
+// and hedge losers answer after the winner, so those records are left to
+// the collector.
+type envelope struct {
+	c     *Client
+	spec  InvokeSpec
+	start time.Time
+	// attempt is the number of the attempt in flight (1-based); answered
+	// marks that resp holds its answer: the first response, or the
+	// deadline's error.
+	attempt  int
+	answered bool
+	resp     cloudsim.Response
+	// The final answer goes to done; or, for Do, ev triggers and Do reads
+	// resp.
+	done func(cloudsim.Response)
+	ev   *sim.Event
+
+	sendFn, settleFn func()
+	onAnswer         func(cloudsim.Response)
+}
+
+// envelope returns a fresh record of spec, begun now.
+func (c *Client) envelope(spec InvokeSpec) *envelope {
+	var r *envelope
+	if n := len(c.free); n > 0 {
+		r, c.free = c.free[n-1], c.free[:n-1]
+	} else {
+		r = new(envelope)
+		r.sendFn, r.settleFn, r.onAnswer = r.send, r.settle, r.answerPlain
+	}
+	r.c, r.spec, r.start = c, spec, c.cloud.Env().Now()
+	return r
+}
+
+// plain reports whether the envelope's attempts arm no timers.
+func (r *envelope) plain() bool { return !r.spec.Hedge.Enabled() && r.spec.Deadline <= 0 }
+
+// recycle returns a plain envelope to its client's free list at its last
+// use.
+func (r *envelope) recycle() {
+	if r.plain() {
+		c := r.c
+		*r = envelope{sendFn: r.sendFn, settleFn: r.settleFn, onAnswer: r.onAnswer}
+		c.free = append(c.free, r)
 	}
 }
 
-// attempt issues one (possibly hedged) attempt and waits for the first
-// response, or the remaining deadline to lapse (remaining < 0 = unbounded).
-// The hedge loser is abandoned: its response is discarded on arrival, which
-// is what cancelling a FaaS request amounts to — the execution (and its
-// bill) cannot be recalled, only ignored.
-func (c *Client) attempt(p *sim.Proc, spec InvokeSpec, remaining time.Duration) cloudsim.Response {
-	if !spec.Hedge.Enabled() && remaining < 0 {
-		return c.cloud.Invoke(p, c.request(spec.Call))
+// send issues the next attempt, or completes the envelope with
+// ErrDeadlineExceeded if the deadline has passed. A hedged attempt arms a
+// timer for each hedge it may launch, a timed one a timer for what is left
+// of the deadline; both are no-ops if the attempt has its answer by then.
+func (r *envelope) send() {
+	env, c := r.c.cloud.Env(), r.c
+	r.attempt, r.answered = r.attempt+1, false
+	if r.plain() {
+		c.cloud.StartInvoke(c.request(r.spec.Call), r.onAnswer)
+		return
 	}
-	env := c.cloud.Env()
-	first := sim.NewEvent(env)
+	remaining := time.Duration(-1)
+	if r.spec.Deadline > 0 {
+		remaining = r.spec.Deadline - env.Now().Sub(r.start)
+		if remaining <= 0 {
+			r.resp = cloudsim.Response{Err: ErrDeadlineExceeded, Sent: env.Now()}
+			r.complete()
+			return
+		}
+	}
+	n := r.attempt
 	launch := func() {
-		c.cloud.StartInvoke(c.request(spec.Call), func(r cloudsim.Response) {
-			first.Trigger(r) // idempotent: the first response wins, losers are dropped
-		})
+		c.cloud.StartInvoke(c.request(r.spec.Call), func(resp cloudsim.Response) { r.answer(n, resp) })
 	}
 	launch()
-	if spec.Hedge.Enabled() {
+	if r.spec.Hedge.Enabled() {
 		var arm func(left int)
 		arm = func(left int) {
 			if left == 0 {
 				return
 			}
-			env.Schedule(spec.Hedge.After, func() {
-				if first.Triggered() {
+			env.Schedule(r.spec.Hedge.After, func() {
+				if r.attempt != n || r.answered {
 					return
 				}
 				launch()
 				arm(left - 1)
 			})
 		}
-		arm(spec.Hedge.MaxHedges())
+		arm(r.spec.Hedge.MaxHedges())
 	}
 	if remaining >= 0 {
 		env.Schedule(remaining, func() {
-			first.Trigger(cloudsim.Response{Err: ErrDeadlineExceeded, Sent: env.Now()})
+			r.answer(n, cloudsim.Response{Err: ErrDeadlineExceeded, Sent: env.Now()})
 		})
 	}
-	v := p.Wait(first)
-	r, ok := v.(cloudsim.Response)
-	if !ok {
-		return cloudsim.Response{Err: cloudsim.ErrBadRequest}
+}
+
+// answerPlain takes the response of a plain attempt, its only request.
+func (r *envelope) answerPlain(resp cloudsim.Response) { r.answer(r.attempt, resp) }
+
+// answer takes attempt n's first answer and settles it at this instant,
+// via the queue. Later answers to it — hedge losers, a response after the
+// deadline — are dropped: a FaaS request cannot be recalled, only ignored.
+func (r *envelope) answer(n int, resp cloudsim.Response) {
+	if r.attempt != n || r.answered {
+		return
 	}
-	return r
+	r.answered, r.resp = true, resp
+	r.c.cloud.Env().Schedule(0, r.settleFn)
+}
+
+// settle completes the envelope with the attempt's answer, unless it is a
+// transient failure with attempts left: then the next attempt is sent
+// after a backoff, if that ends inside the deadline.
+func (r *envelope) settle() {
+	resp := r.resp
+	if resp.OK() || !Retryable(resp.Err) || r.attempt >= r.spec.Retry.maxAttempts() {
+		r.complete()
+		return
+	}
+	now := r.c.cloud.Env().Now()
+	pause := r.spec.Retry.Backoff(r.attempt, r.c.rand)
+	if r.spec.Deadline > 0 && now.Add(pause).Sub(r.start) >= r.spec.Deadline {
+		// Backing off would run past the deadline: give up now, with both
+		// causes.
+		r.resp.Err = fmt.Errorf("%w after %d attempts: %w", ErrDeadlineExceeded, r.attempt, resp.Err)
+		r.complete()
+		return
+	}
+	r.c.cloud.Env().Schedule(pause, r.sendFn)
+}
+
+// complete hands the final answer over: to done, after the record is
+// recycled so done may start the next invocation with it; or, for Do, by
+// triggering ev.
+func (r *envelope) complete() {
+	if r.ev != nil {
+		r.ev.Trigger(nil)
+		return
+	}
+	resp, done := r.resp, r.done
+	r.recycle()
+	done(resp)
+}
+
+// Do performs one logical invocation under spec's envelope, blocking the
+// calling process: attempts are retried per the retry policy, each attempt
+// may be hedged, and the deadline bounds the whole affair. With a zero
+// spec it is the legacy blocking Invoke.
+func (c *Client) Do(p *sim.Proc, spec InvokeSpec) cloudsim.Response {
+	r := c.envelope(spec)
+	r.ev = sim.NewEvent(c.cloud.Env())
+	r.send()
+	p.Wait(r.ev)
+	resp := r.resp
+	r.recycle()
+	return resp
+}
+
+// DoFunc starts a logical invocation under spec's envelope and calls done
+// with its answer: the form for a caller that fans out thousands of
+// invocations, since no process waits on any of them. done runs at the
+// instant the answer arrives, via the queue, after the events already
+// queued for that instant.
+func (c *Client) DoFunc(spec InvokeSpec, done func(cloudsim.Response)) {
+	r := c.envelope(spec)
+	r.done = done
+	r.send()
 }
 
 // DoAsync starts a logical invocation under spec's envelope and returns a
-// Future. Retries and backoff run on the event queue, not a process, so the
-// caller can fan out thousands of these without goroutines.
+// Future.
 func (c *Client) DoAsync(spec InvokeSpec) *Future {
-	env := c.cloud.Env()
-	ev := sim.NewEvent(env)
-	start := env.Now()
-	budget := spec.Retry.maxAttempts()
-	var issue func(attempt int)
-	issue = func(attempt int) {
-		if spec.Deadline > 0 && env.Now().Sub(start) >= spec.Deadline {
-			ev.Trigger(cloudsim.Response{Err: ErrDeadlineExceeded, Sent: env.Now()})
-			return
-		}
-		c.cloud.StartInvoke(c.request(spec.Call), func(r cloudsim.Response) {
-			if ev.Triggered() {
-				return
-			}
-			if r.OK() || !Retryable(r.Err) || attempt >= budget {
-				ev.Trigger(r)
-				return
-			}
-			env.Schedule(spec.Retry.Backoff(attempt, c.rand), func() { issue(attempt + 1) })
-		})
-	}
-	if spec.Deadline > 0 {
-		env.Schedule(spec.Deadline, func() {
-			ev.Trigger(cloudsim.Response{Err: ErrDeadlineExceeded, Sent: env.Now()})
-		})
-	}
-	issue(1)
+	ev := sim.NewEvent(c.cloud.Env())
+	c.DoFunc(spec, func(r cloudsim.Response) { ev.Trigger(r) })
 	return &Future{ev: ev}
 }

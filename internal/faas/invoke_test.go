@@ -112,10 +112,12 @@ func TestDoHedgeWinsOnSlowPrimary(t *testing.T) {
 	client := NewClient(cloud, "acct")
 	deployEcho(t, cloud, client, 50*time.Millisecond)
 	var resp cloudsim.Response
+	var start time.Time
 	env.Go("client", func(p *sim.Proc) error {
-		// Cold starts are seconds; the warm hedge (issued after the spike is
-		// cleared... actually both pay the spike) — just assert completion
-		// and that the spec path with hedging returns a valid response.
+		// The primary's cold start outlasts the 200 ms threshold but not
+		// twice it: one hedge launches, and the answer comes before the
+		// second would.
+		start = env.Now()
 		resp = client.Do(p, NewInvokeSpec(Call{AZ: "r1-az-a", Function: "fn"},
 			WithHedge(HedgePolicy{After: 200 * time.Millisecond, Max: 2})))
 		return nil
@@ -125,6 +127,79 @@ func TestDoHedgeWinsOnSlowPrimary(t *testing.T) {
 	}
 	if !resp.OK() {
 		t.Fatalf("hedged Do failed: %v", resp.Err)
+	}
+	if took := resp.Ended.Sub(start); !resp.Cold || took < 200*time.Millisecond || took >= 400*time.Millisecond {
+		t.Fatalf("answered after %v (cold %v): the world no longer times one hedge", took, resp.Cold)
+	}
+	if got := cloud.Meter().Requests("acct"); got != 2 {
+		t.Errorf("billed %d invocations, want the primary and one hedge", got)
+	}
+}
+
+// TestEveryFormLaunchesTheHedge runs one hedged invocation through each
+// entry point that takes a spec. The 2 s execution outlasts the 200 ms
+// threshold, so each must bill the primary and its one hedge.
+func TestEveryFormLaunchesTheHedge(t *testing.T) {
+	spec := NewInvokeSpec(Call{AZ: "r1-az-a", Function: "fn"},
+		WithHedge(HedgePolicy{After: 200 * time.Millisecond, Max: 1}))
+	forms := map[string]func(p *sim.Proc, c *Client) cloudsim.Response{
+		"Do":      func(p *sim.Proc, c *Client) cloudsim.Response { return c.Do(p, spec) },
+		"DoAsync": func(p *sim.Proc, c *Client) cloudsim.Response { return c.DoAsync(spec).Wait(p) },
+		"DoFunc": func(p *sim.Proc, c *Client) cloudsim.Response {
+			ev := sim.NewEvent(p.Env())
+			c.DoFunc(spec, func(r cloudsim.Response) { ev.Trigger(r) })
+			return p.Wait(ev).(cloudsim.Response)
+		},
+	}
+	for name, form := range forms {
+		t.Run(name, func(t *testing.T) {
+			env, cloud := world(t)
+			client := NewClient(cloud, "acct")
+			deployEcho(t, cloud, client, 2*time.Second)
+			var resp cloudsim.Response
+			env.Go("client", func(p *sim.Proc) error {
+				resp = form(p, client)
+				return nil
+			})
+			if err := env.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if !resp.OK() {
+				t.Fatalf("hedged %s failed: %v", name, resp.Err)
+			}
+			if got := cloud.Meter().Requests("acct"); got != 2 {
+				t.Errorf("%s billed %d invocations, want the primary and its hedge", name, got)
+			}
+		})
+	}
+}
+
+func TestDoDeadlineCutsTheBackoffShort(t *testing.T) {
+	env, cloud := world(t)
+	client := NewClient(cloud, "acct")
+	deployEcho(t, cloud, client, 20*time.Millisecond)
+	var resp cloudsim.Response
+	var elapsed time.Duration
+	env.Go("client", func(p *sim.Proc) error {
+		az, _ := cloud.AZ("r1-az-a")
+		az.SetOutage(true)
+		start := env.Now()
+		resp = client.Do(p, NewInvokeSpec(Call{AZ: "r1-az-a", Function: "fn"},
+			WithRetry(RetryPolicy{MaxAttempts: 10, BaseBackoff: 300 * time.Millisecond}),
+			WithDeadline(time.Second)))
+		elapsed = env.Now().Sub(start)
+		return nil
+	})
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	// Attempts at 0, ~0.3 s; the third backoff (1.2 s) would end past the
+	// deadline, so the invocation gives up then, naming both causes.
+	if !errors.Is(resp.Err, ErrDeadlineExceeded) || !errors.Is(resp.Err, cloudsim.ErrZoneOutage) {
+		t.Fatalf("err = %v, want deadline exceeded wrapping the zone outage", resp.Err)
+	}
+	if elapsed >= time.Second {
+		t.Errorf("gave up after %v, want before the deadline", elapsed)
 	}
 }
 
@@ -205,5 +280,39 @@ func TestDeprecatedWrappersStillWork(t *testing.T) {
 	})
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDoFuncAllocs pins one open-loop request through the envelope at zero
+// heap allocations: a warm, plain invocation with a retry budget, started
+// with DoFunc and answered through its callback. The envelope comes back
+// from its client's free list and the cloud's request record from its
+// pool, and every step is scheduled as a method value bound once per
+// record (0 under -race too, where sync.Pool drops some of its puts; a
+// process per request, as the open loop had before, cost a goroutine, two
+// channels, an event and a handful of closures).
+func TestDoFuncAllocs(t *testing.T) {
+	env, cloud := world(t)
+	client := NewClient(cloud, "acct")
+	deployEcho(t, cloud, client, 10*time.Millisecond)
+	spec := NewInvokeSpec(Call{AZ: "r1-az-a", Function: "fn"}, WithRetry(RetryPolicy{MaxAttempts: 6}))
+	var resp cloudsim.Response
+	done := func(r cloudsim.Response) { resp = r }
+	invoke := func() {
+		client.DoFunc(spec, done)
+		if err := env.RunFor(time.Second); err != nil {
+			t.Fatal(err)
+		}
+	}
+	invoke() // the cold start provisions the instance
+	if !resp.OK() || !resp.Cold {
+		t.Fatalf("first invocation: err %v, cold %v", resp.Err, resp.Cold)
+	}
+	allocs := testing.AllocsPerRun(100, invoke)
+	if !resp.OK() || resp.Cold {
+		t.Fatalf("warm invocation: err %v, cold %v", resp.Err, resp.Cold)
+	}
+	if allocs != 0 {
+		t.Errorf("a warm DoFunc invocation allocates %.0f times, budget is 0", allocs)
 	}
 }

@@ -22,6 +22,12 @@ import (
 type Report struct {
 	// UUID identifies the function instance (stable across warm reuses).
 	UUID string `json:"uuid"`
+	// Instance is the instance's number in its zone, which the platform
+	// hands out densely from 1: two reports from one zone name the same
+	// instance exactly when their UUIDs are equal, so a consumer can dedupe
+	// on it without hashing strings. It is platform metadata, not part of
+	// SAAF's report (not serialized, 0 after Parse).
+	Instance int `json:"-"`
 	// VMID identifies the host machine the instance landed on.
 	VMID string `json:"vmID"`
 	// CPUModel is the raw model string read from /proc/cpuinfo.

@@ -99,3 +99,29 @@ func TestParseRejectsUnknownModel(t *testing.T) {
 		t.Fatal("bad json accepted")
 	}
 }
+
+// TestMarshalOmitsInstance pins the wire format against the instance
+// number: it is platform metadata, never serialized, so a report marshals
+// to the bytes it did before reports carried one, and Parse leaves it 0.
+func TestMarshalOmitsInstance(t *testing.T) {
+	const want = `{"uuid":"fi-us-west-1a-7","vmID":"vm-us-west-1a-3","cpuType":"Intel(R) Xeon(R) Processor @ 2.50GHz","cpuMHz":2500,"vcpus":2,"newcontainer":1,"runtime":12.5}`
+	r, err := Collect(cpu.CPUInfo(cpu.Xeon25, 2), "fi-us-west-1a-7", "vm-us-west-1a-3", true, 12.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Instance = 7
+	blob, err := Marshal(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(blob) != want {
+		t.Errorf("Marshal = %s\nwant      %s", blob, want)
+	}
+	back, err := Parse(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back.Instance != 0 {
+		t.Errorf("Parse set Instance %d from bytes that do not carry it", back.Instance)
+	}
+}

@@ -239,6 +239,9 @@ type PollResult struct {
 	// characterization run (filled by Characterize; equals len(Reports)
 	// for a standalone poll).
 	NewFIs int
+	// Fresh is the CPU counts of those first sightings (filled by
+	// Characterize; nil for a standalone poll).
+	Fresh charact.Counts
 	// CostUSD is the poll's total spend.
 	CostUSD float64
 }
@@ -311,22 +314,20 @@ func (s *Sampler) CharacterizeQuick(p *sim.Proc, az string, polls int) (charact.
 }
 
 func (s *Sampler) characterize(p *sim.Proc, az string, maxPolls int, untilFailure bool) (charact.Characterization, []PollResult, error) {
-	seen := make(map[string]struct{})
+	var seen sightings
 	cum := make(charact.Counts)
 	var trail []PollResult
 	var cost float64
 	for poll := 0; poll < maxPolls; poll++ {
 		res := s.Poll(p, az, poll)
-		fresh := make(charact.Counts)
+		res.Fresh = make(charact.Counts)
 		for _, rep := range res.Reports {
-			if _, dup := seen[rep.UUID]; dup {
-				continue
+			if seen.first(rep.Instance) {
+				res.Fresh.Add(rep.Kind)
 			}
-			seen[rep.UUID] = struct{}{}
-			fresh.Add(rep.Kind)
 		}
-		res.NewFIs = fresh.Total()
-		cum.Merge(fresh)
+		res.NewFIs = res.Fresh.Total()
+		cum.Merge(res.Fresh)
 		cost += res.CostUSD
 		trail = append(trail, res)
 		if untilFailure && res.FailFrac() > s.cfg.FailStop {
@@ -374,18 +375,45 @@ func (s *Sampler) SweepSleep(p *sim.Proc, az string, sleeps []time.Duration, mem
 				return nil, fmt.Errorf("sampler: sweep: %w", err)
 			}
 			res := s.pollWith(p, az, fn, 0, sleep)
-			unique := make(map[string]struct{}, len(res.Reports))
-			for _, rep := range res.Reports {
-				unique[rep.UUID] = struct{}{}
-			}
 			out = append(out, SweepPoint{
 				Sleep:     sleep,
 				MemoryMB:  mem,
-				UniqueFIs: len(unique),
+				UniqueFIs: UniqueFIs(res.Reports),
 				CostUSD:   res.CostUSD,
 			})
 			p.Sleep(keepAlive + time.Minute)
 		}
 	}
 	return out, nil
+}
+
+// sightings dedupes one zone's instances by the number each report
+// carries (saaf.Report.Instance): instance n has been seen iff s[n]. The
+// zone numbers its instances densely, so this is a flat bitmap where a set
+// of UUID strings would hash every report.
+type sightings []bool
+
+// first reports whether this is the first sighting of instance n, and
+// marks it seen.
+func (s *sightings) first(n int) bool {
+	if n >= len(*s) {
+		*s = append(*s, make([]bool, n+1-len(*s))...)
+	}
+	if (*s)[n] {
+		return false
+	}
+	(*s)[n] = true
+	return true
+}
+
+// UniqueFIs counts the distinct instances among reports from one zone.
+func UniqueFIs(reports []saaf.Report) int {
+	var s sightings
+	n := 0
+	for _, rep := range reports {
+		if s.first(rep.Instance) {
+			n++
+		}
+	}
+	return n
 }

@@ -14,11 +14,19 @@
 //     keep-alive timer is a closure-free 32-byte slot instead of a closure
 //     per Schedule.
 //   - Processes: Env.Go(name, fn) starts a cooperative process — a goroutine
-//     that may block on Proc.Sleep and Proc.Wait. Processes make client-side
-//     logic (pollers issuing requests, routers retrying invocations) read
-//     like straight-line distributed-systems code while remaining fully
+//     that may block on Proc.Sleep and Proc.Wait — and it stays fully
 //     deterministic: the scheduler and at most one process run at any
-//     instant, hand over hand.
+//     instant, hand over hand. A process costs a goroutine, two channels
+//     and a hand-over per wake-up, so it is kept for logic that is long and
+//     sequential and runs once per driver, not once per invocation: an
+//     experiment's or a cell's driver (core.Runtime.Do) and the sampler
+//     poll loops it calls, a refresh pass, and each command skyd's pump
+//     runs (one per served call, however many invocations it makes).
+//     Per-invocation logic — a request's life in the cloud, the sampler's
+//     fan-out tree, a client's retry/hedge/deadline envelope, an open-loop
+//     arrival — is a chain of callbacks instead, each scheduled where a
+//     process would have been started or woken, so the event order is the
+//     process form's.
 //
 // Events at equal virtual timestamps execute in schedule order (a strictly
 // increasing sequence number breaks ties), so a run is a pure function of
