@@ -8,7 +8,6 @@ import (
 
 	"skyfaas/internal/cpu"
 	"skyfaas/internal/rng"
-	"skyfaas/internal/sim"
 )
 
 // Host is one provisioned machine (a bare-metal instance hosting microVMs).
@@ -47,8 +46,13 @@ type FI struct {
 	dep       *Deployment
 	busy      bool
 	destroyed bool
-	idleGen   uint64 // bumped on every release; validates expiry timers
-	uses      int
+	// uses sits beside the flags, which keeps the struct in the 80-byte
+	// size class with the idle-list links: a saturated zone holds
+	// thousands of instances.
+	uses    int32
+	idleGen uint64 // bumped on every release; validates expiry timers
+	// prev and next link an idle instance into its deployment's idle list.
+	prev, next *FI
 	// cache holds dynamic-function payload hashes already decoded on this
 	// instance (§3.2's per-FI payload cache).
 	cache map[string]struct{}
@@ -61,7 +65,7 @@ func (f *FI) ID() string { return f.id }
 func (f *FI) Host() *Host { return f.host }
 
 // Uses returns how many invocations this instance has served.
-func (f *FI) Uses() int { return f.uses }
+func (f *FI) Uses() int { return int(f.uses) }
 
 // Deployment is one function deployed to one availability zone.
 type Deployment struct {
@@ -72,7 +76,12 @@ type Deployment struct {
 	behavior Behavior
 	dynamic  bool
 	codeHash string
-	warm     []*FI // idle instances, reused LIFO like real platforms
+	// idleHead..idleTail lists the idle instances in the order they went
+	// idle; reuse takes the tail, LIFO like real platforms. An instance is
+	// on the list exactly while it is neither busy nor destroyed, so idle
+	// counts it.
+	idleHead, idleTail *FI
+	idle               int
 	// floor is the warm-pool floor: keep-alive expiry holds this many idle
 	// instances alive instead of reaping them (see armExpiry). Set via
 	// AZ.SetWarmFloor; 0 restores pure keep-alive semantics.
@@ -89,17 +98,32 @@ type Deployment struct {
 	live int
 }
 
-// warmIdle counts the deployment's idle warm instances. The warm slice
-// retains destroyed entries until acquireFI pops them, so a scan with
-// filtering is required.
-func (d *Deployment) warmIdle() int {
-	n := 0
-	for _, fi := range d.warm {
-		if !fi.destroyed && !fi.busy {
-			n++
-		}
+// pushIdle appends an instance that has just gone idle to the idle list.
+func (d *Deployment) pushIdle(fi *FI) {
+	fi.prev, fi.next = d.idleTail, nil
+	if d.idleTail != nil {
+		d.idleTail.next = fi
+	} else {
+		d.idleHead = fi
 	}
-	return n
+	d.idleTail = fi
+	d.idle++
+}
+
+// unlinkIdle takes an idle instance off the idle list.
+func (d *Deployment) unlinkIdle(fi *FI) {
+	if fi.prev != nil {
+		fi.prev.next = fi.next
+	} else {
+		d.idleHead = fi.next
+	}
+	if fi.next != nil {
+		fi.next.prev = fi.prev
+	} else {
+		d.idleTail = fi.prev
+	}
+	fi.prev, fi.next = nil, nil
+	d.idle--
 }
 
 // Name returns the function name (unique within its AZ).
@@ -143,11 +167,6 @@ type AZ struct {
 	scaleUpUsed bool
 	fault       faultState
 	m           azMetrics
-	// expiry holds the zone's keep-alive timers: they all share one delay,
-	// so one lane on the zone's env fires each where its own Schedule
-	// would have, at the cost of one event-queue entry. It is made on the
-	// zone's first arm, so building a world allocates no lanes.
-	expiry *sim.Lane[idleRef]
 }
 
 func newAZ(c *Cloud, region *Region, spec AZSpec) *AZ {
@@ -291,12 +310,8 @@ func (az *AZ) deploy(name string, cfg DeployConfig) (*Deployment, error) {
 // instance when available and otherwise placing a new one.
 func (az *AZ) acquireFI(dep *Deployment) (*FI, bool, error) {
 	// LIFO reuse: most recently released first, like real platforms.
-	for n := len(dep.warm); n > 0; n = len(dep.warm) {
-		fi := dep.warm[n-1]
-		dep.warm = dep.warm[:n-1]
-		if fi.destroyed || fi.busy {
-			continue
-		}
+	if fi := dep.idleTail; fi != nil {
+		dep.unlinkIdle(fi)
 		fi.busy = true
 		fi.idleGen++
 		return fi, false, nil
@@ -373,10 +388,16 @@ func (az *AZ) releaseFI(fi *FI) {
 	if fi.destroyed {
 		return
 	}
-	fi.busy = false
 	fi.uses++
+	az.idle(fi)
+}
+
+// idle makes a busy instance idle: it joins its deployment's idle list and
+// arms its keep-alive expiry.
+func (az *AZ) idle(fi *FI) {
+	fi.busy = false
 	fi.idleGen++
-	fi.dep.warm = append(fi.dep.warm, fi)
+	fi.dep.pushIdle(fi)
 	az.armExpiry(fi)
 }
 
@@ -387,36 +408,41 @@ type idleRef struct {
 	gen uint64
 }
 
-// armExpiry arms the keep-alive reaping of an idle instance on the zone's
-// expiry lane, validated by the idleGen captured now: any acquire before
-// the timer fires bumps the generation and voids it.
-func (az *AZ) armExpiry(fi *FI) {
-	if az.expiry == nil {
-		az.expiry = sim.NewLane(az.cloud.env, az.cloud.opts.KeepAlive, az.expire)
-	}
-	az.expiry.Push(idleRef{fi: fi, gen: fi.idleGen})
+// stale reports a timer void: its instance was destroyed or reused since
+// the timer was armed. It stays void, since idleGen only grows, which is
+// what the cloud's keep-alive lane needs to drop it unfired.
+func (r idleRef) stale() bool {
+	return r.fi.destroyed || r.fi.busy || r.fi.idleGen != r.gen
 }
 
-// expire reaps an instance whose keep-alive ran out, unless the timer has
-// gone stale. An instance held by the deployment's warm-pool floor is left
-// alive *without* re-arming — it becomes timerless, so a drained event
-// queue can terminate; SetWarmFloor re-arms every idle instance when the
-// floor changes, which is what eventually reaps the excess after a floor
-// is lowered.
-func (az *AZ) expire(r idleRef) {
-	fi := r.fi
-	if fi.destroyed || fi.busy || fi.idleGen != r.gen {
-		return
-	}
-	if fi.dep.floor > 0 && fi.dep.warmIdle() <= fi.dep.floor {
+// armExpiry arms the keep-alive reaping of an idle instance on the cloud's
+// keep-alive lane, validated by the idleGen captured now: any acquire
+// before the timer fires bumps the generation and voids it.
+func (az *AZ) armExpiry(fi *FI) {
+	az.cloud.keepAlive().Push(idleRef{fi: fi, gen: fi.idleGen})
+}
+
+// expire reaps an instance whose keep-alive ran out; the lane has already
+// dropped the timer if it went stale. An instance held by the deployment's
+// warm-pool floor is left alive *without* re-arming — it becomes
+// timerless, so a drained event queue can terminate; SetWarmFloor re-arms
+// every idle instance when the floor changes, which is what eventually
+// reaps the excess after a floor is lowered.
+func (az *AZ) expire(fi *FI) {
+	if fi.dep.floor > 0 && fi.dep.idle <= fi.dep.floor {
 		return
 	}
 	az.destroyFI(fi)
 }
 
+// destroyFI tears an instance down: an idle one (keep-alive expiry) leaves
+// its idle list, a busy one (a probe's decline) was on none.
 func (az *AZ) destroyFI(fi *FI) {
 	if fi.destroyed {
 		return
+	}
+	if !fi.busy {
+		fi.dep.unlinkIdle(fi)
 	}
 	fi.destroyed = true
 	fi.host.used--

@@ -213,6 +213,21 @@ type Cloud struct {
 	meter    *Meter
 	// latRand draws the client-latency jitter of every geo-located request.
 	latRand *rng.Stream
+	// expiry holds every zone's keep-alive timers: they all share the
+	// cloud's delay, so one lane fires each where its own Schedule would
+	// have, at the cost of one event-queue entry, and drops the ones a
+	// reuse voided. It is made on the first arm (keepAlive), so building a
+	// world allocates no lane.
+	expiry *sim.Lane[idleRef]
+}
+
+// keepAlive returns the cloud's keep-alive lane, making it on first use.
+func (c *Cloud) keepAlive() *sim.Lane[idleRef] {
+	if c.expiry == nil {
+		c.expiry = sim.NewLane(c.env, c.opts.KeepAlive,
+			func(r idleRef) { r.fi.dep.az.expire(r.fi) }, idleRef.stale)
+	}
+	return c.expiry
 }
 
 // New builds a cloud over env from the given catalog. A nil or empty

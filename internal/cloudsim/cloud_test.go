@@ -174,7 +174,7 @@ func TestKeepAliveExpiry(t *testing.T) {
 }
 
 // TestIdleInstancesShareOneQueueEntry: 1,000 instances going idle in one
-// zone arm 1,000 keep-alive timers, which the zone's expiry lane holds as
+// zone arm 1,000 keep-alive timers, which the cloud's keep-alive lane holds as
 // one event-queue entry, and each still reaps its instance on time.
 func TestIdleInstancesShareOneQueueEntry(t *testing.T) {
 	env, c := testWorld(t, plainAZ(2048), Options{KeepAlive: 5 * time.Minute})

@@ -130,10 +130,7 @@ func (az *AZ) PreWarm(fn string, n int, account string) (int, float64, error) {
 			if fi.destroyed {
 				return
 			}
-			fi.busy = false
-			fi.idleGen++
-			fi.dep.warm = append(fi.dep.warm, fi)
-			az.armExpiry(fi)
+			az.idle(fi)
 		})
 	}
 	return provisioned, costUSD, nil
@@ -156,10 +153,8 @@ func (az *AZ) SetWarmFloor(fn string, n int) error {
 		n = 0
 	}
 	dep.floor = n
-	for _, fi := range dep.warm {
-		if !fi.destroyed && !fi.busy {
-			az.armExpiry(fi)
-		}
+	for fi := dep.idleHead; fi != nil; fi = fi.next {
+		az.armExpiry(fi)
 	}
 	return nil
 }
@@ -171,7 +166,7 @@ func (az *AZ) WarmIdle(fn string) int {
 	if !ok {
 		return 0
 	}
-	return dep.warmIdle()
+	return dep.idle
 }
 
 // WarmLive reports fn's provisioned instance count (busy + idle +
@@ -216,7 +211,7 @@ func (c *Cloud) StartEnsureWarm(azName, fn string, target, floor int, account st
 			}
 			res.CostUSD += res.HoldUSD
 			res.Live = dep.live
-			res.Idle = dep.warmIdle()
+			res.Idle = dep.idle
 		}
 		c.env.Schedule(oneWay, func() { done(res) })
 	})

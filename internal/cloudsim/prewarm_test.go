@@ -187,10 +187,8 @@ func TestWarmHostsSurviveIdleHostRedraw(t *testing.T) {
 	})
 	env.Schedule(time.Second, func() {
 		warmHosts := make(map[*Host]bool)
-		for _, fi := range az.deployments["fn"].warm {
-			if !fi.destroyed {
-				warmHosts[fi.host] = true
-			}
+		for _, fi := range az.deployments["fn"].idleFIs() {
+			warmHosts[fi.host] = true
 		}
 		if len(warmHosts) == 0 {
 			t.Fatal("no warm hosts to protect")

@@ -72,7 +72,7 @@ func (k kernel) post(at time.Duration, fn func()) {
 }
 
 func (k kernel) lane(delay time.Duration, fn func(int)) func(int) {
-	return NewLane(k.Env, delay, fn).Push
+	return NewLane(k.Env, delay, fn, never).Push
 }
 
 // heapEnv is a minimal kernel on the oracle heap: its lanes are the
@@ -214,71 +214,143 @@ func TestQueueMatchesHeap(t *testing.T) {
 	}
 }
 
-// FuzzQueue turns bytes into pushes and pops, two bytes an operation, and
-// checks every pop, the next time and the length against the oracle heap.
-// A push is a fresh key at or after the clock, or a key reserved by an
-// earlier operation and pushed later, out of sequence order, the way a Lane
-// arms its head. The seed corpus under testdata/fuzz/FuzzQueue holds
-// descending ramps, ties, bursts and reserved keys, and runs under plain
-// `go test`.
+// FuzzQueue turns bytes into operations, two bytes each, on an Env's queue
+// and on the oracle heap, and checks every firing, the next time and the
+// length against it. A push is a fresh key at or after the clock, or a key
+// reserved by an earlier operation and pushed later, out of sequence order,
+// the way a Lane arms its head. The lane arm pushes timers on a Lane, whose
+// oracle form is one Schedule per timer, and marks pending ones stale, for
+// good: the lane must fire exactly the oracle's live timers, at the
+// oracle's keys, and hold one queue entry while it holds a timer. A pop
+// fires the next live event on both sides; the queue may pop a stale lane
+// head first, as the oracle pops every stale timer. The seed corpus under
+// testdata/fuzz/FuzzQueue holds descending ramps, ties, bursts, reserved
+// keys and stale lane timers, and runs under plain `go test`.
 func FuzzQueue(f *testing.F) {
 	f.Fuzz(func(t *testing.T, ops []byte) {
-		var q eventQueue
+		const laneDelay = 8
+		e := NewEnv(epoch)
+		q := &e.queue
 		var ref heapQueue
-		var now time.Duration
-		var seq uint64
 		var reserved []key
-		fired := 0
+		var fired key
+		stale := make(map[uint64]bool) // lane timers by seq, until fired live
+		var pending []uint64           // live lane timers not yet fired, by seq
+		lane := NewLane(e, laneDelay, func(seq uint64) { fired = key{e.now, seq} },
+			func(seq uint64) bool { return stale[seq] })
+		laneQueued := 0 // lane timers in the oracle
 		check := func(step int) {
 			t.Helper()
-			if q.n != len(ref) || q.empty() != (len(ref) == 0) {
-				t.Fatalf("step %d: queue holds %d, heap %d", step, q.n, len(ref))
+			want := len(ref) - laneQueued + min(lane.Len(), 1)
+			if q.n != want || q.empty() != (want == 0) {
+				t.Fatalf("step %d: queue holds %d, want %d (heap %d, %d of them lane timers, lane %d)", step, q.n, want, len(ref), laneQueued, lane.Len())
 			}
-			if len(ref) > 0 && q.nextAt() != ref[0].at {
-				t.Fatalf("step %d: queue next at %v, heap %v", step, q.nextAt(), ref[0].at)
+			if q.n == 0 {
+				return
+			}
+			// The queue holds the heap's items other than lane timers, and
+			// the lane's head in place of those: its next time is the
+			// earlier of the two, exactly.
+			next := time.Duration(math.MaxInt64)
+			for _, it := range ref {
+				if _, isLane := stale[it.seq]; !isLane {
+					next = min(next, it.at)
+				}
+			}
+			if lane.Len() > 0 {
+				next = min(next, lane.q[lane.head].at)
+			}
+			if q.nextAt() != next {
+				t.Fatalf("step %d: queue next at %v, want %v (heap %v)", step, q.nextAt(), next, ref[0].at)
 			}
 		}
-		pop := func(step int) {
+		live := func() bool { return len(ref)-laneQueued+len(pending) > 0 }
+		// fire pops until an event logs itself, on the queue and on the
+		// heap, and checks that the two logged the same key.
+		fire := func(step int) {
 			t.Helper()
-			got, want := q.pop(), ref.pop()
-			if got.key != want.key {
-				t.Fatalf("step %d: queue popped %+v, heap %+v", step, got.key, want.key)
+			fired = key{}
+			for fired == (key{}) {
+				if q.empty() {
+					t.Fatalf("step %d: queue drained before a live event", step)
+				}
+				it := q.pop()
+				// Only this test queues a key behind the clock: a
+				// reserved key pushed late (case 3) may lie in the past,
+				// which no Lane and no Schedule does, so Env.run sets the
+				// clock unclamped. The clamp is the test's own; it keeps the
+				// clock the lane reads from going back, which the lane's
+				// FIFO order rests on.
+				e.now = max(e.now, it.at)
+				it.fn()
 			}
-			got.fn()
-			if fired != int(got.seq) {
-				t.Fatalf("step %d: key %+v fired the item of seq %d", step, got.key, fired)
+			got := fired
+			fired = key{}
+			for fired == (key{}) {
+				it := ref.pop()
+				if _, ok := stale[it.seq]; ok {
+					laneQueued--
+				}
+				it.fn()
 			}
-			now = got.at
+			if got != fired {
+				t.Fatalf("step %d: queue fired %+v, heap %+v", step, got, fired)
+			}
+			if _, ok := stale[got.seq]; ok {
+				if pending[0] != got.seq {
+					t.Fatalf("step %d: lane fired timer %d before live timer %d", step, got.seq, pending[0])
+				}
+				delete(stale, got.seq)
+				pending = pending[1:]
+			}
 		}
 		push := func(k key) {
-			fn := func() { fired = int(k.seq) }
+			fn := func() { fired = k }
 			q.push(k.at, k.seq, fn)
 			ref.push(k.at, k.seq, fn)
 		}
 		for i := 0; i+1 < len(ops); i += 2 {
 			op, arg := ops[i], time.Duration(ops[i+1])
-			switch op % 4 {
-			case 0:
-				if len(ref) > 0 {
-					pop(i)
+			switch op % 8 {
+			case 0, 7:
+				if live() {
+					fire(i)
 				}
 			case 1:
-				seq++
-				push(key{now + arg%16, seq})
+				e.seq++
+				push(key{e.now + arg%16, e.seq})
 			case 2:
-				seq++
-				reserved = append(reserved, key{now + arg%16, seq})
+				e.seq++
+				reserved = append(reserved, key{e.now + arg%16, e.seq})
 			case 3:
 				if n := len(reserved); n > 0 {
 					j := int(arg) % n
 					push(reserved[j])
 					reserved = append(reserved[:j], reserved[j+1:]...)
 				}
+			case 4, 5:
+				lane.Push(e.seq + 1)
+				k := key{e.now + laneDelay, e.seq}
+				stale[k.seq] = false
+				pending = append(pending, k.seq)
+				laneQueued++
+				ref.push(k.at, k.seq, func() {
+					if !stale[k.seq] {
+						fired = k
+					}
+				})
+			case 6:
+				// Mark the arg-th pending lane timer, in seq order, stale.
+				if n := len(pending); n > 0 {
+					j := int(arg) % n
+					stale[pending[j]] = true
+					pending = append(pending[:j], pending[j+1:]...)
+				}
 			}
 			check(i)
 		}
-		for len(ref) > 0 {
-			pop(len(ops))
+		for live() {
+			fire(len(ops))
 			check(len(ops))
 		}
 	})

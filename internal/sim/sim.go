@@ -7,12 +7,13 @@
 //   - Callbacks: Env.Schedule(d, fn) runs fn at virtual time now+d. Cheap,
 //     used for mechanical bookkeeping (drift ticks, request steps). Timers
 //     that all share one delay — function-instance keep-alive expiry — go
-//     through a Lane, which fires each exactly where Schedule would have
-//     while holding one queue entry for all of them. The event queue
-//     already keeps a burst that shares a delay as one sorted run behind a
-//     single heap entry (queue.go); what a Lane adds is memory: a
-//     keep-alive timer is a closure-free 32-byte slot instead of a closure
-//     per Schedule.
+//     through a Lane, which fires each live one exactly where Schedule
+//     would have while holding one queue entry for all of them, and drops
+//     the ones the caller's predicate reports stale instead of firing them
+//     as no-ops. The event queue already keeps a burst that shares a delay
+//     as one sorted run behind a single heap entry (queue.go); what a Lane
+//     adds is memory: a keep-alive timer is a closure-free 32-byte slot
+//     instead of a closure per Schedule, held only while it is live.
 //   - Processes: Env.Go(name, fn) starts a cooperative process — a goroutine
 //     that may block on Proc.Sleep and Proc.Wait — and it stays fully
 //     deterministic: the scheduler and at most one process run at any
@@ -181,7 +182,8 @@ func (e *Env) drainProcs() {
 func (e *Env) LiveProcs() int { return len(e.procs) }
 
 // Pending reports the number of entries in the event queue. A Lane counts
-// as one however many timers it holds.
+// as one however many timers it holds, and as none once the timers left
+// behind its last fired head had all gone stale.
 func (e *Env) Pending() int { return e.queue.n }
 
 // ---------------------------------------------------------------------------

@@ -72,7 +72,7 @@ func TestTickAllocs(t *testing.T) {
 			m.tick()
 		})
 	}
-	const budget = 34 // one closure per zone plus two of slack
+	const budget = 32 // one closure per zone
 	quiet := tickAfter(10)
 	if quiet > budget {
 		t.Errorf("tick over %d zones allocates %.0f times, budget is %d", len(zones), quiet, budget)
