@@ -83,9 +83,11 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=10s ./internal/saaf/
 	$(GO) test -run='^$$' -fuzz=FuzzQueue -fuzztime=10s ./internal/sim/
 
-# Regenerate every paper table/figure at full scale (writes data/*.csv).
+# Regenerate the paper's tables and figures (EX-1..EX-5) at full scale into
+# data/, the set data-check compares (internal/ciparity keeps the two -ex
+# lists equal).
 reproduce:
-	$(GO) run ./cmd/skybench -ex all -csvdir data | tee skybench_full.txt
+	$(GO) run ./cmd/skybench -ex ex1,ex2,ex3,ex4,ex5 -csvdir data | tee skybench_full.txt
 
 serve:
 	$(GO) run ./cmd/skyd -addr 127.0.0.1:8080

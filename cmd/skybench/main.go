@@ -33,12 +33,12 @@ func main() {
 
 // benchOpts carries the parsed flags into each experiment runner.
 type benchOpts struct {
-	seed          uint64
-	reduced       bool
-	profileRuns   int
-	days          int
-	csvDir        string
-	ex6Strategies string
+	seed        uint64
+	reduced     bool
+	profileRuns int
+	days        int
+	csvDir      string
+	ex6Arms     []experiments.EX6Arm
 }
 
 // experiment is one runnable entry. The registry below is the single source
@@ -49,25 +49,18 @@ type experiment struct {
 	run  func(o benchOpts) (string, error)
 }
 
-// entry registers an experiment: seeded builds its full-scale
-// configuration, the entry applies -scale and then flags (the flag
-// overrides, nil when it reads none), runs it, writes the -csvdir dataset
-// and renders the result. The scale goes first so that a flag overrides
+// entry registers an experiment: configure builds its configuration from
+// the flags, the entry picks the -scale preset, runs it, writes the
+// -csvdir dataset and renders the result. A flag a config holds overrides
 // its preset at either scale.
 func entry[C interface{ Reduced() C }, R interface {
 	Render() string
 	WriteCSV(dir string) error
-}](name string, seeded func(seed uint64) C, flags func(C, benchOpts) (C, error), run func(C) (R, error)) experiment {
+}](name string, configure func(o benchOpts) C, run func(C) (R, error)) experiment {
 	return experiment{name, func(o benchOpts) (string, error) {
-		c := seeded(o.seed)
+		c := configure(o)
 		if o.reduced {
 			c = c.Reduced()
-		}
-		if flags != nil {
-			var err error
-			if c, err = flags(c, o); err != nil {
-				return "", err
-			}
 		}
 		res, err := run(c)
 		if err != nil {
@@ -91,69 +84,53 @@ func registry() []experiment {
 			}
 			return "Table 1 — workload catalog\n" + t.String(), nil
 		}},
-		entry("ex1", func(s uint64) experiments.EX1Config { return experiments.EX1Config{Seed: s} }, nil, experiments.RunEX1),
-		entry("ex2", func(s uint64) experiments.EX2Config { return experiments.EX2Config{Seed: s} }, nil, experiments.RunEX2),
-		entry("ex3", func(s uint64) experiments.EX3Config { return experiments.EX3Config{Seed: s} }, nil, experiments.RunEX3),
-		entry("ex4", func(s uint64) experiments.EX4Config { return experiments.EX4Config{Seed: s} }, ex4Flags, experiments.RunEX4),
-		entry("ex5", func(s uint64) experiments.EX5Config { return experiments.EX5Config{Seed: s} }, ex5Flags, experiments.RunEX5),
-		entry("ex6", func(s uint64) experiments.EX6Config { return experiments.EX6Config{Seed: s} }, ex6Flags, experiments.RunEX6),
-		entry("ex7", func(s uint64) experiments.EX7Config { return experiments.EX7Config{Seed: s} }, nil, experiments.RunEX7),
-		entry("ex8", func(s uint64) experiments.EX8Config { return experiments.EX8Config{Seed: s} }, nil, experiments.RunEX8),
-		entry("ex9", func(s uint64) experiments.EX9Config { return experiments.EX9Config{Seed: s} }, nil, experiments.RunEX9),
-		entry("ex10", func(s uint64) experiments.EX10Config { return experiments.EX10Config{Seed: s} }, nil, experiments.RunEX10),
-		entry("ex11", func(s uint64) experiments.EX11Config { return experiments.EX11Config{Seed: s} }, ex11Flags, experiments.RunEX11),
-		entry("ablations", func(s uint64) experiments.StudyConfig { return experiments.StudyConfig{Seed: s} }, nil, experiments.RunAblations),
-		entry("tradeoff", func(s uint64) experiments.StudyConfig { return experiments.StudyConfig{Seed: s} }, nil, experiments.RunRetryTradeoff),
+		entry("ex1", func(o benchOpts) experiments.EX1Config { return experiments.EX1Config{Seed: o.seed} }, experiments.RunEX1),
+		entry("ex2", func(o benchOpts) experiments.EX2Config { return experiments.EX2Config{Seed: o.seed} }, experiments.RunEX2),
+		entry("ex3", func(o benchOpts) experiments.EX3Config { return experiments.EX3Config{Seed: o.seed} }, experiments.RunEX3),
+		entry("ex4", func(o benchOpts) experiments.EX4Config {
+			return experiments.EX4Config{Seed: o.seed, Rounds: o.days}
+		}, experiments.RunEX4),
+		entry("ex5", func(o benchOpts) experiments.EX5Config {
+			return experiments.EX5Config{Seed: o.seed, Days: o.days, ProfileRuns: o.profileRuns}
+		}, experiments.RunEX5),
+		entry("ex6", func(o benchOpts) experiments.EX6Config {
+			return experiments.EX6Config{Seed: o.seed, Arms: o.ex6Arms}
+		}, experiments.RunEX6),
+		entry("ex7", func(o benchOpts) experiments.EX7Config { return experiments.EX7Config{Seed: o.seed} }, experiments.RunEX7),
+		entry("ex8", func(o benchOpts) experiments.EX8Config { return experiments.EX8Config{Seed: o.seed} }, experiments.RunEX8),
+		entry("ex9", func(o benchOpts) experiments.EX9Config { return experiments.EX9Config{Seed: o.seed} }, experiments.RunEX9),
+		entry("ex10", func(o benchOpts) experiments.EX10Config { return experiments.EX10Config{Seed: o.seed} }, experiments.RunEX10),
+		entry("ex11", func(o benchOpts) experiments.EX11Config {
+			return experiments.EX11Config{Seed: o.seed, ProfileRuns: o.profileRuns}
+		}, experiments.RunEX11),
+		entry("ablations", func(o benchOpts) experiments.StudyConfig { return experiments.StudyConfig{Seed: o.seed} }, experiments.RunAblations),
+		entry("tradeoff", func(o benchOpts) experiments.StudyConfig { return experiments.StudyConfig{Seed: o.seed} }, experiments.RunRetryTradeoff),
 	}
 }
 
-func ex4Flags(cfg experiments.EX4Config, o benchOpts) (experiments.EX4Config, error) {
-	if o.days > 0 {
-		cfg.Rounds = o.days
+// ex6Arms returns the default arms plus one arm per comma-separated
+// strategy name, run with default resilience (nil when names is empty).
+func ex6Arms(names string) ([]experiments.EX6Arm, error) {
+	if names == "" {
+		return nil, nil
 	}
-	return cfg, nil
-}
-
-func ex5Flags(cfg experiments.EX5Config, o benchOpts) (experiments.EX5Config, error) {
-	if o.days > 0 {
-		cfg.Days = o.days
-	}
-	if o.profileRuns > 0 {
-		cfg.ProfileRuns = o.profileRuns
-	}
-	return cfg, nil
-}
-
-// ex6Flags appends one arm per -ex6-strategies name, run with default
-// resilience, to the default arms.
-func ex6Flags(cfg experiments.EX6Config, o benchOpts) (experiments.EX6Config, error) {
-	if o.ex6Strategies == "" {
-		return cfg, nil
-	}
-	cfg.Arms = experiments.DefaultEX6Arms()
-	for _, name := range strings.Split(o.ex6Strategies, ",") {
+	arms := experiments.DefaultEX6Arms()
+	for _, name := range strings.Split(names, ",") {
 		name = strings.TrimSpace(name)
 		// Validate up front so a typo fails with the registry's name
 		// listing instead of mid-experiment; the placeholder AZ satisfies
 		// pinned strategies and is re-resolved to the chaos target inside
 		// each cell.
 		if _, err := router.Build(router.StrategySpec{Name: name, AZ: "us-west-1b"}); err != nil {
-			return cfg, err
+			return nil, err
 		}
-		cfg.Arms = append(cfg.Arms, experiments.EX6Arm{
+		arms = append(arms, experiments.EX6Arm{
 			Label:      name,
 			Strategy:   router.StrategySpec{Name: name},
 			Resilience: router.DefaultResilience(),
 		})
 	}
-	return cfg, nil
-}
-
-func ex11Flags(cfg experiments.EX11Config, o benchOpts) (experiments.EX11Config, error) {
-	if o.profileRuns > 0 {
-		cfg.ProfileRuns = o.profileRuns
-	}
-	return cfg, nil
+	return arms, nil
 }
 
 // experimentNames lists the registry in run order.
@@ -180,8 +157,8 @@ func run(args []string) error {
 	ex6Strategies := fs.String("ex6-strategies", "", "extra EX-6 arms: comma-separated strategy names (see router.Names), run with default resilience")
 	seed := fs.Uint64("seed", 42, "simulation seed (equal seeds replay exactly)")
 	scale := fs.String("scale", "full", "full | reduced")
-	profileRuns := fs.Int("profile-runs", 0, "EX-5 profiling executions per workload per zone, and EX-11's warmup profiling runs (0 = the scale's default)")
-	days := fs.Int("days", 0, "EX-4/EX-5 evaluation days (0 = the scale's default: the paper's 14 at full scale)")
+	profileRuns := fs.Int("profile-runs", 0, "EX-5 profiling executions per workload per zone, and EX-11's warmup profiling runs (0 = the scale's preset)")
+	days := fs.Int("days", 0, "EX-4 daily rounds and EX-5 evaluation days (0 = the scale's preset: the paper's 14 at full scale)")
 	csvDir := fs.String("csvdir", "", "also write each figure's dataset as CSV into this directory")
 	dumpMetrics := fs.Bool("metrics", false, "dump a Prometheus-text metrics snapshot covering all experiments after the run")
 	if err := fs.Parse(args); err != nil {
@@ -189,6 +166,13 @@ func run(args []string) error {
 	}
 	if *scale != "full" && *scale != "reduced" {
 		return fmt.Errorf("unknown scale %q", *scale)
+	}
+	if *days < 0 || *profileRuns < 0 {
+		return fmt.Errorf("-days %d and -profile-runs %d: neither may be negative", *days, *profileRuns)
+	}
+	arms, err := ex6Arms(*ex6Strategies)
+	if err != nil {
+		return err
 	}
 
 	valid := map[string]bool{}
@@ -206,12 +190,12 @@ func run(args []string) error {
 	all := want["all"]
 
 	o := benchOpts{
-		seed:          *seed,
-		reduced:       *scale == "reduced",
-		profileRuns:   *profileRuns,
-		days:          *days,
-		csvDir:        *csvDir,
-		ex6Strategies: *ex6Strategies,
+		seed:        *seed,
+		reduced:     *scale == "reduced",
+		profileRuns: *profileRuns,
+		days:        *days,
+		csvDir:      *csvDir,
+		ex6Arms:     arms,
 	}
 	for _, e := range registry() {
 		if !all && !want[e.name] {

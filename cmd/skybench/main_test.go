@@ -73,6 +73,15 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	if err := run([]string{"-bogus"}); err == nil {
 		t.Error("bad flag accepted")
 	}
+	// A negative count would otherwise fall back to the preset silently.
+	for _, args := range [][]string{
+		{"-ex", "ex4", "-days", "-3"},
+		{"-ex", "ex5", "-profile-runs", "-1"},
+	} {
+		if err := run(args); err == nil {
+			t.Errorf("%v accepted", args)
+		}
+	}
 }
 
 func TestRunUnknownExperimentErrors(t *testing.T) {

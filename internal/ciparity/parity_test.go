@@ -128,3 +128,39 @@ func TestMakeCICoversTheGates(t *testing.T) {
 		}
 	}
 }
+
+// makeRecipe returns the recipe lines of the Makefile rule for target.
+func makeRecipe(t *testing.T, target string) string {
+	t.Helper()
+	_, rest, found := strings.Cut(repoFile(t, "Makefile"), "\n"+target+":")
+	if !found {
+		t.Fatalf("no `%s:` rule in Makefile", target)
+	}
+	var recipe []string
+	for _, line := range strings.Split(rest, "\n")[1:] {
+		if !strings.HasPrefix(line, "\t") {
+			break
+		}
+		recipe = append(recipe, line)
+	}
+	return strings.Join(recipe, "\n")
+}
+
+var exFlag = regexp.MustCompile(`-ex\s+(\S+)`)
+
+// TestReproduceMatchesDataCheck: `make reproduce` writes into data/
+// exactly the experiments `make data-check` regenerates and compares, so
+// the tree stays checkable right after a reproduction.
+func TestReproduceMatchesDataCheck(t *testing.T) {
+	var lists []string
+	for _, target := range []string{"reproduce", "data-check"} {
+		m := exFlag.FindStringSubmatch(makeRecipe(t, target))
+		if m == nil {
+			t.Fatalf("make %s passes skybench no -ex list", target)
+		}
+		lists = append(lists, m[1])
+	}
+	if lists[0] != lists[1] {
+		t.Errorf("make reproduce runs -ex %s but make data-check checks -ex %s", lists[0], lists[1])
+	}
+}

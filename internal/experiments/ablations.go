@@ -95,13 +95,10 @@ func RunAblationFanout(seed uint64) (AblationFanoutResult, error) {
 		Endpoints: 4, PollSize: 222, Branch: 10,
 		InterPollPause: 500 * time.Millisecond,
 	}
-	rt, err := newRuntime(seed, 2, cfg)
-	if err != nil {
-		return AblationFanoutResult{}, err
-	}
 	const az = "us-west-1a"
 	var res AblationFanoutResult
-	err = rt.Do(func(p *sim.Proc) error {
+	world := core.Config{Seed: seed, SamplerCfg: cfg, CloudOpts: cloudsim.Options{HorizonDays: 2}}
+	err := inWorld(world, func(rt *core.Runtime, p *sim.Proc) error {
 		if err := rt.EnsureSamplerEndpoints(az); err != nil {
 			return err
 		}
@@ -164,22 +161,17 @@ type routingArm struct {
 // savings runs the arm and returns hybrid's cumulative savings versus the
 // baseline.
 func (a routingArm) savings(seed uint64) (float64, error) {
-	rt, err := core.New(core.Config{
+	var baseTotal, hybTotal float64
+	world := core.Config{
 		Seed:       seed,
-		Epoch:      defaultEpoch,
 		SamplerCfg: reducedSampler,
 		CloudOpts:  cloudsim.Options{HorizonDays: a.days + 2},
 		StoreTTL:   a.storeTTL,
-		SkipMesh:   true,
-	})
-	if err != nil {
-		return 0, err
 	}
-	if a.setup != nil {
-		a.setup(rt)
-	}
-	var baseTotal, hybTotal float64
-	err = rt.Do(func(p *sim.Proc) error {
+	err := inWorld(world, func(rt *core.Runtime, p *sim.Proc) error {
+		if a.setup != nil {
+			a.setup(rt)
+		}
 		if _, err := rt.ProfileWorkloads(p, []workload.ID{a.workload}, hopZones, a.profileRuns); err != nil {
 			return err
 		}

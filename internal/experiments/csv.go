@@ -124,28 +124,24 @@ func (r EX5Result) WriteCSV(dir string) error {
 		return err
 	}
 
-	if len(r.ZipperFocusFastest.Days) > 0 {
-		t10 := tablefmt.New("day", "baseline_usd", "retry_slow_usd", "focus_fastest_usd", "focus_retry_frac")
-		for i := range r.ZipperFocusFastest.Days {
-			t10.Row(i+1,
-				r.ZipperFocusFastest.Baseline[i].CostUSD,
-				r.ZipperRetrySlow.Days[i].CostUSD,
-				r.ZipperFocusFastest.Days[i].CostUSD,
-				r.ZipperFocusFastest.Days[i].RetryFrac)
-		}
-		if err := writeCSVFile(dir, "fig10_zipper_retry.csv", t10); err != nil {
-			return err
-		}
+	t10 := tablefmt.New("day", "baseline_usd", "retry_slow_usd", "focus_fastest_usd", "focus_retry_frac")
+	for i := range r.ZipperFocusFastest.Days {
+		t10.Row(i+1,
+			r.ZipperFocusFastest.Baseline[i].CostUSD,
+			r.ZipperRetrySlow.Days[i].CostUSD,
+			r.ZipperFocusFastest.Days[i].CostUSD,
+			r.ZipperFocusFastest.Days[i].RetryFrac)
+	}
+	if err := writeCSVFile(dir, "fig10_zipper_retry.csv", t10); err != nil {
+		return err
 	}
 
-	if len(r.LogRegHybrid.Days) > 0 {
-		t11 := tablefmt.New("day", "baseline_usd", "hybrid_usd", "zone")
-		for i := range r.LogRegHybrid.Days {
-			t11.Row(i+1, r.LogRegHybrid.Baseline[i].CostUSD, r.LogRegHybrid.Days[i].CostUSD, r.LogRegHybrid.Days[i].AZ)
-		}
-		if err := writeCSVFile(dir, "fig11_region_hopping.csv", t11); err != nil {
-			return err
-		}
+	t11 := tablefmt.New("day", "baseline_usd", "hybrid_usd", "zone")
+	for i := range r.LogRegHybrid.Days {
+		t11.Row(i+1, r.LogRegHybrid.Baseline[i].CostUSD, r.LogRegHybrid.Days[i].CostUSD, r.LogRegHybrid.Days[i].AZ)
+	}
+	if err := writeCSVFile(dir, "fig11_region_hopping.csv", t11); err != nil {
+		return err
 	}
 
 	th := tablefmt.New("workload", "hybrid_cumulative_savings")

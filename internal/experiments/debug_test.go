@@ -4,8 +4,10 @@ import (
 	"testing"
 	"time"
 
+	"skyfaas/internal/cloudsim"
+	"skyfaas/internal/core"
+	"skyfaas/internal/cpu"
 	"skyfaas/internal/router"
-	"skyfaas/internal/sampler"
 	"skyfaas/internal/sim"
 	"skyfaas/internal/workload"
 )
@@ -17,12 +19,9 @@ import (
 // attempts per 200 completions).
 func TestDebugFocusBurst(t *testing.T) {
 	const az, n = "us-west-1b", 1000
-	rt, err := newRuntime(42, 4, sampler.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	var base, focus router.BurstResult
-	err = rt.Do(func(p *sim.Proc) error {
+	var fastest cpu.Kind
+	err := inWorld(core.Config{Seed: 42, CloudOpts: cloudsim.Options{HorizonDays: 4}}, func(rt *core.Runtime, p *sim.Proc) (err error) {
 		if _, err := rt.Router().Profile(p, workload.Zipper, []string{az}, 1200, 0); err != nil {
 			return err
 		}
@@ -34,12 +33,12 @@ func TestDebugFocusBurst(t *testing.T) {
 			return err
 		}
 		focus, err = rt.Run(p, router.BurstSpec{Strategy: router.FocusFastest{AZ: az}, Workload: workload.Zipper, N: n})
+		fastest = rt.Perf().Kinds(workload.Zipper)[0]
 		return err
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fastest := rt.Perf().Kinds(workload.Zipper)[0]
 	if focus.Completed != n || focus.PerCPU[fastest] != n {
 		t.Errorf("focus completed %d, %d of them on %v (ranked fastest): %v", focus.Completed, focus.PerCPU[fastest], fastest, focus.PerCPU)
 	}
@@ -55,13 +54,9 @@ func TestDebugFocusBurst(t *testing.T) {
 // hops from the fixed us-west-1b to sa-east-1a, the zone with the largest
 // share of the fastest CPU, and costs less than the baseline there.
 func TestDebugHybridLogReg(t *testing.T) {
-	rt, err := newRuntime(42, 4, sampler.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	hop := []string{"us-west-1a", "us-west-1b", "sa-east-1a"}
 	var base, hyb router.BurstResult
-	err = rt.Do(func(p *sim.Proc) error {
+	err := inWorld(core.Config{Seed: 42, CloudOpts: cloudsim.Options{HorizonDays: 4}}, func(rt *core.Runtime, p *sim.Proc) (err error) {
 		if _, err := rt.ProfileWorkloads(p, []workload.ID{workload.LogisticRegression}, EX4Zones(), 2000); err != nil {
 			return err
 		}

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"time"
 
+	"skyfaas/internal/cloudsim"
+	"skyfaas/internal/core"
 	"skyfaas/internal/faas"
 	"skyfaas/internal/sampler"
 	"skyfaas/internal/sim"
@@ -13,43 +15,43 @@ import (
 // EX1Config parameterizes EX-1 (infrastructure observation verification:
 // Figs. 3 and 4).
 type EX1Config struct {
-	Seed uint64
-	// AZ is the zone driven to saturation (paper: us-west-1a).
-	AZ string
-	// Sleeps and MemoriesMB are the Fig.-3 sweep axes.
-	Sleeps     []time.Duration
-	MemoriesMB []int
-	// Sampler overrides the polling configuration (zero = paper scale).
-	Sampler sampler.Config
+	Seed    uint64
+	reduced bool
 }
 
-func (c EX1Config) withDefaults() EX1Config {
-	if c.AZ == "" {
-		c.AZ = "us-west-1a"
-	}
-	if len(c.Sleeps) == 0 {
-		c.Sleeps = []time.Duration{
+// Reduced returns c at benchmark scale.
+func (c EX1Config) Reduced() EX1Config { c.reduced = true; return c }
+
+// ex1Preset is one scale of EX-1.
+type ex1Preset struct {
+	// az is the zone driven to saturation.
+	az string
+	// sleeps and memoriesMB are the Fig.-3 sweep axes.
+	sleeps     []time.Duration
+	memoriesMB []int
+	sampler    sampler.Config
+}
+
+var (
+	// ex1Full is the paper's procedure on us-west-1a.
+	ex1Full = ex1Preset{
+		az: "us-west-1a",
+		sleeps: []time.Duration{
 			50 * time.Millisecond, 100 * time.Millisecond, 250 * time.Millisecond,
 			500 * time.Millisecond, time.Second, 2 * time.Second,
-		}
+		},
+		memoriesMB: []int{2048, 4096},
 	}
-	if len(c.MemoriesMB) == 0 {
-		c.MemoriesMB = []int{2048, 4096}
+	// ex1Reduced saturates the small eu-north-1a pool with small polls (an
+	// AZ can only saturate if its endpoints can collectively pin more
+	// instances than the zone provisions).
+	ex1Reduced = ex1Preset{
+		az:         "eu-north-1a",
+		sleeps:     []time.Duration{50 * time.Millisecond, 250 * time.Millisecond, time.Second},
+		memoriesMB: []int{2048},
+		sampler:    reducedSampler,
 	}
-	return c
-}
-
-// Reduced returns a benchmark-scale EX-1: saturates the small eu-north-1a
-// pool with small polls (an AZ can only saturate if its endpoints can
-// collectively pin more instances than the zone provisions).
-func (c EX1Config) Reduced() EX1Config {
-	c = c.withDefaults()
-	c.AZ = "eu-north-1a"
-	c.Sleeps = []time.Duration{50 * time.Millisecond, 250 * time.Millisecond, time.Second}
-	c.MemoriesMB = []int{2048}
-	c.Sampler = reducedSampler
-	return c
-}
+)
 
 // secondAccountPolls is how many polls the independent second account
 // issues after the first account saturates the zone.
@@ -73,27 +75,22 @@ type EX1Result struct {
 }
 
 // RunEX1 executes EX-1.
-func RunEX1(cfg EX1Config) (EX1Result, error) {
-	cfg = cfg.withDefaults()
-	rt, err := newRuntime(cfg.Seed, 3, cfg.Sampler)
-	if err != nil {
-		return EX1Result{}, err
-	}
-	res := EX1Result{AZ: cfg.AZ}
-
-	// The second account is fully independent: its own client and its own
-	// sampling endpoints in the same zone.
-	second := sampler.New(faas.NewClient(rt.Cloud(), "account-b"), samplerCfgSecond(rt.Sampler().Config()))
-
-	err = rt.Do(func(p *sim.Proc) error {
-		if err := rt.EnsureSamplerEndpoints(cfg.AZ); err != nil {
+func RunEX1(c EX1Config) (EX1Result, error) {
+	cfg := scaled(c.reduced, ex1Full, ex1Reduced)
+	res := EX1Result{AZ: cfg.az}
+	world := core.Config{Seed: c.Seed, SamplerCfg: cfg.sampler, CloudOpts: cloudsim.Options{HorizonDays: 3}}
+	err := inWorld(world, func(rt *core.Runtime, p *sim.Proc) error {
+		// The second account is fully independent: its own client and its
+		// own sampling endpoints in the same zone.
+		second := sampler.New(faas.NewClient(rt.Cloud(), "account-b"), samplerCfgSecond(rt.Sampler().Config()))
+		if err := rt.EnsureSamplerEndpoints(cfg.az); err != nil {
 			return err
 		}
-		if err := second.Deploy(cfg.AZ); err != nil {
+		if err := second.Deploy(cfg.az); err != nil {
 			return err
 		}
 		// Fig. 3: tune the sleep interval per memory setting.
-		sweep, err := rt.Sampler().SweepSleep(p, cfg.AZ, cfg.Sleeps, cfg.MemoriesMB)
+		sweep, err := rt.Sampler().SweepSleep(p, cfg.az, cfg.sleeps, cfg.memoriesMB)
 		if err != nil {
 			return err
 		}
@@ -102,7 +99,7 @@ func RunEX1(cfg EX1Config) (EX1Result, error) {
 		p.Sleep(rt.Cloud().Options().KeepAlive + time.Minute)
 
 		// Fig. 4: poll to saturation on account A...
-		ch, trail, err := rt.Sampler().Characterize(p, cfg.AZ)
+		ch, trail, err := rt.Sampler().Characterize(p, cfg.az)
 		if err != nil {
 			return err
 		}
@@ -111,7 +108,7 @@ func RunEX1(cfg EX1Config) (EX1Result, error) {
 		res.ObservedFIs = ch.Samples
 		// ...then immediately poll from the independent account B.
 		for i := 0; i < secondAccountPolls; i++ {
-			res.SecondAccount = append(res.SecondAccount, second.Poll(p, cfg.AZ, i))
+			res.SecondAccount = append(res.SecondAccount, second.Poll(p, cfg.az, i))
 		}
 		return nil
 	})

@@ -41,18 +41,32 @@ const (
 
 // EX10Config parameterizes EX-10.
 type EX10Config struct {
-	Seed uint64
-	// The quota and warmup.
-	openLoop
-	// Duration is the measured load span per cell (default 30s virtual).
-	Duration time.Duration
-	// VictimSlots / AggressorSlots are the per-tenant concurrency quotas in
-	// the per-tenant arm. The defaults partition the gate's slot limit
-	// (TargetUtil x Quota = 54): 34 slots give the victim's ~22 mean
-	// in-flight comfortable headroom, 20 cap the aggressor.
-	VictimSlots    int
-	AggressorSlots int
+	Seed    uint64
+	reduced bool
 }
+
+// Reduced returns c at benchmark scale.
+func (c EX10Config) Reduced() EX10Config { c.reduced = true; return c }
+
+// ex10Preset is one scale of EX-10.
+type ex10Preset struct {
+	openLoop
+	// duration is the measured load span per cell (virtual).
+	duration time.Duration
+	// victimSlots / aggressorSlots are the per-tenant concurrency quotas
+	// in the per-tenant arm.
+	victimSlots, aggressorSlots int
+}
+
+var (
+	// ex10Full partitions the gate's slot limit (TargetUtil x quota = 54):
+	// 34 slots give the victim's ~22 mean in-flight comfortable headroom,
+	// 20 cap the aggressor.
+	ex10Full = ex10Preset{openLoop: openLoopFull, duration: 30 * time.Second, victimSlots: 34, aggressorSlots: 20}
+	// ex10Reduced is the same partition shape against a 30-quota world:
+	// limit 27 = 20 victim + 7 aggressor.
+	ex10Reduced = ex10Preset{openLoop: openLoopReduced, duration: 12 * time.Second, victimSlots: 20, aggressorSlots: 7}
+)
 
 const (
 	// ex10VictimMultiple is the steady tenant's offered rate as a fraction
@@ -62,31 +76,6 @@ const (
 	// estimated capacity: a sustained throttle storm.
 	ex10StormMultiple = 4
 )
-
-func (c EX10Config) withDefaults() EX10Config {
-	c.openLoop = c.openLoop.withDefaults()
-	if c.Duration == 0 {
-		c.Duration = 30 * time.Second
-	}
-	if c.VictimSlots == 0 {
-		c.VictimSlots = 34
-	}
-	if c.AggressorSlots == 0 {
-		c.AggressorSlots = 20
-	}
-	return c
-}
-
-// Reduced returns a benchmark-scale EX-10 (the same slot partition shape
-// against a 30-quota world: limit 27 = 20 victim + 7 aggressor).
-func (c EX10Config) Reduced() EX10Config {
-	c = c.withDefaults()
-	c.openLoop = c.openLoop.reduced()
-	c.Duration = 12 * time.Second
-	c.VictimSlots = 20
-	c.AggressorSlots = 7
-	return c
-}
 
 // EX10Cell is one arm's measurement: each tenant's load digest.
 type EX10Cell struct {
@@ -131,16 +120,16 @@ func (r EX10Result) Retention(arm string) float64 {
 // RunEX10 executes EX-10. Every arm runs in a fresh world: identical seed,
 // characterization and warmup; only the tenant population and whether the
 // per-tenant governors run differ.
-func RunEX10(cfg EX10Config) (EX10Result, error) {
-	cfg = cfg.withDefaults()
+func RunEX10(c EX10Config) (EX10Result, error) {
+	cfg := scaled(c.reduced, ex10Full, ex10Reduced)
 	res := EX10Result{
-		Workload: openLoopWorkload, Zone: openLoopZone, Quota: cfg.Quota,
-		VictimSlots: cfg.VictimSlots, AggressorSlots: cfg.AggressorSlots,
+		Workload: openLoopWorkload, Zone: openLoopZone, Quota: cfg.quota,
+		VictimSlots: cfg.victimSlots, AggressorSlots: cfg.aggressorSlots,
 	}
 	for _, arm := range []string{EX10Uncontended, EX10GlobalOnly, EX10PerTenant} {
 		var cell EX10Cell
-		err := cfg.runCell(cfg.Seed, 0, &res.CapacityRPS, func(p *sim.Proc, w *openLoopWorld) (err error) {
-			cell, _, err = serveEX10(p, w, cfg, arm)
+		err := cfg.runCell(c.Seed, 0, &res.CapacityRPS, func(p *sim.Proc, w *openLoopWorld) (err error) {
+			cell, _, err = serveEX10(p, w, c.Seed, cfg, arm)
 			return err
 		})
 		if err != nil {
@@ -153,7 +142,7 @@ func RunEX10(cfg EX10Config) (EX10Result, error) {
 
 // serveEX10 runs one arm's tenants against w, returning the tenant
 // registry too (nil outside the per-tenant arm).
-func serveEX10(p *sim.Proc, w *openLoopWorld, cfg EX10Config, arm string) (EX10Cell, *tenant.Registry, error) {
+func serveEX10(p *sim.Proc, w *openLoopWorld, seed uint64, cfg ex10Preset, arm string) (EX10Cell, *tenant.Registry, error) {
 	cell := EX10Cell{Arm: arm, CapacityRPS: w.capacity}
 	w.spec.Retry = clientRetry
 	// The per-tenant governors, present only in the per-tenant arm. The
@@ -163,8 +152,8 @@ func serveEX10(p *sim.Proc, w *openLoopWorld, cfg EX10Config, arm string) (EX10C
 	if arm == EX10PerTenant {
 		reg = tenant.NewRegistry(tenant.Config{})
 		for _, t := range []tenant.Tenant{
-			{ID: EX10Victim, Name: "Steady tenant", Keys: []string{"sk-steady"}, QuotaSlots: cfg.VictimSlots},
-			{ID: EX10Aggressor, Name: "Aggressor", Keys: []string{"sk-storm"}, QuotaSlots: cfg.AggressorSlots},
+			{ID: EX10Victim, Name: "Steady tenant", Keys: []string{"sk-steady"}, QuotaSlots: cfg.victimSlots},
+			{ID: EX10Aggressor, Name: "Aggressor", Keys: []string{"sk-storm"}, QuotaSlots: cfg.aggressorSlots},
 		} {
 			if err := reg.Create(t, w.rt.Env().Now()); err != nil {
 				return cell, nil, err
@@ -174,13 +163,13 @@ func serveEX10(p *sim.Proc, w *openLoopWorld, cfg EX10Config, arm string) (EX10C
 	// Each tenant's schedule comes from its own seed stream, so the
 	// aggressor's presence never perturbs the victim's arrival times across
 	// arms.
-	victim, err := constantStream(EX10Victim, ex10VictimMultiple*w.capacity, cfg.Duration, rng.New(cfg.Seed).Split("ex10/"+EX10Victim), &cell.Victim)
+	victim, err := constantStream(EX10Victim, ex10VictimMultiple*w.capacity, cfg.duration, rng.New(seed).Split("ex10/"+EX10Victim), &cell.Victim)
 	if err != nil {
 		return cell, nil, err
 	}
 	streams := []*stream{victim}
 	if arm != EX10Uncontended {
-		storm, err := constantStream(EX10Aggressor, ex10StormMultiple*w.capacity, cfg.Duration, rng.New(cfg.Seed).Split("ex10/"+EX10Aggressor), &cell.Aggressor)
+		storm, err := constantStream(EX10Aggressor, ex10StormMultiple*w.capacity, cfg.duration, rng.New(seed).Split("ex10/"+EX10Aggressor), &cell.Aggressor)
 		if err != nil {
 			return cell, nil, err
 		}

@@ -121,14 +121,13 @@ func TestEX10CSV(t *testing.T) {
 // lease is back, and the storm was shed at the tenant stage along the way.
 func TestEX10ConservesMoney(t *testing.T) {
 	for _, seed := range []uint64{42, 7} {
-		cfg := EX10Config{Seed: seed}.Reduced()
 		var capacity, billed, metered float64
 		var inflight int
 		var cell EX10Cell
-		err := cfg.runCell(cfg.Seed, 0, &capacity, func(p *sim.Proc, w *openLoopWorld) error {
+		err := ex10Reduced.runCell(seed, 0, &capacity, func(p *sim.Proc, w *openLoopWorld) error {
 			meter := w.rt.Cloud().Meter()
 			before := meter.GrandTotal()
-			c, reg, err := serveEX10(p, w, cfg, EX10PerTenant)
+			c, reg, err := serveEX10(p, w, seed, ex10Reduced, EX10PerTenant)
 			cell, metered = c, meter.GrandTotal()-before
 			for _, u := range reg.Usages(w.rt.Env().Now()) {
 				billed += u.SpentUSD

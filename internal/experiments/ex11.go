@@ -55,26 +55,46 @@ func EX11Arms() []string {
 // EX11Config parameterizes EX-11.
 type EX11Config struct {
 	Seed uint64
-	// The quota and warmup.
-	openLoop
-	// PeakRPS / Period / Cycles shape the square wave: each Period spends
-	// its first half at a trough of PeakRPS/20 and its second half at
-	// PeakRPS (the plateau), Cycles times (defaults 10 rps, 12m, 4). The
-	// near-silent trough is the point: it must outlast ex11KeepAlive so
-	// pools drain, and the vertical edge rewards the policy's foresight (or
-	// punishes its lack). The first cycle trains the forecaster and is
-	// excluded from measurement.
-	PeakRPS float64
-	Period  time.Duration
-	Cycles  int
-	// TickEvery / Lead tune the maintainer (defaults 20s / 90s; the
-	// season is always Period).
-	TickEvery time.Duration
-	Lead      time.Duration
-	// Floor is the pinned policy's fixed warm floor (default 12 — peak
-	// concurrency at the default curve).
-	Floor int
+	// ProfileRuns, when positive, overrides the scale's warmup profiling
+	// runs (skybench -profile-runs).
+	ProfileRuns int
+	reduced     bool
 }
+
+// Reduced returns c at benchmark scale.
+func (c EX11Config) Reduced() EX11Config { c.reduced = true; return c }
+
+// ex11Preset is one scale of EX-11.
+type ex11Preset struct {
+	openLoop
+	// peakRPS / period / cycles shape the square wave: each period spends
+	// its first half at a trough of peakRPS/20 and its second half at
+	// peakRPS (the plateau), cycles times. The near-silent trough is the
+	// point: it must outlast ex11KeepAlive so pools drain, and the
+	// vertical edge rewards the policy's foresight (or punishes its lack).
+	// The first cycle trains the forecaster and is excluded from
+	// measurement.
+	peakRPS float64
+	period  time.Duration
+	cycles  int
+	// tickEvery / lead tune the maintainer (the season is always period).
+	tickEvery, lead time.Duration
+	// floor is the pinned policy's fixed warm floor: peak concurrency on
+	// the curve.
+	floor int
+}
+
+var (
+	// ex11Full is four 12-minute cycles at 10 rps peak.
+	ex11Full = ex11Preset{openLoop: openLoopFull,
+		peakRPS: 10, period: 12 * time.Minute, cycles: 4,
+		tickEvery: 20 * time.Second, lead: 90 * time.Second, floor: 12}
+	// ex11Reduced is the same curve shape compressed to three 6-minute
+	// cycles at 6 rps peak.
+	ex11Reduced = ex11Preset{openLoop: openLoopReduced,
+		peakRPS: 6, period: 6 * time.Minute, cycles: 3,
+		tickEvery: 15 * time.Second, lead: time.Minute, floor: 8}
+)
 
 const (
 	// ex11KeepAlive is the platform's idle-instance retention: compressed
@@ -95,43 +115,6 @@ const (
 	// cells.
 	ex11SpikeMagnitude = 8
 )
-
-func (c EX11Config) withDefaults() EX11Config {
-	c.openLoop = c.openLoop.withDefaults()
-	if c.PeakRPS == 0 {
-		c.PeakRPS = 10
-	}
-	if c.Period == 0 {
-		c.Period = 12 * time.Minute
-	}
-	if c.Cycles == 0 {
-		c.Cycles = 4
-	}
-	if c.TickEvery == 0 {
-		c.TickEvery = 20 * time.Second
-	}
-	if c.Lead == 0 {
-		c.Lead = 90 * time.Second
-	}
-	if c.Floor == 0 {
-		c.Floor = 12
-	}
-	return c
-}
-
-// Reduced returns a benchmark-scale EX-11: the same curve shape compressed
-// to three 6-minute cycles at 6 rps peak.
-func (c EX11Config) Reduced() EX11Config {
-	c = c.withDefaults()
-	c.openLoop = c.openLoop.reduced()
-	c.PeakRPS = 6
-	c.Period = 6 * time.Minute
-	c.Cycles = 3
-	c.TickEvery = 15 * time.Second
-	c.Lead = time.Minute
-	c.Floor = 8
-	return c
-}
 
 // EX11Cell is one policy's measurement over the post-training cycles.
 type EX11Cell struct {
@@ -168,22 +151,22 @@ func (r EX11Result) Cell(arm string) (EX11Cell, bool) {
 	return findCell(r.Cells, func(c EX11Cell) bool { return c.Arm == arm })
 }
 
-// ex11Streams builds the square wave (each Period at PeakRPS/20, then
-// PeakRPS) as the first cycle, which trains the forecaster, and the
+// ex11Streams builds the square wave (each period at peakRPS/20, then
+// peakRPS) as the first cycle, which trains the forecaster, and the
 // measured rest. Each half-period segment draws from its own derived stream
 // so the schedule is independent of how other segments consume randomness.
 // The trough divides rather than multiplies by 0.05, so the reduced trough
 // is exactly the double 0.3 (6*0.05 is not).
-func ex11Streams(cfg EX11Config, r *rng.Stream) (train, measured *stream, err error) {
+func ex11Streams(cfg ex11Preset, r *rng.Stream) (train, measured *stream, err error) {
 	streams := []*stream{{}, {}}
-	half := cfg.Period / 2
-	for cyc := 0; cyc < cfg.Cycles; cyc++ {
-		for i, rate := range []float64{cfg.PeakRPS / 20, cfg.PeakRPS} {
+	half := cfg.period / 2
+	for cyc := 0; cyc < cfg.cycles; cyc++ {
+		for i, rate := range []float64{cfg.peakRPS / 20, cfg.peakRPS} {
 			seg, err := constantStream("", rate, half, r.SplitIndexed("seg", cyc*2+i), nil)
 			if err != nil {
 				return nil, nil, err
 			}
-			off := time.Duration(cyc)*cfg.Period + time.Duration(i)*half
+			off := time.Duration(cyc)*cfg.period + time.Duration(i)*half
 			s := streams[min(cyc, 1)]
 			for _, at := range seg.at {
 				s.at = append(s.at, off+at)
@@ -196,28 +179,31 @@ func ex11Streams(cfg EX11Config, r *rng.Stream) (train, measured *stream, err er
 // RunEX11 executes EX-11. Every policy runs in a fresh world: identical
 // seed, characterization, warmup and arrival schedule; only the warm-pool
 // mode and the chaos window differ.
-func RunEX11(cfg EX11Config) (EX11Result, error) {
-	cfg = cfg.withDefaults()
+func RunEX11(c EX11Config) (EX11Result, error) {
+	cfg := scaled(c.reduced, ex11Full, ex11Reduced)
+	if c.ProfileRuns > 0 {
+		cfg.profileRuns = c.ProfileRuns
+	}
 	res := EX11Result{
 		Workload: openLoopWorkload, Zone: openLoopZone,
-		PeakRPS: cfg.PeakRPS, Period: cfg.Period, Cycles: cfg.Cycles,
+		PeakRPS: cfg.peakRPS, Period: cfg.period, Cycles: cfg.cycles,
 	}
 	var capacity float64
 	for _, arm := range EX11Arms() {
 		mode, spike := warmpool.Mode(strings.TrimSuffix(arm, "-spike")), strings.HasSuffix(arm, "-spike")
 		cell := EX11Cell{Arm: arm, Mode: mode, Spike: spike}
-		err := cfg.runCell(cfg.Seed, ex11KeepAlive, &capacity, func(p *sim.Proc, w *openLoopWorld) error {
+		err := cfg.runCell(c.Seed, ex11KeepAlive, &capacity, func(p *sim.Proc, w *openLoopWorld) error {
 			// The admission gate is not consulted: its service-time estimate
 			// is the sizer's input.
 			m, err := w.rt.EnableWarmPool(warmpool.Config{
 				Zones:       []string{openLoopZone},
 				Mode:        mode,
-				TickEvery:   cfg.TickEvery,
+				TickEvery:   cfg.tickEvery,
 				Window:      ex11Window,
-				Season:      cfg.Period,
-				Lead:        cfg.Lead,
+				Season:      cfg.period,
+				Lead:        cfg.lead,
 				Gamma:       ex11Gamma,
-				Floor:       cfg.Floor,
+				Floor:       cfg.floor,
 				RatePerHour: ex11RatePerHour,
 				Cap:         ex11Cap,
 			}, openLoopWorkload)
@@ -232,14 +218,14 @@ func RunEX11(cfg EX11Config) (EX11Result, error) {
 				if _, err := w.rt.Chaos().Inject(chaos.Fault{
 					Kind:      chaos.ColdStartSpike,
 					AZ:        openLoopZone,
-					Start:     cfg.Period,
-					Duration:  time.Duration(cfg.Cycles-1) * cfg.Period,
+					Start:     cfg.period,
+					Duration:  time.Duration(cfg.cycles-1) * cfg.period,
 					Magnitude: ex11SpikeMagnitude,
 				}); err != nil {
 					return err
 				}
 			}
-			train, measured, err := ex11Streams(cfg, rng.New(cfg.Seed).Split("ex11/arrivals"))
+			train, measured, err := ex11Streams(cfg, rng.New(c.Seed).Split("ex11/arrivals"))
 			if err != nil {
 				return err
 			}

@@ -6,6 +6,7 @@ import (
 
 	"skyfaas/internal/charact"
 	"skyfaas/internal/cloudsim"
+	"skyfaas/internal/core"
 	"skyfaas/internal/sampler"
 	"skyfaas/internal/sim"
 	"skyfaas/internal/tablefmt"
@@ -14,27 +15,37 @@ import (
 // EX2Config parameterizes EX-2 (global infrastructure characterization,
 // Fig. 2: CPU distributions of all 41 regions across three providers).
 type EX2Config struct {
-	Seed uint64
-	// Regions restricts the sweep (nil = every region in the catalog).
-	Regions []string
-	// PollsPerAZ, when positive, uses the cheap fixed-poll mode instead of
-	// saturating every zone (the full paper procedure).
-	PollsPerAZ int
-	// Sampler overrides the polling configuration.
-	Sampler sampler.Config
+	Seed    uint64
+	reduced bool
 }
 
-// Reduced returns a benchmark-scale EX-2: a representative region slice
-// with quick characterizations.
-func (c EX2Config) Reduced() EX2Config {
-	c.Regions = []string{"us-west-2", "us-east-2", "il-central-1", "af-south-1", "us-south", "nyc1"}
-	c.PollsPerAZ = 3
-	c.Sampler = sampler.Config{
-		Endpoints: 40, PollSize: 222, Branch: 10,
-		InterPollPause: 500 * time.Millisecond,
-	}
-	return c
+// Reduced returns c at benchmark scale.
+func (c EX2Config) Reduced() EX2Config { c.reduced = true; return c }
+
+// ex2Preset is one scale of EX-2.
+type ex2Preset struct {
+	// regions restricts the sweep (nil = every region in the catalog).
+	regions []string
+	// pollsPerAZ, when positive, uses the cheap fixed-poll mode instead of
+	// saturating every zone (the full paper procedure).
+	pollsPerAZ int
+	sampler    sampler.Config
 }
+
+var (
+	// ex2Full saturates every zone of every region.
+	ex2Full = ex2Preset{}
+	// ex2Reduced is a representative region slice with quick
+	// characterizations.
+	ex2Reduced = ex2Preset{
+		regions:    []string{"us-west-2", "us-east-2", "il-central-1", "af-south-1", "us-south", "nyc1"},
+		pollsPerAZ: 3,
+		sampler: sampler.Config{
+			Endpoints: 40, PollSize: 222, Branch: 10,
+			InterPollPause: 500 * time.Millisecond,
+		},
+	}
+)
 
 // RegionChar is one region's aggregated characterization.
 type RegionChar struct {
@@ -54,17 +65,15 @@ type EX2Result struct {
 }
 
 // RunEX2 executes EX-2.
-func RunEX2(cfg EX2Config) (EX2Result, error) {
-	rt, err := newRuntime(cfg.Seed, 3, cfg.Sampler)
-	if err != nil {
-		return EX2Result{}, err
-	}
-	want := make(map[string]bool, len(cfg.Regions))
-	for _, r := range cfg.Regions {
+func RunEX2(c EX2Config) (EX2Result, error) {
+	cfg := scaled(c.reduced, ex2Full, ex2Reduced)
+	want := make(map[string]bool, len(cfg.regions))
+	for _, r := range cfg.regions {
 		want[r] = true
 	}
 	var res EX2Result
-	err = rt.Do(func(p *sim.Proc) error {
+	world := core.Config{Seed: c.Seed, SamplerCfg: cfg.sampler, CloudOpts: cloudsim.Options{HorizonDays: 3}}
+	err := inWorld(world, func(rt *core.Runtime, p *sim.Proc) error {
 		for _, region := range rt.Cloud().Regions() {
 			if len(want) > 0 && !want[region.Name()] {
 				continue
@@ -77,8 +86,8 @@ func RunEX2(cfg EX2Config) (EX2Result, error) {
 				}
 				var ch charact.Characterization
 				var err error
-				if cfg.PollsPerAZ > 0 {
-					ch, _, err = rt.Sampler().CharacterizeQuick(p, az.Name(), cfg.PollsPerAZ)
+				if cfg.pollsPerAZ > 0 {
+					ch, _, err = rt.Sampler().CharacterizeQuick(p, az.Name(), cfg.pollsPerAZ)
 				} else {
 					ch, _, err = rt.Sampler().Characterize(p, az.Name())
 				}

@@ -5,6 +5,8 @@ import (
 	"time"
 
 	"skyfaas/internal/charact"
+	"skyfaas/internal/cloudsim"
+	"skyfaas/internal/core"
 	"skyfaas/internal/sampler"
 	"skyfaas/internal/sim"
 	"skyfaas/internal/stats"
@@ -15,26 +17,28 @@ import (
 // poll eleven zones to saturation and score each cumulative poll prefix
 // against the at-failure ground truth.
 type EX3Config struct {
-	Seed uint64
-	// AZs are the evaluated zones (default: the paper's eleven).
-	AZs []string
-	// Sampler overrides the polling configuration.
-	Sampler sampler.Config
+	Seed    uint64
+	reduced bool
 }
 
-func (c EX3Config) withDefaults() EX3Config {
-	if len(c.AZs) == 0 {
-		c.AZs = EX3Zones()
+// Reduced returns c at benchmark scale.
+func (c EX3Config) Reduced() EX3Config { c.reduced = true; return c }
+
+// ex3Preset is one scale of EX-3: the evaluated zones and the polling.
+type ex3Preset struct {
+	azs     []string
+	sampler sampler.Config
+}
+
+var (
+	// ex3Full polls the paper's eleven zones.
+	ex3Full = ex3Preset{azs: EX3Zones()}
+	// ex3Reduced polls four zones with small polls.
+	ex3Reduced = ex3Preset{
+		azs:     []string{"eu-north-1a", "us-east-2a", "us-east-2b", "us-west-1a"},
+		sampler: reducedSampler,
 	}
-	return c
-}
-
-// Reduced returns a benchmark-scale EX-3 (four zones, small polls).
-func (c EX3Config) Reduced() EX3Config {
-	c.AZs = []string{"eu-north-1a", "us-east-2a", "us-east-2b", "us-west-1a"}
-	c.Sampler = reducedSampler
-	return c
-}
+)
 
 // EX3Zone is one zone's progressive-sampling curve.
 type EX3Zone struct {
@@ -65,24 +69,17 @@ type EX3Result struct {
 }
 
 // RunEX3 executes EX-3.
-func RunEX3(cfg EX3Config) (EX3Result, error) {
-	cfg = cfg.withDefaults()
-	rt, err := newRuntime(cfg.Seed, 3, cfg.Sampler)
-	if err != nil {
-		return EX3Result{}, err
-	}
+func RunEX3(c EX3Config) (EX3Result, error) {
+	cfg := scaled(c.reduced, ex3Full, ex3Reduced)
 	var res EX3Result
-	err = rt.Do(func(p *sim.Proc) error {
-		for _, az := range cfg.AZs {
-			if err := rt.EnsureSamplerEndpoints(az); err != nil {
-				return err
-			}
-			ch, trail, err := rt.Sampler().Characterize(p, az)
+	world := core.Config{Seed: c.Seed, SamplerCfg: cfg.sampler, CloudOpts: cloudsim.Options{HorizonDays: 3}}
+	err := inWorld(world, func(rt *core.Runtime, p *sim.Proc) error {
+		for _, az := range cfg.azs {
+			ch, trail, err := rt.Characterize(p, az)
 			if err != nil {
 				return fmt.Errorf("characterize %s: %w", az, err)
 			}
-			zone := analyzeProgressive(az, ch, trail)
-			res.Zones = append(res.Zones, zone)
+			res.Zones = append(res.Zones, analyzeProgressive(az, ch, trail))
 			// Let the zone recover before the next one (shared world).
 			p.Sleep(rt.Cloud().Options().KeepAlive + time.Minute)
 		}

@@ -2,9 +2,12 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"skyfaas/internal/charact"
+	"skyfaas/internal/cloudsim"
+	"skyfaas/internal/core"
 	"skyfaas/internal/sampler"
 	"skyfaas/internal/sim"
 	"skyfaas/internal/stats"
@@ -16,15 +19,34 @@ import (
 // hourly sampling of us-west-1b for 24 hours.
 type EX4Config struct {
 	Seed uint64
-	// AZs are the tracked zones (default: the paper's five).
-	AZs []string
-	// Rounds is the number of daily observations (default 14).
-	Rounds int
-	// HourlyRounds is the number of hourly observations (default 24).
-	HourlyRounds int
-	// Sampler overrides the polling configuration.
-	Sampler sampler.Config
+	// Rounds, when positive, overrides the scale's number of daily
+	// observations (skybench -days).
+	Rounds  int
+	reduced bool
 }
+
+// Reduced returns c at benchmark scale.
+func (c EX4Config) Reduced() EX4Config { c.reduced = true; return c }
+
+// ex4Preset is one scale of EX-4.
+type ex4Preset struct {
+	// azs are the tracked zones.
+	azs []string
+	// rounds and hourlyRounds count the daily and hourly observations.
+	rounds, hourlyRounds int
+	sampler              sampler.Config
+}
+
+var (
+	// ex4Full tracks the paper's five zones for 14 days and 24 hours.
+	ex4Full = ex4Preset{azs: EX4Zones(), rounds: 14, hourlyRounds: 24}
+	// ex4Reduced tracks a volatile and a stable zone.
+	ex4Reduced = ex4Preset{
+		azs:    []string{"us-west-1a", "sa-east-1a"},
+		rounds: 5, hourlyRounds: 6,
+		sampler: reducedSampler,
+	}
+)
 
 const (
 	// ex4CadenceHours separates daily observations: 22 hours shifts the
@@ -37,29 +59,6 @@ const (
 	// agree within a few percent.
 	ex4HourlyPolls = 12
 )
-
-func (c EX4Config) withDefaults() EX4Config {
-	if len(c.AZs) == 0 {
-		c.AZs = EX4Zones()
-	}
-	if c.Rounds == 0 {
-		c.Rounds = 14
-	}
-	if c.HourlyRounds == 0 {
-		c.HourlyRounds = 24
-	}
-	return c
-}
-
-// Reduced returns a benchmark-scale EX-4.
-func (c EX4Config) Reduced() EX4Config {
-	c = c.withDefaults()
-	c.AZs = []string{"us-west-1a", "sa-east-1a"}
-	c.Rounds = 5
-	c.HourlyRounds = 6
-	c.Sampler = reducedSampler
-	return c
-}
 
 // EX4Round is one zone's observation on one round.
 type EX4Round struct {
@@ -92,43 +91,35 @@ type EX4Result struct {
 }
 
 // RunEX4 executes EX-4.
-func RunEX4(cfg EX4Config) (EX4Result, error) {
-	cfg = cfg.withDefaults()
-	horizon := cfg.Rounds*ex4CadenceHours/24 + 3
-	rt, err := newRuntime(cfg.Seed, horizon, cfg.Sampler)
-	if err != nil {
-		return EX4Result{}, err
+func RunEX4(c EX4Config) (EX4Result, error) {
+	cfg := scaled(c.reduced, ex4Full, ex4Reduced)
+	if c.Rounds > 0 {
+		cfg.rounds = c.Rounds
 	}
 	res := EX4Result{
-		ByZone:   make(map[string][]EX4Round, len(cfg.AZs)),
-		Zones:    cfg.AZs,
+		ByZone:   make(map[string][]EX4Round, len(cfg.azs)),
+		Zones:    slices.Clone(cfg.azs),
 		HourlyAZ: ex4HourlyAZ,
 	}
-	err = rt.Do(func(p *sim.Proc) error {
-		for _, az := range cfg.AZs {
-			if err := rt.EnsureSamplerEndpoints(az); err != nil {
-				return err
-			}
-		}
-		for round := 0; round < cfg.Rounds; round++ {
-			for _, az := range cfg.AZs {
-				ch, trail, err := rt.Sampler().Characterize(p, az)
+	horizon := cfg.rounds*ex4CadenceHours/24 + 3
+	world := core.Config{Seed: c.Seed, SamplerCfg: cfg.sampler, CloudOpts: cloudsim.Options{HorizonDays: horizon}}
+	err := inWorld(world, func(rt *core.Runtime, p *sim.Proc) error {
+		for round := 0; round < cfg.rounds; round++ {
+			for _, az := range cfg.azs {
+				ch, trail, err := rt.Characterize(p, az)
 				if err != nil {
 					return fmt.Errorf("round %d %s: %w", round, az, err)
 				}
 				res.TotalCost += ch.CostUSD
 				res.ByZone[az] = append(res.ByZone[az], analyzeRound(round, ch, trail))
 			}
-			if round < cfg.Rounds-1 {
+			if round < cfg.rounds-1 {
 				p.Sleep(ex4CadenceHours * time.Hour)
 			}
 		}
 		// Fill APEVsDay1 from each zone's first round.
-		for _, az := range cfg.AZs {
+		for _, az := range cfg.azs {
 			rounds := res.ByZone[az]
-			if len(rounds) == 0 {
-				continue
-			}
 			base := rounds[0].Dist
 			for i := range rounds {
 				rounds[i].APEVsDay1 = charact.APE(rounds[i].Dist, base)
@@ -145,23 +136,21 @@ func RunEX4(cfg EX4Config) (EX4Result, error) {
 		sinceBoundary := rt.Env().Elapsed() % day
 		p.Sleep(day - sinceBoundary + 5*time.Minute)
 		var dists []charact.Dist
-		for h := 0; h < cfg.HourlyRounds; h++ {
+		for h := 0; h < cfg.hourlyRounds; h++ {
 			ch, _, err := rt.Sampler().CharacterizeQuick(p, ex4HourlyAZ, ex4HourlyPolls)
 			if err != nil {
 				return fmt.Errorf("hourly %d: %w", h, err)
 			}
 			res.TotalCost += ch.CostUSD
 			dists = append(dists, ch.Dist())
-			if h < cfg.HourlyRounds-1 {
+			if h < cfg.hourlyRounds-1 {
 				p.Sleep(time.Hour)
 			}
 		}
-		if len(dists) > 0 {
-			res.HourlyAPE = charact.StabilitySeries(dists[0], dists)
-			for _, v := range res.HourlyAPE {
-				if v <= 10 {
-					res.HourlyWithin10++
-				}
+		res.HourlyAPE = charact.StabilitySeries(dists[0], dists)
+		for _, v := range res.HourlyAPE {
+			if v <= 10 {
+				res.HourlyWithin10++
 			}
 		}
 		return nil

@@ -5,6 +5,8 @@ import (
 	"sort"
 	"time"
 
+	"skyfaas/internal/cloudsim"
+	"skyfaas/internal/core"
 	"skyfaas/internal/cpu"
 	"skyfaas/internal/router"
 	"skyfaas/internal/sampler"
@@ -18,53 +20,47 @@ import (
 // Figs. 9-11 and the headline savings).
 type EX5Config struct {
 	Seed uint64
-	// ProfileRuns is per-workload-per-zone profiling executions. The paper
-	// used 10,000; the default here is 2,000, which pins per-CPU means to
-	// well under 1% standard error at a fraction of the compute.
+	// ProfileRuns and Days, when positive, override the scale's profiling
+	// executions per workload per zone (skybench -profile-runs) and its
+	// evaluation span (skybench -days).
 	ProfileRuns int
-	// Days is the evaluation span (default 14).
-	Days int
-	// BurstN is the invocations per burst (default 1,000).
-	BurstN int
-	// RefreshPolls is the daily characterization depth (default 6, the
-	// paper's 95%-accuracy budget).
-	RefreshPolls int
-	// Workloads to evaluate (default: all 12).
-	Workloads []workload.ID
-	// Sampler overrides the polling configuration.
-	Sampler sampler.Config
+	Days        int
+	reduced     bool
 }
 
-func (c EX5Config) withDefaults() EX5Config {
-	if c.ProfileRuns == 0 {
-		c.ProfileRuns = 2000
-	}
-	if c.Days == 0 {
-		c.Days = 14
-	}
-	if c.BurstN == 0 {
-		c.BurstN = 1000
-	}
-	if c.RefreshPolls == 0 {
-		c.RefreshPolls = 6
-	}
-	if len(c.Workloads) == 0 {
-		c.Workloads = workload.IDs()
-	}
-	return c
+// Reduced returns c at benchmark scale.
+func (c EX5Config) Reduced() EX5Config { c.reduced = true; return c }
+
+// ex5Preset is one scale of EX-5.
+type ex5Preset struct {
+	// profileRuns is per-workload-per-zone profiling executions.
+	profileRuns int
+	// days is the evaluation span and burstN the invocations per burst.
+	days, burstN int
+	// refreshPolls is the daily characterization depth.
+	refreshPolls int
+	// workloads are evaluated; both scales include zipper (Fig. 10) and
+	// logistic_regression (Fig. 11).
+	workloads []workload.ID
+	sampler   sampler.Config
 }
 
-// Reduced returns a benchmark-scale EX-5.
-func (c EX5Config) Reduced() EX5Config {
-	c = c.withDefaults()
-	c.ProfileRuns = 450
-	c.Days = 4
-	c.BurstN = 200
-	c.RefreshPolls = 3
-	c.Workloads = []workload.ID{workload.Zipper, workload.LogisticRegression, workload.GraphBFS}
-	c.Sampler = reducedSampler
-	return c
-}
+var (
+	// ex5Full is the paper's two weeks of 1,000-invocation bursts over all
+	// 12 workloads, refreshed daily at its 95%-accuracy budget of 6 polls.
+	// The paper profiled 10,000 runs; 2,000 pin per-CPU means to well
+	// under 1% standard error at a fraction of the compute.
+	ex5Full = ex5Preset{
+		profileRuns: 2000, days: 14, burstN: 1000, refreshPolls: 6,
+		workloads: workload.IDs(),
+	}
+	// ex5Reduced is four days of three workloads.
+	ex5Reduced = ex5Preset{
+		profileRuns: 450, days: 4, burstN: 200, refreshPolls: 3,
+		workloads: []workload.ID{workload.Zipper, workload.LogisticRegression, workload.GraphBFS},
+		sampler:   reducedSampler,
+	}
+)
 
 // StrategyDay is one day's cost under one strategy.
 type StrategyDay struct {
@@ -152,38 +148,35 @@ type EX5Result struct {
 }
 
 // RunEX5 executes EX-5.
-func RunEX5(cfg EX5Config) (EX5Result, error) {
-	cfg = cfg.withDefaults()
-	rt, err := newRuntime(cfg.Seed, cfg.Days+3, cfg.Sampler)
-	if err != nil {
-		return EX5Result{}, err
+func RunEX5(c EX5Config) (EX5Result, error) {
+	cfg := scaled(c.reduced, ex5Full, ex5Reduced)
+	if c.ProfileRuns > 0 {
+		cfg.profileRuns = c.ProfileRuns
+	}
+	if c.Days > 0 {
+		cfg.days = c.Days
 	}
 	res := EX5Result{
-		NormalizedPerf:   make(map[workload.ID]map[cpu.Kind]float64, len(cfg.Workloads)),
+		NormalizedPerf:   make(map[workload.ID]map[cpu.Kind]float64, len(cfg.workloads)),
 		ZipperAZ:         baselineAZ,
-		HybridByWorkload: make(map[workload.ID]SavingsSeries, len(cfg.Workloads)),
+		HybridByWorkload: make(map[workload.ID]SavingsSeries, len(cfg.workloads)),
 	}
-	err = rt.Do(func(p *sim.Proc) error {
+	world := core.Config{Seed: c.Seed, SamplerCfg: cfg.sampler, CloudOpts: cloudsim.Options{HorizonDays: cfg.days + 3}}
+	err := inWorld(world, func(rt *core.Runtime, p *sim.Proc) error {
 		// Step 1 — baseline profiling (Fig. 9) over EX-4's five zones.
-		profileCost, err := rt.ProfileWorkloads(p, cfg.Workloads, EX4Zones(), cfg.ProfileRuns)
+		profileCost, err := rt.ProfileWorkloads(p, cfg.workloads, EX4Zones(), cfg.profileRuns)
 		if err != nil {
 			return err
 		}
 		res.ProfileCostUSD = profileCost
-		for _, w := range cfg.Workloads {
+		for _, w := range cfg.workloads {
 			res.NormalizedPerf[w] = rt.Perf().Normalized(w)
 		}
 		// Instances from profiling expire before routing starts.
 		p.Sleep(rt.Cloud().Options().KeepAlive + time.Minute)
 
-		hasZipper := false
-		for _, w := range cfg.Workloads {
-			if w == workload.Zipper {
-				hasZipper = true
-			}
-		}
-		series := make(map[workload.ID]*SavingsSeries, len(cfg.Workloads))
-		for _, w := range cfg.Workloads {
+		series := make(map[workload.ID]*SavingsSeries, len(cfg.workloads))
+		for _, w := range cfg.workloads {
 			series[w] = &SavingsSeries{Strategy: "hybrid"}
 		}
 		zipSlow := &SavingsSeries{Strategy: "retry-slow"}
@@ -198,7 +191,7 @@ func RunEX5(cfg EX5Config) (EX5Result, error) {
 			r, err := rt.Run(p, router.BurstSpec{
 				Strategy:   strat,
 				Workload:   w,
-				N:          cfg.BurstN,
+				N:          cfg.burstN,
 				Candidates: hopZones,
 			})
 			if err != nil {
@@ -209,14 +202,14 @@ func RunEX5(cfg EX5Config) (EX5Result, error) {
 		}
 
 		// Step 2 — the two-week routed evaluation.
-		for day := 0; day < cfg.Days; day++ {
-			cost, err := rt.Refresh(p, hopZones, cfg.RefreshPolls)
+		for day := 0; day < cfg.days; day++ {
+			cost, err := rt.Refresh(p, hopZones, cfg.refreshPolls)
 			if err != nil {
 				return err
 			}
 			res.SamplingSpendUSD += cost
 
-			for _, w := range cfg.Workloads {
+			for _, w := range cfg.workloads {
 				base, err := burst(day, router.Baseline{AZ: baselineAZ}, w)
 				if err != nil {
 					return err
@@ -244,7 +237,7 @@ func RunEX5(cfg EX5Config) (EX5Result, error) {
 					zipFocus.Days = append(zipFocus.Days, focus)
 				}
 			}
-			if day < cfg.Days-1 {
+			if day < cfg.days-1 {
 				p.Sleep(22 * time.Hour)
 			}
 		}
@@ -252,15 +245,9 @@ func RunEX5(cfg EX5Config) (EX5Result, error) {
 		for w, s := range series {
 			res.HybridByWorkload[w] = *s
 		}
-		if hasZipper {
-			res.ZipperRetrySlow = *zipSlow
-			res.ZipperFocusFastest = *zipFocus
-		}
-		for _, w := range cfg.Workloads {
-			if w == workload.LogisticRegression {
-				res.LogRegHybrid = res.HybridByWorkload[w]
-			}
-		}
+		res.ZipperRetrySlow = *zipSlow
+		res.ZipperFocusFastest = *zipFocus
+		res.LogRegHybrid = res.HybridByWorkload[workload.LogisticRegression]
 		return nil
 	})
 	if err != nil {
@@ -312,36 +299,32 @@ func (r EX5Result) Render() string {
 		tablefmt.USD(r.ProfileCostUSD)) + t.String()
 
 	// Fig. 10.
-	if len(r.ZipperFocusFastest.Days) > 0 {
-		t2 := tablefmt.New("day", "baseline", "retry-slow", "focus-fastest", "focus retryFrac")
-		for i := range r.ZipperFocusFastest.Days {
-			t2.Row(i+1,
-				tablefmt.USD(r.ZipperFocusFastest.Baseline[i].CostUSD),
-				tablefmt.USD(r.ZipperRetrySlow.Days[i].CostUSD),
-				tablefmt.USD(r.ZipperFocusFastest.Days[i].CostUSD),
-				tablefmt.Pct(r.ZipperFocusFastest.Days[i].RetryFrac))
-		}
-		out += fmt.Sprintf("\nEX-5 / Fig. 10 — zipper on %s\n", r.ZipperAZ) + t2.String()
-		out += fmt.Sprintf("cumulative savings: retry-slow %s, focus-fastest %s (max daily %s, max retried %s)\n",
-			tablefmt.Pct(r.ZipperRetrySlow.Cumulative()),
-			tablefmt.Pct(r.ZipperFocusFastest.Cumulative()),
-			tablefmt.Pct(r.ZipperFocusFastest.MaxDaily()),
-			tablefmt.Pct(r.ZipperFocusFastest.MaxRetryFrac()))
+	t2 := tablefmt.New("day", "baseline", "retry-slow", "focus-fastest", "focus retryFrac")
+	for i := range r.ZipperFocusFastest.Days {
+		t2.Row(i+1,
+			tablefmt.USD(r.ZipperFocusFastest.Baseline[i].CostUSD),
+			tablefmt.USD(r.ZipperRetrySlow.Days[i].CostUSD),
+			tablefmt.USD(r.ZipperFocusFastest.Days[i].CostUSD),
+			tablefmt.Pct(r.ZipperFocusFastest.Days[i].RetryFrac))
 	}
+	out += fmt.Sprintf("\nEX-5 / Fig. 10 — zipper on %s\n", r.ZipperAZ) + t2.String()
+	out += fmt.Sprintf("cumulative savings: retry-slow %s, focus-fastest %s (max daily %s, max retried %s)\n",
+		tablefmt.Pct(r.ZipperRetrySlow.Cumulative()),
+		tablefmt.Pct(r.ZipperFocusFastest.Cumulative()),
+		tablefmt.Pct(r.ZipperFocusFastest.MaxDaily()),
+		tablefmt.Pct(r.ZipperFocusFastest.MaxRetryFrac()))
 
 	// Fig. 11.
-	if len(r.LogRegHybrid.Days) > 0 {
-		t3 := tablefmt.New("day", "baseline(us-west-1b)", "hybrid", "zone")
-		for i := range r.LogRegHybrid.Days {
-			t3.Row(i+1,
-				tablefmt.USD(r.LogRegHybrid.Baseline[i].CostUSD),
-				tablefmt.USD(r.LogRegHybrid.Days[i].CostUSD),
-				r.LogRegHybrid.Days[i].AZ)
-		}
-		out += "\nEX-5 / Fig. 11 — logistic_regression hybrid region hopping\n" + t3.String()
-		out += fmt.Sprintf("cumulative savings %s, max daily %s\n",
-			tablefmt.Pct(r.LogRegHybrid.Cumulative()), tablefmt.Pct(r.LogRegHybrid.MaxDaily()))
+	t3 := tablefmt.New("day", "baseline(us-west-1b)", "hybrid", "zone")
+	for i := range r.LogRegHybrid.Days {
+		t3.Row(i+1,
+			tablefmt.USD(r.LogRegHybrid.Baseline[i].CostUSD),
+			tablefmt.USD(r.LogRegHybrid.Days[i].CostUSD),
+			r.LogRegHybrid.Days[i].AZ)
 	}
+	out += "\nEX-5 / Fig. 11 — logistic_regression hybrid region hopping\n" + t3.String()
+	out += fmt.Sprintf("cumulative savings %s, max daily %s\n",
+		tablefmt.Pct(r.LogRegHybrid.Cumulative()), tablefmt.Pct(r.LogRegHybrid.MaxDaily()))
 
 	// Headline.
 	t4 := tablefmt.New("workload", "hybrid cumulative savings")

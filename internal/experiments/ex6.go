@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"skyfaas/internal/chaos"
+	"skyfaas/internal/cloudsim"
 	"skyfaas/internal/core"
 	"skyfaas/internal/faas"
 	"skyfaas/internal/router"
@@ -64,50 +65,38 @@ func EX6Scenarios() []string {
 // EX6Config parameterizes EX-6.
 type EX6Config struct {
 	Seed uint64
-	// BurstN is invocations per burst (default 400 — comfortably under the
-	// 1,000-slot per-region concurrency quota even after the hybrid
-	// strategy's CPU-retry amplification, so calm cells measure routing,
-	// not quota pressure).
-	BurstN int
-	// ProfileRuns is per-zone profiling executions (default 2,000).
-	ProfileRuns int
-	// RefreshPolls is the characterization depth (default 6).
-	RefreshPolls int
-	// Arms overrides the policy ladder (default DefaultEX6Arms).
-	Arms []EX6Arm
-	// Sampler overrides the polling configuration.
-	Sampler sampler.Config
+	// Arms, when set, replaces the policy ladder DefaultEX6Arms (skybench
+	// -ex6-strategies).
+	Arms    []EX6Arm
+	reduced bool
 }
+
+// Reduced returns c at benchmark scale.
+func (c EX6Config) Reduced() EX6Config { c.reduced = true; return c }
+
+// ex6Preset is one scale of EX-6.
+type ex6Preset struct {
+	// burstN is invocations per burst.
+	burstN int
+	// profileRuns is per-zone profiling executions and refreshPolls the
+	// characterization depth.
+	profileRuns, refreshPolls int
+	sampler                   sampler.Config
+}
+
+var (
+	// ex6Full bursts 400 invocations: comfortably under the 1,000-slot
+	// per-region concurrency quota even after the hybrid strategy's
+	// CPU-retry amplification, so calm cells measure routing, not quota
+	// pressure.
+	ex6Full = ex6Preset{burstN: 400, profileRuns: 2000, refreshPolls: 6}
+	// ex6Reduced is the same ladder on smaller bursts and profiles.
+	ex6Reduced = ex6Preset{burstN: 150, profileRuns: 450, refreshPolls: 3, sampler: reducedSampler}
+)
 
 // ex6StormRate is the throttle-storm rejection probability: three bounded
 // attempts then survive ~58% of the time.
 const ex6StormRate = 0.75
-
-func (c EX6Config) withDefaults() EX6Config {
-	if c.BurstN == 0 {
-		c.BurstN = 400
-	}
-	if c.ProfileRuns == 0 {
-		c.ProfileRuns = 2000
-	}
-	if c.RefreshPolls == 0 {
-		c.RefreshPolls = 6
-	}
-	if len(c.Arms) == 0 {
-		c.Arms = DefaultEX6Arms()
-	}
-	return c
-}
-
-// Reduced returns a benchmark-scale EX-6.
-func (c EX6Config) Reduced() EX6Config {
-	c = c.withDefaults()
-	c.BurstN = 150
-	c.ProfileRuns = 450
-	c.RefreshPolls = 3
-	c.Sampler = reducedSampler
-	return c
-}
 
 // EX6Cell is one (scenario, arm) measurement.
 type EX6Cell struct {
@@ -157,12 +146,16 @@ func scenarioFor(name, az string) (chaos.Scenario, bool, error) {
 }
 
 // RunEX6 executes EX-6.
-func RunEX6(cfg EX6Config) (EX6Result, error) {
-	cfg = cfg.withDefaults()
+func RunEX6(c EX6Config) (EX6Result, error) {
+	cfg := scaled(c.reduced, ex6Full, ex6Reduced)
+	arms := c.Arms
+	if len(arms) == 0 {
+		arms = DefaultEX6Arms()
+	}
 	res := EX6Result{Workload: favouriteWorkload}
 	for _, scenario := range EX6Scenarios() {
-		for _, arm := range cfg.Arms {
-			cell, err := runEX6Cell(cfg, scenario, arm)
+		for _, arm := range arms {
+			cell, err := runEX6Cell(c.Seed, cfg, scenario, arm)
 			if err != nil {
 				return EX6Result{}, fmt.Errorf("ex6: %s/%s: %w", scenario, arm.Label, err)
 			}
@@ -206,14 +199,11 @@ func hybridFavourite(rt *core.Runtime, p *sim.Proc, polls, profileRuns int) (str
 
 // runEX6Cell measures one (scenario, arm) pair in a fresh runtime, so
 // breaker state, drift damage, and warm pools never leak between cells.
-func runEX6Cell(cfg EX6Config, scenario string, arm EX6Arm) (EX6Cell, error) {
-	rt, err := newRuntime(cfg.Seed, 2, cfg.Sampler)
-	if err != nil {
-		return EX6Cell{}, err
-	}
+func runEX6Cell(seed uint64, cfg ex6Preset, scenario string, arm EX6Arm) (EX6Cell, error) {
 	cell := EX6Cell{Scenario: scenario, Arm: arm.Label}
-	err = rt.Do(func(p *sim.Proc) error {
-		target, err := hybridFavourite(rt, p, cfg.RefreshPolls, cfg.ProfileRuns)
+	world := core.Config{Seed: seed, SamplerCfg: cfg.sampler, CloudOpts: cloudsim.Options{HorizonDays: 2}}
+	err := inWorld(world, func(rt *core.Runtime, p *sim.Proc) error {
+		target, err := hybridFavourite(rt, p, cfg.refreshPolls, cfg.profileRuns)
 		if err != nil {
 			return err
 		}
@@ -244,7 +234,7 @@ func runEX6Cell(cfg EX6Config, scenario string, arm EX6Arm) (EX6Cell, error) {
 		r, err := rt.Run(p, router.BurstSpec{
 			Strategy:   strat,
 			Workload:   favouriteWorkload,
-			N:          cfg.BurstN,
+			N:          cfg.burstN,
 			Candidates: hopZones,
 			Resilience: arm.Resilience,
 		})

@@ -5,6 +5,8 @@ import (
 	"time"
 
 	"skyfaas/internal/chaos"
+	"skyfaas/internal/cloudsim"
+	"skyfaas/internal/core"
 	"skyfaas/internal/refresh"
 	"skyfaas/internal/router"
 	"skyfaas/internal/sampler"
@@ -64,18 +66,29 @@ func DefaultEX7Arms() []EX7Arm {
 
 // EX7Config parameterizes EX-7.
 type EX7Config struct {
-	Seed uint64
-	// BurstN is invocations per measured burst (default 300).
-	BurstN int
-	// Bursts is the number of measured bursts (default 10).
-	Bursts int
-	// ProfileRuns is per-zone profiling executions (default 2,000).
-	ProfileRuns int
-	// InitPolls is the initial characterization depth (default 6).
-	InitPolls int
-	// Sampler overrides the polling configuration.
-	Sampler sampler.Config
+	Seed    uint64
+	reduced bool
 }
+
+// Reduced returns c at benchmark scale.
+func (c EX7Config) Reduced() EX7Config { c.reduced = true; return c }
+
+// ex7Preset is one scale of EX-7.
+type ex7Preset struct {
+	// burstN is invocations per measured burst, bursts their number.
+	burstN, bursts int
+	// profileRuns is per-zone profiling executions and initPolls the
+	// initial characterization depth.
+	profileRuns, initPolls int
+	sampler                sampler.Config
+}
+
+var (
+	// ex7Full measures ten bursts of 300.
+	ex7Full = ex7Preset{burstN: 300, bursts: 10, profileRuns: 2000, initPolls: 6}
+	// ex7Reduced measures eight bursts of 150.
+	ex7Reduced = ex7Preset{burstN: 150, bursts: 8, profileRuns: 450, initPolls: 3, sampler: reducedSampler}
+)
 
 const (
 	// ex7BurstEvery is the gap between bursts: past the 5m keep-alive, so
@@ -99,33 +112,6 @@ const (
 	// two burst intervals of evidence.
 	ex7PassiveWindow = 30 * time.Minute
 )
-
-func (c EX7Config) withDefaults() EX7Config {
-	if c.BurstN == 0 {
-		c.BurstN = 300
-	}
-	if c.Bursts == 0 {
-		c.Bursts = 10
-	}
-	if c.ProfileRuns == 0 {
-		c.ProfileRuns = 2000
-	}
-	if c.InitPolls == 0 {
-		c.InitPolls = 6
-	}
-	return c
-}
-
-// Reduced returns a benchmark-scale EX-7.
-func (c EX7Config) Reduced() EX7Config {
-	c = c.withDefaults()
-	c.BurstN = 150
-	c.Bursts = 8
-	c.ProfileRuns = 450
-	c.InitPolls = 3
-	c.Sampler = reducedSampler
-	return c
-}
 
 // EX7Cell is one maintenance arm's measurement.
 type EX7Cell struct {
@@ -160,11 +146,11 @@ func (r EX7Result) Cell(arm string) (EX7Cell, bool) {
 }
 
 // RunEX7 executes EX-7.
-func RunEX7(cfg EX7Config) (EX7Result, error) {
-	cfg = cfg.withDefaults()
+func RunEX7(c EX7Config) (EX7Result, error) {
+	cfg := scaled(c.reduced, ex7Full, ex7Reduced)
 	res := EX7Result{Workload: favouriteWorkload}
 	for _, arm := range DefaultEX7Arms() {
-		cell, err := runEX7Cell(cfg, arm)
+		cell, err := runEX7Cell(c.Seed, cfg, arm)
 		if err != nil {
 			return EX7Result{}, fmt.Errorf("ex7: %s: %w", arm.Label, err)
 		}
@@ -176,23 +162,20 @@ func RunEX7(cfg EX7Config) (EX7Result, error) {
 // runEX7Cell measures one maintenance policy in a fresh runtime: identical
 // seed, identical chaos, identical traffic — only the refresh trigger
 // differs.
-func runEX7Cell(cfg EX7Config, arm EX7Arm) (EX7Cell, error) {
-	rt, err := newRuntime(cfg.Seed, 2, cfg.Sampler)
-	if err != nil {
-		return EX7Cell{}, err
-	}
-	rt.EnablePassiveCharacterization(ex7PassiveWindow)
-	rcfg := arm.Refresh
-	rcfg.Zones = append([]string(nil), hopZones...)
-	rcfg.Polls = ex7RefreshPolls
-	m, err := rt.EnableRefresh(rcfg)
-	if err != nil {
-		return EX7Cell{}, err
-	}
+func runEX7Cell(seed uint64, cfg ex7Preset, arm EX7Arm) (EX7Cell, error) {
 	cell := EX7Cell{Arm: arm.Label}
-	err = rt.Do(func(p *sim.Proc) error {
+	world := core.Config{Seed: seed, SamplerCfg: cfg.sampler, CloudOpts: cloudsim.Options{HorizonDays: 2}}
+	err := inWorld(world, func(rt *core.Runtime, p *sim.Proc) error {
+		rt.EnablePassiveCharacterization(ex7PassiveWindow)
+		rcfg := arm.Refresh
+		rcfg.Zones = append([]string(nil), hopZones...)
+		rcfg.Polls = ex7RefreshPolls
+		m, err := rt.EnableRefresh(rcfg)
+		if err != nil {
+			return err
+		}
 		defer m.Stop()
-		target, err := hybridFavourite(rt, p, cfg.InitPolls, cfg.ProfileRuns)
+		target, err := hybridFavourite(rt, p, cfg.initPolls, cfg.profileRuns)
 		if err != nil {
 			return err
 		}
@@ -207,7 +190,7 @@ func runEX7Cell(cfg EX7Config, arm EX7Arm) (EX7Cell, error) {
 		// Poison the favorite — one hard regime change at the start of
 		// the span — then start the maintenance loop and route through
 		// the drift.
-		span := time.Duration(cfg.Bursts+1) * ex7BurstEvery
+		span := time.Duration(cfg.bursts+1) * ex7BurstEvery
 		if _, err := rt.Chaos().Inject(chaos.Fault{
 			Kind:      chaos.DriftBurst,
 			AZ:        target,
@@ -226,12 +209,12 @@ func runEX7Cell(cfg EX7Config, arm EX7Arm) (EX7Cell, error) {
 		// takes the CPUs it gets, so a rotten model shows up directly as a
 		// lower fast-CPU hit rate (hybrid's CPU-banning retries would mask
 		// staleness as extra attempts and cost instead).
-		for i := 0; i < cfg.Bursts; i++ {
+		for i := 0; i < cfg.bursts; i++ {
 			p.Sleep(ex7BurstEvery)
 			r, err := rt.Run(p, router.BurstSpec{
 				Strategy:   router.Regional{},
 				Workload:   favouriteWorkload,
-				N:          cfg.BurstN,
+				N:          cfg.burstN,
 				Candidates: hopZones,
 			})
 			if err != nil {

@@ -32,35 +32,27 @@ const (
 
 // EX8Config parameterizes EX-8.
 type EX8Config struct {
-	Seed uint64
-	// The quota and warmup.
+	Seed    uint64
+	reduced bool
+}
+
+// Reduced returns c at benchmark scale.
+func (c EX8Config) Reduced() EX8Config { c.reduced = true; return c }
+
+// ex8Preset is one scale of EX-8.
+type ex8Preset struct {
 	openLoop
-	// Duration is the measured load span per cell (default 30s virtual).
-	Duration time.Duration
-	// Multiples are the offered-rate sweep points as fractions of the
-	// gate's estimated capacity (default 0.5×–3×).
-	Multiples []float64
+	// duration is the measured load span per cell (virtual).
+	duration time.Duration
+	// multiples are the offered-rate sweep points as fractions of the
+	// gate's estimated capacity.
+	multiples []float64
 }
 
-func (c EX8Config) withDefaults() EX8Config {
-	c.openLoop = c.openLoop.withDefaults()
-	if c.Duration == 0 {
-		c.Duration = 30 * time.Second
-	}
-	if len(c.Multiples) == 0 {
-		c.Multiples = []float64{0.5, 1, 1.5, 2, 2.5, 3}
-	}
-	return c
-}
-
-// Reduced returns a benchmark-scale EX-8.
-func (c EX8Config) Reduced() EX8Config {
-	c = c.withDefaults()
-	c.openLoop = c.openLoop.reduced()
-	c.Duration = 12 * time.Second
-	c.Multiples = []float64{0.5, 1, 2, 3}
-	return c
-}
+var (
+	ex8Full    = ex8Preset{openLoop: openLoopFull, duration: 30 * time.Second, multiples: []float64{0.5, 1, 1.5, 2, 2.5, 3}}
+	ex8Reduced = ex8Preset{openLoop: openLoopReduced, duration: 12 * time.Second, multiples: []float64{0.5, 1, 2, 3}}
+)
 
 // EX8Cell is one (arm, offered rate) measurement.
 type EX8Cell struct {
@@ -93,15 +85,18 @@ func (r EX8Result) Cell(arm string, multiple float64) (EX8Cell, bool) {
 // RunEX8 executes EX-8. Every cell runs in a fresh world: identical seed,
 // characterization and warmup; only the offered rate and whether the
 // admission gate is consulted differ.
-func RunEX8(cfg EX8Config) (EX8Result, error) {
-	cfg = cfg.withDefaults()
-	res := EX8Result{Workload: openLoopWorkload, Zone: openLoopZone, Quota: cfg.Quota}
+func RunEX8(c EX8Config) (EX8Result, error) {
+	return runEX8(c.Seed, scaled(c.reduced, ex8Full, ex8Reduced))
+}
+
+func runEX8(seed uint64, cfg ex8Preset) (EX8Result, error) {
+	res := EX8Result{Workload: openLoopWorkload, Zone: openLoopZone, Quota: cfg.quota}
 	for _, arm := range []string{EX8NoAdmission, EX8Admission} {
-		for _, m := range cfg.Multiples {
+		for _, m := range cfg.multiples {
 			cell := EX8Cell{Arm: arm, Multiple: m}
-			err := cfg.runCell(cfg.Seed, 0, &res.CapacityRPS, func(p *sim.Proc, w *openLoopWorld) error {
+			err := cfg.runCell(seed, 0, &res.CapacityRPS, func(p *sim.Proc, w *openLoopWorld) error {
 				cell.CapacityRPS, w.spec.Retry = w.capacity, clientRetry
-				s, err := constantStream("", m*w.capacity, cfg.Duration, rng.New(cfg.Seed).Split("ex8/arrivals"), &cell.Report)
+				s, err := constantStream("", m*w.capacity, cfg.duration, rng.New(seed).Split("ex8/arrivals"), &cell.Report)
 				if err != nil {
 					return err
 				}

@@ -78,21 +78,20 @@ func TestEX8GoldenFrontier(t *testing.T) {
 
 // TestEX8Deterministic: equal seeds replay the whole frontier exactly.
 func TestEX8Deterministic(t *testing.T) {
-	cfg := EX8Config{Seed: 7}.Reduced()
-	cfg.Multiples = []float64{0.5, 2}
-	a, err := RunEX8(cfg)
+	cfg := ex8Reduced
+	cfg.multiples = []float64{0.5, 2}
+	a, err := runEX8(7, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunEX8(cfg)
+	b, err := runEX8(7, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("same seed, different frontier:\n%+v\n%+v", a, b)
 	}
-	cfg.Seed = 8
-	c, err := RunEX8(cfg)
+	c, err := runEX8(8, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,9 +102,9 @@ func TestEX8Deterministic(t *testing.T) {
 
 // TestEX8CSV exercises the dataset writer.
 func TestEX8CSV(t *testing.T) {
-	cfg := EX8Config{Seed: 42}.Reduced()
-	cfg.Multiples = []float64{1}
-	res, err := RunEX8(cfg)
+	cfg := ex8Reduced
+	cfg.multiples = []float64{1}
+	res, err := runEX8(42, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,31 +23,21 @@ import (
 
 // EX9Config parameterizes EX-9.
 type EX9Config struct {
-	Seed uint64
-	// Invocations is the total simulated invocation count (default
-	// 400,000).
-	Invocations int
-	// Workers is the number of concurrent invocation chains per zone
-	// (default 4).
-	Workers int
+	Seed    uint64
+	reduced bool
 }
 
-// Reduced cuts the load for tests and benchmarks.
-func (c EX9Config) Reduced() EX9Config {
-	c.Invocations = 30000
-	c.Workers = 2
-	return c
-}
+// Reduced returns c at benchmark scale.
+func (c EX9Config) Reduced() EX9Config { c.reduced = true; return c }
 
-func (c EX9Config) withDefaults() EX9Config {
-	if c.Invocations == 0 {
-		c.Invocations = 400000
-	}
-	if c.Workers == 0 {
-		c.Workers = 4
-	}
-	return c
-}
+// ex9Preset is one scale of EX-9: the total simulated invocation count and
+// the concurrent invocation chains per zone.
+type ex9Preset struct{ invocations, workers int }
+
+var (
+	ex9Full    = ex9Preset{invocations: 400000, workers: 4}
+	ex9Reduced = ex9Preset{invocations: 30000, workers: 2}
+)
 
 // EX9Result is one mesh-load run's measurement.
 type EX9Result struct {
@@ -82,12 +72,12 @@ func (r EX9Result) WriteCSV(dir string) error {
 }
 
 // RunEX9 measures the engine on the mesh load.
-func RunEX9(cfg EX9Config) (EX9Result, error) {
-	cfg = cfg.withDefaults()
+func RunEX9(c EX9Config) (EX9Result, error) {
+	cfg := scaled(c.reduced, ex9Full, ex9Reduced)
 	stats, err := RunMeshLoad(MeshLoadConfig{
-		Seed:        cfg.Seed,
-		Invocations: cfg.Invocations,
-		Workers:     cfg.Workers,
+		Seed:        c.Seed,
+		Invocations: cfg.invocations,
+		Workers:     cfg.workers,
 	})
 	if err != nil {
 		return EX9Result{}, fmt.Errorf("ex9: %w", err)

@@ -1,21 +1,23 @@
-// Package experiments reproduces the paper's five experiments (§3.5) on the
-// simulated sky. Each experiment builds its own deterministic world from a
-// seed, runs the paper's procedure, and returns the data behind the
-// corresponding tables and figures, with Render methods producing
-// paper-style text output.
+// Package experiments reproduces the paper's evaluation on the simulated
+// sky: EX-1..EX-5 are its experiments (§3.1-3.5, Figs. 2-11), EX-6..EX-11
+// extend it, and the ablations and the §4.6 trade-off justify its design
+// choices. Each experiment builds its own deterministic world from a seed,
+// runs its procedure, and returns the data behind the corresponding tables
+// and figures, with Render methods producing paper-style text output.
 //
-// Every Run* function accepts a config whose zero value is the full
-// paper-scale procedure; the Reduced() presets cut scale for benchmarks. A
-// config holds only what its two scales or a skybench flag set; every
-// other parameter of a procedure is a named constant beside its reason.
+// Every experiment runs at two scales, each one literal of its unexported
+// preset struct: a config runs the full paper-scale preset unless
+// Reduced() picked the benchmark-scale one. A config holds only the seed,
+// that choice, and the fields a skybench flag overrides; every other
+// parameter of a procedure is a named constant beside its reason.
 package experiments
 
 import (
 	"time"
 
-	"skyfaas/internal/cloudsim"
 	"skyfaas/internal/core"
 	"skyfaas/internal/sampler"
+	"skyfaas/internal/sim"
 )
 
 // defaultEpoch starts every experiment on a Monday midnight UTC.
@@ -50,14 +52,22 @@ func EX3Zones() []string {
 	}
 }
 
-// newRuntime builds an experiment world. Experiments only need the minimal
-// mesh (they pick 2 GB endpoints), which keeps construction fast.
-func newRuntime(seed uint64, horizonDays int, samplerCfg sampler.Config) (*core.Runtime, error) {
-	return core.New(core.Config{
-		Seed:       seed,
-		Epoch:      defaultEpoch,
-		SamplerCfg: samplerCfg,
-		CloudOpts:  cloudsim.Options{HorizonDays: horizonDays},
-		SkipMesh:   true,
-	})
+// scaled returns the reduced preset if reduced is set, else the full one.
+func scaled[P any](reduced bool, full, small P) P {
+	if reduced {
+		return small
+	}
+	return full
+}
+
+// inWorld builds an experiment world from cfg, on defaultEpoch and with
+// only the minimal mesh (experiments pick 2 GB endpoints, which keeps
+// construction fast), and runs body in it as the client process.
+func inWorld(cfg core.Config, body func(rt *core.Runtime, p *sim.Proc) error) error {
+	cfg.Epoch, cfg.SkipMesh = defaultEpoch, true
+	rt, err := core.New(cfg)
+	if err != nil {
+		return err
+	}
+	return rt.Do(func(p *sim.Proc) error { return body(rt, p) })
 }

@@ -23,15 +23,21 @@ import (
 // admission gate, and arrival schedules that never adapt to the answers,
 // each request taking core.Pipeline, the request path skyd serves.
 
-// openLoop is the configuration the open-loop experiments share.
+// openLoop is the part of a scale the open-loop experiments share.
 type openLoop struct {
-	// Quota is the per-account concurrent execution limit the admission
-	// gate protects (default 60; the gate's slot limit is TargetUtil x Quota).
-	Quota int
-	// ProfileRuns trains the perf model before the gate is seeded and
-	// doubles as warmup for the zone's instance pool (default 240).
-	ProfileRuns int
+	// quota is the per-account concurrent execution limit the admission
+	// gate protects (the gate's slot limit is TargetUtil x quota).
+	quota int
+	// profileRuns trains the perf model before the gate is seeded and
+	// doubles as warmup for the zone's instance pool.
+	profileRuns int
 }
+
+// The two scales of the shared part.
+var (
+	openLoopFull    = openLoop{quota: 60, profileRuns: 240}
+	openLoopReduced = openLoop{quota: 30, profileRuns: 120}
+)
 
 const (
 	// openLoopZone is the zone under load.
@@ -59,23 +65,6 @@ var openLoopSampler = sampler.Config{
 // it rarely fires.
 var clientRetry = faas.RetryPolicy{MaxAttempts: 6, BaseBackoff: 50 * time.Millisecond}
 
-func (c openLoop) withDefaults() openLoop {
-	if c.Quota == 0 {
-		c.Quota = 60
-	}
-	if c.ProfileRuns == 0 {
-		c.ProfileRuns = 240
-	}
-	return c
-}
-
-// reduced is the benchmark-scale quota and profiling depth.
-func (c openLoop) reduced() openLoop {
-	c.Quota = 30
-	c.ProfileRuns = 120
-	return c
-}
-
 // openLoopWorld is one cell's world once the shared setup has run.
 type openLoopWorld struct {
 	rt *core.Runtime
@@ -93,21 +82,16 @@ type openLoopWorld struct {
 // cell's capacity estimate goes into *capacity, and a later cell's that
 // differs means the worlds diverged, which voids the comparison.
 func (c openLoop) runCell(seed uint64, keepAlive time.Duration, capacity *float64, body func(p *sim.Proc, w *openLoopWorld) error) error {
-	rt, err := core.New(core.Config{
+	world := core.Config{
 		Seed:       seed,
-		Epoch:      defaultEpoch,
 		SamplerCfg: openLoopSampler,
-		CloudOpts:  cloudsim.Options{Quota: c.Quota, KeepAlive: keepAlive, HorizonDays: 2},
-		SkipMesh:   true,
-	})
-	if err != nil {
-		return err
+		CloudOpts:  cloudsim.Options{Quota: c.quota, KeepAlive: keepAlive, HorizonDays: 2},
 	}
-	return rt.Do(func(p *sim.Proc) error {
+	return inWorld(world, func(rt *core.Runtime, p *sim.Proc) error {
 		if _, err := rt.Refresh(p, []string{openLoopZone}, openLoopInitPolls); err != nil {
 			return err
 		}
-		if _, err := rt.ProfileWorkloads(p, []workload.ID{openLoopWorkload}, []string{openLoopZone}, c.ProfileRuns); err != nil {
+		if _, err := rt.ProfileWorkloads(p, []workload.ID{openLoopWorkload}, []string{openLoopZone}, c.profileRuns); err != nil {
 			return err
 		}
 		gate, err := rt.EnableAdmission(admission.Config{})

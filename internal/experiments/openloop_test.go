@@ -21,13 +21,12 @@ func TestOpenLoopStartsNoProcessPerRequest(t *testing.T) {
 		streams   func(w *openLoopWorld) ([]*stream, error)
 	}{
 		"EX8": {0, func(w *openLoopWorld) ([]*stream, error) {
-			cfg := EX8Config{Seed: seed}.Reduced()
 			w.spec.Retry = clientRetry
-			s, err := constantStream("", 3*w.capacity, cfg.Duration, rng.New(seed).Split("ex8/arrivals"), nil)
+			s, err := constantStream("", 3*w.capacity, ex8Reduced.duration, rng.New(seed).Split("ex8/arrivals"), nil)
 			return []*stream{s}, err
 		}},
 		"EX11": {ex11KeepAlive, func(w *openLoopWorld) ([]*stream, error) {
-			train, measured, err := ex11Streams(EX11Config{Seed: seed}.Reduced(), rng.New(seed).Split("ex11/arrivals"))
+			train, measured, err := ex11Streams(ex11Reduced, rng.New(seed).Split("ex11/arrivals"))
 			return []*stream{train, measured}, err
 		}},
 	}
@@ -36,7 +35,7 @@ func TestOpenLoopStartsNoProcessPerRequest(t *testing.T) {
 			var capacity float64
 			arrivals, worst := 0, 0
 			driver := -1
-			err := openLoop{}.withDefaults().reduced().runCell(seed, cell.keepAlive, &capacity, func(p *sim.Proc, w *openLoopWorld) error {
+			err := openLoopReduced.runCell(seed, cell.keepAlive, &capacity, func(p *sim.Proc, w *openLoopWorld) error {
 				ss, err := cell.streams(w)
 				if err != nil {
 					return err

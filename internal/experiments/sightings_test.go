@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"skyfaas/internal/charact"
+	"skyfaas/internal/cloudsim"
+	"skyfaas/internal/core"
 	"skyfaas/internal/sim"
 )
 
@@ -23,11 +25,7 @@ func TestFreshCountsAgreeWithUUIDDedupe(t *testing.T) {
 	cfg.Endpoints, cfg.PollSize = 2, 1000
 	reports, repeats, most := 0, 0, 0
 	for seed := uint64(1); seed <= 5; seed++ {
-		rt, err := newRuntime(seed, 2, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		err = rt.Do(func(p *sim.Proc) error {
+		err := inWorld(core.Config{Seed: seed, SamplerCfg: cfg, CloudOpts: cloudsim.Options{HorizonDays: 2}}, func(rt *core.Runtime, p *sim.Proc) error {
 			for _, region := range rt.Cloud().Regions() {
 				for _, zone := range region.AZs() {
 					az := zone.Name()

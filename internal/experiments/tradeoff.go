@@ -3,8 +3,9 @@ package experiments
 import (
 	"time"
 
+	"skyfaas/internal/cloudsim"
+	"skyfaas/internal/core"
 	"skyfaas/internal/router"
-	"skyfaas/internal/sampler"
 	"skyfaas/internal/sim"
 	"skyfaas/internal/tablefmt"
 	"skyfaas/internal/workload"
@@ -34,13 +35,10 @@ type RetryTradeoffResult struct {
 // RunRetryTradeoff runs a baseline and a focus-fastest burst of 1,000
 // zipper invocations on us-west-1b and reports the §4.6 quantities.
 func RunRetryTradeoff(cfg StudyConfig) (RetryTradeoffResult, error) {
-	rt, err := newRuntime(cfg.Seed, 3, sampler.Config{})
-	if err != nil {
-		return RetryTradeoffResult{}, err
-	}
 	const az = "us-west-1b"
 	var res RetryTradeoffResult
-	err = rt.Do(func(p *sim.Proc) error {
+	world := core.Config{Seed: cfg.Seed, CloudOpts: cloudsim.Options{HorizonDays: 3}}
+	err := inWorld(world, func(rt *core.Runtime, p *sim.Proc) error {
 		if _, err := rt.Router().Profile(p, workload.Zipper, []string{az}, 1200, 0); err != nil {
 			return err
 		}

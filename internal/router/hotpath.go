@@ -102,10 +102,10 @@ func (t *DecisionTable) Pick() (az string, banned cpu.Mask) {
 // ---------------------------------------------------------------------------
 
 // burstState is the reusable per-burst bookkeeping: the logical-invocation
-// slots and the retry queue. Bursts are created in volume by the scale
-// experiments (EX-9 issues one per batch), so the arrays are pooled; a
-// burst takes a state at start and returns it once every response that
-// could touch a slot has settled.
+// slots and the retry queue. Bursts are created in volume (skyd serves one
+// per /v1/burst request, and EX-5 runs at least two per workload per day),
+// so the arrays are pooled; a burst takes a state at start and returns it
+// once every response that could touch a slot has settled.
 type burstState struct {
 	slots []burstSlot
 	queue []*burstSlot
