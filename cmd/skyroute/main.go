@@ -70,9 +70,11 @@ func run(args []string) error {
 		}
 		clientLoc = loc
 	}
-	zones := strings.Split(*zonesFlag, ",")
-	for i := range zones {
-		zones[i] = strings.TrimSpace(zones[i])
+	var zones []string
+	for _, z := range strings.Split(*zonesFlag, ",") {
+		if z = strings.TrimSpace(z); z != "" {
+			zones = append(zones, z)
+		}
 	}
 	if len(zones) == 0 {
 		return fmt.Errorf("no zones given")

@@ -55,10 +55,12 @@ func TestRouteComparisonTable(t *testing.T) {
 }
 
 // fakeSkyd answers the three /v1 calls remote mode makes, recording the
-// Authorization header and the burst strategies it saw.
+// Authorization header, the zones it characterized and the burst
+// strategies it saw.
 type fakeSkyd struct {
 	mu         sync.Mutex
 	auth       map[string]bool
+	zones      []string
 	strategies []string
 }
 
@@ -69,6 +71,13 @@ func (f *fakeSkyd) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	switch r.URL.Path {
 	case "/v1/characterize":
+		var body struct {
+			AZ string `json:"az"`
+		}
+		_ = json.NewDecoder(r.Body).Decode(&body)
+		f.mu.Lock()
+		f.zones = append(f.zones, body.AZ)
+		f.mu.Unlock()
 		_, _ = w.Write([]byte(`{"az":"t1-a","costUSD":0.01,"dist":{"Xeon-2.5":0.6,"EPYC-2.0":0.4}}`))
 	case "/v1/profile":
 		_, _ = w.Write([]byte(`{"workload":"zipper","costUSD":0.25}`))
@@ -95,7 +104,7 @@ func TestRemoteMode(t *testing.T) {
 	out, err := capture(t, []string{
 		"-url", srv.URL, "-key", "sk-test",
 		"-workload", "zipper", "-n", "10",
-		"-zones", "t1-a,t1-b",
+		"-zones", " t1-a,, t1-b ,", // blank entries are dropped
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -109,6 +118,9 @@ func TestRemoteMode(t *testing.T) {
 	defer fake.mu.Unlock()
 	if !fake.auth["Bearer sk-test"] || len(fake.auth) != 1 {
 		t.Errorf("auth headers seen = %v, want only Bearer sk-test", fake.auth)
+	}
+	if want := []string{"t1-a", "t1-b"}; !reflect.DeepEqual(fake.zones, want) {
+		t.Errorf("characterized zones = %q, want %q", fake.zones, want)
 	}
 	wantStrats := []string{"baseline", "regional", "retry-slow", "focus-fastest", "hybrid"}
 	if !reflect.DeepEqual(fake.strategies, wantStrats) {
@@ -143,5 +155,28 @@ func TestValidation(t *testing.T) {
 	}
 	if err := run([]string{"-zorp"}); err == nil {
 		t.Error("bad flag accepted")
+	}
+	for _, zones := range []string{"", ",", " , ,"} {
+		if err := run([]string{"-zones", zones}); err == nil || !strings.Contains(err.Error(), "no zones given") {
+			t.Errorf("-zones %q: err = %v, want no zones given", zones, err)
+		}
+	}
+	// Remote mode must reject an empty zone list before it talks to skyd.
+	var requests int
+	var mu sync.Mutex
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		requests++
+		mu.Unlock()
+		w.WriteHeader(http.StatusInternalServerError)
+	}))
+	defer srv.Close()
+	if err := run([]string{"-url", srv.URL, "-zones", ", ,"}); err == nil || !strings.Contains(err.Error(), "no zones given") {
+		t.Errorf("remote -zones \", ,\": err = %v, want no zones given", err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if requests != 0 {
+		t.Errorf("remote mode made %d requests for an empty zone list", requests)
 	}
 }

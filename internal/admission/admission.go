@@ -34,6 +34,17 @@ import (
 	"skyfaas/internal/workload"
 )
 
+// Gate timings no caller varies.
+const (
+	// routeTTL bounds how long a pinned routing decision is reused under
+	// pressure.
+	routeTTL = time.Second
+	// minRetryAfter / maxRetryAfter clamp the Retry-After hint attached to
+	// sheds.
+	minRetryAfter = 100 * time.Millisecond
+	maxRetryAfter = 5 * time.Second
+)
+
 // Config parameterizes a Controller.
 type Config struct {
 	// Slots is the number of concurrent executions the gate manages —
@@ -49,13 +60,6 @@ type Config struct {
 	PressureUtil float64
 	// EWMAAlpha weights new service-time observations (default 0.2).
 	EWMAAlpha float64
-	// RouteTTL bounds how long a pinned routing decision is reused under
-	// pressure (default 1s).
-	RouteTTL time.Duration
-	// MinRetryAfter / MaxRetryAfter clamp the Retry-After hint attached to
-	// sheds (defaults 100ms / 5s).
-	MinRetryAfter time.Duration
-	MaxRetryAfter time.Duration
 	// Metrics receives the sky_admission_* series; nil disables them.
 	Metrics *metrics.Registry
 }
@@ -69,15 +73,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.EWMAAlpha == 0 {
 		c.EWMAAlpha = 0.2
-	}
-	if c.RouteTTL == 0 {
-		c.RouteTTL = time.Second
-	}
-	if c.MinRetryAfter == 0 {
-		c.MinRetryAfter = 100 * time.Millisecond
-	}
-	if c.MaxRetryAfter == 0 {
-		c.MaxRetryAfter = 5 * time.Second
 	}
 	return c
 }
@@ -310,11 +305,11 @@ func (c *Controller) retryAfterLocked(st *fnState) time.Duration {
 		frac = 0.25
 	}
 	d := time.Duration(st.serviceMS * frac * float64(time.Millisecond))
-	if d < c.cfg.MinRetryAfter {
-		d = c.cfg.MinRetryAfter
+	if d < minRetryAfter {
+		d = minRetryAfter
 	}
-	if d > c.cfg.MaxRetryAfter {
-		d = c.cfg.MaxRetryAfter
+	if d > maxRetryAfter {
+		d = maxRetryAfter
 	}
 	return d
 }
@@ -406,14 +401,14 @@ func (c *Controller) RouteFor(w workload.ID, now time.Time) (string, bool) {
 }
 
 // RememberRoute pins a freshly computed routing decision for w until
-// now+RouteTTL, for reuse while pressure lasts.
+// now+routeTTL, for reuse while pressure lasts.
 func (c *Controller) RememberRoute(w workload.ID, az string, now time.Time) {
 	if az == "" {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.routes[w] = routeEntry{az: az, expires: now.Add(c.cfg.RouteTTL)}
+	c.routes[w] = routeEntry{az: az, expires: now.Add(routeTTL)}
 }
 
 // Retune applies a control-plane update. Zero-valued fields keep their

@@ -137,7 +137,7 @@ func TestServiceTimeEWMAAndCapacity(t *testing.T) {
 }
 
 func TestPressureRouteCache(t *testing.T) {
-	c := newController(t, Config{Slots: 4, TargetUtil: 1, PressureUtil: 0.5, RouteTTL: time.Second})
+	c := newController(t, Config{Slots: 4, TargetUtil: 1, PressureUtil: 0.5})
 	c.RememberRoute(workload.Zipper, "aws/us-east-1/a", t0)
 	if _, ok := c.RouteFor(workload.Zipper, t0); ok {
 		t.Fatal("route served while unpressured")
@@ -148,12 +148,12 @@ func TestPressureRouteCache(t *testing.T) {
 	if !c.Pressured() {
 		t.Fatal("not pressured at 2/4 with PressureUtil 0.5")
 	}
-	az, ok := c.RouteFor(workload.Zipper, t0.Add(500*time.Millisecond))
+	az, ok := c.RouteFor(workload.Zipper, t0.Add(routeTTL/2))
 	if !ok || az != "aws/us-east-1/a" {
 		t.Fatalf("pressured route = %q, %v; want cached az", az, ok)
 	}
 	// TTL expiry invalidates the pin.
-	if _, ok := c.RouteFor(workload.Zipper, t0.Add(2*time.Second)); ok {
+	if _, ok := c.RouteFor(workload.Zipper, t0.Add(2*routeTTL)); ok {
 		t.Fatal("expired route served")
 	}
 	c.Done(tk1, t0, 100, true)

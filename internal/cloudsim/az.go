@@ -612,7 +612,7 @@ func (az *AZ) maybeScaleUp() {
 		count = 1
 	}
 	hostFIs := az.spec.hostFIs()
-	az.cloud.env.Schedule(az.cloud.opts.ScaleUpDelay, func() {
+	az.cloud.env.Schedule(scaleUpDelay, func() {
 		draw := az.kindDrawer(mix)
 		for i := 0; i < count; i++ {
 			az.addHost(draw(), cpu.X86, hostFIs)

@@ -136,28 +136,30 @@ func (r *Region) AZs() []*AZ {
 	return out
 }
 
+// Platform mechanics every simulated world shares; no caller varies them.
+const (
+	// coldStartMS / coldStartSigma parameterize the lognormal cold-start
+	// initialization delay (unbilled, like managed-runtime init).
+	coldStartMS    = 140
+	coldStartSigma = 0.25
+	// overheadMS is the fixed per-invocation platform overhead (billed).
+	overheadMS = 1.5
+	// scaleUpDelay is how long the platform takes to bring reserve hosts
+	// online after saturation.
+	scaleUpDelay = 25 * time.Second
+)
+
 // Options tune platform mechanics. The zero value is completed by defaults.
 type Options struct {
 	// KeepAlive is how long an idle instance persists (5 min on Lambda).
 	KeepAlive time.Duration
 	// Quota is the per-account, per-region concurrent execution limit.
 	Quota int
-	// ColdStartMS / ColdStartSigma parameterize the lognormal cold-start
-	// initialization delay (unbilled, like managed-runtime init).
-	ColdStartMS    float64
-	ColdStartSigma float64
-	// OverheadMS is the fixed per-invocation platform overhead (billed).
-	OverheadMS float64
 	// IntraCloudRTT is the round trip for requests without a client
 	// location (function-to-function within a zone).
 	IntraCloudRTT time.Duration
-	// ScaleUpDelay is how long the platform takes to bring reserve hosts
-	// online after saturation.
-	ScaleUpDelay time.Duration
 	// HorizonDays bounds the pre-scheduled drift timeline.
 	HorizonDays int
-	// Latency is the client-to-region RTT model.
-	Latency geo.LatencyModel
 	// OnResponse, when set, observes every response as it is delivered to
 	// its caller — the platform-side tap for logging and tracing. It runs
 	// inside the simulation and must not block.
@@ -177,26 +179,11 @@ func (o Options) withDefaults() Options {
 	if o.Quota == 0 {
 		o.Quota = 1000
 	}
-	if o.ColdStartMS == 0 {
-		o.ColdStartMS = 140
-	}
-	if o.ColdStartSigma == 0 {
-		o.ColdStartSigma = 0.25
-	}
-	if o.OverheadMS == 0 {
-		o.OverheadMS = 1.5
-	}
 	if o.IntraCloudRTT == 0 {
 		o.IntraCloudRTT = 2 * time.Millisecond
 	}
-	if o.ScaleUpDelay == 0 {
-		o.ScaleUpDelay = 25 * time.Second
-	}
 	if o.HorizonDays == 0 {
 		o.HorizonDays = 30
-	}
-	if o.Latency == (geo.LatencyModel{}) {
-		o.Latency = geo.DefaultLatencyModel()
 	}
 	return o
 }
@@ -511,7 +498,7 @@ func (c *Cloud) baseOneWay(req *Request, az *AZ) time.Duration {
 	if req.ClientLoc == nil {
 		return c.opts.IntraCloudRTT / 2
 	}
-	return c.opts.Latency.RTT(*req.ClientLoc, az.region.spec.Loc, c.latRand) / 2
+	return geo.DefaultLatencyModel().RTT(*req.ClientLoc, az.region.spec.Loc, c.latRand) / 2
 }
 
 // respond ships the response back to the caller. The zone's current
@@ -611,9 +598,9 @@ func (inv *invocation) process() {
 	acct.inflight++
 	inv.acct, inv.dep, inv.fi, inv.behavior, inv.resp.Cold = acct, dep, fi, behavior, cold
 
-	initDelay := time.Duration(c.opts.OverheadMS * float64(time.Millisecond) / 2)
+	initDelay := time.Duration(overheadMS * float64(time.Millisecond) / 2)
 	if cold {
-		ms := az.rand.LogNorm(0, c.opts.ColdStartSigma) * c.opts.ColdStartMS * az.fault.coldStartFactor()
+		ms := az.rand.LogNorm(0, coldStartSigma) * coldStartMS * az.fault.coldStartFactor()
 		// Init runs on the CPU share the memory setting grants, so
 		// low-memory deployments cold-start slower (this is why Fig. 3's
 		// smaller memory settings need longer sleeps for full coverage).
@@ -701,7 +688,7 @@ func (inv *invocation) finish() {
 	c, az, dep, fi, r := inv.c, inv.az, inv.dep, inv.fi, &inv.resp
 	r.Ended = c.env.Now()
 	billedMS := float64(r.Ended.Sub(r.Started)) / float64(time.Millisecond)
-	billedMS += c.opts.OverheadMS
+	billedMS += overheadMS
 	price := c.prices[az.region.spec.Provider]
 	cost := price.Cost(dep.memoryMB, billedMS)
 	inv.acct.bill.charge(cost)

@@ -595,7 +595,7 @@ func TestFanOutBehaviorGather(t *testing.T) {
 				t.Errorf("node ended at +%v, want +%v (hold end or last delivery)", resp.Ended.Sub(resp.Started), end.Sub(resp.Started))
 			}
 			holdMS := float64(tc.hold) / float64(time.Millisecond)
-			if resp.BilledMS < holdMS+c.Options().OverheadMS {
+			if resp.BilledMS < holdMS+overheadMS {
 				t.Errorf("billed %.1f ms, want at least the %.0f ms hold plus overhead", resp.BilledMS, holdMS)
 			}
 		})
@@ -906,7 +906,7 @@ func TestScaleUpAddsReserveHosts(t *testing.T) {
 		Mix:         mix(1, 0, 0, 0),
 		ReserveMix:  mix(0, 0, 0, 1),
 		ReserveFrac: 1, // double the pool on scale-up, all EPYC
-	}, Options{ScaleUpDelay: 10 * time.Second})
+	}, Options{})
 	deploySleep(t, c, "fn", 30*time.Second)
 	az, _ := c.AZ("test-az-1a")
 	before := az.HostCount()
@@ -915,7 +915,7 @@ func TestScaleUpAddsReserveHosts(t *testing.T) {
 		c.StartInvoke(Request{Account: "a", AZ: "test-az-1a", Function: "fn"}, func(Response) {})
 	}
 	sawEpyc := false
-	env.Schedule(20*time.Second, func() {
+	env.Schedule(scaleUpDelay+10*time.Second, func() {
 		if az.HostCount() <= before {
 			t.Errorf("no scale-up: hosts %d -> %d", before, az.HostCount())
 		}

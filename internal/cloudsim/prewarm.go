@@ -119,7 +119,7 @@ func (az *AZ) PreWarm(fn string, n int, account string) (int, float64, error) {
 		// cold start — including any injected cold-start spike — but is
 		// billed (a pre-warm is platform work the account pays for, unlike
 		// the free init a request absorbs as latency).
-		ms := az.rand.LogNorm(0, az.cloud.opts.ColdStartSigma) * az.cloud.opts.ColdStartMS * az.fault.coldStartFactor()
+		ms := az.rand.LogNorm(0, coldStartSigma) * coldStartMS * az.fault.coldStartFactor()
 		ms *= initMemoryFactor(dep.memoryMB)
 		cost := price.Cost(dep.memoryMB, ms)
 		az.cloud.meter.ChargeIn(account, WarmPoolBucket(az.region.spec.Name), cost)

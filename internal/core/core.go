@@ -20,7 +20,6 @@ import (
 	"skyfaas/internal/cloudsim"
 	"skyfaas/internal/cpu"
 	"skyfaas/internal/faas"
-	"skyfaas/internal/geo"
 	"skyfaas/internal/mesh"
 	"skyfaas/internal/metrics"
 	"skyfaas/internal/refresh"
@@ -30,6 +29,11 @@ import (
 	"skyfaas/internal/warmpool"
 	"skyfaas/internal/workload"
 )
+
+// account is the billing account the runtime's client runs under. Every
+// runtime is one tenant of the simulated sky, so the name only labels its
+// bill; EX-1's second account builds its own client.
+const account = "sky"
 
 // Config assembles a Runtime. Zero values take paper defaults.
 type Config struct {
@@ -42,16 +46,10 @@ type Config struct {
 	Catalog []cloudsim.RegionSpec
 	// CloudOpts tunes platform mechanics.
 	CloudOpts cloudsim.Options
-	// MeshCfg selects the deployment matrix.
-	MeshCfg mesh.Config
 	// SamplerCfg tunes the polling technique.
 	SamplerCfg sampler.Config
 	// StoreTTL is the characterization lifespan (default 24h).
 	StoreTTL time.Duration
-	// Account is the billing account (default "sky").
-	Account string
-	// ClientLoc places the client geographically (nil = co-located).
-	ClientLoc *geo.Coord
 	// SkipMesh replaces the full deployment matrix with a minimal one
 	// (one x86 endpoint per zone) for fast tests.
 	SkipMesh bool
@@ -68,9 +66,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.StoreTTL == 0 {
 		c.StoreTTL = 24 * time.Hour
-	}
-	if c.Account == "" {
-		c.Account = "sky"
 	}
 	if c.Metrics == nil {
 		c.Metrics = metrics.Default()
@@ -108,11 +103,7 @@ func New(cfg Config) (*Runtime, error) {
 		cfg.CloudOpts.Metrics = cfg.Metrics
 	}
 	cloud := cloudsim.New(env, cfg.Seed, cfg.Catalog, cfg.CloudOpts)
-	clientOpts := []faas.Option{faas.WithSeed(cfg.Seed)}
-	if cfg.ClientLoc != nil {
-		clientOpts = append(clientOpts, faas.WithLocation(*cfg.ClientLoc))
-	}
-	client := faas.NewClient(cloud, cfg.Account, clientOpts...)
+	client := faas.NewClient(cloud, account, faas.WithSeed(cfg.Seed))
 	rt := &Runtime{
 		env:     env,
 		cloud:   cloud,
@@ -123,7 +114,7 @@ func New(cfg Config) (*Runtime, error) {
 		metrics: cfg.Metrics,
 		sampled: make(map[string]bool),
 	}
-	meshCfg := cfg.MeshCfg
+	var meshCfg mesh.Config // the paper's full matrix
 	if cfg.SkipMesh {
 		// Minimal matrix: one x86 endpoint per zone, enough for routing.
 		meshCfg = mesh.Config{

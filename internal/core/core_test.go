@@ -34,7 +34,7 @@ func tinyRuntime(t *testing.T) *Runtime {
 		Catalog: tinyCatalog(),
 		SamplerCfg: sampler.Config{
 			Endpoints: 30, PollSize: 84, Branch: 4,
-			Sleep: 100 * time.Millisecond, InterPollPause: 500 * time.Millisecond,
+			InterPollPause: 500 * time.Millisecond,
 		},
 		SkipMesh: true,
 	})

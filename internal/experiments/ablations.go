@@ -117,7 +117,7 @@ func RunAblationFanout(seed uint64) (AblationFanoutResult, error) {
 		responses := client.InvokeBatch(p, faas.Call{
 			AZ:       az,
 			Function: flatEndpointName(s, az),
-			Work:     cloudsim.SleepBehavior{D: s.Config().Sleep},
+			Work:     cloudsim.SleepBehavior{D: sampler.Sleep},
 		}, tree.Requested)
 		reports := make([]saaf.Report, 0, len(responses))
 		for _, r := range responses {

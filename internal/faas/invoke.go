@@ -25,6 +25,13 @@ import (
 // too.
 var ErrDeadlineExceeded = errors.New("faas: invocation deadline exceeded")
 
+// Backoff grows by backoffMultiplier per retry and is capped at maxBackoff,
+// for every policy.
+const (
+	backoffMultiplier = 2
+	maxBackoff        = 5 * time.Second
+)
+
 // RetryPolicy bounds and paces re-attempts after transient platform
 // failures (throttles, saturation, zone outages). The zero value means a
 // single attempt with no retries.
@@ -32,12 +39,9 @@ type RetryPolicy struct {
 	// MaxAttempts is the total attempt budget including the first
 	// (0 or 1 = no retries).
 	MaxAttempts int
-	// BaseBackoff is the pause before the first retry (default 50 ms).
+	// BaseBackoff is the pause before the first retry (default 50 ms);
+	// each retry doubles it, up to maxBackoff.
 	BaseBackoff time.Duration
-	// MaxBackoff caps the exponential growth (default 5 s).
-	MaxBackoff time.Duration
-	// Multiplier grows the backoff per retry (default 2).
-	Multiplier float64
 	// JitterFrac spreads each backoff uniformly within ±JitterFrac of
 	// itself, drawn from the client's seeded stream so two same-seed runs
 	// jitter identically (default 0 = no jitter).
@@ -58,34 +62,19 @@ func (p RetryPolicy) base() time.Duration {
 	return p.BaseBackoff
 }
 
-func (p RetryPolicy) capped() time.Duration {
-	if p.MaxBackoff <= 0 {
-		return 5 * time.Second
-	}
-	return p.MaxBackoff
-}
-
-func (p RetryPolicy) multiplier() float64 {
-	if p.Multiplier <= 1 {
-		return 2
-	}
-	return p.Multiplier
-}
-
 // Backoff returns the pause before retry number n (1-based), applying
 // exponential growth, the cap, and jitter drawn from rand. A nil rand or
 // zero JitterFrac yields the deterministic un-jittered schedule.
 func (p RetryPolicy) Backoff(n int, rand JitterSource) time.Duration {
 	d := float64(p.base())
-	mult := p.multiplier()
 	for i := 1; i < n; i++ {
-		d *= mult
-		if d >= float64(p.capped()) {
+		d *= backoffMultiplier
+		if d >= float64(maxBackoff) {
 			break
 		}
 	}
-	if d > float64(p.capped()) {
-		d = float64(p.capped())
+	if d > float64(maxBackoff) {
+		d = float64(maxBackoff)
 	}
 	if p.JitterFrac > 0 && rand != nil {
 		d = rand.Jitter(d, p.JitterFrac)

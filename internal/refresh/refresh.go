@@ -61,24 +61,18 @@ const (
 	ReasonForced  Reason = "forced"  // operator-initiated
 )
 
-// Weights shape the composite urgency score.
-type Weights struct {
-	// Age weights normalized staleness (age / MaxAge).
-	Age float64
-	// Drift weights normalized divergence (TV / DriftThreshold).
-	Drift float64
-	// Traffic weights the zone's share of routed completions — a drifted
-	// zone carrying most of the traffic matters more than a drifted
-	// backwater.
-	Traffic float64
-}
-
-func (w Weights) withDefaults() Weights {
-	if w.Age == 0 && w.Drift == 0 && w.Traffic == 0 {
-		return Weights{Age: 1, Drift: 1, Traffic: 0.5}
-	}
-	return w
-}
+// The weights of the composite urgency score.
+const (
+	// ageWeight weights normalized staleness (age / MaxAge).
+	ageWeight = 1
+	// driftWeight weights normalized divergence (TV / DriftThreshold).
+	driftWeight = 1
+	// trafficWeight weights the zone's share of routed completions — a
+	// drifted zone carrying most of the traffic matters more than a
+	// drifted backwater. Traffic only orders zones; whether one is due
+	// reads age and drift alone.
+	trafficWeight = 0.5
+)
 
 // Config tunes a Maintainer. Zero fields take defaults.
 type Config struct {
@@ -109,8 +103,6 @@ type Config struct {
 	// Cooldown is the minimum gap between two refreshes of the same zone
 	// (default 15m), so one noisy zone cannot monopolize the budget.
 	Cooldown time.Duration
-	// Weights shape the urgency ordering (default 1/1/0.5).
-	Weights Weights
 }
 
 func (c Config) withDefaults() Config {
@@ -141,7 +133,6 @@ func (c Config) withDefaults() Config {
 	if c.Cooldown == 0 {
 		c.Cooldown = 15 * time.Minute
 	}
-	c.Weights = c.Weights.withDefaults()
 	return c
 }
 
@@ -335,7 +326,6 @@ func (m *Maintainer) zoneStatus(az string, now time.Time) ZoneStatus {
 		zs.TrafficShare = float64(m.traffic[az]) / float64(m.trafficTotal)
 	}
 
-	w := m.cfg.Weights
 	ageNorm := 0.0
 	if zs.Known {
 		ageNorm = float64(zs.Age) / float64(m.cfg.MaxAge)
@@ -344,14 +334,14 @@ func (m *Maintainer) zoneStatus(az string, now time.Time) ZoneStatus {
 	if zs.Drift.Confident {
 		driftNorm = zs.Drift.TV / m.cfg.DriftThreshold
 	}
-	zs.Urgency = w.Age*ageNorm + w.Drift*driftNorm + w.Traffic*zs.TrafficShare
+	zs.Urgency = ageWeight*ageNorm + driftWeight*driftNorm + trafficWeight*zs.TrafficShare
 
 	switch {
 	case !zs.Known:
 		// Never characterized: urgent under every active mode.
 		zs.Due = m.Mode() != ModeOff
 		zs.Reason = ReasonUnknown
-		zs.Urgency += 2 * w.Age
+		zs.Urgency += 2 * ageWeight
 	case m.Mode() == ModeAge:
 		zs.Due = ageNorm >= 1
 		zs.Reason = ReasonAge

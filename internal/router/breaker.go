@@ -28,44 +28,23 @@ func (s BreakerState) String() string {
 	}
 }
 
-// BreakerConfig tunes a per-zone circuit breaker. The zero value selects
-// the defaults noted on each field.
-type BreakerConfig struct {
-	// Window is the sliding error-rate window (default 10 s).
-	Window time.Duration
-	// MinRequests is the minimum sample count inside the window before the
-	// breaker may trip (default 20) — small bursts never trip on noise.
-	MinRequests int
-	// FailureRate is the windowed failure fraction that trips the breaker
-	// (default 0.5).
-	FailureRate float64
-	// OpenFor is how long a tripped breaker rejects traffic before probing
-	// again (default 30 s).
-	OpenFor time.Duration
-	// HalfOpenMax is how many probe requests half-open admits; that many
-	// consecutive successes re-close the circuit, any failure re-opens it
-	// (default 5).
-	HalfOpenMax int
-}
-
-func (c BreakerConfig) withDefaults() BreakerConfig {
-	if c.Window <= 0 {
-		c.Window = 10 * time.Second
-	}
-	if c.MinRequests <= 0 {
-		c.MinRequests = 20
-	}
-	if c.FailureRate <= 0 {
-		c.FailureRate = 0.5
-	}
-	if c.OpenFor <= 0 {
-		c.OpenFor = 30 * time.Second
-	}
-	if c.HalfOpenMax <= 0 {
-		c.HalfOpenMax = 5
-	}
-	return c
-}
+// Every zone's breaker runs at the same settings.
+const (
+	// breakerWindow is the sliding error-rate window.
+	breakerWindow = 10 * time.Second
+	// breakerMinRequests is the minimum sample count inside the window
+	// before the breaker may trip, so small bursts never trip on noise.
+	breakerMinRequests = 20
+	// breakerFailureRate is the windowed failure fraction that trips it.
+	breakerFailureRate = 0.5
+	// breakerOpenFor is how long a tripped breaker rejects traffic before
+	// probing again.
+	breakerOpenFor = 30 * time.Second
+	// breakerHalfOpenMax is how many probe requests half-open admits; that
+	// many consecutive successes re-close the circuit, any failure
+	// re-opens it.
+	breakerHalfOpenMax = 5
+)
 
 type breakerSample struct {
 	at time.Time
@@ -77,7 +56,6 @@ type breakerSample struct {
 // so breaker behavior replays bit-identically with the run. It shares the
 // simulation's single-threaded discipline and needs no locking.
 type Breaker struct {
-	cfg      BreakerConfig
 	state    BreakerState
 	samples  []breakerSample // outcomes inside the sliding window (closed only)
 	openedAt time.Time
@@ -86,19 +64,14 @@ type Breaker struct {
 	onChange func(from, to BreakerState)
 }
 
-// NewBreaker returns a closed breaker under cfg (zero fields take defaults).
-func NewBreaker(cfg BreakerConfig) *Breaker {
-	return &Breaker{cfg: cfg.withDefaults()}
-}
+// NewBreaker returns a closed breaker.
+func NewBreaker() *Breaker { return &Breaker{} }
 
 // OnTransition installs a state-change hook (instrumentation).
 func (b *Breaker) OnTransition(fn func(from, to BreakerState)) { b.onChange = fn }
 
 // State returns the breaker's current position.
 func (b *Breaker) State() BreakerState { return b.state }
-
-// Config returns the effective (defaulted) configuration.
-func (b *Breaker) Config() BreakerConfig { return b.cfg }
 
 func (b *Breaker) transition(now time.Time, to BreakerState) {
 	from := b.state
@@ -126,27 +99,27 @@ func (b *Breaker) transition(now time.Time, to BreakerState) {
 func (b *Breaker) Admits(now time.Time) bool {
 	switch b.state {
 	case BreakerOpen:
-		return now.Sub(b.openedAt) >= b.cfg.OpenFor
+		return now.Sub(b.openedAt) >= breakerOpenFor
 	case BreakerHalfOpen:
-		return b.probes < b.cfg.HalfOpenMax
+		return b.probes < breakerHalfOpenMax
 	default:
 		return true
 	}
 }
 
 // Allow gates one request at now: closed admits everything, open rejects
-// until OpenFor has elapsed (then flips to half-open), and half-open admits
-// up to HalfOpenMax probes. An admitted request must be answered with a
+// until breakerOpenFor has elapsed (then flips to half-open), and half-open
+// admits up to breakerHalfOpenMax probes. An admitted request must be answered with a
 // Record call.
 func (b *Breaker) Allow(now time.Time) bool {
-	if b.state == BreakerOpen && now.Sub(b.openedAt) >= b.cfg.OpenFor {
+	if b.state == BreakerOpen && now.Sub(b.openedAt) >= breakerOpenFor {
 		b.transition(now, BreakerHalfOpen)
 	}
 	switch b.state {
 	case BreakerOpen:
 		return false
 	case BreakerHalfOpen:
-		if b.probes >= b.cfg.HalfOpenMax {
+		if b.probes >= breakerHalfOpenMax {
 			return false
 		}
 		b.probes++
@@ -159,7 +132,7 @@ func (b *Breaker) Allow(now time.Time) bool {
 // Record feeds one request outcome at now. In the closed state outcomes
 // accumulate in the sliding window and trip the breaker when the failure
 // rate crosses the threshold; in half-open a failure re-opens the circuit
-// and HalfOpenMax consecutive successes re-close it. Outcomes arriving while
+// and breakerHalfOpenMax consecutive successes re-close it. Outcomes arriving while
 // open (stragglers from before the trip) are dropped.
 func (b *Breaker) Record(now time.Time, ok bool) {
 	switch b.state {
@@ -171,13 +144,13 @@ func (b *Breaker) Record(now time.Time, ok bool) {
 			return
 		}
 		b.probeOKs++
-		if b.probeOKs >= b.cfg.HalfOpenMax {
+		if b.probeOKs >= breakerHalfOpenMax {
 			b.transition(now, BreakerClosed)
 		}
 		return
 	}
 	// Closed: slide the window forward and append.
-	cutoff := now.Add(-b.cfg.Window)
+	cutoff := now.Add(-breakerWindow)
 	keep := b.samples[:0]
 	for _, s := range b.samples {
 		if s.at.After(cutoff) {
@@ -185,7 +158,7 @@ func (b *Breaker) Record(now time.Time, ok bool) {
 		}
 	}
 	b.samples = append(keep, breakerSample{at: now, ok: ok})
-	if len(b.samples) < b.cfg.MinRequests {
+	if len(b.samples) < breakerMinRequests {
 		return
 	}
 	failed := 0
@@ -194,7 +167,7 @@ func (b *Breaker) Record(now time.Time, ok bool) {
 			failed++
 		}
 	}
-	if float64(failed)/float64(len(b.samples)) >= b.cfg.FailureRate {
+	if float64(failed)/float64(len(b.samples)) >= breakerFailureRate {
 		b.transition(now, BreakerOpen)
 	}
 }

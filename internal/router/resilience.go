@@ -22,8 +22,6 @@ type Resilience struct {
 	// still billed — a FaaS execution cannot be recalled, only ignored).
 	// Zero value = no hedging.
 	Hedge faas.HedgePolicy
-	// Breaker tunes the per-zone circuit breaker (zero value = defaults).
-	Breaker BreakerConfig
 	// NoBreaker disables the circuit breaker (and with it, failover).
 	NoBreaker bool
 	// Failover lets the burst re-route queued slots to the next-best
@@ -49,13 +47,10 @@ func (rs *Resilience) withDefaults() *Resilience {
 	if c.Retry.JitterFrac == 0 {
 		c.Retry.JitterFrac = 0.2
 	}
-	c.Breaker = c.Breaker.withDefaults()
 	return &c
 }
 
 func (rs *Resilience) breakerOn() bool { return rs != nil && !rs.NoBreaker }
-
-func (rs *Resilience) hedgeOn() bool { return rs != nil && rs.Hedge.Enabled() }
 
 // UseSeed derives the router's private randomness (backoff jitter) from
 // seed, tying burst pacing to the experiment's run seed. Without it the
@@ -71,14 +66,13 @@ func (r *Router) Breaker(az string) (*Breaker, bool) {
 	return b, ok
 }
 
-// breakerFor lazily creates the zone's breaker. The first resilient burst
-// to touch a zone fixes its configuration; later bursts share it, which is
-// the point — breaker memory must outlive any one burst.
-func (r *Router) breakerFor(az string, cfg BreakerConfig) *Breaker {
+// breakerFor lazily creates the zone's breaker. Later bursts share it,
+// which is the point — breaker memory must outlive any one burst.
+func (r *Router) breakerFor(az string) *Breaker {
 	if b, ok := r.breakers[az]; ok {
 		return b
 	}
-	b := NewBreaker(cfg)
+	b := NewBreaker()
 	azL := metrics.L("az", az)
 	state := r.metrics.Gauge("sky_router_breaker_state",
 		"per-zone circuit state (0 closed, 1 open, 2 half-open)", azL)

@@ -136,15 +136,15 @@ func TestBackoffJitterDeterminism(t *testing.T) {
 		t.Error("different seeds produced identical jitter (suspicious)")
 	}
 	// Un-jittered schedule grows exponentially and caps.
-	flat := faas.RetryPolicy{BaseBackoff: 100 * time.Millisecond, MaxBackoff: 300 * time.Millisecond}
-	if d := flat.Backoff(1, nil); d != 100*time.Millisecond {
+	flat := faas.RetryPolicy{BaseBackoff: time.Second}
+	if d := flat.Backoff(1, nil); d != time.Second {
 		t.Errorf("backoff(1) = %v", d)
 	}
-	if d := flat.Backoff(2, nil); d != 200*time.Millisecond {
+	if d := flat.Backoff(2, nil); d != 2*time.Second {
 		t.Errorf("backoff(2) = %v", d)
 	}
-	if d := flat.Backoff(5, nil); d != 300*time.Millisecond {
-		t.Errorf("backoff(5) = %v, want cap", d)
+	if d := flat.Backoff(5, nil); d != 5*time.Second {
+		t.Errorf("backoff(5) = %v, want the 5s cap", d)
 	}
 }
 

@@ -78,6 +78,20 @@ func (r *Router) Perf() *PerfModel { return r.perf }
 // Store exposes the router's characterization store.
 func (r *Router) Store() *charact.Store { return r.store }
 
+// Every burst runs at the same settings.
+const (
+	// burstMemoryMB selects the mesh endpoint: enough for the 2-vCPU
+	// Table-1 workloads to run unstarved.
+	burstMemoryMB = 4096
+	// declineHoldMS is the decline hold, the paper's 150 ms.
+	declineHoldMS = 150
+	// giveUp bounds how long a burst keeps retrying before running the
+	// stragglers unbanned. Decline cascades through the warm pool can pile
+	// onto individual slots, so the escape hatch is burst-level wall time,
+	// not a per-slot retry count.
+	giveUp = 2 * time.Minute
+)
+
 // BurstSpec describes one batch of invocations.
 type BurstSpec struct {
 	Strategy Strategy
@@ -86,36 +100,10 @@ type BurstSpec struct {
 	N int
 	// Candidates are the zones the strategy may choose among.
 	Candidates []string
-	// MemoryMB selects the mesh endpoint (default 4096, enough for the
-	// 2-vCPU Table-1 workloads to run unstarved).
-	MemoryMB int
-	// HoldMS is the decline hold (default 150, the paper's value).
-	HoldMS float64
-	// GiveUp bounds how long the burst keeps retrying before running the
-	// stragglers unbanned (default 2 min). Decline cascades through the
-	// warm pool can pile onto individual slots, so the escape hatch is
-	// burst-level wall time, not a per-slot retry count.
-	GiveUp time.Duration
-	// Learn feeds observed runtimes back into the perf model (passive
-	// profiling; default off so experiments control their training data).
-	Learn bool
 	// Resilience enables graceful degradation: bounded retries with
 	// jittered backoff, hedging, the per-zone circuit breaker, and zone
 	// failover. Nil reproduces the legacy behavior exactly.
 	Resilience *Resilience
-}
-
-func (s BurstSpec) withDefaults() BurstSpec {
-	if s.MemoryMB == 0 {
-		s.MemoryMB = 4096
-	}
-	if s.HoldMS == 0 {
-		s.HoldMS = 150
-	}
-	if s.GiveUp == 0 {
-		s.GiveUp = 2 * time.Minute
-	}
-	return s
 }
 
 // BurstResult summarizes one burst.
@@ -183,7 +171,7 @@ func (b BurstResult) RetryFrac() float64 {
 // Retries stream: the moment a decline arrives the slot is reissued, while
 // the declining instance is still held busy (§3.5's 150 ms hold), so the
 // reissue cannot land back on it. Once the burst has been retrying for
-// GiveUp, stragglers are reissued without bans so the burst always
+// giveUp, stragglers are reissued without bans so the burst always
 // completes. Platform failures (throttle/saturation/outage) back off before
 // reissue — a fixed 50 ms without Resilience, exponential with jitter
 // under it. With Resilience, a per-zone circuit breaker watches those
@@ -191,7 +179,6 @@ func (b BurstResult) RetryFrac() float64 {
 // characterized candidate zone; slow slots may additionally be hedged, the
 // first response winning and the loser being dropped on arrival.
 func (r *Router) Burst(p *sim.Proc, spec BurstSpec) (BurstResult, error) {
-	spec = spec.withDefaults()
 	if spec.Strategy == nil {
 		return BurstResult{}, fmt.Errorf("router: nil strategy")
 	}
@@ -206,7 +193,7 @@ func (r *Router) Burst(p *sim.Proc, spec BurstSpec) (BurstResult, error) {
 		Perf:       r.perf,
 		Now:        env.Now(),
 	}
-	tbl, ok := BuildDecisionTable(spec.Strategy, dec, r.mesh, spec.MemoryMB, spec.HoldMS)
+	tbl, ok := BuildDecisionTable(spec.Strategy, dec, r.mesh, burstMemoryMB, declineHoldMS)
 	if !ok {
 		if az := spec.Strategy.PickAZ(dec); az == "" {
 			return BurstResult{}, fmt.Errorf("router: strategy %q %w", spec.Strategy.Name(), ErrNoZone)
@@ -226,7 +213,7 @@ func (r *Router) Burst(p *sim.Proc, spec BurstSpec) (BurstResult, error) {
 		PerCPU:   make(map[cpu.Kind]int),
 	}
 	start := env.Now()
-	giveUpAt := start.Add(spec.GiveUp)
+	giveUpAt := start.Add(giveUp)
 	done := sim.NewEvent(env)
 
 	// The client paces itself under the platform's concurrency quota:
@@ -273,7 +260,7 @@ func (r *Router) Burst(p *sim.Proc, spec BurstSpec) (BurstResult, error) {
 		if next == "" || next == routeAZ {
 			return false
 		}
-		nextTbl, ok := buildTableAt(spec.Strategy, d, r.mesh, next, spec.MemoryMB, spec.HoldMS)
+		nextTbl, ok := buildTableAt(spec.Strategy, d, r.mesh, next, burstMemoryMB, declineHoldMS)
 		if !ok {
 			return false
 		}
@@ -297,7 +284,7 @@ func (r *Router) Burst(p *sim.Proc, spec BurstSpec) (BurstResult, error) {
 	pump = func() {
 		for outstanding < maxOutstanding && len(queue) > 0 {
 			if rs.breakerOn() && !env.Now().After(giveUpAt) &&
-				!r.breakerFor(routeAZ, rs.Breaker).Allow(env.Now()) {
+				!r.breakerFor(routeAZ).Allow(env.Now()) {
 				if rs.Failover && failOver() {
 					continue // re-gate against the new zone's breaker
 				}
@@ -338,7 +325,7 @@ func (r *Router) Burst(p *sim.Proc, spec BurstSpec) (BurstResult, error) {
 				res.CostUSD += resp.CostUSD
 				r.observePassive(azAt, resp)
 				if rs.breakerOn() {
-					r.breakerFor(azAt, rs.Breaker).Record(env.Now(), resp.OK())
+					r.breakerFor(azAt).Record(env.Now(), resp.OK())
 				}
 				if gen != sl.gen {
 					// Hedge loser or twin of a settled attempt: dropped.
@@ -378,9 +365,6 @@ func (r *Router) Burst(p *sim.Proc, spec BurstSpec) (BurstResult, error) {
 					res.Completed++
 					res.PerCPU[resp.Profile.Kind]++
 					res.TotalRunMS += resp.BilledMS
-					if spec.Learn {
-						r.perf.Observe(spec.Workload, resp.Profile.Kind, resp.BilledMS)
-					}
 					if finish() {
 						return
 					}

@@ -340,20 +340,3 @@ func TestBurstValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestBurstLearnFeedsPerfModel(t *testing.T) {
-	env, cloud, r := world(t)
-	seedStore(cloud, r, "slow-az")
-	env.Go("burst", func(p *sim.Proc) error {
-		_, err := r.Burst(p, BurstSpec{
-			Strategy: Baseline{AZ: "slow-az"}, Workload: workload.GraphBFS, N: 60, Learn: true,
-		})
-		return err
-	})
-	if err := env.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Perf().Kinds(workload.GraphBFS)) == 0 {
-		t.Error("Learn did not feed the perf model")
-	}
-}

@@ -313,7 +313,7 @@ func banAllButFastest(dec Decision, d charact.Dist, minShare, minGainMS float64)
 // banned" turned into an explicit optimization.
 type Hybrid struct {
 	// HoldMS is the decline hold assumed by the overhead model
-	// (default 150, matching BurstSpec).
+	// (default 150, the hold every burst uses).
 	HoldMS float64
 }
 
@@ -329,7 +329,7 @@ func (Hybrid) PickAZ(dec Decision) string { return bestAZ(dec) }
 func (h Hybrid) Ban(dec Decision, az string) cpu.Mask {
 	hold := h.HoldMS
 	if hold == 0 {
-		hold = 150
+		hold = declineHoldMS
 	}
 	info := dec.Lookup(az)
 	if !info.Known {

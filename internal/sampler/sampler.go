@@ -29,6 +29,23 @@ import (
 	"skyfaas/internal/sim"
 )
 
+// Sleep is how long each sampling request holds its instance: the paper's
+// Fig.-3 choice for 2 GB endpoints, long enough that a poll's concurrent
+// requests cannot reuse one another's instances.
+const Sleep = 250 * time.Millisecond
+
+// The rest of the technique is fixed at the paper's values too.
+const (
+	// memoryMB is the base memory setting; endpoint i deploys at
+	// memoryMB+i so every endpoint is a distinct configuration.
+	memoryMB = 2048
+	// failStop stops characterization when a poll's failure fraction
+	// exceeds it: past half, the zone is saturated.
+	failStop = 0.5
+	// maxPolls bounds a characterization run that never saturates.
+	maxPolls = 200
+)
+
 // Config tunes the sampling technique. Zero fields take the paper's values.
 type Config struct {
 	// Endpoints is the number of sampling functions deployed per zone.
@@ -38,16 +55,6 @@ type Config struct {
 	// Branch is the fan-out of each internal tree node; trees are three
 	// levels deep (root, Branch children, Branch^2 leaves).
 	Branch int
-	// Sleep is how long each request holds its instance.
-	Sleep time.Duration
-	// MemoryMB is the base memory setting; endpoint i deploys at
-	// MemoryMB+i so every endpoint is a distinct configuration.
-	MemoryMB int
-	// FailStop stops characterization when a poll's failure fraction
-	// exceeds it (the paper uses 0.5).
-	FailStop float64
-	// MaxPolls bounds a characterization run.
-	MaxPolls int
 	// InterPollPause separates successive polls.
 	InterPollPause time.Duration
 	// Prefix namespaces the sampling deployments so independent accounts
@@ -65,18 +72,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Branch == 0 {
 		c.Branch = 10
-	}
-	if c.Sleep == 0 {
-		c.Sleep = 250 * time.Millisecond
-	}
-	if c.MemoryMB == 0 {
-		c.MemoryMB = 2048
-	}
-	if c.FailStop == 0 {
-		c.FailStop = 0.5
-	}
-	if c.MaxPolls == 0 {
-		c.MaxPolls = 200
 	}
 	if c.InterPollPause == 0 {
 		c.InterPollPause = time.Second
@@ -122,9 +117,9 @@ func (s *Sampler) endpointName(az string, i int) string {
 func (s *Sampler) Deploy(az string) error {
 	for i := 0; i < s.cfg.Endpoints; i++ {
 		_, err := s.client.Deploy(az, s.endpointName(az, i), cloudsim.DeployConfig{
-			MemoryMB: s.cfg.MemoryMB + i,
+			MemoryMB: memoryMB + i,
 			Dynamic:  true,
-			Behavior: cloudsim.SleepBehavior{D: s.cfg.Sleep},
+			Behavior: cloudsim.SleepBehavior{D: Sleep},
 			CodeHash: fmt.Sprintf("%s-v1-%03d", s.cfg.Prefix, i),
 		})
 		if err != nil {
@@ -256,7 +251,7 @@ func (r PollResult) FailFrac() float64 {
 
 // Poll runs one poll against endpoint idx (mod Endpoints) in az.
 func (s *Sampler) Poll(p *sim.Proc, az string, idx int) PollResult {
-	return s.pollWith(p, az, s.endpointName(az, idx%s.cfg.Endpoints), idx%s.cfg.Endpoints, s.cfg.Sleep)
+	return s.pollWith(p, az, s.endpointName(az, idx%s.cfg.Endpoints), idx%s.cfg.Endpoints, Sleep)
 }
 
 func (s *Sampler) pollWith(p *sim.Proc, az, fn string, idx int, sleep time.Duration) PollResult {
@@ -300,11 +295,11 @@ func (s *Sampler) pollWith(p *sim.Proc, az, fn string, idx int, sleep time.Durat
 }
 
 // Characterize polls a zone until the saturation stop rule fires (or
-// MaxPolls), deduplicating instances across polls. It returns the
+// maxPolls), deduplicating instances across polls. It returns the
 // accumulated characterization (the at-failure "ground truth" of EX-1)
 // and the per-poll trail for progressive-sampling analysis.
 func (s *Sampler) Characterize(p *sim.Proc, az string) (charact.Characterization, []PollResult, error) {
-	return s.characterize(p, az, s.cfg.MaxPolls, true)
+	return s.characterize(p, az, maxPolls, true)
 }
 
 // CharacterizeQuick runs exactly polls polls without driving the zone to
@@ -313,12 +308,12 @@ func (s *Sampler) CharacterizeQuick(p *sim.Proc, az string, polls int) (charact.
 	return s.characterize(p, az, polls, false)
 }
 
-func (s *Sampler) characterize(p *sim.Proc, az string, maxPolls int, untilFailure bool) (charact.Characterization, []PollResult, error) {
+func (s *Sampler) characterize(p *sim.Proc, az string, limit int, untilFailure bool) (charact.Characterization, []PollResult, error) {
 	var seen sightings
 	cum := make(charact.Counts)
 	var trail []PollResult
 	var cost float64
-	for poll := 0; poll < maxPolls; poll++ {
+	for poll := 0; poll < limit; poll++ {
 		res := s.Poll(p, az, poll)
 		res.Fresh = make(charact.Counts)
 		for _, rep := range res.Reports {
@@ -330,7 +325,7 @@ func (s *Sampler) characterize(p *sim.Proc, az string, maxPolls int, untilFailur
 		cum.Merge(res.Fresh)
 		cost += res.CostUSD
 		trail = append(trail, res)
-		if untilFailure && res.FailFrac() > s.cfg.FailStop {
+		if untilFailure && res.FailFrac() > failStop {
 			break
 		}
 		p.Sleep(s.cfg.InterPollPause)

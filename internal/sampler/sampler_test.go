@@ -23,9 +23,6 @@ func fastCfg() Config {
 		Endpoints:      15,
 		PollSize:       84, // 4 roots x 21
 		Branch:         4,
-		Sleep:          100 * time.Millisecond,
-		MemoryMB:       2048,
-		MaxPolls:       60,
 		InterPollPause: 500 * time.Millisecond,
 	}
 }
@@ -61,11 +58,11 @@ func TestConfigDefaults(t *testing.T) {
 	if c.Endpoints != 100 || c.PollSize != 1000 || c.Branch != 10 {
 		t.Fatalf("defaults = %+v", c)
 	}
-	if c.Sleep != 250*time.Millisecond {
-		t.Fatalf("sleep default = %v", c.Sleep)
+	if Sleep != 250*time.Millisecond {
+		t.Fatalf("sleep = %v, want the paper's 250ms", Sleep)
 	}
-	if c.FailStop != 0.5 {
-		t.Fatalf("failstop default = %v", c.FailStop)
+	if failStop != 0.5 {
+		t.Fatalf("failstop = %v, want the paper's 0.5", failStop)
 	}
 	// Paper geometry: 9 roots x 111-request trees ~ 999 requests/poll.
 	if c.treeSize() != 111 || c.roots() != 9 {
@@ -171,7 +168,7 @@ func TestCharacterizeSaturatesZone(t *testing.T) {
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if len(trail) < 5 || len(trail) >= fastCfg().MaxPolls {
+	if len(trail) < 5 || len(trail) >= maxPolls {
 		t.Fatalf("saturated after %d polls", len(trail))
 	}
 	last := trail[len(trail)-1]

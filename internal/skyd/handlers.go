@@ -32,6 +32,10 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("GET /metrics.json", s.handleMetricsJSON)
 }
 
+// healthTimeout bounds how long /healthz waits for the simulation goroutine
+// to answer before reporting the loop stalled.
+const healthTimeout = 5 * time.Second
+
 // handleHealth reports whether the simulation goroutine is still taking
 // commands: it round-trips a no-op through the command channel, so a closed
 // server or a stalled loop answers non-200.
@@ -52,7 +56,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 			})
 			return
 		}
-	case <-time.After(s.healthTimeout):
+	case <-time.After(healthTimeout):
 		writeJSON(w, http.StatusServiceUnavailable, map[string]any{
 			"status": "down", "error": "simulation loop stalled",
 		})

@@ -33,6 +33,11 @@ import (
 // ErrClosed is returned for commands submitted after Close.
 var ErrClosed = errors.New("skyd: server closed")
 
+// warmPoolWorkload is the workload whose admission service-time estimate
+// sizes the warm pools: Sha1Hash, the catalog's lightest request-shaped
+// workload.
+const warmPoolWorkload = workload.Sha1Hash
+
 // Config assembles a Server.
 type Config struct {
 	// Runtime is the assembled sky runtime to serve (required).
@@ -47,9 +52,6 @@ type Config struct {
 	// reports into (default: the runtime's registry, so one scrape covers
 	// the HTTP layer, the router, and the simulated cloud).
 	Metrics *metrics.Registry
-	// HealthTimeout bounds how long /healthz waits for the simulation
-	// goroutine to answer before reporting the loop stalled (default 5s).
-	HealthTimeout time.Duration
 	// Refresh and WarmPool, when non-nil, enable the characterization-
 	// maintenance and pre-warming control loops on the runtime and start
 	// them with the server; /v1/refresh and /v1/warmpool inspect and steer
@@ -57,10 +59,6 @@ type Config struct {
 	// already carries that loop: the server adopts it and stops it on Close.
 	Refresh  *refresh.Config
 	WarmPool *warmpool.Config
-	// WarmPoolWorkload selects the workload whose admission service-time
-	// estimate sizes the warm pools (default Sha1Hash, the catalog's
-	// lightest request-shaped workload).
-	WarmPoolWorkload workload.ID
 	// Admission, when non-nil, enables the overload-control gate on the
 	// runtime: burst requests past estimated capacity answer 429 with
 	// Retry-After, and /v1/admission inspects and retunes the gate. Nil
@@ -78,14 +76,13 @@ type Config struct {
 
 // Server bridges HTTP onto a paced simulation.
 type Server struct {
-	rt            *core.Runtime
-	speedup       float64
-	metrics       *metrics.Registry
-	queueDepth    *metrics.Gauge
-	pacedLag      *metrics.Gauge
-	effSpeedup    *metrics.Gauge
-	simPending    *metrics.Gauge
-	healthTimeout time.Duration
+	rt         *core.Runtime
+	speedup    float64
+	metrics    *metrics.Registry
+	queueDepth *metrics.Gauge
+	pacedLag   *metrics.Gauge
+	effSpeedup *metrics.Gauge
+	simPending *metrics.Gauge
 
 	// loops are the runtime's control loops, enabled here or before; Close
 	// must stop them or their self-rescheduling ticks would keep the event
@@ -128,18 +125,14 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Metrics == nil {
 		cfg.Metrics = cfg.Runtime.Metrics()
 	}
-	if cfg.HealthTimeout == 0 {
-		cfg.HealthTimeout = 5 * time.Second
-	}
 	s := &Server{
-		rt:            cfg.Runtime,
-		speedup:       cfg.Speedup,
-		metrics:       cfg.Metrics,
-		healthTimeout: cfg.HealthTimeout,
-		mux:           http.NewServeMux(),
-		cmds:          make(chan func(), 64),
-		done:          make(chan struct{}),
-		tenants:       cfg.Tenants,
+		rt:      cfg.Runtime,
+		speedup: cfg.Speedup,
+		metrics: cfg.Metrics,
+		mux:     http.NewServeMux(),
+		cmds:    make(chan func(), 64),
+		done:    make(chan struct{}),
+		tenants: cfg.Tenants,
 	}
 	s.queueDepth = s.metrics.Gauge("sky_skyd_cmd_queue_depth",
 		"commands enqueued for the simulation goroutine but not yet started")
@@ -160,11 +153,7 @@ func New(cfg Config) (*Server, error) {
 		m.Start()
 	}
 	if cfg.WarmPool != nil {
-		w := cfg.WarmPoolWorkload
-		if w == 0 {
-			w = workload.Sha1Hash
-		}
-		m, err := cfg.Runtime.EnableWarmPool(*cfg.WarmPool, w)
+		m, err := cfg.Runtime.EnableWarmPool(*cfg.WarmPool, warmPoolWorkload)
 		if err != nil {
 			return nil, err
 		}

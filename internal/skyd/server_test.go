@@ -42,7 +42,7 @@ func newServer(t testing.TB, seed uint64, zones []cloudsim.AZSpec, cfg Config) *
 		}},
 		SamplerCfg: sampler.Config{
 			Endpoints: 30, PollSize: 84, Branch: 4,
-			Sleep: 100 * time.Millisecond, InterPollPause: 500 * time.Millisecond,
+			InterPollPause: 500 * time.Millisecond,
 		},
 		SkipMesh: true,
 	})

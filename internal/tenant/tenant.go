@@ -153,24 +153,17 @@ func (l Lease) Tenant() string { return l.id }
 // Weight returns how many slots the lease holds.
 func (l Lease) Weight() int { return l.weight }
 
+// minRetryAfter / maxRetryAfter clamp the Retry-After hint attached to
+// per-tenant sheds, the same window the admission gate's hints use.
+const (
+	minRetryAfter = 100 * time.Millisecond
+	maxRetryAfter = 5 * time.Second
+)
+
 // Config parameterizes a Registry.
 type Config struct {
-	// MinRetryAfter / MaxRetryAfter clamp the Retry-After hint attached to
-	// per-tenant sheds (defaults 100ms / 5s).
-	MinRetryAfter time.Duration
-	MaxRetryAfter time.Duration
 	// Metrics receives the sky_tenant_* series; nil disables them.
 	Metrics *metrics.Registry
-}
-
-func (c Config) withDefaults() Config {
-	if c.MinRetryAfter == 0 {
-		c.MinRetryAfter = 100 * time.Millisecond
-	}
-	if c.MaxRetryAfter == 0 {
-		c.MaxRetryAfter = 5 * time.Second
-	}
-	return c
 }
 
 // account is one tenant's live state: the record plus quota/budget
@@ -201,7 +194,7 @@ type Registry struct {
 // NewRegistry returns an empty registry.
 func NewRegistry(cfg Config) *Registry {
 	return &Registry{
-		cfg:      cfg.withDefaults(),
+		cfg:      cfg,
 		accounts: make(map[string]*account),
 		byKey:    make(map[string]string),
 	}
@@ -376,18 +369,18 @@ func (r *Registry) shedLocked(a *account, reason Reason, now time.Time) *LimitEr
 // refillTime is how long a drained bucket needs to climb back above zero.
 func refillTime(balance, ratePerHour float64) time.Duration {
 	if ratePerHour <= 0 {
-		return time.Duration(1<<62 - 1) // clamped to MaxRetryAfter
+		return time.Duration(1<<62 - 1) // clamped to maxRetryAfter
 	}
 	hours := -balance / ratePerHour
 	return time.Duration(hours * float64(time.Hour))
 }
 
 func (r *Registry) clamp(d time.Duration) time.Duration {
-	if d < r.cfg.MinRetryAfter {
-		return r.cfg.MinRetryAfter
+	if d < minRetryAfter {
+		return minRetryAfter
 	}
-	if d > r.cfg.MaxRetryAfter {
-		return r.cfg.MaxRetryAfter
+	if d > maxRetryAfter {
+		return maxRetryAfter
 	}
 	return d
 }

@@ -185,7 +185,7 @@ func TestBudgetGovernor(t *testing.T) {
 	if !errors.As(err, &le) || le.Reason != BudgetExhausted {
 		t.Fatalf("acquire with drained budget = %v, want budget_exhausted", err)
 	}
-	// -0.05 at $1/hour refills in 3 minutes; the hint clamps to MaxRetryAfter.
+	// -0.05 at $1/hour refills in 3 minutes; the hint clamps to maxRetryAfter.
 	if le.RetryAfter != 5*time.Second {
 		t.Errorf("RetryAfter = %v, want the 5s clamp", le.RetryAfter)
 	}

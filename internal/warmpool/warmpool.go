@@ -76,6 +76,18 @@ type Actuator interface {
 	EnsureWarm(az string, target, floor int, done func(Provision))
 }
 
+// Sizing constants no experiment varies.
+const (
+	// alpha is the Holt–Winters level smoothing factor: an even blend of
+	// the newest window and the running level.
+	alpha = 0.5
+	// maxPerZone clamps any policy's target, so a runaway forecast stops
+	// at a bounded pool per zone.
+	maxPerZone = 64
+	// safetyFactor pads the Little's-law target against burstiness.
+	safetyFactor = 1.25
+)
+
 // Config tunes a Maintainer. Zero fields take defaults.
 type Config struct {
 	// Zones restricts the maintained set. Empty means dynamic: every zone
@@ -94,17 +106,10 @@ type Config struct {
 	// it should cover the provisioning-to-demand gap, i.e. at least one
 	// tick plus a cold start).
 	Lead time.Duration
-	// Alpha / Gamma are the Holt–Winters level and seasonal smoothing
-	// factors (defaults 0.5 / 0.35).
-	Alpha float64
+	// Gamma is the Holt–Winters seasonal smoothing factor (default 0.35).
 	Gamma float64
 	// Floor is the pinned policy's fixed per-zone warm floor (default 4).
 	Floor int
-	// MaxPerZone clamps any policy's target (default 64).
-	MaxPerZone int
-	// SafetyFactor pads the Little's-law target against burstiness
-	// (default 1.25).
-	SafetyFactor float64
 	// RatePerHour refills the provisioning budget, USD per sim-hour
 	// (default 0.50); Cap bounds the accrued balance (default 1.00).
 	RatePerHour float64
@@ -127,20 +132,11 @@ func (c Config) withDefaults() Config {
 	if c.Lead == 0 {
 		c.Lead = 2 * time.Minute
 	}
-	if c.Alpha == 0 {
-		c.Alpha = 0.5
-	}
 	if c.Gamma == 0 {
 		c.Gamma = 0.35
 	}
 	if c.Floor == 0 {
 		c.Floor = 4
-	}
-	if c.MaxPerZone == 0 {
-		c.MaxPerZone = 64
-	}
-	if c.SafetyFactor == 0 {
-		c.SafetyFactor = 1.25
 	}
 	if c.RatePerHour == 0 {
 		c.RatePerHour = 0.50
@@ -259,7 +255,7 @@ func (m *Maintainer) adopt(az string) *zoneState {
 		return z
 	}
 	z := &zoneState{
-		f: newForecaster(m.env.Now(), m.cfg.Window, m.cfg.Season, m.cfg.Alpha, m.cfg.Gamma),
+		f: newForecaster(m.env.Now(), m.cfg.Window, m.cfg.Season, alpha, m.cfg.Gamma),
 		mTarget: m.reg.Gauge("sky_warmpool_target",
 			"current warm-pool target instance count", metrics.L("az", az)),
 		mForecast: m.reg.Gauge("sky_warmpool_forecast_rps",
@@ -298,8 +294,8 @@ func (m *Maintainer) plan(z *zoneState, now time.Time) (target, floor int) {
 		return 0, 0
 	case ModePinned:
 		f := m.cfg.Floor
-		if f > m.cfg.MaxPerZone {
-			f = m.cfg.MaxPerZone
+		if f > maxPerZone {
+			f = maxPerZone
 		}
 		return f, f
 	case ModeReactive:
@@ -328,9 +324,9 @@ func (m *Maintainer) size(rps float64) int {
 	if rps <= 0 {
 		return 0
 	}
-	t := int(math.Ceil(rps * m.svcMS() / 1000 * m.cfg.SafetyFactor))
-	if t > m.cfg.MaxPerZone {
-		t = m.cfg.MaxPerZone
+	t := int(math.Ceil(rps * m.svcMS() / 1000 * safetyFactor))
+	if t > maxPerZone {
+		t = maxPerZone
 	}
 	return t
 }

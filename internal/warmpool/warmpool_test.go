@@ -103,8 +103,11 @@ func TestNewValidates(t *testing.T) {
 		t.Fatalf("New: %v", err)
 	}
 	cfg := m.Config()
-	if cfg.Mode != ModePredictive || cfg.TickEvery != 30*time.Second || cfg.MaxPerZone != 64 {
+	if cfg.Mode != ModePredictive || cfg.TickEvery != 30*time.Second {
 		t.Fatalf("defaults not applied: %+v", cfg)
+	}
+	if got := m.size(1e6); got != 64 {
+		t.Fatalf("size(1e6 rps) = %d, want the per-zone cap of 64", got)
 	}
 }
 
@@ -221,15 +224,14 @@ func TestReactiveTracksRateAndOffClears(t *testing.T) {
 	env := sim.NewEnv(epoch)
 	act := newFakeActuator(env)
 	m := newTestMaintainer(t, env, Config{
-		Zones:        []string{"az-a"},
-		Mode:         ModeReactive,
-		TickEvery:    30 * time.Second,
-		Window:       time.Minute,
-		Season:       10 * time.Minute,
-		SafetyFactor: 1,
+		Zones:     []string{"az-a"},
+		Mode:      ModeReactive,
+		TickEvery: 30 * time.Second,
+		Window:    time.Minute,
+		Season:    10 * time.Minute,
 	}, act)
 	// 10 rps of observed traffic; at 200 ms service time Little's law
-	// wants 2 warm instances.
+	// wants 2 warm instances, 3 once padded by the safety factor.
 	var feed func()
 	stop := epoch.Add(10 * time.Minute)
 	feed = func() {
@@ -244,8 +246,8 @@ func TestReactiveTracksRateAndOffClears(t *testing.T) {
 	if err := env.RunFor(10 * time.Minute); err != nil {
 		t.Fatalf("RunFor: %v", err)
 	}
-	if got := act.live["az-a"]; got != 2 {
-		t.Fatalf("live = %d, want 2 (10 rps x 0.2 s)", got)
+	if got := act.live["az-a"]; got != 3 {
+		t.Fatalf("live = %d, want 3 (10 rps x 0.2 s x 1.25, rounded up)", got)
 	}
 	// Switching off clears the floor and the pool drains.
 	env.Schedule(0, func() {
@@ -330,7 +332,7 @@ func TestRetuneBudgetAndModeValidation(t *testing.T) {
 func TestDynamicZoneAdoption(t *testing.T) {
 	env := sim.NewEnv(epoch)
 	act := newFakeActuator(env)
-	m := newTestMaintainer(t, env, Config{Mode: ModeReactive, SafetyFactor: 1}, act)
+	m := newTestMaintainer(t, env, Config{Mode: ModeReactive}, act)
 	env.Schedule(time.Second, func() { m.ObserveTraffic("az-new", 50) })
 	m.Start()
 	if err := env.RunFor(5 * time.Minute); err != nil {

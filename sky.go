@@ -31,17 +31,13 @@
 package sky
 
 import (
-	"skyfaas/internal/admission"
 	"skyfaas/internal/chaos"
 	"skyfaas/internal/charact"
 	"skyfaas/internal/cloudsim"
 	"skyfaas/internal/core"
-	"skyfaas/internal/faas"
-	"skyfaas/internal/load"
 	"skyfaas/internal/router"
 	"skyfaas/internal/sampler"
 	"skyfaas/internal/sim"
-	"skyfaas/internal/tenant"
 	"skyfaas/internal/workload"
 )
 
@@ -78,41 +74,20 @@ type (
 	CostAware = router.CostAware
 	// BurstSpec describes one routed batch of invocations.
 	BurstSpec = router.BurstSpec
-	// BurstResult summarizes a routed batch.
-	BurstResult = router.BurstResult
-	// PerfModel is the learned per-workload, per-CPU runtime profile.
-	PerfModel = router.PerfModel
-	// StrategySpec names a strategy declaratively for Build.
+	// StrategySpec names a strategy declaratively for BuildStrategy.
 	StrategySpec = router.StrategySpec
-	// BuildOption supplies runtime dependencies to Build.
-	BuildOption = router.BuildOption
 )
 
 // BuildStrategy turns a StrategySpec into a Strategy; unknown names yield
 // an error wrapping router.ErrUnknownStrategy listing the valid choices.
-func BuildStrategy(spec StrategySpec, opts ...BuildOption) (Strategy, error) {
-	return router.Build(spec, opts...)
-}
+func BuildStrategy(spec StrategySpec) (Strategy, error) { return router.Build(spec) }
 
 // StrategyNames lists the registered strategy names, sorted.
 func StrategyNames() []string { return router.Names() }
 
-// Resilient routing (graceful degradation under faults).
-type (
-	// Resilience configures retries, hedging, circuit breaking, and
-	// failover for a burst.
-	Resilience = router.Resilience
-	// BreakerConfig tunes the per-AZ circuit breaker.
-	BreakerConfig = router.BreakerConfig
-	// Breaker is a sim-time circuit breaker.
-	Breaker = router.Breaker
-	// InvokeSpec describes a single resilient invocation for faas.Client.Do.
-	InvokeSpec = faas.InvokeSpec
-	// RetryPolicy bounds attempts and shapes backoff.
-	RetryPolicy = faas.RetryPolicy
-	// HedgePolicy arms duplicate requests against stragglers.
-	HedgePolicy = faas.HedgePolicy
-)
+// Resilience configures retries, hedging, circuit breaking, and failover
+// for a burst.
+type Resilience = router.Resilience
 
 // DefaultResilience returns the recommended production posture: breaker,
 // failover, three attempts with jittered backoff.
@@ -120,16 +95,10 @@ func DefaultResilience() *Resilience { return router.DefaultResilience() }
 
 // Fault injection (chaos engineering over the simulated sky).
 type (
-	// Fault is one timed pathology window on one zone.
-	Fault = chaos.Fault
 	// FaultKind names a pathology (outage, throttle-storm, ...).
 	FaultKind = chaos.Kind
 	// Scenario is a named, composable set of fault windows.
 	Scenario = chaos.Scenario
-	// Injector arms fault windows against a runtime's cloud.
-	Injector = chaos.Injector
-	// FaultStatus describes one scheduled fault window.
-	FaultStatus = chaos.Status
 )
 
 // FaultKinds lists every supported fault kind, in stable order.
@@ -141,79 +110,12 @@ func ScenarioByName(name, az string) (Scenario, bool) { return chaos.ScenarioByN
 // ScenarioNames lists the canned chaos scenario names, sorted.
 func ScenarioNames() []string { return chaos.ScenarioNames() }
 
-// Admission control (overload shedding) and open-loop load generation.
-type (
-	// AdmissionConfig tunes the overload-control gate; obtain a running
-	// gate with Runtime.EnableAdmission.
-	AdmissionConfig = admission.Config
-	// AdmissionController is the concurrency-limited admission gate.
-	AdmissionController = admission.Controller
-	// AdmissionTicket is one admitted request's accounting handle.
-	AdmissionTicket = admission.Ticket
-	// ShedError is the typed rejection an overloaded gate returns,
-	// carrying the Retry-After hint skyd surfaces as HTTP 429.
-	ShedError = admission.ShedError
-	// AdmissionSnapshot is a point-in-time view of the gate.
-	AdmissionSnapshot = admission.Snapshot
-	// LoadSchedule is a deterministic open-loop arrival schedule
-	// (constant, ramp, or diurnal RPS).
-	LoadSchedule = load.Schedule
-	// LoadMix is a weighted workload mix for generated traffic.
-	LoadMix = load.Mix
-	// LoadRecorder accumulates per-request outcomes into a LoadReport.
-	LoadRecorder = load.Recorder
-	// LoadReport is a load run's digest: goodput, latency quantiles, and
-	// the shed/error breakdown.
-	LoadReport = load.Report
-)
-
-// ErrShed matches any ShedError via errors.Is.
-var ErrShed = admission.ErrShed
-
-// Multi-tenant accounts (API-key auth, per-tenant quotas and budgets).
-type (
-	// Tenant is one account: identity, API keys, and its concurrency quota
-	// and USD budget governors.
-	Tenant = tenant.Tenant
-	// TenantRegistry resolves keys to accounts and enforces per-tenant
-	// quotas/budgets ahead of the global admission gate.
-	TenantRegistry = tenant.Registry
-	// TenantConfig tunes a TenantRegistry.
-	TenantConfig = tenant.Config
-	// TenantLease is one admitted request's per-tenant accounting handle.
-	TenantLease = tenant.Lease
-	// TenantLimitError is the typed rejection a tenant over its quota or
-	// budget receives, carrying the Retry-After hint skyd surfaces as 429.
-	TenantLimitError = tenant.LimitError
-	// TenantUsage is one account's billing/usage rollup.
-	TenantUsage = tenant.Usage
-)
-
-// ErrTenantLimited matches any TenantLimitError via errors.Is.
-var ErrTenantLimited = tenant.ErrLimited
-
-// NewTenantRegistry builds an empty tenant registry.
-func NewTenantRegistry(cfg TenantConfig) *TenantRegistry { return tenant.NewRegistry(cfg) }
-
-// TenantFixture returns the built-in deterministic demo accounts.
-func TenantFixture() []Tenant { return tenant.Fixture() }
-
-// ParseLoadMix parses a "name=weight,name=weight" workload mix.
-func ParseLoadMix(s string) (LoadMix, error) { return load.ParseMix(s) }
-
-// LoadPatterns lists the supported arrival patterns, in stable order.
-func LoadPatterns() []load.Pattern { return load.Patterns() }
-
 // Characterization machinery (RQ-1/RQ-2).
 type (
-	// Characterization is one zone's hardware profile.
-	Characterization = charact.Characterization
 	// Dist is a CPU-kind share distribution.
 	Dist = charact.Dist
 	// SamplerConfig tunes the polling technique.
 	SamplerConfig = sampler.Config
-	// PollResult is one infrastructure poll's outcome.
-	PollResult = sampler.PollResult
 )
 
 // APE is the absolute percentage error between two distributions
@@ -226,8 +128,6 @@ type (
 	RegionSpec = cloudsim.RegionSpec
 	// AZSpec statically describes an availability zone.
 	AZSpec = cloudsim.AZSpec
-	// CloudOptions tunes platform mechanics.
-	CloudOptions = cloudsim.Options
 )
 
 // DefaultCatalog returns the 41-region default world.

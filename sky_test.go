@@ -68,7 +68,7 @@ func TestPublicQuickstart(t *testing.T) {
 		Catalog: catalog,
 		SamplerCfg: SamplerConfig{
 			Endpoints: 30, PollSize: 84, Branch: 4,
-			Sleep: 100 * time.Millisecond, InterPollPause: 500 * time.Millisecond,
+			InterPollPause: 500 * time.Millisecond,
 		},
 		SkipMesh: true,
 	})
@@ -126,7 +126,7 @@ func TestPublicChaosQuickstart(t *testing.T) {
 		Catalog: catalog,
 		SamplerCfg: SamplerConfig{
 			Endpoints: 30, PollSize: 84, Branch: 4,
-			Sleep: 100 * time.Millisecond, InterPollPause: 500 * time.Millisecond,
+			InterPollPause: 500 * time.Millisecond,
 		},
 		SkipMesh: true,
 	})
