@@ -5,7 +5,7 @@ GO ?= go
 # Concurrency-sensitive packages that must stay race-clean. `make ci` and
 # .github/workflows/ci.yml run exactly the same targets; the
 # internal/ciparity test asserts the two lists cannot drift.
-RACE_PKGS = ./internal/skyd/ ./internal/sim/ ./internal/metrics/ ./internal/cloudsim/ ./internal/router/ ./internal/chaos/ ./internal/faas/ ./internal/refresh/ ./internal/trace/ ./internal/admission/ ./internal/load/ ./internal/core/ ./internal/experiments/ ./internal/tenant/ ./internal/warmpool/ ./internal/control/
+RACE_PKGS = ./internal/skyd/ ./internal/sim/ ./internal/metrics/ ./internal/cloudsim/ ./internal/router/ ./internal/chaos/ ./internal/faas/ ./internal/refresh/ ./internal/trace/ ./internal/admission/ ./internal/load/ ./internal/core/ ./internal/experiments/ ./internal/tenant/ ./internal/warmpool/ ./internal/control/ ./internal/sampler/
 
 .PHONY: all build vet fmt-check lint lint-fixtures test race fuzz ci smoke data-check bench-smoke reproduce serve clean
 

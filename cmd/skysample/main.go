@@ -39,6 +39,9 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *polls < 0 {
+		return fmt.Errorf("-polls %d: may not be negative", *polls)
+	}
 
 	cfg := core.Config{Seed: *seed, SkipMesh: true}
 	var rec *trace.Recorder

@@ -52,3 +52,15 @@ func TestBadFlagRejected(t *testing.T) {
 		t.Fatal("bad flag accepted")
 	}
 }
+
+// TestNegativePollsRejected guards the poll count: a negative -polls once
+// fell through to the saturating characterization, up to 200 polls.
+func TestNegativePollsRejected(t *testing.T) {
+	out, err := capture(t, []string{"-az", "eu-north-1a", "-polls", "-3"})
+	if err == nil || !strings.Contains(err.Error(), "-polls -3") {
+		t.Fatalf("-polls -3: err %v", err)
+	}
+	if out != "" {
+		t.Errorf("-polls -3 printed a characterization:\n%s", out)
+	}
+}

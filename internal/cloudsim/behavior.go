@@ -45,29 +45,40 @@ func (w WorkBehavior) scale() float64 {
 }
 
 // FanOutBehavior is an internal node of a recursive invocation tree (the
-// sampler's polls, §3.1): at its start the node sends N child requests from
-// its own zone, in order, holds its instance for Hold (billed), and then
-// gathers the children's responses in child order. It finishes when the
-// last child has been gathered, so it ends at the later of the hold's end
-// and the delivery of the last child it had to wait for. Event for event it
-// is a process that invoked each child asynchronously, slept for Hold and
-// waited on each child in turn (DESIGN.md, "Keep-alive lane and invocation
-// record").
-type FanOutBehavior struct {
-	// N is the child count.
-	N int
+// sampler's polls, §3.1): at its start the node sends Children() child
+// requests from its own zone, in order, holds its instance for Hold()
+// (billed), and then gathers the children's responses in child order. It
+// finishes when the last child has been gathered, so it ends at the later of
+// the hold's end and the delivery of the last child it had to wait for.
+// Event for event it is a process that invoked each child asynchronously,
+// slept for the hold and waited on each child in turn (DESIGN.md,
+// "Keep-alive lane and invocation record").
+//
+// A tree node implements it directly, one heap record per node: a
+// pointer-receiver type embedding FanOutMark, whose Result returns a pointer
+// into the node so that no answer is boxed.
+type FanOutBehavior interface {
+	Behavior
+	// Children is the child count.
+	Children() int
+	// Hold is how long the node occupies its instance.
+	Hold() time.Duration
 	// Child builds child i's request. The platform fills in the node's
 	// Account.
-	Child func(i int) Request
-	// Hold is how long the node occupies its instance.
-	Hold time.Duration
+	Child(i int) Request
 	// Gather is called as Gather(i, r) for every child, in child order. r
 	// is the platform's record of the child and is valid only during the
 	// call.
-	Gather func(i int, r *Response)
+	Gather(i int, r *Response)
 	// Result supplies the node's Response.Value once the last child is
 	// gathered.
-	Result func() any
+	Result() any
 }
 
-func (FanOutBehavior) isBehavior() {}
+// FanOutMark makes the type that embeds it a Behavior. It is the one way
+// outside this package to satisfy Behavior's unexported method, and it is
+// meant only for FanOutBehavior implementations: any other type it makes a
+// Behavior fails at start as an unknown behavior.
+type FanOutMark struct{}
+
+func (FanOutMark) isBehavior() {}

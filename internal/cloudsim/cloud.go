@@ -654,14 +654,14 @@ func (inv *invocation) start() {
 func (inv *invocation) fanOut() {
 	b := inv.behavior.(FanOutBehavior)
 	link := &inv.kid
-	for i := 0; i < b.N; i++ {
+	for i, n := 0, b.Children(); i < n; i++ {
 		req := b.Child(i)
 		req.Account = inv.req.Account
 		kid := inv.c.record(req)
 		kid.parent, *link, link = inv, kid, &kid.sib
 		kid.send()
 	}
-	inv.then(b.Hold, (*invocation).gather)
+	inv.then(b.Hold(), (*invocation).gather)
 }
 
 // gather runs when a fan-out node's hold ends and whenever the child it is

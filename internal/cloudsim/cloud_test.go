@@ -457,21 +457,38 @@ func TestPayloadCacheFlag(t *testing.T) {
 	}
 }
 
+// funcNode is a FanOutBehavior whose steps are funcs, so each test spells
+// out its node inline.
+type funcNode struct {
+	FanOutMark
+	n      int
+	hold   time.Duration
+	child  func(i int) Request
+	gather func(i int, r *Response)
+	result func() any
+}
+
+func (f *funcNode) Children() int             { return f.n }
+func (f *funcNode) Hold() time.Duration       { return f.hold }
+func (f *funcNode) Child(i int) Request       { return f.child(i) }
+func (f *funcNode) Gather(i int, r *Response) { f.gather(i, r) }
+func (f *funcNode) Result() any               { return f.result() }
+
 func TestFanOutBehaviorNestedInvoke(t *testing.T) {
 	env, c := testWorld(t, plainAZ(1024), Options{})
 	deploySleep(t, c, "leaf", 50*time.Millisecond)
 	oks := 0
 	if _, err := c.Deploy("test-az-1a", "parent", DeployConfig{
 		MemoryMB: 2048,
-		Behavior: FanOutBehavior{
-			N:     3,
-			Child: func(int) Request { return Request{AZ: "test-az-1a", Function: "leaf"} },
-			Gather: func(_ int, r *Response) {
+		Behavior: &funcNode{
+			n:     3,
+			child: func(int) Request { return Request{AZ: "test-az-1a", Function: "leaf"} },
+			gather: func(_ int, r *Response) {
 				if r.OK() {
 					oks++
 				}
 			},
-			Result: func() any { return oks },
+			result: func() any { return oks },
 		},
 	}); err != nil {
 		t.Fatal(err)
@@ -544,18 +561,18 @@ func TestFanOutBehaviorGather(t *testing.T) {
 			var gotErr []error
 			if _, err := c.Deploy("test-az-1a", "node", DeployConfig{
 				MemoryMB: 2048,
-				Behavior: FanOutBehavior{
-					N:     len(tc.kids),
-					Child: func(i int) Request { return Request{AZ: "test-az-1a", Function: tc.kids[i]} },
-					Hold:  tc.hold,
-					Gather: func(i int, r *Response) {
+				Behavior: &funcNode{
+					n:     len(tc.kids),
+					child: func(i int) Request { return Request{AZ: "test-az-1a", Function: tc.kids[i]} },
+					hold:  tc.hold,
+					gather: func(i int, r *Response) {
 						order = append(order, i)
 						gotErr = append(gotErr, r.Err)
 						if want, ok := tc.sleep[tc.kids[i]]; ok && r.OK() && r.Ended.Sub(r.Started) != want {
 							t.Errorf("child %d: gathered a response that ran %v, child %d sleeps %v", i, r.Ended.Sub(r.Started), i, want)
 						}
 					},
-					Result: func() any { return "gathered" },
+					result: func() any { return "gathered" },
 				},
 			}); err != nil {
 				t.Fatal(err)

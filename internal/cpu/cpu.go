@@ -9,6 +9,7 @@ package cpu
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -73,7 +74,8 @@ type Info struct {
 	Arch     Arch
 }
 
-var catalog = map[Kind]Info{
+// catalog is indexed by Kind; entry 0 is no kind.
+var catalog = [numKinds + 1]Info{
 	Xeon25:       {Xeon25, "GenuineIntel", "Intel(R) Xeon(R) Processor @ 2.50GHz", 2.50, X86},
 	Xeon29:       {Xeon29, "GenuineIntel", "Intel(R) Xeon(R) Processor @ 2.90GHz", 2.90, X86},
 	Xeon30:       {Xeon30, "GenuineIntel", "Intel(R) Xeon(R) Processor @ 3.00GHz", 3.00, X86},
@@ -87,42 +89,38 @@ var catalog = map[Kind]Info{
 
 // Lookup returns the catalog entry for k.
 func Lookup(k Kind) (Info, bool) {
-	info, ok := catalog[k]
-	return info, ok
+	if !k.Valid() {
+		return Info{}, false
+	}
+	return catalog[k], true
 }
 
 // MustLookup returns the catalog entry for k and panics if k is not
 // catalogued; use only with compile-time-known kinds.
 func MustLookup(k Kind) Info {
-	info, ok := catalog[k]
-	if !ok {
+	if !k.Valid() {
 		panic(fmt.Sprintf("cpu: unknown kind %d", int(k)))
 	}
-	return info
+	return catalog[k]
 }
 
 // String returns a short stable label used in tables and figures,
 // e.g. "Xeon 2.50GHz" or "AMD EPYC".
 func (k Kind) String() string {
-	info, ok := catalog[k]
-	if !ok {
+	switch {
+	case !k.Valid():
 		return fmt.Sprintf("Kind(%d)", int(k))
-	}
-	switch k {
-	case EPYC:
+	case k == EPYC:
 		return "AMD EPYC"
-	case Graviton:
+	case k == Graviton:
 		return "Graviton2"
 	default:
-		return fmt.Sprintf("Xeon %.2fGHz", info.ClockGHz)
+		return fmt.Sprintf("Xeon %.2fGHz", catalog[k].ClockGHz)
 	}
 }
 
 // Valid reports whether k is a catalogued processor kind.
-func (k Kind) Valid() bool {
-	_, ok := catalog[k]
-	return ok
-}
+func (k Kind) Valid() bool { return k >= 1 && int(k) <= numKinds }
 
 // maxInterned is the largest guest size whose cpuinfo text is prebuilt: the
 // simulated platforms size a guest at one to six vCPUs, so every text the
@@ -130,28 +128,54 @@ func (k Kind) Valid() bool {
 const maxInterned = 6
 
 // cpuinfoTexts holds CPUInfo(k, v) for every catalogued kind and
-// 1 <= v <= maxInterned, and cpuinfoParsed what ParseCPUInfo makes of each.
-// Both are filled once at package initialization and only read afterwards,
-// so the per-invocation render and parse are two lookups, allocation-free
-// and safe from any goroutine.
+// 1 <= v <= maxInterned, and interned the same texts with what each parses
+// to, sorted by length. Both are filled once at package initialization and
+// only read afterwards, so the per-invocation render is an index read and
+// its parse a search of interned, both allocation-free and safe from any
+// goroutine.
 var (
-	cpuinfoTexts  [numKinds + 1][maxInterned + 1]string
-	cpuinfoParsed = make(map[string]parsedCPUInfo, numKinds*maxInterned)
+	cpuinfoTexts [numKinds + 1][maxInterned + 1]string
+	interned     = make([]internedText, 0, numKinds*maxInterned)
 )
 
-type parsedCPUInfo struct {
+type internedText struct {
+	text  string
 	kind  Kind
-	procs int
+	vcpus int
 }
 
 func init() {
-	for k, info := range catalog {
+	for k := Kind(1); k.Valid(); k++ {
 		for v := 1; v <= maxInterned; v++ {
-			text := renderCPUInfo(info, v)
+			text := renderCPUInfo(catalog[k], v)
 			cpuinfoTexts[k][v] = text
-			cpuinfoParsed[text] = parsedCPUInfo{k, v}
+			interned = append(interned, internedText{text, k, v})
 		}
 	}
+	slices.SortStableFunc(interned, func(a, b internedText) int { return len(a.text) - len(b.text) })
+}
+
+// lookupInterned finds cpuinfo among the interned texts without hashing
+// it: a binary search for the first entry of its length, then a comparison
+// with each entry of that length. A string comparison returns at once when
+// both sides share their bytes, so a text the table handed out costs a
+// full comparison only against the other entries of its length.
+func lookupInterned(cpuinfo string) (internedText, bool) {
+	lo, hi := 0, len(interned)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if len(interned[m].text) < len(cpuinfo) {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	for ; lo < len(interned) && len(interned[lo].text) == len(cpuinfo); lo++ {
+		if interned[lo].text == cpuinfo {
+			return interned[lo], true
+		}
+	}
+	return internedText{}, false
 }
 
 // CPUInfo renders the /proc/cpuinfo content a guest with vcpus virtual CPUs
@@ -161,14 +185,13 @@ func CPUInfo(k Kind, vcpus int) string {
 	if vcpus < 1 {
 		vcpus = 1
 	}
-	if k >= 1 && int(k) <= numKinds && vcpus <= maxInterned {
-		return cpuinfoTexts[k][vcpus]
-	}
-	info, ok := catalog[k]
-	if !ok {
+	if !k.Valid() {
 		return ""
 	}
-	return renderCPUInfo(info, vcpus)
+	if vcpus <= maxInterned {
+		return cpuinfoTexts[k][vcpus]
+	}
+	return renderCPUInfo(catalog[k], vcpus)
 }
 
 func renderCPUInfo(info Info, vcpus int) string {
@@ -185,11 +208,17 @@ func renderCPUInfo(info Info, vcpus int) string {
 
 // ParseCPUInfo infers the processor kind from a /proc/cpuinfo dump, the way
 // SAAF does from inside a function instance. It returns the kind and the
-// number of processors listed.
+// number of processors listed. A text equal to one CPUInfo interned is
+// answered from the table.
 func ParseCPUInfo(cpuinfo string) (Kind, int, error) {
-	if p, ok := cpuinfoParsed[cpuinfo]; ok {
-		return p.kind, p.procs, nil
+	if t, ok := lookupInterned(cpuinfo); ok {
+		return t.kind, t.vcpus, nil
 	}
+	return parseCPUInfo(cpuinfo)
+}
+
+// parseCPUInfo is ParseCPUInfo without the table: the parse proper.
+func parseCPUInfo(cpuinfo string) (Kind, int, error) {
 	var model string
 	procs := 0
 	for rest := cpuinfo; rest != ""; {
@@ -216,8 +245,8 @@ func ParseCPUInfo(cpuinfo string) (Kind, int, error) {
 
 // FromModel maps a cpuinfo model-name string back to a catalogued kind.
 func FromModel(model string) (Kind, error) {
-	for k, info := range catalog {
-		if info.Model == model {
+	for k := Kind(1); k.Valid(); k++ {
+		if catalog[k].Model == model {
 			return k, nil
 		}
 	}

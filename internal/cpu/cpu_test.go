@@ -81,6 +81,28 @@ func TestCPUInfoRoundTrip(t *testing.T) {
 	}
 }
 
+// TestParseCPUInfoMemoMatchesParse checks the interned table's answers
+// against the parse they stand in for, for every kind and guest size the
+// table holds, on the table's own texts and on copies that share no bytes
+// with them.
+func TestParseCPUInfoMemoMatchesParse(t *testing.T) {
+	for _, k := range Kinds() {
+		for v := 1; v <= maxInterned; v++ {
+			text := CPUInfo(k, v)
+			wantK, wantV, wantErr := parseCPUInfo(text)
+			if wantErr != nil || wantK != k || wantV != v {
+				t.Fatalf("parse of CPUInfo(%v, %d) = (%v, %d, %v)", k, v, wantK, wantV, wantErr)
+			}
+			for _, in := range []string{text, strings.Clone(text)} {
+				gotK, gotV, err := ParseCPUInfo(in)
+				if gotK != wantK || gotV != wantV || err != nil {
+					t.Errorf("ParseCPUInfo(CPUInfo(%v, %d)) = (%v, %d, %v), parse says (%v, %d)", k, v, gotK, gotV, err, wantK, wantV)
+				}
+			}
+		}
+	}
+}
+
 func TestCPUInfoClampsVCPUs(t *testing.T) {
 	dump := CPUInfo(Xeon25, 0)
 	_, procs, err := ParseCPUInfo(dump)

@@ -106,7 +106,7 @@ func RunAblationFanout(seed uint64) (AblationFanoutResult, error) {
 
 		// Tree fan-out: the client only issues the root requests.
 		tree := s.Poll(p, az, 0)
-		res.TreeUniqueFIs = sampler.UniqueFIs(tree.Reports)
+		res.TreeUniqueFIs = tree.NewFIs
 		res.TreeClientCalls = s.Config().PollSize / (1 + s.Config().Branch + s.Config().Branch*s.Config().Branch)
 
 		// Let the tree's instances expire so the flat poll starts cold.

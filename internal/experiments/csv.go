@@ -46,7 +46,7 @@ func (r EX1Result) WriteCSV(dir string) error {
 		sat.Row("a", i+1, pr.NewFIs, pr.Failed, pr.FailFrac())
 	}
 	for i, pr := range r.SecondAccount {
-		sat.Row("b", i+1, len(pr.Reports), pr.Failed, pr.FailFrac())
+		sat.Row("b", i+1, pr.Reported, pr.Failed, pr.FailFrac())
 	}
 	return writeCSVFile(dir, "fig4_saturation.csv", sat)
 }

@@ -9,7 +9,6 @@ import (
 
 	"skyfaas/internal/charact"
 	"skyfaas/internal/cpu"
-	"skyfaas/internal/saaf"
 	"skyfaas/internal/sampler"
 	"skyfaas/internal/workload"
 )
@@ -35,7 +34,7 @@ func TestEX1WriteCSV(t *testing.T) {
 			{Requested: 999, Failed: 999},
 		},
 		SecondAccount: []sampler.PollResult{
-			{Requested: 999, Failed: 999, Reports: []saaf.Report{}},
+			{Requested: 999, Failed: 999, Reported: 0},
 		},
 	}
 	if err := res.WriteCSV(dir); err != nil {

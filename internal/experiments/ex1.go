@@ -141,7 +141,7 @@ func (r EX1Result) Render() string {
 
 	t3 := tablefmt.New("poll", "newFIs", "failed", "failFrac")
 	for i, pr := range r.SecondAccount {
-		t3.Row(i+1, len(pr.Reports), pr.Failed, tablefmt.Pct(pr.FailFrac()))
+		t3.Row(i+1, pr.Reported, pr.Failed, tablefmt.Pct(pr.FailFrac()))
 	}
 	out += "\nEX-1 / Fig. 4 — independent account B immediately after saturation\n" + t3.String()
 	return out

@@ -8,11 +8,14 @@
 //     of recursive function invocations — the client only issues a handful
 //     of root requests; the tree fans out platform-side — while each
 //     request sleeps briefly so every concurrent request pins a unique
-//     function instance. Leaves are cloudsim SleepBehaviors and internal
-//     nodes cloudsim FanOutBehaviors: the whole tree runs as platform
-//     continuations on the zone's events, with no process per node.
-//   - Each request returns its SAAF profile; deduplicating by instance id
-//     yields new-hardware observations per poll.
+//     function instance. Leaves are cloudsim SleepBehaviors and each
+//     internal node is one record that implements cloudsim.FanOutBehavior:
+//     the whole tree runs as platform continuations on the zone's events,
+//     with no process per node.
+//   - Each request returns its SAAF profile into one report slab per
+//     characterization run, cleared and refilled by every poll;
+//     deduplicating by instance number yields new-hardware observations per
+//     poll, and the per-poll trail keeps only their counts.
 //   - Successive polls cycle endpoints until the zone saturates: when more
 //     than half of a poll's requests fail, the accumulated observation is
 //     the zone's ground-truth characterization (§4.1's stop rule).
@@ -44,6 +47,8 @@ const (
 	failStop = 0.5
 	// maxPolls bounds a characterization run that never saturates.
 	maxPolls = 200
+	// treeDepth is the depth of a poll's trees below their roots.
+	treeDepth = 2
 )
 
 // Config tunes the sampling technique. Zero fields take the paper's values.
@@ -98,6 +103,9 @@ func (c Config) roots() int {
 type Sampler struct {
 	client *faas.Client
 	cfg    Config
+	// onReports, when set, sees each poll's slab before it is reused.
+	// Only tests set it.
+	onReports func([]saaf.Report)
 }
 
 // New returns a sampler issuing requests through client.
@@ -173,40 +181,39 @@ func (t *tree) collect(agg *treeResult, r *cloudsim.Response, slot, size int) {
 	}
 	agg.cost += r.CostUSD
 	t.slots[slot] = r.Profile
-	if sub, ok := r.Value.(treeResult); ok {
+	if sub, ok := r.Value.(*treeResult); ok {
 		agg.failed += sub.failed
 		agg.cost += sub.cost
 	}
 }
 
-// work builds the behavior for the tree node at the given depth and slot.
-// Leaves sleep; internal nodes fan out to the same endpoint, hold their own
-// instance for the sleep while their children run, and collect the
-// children's observations.
+// work returns the behavior of the tree node at the given depth and slot.
+// Leaves sleep; an internal node is one record that fans out to the same
+// endpoint, holds its own instance for the sleep while its children run,
+// and collects the children's observations.
 func (t *tree) work(depth, slot int) cloudsim.Behavior {
 	if depth == 0 {
 		return t.leaf
 	}
-	n := &node{t: t, depth: depth, slot: slot, size: t.s.subtreeRequests(depth - 1)}
-	return cloudsim.FanOutBehavior{
-		N:      t.s.cfg.Branch,
-		Child:  n.child,
-		Hold:   t.sleep,
-		Gather: n.gather,
-		Result: n.result,
-	}
+	return &node{t: t, depth: depth, slot: slot, size: t.s.subtreeRequests(depth - 1)}
 }
 
 // node is an internal tree node at depth, rooted at slot: its i'th child
 // roots a subtree of size requests at slot+1+i*size, and agg totals what
-// its children's subtrees report.
+// its children's subtrees report. It is the node's cloudsim.FanOutBehavior,
+// and its Result points at agg, so the node is its only heap record.
 type node struct {
+	cloudsim.FanOutMark
 	t                 *tree
 	depth, slot, size int
 	agg               treeResult
 }
 
-func (n *node) child(i int) cloudsim.Request {
+func (n *node) Children() int { return n.t.s.cfg.Branch }
+
+func (n *node) Hold() time.Duration { return n.t.sleep }
+
+func (n *node) Child(i int) cloudsim.Request {
 	return cloudsim.Request{
 		AZ:       n.t.az,
 		Function: n.t.fn,
@@ -214,11 +221,11 @@ func (n *node) child(i int) cloudsim.Request {
 	}
 }
 
-func (n *node) gather(i int, r *cloudsim.Response) {
+func (n *node) Gather(i int, r *cloudsim.Response) {
 	n.t.collect(&n.agg, r, n.slot+1+i*n.size, n.size)
 }
 
-func (n *node) result() any { return n.agg }
+func (n *node) Result() any { return &n.agg }
 
 // PollResult is one poll's outcome.
 type PollResult struct {
@@ -228,14 +235,14 @@ type PollResult struct {
 	Requested int
 	// Failed counts requests that never ran (throttled/saturated).
 	Failed int
-	// Reports are the SAAF profiles of every successful request.
-	Reports []saaf.Report
+	// Reported counts the successful requests, each of which returned a
+	// SAAF report.
+	Reported int
 	// NewFIs counts instances not seen in earlier polls of the same
-	// characterization run (filled by Characterize; equals len(Reports)
-	// for a standalone poll).
+	// characterization run; for a standalone poll, the distinct instances
+	// it saw.
 	NewFIs int
-	// Fresh is the CPU counts of those first sightings (filled by
-	// Characterize; nil for a standalone poll).
+	// Fresh is the CPU counts of those first sightings.
 	Fresh charact.Counts
 	// CostUSD is the poll's total spend.
 	CostUSD float64
@@ -251,47 +258,71 @@ func (r PollResult) FailFrac() float64 {
 
 // Poll runs one poll against endpoint idx (mod Endpoints) in az.
 func (s *Sampler) Poll(p *sim.Proc, az string, idx int) PollResult {
-	return s.pollWith(p, az, s.endpointName(az, idx%s.cfg.Endpoints), idx%s.cfg.Endpoints, Sleep)
+	return s.poll(p, az, idx, s.newRun())
 }
 
-func (s *Sampler) pollWith(p *sim.Proc, az, fn string, idx int, sleep time.Duration) PollResult {
-	const depth = 2
-	roots, size := s.cfg.roots(), s.subtreeRequests(depth)
+// run is what the polls of one characterization run share: the report slab
+// each poll clears and refills, and the instances sighted so far. Polls of
+// one Sampler can interleave across procs, so a slab belongs to its run.
+type run struct {
+	slab []saaf.Report
+	seen sightings
+}
+
+func (s *Sampler) newRun() *run {
+	return &run{slab: make([]saaf.Report, s.cfg.roots()*s.subtreeRequests(treeDepth))}
+}
+
+func (s *Sampler) poll(p *sim.Proc, az string, idx int, r *run) PollResult {
+	idx %= s.cfg.Endpoints
+	return s.pollWith(p, az, s.endpointName(az, idx), idx, Sleep, r)
+}
+
+func (s *Sampler) pollWith(p *sim.Proc, az, fn string, idx int, sleep time.Duration, r *run) PollResult {
+	roots, size := s.cfg.roots(), s.subtreeRequests(treeDepth)
+	clear(r.slab)
 	t := &tree{
 		s: s, az: az, fn: fn, sleep: sleep,
 		leaf:  cloudsim.SleepBehavior{D: sleep},
-		slots: make([]saaf.Report, roots*size),
+		slots: r.slab,
 	}
 	futures := make([]*faas.Future, roots)
 	for i := range futures {
 		futures[i] = s.client.InvokeAsync(faas.Call{
 			AZ:       az,
 			Function: fn,
-			Work:     t.work(depth, i*size),
+			Work:     t.work(treeDepth, i*size),
 		})
 	}
 	var agg treeResult
 	for i, f := range futures {
-		r := f.Wait(p)
-		t.collect(&agg, &r, i*size, size)
+		resp := f.Wait(p)
+		t.collect(&agg, &resp, i*size, size)
 	}
-	// Compact the filled slots in order; every report names its instance,
-	// so an empty UUID marks a request that never reported.
-	n := 0
-	for _, rep := range t.slots {
-		if rep.UUID != "" {
-			t.slots[n] = rep
-			n++
-		}
-	}
-	return PollResult{
+	res := PollResult{
 		Endpoint:  idx,
 		Requested: roots * size,
 		Failed:    agg.failed,
-		Reports:   t.slots[:n],
-		NewFIs:    n,
+		Fresh:     make(charact.Counts),
 		CostUSD:   agg.cost,
 	}
+	// Count the filled slots and each instance's first sighting in the
+	// run; every report names its instance, so an empty UUID marks a
+	// request that never reported.
+	for _, rep := range t.slots {
+		if rep.UUID == "" {
+			continue
+		}
+		res.Reported++
+		if r.seen.first(rep.Instance) {
+			res.Fresh.Add(rep.Kind)
+		}
+	}
+	res.NewFIs = res.Fresh.Total()
+	if s.onReports != nil {
+		s.onReports(t.slots)
+	}
+	return res
 }
 
 // Characterize polls a zone until the saturation stop rule fires (or
@@ -309,19 +340,12 @@ func (s *Sampler) CharacterizeQuick(p *sim.Proc, az string, polls int) (charact.
 }
 
 func (s *Sampler) characterize(p *sim.Proc, az string, limit int, untilFailure bool) (charact.Characterization, []PollResult, error) {
-	var seen sightings
+	r := s.newRun()
 	cum := make(charact.Counts)
 	var trail []PollResult
 	var cost float64
 	for poll := 0; poll < limit; poll++ {
-		res := s.Poll(p, az, poll)
-		res.Fresh = make(charact.Counts)
-		for _, rep := range res.Reports {
-			if seen.first(rep.Instance) {
-				res.Fresh.Add(rep.Kind)
-			}
-		}
-		res.NewFIs = res.Fresh.Total()
+		res := s.poll(p, az, poll, r)
 		cum.Merge(res.Fresh)
 		cost += res.CostUSD
 		trail = append(trail, res)
@@ -369,11 +393,11 @@ func (s *Sampler) SweepSleep(p *sim.Proc, az string, sleeps []time.Duration, mem
 			}); err != nil {
 				return nil, fmt.Errorf("sampler: sweep: %w", err)
 			}
-			res := s.pollWith(p, az, fn, 0, sleep)
+			res := s.pollWith(p, az, fn, 0, sleep, s.newRun())
 			out = append(out, SweepPoint{
 				Sleep:     sleep,
 				MemoryMB:  mem,
-				UniqueFIs: UniqueFIs(res.Reports),
+				UniqueFIs: res.NewFIs,
 				CostUSD:   res.CostUSD,
 			})
 			p.Sleep(keepAlive + time.Minute)

@@ -2,6 +2,7 @@ package sampler
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -10,6 +11,7 @@ import (
 	"skyfaas/internal/cpu"
 	"skyfaas/internal/faas"
 	"skyfaas/internal/geo"
+	"skyfaas/internal/saaf"
 	"skyfaas/internal/sim"
 )
 
@@ -43,6 +45,16 @@ func world(t *testing.T, azSpec cloudsim.AZSpec) (*sim.Env, *cloudsim.Cloud, *Sa
 	return env, cloud, s
 }
 
+// recordReports makes s keep a copy of every later poll's reports:
+// (*polls)[i] is the i'th poll's, in tree order.
+func recordReports(s *Sampler) *[][]saaf.Report {
+	polls := new([][]saaf.Report)
+	s.OnReports(func(reports []saaf.Report) {
+		*polls = append(*polls, slices.Clone(reports))
+	})
+	return polls
+}
+
 func mixedAZ(pool int) cloudsim.AZSpec {
 	return cloudsim.AZSpec{
 		Name:    "r1-az-a",
@@ -72,6 +84,7 @@ func TestConfigDefaults(t *testing.T) {
 
 func TestPollObservesUniqueFIs(t *testing.T) {
 	env, _, s := world(t, mixedAZ(4096))
+	polls := recordReports(s)
 	var res PollResult
 	env.Go("poller", func(p *sim.Proc) error {
 		res = s.Poll(p, "r1-az-a", 0)
@@ -86,11 +99,12 @@ func TestPollObservesUniqueFIs(t *testing.T) {
 	if res.Failed != 0 {
 		t.Fatalf("failed = %d in an empty zone", res.Failed)
 	}
-	if len(res.Reports) != res.Requested {
-		t.Fatalf("%d reports for %d requests", len(res.Reports), res.Requested)
+	reports := (*polls)[0]
+	if len(reports) != res.Requested || res.Reported != len(reports) {
+		t.Fatalf("%d reports (%d counted) for %d requests", len(reports), res.Reported, res.Requested)
 	}
 	unique := map[string]bool{}
-	for _, rep := range res.Reports {
+	for _, rep := range reports {
 		unique[rep.UUID] = true
 		if !rep.Kind.Valid() {
 			t.Fatalf("invalid kind in report: %+v", rep)
@@ -99,6 +113,9 @@ func TestPollObservesUniqueFIs(t *testing.T) {
 	if len(unique) != res.Requested {
 		t.Errorf("only %d unique FIs out of %d concurrent requests", len(unique), res.Requested)
 	}
+	if res.NewFIs != len(unique) || res.Fresh.Total() != len(unique) {
+		t.Errorf("a standalone poll counts %d new FIs (%d fresh), saw %d", res.NewFIs, res.Fresh.Total(), len(unique))
+	}
 	if res.CostUSD <= 0 {
 		t.Error("poll cost not accounted")
 	}
@@ -106,48 +123,50 @@ func TestPollObservesUniqueFIs(t *testing.T) {
 
 func TestRepollSameEndpointReusesWarmFIs(t *testing.T) {
 	env, _, s := world(t, mixedAZ(4096))
-	var first, second PollResult
+	polls := recordReports(s)
 	env.Go("poller", func(p *sim.Proc) error {
-		first = s.Poll(p, "r1-az-a", 0)
+		s.Poll(p, "r1-az-a", 0)
 		p.Sleep(2 * time.Second)
-		second = s.Poll(p, "r1-az-a", 0) // same endpoint: warm instances
+		s.Poll(p, "r1-az-a", 0) // same endpoint: warm instances
 		return nil
 	})
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
+	first, second := (*polls)[0], (*polls)[1]
 	firstIDs := map[string]bool{}
-	for _, rep := range first.Reports {
+	for _, rep := range first {
 		firstIDs[rep.UUID] = true
 	}
 	reused := 0
-	for _, rep := range second.Reports {
+	for _, rep := range second {
 		if firstIDs[rep.UUID] {
 			reused++
 		}
 	}
-	if reused < len(second.Reports)/2 {
-		t.Errorf("only %d/%d instances reused on re-poll of the same endpoint", reused, len(second.Reports))
+	if reused < len(second)/2 {
+		t.Errorf("only %d/%d instances reused on re-poll of the same endpoint", reused, len(second))
 	}
 }
 
 func TestDistinctEndpointsSeeFreshFIs(t *testing.T) {
 	env, _, s := world(t, mixedAZ(4096))
-	var first, second PollResult
+	polls := recordReports(s)
 	env.Go("poller", func(p *sim.Proc) error {
-		first = s.Poll(p, "r1-az-a", 0)
+		s.Poll(p, "r1-az-a", 0)
 		p.Sleep(time.Second)
-		second = s.Poll(p, "r1-az-a", 1) // different endpoint
+		s.Poll(p, "r1-az-a", 1) // different endpoint
 		return nil
 	})
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
+	first, second := (*polls)[0], (*polls)[1]
 	firstIDs := map[string]bool{}
-	for _, rep := range first.Reports {
+	for _, rep := range first {
 		firstIDs[rep.UUID] = true
 	}
-	for _, rep := range second.Reports {
+	for _, rep := range second {
 		if firstIDs[rep.UUID] {
 			t.Fatalf("endpoint 1 reused endpoint 0's instance %s", rep.UUID)
 		}
@@ -224,6 +243,7 @@ func TestProgressiveAccuracyImproves(t *testing.T) {
 			cpu.Xeon25: 0.5, cpu.Xeon29: 0.2, cpu.Xeon30: 0.25, cpu.EPYC: 0.05,
 		},
 	})
+	polls := recordReports(s)
 	var trail []PollResult
 	env.Go("characterize", func(p *sim.Proc) error {
 		_, tr, err := s.Characterize(p, "r1-az-a")
@@ -233,12 +253,15 @@ func TestProgressiveAccuracyImproves(t *testing.T) {
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
+	if len(*polls) != len(trail) {
+		t.Fatalf("%d polls reported for a trail of %d", len(*polls), len(trail))
+	}
 	az, _ := cloud.AZ("r1-az-a")
 	truth := az.TrueMix()
 	perPoll := make([]charact.Counts, len(trail))
-	for i, res := range trail {
+	for i, reports := range *polls {
 		c := make(charact.Counts)
-		for _, rep := range res.Reports {
+		for _, rep := range reports {
 			c.Add(rep.Kind)
 		}
 		perPoll[i] = c
