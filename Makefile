@@ -40,8 +40,12 @@ bench-smoke:
 build:
 	$(GO) build ./...
 
+# bench/ is a nested module that imports internal packages, so vet it too:
+# an API it uses disappearing then fails this job's vet step, not only the
+# other job's bench-smoke.
 vet:
 	$(GO) vet ./...
+	cd bench && $(GO) vet ./...
 
 # Project-specific static analysis (determinism & concurrency invariants);
 # see internal/lint and the README "Static analysis" section. Findings are

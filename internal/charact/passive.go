@@ -17,14 +17,14 @@ type Passive struct {
 }
 
 type passiveObs struct {
-	at   time.Time
-	fi   string
-	kind cpu.Kind
+	at       time.Time
+	instance int
+	kind     cpu.Kind
 }
 
 type passiveZone struct {
 	obs  []passiveObs
-	seen map[string]int // fi id -> live observation count
+	seen map[int]int // instance number -> live observation count
 }
 
 // NewPassive returns a collector whose observations expire after window
@@ -42,21 +42,22 @@ func NewPassive(window time.Duration) *Passive {
 // Window returns the sliding-window length.
 func (p *Passive) Window() time.Duration { return p.window }
 
-// Observe records that an invocation at time t ran on instance fi with
-// CPU kind k in zone az. Repeat observations of a live instance are
-// deduplicated.
-func (p *Passive) Observe(az string, t time.Time, fi string, k cpu.Kind) {
+// Observe records that an invocation at time t ran with CPU kind k on the
+// instance numbered instance (saaf.Report.Instance) in zone az. Repeat
+// observations of a live instance are deduplicated: a zone numbers its
+// instances uniquely, so (az, instance) names one.
+func (p *Passive) Observe(az string, t time.Time, instance int, k cpu.Kind) {
 	z, ok := p.byZone[az]
 	if !ok {
-		z = &passiveZone{seen: make(map[string]int)}
+		z = &passiveZone{seen: make(map[int]int)}
 		p.byZone[az] = z
 	}
 	z.expire(t.Add(-p.window))
-	if z.seen[fi] > 0 {
+	if z.seen[instance] > 0 {
 		return // instance already counted within the window
 	}
-	z.seen[fi]++
-	z.obs = append(z.obs, passiveObs{at: t, fi: fi, kind: k})
+	z.seen[instance]++
+	z.obs = append(z.obs, passiveObs{at: t, instance: instance, kind: k})
 }
 
 // expire drops observations older than cutoff.
@@ -64,9 +65,9 @@ func (z *passiveZone) expire(cutoff time.Time) {
 	drop := 0
 	for drop < len(z.obs) && z.obs[drop].at.Before(cutoff) {
 		o := z.obs[drop]
-		z.seen[o.fi]--
-		if z.seen[o.fi] <= 0 {
-			delete(z.seen, o.fi)
+		z.seen[o.instance]--
+		if z.seen[o.instance] <= 0 {
+			delete(z.seen, o.instance)
 		}
 		drop++
 	}

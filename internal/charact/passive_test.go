@@ -1,7 +1,6 @@
 package charact
 
 import (
-	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -25,7 +24,7 @@ func TestPassiveCharacterizationFromTraffic(t *testing.T) {
 		if i%3 == 2 {
 			kind = cpu.Xeon30
 		}
-		p.Observe("z", passiveEpoch.Add(time.Duration(i)*time.Second), fmt.Sprintf("fi-%d", i), kind)
+		p.Observe("z", passiveEpoch.Add(time.Duration(i)*time.Second), i+1, kind)
 	}
 	now := passiveEpoch.Add(2 * time.Minute)
 	if got := p.Samples("z", now); got != 60 {
@@ -50,17 +49,22 @@ func TestPassiveCharacterizationFromTraffic(t *testing.T) {
 func TestPassiveDeduplicatesLiveInstances(t *testing.T) {
 	p := NewPassive(time.Hour)
 	for i := 0; i < 10; i++ {
-		p.Observe("z", passiveEpoch.Add(time.Duration(i)*time.Second), "same-fi", cpu.Xeon25)
+		p.Observe("z", passiveEpoch.Add(time.Duration(i)*time.Second), 7, cpu.Xeon25)
 	}
 	if got := p.Samples("z", passiveEpoch.Add(time.Minute)); got != 1 {
 		t.Fatalf("samples = %d, want 1 (deduplicated)", got)
+	}
+	// The same number in another zone is another instance.
+	p.Observe("y", passiveEpoch, 7, cpu.Xeon25)
+	if got := p.Samples("y", passiveEpoch.Add(time.Minute)); got != 1 {
+		t.Fatalf("zone y samples = %d, want 1", got)
 	}
 }
 
 func TestPassiveWindowExpiry(t *testing.T) {
 	p := NewPassive(time.Hour)
-	p.Observe("z", passiveEpoch, "fi-old", cpu.EPYC)
-	p.Observe("z", passiveEpoch.Add(90*time.Minute), "fi-new", cpu.Xeon30)
+	p.Observe("z", passiveEpoch, 1, cpu.EPYC)
+	p.Observe("z", passiveEpoch.Add(90*time.Minute), 2, cpu.Xeon30)
 	now := passiveEpoch.Add(91 * time.Minute)
 	if got := p.Samples("z", now); got != 1 {
 		t.Fatalf("samples = %d, want 1 (old expired)", got)
@@ -72,8 +76,8 @@ func TestPassiveWindowExpiry(t *testing.T) {
 	if ch.Dist()[cpu.EPYC] != 0 {
 		t.Error("expired observation still counted")
 	}
-	// After expiry the same instance id may be observed again.
-	p.Observe("z", now, "fi-old", cpu.EPYC)
+	// After expiry the same instance may be observed again.
+	p.Observe("z", now, 1, cpu.EPYC)
 	if got := p.Samples("z", now); got != 2 {
 		t.Fatalf("samples after re-observation = %d", got)
 	}
@@ -81,7 +85,7 @@ func TestPassiveWindowExpiry(t *testing.T) {
 
 func TestPassiveMinSamplesGate(t *testing.T) {
 	p := NewPassive(time.Hour)
-	p.Observe("z", passiveEpoch, "fi-1", cpu.Xeon25)
+	p.Observe("z", passiveEpoch, 1, cpu.Xeon25)
 	if _, ok := p.Characterization("z", passiveEpoch.Add(time.Second), 100); ok {
 		t.Fatal("characterization with too few samples")
 	}

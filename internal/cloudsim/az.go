@@ -38,19 +38,20 @@ func (h *Host) ID() string {
 func (h *Host) Kind() cpu.Kind { return h.kind }
 
 // FI is a function instance: an execution environment bound to one
-// deployment, persisting for the keep-alive window after its last use.
+// deployment, persisting for the keep-alive window after its last use. It
+// stores its number, not its name (ID formats that on each call), which
+// keeps the struct in the 64-byte size class: a saturated zone holds tens
+// of thousands of instances.
 type FI struct {
-	id        string
-	num       int // the instance's number in its zone: the seq in id
+	num       int // the instance's number in its zone
 	host      *Host
 	dep       *Deployment
 	busy      bool
 	destroyed bool
-	// uses sits beside the flags, which keeps the struct in the 80-byte
-	// size class with the idle-list links: a saturated zone holds
-	// thousands of instances.
-	uses    int32
-	idleGen uint64 // bumped on every release; validates expiry timers
+	uses      int32 // beside the flags, in the word they pad out
+	// idleSeq is the seq of the keep-alive timer the last release armed:
+	// the timers that were armed before it are void (see timerStale).
+	idleSeq uint64
 	// prev and next link an idle instance into its deployment's idle list.
 	prev, next *FI
 	// cache holds dynamic-function payload hashes already decoded on this
@@ -58,8 +59,20 @@ type FI struct {
 	cache map[string]struct{}
 }
 
-// ID returns the instance identifier (SAAF's uuid).
-func (f *FI) ID() string { return f.id }
+// AppendInstanceID appends the name of instance num of zone to dst:
+// "fi-<zone>-<num>", the identifier a guest reads (SAAF's uuid). It is the
+// one place the name is spelled; nothing on the invocation path builds it.
+func AppendInstanceID(dst []byte, zone string, num int) []byte {
+	dst = append(dst, "fi-"...)
+	dst = append(dst, zone...)
+	dst = append(dst, '-')
+	return strconv.AppendInt(dst, int64(num), 10)
+}
+
+// ID returns the instance identifier (SAAF's uuid), formatted on each
+// call: no production path asks for it, and caching it would cost every
+// instance a string header.
+func (f *FI) ID() string { return string(AppendInstanceID(nil, f.dep.az.spec.Name, f.num)) }
 
 // Host returns the backing host.
 func (f *FI) Host() *Host { return f.host }
@@ -83,7 +96,7 @@ type Deployment struct {
 	idleHead, idleTail *FI
 	idle               int
 	// floor is the warm-pool floor: keep-alive expiry holds this many idle
-	// instances alive instead of reaping them (see armExpiry). Set via
+	// instances alive instead of reaping them (see expire). Set via
 	// AZ.SetWarmFloor; 0 restores pure keep-alive semantics.
 	floor int
 	// floorAccount / floorSince track who pays for floor-held capacity and
@@ -313,7 +326,6 @@ func (az *AZ) acquireFI(dep *Deployment) (*FI, bool, error) {
 	if fi := dep.idleTail; fi != nil {
 		dep.unlinkIdle(fi)
 		fi.busy = true
-		fi.idleGen++
 		return fi, false, nil
 	}
 	host := az.placeHost(dep.arch)
@@ -335,7 +347,6 @@ func (az *AZ) provisionFI(dep *Deployment, host *Host) *FI {
 	az.m.liveFIs.Set(float64(az.liveFIs))
 	az.fiSeq++
 	return &FI{
-		id:   "fi-" + az.spec.Name + "-" + strconv.Itoa(az.fiSeq),
 		num:  az.fiSeq,
 		host: host,
 		dep:  dep,
@@ -392,34 +403,26 @@ func (az *AZ) releaseFI(fi *FI) {
 	az.idle(fi)
 }
 
-// idle makes a busy instance idle: it joins its deployment's idle list and
-// arms its keep-alive expiry.
+// idle makes a busy instance idle: it arms its keep-alive expiry, whose
+// seq becomes the instance's idleSeq, and joins its deployment's idle list.
+// The timer is armed while the instance still reads busy, so a compaction
+// inside the push finds the instance's older timers void, as it does once
+// idleSeq has moved.
 func (az *AZ) idle(fi *FI) {
+	fi.idleSeq = az.cloud.keepAlive().Push(fi)
 	fi.busy = false
-	fi.idleGen++
 	fi.dep.pushIdle(fi)
-	az.armExpiry(fi)
 }
 
-// idleRef is one armed keep-alive timer: the instance and the idleGen it
-// was armed under.
-type idleRef struct {
-	fi  *FI
-	gen uint64
-}
-
-// stale reports a timer void: its instance was destroyed or reused since
-// the timer was armed. It stays void, since idleGen only grows, which is
-// what the cloud's keep-alive lane needs to drop it unfired.
-func (r idleRef) stale() bool {
-	return r.fi.destroyed || r.fi.busy || r.fi.idleGen != r.gen
-}
-
-// armExpiry arms the keep-alive reaping of an idle instance on the cloud's
-// keep-alive lane, validated by the idleGen captured now: any acquire
-// before the timer fires bumps the generation and voids it.
-func (az *AZ) armExpiry(fi *FI) {
-	az.cloud.keepAlive().Push(idleRef{fi: fi, gen: fi.idleGen})
+// timerStale reports the keep-alive timer of fi with the given seq void:
+// the instance was destroyed, is busy, or was released again after the
+// timer was armed, which armed a later timer. It stays void, which is what
+// the cloud's keep-alive lane needs to drop it unfired: idleSeq only grows,
+// and a busy instance goes idle again only by arming a timer later than
+// every one it had. A SetWarmFloor re-arm leaves idleSeq alone, so the
+// timer it adds and the one the instance had are both live.
+func timerStale(fi *FI, seq uint64) bool {
+	return fi.destroyed || fi.busy || seq < fi.idleSeq
 }
 
 // expire reaps an instance whose keep-alive ran out; the lane has already

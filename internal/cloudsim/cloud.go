@@ -205,14 +205,14 @@ type Cloud struct {
 	// have, at the cost of one event-queue entry, and drops the ones a
 	// reuse voided. It is made on the first arm (keepAlive), so building a
 	// world allocates no lane.
-	expiry *sim.Lane[idleRef]
+	expiry *sim.Lane[*FI]
 }
 
 // keepAlive returns the cloud's keep-alive lane, making it on first use.
-func (c *Cloud) keepAlive() *sim.Lane[idleRef] {
+func (c *Cloud) keepAlive() *sim.Lane[*FI] {
 	if c.expiry == nil {
 		c.expiry = sim.NewLane(c.env, c.opts.KeepAlive,
-			func(r idleRef) { r.fi.dep.az.expire(r.fi) }, idleRef.stale)
+			func(fi *FI) { fi.dep.az.expire(fi) }, timerStale)
 	}
 	return c.expiry
 }
@@ -342,8 +342,8 @@ type Request struct {
 type Response struct {
 	// Err is nil on success; ErrThrottled / ErrSaturated / ... otherwise.
 	Err error
-	// FI / Host / CPU identify where the request ran.
-	FI   string
+	// Host / CPU identify where the request ran; Profile.Instance names
+	// the instance (AppendInstanceID spells it).
 	Host string
 	CPU  cpu.Kind
 	// Cold reports a cold start.
@@ -695,8 +695,7 @@ func (inv *invocation) finish() {
 	inv.acct.inflight--
 	az.releaseFI(fi)
 
-	profile, perr := saaf.Collect(cpu.CPUInfo(fi.host.kind, dep.vcpus()), fi.id, fi.host.ID(), r.Cold, billedMS)
-	profile.Instance = fi.num
+	profile, perr := saaf.Collect(cpu.CPUInfo(fi.host.kind, dep.vcpus()), fi.num, fi.host.ID(), r.Cold, billedMS)
 	if r.Err == nil && perr != nil {
 		r.Err = perr
 	}
@@ -705,7 +704,7 @@ func (inv *invocation) finish() {
 	} else {
 		az.m.billedMS.Observe(billedMS)
 	}
-	r.FI, r.Host, r.CPU = fi.id, fi.host.ID(), profile.Kind
+	r.Host, r.CPU = fi.host.ID(), profile.Kind
 	r.BilledMS, r.CostUSD, r.Profile = billedMS, cost, profile
 	inv.respond()
 }

@@ -2,6 +2,7 @@ package cloudsim
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -68,13 +69,13 @@ func TestInvokeSleepBasics(t *testing.T) {
 	if resp.BilledMS < 250 || resp.BilledMS > 300 {
 		t.Errorf("billed %v ms, want ~250", resp.BilledMS)
 	}
-	if resp.FI == "" || resp.Host == "" {
-		t.Error("missing FI/host ids")
+	if resp.Profile.Instance != 1 || resp.Host == "" {
+		t.Errorf("instance %d on host %q, want the zone's first instance on a named host", resp.Profile.Instance, resp.Host)
 	}
 	if !resp.CPU.Valid() {
 		t.Errorf("invalid CPU kind %v", resp.CPU)
 	}
-	if resp.Profile.UUID != resp.FI || resp.Profile.Kind != resp.CPU {
+	if resp.Profile.UUID != "" || resp.Profile.VMID != resp.Host || resp.Profile.Kind != resp.CPU {
 		t.Error("profile inconsistent with response")
 	}
 	if resp.CostUSD <= 0 {
@@ -82,6 +83,23 @@ func TestInvokeSleepBasics(t *testing.T) {
 	}
 	if got := c.Meter().Total("acct"); math.Abs(got-resp.CostUSD) > 1e-12 {
 		t.Errorf("meter %v != response cost %v", got, resp.CostUSD)
+	}
+}
+
+// TestInstanceIDSpellsZoneAndNumber: an instance's name, which nothing
+// stores, is "fi-<zone>-<n>" for the zone's n'th instance.
+func TestInstanceIDSpellsZoneAndNumber(t *testing.T) {
+	_, c := testWorld(t, plainAZ(1024), Options{})
+	deploySleep(t, c, "fn", time.Millisecond)
+	az, _ := c.AZ("test-az-1a")
+	for i, want := range []string{"fi-test-az-1a-1", "fi-test-az-1a-2"} {
+		fi, cold, err := az.acquireFI(az.deployments["fn"])
+		if err != nil || !cold {
+			t.Fatalf("instance %d: cold %v, %v", i+1, cold, err)
+		}
+		if got := fi.ID(); got != want {
+			t.Errorf("instance %d is named %q, want %q", i+1, got, want)
+		}
 	}
 }
 
@@ -103,8 +121,8 @@ func TestWarmReuse(t *testing.T) {
 	if second.Cold {
 		t.Error("sequential invocation did not reuse the warm instance")
 	}
-	if first.FI != second.FI {
-		t.Errorf("different FIs: %s then %s", first.FI, second.FI)
+	if first.Profile.Instance != second.Profile.Instance {
+		t.Errorf("different FIs: %d then %d", first.Profile.Instance, second.Profile.Instance)
 	}
 	if second.Profile.NewContainer != 0 {
 		t.Error("profile still claims new container")
@@ -115,12 +133,12 @@ func TestConcurrentRequestsUseDistinctFIs(t *testing.T) {
 	env, c := testWorld(t, plainAZ(1024), Options{})
 	deploySleep(t, c, "fn", 250*time.Millisecond)
 	const n = 100
-	fis := make(map[string]int)
+	fis := make(map[int]int)
 	done := 0
 	for i := 0; i < n; i++ {
 		c.StartInvoke(Request{Account: "a", AZ: "test-az-1a", Function: "fn"}, func(r Response) {
 			if r.OK() {
-				fis[r.FI]++
+				fis[r.Profile.Instance]++
 			}
 			done++
 		})
@@ -1023,7 +1041,7 @@ func TestDeterministicReplay(t *testing.T) {
 		env.Go("client", func(p *sim.Proc) error {
 			for i := 0; i < 30; i++ {
 				r := c.Invoke(p, Request{Account: "a", AZ: "test-az-1a", Function: "fn"})
-				log = append(log, r.FI+"/"+r.CPU.String())
+				log = append(log, fmt.Sprintf("%d/%s", r.Profile.Instance, r.CPU))
 			}
 			return nil
 		})

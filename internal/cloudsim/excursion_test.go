@@ -126,7 +126,7 @@ func TestAccessors(t *testing.T) {
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if resp.FI == "" {
+	if resp.Profile.Instance == 0 {
 		t.Fatal("no FI")
 	}
 	region, ok := cloud.Region("r")

@@ -139,7 +139,7 @@ func (az *AZ) PreWarm(fn string, n int, account string) (int, float64, error) {
 // SetWarmFloor sets the deployment's warm-pool floor: keep-alive expiry
 // holds up to n idle instances alive instead of reaping them. Every idle
 // instance is re-armed so a lowered floor reaps the excess after one
-// keep-alive window. The re-arm does not bump idleGen, so the timer an
+// keep-alive window. The re-arm leaves idleSeq alone, so the timer an
 // instance already had stays valid and fires first: if the floor no longer
 // holds the instance it is reaped then and the duplicate finds it
 // destroyed; if the floor still holds it, the duplicate checks again one
@@ -154,7 +154,7 @@ func (az *AZ) SetWarmFloor(fn string, n int) error {
 	}
 	dep.floor = n
 	for fi := dep.idleHead; fi != nil; fi = fi.next {
-		az.armExpiry(fi)
+		az.cloud.keepAlive().Push(fi)
 	}
 	return nil
 }

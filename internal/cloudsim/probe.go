@@ -95,8 +95,7 @@ func (inv *invocation) runProbe(b ProbeBehavior) bool {
 // filled in the CPU, the bill and the outcome.
 func (inv *invocation) decline() {
 	fi, r := inv.fi, &inv.resp
-	r.Profile, r.Err = saaf.Collect(cpu.CPUInfo(fi.host.kind, inv.dep.vcpus()), fi.id, fi.host.ID(), r.Cold, r.BilledMS)
-	r.Profile.Instance = fi.num
-	r.FI, r.Host, r.Ended = fi.id, fi.host.ID(), inv.c.env.Now()
+	r.Profile, r.Err = saaf.Collect(cpu.CPUInfo(fi.host.kind, inv.dep.vcpus()), fi.num, fi.host.ID(), r.Cold, r.BilledMS)
+	r.Host, r.Ended = fi.host.ID(), inv.c.env.Now()
 	inv.respond()
 }

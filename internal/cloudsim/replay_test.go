@@ -44,8 +44,8 @@ func geoDigest(t *testing.T) string {
 						errStr = resp.Err.Error()
 					}
 					lines[z] = append(lines[z], fmt.Sprintf(
-						"%s r%d %s cold=%t fi=%s cpu=%v billed=%.3f cost=%.9f at=%s",
-						z, round, errStr, resp.Cold, resp.FI, resp.CPU,
+						"%s r%d %s cold=%t fi=%d cpu=%v billed=%.3f cost=%.9f at=%s",
+						z, round, errStr, resp.Cold, resp.Profile.Instance, resp.CPU,
 						resp.BilledMS, resp.CostUSD, env.Now().Format(time.RFC3339Nano)))
 				})
 			})

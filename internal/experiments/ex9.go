@@ -244,6 +244,7 @@ func startZoneLoad(cloud *cloudsim.Cloud, ch *meshChain, workers, n int) {
 		if seq%meshCrossEvery == 0 {
 			target, fn = ch.partnerAZ, ch.partnerFn
 		}
+		zone := target // never reassigned, so the callback captures a copy
 		cloud.StartInvoke(cloudsim.Request{
 			Account:  "ex9",
 			AZ:       target,
@@ -253,10 +254,14 @@ func startZoneLoad(cloud *cloudsim.Cloud, ch *meshChain, workers, n int) {
 			// Fold the response: FNV-1a over the identifying fields keeps the
 			// checksum sensitive to placement, billing, and timing alike.
 			// Hand-rolled (no fmt, no hash.Hash) — this runs once per
-			// invocation and must stay off the allocator.
+			// invocation and must stay off the allocator, so the instance's
+			// name is spelled into a stack buffer.
 			h := uint64(fnvOffset)
-			for i := 0; i < len(resp.FI); i++ {
-				h = (h ^ uint64(resp.FI[i])) * fnvPrime
+			if n := resp.Profile.Instance; n != 0 {
+				var buf [64]byte
+				for _, c := range cloudsim.AppendInstanceID(buf[:0], zone, n) {
+					h = (h ^ uint64(c)) * fnvPrime
+				}
 			}
 			h = (h ^ uint64(resp.CPU)) * fnvPrime
 			if resp.Cold {

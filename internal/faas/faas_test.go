@@ -118,12 +118,12 @@ func TestInvokeBatchParallelism(t *testing.T) {
 	if len(responses) != 50 {
 		t.Fatalf("%d responses", len(responses))
 	}
-	fis := map[string]bool{}
+	fis := map[int]bool{}
 	for i, r := range responses {
 		if !r.OK() {
 			t.Fatalf("response %d: %v", i, r.Err)
 		}
-		fis[r.FI] = true
+		fis[r.Profile.Instance] = true
 	}
 	if len(fis) != 50 {
 		t.Errorf("batch used %d unique FIs, want 50 (parallel)", len(fis))

@@ -1,7 +1,6 @@
 package refresh
 
 import (
-	"fmt"
 	"testing"
 	"time"
 
@@ -22,10 +21,12 @@ func storedChar(store *charact.Store, az string, taken time.Time, counts charact
 	})
 }
 
-// feed records n deduplicated passive observations of kind k at time t.
-func feed(p *charact.Passive, az string, t time.Time, k cpu.Kind, n int, tag string) {
-	for i := 0; i < n; i++ {
-		p.Observe(az, t, fmt.Sprintf("%s-%s-%d", tag, k, i), k)
+// feed records n deduplicated passive observations of kind k at time t:
+// instances numbered by kind, so feeds of different kinds into one zone
+// name different instances.
+func feed(p *charact.Passive, az string, t time.Time, k cpu.Kind, n int) {
+	for i := 1; i <= n; i++ {
+		p.Observe(az, t, int(k)*100_000+i, k)
 	}
 }
 
@@ -33,7 +34,7 @@ func TestDetectorNoStoredCharacterization(t *testing.T) {
 	pass := charact.NewPassive(time.Hour)
 	store := charact.NewStore(0)
 	det := NewDetector(pass, store, 10)
-	feed(pass, "az-a", epoch, cpu.Xeon25, 20, "x")
+	feed(pass, "az-a", epoch, cpu.Xeon25, 20)
 
 	sc := det.Score("az-a", epoch)
 	if sc.Confident {
@@ -49,7 +50,7 @@ func TestDetectorBelowMinSamples(t *testing.T) {
 	store := charact.NewStore(0)
 	det := NewDetector(pass, store, 10)
 	storedChar(store, "az-a", epoch, charact.Counts{cpu.Xeon25: 50})
-	feed(pass, "az-a", epoch, cpu.EPYC, 9, "x")
+	feed(pass, "az-a", epoch, cpu.EPYC, 9)
 
 	if sc := det.Score("az-a", epoch); sc.Confident {
 		t.Fatalf("9 samples under a floor of 10 must not be confident: %+v", sc)
@@ -62,8 +63,8 @@ func TestDetectorAgreementScoresNearZero(t *testing.T) {
 	det := NewDetector(pass, store, 10)
 	// Stored: 80/20 Xeon25/Xeon30. Passive sees the same mix.
 	storedChar(store, "az-a", epoch, charact.Counts{cpu.Xeon25: 80, cpu.Xeon30: 20})
-	feed(pass, "az-a", epoch, cpu.Xeon25, 40, "x")
-	feed(pass, "az-a", epoch, cpu.Xeon30, 10, "y")
+	feed(pass, "az-a", epoch, cpu.Xeon25, 40)
+	feed(pass, "az-a", epoch, cpu.Xeon30, 10)
 
 	sc := det.Score("az-a", epoch)
 	if !sc.Confident {
@@ -81,7 +82,7 @@ func TestDetectorDivergenceScoresHigh(t *testing.T) {
 	// Model says all-Xeon30; traffic lands entirely on EPYC (a kind the
 	// model has never seen — the floor-share path in chiSquare).
 	storedChar(store, "az-a", epoch, charact.Counts{cpu.Xeon30: 100})
-	feed(pass, "az-a", epoch, cpu.EPYC, 50, "x")
+	feed(pass, "az-a", epoch, cpu.EPYC, 50)
 
 	sc := det.Score("az-a", epoch)
 	if !sc.Confident {
@@ -103,7 +104,7 @@ func TestDetectorExpiredWindowLosesConfidence(t *testing.T) {
 	store := charact.NewStore(0)
 	det := NewDetector(pass, store, 10)
 	storedChar(store, "az-a", epoch, charact.Counts{cpu.Xeon30: 100})
-	feed(pass, "az-a", epoch, cpu.EPYC, 50, "x")
+	feed(pass, "az-a", epoch, cpu.EPYC, 50)
 
 	if sc := det.Score("az-a", epoch.Add(time.Minute)); !sc.Confident || sc.TV < 0.99 {
 		t.Fatalf("fresh observations must yield a confident drifted score: %+v", sc)

@@ -118,8 +118,8 @@ func TestModeDriftRefreshesOnlyDriftedZone(t *testing.T) {
 	// traffic lands on EPYC.
 	storedChar(store, "az-ok", epoch, charact.Counts{cpu.Xeon25: 50})
 	storedChar(store, "az-bad", epoch, charact.Counts{cpu.Xeon30: 50})
-	feed(pass, "az-ok", epoch, cpu.Xeon25, 40, "ok")
-	feed(pass, "az-bad", epoch, cpu.EPYC, 40, "bad")
+	feed(pass, "az-ok", epoch, cpu.Xeon25, 40)
+	feed(pass, "az-bad", epoch, cpu.EPYC, 40)
 
 	fs := &fakeSampler{cost: 0.01, delay: 30 * time.Second, mix: map[string]charact.Counts{
 		"az-bad": {cpu.EPYC: 50}, // re-sampling discovers the new reality
@@ -279,7 +279,7 @@ func TestSnapshotZoneStatus(t *testing.T) {
 	store := charact.NewStore(time.Hour)
 	pass := charact.NewPassive(2 * time.Hour)
 	storedChar(store, "az-a", epoch, charact.Counts{cpu.Xeon30: 50})
-	feed(pass, "az-a", epoch, cpu.EPYC, 40, "x")
+	feed(pass, "az-a", epoch, cpu.EPYC, 40)
 	fs := &fakeSampler{cost: 0.01}
 	m := newMaintainer(t, env, Config{
 		Zones:          []string{"az-a", "az-new"},

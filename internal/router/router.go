@@ -69,7 +69,7 @@ func (r *Router) observePassive(az string, resp cloudsim.Response) {
 	if r.passive == nil || !resp.OK() {
 		return
 	}
-	r.passive.Observe(az, resp.Ended, resp.FI, resp.Profile.Kind)
+	r.passive.Observe(az, resp.Ended, resp.Profile.Instance, resp.Profile.Kind)
 }
 
 // Perf exposes the router's performance model.

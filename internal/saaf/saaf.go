@@ -20,13 +20,16 @@ import (
 // Report is the per-invocation profile SAAF returns with a function's
 // response. Field names follow SAAF's JSON attribute conventions.
 type Report struct {
-	// UUID identifies the function instance (stable across warm reuses).
+	// UUID identifies the function instance (stable across warm reuses) on
+	// the wire only: Parse fills it and Marshal writes it, but Collect
+	// leaves it empty, since in process the instance is its number.
 	UUID string `json:"uuid"`
 	// Instance is the instance's number in its zone, which the platform
 	// hands out densely from 1: two reports from one zone name the same
-	// instance exactly when their UUIDs are equal, so a consumer can dedupe
-	// on it without hashing strings. It is platform metadata, not part of
-	// SAAF's report (not serialized, 0 after Parse).
+	// instance exactly when their numbers are equal, so a consumer can
+	// dedupe on it without hashing strings, and 0 means no instance. It is
+	// platform metadata, not part of SAAF's report (not serialized, 0 after
+	// Parse).
 	Instance int `json:"-"`
 	// VMID identifies the host machine the instance landed on.
 	VMID string `json:"vmID"`
@@ -47,16 +50,17 @@ type Report struct {
 }
 
 // Collect builds a report from what a guest observes. cpuinfo is the raw
-// /proc/cpuinfo content; fi and host are the platform-assigned identifiers
-// the guest reads from its environment.
-func Collect(cpuinfo, fi, host string, cold bool, runtimeMS float64) (Report, error) {
+// /proc/cpuinfo content; instance is the instance's number in its zone and
+// host the platform-assigned host identifier the guest reads from its
+// environment.
+func Collect(cpuinfo string, instance int, host string, cold bool, runtimeMS float64) (Report, error) {
 	kind, procs, err := cpu.ParseCPUInfo(cpuinfo)
 	if err != nil {
 		return Report{}, fmt.Errorf("saaf: %w", err)
 	}
 	info := cpu.MustLookup(kind)
 	r := Report{
-		UUID:      fi,
+		Instance:  instance,
 		VMID:      host,
 		CPUModel:  info.Model,
 		CPUMHz:    info.ClockGHz * 1000,

@@ -9,7 +9,7 @@ import (
 
 func TestCollectFromCPUInfo(t *testing.T) {
 	dump := cpu.CPUInfo(cpu.Xeon30, 2)
-	r, err := Collect(dump, "fi-1", "host-9", true, 123.4)
+	r, err := Collect(dump, 1, "host-9", true, 123.4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,8 +25,8 @@ func TestCollectFromCPUInfo(t *testing.T) {
 	if !r.Cold() {
 		t.Error("cold flag lost")
 	}
-	if r.UUID != "fi-1" || r.VMID != "host-9" {
-		t.Errorf("ids = %q %q", r.UUID, r.VMID)
+	if r.Instance != 1 || r.UUID != "" || r.VMID != "host-9" {
+		t.Errorf("ids = %d %q %q, want instance 1, no uuid, host-9", r.Instance, r.UUID, r.VMID)
 	}
 	if r.RuntimeMS != 123.4 {
 		t.Errorf("runtime = %v", r.RuntimeMS)
@@ -34,7 +34,7 @@ func TestCollectFromCPUInfo(t *testing.T) {
 }
 
 func TestCollectWarm(t *testing.T) {
-	r, err := Collect(cpu.CPUInfo(cpu.EPYC, 1), "fi", "h", false, 1)
+	r, err := Collect(cpu.CPUInfo(cpu.EPYC, 1), 1, "h", false, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,20 +47,21 @@ func TestCollectWarm(t *testing.T) {
 }
 
 func TestCollectRejectsGarbage(t *testing.T) {
-	if _, err := Collect("not cpuinfo", "fi", "h", false, 1); err == nil {
+	if _, err := Collect("not cpuinfo", 1, "h", false, 1); err == nil {
 		t.Fatal("garbage accepted")
 	}
-	if _, err := Collect("", "fi", "h", false, 1); err == nil {
+	if _, err := Collect("", 1, "h", false, 1); err == nil {
 		t.Fatal("empty accepted")
 	}
 }
 
 func TestMarshalParseRoundTrip(t *testing.T) {
 	for _, k := range cpu.Kinds() {
-		orig, err := Collect(cpu.CPUInfo(k, 2), "fi-x", "host-y", true, 55.5)
+		orig, err := Collect(cpu.CPUInfo(k, 2), 0, "host-y", true, 55.5)
 		if err != nil {
 			t.Fatal(err)
 		}
+		orig.UUID = "fi-x"
 		blob, err := Marshal(orig)
 		if err != nil {
 			t.Fatal(err)
@@ -76,7 +77,7 @@ func TestMarshalParseRoundTrip(t *testing.T) {
 }
 
 func TestMarshalUsesSAAFFieldNames(t *testing.T) {
-	r, err := Collect(cpu.CPUInfo(cpu.Xeon25, 1), "fi", "h", false, 1)
+	r, err := Collect(cpu.CPUInfo(cpu.Xeon25, 1), 1, "h", false, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,11 +106,11 @@ func TestParseRejectsUnknownModel(t *testing.T) {
 // to the bytes it did before reports carried one, and Parse leaves it 0.
 func TestMarshalOmitsInstance(t *testing.T) {
 	const want = `{"uuid":"fi-us-west-1a-7","vmID":"vm-us-west-1a-3","cpuType":"Intel(R) Xeon(R) Processor @ 2.50GHz","cpuMHz":2500,"vcpus":2,"newcontainer":1,"runtime":12.5}`
-	r, err := Collect(cpu.CPUInfo(cpu.Xeon25, 2), "fi-us-west-1a-7", "vm-us-west-1a-3", true, 12.5)
+	r, err := Collect(cpu.CPUInfo(cpu.Xeon25, 2), 7, "vm-us-west-1a-3", true, 12.5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.Instance = 7
+	r.UUID = "fi-us-west-1a-7"
 	blob, err := Marshal(r)
 	if err != nil {
 		t.Fatal(err)

@@ -11,6 +11,6 @@ import (
 // is the run's, which the next poll clears, so f must copy what it keeps.
 func (s *Sampler) OnReports(f func([]saaf.Report)) {
 	s.onReports = func(slab []saaf.Report) {
-		f(slices.DeleteFunc(slab, func(rep saaf.Report) bool { return rep.UUID == "" }))
+		f(slices.DeleteFunc(slab, func(rep saaf.Report) bool { return rep.Instance == 0 }))
 	}
 }

@@ -159,8 +159,10 @@ func (s *Sampler) subtreeRequests(depth int) int {
 // tree is one poll's fan-out: the endpoint every node invokes, how long
 // each request holds its instance, and one report slot per request in
 // preorder, so a node rooted at slot i has its j'th child at
-// i + 1 + j*subtreeRequests(depth-1). Read in slot order, the filled slots
-// are the reports in the order a depth-first walk of the tree meets them.
+// i + 1 + j*subtreeRequests(depth-1). A slot is filled when its request
+// succeeds, and a filled slot's Instance is never 0. Read in slot order, the
+// filled slots are the reports in the order a depth-first walk of the tree
+// meets them.
 type tree struct {
 	s      *Sampler
 	az, fn string
@@ -307,10 +309,11 @@ func (s *Sampler) pollWith(p *sim.Proc, az, fn string, idx int, sleep time.Durat
 		CostUSD:   agg.cost,
 	}
 	// Count the filled slots and each instance's first sighting in the
-	// run; every report names its instance, so an empty UUID marks a
-	// request that never reported.
+	// run; only a successful request fills its slot, and every report
+	// carries its instance's number, which starts at 1, so Instance 0 marks
+	// a request that never reported.
 	for _, rep := range t.slots {
-		if rep.UUID == "" {
+		if rep.Instance == 0 {
 			continue
 		}
 		res.Reported++
@@ -409,7 +412,7 @@ func (s *Sampler) SweepSleep(p *sim.Proc, az string, sleeps []time.Duration, mem
 // sightings dedupes one zone's instances by the number each report
 // carries (saaf.Report.Instance): instance n has been seen iff s[n]. The
 // zone numbers its instances densely, so this is a flat bitmap where a set
-// of UUID strings would hash every report.
+// of instance names would hash every report.
 type sightings []bool
 
 // first reports whether this is the first sighting of instance n, and

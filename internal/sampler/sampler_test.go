@@ -103,9 +103,9 @@ func TestPollObservesUniqueFIs(t *testing.T) {
 	if len(reports) != res.Requested || res.Reported != len(reports) {
 		t.Fatalf("%d reports (%d counted) for %d requests", len(reports), res.Reported, res.Requested)
 	}
-	unique := map[string]bool{}
+	unique := map[int]bool{}
 	for _, rep := range reports {
-		unique[rep.UUID] = true
+		unique[rep.Instance] = true
 		if !rep.Kind.Valid() {
 			t.Fatalf("invalid kind in report: %+v", rep)
 		}
@@ -134,13 +134,13 @@ func TestRepollSameEndpointReusesWarmFIs(t *testing.T) {
 		t.Fatal(err)
 	}
 	first, second := (*polls)[0], (*polls)[1]
-	firstIDs := map[string]bool{}
+	firstIDs := map[int]bool{}
 	for _, rep := range first {
-		firstIDs[rep.UUID] = true
+		firstIDs[rep.Instance] = true
 	}
 	reused := 0
 	for _, rep := range second {
-		if firstIDs[rep.UUID] {
+		if firstIDs[rep.Instance] {
 			reused++
 		}
 	}
@@ -162,13 +162,13 @@ func TestDistinctEndpointsSeeFreshFIs(t *testing.T) {
 		t.Fatal(err)
 	}
 	first, second := (*polls)[0], (*polls)[1]
-	firstIDs := map[string]bool{}
+	firstIDs := map[int]bool{}
 	for _, rep := range first {
-		firstIDs[rep.UUID] = true
+		firstIDs[rep.Instance] = true
 	}
 	for _, rep := range second {
-		if firstIDs[rep.UUID] {
-			t.Fatalf("endpoint 1 reused endpoint 0's instance %s", rep.UUID)
+		if firstIDs[rep.Instance] {
+			t.Fatalf("endpoint 1 reused endpoint 0's instance %d", rep.Instance)
 		}
 	}
 }

@@ -15,15 +15,18 @@ import (
 )
 
 // TestFreshCountsAgreeWithUUIDDedupe checks the sampler's dedupe, which
-// runs on the instance number a report carries, against the dedupe by
-// UUID string it replaced: over five seeds and every zone of the reduced
-// world, each poll's Fresh counts must equal a UUID-set dedupe of the same
-// poll's reports. The two agree only because a zone numbers its instances
-// densely and one-to-one with their UUIDs, which the test checks too. The
-// sampler cycles two endpoints instead of the reduced experiments' sixty,
-// so the third and fourth polls land on instances the first two left warm
-// and the dedupe has repeats to drop, and polls the paper's 1,000
-// requests, so a zone numbers thousands.
+// runs on the instance number a report carries, against a dedupe by the
+// instance's name, the UUID a report carries on the wire: over five seeds
+// and every zone of the reduced world, each poll's Fresh counts must equal
+// a name-set dedupe of the same poll's reports. The sampler's bitmap is as
+// small as the zone's instance count only because a zone numbers its
+// instances densely from 1, which the test checks too: the sampler's
+// endpoints are the only functions in the zone and every instance they get
+// reports, so the numbers sighted in a zone are exactly 1..n. The sampler
+// cycles two endpoints instead of the reduced experiments' sixty, so the
+// third and fourth polls land on instances the first two left warm and the
+// dedupe has repeats to drop, and polls the paper's 1,000 requests, so a
+// zone numbers thousands.
 func TestFreshCountsAgreeWithUUIDDedupe(t *testing.T) {
 	const polls = 4
 	cfg := sampler.Config{Endpoints: 2, PollSize: 1000, Branch: 10, InterPollPause: 500 * time.Millisecond}
@@ -37,31 +40,25 @@ func TestFreshCountsAgreeWithUUIDDedupe(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// The UUID dedupe of each poll of the zone being characterized,
+		// The name dedupe of each poll of the zone being characterized,
 		// built from the reports the poll hands the hook.
 		var (
+			az     string
 			want   []charact.Counts
 			seen   map[string]bool
-			uuidOf map[int]string
-			numOf  map[string]int
-			bad    error
+			maxNum int
 		)
 		rt.Sampler().OnReports(func(reps []saaf.Report) {
 			fresh := charact.Counts{}
 			for _, rep := range reps {
 				reports++
-				if u, ok := uuidOf[rep.Instance]; ok && u != rep.UUID && bad == nil {
-					bad = fmt.Errorf("instance %d is both %s and %s", rep.Instance, u, rep.UUID)
-				}
-				if n, ok := numOf[rep.UUID]; ok && n != rep.Instance && bad == nil {
-					bad = fmt.Errorf("%s is both instance %d and %d", rep.UUID, n, rep.Instance)
-				}
-				uuidOf[rep.Instance], numOf[rep.UUID] = rep.UUID, rep.Instance
-				if seen[rep.UUID] {
+				maxNum = max(maxNum, rep.Instance)
+				name := string(cloudsim.AppendInstanceID(nil, az, rep.Instance))
+				if seen[name] {
 					repeats++
 					continue
 				}
-				seen[rep.UUID] = true
+				seen[name] = true
 				fresh.Add(rep.Kind)
 			}
 			want = append(want, fresh)
@@ -69,25 +66,25 @@ func TestFreshCountsAgreeWithUUIDDedupe(t *testing.T) {
 		err = rt.Do(func(p *sim.Proc) error {
 			for _, region := range rt.Cloud().Regions() {
 				for _, zone := range region.AZs() {
-					az := zone.Name()
+					az = zone.Name()
 					if err := rt.EnsureSamplerEndpoints(az); err != nil {
 						return err
 					}
-					want, seen, uuidOf, numOf = nil, map[string]bool{}, map[int]string{}, map[string]int{}
+					want, seen, maxNum = nil, map[string]bool{}, 0
 					_, trail, err := rt.Sampler().CharacterizeQuick(p, az, polls)
 					if err != nil {
 						return err
-					}
-					if bad != nil {
-						return fmt.Errorf("seed %d %s: %w", seed, az, bad)
 					}
 					if len(want) != len(trail) {
 						return fmt.Errorf("seed %d %s: %d polls reported for a trail of %d", seed, az, len(want), len(trail))
 					}
 					for i, pr := range trail {
 						if !reflect.DeepEqual(pr.Fresh, want[i]) || pr.NewFIs != want[i].Total() {
-							t.Errorf("seed %d %s poll %d: Fresh %v (%d new), UUID dedupe %v", seed, az, i, pr.Fresh, pr.NewFIs, want[i])
+							t.Errorf("seed %d %s poll %d: Fresh %v (%d new), name dedupe %v", seed, az, i, pr.Fresh, pr.NewFIs, want[i])
 						}
+					}
+					if maxNum != len(seen) {
+						return fmt.Errorf("seed %d %s: %d instances sighted, numbered up to %d", seed, az, len(seen), maxNum)
 					}
 					most = max(most, len(seen))
 				}

@@ -6,7 +6,7 @@ import (
 )
 
 // never is the staleness predicate of a lane whose timers all stay live.
-func never(int) bool { return false }
+func never(int, uint64) bool { return false }
 
 // firing is one entry of a run's log: when an event ran and which one.
 type firing struct {
@@ -35,7 +35,7 @@ func laneScript(e *Env, seed uint64, useLane bool) *[]firing {
 	var fire func(id int)
 	void := make(map[int]bool)
 	var armed []int // lane timers, voided ones included
-	stale := func(id int) bool { return void[id] }
+	stale := func(id int, _ uint64) bool { return void[id] }
 	var lanes [2]*Lane[int]
 	for i := range lanes {
 		lanes[i] = NewLane(e, delays[i], func(id int) { fire(id) }, stale)
@@ -55,7 +55,7 @@ func laneScript(e *Env, seed uint64, useLane bool) *[]firing {
 			case c < 2:
 				armed = append(armed, id)
 				e.Schedule(delays[c], func() {
-					if !stale(id) {
+					if !void[id] {
 						fire(id)
 					}
 				})
@@ -169,7 +169,7 @@ func TestLaneDropsStaleTimers(t *testing.T) {
 	e := NewEnv(epoch)
 	gen := 0
 	var fired []int
-	l := NewLane(e, time.Minute, func(g int) { fired = append(fired, g) }, func(g int) bool { return g != gen })
+	l := NewLane(e, time.Minute, func(g int) { fired = append(fired, g) }, func(g int, _ uint64) bool { return g != gen })
 	for i := 0; i < 10_000; i++ {
 		gen++
 		l.Push(gen)
@@ -206,7 +206,7 @@ func TestLaneWorkIsLinear(t *testing.T) {
 					t.Fatalf("live %.2f late %v: timer %d fired after it went stale", live, late, id)
 				}
 				firedLive++
-			}, func(id int) bool { return void[id] })
+			}, func(id int, _ uint64) bool { return void[id] })
 			for id := 0; id < n; id++ {
 				l.Push(id)
 				switch {

@@ -72,7 +72,8 @@ func (k kernel) post(at time.Duration, fn func()) {
 }
 
 func (k kernel) lane(delay time.Duration, fn func(int)) func(int) {
-	return NewLane(k.Env, delay, fn, never).Push
+	l := NewLane(k.Env, delay, fn, never)
+	return func(v int) { l.Push(v) }
 }
 
 // heapEnv is a minimal kernel on the oracle heap: its lanes are the
@@ -237,7 +238,7 @@ func FuzzQueue(f *testing.F) {
 		stale := make(map[uint64]bool) // lane timers by seq, until fired live
 		var pending []uint64           // live lane timers not yet fired, by seq
 		lane := NewLane(e, laneDelay, func(seq uint64) { fired = key{e.now, seq} },
-			func(seq uint64) bool { return stale[seq] })
+			func(_, seq uint64) bool { return stale[seq] })
 		laneQueued := 0 // lane timers in the oracle
 		check := func(step int) {
 			t.Helper()
@@ -329,8 +330,9 @@ func FuzzQueue(f *testing.F) {
 					reserved = append(reserved[:j], reserved[j+1:]...)
 				}
 			case 4, 5:
-				lane.Push(e.seq + 1)
-				k := key{e.now + laneDelay, e.seq}
+				// The timer logs its value, the seq Push is to return, so a
+				// wrong return fires under a key the heap does not have.
+				k := key{e.now + laneDelay, lane.Push(e.seq + 1)}
 				stale[k.seq] = false
 				pending = append(pending, k.seq)
 				laneQueued++

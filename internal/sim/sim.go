@@ -12,7 +12,7 @@
 //     the ones the caller's predicate reports stale instead of firing them
 //     as no-ops. The event queue already keeps a burst that shares a delay
 //     as one sorted run behind a single heap entry (queue.go); what a Lane
-//     adds is memory: a keep-alive timer is a closure-free 32-byte slot
+//     adds is memory: a keep-alive timer is a closure-free 24-byte slot
 //     instead of a closure per Schedule, held only while it is live.
 //   - Processes: Env.Go(name, fn) starts a cooperative process — a goroutine
 //     that may block on Proc.Sleep and Proc.Wait — and it stays fully

@@ -16,7 +16,9 @@ import (
 
 // Record is one invocation's trace line.
 type Record struct {
-	Time     time.Time `json:"time"` // response delivery (virtual)
+	// Time is the virtual handler end (a probe's decision, for a decline),
+	// or the send time of a request that never ran.
+	Time     time.Time `json:"time"`
 	AZ       string    `json:"az"`
 	Function string    `json:"function"`
 	Account  string    `json:"account"`
@@ -54,7 +56,6 @@ func (r *Recorder) Hook() func(cloudsim.Request, cloudsim.Response) {
 			AZ:       req.AZ,
 			Function: req.Function,
 			Account:  req.Account,
-			FI:       resp.FI,
 			Host:     resp.Host,
 			Cold:     resp.Cold,
 			BilledMS: resp.BilledMS,
@@ -62,6 +63,9 @@ func (r *Recorder) Hook() func(cloudsim.Request, cloudsim.Response) {
 		}
 		if rec.Time.IsZero() {
 			rec.Time = resp.Sent
+		}
+		if n := resp.Profile.Instance; n != 0 {
+			rec.FI = string(cloudsim.AppendInstanceID(nil, req.AZ, n))
 		}
 		if resp.CPU.Valid() {
 			rec.CPU = resp.CPU.String()

@@ -143,3 +143,70 @@ func TestRecorderConcurrentUse(t *testing.T) {
 		t.Fatalf("lines = %d, want %d", lines, writers*each)
 	}
 }
+
+// TestRecorderNamesInstances pins the instance names a trace prints: a
+// success and a probe's decline name the instance they ran on,
+// "fi-<zone>-<n>" with n the zone's instance number, and a throttled
+// request, which ran on none, has no "fi" key.
+func TestRecorderNamesInstances(t *testing.T) {
+	var buf bytes.Buffer
+	rec := NewRecorder(&buf)
+	env := sim.NewEnv(time.Date(2026, 3, 1, 0, 0, 0, 0, time.UTC))
+	catalog := []cloudsim.RegionSpec{{
+		Provider: cloudsim.AWS, Name: "r", Loc: geo.Coord{},
+		AZs: []cloudsim.AZSpec{{
+			Name: "r-az", PoolFIs: 256,
+			Mix: map[cpu.Kind]float64{cpu.Xeon25: 1},
+		}},
+	}}
+	cloud := cloudsim.New(env, 5, catalog, cloudsim.Options{
+		HorizonDays: 1,
+		Quota:       2,
+		OnResponse:  rec.Hook(),
+	})
+	if _, err := cloud.Deploy("r-az", "fn", cloudsim.DeployConfig{
+		MemoryMB: 1024, Behavior: cloudsim.SleepBehavior{D: 20 * time.Millisecond},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cloud.Deploy("r-az", "probe", cloudsim.DeployConfig{
+		MemoryMB: 1024, Behavior: cloudsim.ProbeBehavior{Banned: cpu.MaskOf(cpu.Xeon25)},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	// Two requests fill the account's quota of 2, so the third is
+	// throttled.
+	for _, fn := range []string{"fn", "probe", "fn"} {
+		cloud.StartInvoke(cloudsim.Request{Account: "a", AZ: "r-az", Function: fn}, func(cloudsim.Response) {})
+	}
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+	if len(lines) != 3 {
+		t.Fatalf("%d records, want 3:\n%s", len(lines), buf.String())
+	}
+	var ran, declined, throttled int
+	for _, line := range lines {
+		switch {
+		case strings.Contains(line, `"error":"`):
+			throttled++
+			if strings.Contains(line, `"fi"`) {
+				t.Errorf("a throttled request names an instance: %s", line)
+			}
+		case strings.Contains(line, `"declined":true`):
+			declined++
+			if !strings.Contains(line, `"fi":"fi-r-az-2"`) {
+				t.Errorf("the decline does not name instance 2: %s", line)
+			}
+		default:
+			ran++
+			if !strings.Contains(line, `"fi":"fi-r-az-1"`) {
+				t.Errorf("the success does not name instance 1: %s", line)
+			}
+		}
+	}
+	if ran != 1 || declined != 1 || throttled != 1 {
+		t.Fatalf("%d ran, %d declined, %d failed, want 1 each:\n%s", ran, declined, throttled, buf.String())
+	}
+}
