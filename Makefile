@@ -80,7 +80,6 @@ race:
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzParseCPUInfo -fuzztime=10s ./internal/cpu/
 	$(GO) test -run='^$$' -fuzz=FuzzDecode -fuzztime=10s ./internal/dynfunc/
-	$(GO) test -run='^$$' -fuzz=FuzzLoadPerfModel -fuzztime=10s ./internal/router/
 	$(GO) test -run='^$$' -fuzz=FuzzBurst -fuzztime=10s ./internal/skyd/
 	$(GO) test -run='^$$' -fuzz=FuzzControl -fuzztime=10s ./internal/skyd/
 	$(GO) test -run='^$$' -fuzz=FuzzLoad -fuzztime=10s ./internal/tenant/

@@ -54,6 +54,14 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	switch {
+	case *n <= 0:
+		return fmt.Errorf("-n %d: must be positive", *n)
+	case *refreshPolls <= 0:
+		return fmt.Errorf("-refresh-polls %d: must be positive", *refreshPolls)
+	case *profileRuns < 0:
+		return fmt.Errorf("-profile-runs %d: may not be negative", *profileRuns)
+	}
 	spec, ok := workload.ByName(*wlName)
 	if !ok {
 		names := make([]string, 0, 12)

@@ -161,7 +161,20 @@ func TestValidation(t *testing.T) {
 			t.Errorf("-zones %q: err = %v, want no zones given", zones, err)
 		}
 	}
-	// Remote mode must reject an empty zone list before it talks to skyd.
+	// A size the run cannot use is rejected before any world is built, by
+	// the flag that names it.
+	badSizes := [][]string{
+		{"-n", "0"}, {"-n", "-5"},
+		{"-refresh-polls", "0"}, {"-refresh-polls", "-1"},
+		{"-profile-runs", "-3"},
+	}
+	for _, args := range badSizes {
+		if err := run(args); err == nil || !strings.HasPrefix(err.Error(), args[0]+" "+args[1]+":") {
+			t.Errorf("%v: err = %v, want it rejected by name", args, err)
+		}
+	}
+	// Remote mode must reject an empty zone list or a size it cannot run
+	// before it talks to skyd.
 	var requests int
 	var mu sync.Mutex
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -174,9 +187,14 @@ func TestValidation(t *testing.T) {
 	if err := run([]string{"-url", srv.URL, "-zones", ", ,"}); err == nil || !strings.Contains(err.Error(), "no zones given") {
 		t.Errorf("remote -zones \", ,\": err = %v, want no zones given", err)
 	}
+	for _, args := range badSizes {
+		if err := run(append([]string{"-url", srv.URL}, args...)); err == nil || !strings.HasPrefix(err.Error(), args[0]+" "+args[1]+":") {
+			t.Errorf("remote %v: err = %v, want it rejected by name", args, err)
+		}
+	}
 	mu.Lock()
 	defer mu.Unlock()
 	if requests != 0 {
-		t.Errorf("remote mode made %d requests for an empty zone list", requests)
+		t.Errorf("remote mode made %d requests for inputs it rejects", requests)
 	}
 }

@@ -66,10 +66,10 @@ func run() error {
 			if err != nil {
 				log.Fatal(err)
 			}
-			return client.Invoke(p, faas.Call{
+			return client.Do(p, faas.InvokeSpec{Call: faas.Call{
 				AZ: "demo-a", Function: "dyn",
 				Work: work, PayloadHash: wire.Hash,
-			})
+			}})
 		}
 		first := invoke(false)
 		if !first.OK() {

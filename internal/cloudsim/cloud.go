@@ -155,8 +155,8 @@ type Options struct {
 	KeepAlive time.Duration
 	// Quota is the per-account, per-region concurrent execution limit.
 	Quota int
-	// IntraCloudRTT is the round trip for requests without a client
-	// location (function-to-function within a zone).
+	// IntraCloudRTT is every request's network round trip: callers sit
+	// inside the cloud.
 	IntraCloudRTT time.Duration
 	// HorizonDays bounds the pre-scheduled drift timeline.
 	HorizonDays int
@@ -198,8 +198,6 @@ type Cloud struct {
 	azBy     map[string]*AZ
 	prices   map[Provider]PriceModel
 	meter    *Meter
-	// latRand draws the client-latency jitter of every geo-located request.
-	latRand *rng.Stream
 	// expiry holds every zone's keep-alive timers: they all share the
 	// cloud's delay, so one lane fires each where its own Schedule would
 	// have, at the cost of one event-queue entry, and drops the ones a
@@ -233,7 +231,6 @@ func New(env *sim.Env, seed uint64, catalog []RegionSpec, opts Options) *Cloud {
 		prices:   defaultPrices(),
 		meter:    NewMeter(),
 	}
-	c.latRand = c.root.Split("latency")
 	for _, rs := range catalog {
 		region := &Region{
 			spec:     rs,
@@ -333,9 +330,6 @@ type Request struct {
 	Work Behavior
 	// PayloadHash keys the dynamic-function per-instance cache.
 	PayloadHash string
-	// ClientLoc, when set, applies geographic network latency; nil means
-	// an intra-cloud call.
-	ClientLoc *geo.Coord
 }
 
 // Response is the outcome of an invocation.
@@ -380,10 +374,7 @@ func (r Response) OK() bool { return r.Err == nil }
 // may capture a record, since a recycled record is another request's; a
 // warm invocation therefore allocates nothing.
 type invocation struct {
-	req Request
-	// oneWay is the base network one-way latency drawn at send time; any
-	// fault-injected extra RTT is added at the zone.
-	oneWay   time.Duration
+	req      Request
 	c        *Cloud
 	az       *AZ
 	acct     *account
@@ -474,13 +465,11 @@ func (inv *invocation) send() {
 	if !ok {
 		// No such zone: bounce at the provider edge after an intra-cloud
 		// round trip.
-		inv.oneWay = c.opts.IntraCloudRTT / 2
-		inv.then(inv.oneWay, (*invocation).bounce)
+		inv.then(c.oneWay(), (*invocation).bounce)
 		return
 	}
 	inv.az = az
-	inv.oneWay = c.baseOneWay(&inv.req, az)
-	inv.then(inv.oneWay, (*invocation).arrive)
+	inv.then(c.oneWay(), (*invocation).arrive)
 }
 
 // bounce answers a request for an unknown zone at the provider edge.
@@ -489,23 +478,18 @@ func (inv *invocation) bounce() {
 	if inv.c.opts.OnResponse != nil {
 		inv.c.opts.OnResponse(inv.req, inv.resp)
 	}
-	inv.then(inv.oneWay, (*invocation).handOver)
+	inv.then(inv.c.oneWay(), (*invocation).handOver)
 }
 
-// baseOneWay is the fault-free one-way network latency from the caller to
-// the zone.
-func (c *Cloud) baseOneWay(req *Request, az *AZ) time.Duration {
-	if req.ClientLoc == nil {
-		return c.opts.IntraCloudRTT / 2
-	}
-	return geo.DefaultLatencyModel().RTT(*req.ClientLoc, az.region.spec.Loc, c.latRand) / 2
-}
+// oneWay is the fault-free one-way network latency from a caller to any
+// zone.
+func (c *Cloud) oneWay() time.Duration { return c.opts.IntraCloudRTT / 2 }
 
 // respond ships the response back to the caller. The zone's current
 // fault-injected extra RTT is added to the return leg; OnResponse observes
 // the response at delivery.
 func (inv *invocation) respond() {
-	inv.then(inv.oneWay+inv.az.fault.extraRTT/2, (*invocation).deliver)
+	inv.then(inv.c.oneWay()+inv.az.fault.extraRTT/2, (*invocation).deliver)
 }
 
 // reject answers a request that will not run with err.

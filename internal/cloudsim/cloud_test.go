@@ -669,38 +669,6 @@ func TestDeployValidation(t *testing.T) {
 	}
 }
 
-func TestClientLatencyApplied(t *testing.T) {
-	env, c := testWorld(t, plainAZ(512), Options{})
-	deploySleep(t, c, "fn", 10*time.Millisecond)
-	seattle, _ := geo.City("seattle")
-	var local, remote time.Duration
-	env.Go("client", func(p *sim.Proc) error {
-		// Warm the instance so neither timed call pays a cold start.
-		if r := c.Invoke(p, Request{Account: "a", AZ: "test-az-1a", Function: "fn"}); !r.OK() {
-			t.Error(r.Err)
-		}
-		t0 := env.Now()
-		r := c.Invoke(p, Request{Account: "a", AZ: "test-az-1a", Function: "fn"})
-		local = env.Now().Sub(t0)
-		if !r.OK() {
-			t.Error(r.Err)
-		}
-		t1 := env.Now()
-		r = c.Invoke(p, Request{Account: "a", AZ: "test-az-1a", Function: "fn", ClientLoc: &seattle})
-		remote = env.Now().Sub(t1)
-		if !r.OK() {
-			t.Error(r.Err)
-		}
-		return nil
-	})
-	if err := env.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if remote <= local+10*time.Millisecond {
-		t.Errorf("remote client round trip %v not slower than intra-cloud %v", remote, local)
-	}
-}
-
 func TestBillingGranularityAndRates(t *testing.T) {
 	p := PriceModel{PerGBSecond: 0.0000166667, PerRequest: 0.0000002, GranularityMS: 1}
 	// 2GB for exactly 1 second.

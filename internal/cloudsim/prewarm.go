@@ -188,7 +188,7 @@ func (az *AZ) WarmLive(fn string) int {
 // so a pool busy serving traffic is not doubled by re-provisioning what
 // will be released back anyway.
 func (c *Cloud) StartEnsureWarm(azName, fn string, target, floor int, account string, done func(ProvisionResult)) {
-	oneWay := c.opts.IntraCloudRTT / 2
+	oneWay := c.oneWay()
 	az, ok := c.azBy[azName]
 	if !ok {
 		res := ProvisionResult{AZ: azName, Function: fn, Err: fmt.Errorf("%w: %q", ErrNoSuchAZ, azName)}

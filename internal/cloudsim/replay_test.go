@@ -6,15 +6,14 @@ import (
 	"testing"
 	"time"
 
-	"skyfaas/internal/geo"
 	"skyfaas/internal/sim"
 	"skyfaas/internal/workload"
 )
 
-// geoDigest drives geo-distributed traffic into several regions and folds
-// every response — cold start, placement, billing, client-latency draw —
-// into a transcript, grouped by target zone.
-func geoDigest(t *testing.T) string {
+// regionDigest drives traffic into zones of five regions and folds every
+// response — cold start, placement, billing — into a transcript, grouped by
+// target zone.
+func regionDigest(t *testing.T) string {
 	t.Helper()
 	env := sim.NewEnv(testEpoch)
 	c := New(env, 42, DefaultCatalog(), Options{HorizonDays: 1})
@@ -27,18 +26,12 @@ func geoDigest(t *testing.T) string {
 			t.Fatal(err)
 		}
 	}
-	client := geo.Coord{Lat: 37, Lon: -122}
 	lines := make(map[string][]string)
 	for round := 0; round < 6; round++ {
 		for i, z := range zones {
 			z, i, round := z, i, round
 			env.Schedule(time.Duration(round*200+i*10)*time.Millisecond, func() {
-				c.StartInvoke(Request{
-					Account:   "acct",
-					AZ:        z,
-					Function:  "fn",
-					ClientLoc: &client,
-				}, func(resp Response) {
+				c.StartInvoke(Request{Account: "acct", AZ: z, Function: "fn"}, func(resp Response) {
 					errStr := "ok"
 					if resp.Err != nil {
 						errStr = resp.Err.Error()
@@ -65,15 +58,15 @@ func geoDigest(t *testing.T) string {
 	return b.String()
 }
 
-// TestGeoTrafficReplays: geo-distributed invocation traffic — cold starts,
-// warm reuse, billing, RTT jitter draws across five regions — replays
-// byte-identically on the same seed.
-func TestGeoTrafficReplays(t *testing.T) {
-	first := geoDigest(t)
+// TestMultiRegionTrafficReplays: invocation traffic across five regions —
+// cold starts, warm reuse, placement, billing — replays byte-identically on
+// the same seed.
+func TestMultiRegionTrafficReplays(t *testing.T) {
+	first := regionDigest(t)
 	if !strings.Contains(first, " ok ") {
 		t.Fatalf("no successful invocations:\n%s", first)
 	}
-	if again := geoDigest(t); again != first {
+	if again := regionDigest(t); again != first {
 		t.Errorf("replay diverged\n--- first ---\n%s--- again ---\n%s", first, again)
 	}
 }

@@ -114,11 +114,22 @@ func RunAblationFanout(seed uint64) (AblationFanoutResult, error) {
 
 		// Flat fan-out: the client holds every request itself.
 		client := rt.Client()
-		responses := client.InvokeBatch(p, faas.Call{
+		call := faas.Call{
 			AZ:       az,
 			Function: flatEndpointName(s, az),
 			Work:     cloudsim.SleepBehavior{D: sampler.Sleep},
-		}, tree.Requested)
+		}
+		responses := make([]cloudsim.Response, tree.Requested)
+		left, all := len(responses), sim.NewEvent(p.Env())
+		for i := range responses {
+			client.Start(call, func(r cloudsim.Response) {
+				responses[i] = r
+				if left--; left == 0 {
+					all.Trigger(nil)
+				}
+			})
+		}
+		p.Wait(all)
 		reports := make([]saaf.Report, 0, len(responses))
 		for _, r := range responses {
 			if r.OK() {

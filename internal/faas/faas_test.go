@@ -45,7 +45,7 @@ func TestDeployAndInvoke(t *testing.T) {
 	}
 	var resp cloudsim.Response
 	env.Go("client", func(p *sim.Proc) error {
-		resp = client.Invoke(p, Call{AZ: "r1-az-a", Function: "fn"})
+		resp = client.Do(p, InvokeSpec{Call: Call{AZ: "r1-az-a", Function: "fn"}})
 		return nil
 	})
 	if err := env.Run(); err != nil {
@@ -69,34 +69,9 @@ func TestDeployErrorWrapped(t *testing.T) {
 	}
 }
 
-func TestInvokeAsyncFuture(t *testing.T) {
-	env, cloud := world(t)
-	client := NewClient(cloud, "acct")
-	if _, err := client.Deploy("r1-az-a", "fn", cloudsim.DeployConfig{
-		MemoryMB: 1024, Behavior: cloudsim.SleepBehavior{D: 50 * time.Millisecond},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	env.Go("client", func(p *sim.Proc) error {
-		f := client.InvokeAsync(Call{AZ: "r1-az-a", Function: "fn"})
-		if f.Done() {
-			t.Error("future done before any time passed")
-		}
-		r := f.Wait(p)
-		if !r.OK() {
-			t.Errorf("async invoke: %v", r.Err)
-		}
-		if !f.Done() {
-			t.Error("future not done after Wait")
-		}
-		return nil
-	})
-	if err := env.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestInvokeBatchParallelism(t *testing.T) {
+// TestStartParallelism: 50 bare attempts started at one instant run side
+// by side, each on its own instance.
+func TestStartParallelism(t *testing.T) {
 	env, cloud := world(t)
 	client := NewClient(cloud, "acct")
 	if _, err := client.Deploy("r1-az-a", "fn", cloudsim.DeployConfig{
@@ -106,12 +81,13 @@ func TestInvokeBatchParallelism(t *testing.T) {
 	}
 	var elapsed time.Duration
 	var responses []cloudsim.Response
-	env.Go("client", func(p *sim.Proc) error {
-		t0 := env.Now()
-		responses = client.InvokeBatch(p, Call{AZ: "r1-az-a", Function: "fn"}, 50)
-		elapsed = env.Now().Sub(t0)
-		return nil
-	})
+	t0 := env.Now()
+	for range 50 {
+		client.Start(Call{AZ: "r1-az-a", Function: "fn"}, func(r cloudsim.Response) {
+			responses = append(responses, r)
+			elapsed = env.Now().Sub(t0)
+		})
+	}
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -126,40 +102,10 @@ func TestInvokeBatchParallelism(t *testing.T) {
 		fis[r.Profile.Instance] = true
 	}
 	if len(fis) != 50 {
-		t.Errorf("batch used %d unique FIs, want 50 (parallel)", len(fis))
+		t.Errorf("50 starts used %d unique FIs, want 50 (parallel)", len(fis))
 	}
-	// Parallel batch takes ~one invocation's latency, not 50x.
+	// Parallel attempts take ~one invocation's latency, not 50x.
 	if elapsed > time.Second {
-		t.Errorf("batch of 50 took %v, not parallel", elapsed)
-	}
-}
-
-func TestClientLocationAddsLatency(t *testing.T) {
-	env, cloud := world(t)
-	sydney, _ := geo.City("sydney")
-	near := NewClient(cloud, "acct")
-	far := NewClient(cloud, "acct", WithLocation(sydney))
-	if _, err := near.Deploy("r1-az-a", "fn", cloudsim.DeployConfig{
-		MemoryMB: 1024, Behavior: cloudsim.SleepBehavior{D: time.Millisecond},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	var dNear, dFar time.Duration
-	env.Go("client", func(p *sim.Proc) error {
-		// Warm up to exclude cold starts from both timings.
-		near.Invoke(p, Call{AZ: "r1-az-a", Function: "fn"})
-		t0 := env.Now()
-		near.Invoke(p, Call{AZ: "r1-az-a", Function: "fn"})
-		dNear = env.Now().Sub(t0)
-		t1 := env.Now()
-		far.Invoke(p, Call{AZ: "r1-az-a", Function: "fn"})
-		dFar = env.Now().Sub(t1)
-		return nil
-	})
-	if err := env.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if dFar <= dNear+50*time.Millisecond {
-		t.Errorf("sydney client %v vs co-located %v: latency model not applied", dFar, dNear)
+		t.Errorf("50 starts took %v, not parallel", elapsed)
 	}
 }

@@ -13,11 +13,9 @@ import (
 // deadline, its retry budget and its hedge policy, and one record, the
 // envelope, carries a logical invocation under that spec from its first
 // attempt to its answer as event-queue continuations, with no process of
-// its own. Do blocks a process on it, DoAsync hands back a Future and
-// DoFunc calls back; Invoke is Do with a zero spec. Start, InvokeAsync and
-// InvokeBatch take no spec: they send one bare attempt straight to the
-// cloud, which is what the router's reissue loop and the sampler's polls
-// want.
+// its own. Do blocks a process on it and DoFunc calls back. Start takes no
+// spec: it sends one bare attempt straight to the cloud, which is what the
+// router's reissue loop and the sampler's polls want.
 
 // ErrDeadlineExceeded is returned when an invocation's deadline elapses
 // before any attempt produced a response, or when the backoff before the
@@ -110,8 +108,7 @@ func (h HedgePolicy) MaxHedges() int {
 func (h HedgePolicy) Enabled() bool { return h.After > 0 }
 
 // InvokeSpec fully describes one logical invocation: the call plus its
-// failure-handling envelope. Construct with NewInvokeSpec and options, or
-// as a literal.
+// failure-handling envelope, written as a literal.
 type InvokeSpec struct {
 	Call Call
 	// Deadline bounds the whole invocation — every attempt, backoff, and
@@ -123,37 +120,9 @@ type InvokeSpec struct {
 	Hedge HedgePolicy
 }
 
-// InvokeOption configures an InvokeSpec.
-type InvokeOption func(*InvokeSpec)
-
-// WithDeadline bounds the whole invocation in virtual time.
-func WithDeadline(d time.Duration) InvokeOption {
-	return func(s *InvokeSpec) { s.Deadline = d }
-}
-
-// WithRetry sets the transient-failure retry policy.
-func WithRetry(p RetryPolicy) InvokeOption {
-	return func(s *InvokeSpec) { s.Retry = p }
-}
-
-// WithHedge sets the tail-latency hedge policy.
-func WithHedge(p HedgePolicy) InvokeOption {
-	return func(s *InvokeSpec) { s.Hedge = p }
-}
-
-// WithPayloadHash keys the dynamic-function per-instance payload cache.
-func WithPayloadHash(hash string) InvokeOption {
-	return func(s *InvokeSpec) { s.Call.PayloadHash = hash }
-}
-
-// NewInvokeSpec builds a spec for call with the given options.
-func NewInvokeSpec(call Call, opts ...InvokeOption) InvokeSpec {
-	s := InvokeSpec{Call: call}
-	for _, o := range opts {
-		o(&s)
-	}
-	return s
-}
+// NewInvokeSpec returns the zero envelope around call: a single attempt, no
+// hedge, no deadline.
+func NewInvokeSpec(call Call) InvokeSpec { return InvokeSpec{Call: call} }
 
 // Retryable reports whether err is a transient platform failure worth
 // re-attempting (throttle, saturation, injected zone outage).
@@ -317,7 +286,7 @@ func (r *envelope) complete() {
 // Do performs one logical invocation under spec's envelope, blocking the
 // calling process: attempts are retried per the retry policy, each attempt
 // may be hedged, and the deadline bounds the whole affair. With a zero
-// spec it is the legacy blocking Invoke.
+// spec it is one blocking attempt.
 func (c *Client) Do(p *sim.Proc, spec InvokeSpec) cloudsim.Response {
 	r := c.envelope(spec)
 	r.ev = sim.NewEvent(c.cloud.Env())
@@ -337,12 +306,4 @@ func (c *Client) DoFunc(spec InvokeSpec, done func(cloudsim.Response)) {
 	r := c.envelope(spec)
 	r.done = done
 	r.send()
-}
-
-// DoAsync starts a logical invocation under spec's envelope and returns a
-// Future.
-func (c *Client) DoAsync(spec InvokeSpec) *Future {
-	ev := sim.NewEvent(c.cloud.Env())
-	c.DoFunc(spec, func(r cloudsim.Response) { ev.Trigger(r) })
-	return &Future{ev: ev}
 }

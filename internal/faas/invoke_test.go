@@ -9,6 +9,9 @@ import (
 	"skyfaas/internal/sim"
 )
 
+// fnCall addresses the function deployEcho deploys.
+var fnCall = Call{AZ: "r1-az-a", Function: "fn"}
+
 func deployEcho(t *testing.T, cloud *cloudsim.Cloud, client *Client, d time.Duration) {
 	t.Helper()
 	if _, err := client.Deploy("r1-az-a", "fn", cloudsim.DeployConfig{
@@ -16,20 +19,6 @@ func deployEcho(t *testing.T, cloud *cloudsim.Cloud, client *Client, d time.Dura
 		Behavior: cloudsim.SleepBehavior{D: d},
 	}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestInvokeSpecOptions(t *testing.T) {
-	spec := NewInvokeSpec(Call{AZ: "z", Function: "f"},
-		WithDeadline(time.Minute),
-		WithRetry(RetryPolicy{MaxAttempts: 4}),
-		WithHedge(HedgePolicy{After: time.Second, Max: 2}),
-		WithPayloadHash("h1"),
-	)
-	if spec.Deadline != time.Minute || spec.Retry.MaxAttempts != 4 ||
-		spec.Hedge.After != time.Second || spec.Hedge.Max != 2 ||
-		spec.Call.PayloadHash != "h1" {
-		t.Fatalf("spec = %+v", spec)
 	}
 }
 
@@ -47,8 +36,7 @@ func TestDoRetriesThroughThrottleStorm(t *testing.T) {
 		}
 		env.Schedule(100*time.Millisecond, func() { az.SetThrottleStorm(0) })
 		start := env.Now()
-		resp = client.Do(p, NewInvokeSpec(Call{AZ: "r1-az-a", Function: "fn"},
-			WithRetry(RetryPolicy{MaxAttempts: 50, BaseBackoff: 10 * time.Millisecond})))
+		resp = client.Do(p, InvokeSpec{Call: fnCall, Retry: RetryPolicy{MaxAttempts: 50, BaseBackoff: 10 * time.Millisecond}})
 		elapsed = env.Now().Sub(start)
 		return nil
 	})
@@ -71,8 +59,7 @@ func TestDoRespectsAttemptBudget(t *testing.T) {
 	env.Go("client", func(p *sim.Proc) error {
 		az, _ := cloud.AZ("r1-az-a")
 		az.SetOutage(true) // every attempt fails
-		resp = client.Do(p, NewInvokeSpec(Call{AZ: "r1-az-a", Function: "fn"},
-			WithRetry(RetryPolicy{MaxAttempts: 3, BaseBackoff: 10 * time.Millisecond})))
+		resp = client.Do(p, InvokeSpec{Call: fnCall, Retry: RetryPolicy{MaxAttempts: 3, BaseBackoff: 10 * time.Millisecond}})
 		return nil
 	})
 	if err := env.Run(); err != nil {
@@ -91,8 +78,7 @@ func TestDoDeadline(t *testing.T) {
 	var elapsed time.Duration
 	env.Go("client", func(p *sim.Proc) error {
 		start := env.Now()
-		resp = client.Do(p, NewInvokeSpec(Call{AZ: "r1-az-a", Function: "fn"},
-			WithDeadline(500*time.Millisecond)))
+		resp = client.Do(p, InvokeSpec{Call: fnCall, Deadline: 500 * time.Millisecond})
 		elapsed = env.Now().Sub(start)
 		return nil
 	})
@@ -118,8 +104,7 @@ func TestDoHedgeWinsOnSlowPrimary(t *testing.T) {
 		// twice it: one hedge launches, and the answer comes before the
 		// second would.
 		start = env.Now()
-		resp = client.Do(p, NewInvokeSpec(Call{AZ: "r1-az-a", Function: "fn"},
-			WithHedge(HedgePolicy{After: 200 * time.Millisecond, Max: 2})))
+		resp = client.Do(p, InvokeSpec{Call: fnCall, Hedge: HedgePolicy{After: 200 * time.Millisecond, Max: 2}})
 		return nil
 	})
 	if err := env.Run(); err != nil {
@@ -140,11 +125,9 @@ func TestDoHedgeWinsOnSlowPrimary(t *testing.T) {
 // entry point that takes a spec. The 2 s execution outlasts the 200 ms
 // threshold, so each must bill the primary and its one hedge.
 func TestEveryFormLaunchesTheHedge(t *testing.T) {
-	spec := NewInvokeSpec(Call{AZ: "r1-az-a", Function: "fn"},
-		WithHedge(HedgePolicy{After: 200 * time.Millisecond, Max: 1}))
+	spec := InvokeSpec{Call: fnCall, Hedge: HedgePolicy{After: 200 * time.Millisecond, Max: 1}}
 	forms := map[string]func(p *sim.Proc, c *Client) cloudsim.Response{
-		"Do":      func(p *sim.Proc, c *Client) cloudsim.Response { return c.Do(p, spec) },
-		"DoAsync": func(p *sim.Proc, c *Client) cloudsim.Response { return c.DoAsync(spec).Wait(p) },
+		"Do": func(p *sim.Proc, c *Client) cloudsim.Response { return c.Do(p, spec) },
 		"DoFunc": func(p *sim.Proc, c *Client) cloudsim.Response {
 			ev := sim.NewEvent(p.Env())
 			c.DoFunc(spec, func(r cloudsim.Response) { ev.Trigger(r) })
@@ -184,9 +167,11 @@ func TestDoDeadlineCutsTheBackoffShort(t *testing.T) {
 		az, _ := cloud.AZ("r1-az-a")
 		az.SetOutage(true)
 		start := env.Now()
-		resp = client.Do(p, NewInvokeSpec(Call{AZ: "r1-az-a", Function: "fn"},
-			WithRetry(RetryPolicy{MaxAttempts: 10, BaseBackoff: 300 * time.Millisecond}),
-			WithDeadline(time.Second)))
+		resp = client.Do(p, InvokeSpec{
+			Call:     fnCall,
+			Retry:    RetryPolicy{MaxAttempts: 10, BaseBackoff: 300 * time.Millisecond},
+			Deadline: time.Second,
+		})
 		elapsed = env.Now().Sub(start)
 		return nil
 	})
@@ -203,45 +188,46 @@ func TestDoDeadlineCutsTheBackoffShort(t *testing.T) {
 	}
 }
 
-func TestDoAsyncRetries(t *testing.T) {
+// doFunc runs spec through DoFunc on a fresh client and returns its one
+// answer, after setup has had its way with the zone.
+func doFunc(t *testing.T, spec InvokeSpec, setup func(env *sim.Env, az *cloudsim.AZ)) cloudsim.Response {
+	t.Helper()
 	env, cloud := world(t)
 	client := NewClient(cloud, "acct")
 	deployEcho(t, cloud, client, 20*time.Millisecond)
+	az, _ := cloud.AZ("r1-az-a")
+	setup(env, az)
 	var resp cloudsim.Response
-	env.Go("client", func(p *sim.Proc) error {
-		az, _ := cloud.AZ("r1-az-a")
-		az.SetOutage(true)
-		env.Schedule(300*time.Millisecond, func() { az.SetOutage(false) })
-		f := client.DoAsync(NewInvokeSpec(Call{AZ: "r1-az-a", Function: "fn"},
-			WithRetry(RetryPolicy{MaxAttempts: 20, BaseBackoff: 50 * time.Millisecond})))
-		resp = f.Wait(p)
-		return nil
-	})
+	answers := 0
+	client.DoFunc(spec, func(r cloudsim.Response) { resp, answers = r, answers+1 })
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
+	if answers != 1 {
+		t.Fatalf("DoFunc answered %d times, want once", answers)
+	}
+	return resp
+}
+
+func TestDoFuncRetries(t *testing.T) {
+	resp := doFunc(t, InvokeSpec{Call: fnCall, Retry: RetryPolicy{MaxAttempts: 20, BaseBackoff: 50 * time.Millisecond}},
+		func(env *sim.Env, az *cloudsim.AZ) {
+			az.SetOutage(true)
+			env.Schedule(300*time.Millisecond, func() { az.SetOutage(false) })
+		})
 	if !resp.OK() {
-		t.Fatalf("DoAsync through transient outage: %v", resp.Err)
+		t.Fatalf("DoFunc through transient outage: %v", resp.Err)
 	}
 }
 
-func TestDoAsyncDeadline(t *testing.T) {
-	env, cloud := world(t)
-	client := NewClient(cloud, "acct")
-	deployEcho(t, cloud, client, 20*time.Millisecond)
-	var resp cloudsim.Response
-	env.Go("client", func(p *sim.Proc) error {
-		az, _ := cloud.AZ("r1-az-a")
+func TestDoFuncDeadline(t *testing.T) {
+	resp := doFunc(t, InvokeSpec{
+		Call:     fnCall,
+		Retry:    RetryPolicy{MaxAttempts: 1000, BaseBackoff: 20 * time.Millisecond},
+		Deadline: 400 * time.Millisecond,
+	}, func(_ *sim.Env, az *cloudsim.AZ) {
 		az.SetOutage(true) // permanent: retries can never succeed
-		f := client.DoAsync(NewInvokeSpec(Call{AZ: "r1-az-a", Function: "fn"},
-			WithRetry(RetryPolicy{MaxAttempts: 1000, BaseBackoff: 20 * time.Millisecond}),
-			WithDeadline(400*time.Millisecond)))
-		resp = f.Wait(p)
-		return nil
 	})
-	if err := env.Run(); err != nil {
-		t.Fatal(err)
-	}
 	if !errors.Is(resp.Err, ErrDeadlineExceeded) {
 		t.Fatalf("err = %v, want deadline exceeded", resp.Err)
 	}
@@ -263,26 +249,6 @@ func TestRetryableClassification(t *testing.T) {
 	}
 }
 
-func TestDeprecatedWrappersStillWork(t *testing.T) {
-	env, cloud := world(t)
-	client := NewClient(cloud, "acct")
-	deployEcho(t, cloud, client, 20*time.Millisecond)
-	env.Go("client", func(p *sim.Proc) error {
-		if resp := client.Invoke(p, Call{AZ: "r1-az-a", Function: "fn"}); !resp.OK() {
-			t.Errorf("Invoke wrapper: %v", resp.Err)
-		}
-		for _, resp := range client.InvokeBatch(p, Call{AZ: "r1-az-a", Function: "fn"}, 8) {
-			if !resp.OK() {
-				t.Errorf("InvokeBatch wrapper: %v", resp.Err)
-			}
-		}
-		return nil
-	})
-	if err := env.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestDoFuncAllocs pins one open-loop request through the envelope at zero
 // heap allocations: a warm, plain invocation with a retry budget, started
 // with DoFunc and answered through its callback. The envelope comes back
@@ -295,7 +261,7 @@ func TestDoFuncAllocs(t *testing.T) {
 	env, cloud := world(t)
 	client := NewClient(cloud, "acct")
 	deployEcho(t, cloud, client, 10*time.Millisecond)
-	spec := NewInvokeSpec(Call{AZ: "r1-az-a", Function: "fn"}, WithRetry(RetryPolicy{MaxAttempts: 6}))
+	spec := InvokeSpec{Call: Call{AZ: "r1-az-a", Function: "fn"}, Retry: RetryPolicy{MaxAttempts: 6}}
 	var resp cloudsim.Response
 	done := func(r cloudsim.Response) { resp = r }
 	invoke := func() {

@@ -7,8 +7,6 @@ package geo
 import (
 	"math"
 	"time"
-
-	"skyfaas/internal/rng"
 )
 
 // Coord is a WGS84 latitude/longitude pair in degrees.
@@ -44,9 +42,6 @@ type LatencyModel struct {
 	// PathInflation multiplies the great-circle distance to account for
 	// non-geodesic fibre paths.
 	PathInflation float64
-	// JitterFrac is the half-width of the uniform multiplicative jitter
-	// applied per request (0.1 = ±10%).
-	JitterFrac float64
 }
 
 // DefaultLatencyModel returns the model used throughout the experiments.
@@ -55,25 +50,14 @@ func DefaultLatencyModel() LatencyModel {
 		OverheadMS:    8,
 		MSPerKM:       0.01,
 		PathInflation: 1.3,
-		JitterFrac:    0.1,
 	}
 }
 
-// BaseRTT returns the deterministic (jitter-free) round trip between two
-// coordinates.
+// BaseRTT returns the round trip between two coordinates.
 func (m LatencyModel) BaseRTT(a, b Coord) time.Duration {
 	km := Haversine(a, b) * m.PathInflation
 	ms := m.OverheadMS + m.MSPerKM*km
 	return time.Duration(ms * float64(time.Millisecond))
-}
-
-// RTT returns a jittered round trip drawn from s.
-func (m LatencyModel) RTT(a, b Coord, s *rng.Stream) time.Duration {
-	base := float64(m.BaseRTT(a, b))
-	if s == nil || m.JitterFrac <= 0 {
-		return time.Duration(base)
-	}
-	return time.Duration(s.Jitter(base, m.JitterFrac))
 }
 
 // Cities provides client vantage points for experiments and examples.

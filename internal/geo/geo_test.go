@@ -5,8 +5,6 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
-
-	"skyfaas/internal/rng"
 )
 
 func TestHaversineKnownDistances(t *testing.T) {
@@ -78,29 +76,6 @@ func TestBaseRTTMonotoneWithDistance(t *testing.T) {
 	}
 	if near < 8*time.Millisecond {
 		t.Fatalf("RTT below fixed overhead: %v", near)
-	}
-}
-
-func TestRTTJitterBounded(t *testing.T) {
-	m := DefaultLatencyModel()
-	s := rng.New(1)
-	a, _ := City("london")
-	b, _ := City("frankfurt")
-	base := float64(m.BaseRTT(a, b))
-	for i := 0; i < 1000; i++ {
-		rtt := float64(m.RTT(a, b, s))
-		if rtt < base*(1-m.JitterFrac)-1 || rtt > base*(1+m.JitterFrac)+1 {
-			t.Fatalf("jittered RTT %v outside ±%.0f%% of %v", rtt, m.JitterFrac*100, base)
-		}
-	}
-}
-
-func TestRTTNilStreamDeterministic(t *testing.T) {
-	m := DefaultLatencyModel()
-	a, _ := City("tokyo")
-	b, _ := City("sydney")
-	if m.RTT(a, b, nil) != m.BaseRTT(a, b) {
-		t.Fatal("nil-stream RTT should equal BaseRTT")
 	}
 }
 

@@ -162,12 +162,3 @@ func (m *Mesh) Nearest(az string, memoryMB int, arch cpu.Arch) (Endpoint, bool) 
 	}
 	return Endpoint{}, false
 }
-
-// CountByProvider tallies endpoints per provider.
-func (m *Mesh) CountByProvider() map[cloudsim.Provider]int {
-	out := make(map[cloudsim.Provider]int, 3)
-	for _, ep := range m.endpoints {
-		out[ep.Provider]++
-	}
-	return out
-}

@@ -426,6 +426,7 @@ func (r *Router) Profile(p *sim.Proc, w workload.ID, azs []string, nPerAZ, memor
 		if !ok {
 			return cost, fmt.Errorf("router: no mesh endpoint in %s", az)
 		}
+		call := faas.Call{AZ: az, Function: ep.Function, Work: cloudsim.WorkBehavior{Workload: w}}
 		const lane = 150
 		remaining := nPerAZ
 		for remaining > 0 {
@@ -433,16 +434,20 @@ func (r *Router) Profile(p *sim.Proc, w workload.ID, azs []string, nPerAZ, memor
 			if batch > remaining {
 				batch = remaining
 			}
-			futures := make([]*faas.Future, batch)
-			for i := range futures {
-				futures[i] = r.client.InvokeAsync(faas.Call{
-					AZ:       az,
-					Function: ep.Function,
-					Work:     cloudsim.WorkBehavior{Workload: w},
+			// The model takes the batch in issue order, not arrival order:
+			// its running sums, and so every output, are pinned to it.
+			resps := make([]cloudsim.Response, batch)
+			left, all := batch, sim.NewEvent(p.Env())
+			for i := range resps {
+				r.client.Start(call, func(resp cloudsim.Response) {
+					resps[i] = resp
+					if left--; left == 0 {
+						all.Trigger(nil)
+					}
 				})
 			}
-			for _, f := range futures {
-				resp := f.Wait(p)
+			p.Wait(all)
+			for _, resp := range resps {
 				if !resp.OK() {
 					continue
 				}

@@ -288,18 +288,26 @@ func (s *Sampler) pollWith(p *sim.Proc, az, fn string, idx int, sleep time.Durat
 		leaf:  cloudsim.SleepBehavior{D: sleep},
 		slots: r.slab,
 	}
-	futures := make([]*faas.Future, roots)
-	for i := range futures {
-		futures[i] = s.client.InvokeAsync(faas.Call{
+	// The roots are collected in issue order, not arrival order: the cost
+	// sum, and so every output, is pinned to it.
+	resps := make([]cloudsim.Response, roots)
+	left, all := roots, sim.NewEvent(p.Env())
+	for i := range resps {
+		s.client.Start(faas.Call{
 			AZ:       az,
 			Function: fn,
 			Work:     t.work(treeDepth, i*size),
+		}, func(resp cloudsim.Response) {
+			resps[i] = resp
+			if left--; left == 0 {
+				all.Trigger(nil)
+			}
 		})
 	}
+	p.Wait(all)
 	var agg treeResult
-	for i, f := range futures {
-		resp := f.Wait(p)
-		t.collect(&agg, &resp, i*size, size)
+	for i := range resps {
+		t.collect(&agg, &resps[i], i*size, size)
 	}
 	res := PollResult{
 		Endpoint:  idx,

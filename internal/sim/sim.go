@@ -302,16 +302,6 @@ func (p *Proc) Wait(ev *Event) any {
 	return p.yield().val
 }
 
-// WaitAll blocks until every event has triggered and returns their values
-// in order.
-func (p *Proc) WaitAll(evs ...*Event) []any {
-	vals := make([]any, len(evs))
-	for i, ev := range evs {
-		vals[i] = p.Wait(ev)
-	}
-	return vals
-}
-
 // ---------------------------------------------------------------------------
 // Events
 
@@ -342,9 +332,6 @@ func (ev *Event) Trigger(val any) {
 		ev.env.Schedule(0, func() { proc.wake(ev.val) })
 	}
 }
-
-// Triggered reports whether the event has fired.
-func (ev *Event) Triggered() bool { return ev.triggered }
 
 // Value returns the value the event was triggered with (nil before firing).
 func (ev *Event) Value() any { return ev.val }

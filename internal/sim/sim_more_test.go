@@ -79,11 +79,11 @@ func TestProcErrPropagation(t *testing.T) {
 func TestEventValueBeforeTrigger(t *testing.T) {
 	e := NewEnv(epoch)
 	ev := NewEvent(e)
-	if ev.Triggered() || ev.Value() != nil {
+	if ev.triggered || ev.Value() != nil {
 		t.Fatal("untriggered event has state")
 	}
 	ev.Trigger("x")
-	if !ev.Triggered() || ev.Value() != "x" {
+	if !ev.triggered || ev.Value() != "x" {
 		t.Fatal("trigger state wrong")
 	}
 }

@@ -115,29 +115,6 @@ func TestWaitOnTriggeredEventReturnsImmediately(t *testing.T) {
 	}
 }
 
-func TestWaitAllOrder(t *testing.T) {
-	e := NewEnv(epoch)
-	a, b := NewEvent(e), NewEvent(e)
-	e.Schedule(2*time.Second, func() { b.Trigger("b") })
-	e.Schedule(4*time.Second, func() { a.Trigger("a") })
-	var vals []any
-	var done time.Duration
-	e.Go("joiner", func(p *Proc) error {
-		vals = p.WaitAll(a, b)
-		done = e.Elapsed()
-		return nil
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if vals[0] != "a" || vals[1] != "b" {
-		t.Fatalf("vals = %v", vals)
-	}
-	if done != 4*time.Second {
-		t.Fatalf("joined at %v", done)
-	}
-}
-
 func TestManyProcsDeterministic(t *testing.T) {
 	runOnce := func() []string {
 		e := NewEnv(epoch)

@@ -70,11 +70,6 @@ func New(base, key string) *Client {
 	}
 }
 
-// SetTimeout overrides the per-request HTTP timeout.
-func (c *Client) SetTimeout(d time.Duration) {
-	c.hc.Timeout = d
-}
-
 // Get issues a GET and decodes the 200 body into out (out may be nil to
 // discard it).
 func (c *Client) Get(path string, out any) error {

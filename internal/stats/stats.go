@@ -4,7 +4,6 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 	"time"
@@ -90,38 +89,6 @@ func Max(xs []float64) float64 {
 	return m
 }
 
-// Summary bundles the usual descriptive statistics of a sample.
-type Summary struct {
-	N      int
-	Mean   float64
-	StdDev float64
-	Min    float64
-	P50    float64
-	P95    float64
-	P99    float64
-	Max    float64
-}
-
-// Summarize computes a Summary of xs.
-func Summarize(xs []float64) Summary {
-	return Summary{
-		N:      len(xs),
-		Mean:   Mean(xs),
-		StdDev: StdDev(xs),
-		Min:    Min(xs),
-		P50:    Percentile(xs, 50),
-		P95:    Percentile(xs, 95),
-		P99:    Percentile(xs, 99),
-		Max:    Max(xs),
-	}
-}
-
-// String renders the summary on one line.
-func (s Summary) String() string {
-	return fmt.Sprintf("n=%d mean=%.3f sd=%.3f min=%.3f p50=%.3f p95=%.3f p99=%.3f max=%.3f",
-		s.N, s.Mean, s.StdDev, s.Min, s.P50, s.P95, s.P99, s.Max)
-}
-
 // Running accumulates count/mean/variance online (Welford's algorithm) so
 // hot loops avoid retaining every sample.
 type Running struct {
@@ -130,16 +97,6 @@ type Running struct {
 	m2   float64
 	min  float64
 	max  float64
-}
-
-// RunningOf returns, in O(1), the accumulator n calls of Add(mean) leave:
-// n samples of that mean, min = max = mean, and no spread. It restores a
-// persisted count and mean. n <= 0 gives the empty accumulator.
-func RunningOf(n int, mean float64) Running {
-	if n <= 0 {
-		return Running{}
-	}
-	return Running{n: n, mean: mean, min: mean, max: mean}
 }
 
 // Add folds x into the accumulator.

@@ -103,16 +103,6 @@ func TestMinMax(t *testing.T) {
 	}
 }
 
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{1, 2, 3, 4, 5})
-	if s.N != 5 || s.Mean != 3 || s.Min != 1 || s.Max != 5 || s.P50 != 3 {
-		t.Fatalf("summary = %+v", s)
-	}
-	if s.String() == "" {
-		t.Fatal("empty String()")
-	}
-}
-
 func TestRunningMatchesBatch(t *testing.T) {
 	if err := quick.Check(func(raw []float64) bool {
 		xs := make([]float64, 0, len(raw))
@@ -165,26 +155,6 @@ func TestRunningDirect(t *testing.T) {
 	one.Add(-3)
 	if one.StdDev() != 0 || one.Min() != -3 || one.Max() != -3 {
 		t.Fatalf("single sample: %v %v %v", one.StdDev(), one.Min(), one.Max())
-	}
-}
-
-// TestRunningOfMatchesAdds: the O(1) constructor leaves exactly the state n
-// calls of Add(mean) do, field for field.
-func TestRunningOfMatchesAdds(t *testing.T) {
-	if err := quick.Check(func(n uint8, mean float64) bool {
-		if math.IsNaN(mean) || math.IsInf(mean, 0) {
-			return true
-		}
-		var want Running
-		for i := 0; i < int(n); i++ {
-			want.Add(mean)
-		}
-		return RunningOf(int(n), mean) == want
-	}, nil); err != nil {
-		t.Fatal(err)
-	}
-	if RunningOf(-5, 3) != (Running{}) {
-		t.Fatal("a negative count did not give the empty accumulator")
 	}
 }
 
