@@ -14,36 +14,47 @@ var (
 	fuzzDecl = regexp.MustCompile(`(?m)^func (Fuzz\w+)\(`)
 )
 
-// fuzzTargets maps each package directory, relative to the repo root, to
-// the Fuzz* functions its test files declare. The analyzer fixtures under
-// internal/lint/testdata are not packages of the module.
-func fuzzTargets(t *testing.T) map[string][]string {
+// moduleTestFiles returns the root module's test files, relative to the
+// repo root: not the nested bench/ module's, nor the analyzer fixtures
+// under internal/lint/testdata, which are not packages of the module.
+func moduleTestFiles(t *testing.T) []string {
 	t.Helper()
 	root := filepath.Join("..", "..")
-	skip := filepath.Join(root, "internal", "lint", "testdata")
-	out := map[string][]string{}
+	skip := map[string]bool{
+		filepath.Join(root, "bench"):                        true,
+		filepath.Join(root, "internal", "lint", "testdata"): true,
+	}
+	var out []string
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
-		if d.IsDir() && (path == skip || d.Name() == ".git") {
+		if d.IsDir() && (skip[path] || d.Name() == ".git") {
 			return filepath.SkipDir
 		}
 		if d.IsDir() || !strings.HasSuffix(path, "_test.go") {
 			return nil
 		}
 		rel, err := filepath.Rel(root, path)
-		if err != nil {
-			return err
-		}
+		out = append(out, rel)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// fuzzTargets maps each package directory, relative to the repo root, to
+// the Fuzz* functions its test files declare.
+func fuzzTargets(t *testing.T) map[string][]string {
+	t.Helper()
+	out := map[string][]string{}
+	for _, rel := range moduleTestFiles(t) {
 		for _, m := range fuzzDecl.FindAllStringSubmatch(repoFile(t, rel), -1) {
 			dir := filepath.ToSlash(filepath.Dir(rel))
 			out[dir] = append(out[dir], m[1])
 		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 	return out
 }

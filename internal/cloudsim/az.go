@@ -162,6 +162,12 @@ func (d *Deployment) vcpus() int {
 
 // AZ is the live state of one availability zone: a finite, slowly drifting
 // pool of heterogeneous hosts.
+//
+// A world holds dozens of zones and a run touches few of them, so a zone
+// draws its hosts on first use (ensure), not at construction. Everything
+// that reads the hosts, the target mix or the zone's stream calls ensure
+// first; DESIGN.md §11 gives the argument that the zone it builds is the
+// one an eager build would hold at that instant.
 type AZ struct {
 	cloud       *Cloud
 	region      *Region
@@ -177,22 +183,54 @@ type AZ struct {
 	liveFIs     int
 	hostSeq     int
 	fiSeq       int
+	// built reports the hosts drawn; until then driftDaily only counts the
+	// days it fired in pendingDays, and build replays them.
+	built       bool
+	pendingDays int
 	scaleUpUsed bool
 	fault       faultState
 	m           azMetrics
 }
 
 func newAZ(c *Cloud, region *Region, spec AZSpec) *AZ {
+	mix := normalizeMix(spec.Mix)
 	az := &AZ{
 		cloud:       c,
 		region:      region,
 		spec:        spec,
 		rand:        c.root.Split("az/" + spec.Name),
 		deployments: make(map[string]*Deployment),
-		targetMix:   normalizeMix(spec.Mix),
-		baseMix:     normalizeMix(spec.Mix),
-		m:           newAZMetrics(c.opts.Metrics, spec.Name),
+		// The target starts as the day-0 mix; a walk replaces the map and
+		// never writes into it, so the two can share it until then.
+		targetMix: mix,
+		baseMix:   mix,
+		m:         newAZMetrics(c.opts.Metrics, spec.Name),
 	}
+	// An hourly excursion schedules its own restore, and where that event
+	// sits in the queue depends on when the excursion fired: such a zone
+	// is built now, so its hourly drift runs live.
+	if spec.HourlyDrift > 0 {
+		az.ensure()
+	}
+	return az
+}
+
+// ensure draws the zone's hosts if nothing has yet: it stays small enough
+// to inline into the placement path.
+func (az *AZ) ensure() {
+	if !az.built {
+		az.build()
+	}
+}
+
+// build draws the zone's hosts on its first use, exactly as a build at
+// construction would have, and then replays, in order, the daily drift
+// steps that fired before. A zone's drift reads only its own stream, target
+// mix and hosts, and every host is idle until the first use, so the replay
+// makes the draws the live steps would have made.
+func (az *AZ) build() {
+	az.built = true
+	spec := az.spec
 	hostFIs := spec.hostFIs()
 	n := spec.PoolFIs / hostFIs
 	if n < 1 {
@@ -210,7 +248,9 @@ func newAZ(c *Cloud, region *Region, spec AZSpec) *AZ {
 	for i := 0; i < arm; i++ {
 		az.addHost(cpu.Graviton, cpu.ARM, hostFIs)
 	}
-	return az
+	for ; az.pendingDays > 0; az.pendingDays-- {
+		az.drift()
+	}
 }
 
 func (s AZSpec) hostFIs() int {
@@ -233,10 +273,14 @@ func (az *AZ) Spec() AZSpec { return az.spec }
 func (az *AZ) LiveFIs() int { return az.liveFIs }
 
 // HostCount returns the number of x86 hosts currently provisioned.
-func (az *AZ) HostCount() int { return len(az.hosts) }
+func (az *AZ) HostCount() int {
+	az.ensure()
+	return len(az.hosts)
+}
 
 // CapacityFIs returns the total x86 FI slots currently provisioned.
 func (az *AZ) CapacityFIs() int {
+	az.ensure()
 	total := 0
 	for _, h := range az.hosts {
 		total += h.slots
@@ -248,6 +292,7 @@ func (az *AZ) CapacityFIs() int {
 // zone's x86 pool. It exists so experiments can score characterization
 // error; sampling code must never call it.
 func (az *AZ) TrueMix() map[cpu.Kind]float64 {
+	az.ensure()
 	counts := make(map[cpu.Kind]float64)
 	total := 0.0
 	for _, h := range az.hosts {
@@ -361,6 +406,7 @@ func (az *AZ) provisionFI(dep *Deployment, host *Host) *FI {
 // hosts (which is why single polls misestimate a zone's mix, Fig. 5) while
 // still letting a retried request escape a host whose CPU was banned.
 func (az *AZ) placeHost(arch cpu.Arch) *Host {
+	az.ensure()
 	pool := az.hosts
 	if arch == cpu.ARM {
 		pool = az.armHosts
@@ -469,8 +515,18 @@ func (az *AZ) contention(t time.Time) float64 {
 // random-walk step, a volatility-dependent fraction of idle hosts is
 // replaced with hosts drawn from the new target, and total capacity
 // jitters. Stable zones (sa-east-1a, eu-north-1a) barely move; volatile
-// zones (ca-central-1a, us-west-1*) can shift 20-50% in a day (§4.4).
+// zones (ca-central-1a, us-west-1*) can shift 20-50% in a day (§4.4). A
+// zone whose hosts are not drawn yet only counts the day (see ensure).
 func (az *AZ) driftDaily() {
+	if !az.built {
+		az.pendingDays++
+		return
+	}
+	az.drift()
+}
+
+// drift is one day's step of driftDaily on a built zone.
+func (az *AZ) drift() {
 	az.scaleUpUsed = false
 	if az.spec.MixWalk > 0 {
 		az.walkTargetMix(az.spec.MixWalk)

@@ -24,6 +24,9 @@ func TestExcursionIsTransient(t *testing.T) {
 	}}
 	cloud := New(env, 77, catalog, Options{HorizonDays: 1})
 	az, _ := cloud.AZ("r-az")
+	// Excursions run on hourly-drift zones, which are built at
+	// construction; this zone has none, so build it as they are.
+	az.ensure()
 	kindsOf := func() []cpu.Kind {
 		out := make([]cpu.Kind, len(az.hosts))
 		for i, h := range az.hosts {

@@ -86,6 +86,7 @@ func (az *AZ) DriftBurst(frac, step float64) {
 	if frac <= 0 {
 		return
 	}
+	az.ensure()
 	perturbed := walkMix(az.rand, az.targetMix, step)
 	az.replaceIdleHostsFrom(frac, perturbed)
 }
@@ -117,7 +118,13 @@ func (az *AZ) rejectChaos() error {
 		az.m.faultOutage.Inc()
 		return ErrZoneOutage
 	}
-	if az.fault.throttleRate > 0 && az.rand.Bool(az.fault.throttleRate) {
+	if az.fault.throttleRate <= 0 {
+		return nil
+	}
+	// The storm's draw comes off the zone's stream: the hosts must be
+	// drawn first, even for a zone no request has reached before.
+	az.ensure()
+	if az.rand.Bool(az.fault.throttleRate) {
 		az.m.faultThrottle.Inc()
 		return ErrThrottled
 	}

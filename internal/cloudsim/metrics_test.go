@@ -1,6 +1,8 @@
 package cloudsim
 
 import (
+	"bytes"
+	"strings"
 	"testing"
 	"time"
 
@@ -152,5 +154,60 @@ func TestCloudWithoutRegistryIsSilent(t *testing.T) {
 	})
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFreshWorldExposesEveryZone: a zone's series are registered when the
+// world is built, not when its hosts are drawn, so the first scrape of a
+// default world that has served nothing lists all of them for every zone,
+// at zero, while only the hourly-drift zone holds hosts.
+func TestFreshWorldExposesEveryZone(t *testing.T) {
+	reg := metrics.NewRegistry()
+	c := New(sim.NewEnv(testEpoch), 1, nil, Options{Metrics: reg, HorizonDays: 1})
+	var buf bytes.Buffer
+	if err := reg.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	lines := make(map[string]bool)
+	for _, line := range strings.Split(buf.String(), "\n") {
+		lines[line] = true
+	}
+	zones, built := 0, 0
+	for _, r := range c.Regions() {
+		for _, az := range r.AZs() {
+			zones++
+			l := `{az="` + az.Name() + `"`
+			want := []string{
+				"sky_cloudsim_invocations_total" + l + "} 0",
+				"sky_cloudsim_cold_starts_total" + l + "} 0",
+				"sky_cloudsim_saturation_events_total" + l + "} 0",
+				"sky_cloudsim_prewarms_total" + l + "} 0",
+				"sky_cloudsim_live_fis" + l + "} 0",
+				"sky_cloudsim_chaos_rejections_total" + l + `,fault="outage"} 0`,
+				"sky_cloudsim_chaos_rejections_total" + l + `,fault="throttle_storm"} 0`,
+				"sky_cloudsim_billed_ms_count" + l + "} 0",
+				"sky_coldstart_ms_count" + l + "} 0",
+			}
+			for _, reason := range []string{"throttled", "saturated", "bad_request", "handler"} {
+				want = append(want, "sky_cloudsim_failures_total"+l+`,reason="`+reason+`"} 0`)
+			}
+			for _, line := range want {
+				if !lines[line] {
+					t.Errorf("fresh world's exposition lacks %s", line)
+				}
+			}
+			// Only a zone with hourly drift (us-west-1b) is built with its
+			// world: its excursions schedule restores whose place in the
+			// queue depends on when they fire.
+			if az.built != (az.spec.HourlyDrift > 0) {
+				t.Errorf("%s: built = %v at construction, hourly drift %v", az.Name(), az.built, az.spec.HourlyDrift)
+			}
+			if az.built {
+				built++
+			}
+		}
+	}
+	if zones != 49 || built != 1 {
+		t.Errorf("default world has %d zones, %d with hosts; want 49 and 1", zones, built)
 	}
 }

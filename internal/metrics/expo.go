@@ -51,8 +51,9 @@ func (r *Registry) Snapshot() Snapshot {
 		fs := FamilySnapshot{Name: f.name, Help: f.help, Type: f.kind}
 		f.mu.RLock()
 		for _, key := range f.ordered {
-			ss := SeriesSnapshot{Labels: f.byKey[key]}
-			switch s := f.series[key].(type) {
+			e := f.series[key]
+			ss := SeriesSnapshot{Labels: e.labels}
+			switch s := e.handle.(type) {
 			case *Counter:
 				ss.Value = float64(s.Value())
 			case *Gauge:

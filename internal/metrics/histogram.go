@@ -38,10 +38,20 @@ type Histogram struct {
 	sum    atomic.Uint64 // math.Float64bits accumulator
 }
 
-func newHistogram(bounds []float64) *Histogram {
+// sortedBounds returns a sorted copy of bounds (nil for none), which the
+// caller may then share among histograms: no histogram writes its bounds.
+func sortedBounds(bounds []float64) []float64 {
+	if len(bounds) == 0 {
+		return nil
+	}
 	sorted := make([]float64, len(bounds))
 	copy(sorted, bounds)
 	sort.Float64s(sorted)
+	return sorted
+}
+
+// histogramOn returns a histogram over sorted, which it shares.
+func histogramOn(sorted []float64) *Histogram {
 	return &Histogram{
 		bounds: sorted,
 		counts: make([]atomic.Uint64, len(sorted)+1),
@@ -54,7 +64,7 @@ func NewHistogram(bounds []float64) *Histogram {
 	if len(bounds) == 0 {
 		bounds = DefBuckets
 	}
-	return newHistogram(bounds)
+	return histogramOn(sortedBounds(bounds))
 }
 
 // Observe records one value. NaN observations are dropped — a poisoned

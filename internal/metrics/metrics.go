@@ -18,7 +18,7 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -131,11 +131,16 @@ type family struct {
 	help    string
 	kind    Kind
 	labels  []string  // sorted label keys all series must carry
-	bounds  []float64 // histogram upper bounds (nil otherwise)
+	bounds  []float64 // sorted histogram upper bounds (nil otherwise), shared by every series
 	mu      sync.RWMutex
-	series  map[string]any     // series key -> *Counter | *Gauge | *Histogram; guarded by mu
-	ordered []string           // series keys in first-seen order; guarded by mu
-	byKey   map[string][]Label // labels per series key; guarded by mu
+	series  map[string]entry // series key -> its handle and labels; guarded by mu
+	ordered []string         // series keys in first-seen order; guarded by mu
+}
+
+// entry is one labeled series of a family.
+type entry struct {
+	handle any // *Counter | *Gauge | *Histogram
+	labels []Label
 }
 
 // Registry holds metric families and hands out their series.
@@ -183,6 +188,10 @@ func (r *Registry) Histogram(name, help string, buckets []float64, labels ...Lab
 	return s.(*Histogram)
 }
 
+// series looks the series up, creating it on first use. Looking up one that
+// exists allocates nothing: labels already in key order are used as they
+// are, others are sorted in a copy on the stack, and the key is built in a
+// stack buffer. The caller's slice is never kept; a new series copies it.
 func (r *Registry) series(name, help string, kind Kind, bounds []float64, labels []Label) any {
 	if r == nil {
 		// A nil registry hands out detached nil handles; every operation on
@@ -196,13 +205,14 @@ func (r *Registry) series(name, help string, kind Kind, bounds []float64, labels
 			return (*Histogram)(nil)
 		}
 	}
-	labels = normalizeLabels(labels)
+	var sorted [4]Label
+	labels = sortLabels(sorted[:0], labels)
 	fam := r.family(name, help, kind, bounds, labels)
-	return fam.get(labels)
+	var key [128]byte
+	return fam.get(appendSeriesKey(key[:0], labels), labels)
 }
 
 func (r *Registry) family(name, help string, kind Kind, bounds []float64, labels []Label) *family {
-	keys := labelKeys(labels)
 	r.mu.RLock()
 	fam, ok := r.families[name]
 	r.mu.RUnlock()
@@ -214,10 +224,9 @@ func (r *Registry) family(name, help string, kind Kind, bounds []float64, labels
 				name:   name,
 				help:   help,
 				kind:   kind,
-				labels: keys,
-				bounds: bounds,
-				series: make(map[string]any),
-				byKey:  make(map[string][]Label),
+				labels: labelKeys(labels),
+				bounds: sortedBounds(bounds),
+				series: make(map[string]entry),
 			}
 			r.families[name] = fam
 		}
@@ -226,50 +235,69 @@ func (r *Registry) family(name, help string, kind Kind, bounds []float64, labels
 	if fam.kind != kind {
 		panic(fmt.Sprintf("metrics: %s registered as %s, requested as %s", name, fam.kind, kind))
 	}
-	if !equalStrings(fam.labels, keys) {
-		panic(fmt.Sprintf("metrics: %s registered with labels %v, requested with %v", name, fam.labels, keys))
+	if !fam.hasKeys(labels) {
+		panic(fmt.Sprintf("metrics: %s registered with labels %v, requested with %v", name, fam.labels, labelKeys(labels)))
 	}
 	return fam
 }
 
-func (f *family) get(labels []Label) any {
-	key := seriesKey(labels)
+// hasKeys reports labels carrying exactly the family's label keys, in order.
+func (f *family) hasKeys(labels []Label) bool {
+	if len(labels) != len(f.labels) {
+		return false
+	}
+	for i, l := range labels {
+		if l.Key != f.labels[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// get returns the series with the given key, creating it (with a copy of
+// labels) on first use.
+func (f *family) get(key []byte, labels []Label) any {
 	f.mu.RLock()
-	s, ok := f.series[key]
+	e, ok := f.series[string(key)]
 	f.mu.RUnlock()
 	if ok {
-		return s
+		return e.handle
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if s, ok = f.series[key]; ok {
-		return s
+	if e, ok = f.series[string(key)]; ok {
+		return e.handle
 	}
 	switch f.kind {
 	case KindCounter:
-		s = &Counter{}
+		e.handle = &Counter{}
 	case KindGauge:
-		s = &Gauge{}
+		e.handle = &Gauge{}
 	case KindHistogram:
-		s = newHistogram(f.bounds)
+		e.handle = histogramOn(f.bounds)
 	}
-	f.series[key] = s
-	f.ordered = append(f.ordered, key)
-	f.byKey[key] = labels
-	return s
+	if len(labels) > 0 {
+		e.labels = append([]Label(nil), labels...)
+	}
+	k := string(key)
+	f.series[k] = e
+	f.ordered = append(f.ordered, k)
+	return e.handle
 }
 
-// normalizeLabels sorts labels by key so {a=1,b=2} and {b=2,a=1} are the
-// same series.
-func normalizeLabels(labels []Label) []Label {
-	if len(labels) < 2 {
+// sortLabels returns labels ordered by key, so {a=1,b=2} and {b=2,a=1} are
+// the same series: labels itself when already in order, otherwise a sorted
+// copy appended to buf.
+func sortLabels(buf, labels []Label) []Label {
+	if slices.IsSortedFunc(labels, byKey) {
 		return labels
 	}
-	out := make([]Label, len(labels))
-	copy(out, labels)
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
+	out := append(buf, labels...)
+	slices.SortFunc(out, byKey)
 	return out
 }
+
+func byKey(a, b Label) int { return strings.Compare(a.Key, b.Key) }
 
 func labelKeys(labels []Label) []string {
 	keys := make([]string, len(labels))
@@ -279,28 +307,14 @@ func labelKeys(labels []Label) []string {
 	return keys
 }
 
-func seriesKey(labels []Label) string {
-	if len(labels) == 0 {
-		return ""
-	}
-	var b strings.Builder
+// appendSeriesKey appends the key that identifies the series with the given
+// sorted labels within its family.
+func appendSeriesKey(dst []byte, labels []Label) []byte {
 	for _, l := range labels {
-		b.WriteString(l.Key)
-		b.WriteByte(1)
-		b.WriteString(l.Value)
-		b.WriteByte(2)
+		dst = append(dst, l.Key...)
+		dst = append(dst, 1)
+		dst = append(dst, l.Value...)
+		dst = append(dst, 2)
 	}
-	return b.String()
-}
-
-func equalStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	return dst
 }

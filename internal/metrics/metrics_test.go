@@ -123,3 +123,79 @@ func TestDefaultRegistryIsStable(t *testing.T) {
 		t.Fatal("Default() is not a stable singleton")
 	}
 }
+
+// TestExistingSeriesLookupAllocatesNothing: a zone's or a handler's series
+// is looked up far more often than it is created, so finding one that
+// exists allocates nothing, whether its labels come in key order or not.
+func TestExistingSeriesLookupAllocatesNothing(t *testing.T) {
+	r := NewRegistry()
+	lookups := map[string]func(){
+		"unlabelled counter": func() { r.Counter("sky_plain_total", "h") },
+		"counter":            func() { r.Counter("sky_one_total", "h", L("az", "us-west-1a")) },
+		"sorted labels":      func() { r.Counter("sky_two_total", "h", L("az", "us-west-1a"), L("reason", "throttled")) },
+		"unsorted labels":    func() { r.Counter("sky_two_total", "h", L("reason", "throttled"), L("az", "us-west-1a")) },
+		"gauge":              func() { r.Gauge("sky_depth", "h", L("az", "us-west-1a")) },
+		"histogram":          func() { r.Histogram("sky_ms", "h", nil, L("az", "us-west-1a")) },
+	}
+	for name, lookup := range lookups {
+		lookup() // creates the series
+		if allocs := testing.AllocsPerRun(100, lookup); allocs != 0 {
+			t.Errorf("%s: looking up an existing series allocates %.0f times, want 0", name, allocs)
+		}
+	}
+}
+
+// TestSeriesKeepsNoCallerSlice: a new series copies its labels, so a caller
+// reusing its slice cannot rename a series after the fact.
+func TestSeriesKeepsNoCallerSlice(t *testing.T) {
+	r := NewRegistry()
+	labels := []Label{L("az", "a")}
+	r.Counter("sky_alias_total", "", labels...)
+	labels[0].Value = "b"
+	if got := r.Snapshot().Metrics[0].Series[0].Labels[0].Value; got != "a" {
+		t.Fatalf("series label = %q after the caller's slice changed, want %q", got, "a")
+	}
+}
+
+// TestHistogramSeriesShareSortedBounds: a family's bounds are sorted once
+// and every series buckets by them.
+func TestHistogramSeriesShareSortedBounds(t *testing.T) {
+	r := NewRegistry()
+	a := r.Histogram("sky_shared_ms", "", []float64{10, 1, 5}, L("az", "a"))
+	b := r.Histogram("sky_shared_ms", "", nil, L("az", "b"))
+	if &a.bounds[0] != &b.bounds[0] {
+		t.Error("two series of one histogram family hold separate bounds")
+	}
+	for i, want := range []float64{1, 5, 10} {
+		if a.bounds[i] != want {
+			t.Fatalf("bounds = %v, want [1 5 10]", a.bounds)
+		}
+	}
+}
+
+// TestConcurrentRegistrationOneHandle: goroutines racing to register the
+// same series all get the one handle, and the family lists it once.
+func TestConcurrentRegistrationOneHandle(t *testing.T) {
+	r := NewRegistry()
+	const n = 8
+	got := make([]*Counter, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i] = r.Counter("sky_race_total", "", L("reason", "x"), L("az", "a"))
+			got[i].Inc()
+		}(i)
+	}
+	wg.Wait()
+	for i := 1; i < n; i++ {
+		if got[i] != got[0] {
+			t.Fatalf("goroutine %d got a different handle", i)
+		}
+	}
+	snap := r.Snapshot()
+	if len(snap.Metrics) != 1 || len(snap.Metrics[0].Series) != 1 || snap.Metrics[0].Series[0].Value != n {
+		t.Fatalf("snapshot = %+v, want one series counting %d", snap.Metrics, n)
+	}
+}

@@ -1,11 +1,10 @@
 // Package stats provides the small set of descriptive statistics the
-// experiments need: means, deviations, percentiles, running accumulators,
-// and time series.
+// experiments need: means, deviations, running accumulators, and time
+// series.
 package stats
 
 import (
 	"math"
-	"sort"
 	"time"
 )
 
@@ -34,31 +33,6 @@ func StdDev(xs []float64) float64 {
 		ss += d * d
 	}
 	return math.Sqrt(ss / float64(len(xs)))
-}
-
-// Percentile returns the p-th percentile (0..100) of xs using linear
-// interpolation between closest ranks. It returns 0 for an empty slice.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
-	if p <= 0 {
-		return sorted[0]
-	}
-	if p >= 100 {
-		return sorted[len(sorted)-1]
-	}
-	rank := p / 100 * float64(len(sorted)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
 // Min returns the smallest element of xs, or 0 for an empty slice.

@@ -40,59 +40,6 @@ func TestStdDev(t *testing.T) {
 	}
 }
 
-func TestPercentile(t *testing.T) {
-	xs := []float64{15, 20, 35, 40, 50}
-	tests := []struct {
-		p    float64
-		want float64
-	}{
-		{0, 15},
-		{100, 50},
-		{50, 35},
-		{25, 20},
-		{-5, 15},
-		{105, 50},
-	}
-	for _, tt := range tests {
-		if got := Percentile(xs, tt.p); !almost(got, tt.want, 1e-12) {
-			t.Errorf("Percentile(%v) = %v, want %v", tt.p, got, tt.want)
-		}
-	}
-	if got := Percentile(nil, 50); got != 0 {
-		t.Errorf("Percentile(empty) = %v", got)
-	}
-}
-
-func TestPercentileDoesNotMutate(t *testing.T) {
-	xs := []float64{3, 1, 2}
-	Percentile(xs, 50)
-	if xs[0] != 3 || xs[1] != 1 || xs[2] != 2 {
-		t.Fatalf("input mutated: %v", xs)
-	}
-}
-
-func TestPercentileMonotone(t *testing.T) {
-	if err := quick.Check(func(raw []float64, pa, pb float64) bool {
-		xs := make([]float64, 0, len(raw))
-		for _, v := range raw {
-			if !math.IsNaN(v) && !math.IsInf(v, 0) {
-				xs = append(xs, v)
-			}
-		}
-		if len(xs) == 0 {
-			return true
-		}
-		a := math.Mod(math.Abs(pa), 100)
-		b := math.Mod(math.Abs(pb), 100)
-		if a > b {
-			a, b = b, a
-		}
-		return Percentile(xs, a) <= Percentile(xs, b)
-	}, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestMinMax(t *testing.T) {
 	xs := []float64{3, -1, 7, 2}
 	if Min(xs) != -1 || Max(xs) != 7 {
