@@ -37,8 +37,13 @@ data-check:
 bench-smoke:
 	cd bench && $(GO) test -short ./...
 
+# The module must also build for darwin and windows: the paced loop's nap
+# is per-OS (internal/sim/nap_*.go), and a broken fallback would otherwise
+# show only on someone else's machine.
 build:
 	$(GO) build ./...
+	GOOS=darwin GOARCH=arm64 $(GO) build ./...
+	GOOS=windows $(GO) build ./...
 
 # bench/ is a nested module that imports internal packages, so vet it too:
 # an API it uses disappearing then fails this job's vet step, not only the

@@ -3,6 +3,7 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -117,7 +118,7 @@ func (l *loader) packagePaths() ([]string, error) {
 			}
 			return nil
 		}
-		if !isLintedGoFile(d.Name()) {
+		if !isLintedGoFile(filepath.Dir(path), d.Name()) {
 			return nil
 		}
 		rel, err := filepath.Rel(l.modDir, filepath.Dir(path))
@@ -136,8 +137,16 @@ func (l *loader) packagePaths() ([]string, error) {
 	return paths, err
 }
 
-func isLintedGoFile(name string) bool {
-	return strings.HasSuffix(name, ".go") && !strings.HasSuffix(name, "_test.go")
+// isLintedGoFile reports whether dir/name is a non-test Go file the go
+// tool would build here: a file constrained to another GOOS (a _darwin.go
+// suffix, a //go:build !linux line) is left out, as it is from the build,
+// so that a per-OS pair of files does not declare its names twice.
+func isLintedGoFile(dir, name string) bool {
+	if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+		return false
+	}
+	match, err := build.Default.MatchFile(dir, name)
+	return err != nil || match // an unreadable file is reported by the parser
 }
 
 // dirFor maps a module-internal import path back to its directory.
@@ -167,7 +176,7 @@ func (l *loader) load(importPath string) (*Package, error) {
 	}
 	var files []*ast.File
 	for _, e := range entries {
-		if e.IsDir() || !isLintedGoFile(e.Name()) {
+		if e.IsDir() || !isLintedGoFile(dir, e.Name()) {
 			continue
 		}
 		f, err := parser.ParseFile(l.fset, filepath.Join(dir, e.Name()), nil,

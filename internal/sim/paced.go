@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -11,15 +13,25 @@ import (
 // deployment wants, so they are constants and not options.
 const (
 	// pacedSlack is how far ahead of its deadline an event may fire, in
-	// wall time. A timer wait on a busy Go process does not return in under
-	// about a millisecond, so waiting out a gap much shorter than that
-	// costs more lateness than firing a little early does.
+	// wall time. It coalesces wake-ups: events due within it of the clock
+	// fire together after one wait, instead of one wait each for gaps too
+	// short to be worth a trip through the scheduler.
 	pacedSlack = 200 * time.Microsecond
 	// pacedDebtCap bounds how much lateness the loop repays by firing
 	// events back to back. A stall longer than this (a suspended process,
 	// an event storm the CPU cannot keep up with) is forgiven: the schedule
 	// restarts from the next event instead of racing to catch up.
 	pacedDebtCap = 100 * time.Millisecond
+	// pacedTail is the end of a wait that a napper sleeps out instead of
+	// the timer. Once a process has a network descriptor open, the Go
+	// runtime on Linux parks its timers in epoll_wait, whose timeout is
+	// whole milliseconds (a shorter delay rounds up to one, a longer one is
+	// truncated), so a timer wakes up to about 1.1 ms late; set that much
+	// before the deadline, it wakes in time for the napper to land on it.
+	pacedTail = 1200 * time.Microsecond
+	// pacedNap is the napper's longest nap: how long it takes to notice a
+	// deadline moved earlier or the end of the run.
+	pacedNap = 100 * time.Microsecond
 )
 
 // RunPaced is Run against the wall clock: the event at virtual time t fires
@@ -62,6 +74,9 @@ func (e *Env) RunPaced(speedup float64, inject <-chan func(), report func(lag ti
 	timer := time.NewTimer(time.Hour) //lint:allow nodeterm -- the paced loop's one reusable wait timer
 	defer timer.Stop()
 
+	naps := startNapper()
+	defer naps.stop()
+
 	// The schedule is a line through (anchorWall, anchorVirt) with slope
 	// speedup; it is re-anchored on itself at every clock read, which keeps
 	// the float arithmetic small, and onto the next event when debt is
@@ -103,17 +118,37 @@ func (e *Env) RunPaced(speedup float64, inject <-chan func(), report func(lag ti
 		switch {
 		case next > due+slack:
 			// Ahead of schedule, or idle: wait for the deadline, a command,
-			// or FinishFast.
+			// or FinishFast. The timer covers all but the last pacedTail of
+			// the wait, and the napper the rest, so the loop wakes on the
+			// deadline and not on the poller's next millisecond.
+			wait := never
 			if next != never {
-				timer.Reset(time.Duration(float64(next-due) / speedup))
+				wait = time.Duration(float64(next-due) / speedup)
 			}
-			select {
-			case <-timer.C:
-			case cmd = <-inject:
-			case <-e.wake:
+			if wait > pacedTail {
+				if next != never {
+					timer.Reset(wait - pacedTail)
+				}
+				select {
+				case <-timer.C:
+				case cmd = <-inject:
+				case <-e.wake:
+				}
+				timer.Stop()
+				due = read()
+				wait = time.Duration(float64(next-due) / speedup)
 			}
-			timer.Stop()
-			due = read()
+			// A stale tick can end the timer's wait early, so the napper
+			// takes over only once the deadline is within its tail.
+			if cmd == nil && next != never && !e.fastForward.Load() && wait > 0 && wait <= pacedTail {
+				naps.until(anchorWall.Add(wait))
+				select {
+				case <-naps.ring:
+				case cmd = <-inject:
+				case <-e.wake:
+				}
+				due = read()
+			}
 			lag = max(due-next, 0)
 		case due-next > debtCap:
 			// Too far behind to repay: forgive the debt by restarting the
@@ -154,4 +189,67 @@ func (e *Env) fire() {
 	next := e.queue.pop()
 	e.now = next.at
 	next.fn()
+}
+
+// A napper sleeps out the tail of the paced loop's waits on its own
+// goroutine, in naps on a kernel timer (see nap), and rings when the
+// deadline has passed. The loop meanwhile blocks in a select, so a command
+// or FinishFast interrupts a napped wait as promptly as a timed one: a nap
+// holds only the napper's thread. Rings are hints, like the timer's ticks —
+// one left over from an interrupted wait costs the loop a spurious pass.
+type napper struct {
+	base     time.Time
+	deadline atomic.Int64 // wall nanoseconds after base
+	kick     chan struct{}
+	ring     chan struct{}
+	exited   sync.WaitGroup
+}
+
+func startNapper() *napper {
+	n := &napper{
+		base: time.Now(), //lint:allow nodeterm -- the napper's deadlines are wall-clock instants
+		kick: make(chan struct{}, 1),
+		ring: make(chan struct{}, 1),
+	}
+	n.exited.Add(1)
+	go n.run()
+	return n
+}
+
+// until asks for a ring once the wall clock reaches at; it replaces any
+// deadline asked for before.
+func (n *napper) until(at time.Time) {
+	select {
+	case <-n.ring: // left over from an earlier deadline
+	default:
+	}
+	n.deadline.Store(int64(at.Sub(n.base)))
+	select {
+	case n.kick <- struct{}{}:
+	default: // a kick is pending, and the napper reads the new deadline when it takes it
+	}
+}
+
+func (n *napper) run() {
+	defer n.exited.Done()
+	for range n.kick {
+		for {
+			left := time.Duration(n.deadline.Load()) - time.Since(n.base) //lint:allow nodeterm -- the napper's deadlines are wall-clock instants
+			if left <= 0 {
+				break
+			}
+			nap(min(left, pacedNap))
+		}
+		select {
+		case n.ring <- struct{}{}:
+		default:
+		}
+	}
+}
+
+// stop ends the napper and waits for it, at most one nap.
+func (n *napper) stop() {
+	n.deadline.Store(0)
+	close(n.kick)
+	n.exited.Wait()
 }

@@ -178,7 +178,8 @@ func (e *Env) drainProcs() {
 }
 
 // LiveProcs reports the number of processes that have started but not
-// finished.
+// finished. Only tests read it, among them the open-loop test in
+// internal/experiments, which is why it is exported.
 func (e *Env) LiveProcs() int { return len(e.procs) }
 
 // Pending reports the number of entries in the event queue. A Lane counts
