@@ -74,8 +74,8 @@ func TestRunUnknownRule(t *testing.T) {
 }
 
 func TestGithubAnnotation(t *testing.T) {
-	f := lint.Finding{File: "internal/sim/sim.go", Line: 42, Rule: "hotalloc", Msg: "append may grow"}
-	want := "::error file=internal/sim/sim.go,line=42,title=skylint hotalloc::append may grow"
+	f := lint.Finding{File: "internal/metrics/metrics.go", Line: 42, Rule: "lockorder", Msg: "lock-order cycle"}
+	want := "::error file=internal/metrics/metrics.go,line=42,title=skylint lockorder::lock-order cycle"
 	if got := githubAnnotation(f); got != want {
 		t.Errorf("githubAnnotation = %q, want %q", got, want)
 	}

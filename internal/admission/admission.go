@@ -200,7 +200,7 @@ func (c *Controller) limit() int {
 func (c *Controller) fn(w workload.ID) *fnState {
 	st, ok := c.fns[w]
 	if !ok {
-		st = c.newFnState(w) //lint:allow hotalloc -- first sighting of a function: one-time state construction
+		st = c.newFnState(w)
 		c.fns[w] = st
 	}
 	return st
@@ -258,9 +258,7 @@ func (c *Controller) Enabled() bool {
 // ticket must be released with Done. On overload it returns a *ShedError
 // (wrapping ErrShed) and no slots are consumed. The admitted path runs
 // once per request under skyd's handler and stays allocation-free
-// (hotalloc-enforced); only the shed path constructs an error.
-//
-//lint:hotpath
+// (TestAdmitDoneAllocs pins it); only the shed path constructs an error.
 func (c *Controller) Admit(now time.Time, w workload.ID, weight int) (Ticket, error) {
 	if weight < 1 {
 		weight = 1
@@ -270,7 +268,7 @@ func (c *Controller) Admit(now time.Time, w workload.ID, weight int) (Ticket, er
 	st := c.fn(w)
 	lim := c.limit()
 	if c.enabled && c.inflight+weight > lim {
-		return Ticket{}, c.shedLocked(w, st, lim) //lint:allow hotalloc -- shed path: building the 429 is off the admitted fast path
+		return Ticket{}, c.shedLocked(w, st, lim)
 	}
 	c.inflight += weight
 	st.inflight += weight
@@ -317,8 +315,6 @@ func (c *Controller) retryAfterLocked(st *fnState) time.Duration {
 // Done releases a ticket's slot and, when the request succeeded, feeds the
 // observed service time (milliseconds) into the capacity estimate. Runs
 // once per completed request; allocation-free like Admit.
-//
-//lint:hotpath
 func (c *Controller) Done(t Ticket, now time.Time, observedMS float64, ok bool) {
 	if t.id == 0 {
 		return

@@ -269,16 +269,9 @@ func (az *AZ) Region() *Region { return az.region }
 // Spec returns the zone's static specification.
 func (az *AZ) Spec() AZSpec { return az.spec }
 
-// LiveFIs returns the number of currently provisioned function instances.
-func (az *AZ) LiveFIs() int { return az.liveFIs }
-
-// HostCount returns the number of x86 hosts currently provisioned.
-func (az *AZ) HostCount() int {
-	az.ensure()
-	return len(az.hosts)
-}
-
-// CapacityFIs returns the total x86 FI slots currently provisioned.
+// CapacityFIs returns the total x86 FI slots currently provisioned. Only
+// tests read it, among them internal/sampler's saturation test, which is
+// why it is exported rather than kept in export_test.go.
 func (az *AZ) CapacityFIs() int {
 	az.ensure()
 	total := 0

@@ -33,3 +33,31 @@ func (az *AZ) destroyedIdleRefs() int {
 	}
 	return n
 }
+
+// LiveFIs returns the number of currently provisioned function instances.
+func (az *AZ) LiveFIs() int { return az.liveFIs }
+
+// HostCount returns the number of x86 hosts currently provisioned.
+func (az *AZ) HostCount() int {
+	az.ensure()
+	return len(az.hosts)
+}
+
+// WarmIdle reports fn's idle warm-instance count.
+func (az *AZ) WarmIdle(fn string) int {
+	dep, ok := az.deployments[fn]
+	if !ok {
+		return 0
+	}
+	return dep.idle
+}
+
+// WarmLive reports fn's provisioned instance count (busy + idle +
+// initializing).
+func (az *AZ) WarmLive(fn string) int {
+	dep, ok := az.deployments[fn]
+	if !ok {
+		return 0
+	}
+	return dep.live
+}

@@ -39,7 +39,8 @@ type FaultSnapshot struct {
 	ExtraRTT      time.Duration
 }
 
-// Faulted reports whether any fault is active.
+// Faulted reports whether any fault is active. Only tests read it, among
+// them internal/faas's invoke tests, which is why it is exported.
 func (f FaultSnapshot) Faulted() bool {
 	return f.Outage || f.ThrottleRate > 0 || (f.ColdStartMult != 0 && f.ColdStartMult != 1) || f.ExtraRTT > 0
 }

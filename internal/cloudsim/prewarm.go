@@ -159,26 +159,6 @@ func (az *AZ) SetWarmFloor(fn string, n int) error {
 	return nil
 }
 
-// WarmIdle reports fn's idle warm-instance count (exposed for tests and
-// policies).
-func (az *AZ) WarmIdle(fn string) int {
-	dep, ok := az.deployments[fn]
-	if !ok {
-		return 0
-	}
-	return dep.idle
-}
-
-// WarmLive reports fn's provisioned instance count (busy + idle +
-// initializing).
-func (az *AZ) WarmLive(fn string) int {
-	dep, ok := az.deployments[fn]
-	if !ok {
-		return 0
-	}
-	return dep.live
-}
-
 // StartEnsureWarm raises fn in azName toward target provisioned instances
 // and sets its warm floor: the command reaches the zone after the
 // intra-cloud one-way latency, settles the hold charge accrued under the

@@ -7,57 +7,36 @@ import (
 	"strings"
 )
 
-// This file is the second half of the module-level analysis layer: a
-// module-wide call graph keyed by *types.Func. Per-package AST walks
-// cannot see that router.Burst reaches fmt.Sprintf four frames down in
-// another package; the call graph can, and the module-level analyzers
-// (hotalloc, lockorder) traverse it. Only statically resolvable callees
-// are recorded — direct function calls and method calls whose callee
-// identifier resolves to a *types.Func. Interface dispatch and calls
-// through function values are invisible here by construction; the rules
-// that rely on the graph treat those as analysis boundaries and flag the
-// boxing/closure at the call site instead (see hotalloc.go).
+// This file is the second half of the module-level analysis layer: the
+// module's function declarations with their statically resolved callees,
+// a call graph keyed by *types.Func. Per-package AST walks cannot see that
+// a function locks a mutex four frames down in another package; the call
+// graph can, and lockorder traverses it. Only statically resolvable
+// callees are recorded — direct function calls and method calls whose
+// callee identifier resolves to a *types.Func. Interface dispatch and
+// calls through function values are invisible here by construction, and
+// lockorder treats them as analysis boundaries.
 
 // FuncNode is one declared function or method of the module.
 type FuncNode struct {
 	Obj  *types.Func
 	Decl *ast.FuncDecl
 	Pkg  *Package
-	// Calls lists statically resolved call sites in source order,
-	// including those inside function literals (attributed to the
-	// enclosing declaration).
-	Calls []CallSite
+	// Calls lists the statically resolved callees in source order,
+	// including those called inside function literals (attributed to the
+	// enclosing declaration). A callee may belong to any package,
+	// including the standard library.
+	Calls []*types.Func
 }
 
-// CallSite is one resolved call expression inside a FuncNode.
-type CallSite struct {
-	Call *ast.CallExpr
-	// Callee may belong to any package, including the standard library;
-	// it has a FuncNode only when declared in this module.
-	Callee *types.Func
-}
-
-// CallGraph indexes every function declaration of the module.
-type CallGraph struct {
-	// Funcs maps a declared function to its node.
-	Funcs map[*types.Func]*FuncNode
-	// Ordered lists the nodes sorted by source position, for deterministic
-	// traversal (map iteration over Funcs must never decide output order).
-	Ordered []*FuncNode
-}
-
-// Node returns the module-internal node for fn, if fn is declared here.
-func (g *CallGraph) Node(fn *types.Func) (*FuncNode, bool) {
-	n, ok := g.Funcs[fn]
-	return n, ok
-}
-
-// CallGraph builds (once, memoized) the module-wide call graph.
-func (m *Module) CallGraph() *CallGraph {
-	if m.callgraph != nil {
-		return m.callgraph
+// Funcs returns (once, memoized) every function declaration of the module
+// that has a body, sorted by source position so that traversal order
+// never depends on map iteration.
+func (m *Module) Funcs() []*FuncNode {
+	if m.funcs != nil {
+		return m.funcs
 	}
-	g := &CallGraph{Funcs: make(map[*types.Func]*FuncNode)}
+	var funcs []*FuncNode
 	for _, pkg := range m.Pkgs {
 		for _, f := range pkg.Files {
 			for _, decl := range f.Decls {
@@ -76,20 +55,19 @@ func (m *Module) CallGraph() *CallGraph {
 						return true
 					}
 					if callee := staticCallee(pkg.Info, call); callee != nil {
-						node.Calls = append(node.Calls, CallSite{Call: call, Callee: callee})
+						node.Calls = append(node.Calls, callee)
 					}
 					return true
 				})
-				g.Funcs[obj] = node
-				g.Ordered = append(g.Ordered, node)
+				funcs = append(funcs, node)
 			}
 		}
 	}
-	sort.Slice(g.Ordered, func(i, j int) bool {
-		return g.Ordered[i].Decl.Pos() < g.Ordered[j].Decl.Pos()
+	sort.Slice(funcs, func(i, j int) bool {
+		return funcs[i].Decl.Pos() < funcs[j].Decl.Pos()
 	})
-	m.callgraph = g
-	return g
+	m.funcs = funcs
+	return funcs
 }
 
 // FuncCFG builds (memoized) the CFG for one declared function.
@@ -131,29 +109,6 @@ func unparen(e ast.Expr) ast.Expr {
 		}
 		e = p.X
 	}
-}
-
-// FuncDisplayName renders fn as "pkg.Name" or "(pkg.Recv).Name" for
-// findings, using the last import-path element as the package qualifier.
-func FuncDisplayName(fn *types.Func) string {
-	pkg := ""
-	if p := fn.Pkg(); p != nil {
-		pkg = shortPkg(p.Path())
-	}
-	sig, _ := fn.Type().(*types.Signature)
-	if sig != nil && sig.Recv() != nil {
-		recv := sig.Recv().Type()
-		if ptr, ok := recv.(*types.Pointer); ok {
-			recv = ptr.Elem()
-		}
-		if named, ok := recv.(*types.Named); ok {
-			return "(" + pkg + "." + named.Obj().Name() + ")." + fn.Name()
-		}
-	}
-	if pkg == "" {
-		return fn.Name()
-	}
-	return pkg + "." + fn.Name()
 }
 
 // shortPkg returns the last element of an import path.

@@ -16,7 +16,9 @@
 //
 // The comment names one rule (or a comma-separated list) and everything
 // after it is a free-form justification. Adding a new analyzer means adding
-// one file defining an *Analyzer and listing it in Analyzers.
+// one file defining an *Analyzer and listing it in Analyzers. A rule earns
+// its place by catching a planted violation that every test lets through;
+// a rule whose bug a named test already catches is deleted (DESIGN.md §7).
 package lint
 
 import (
@@ -80,7 +82,6 @@ func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		ctxgoAnalyzer,
 		floatdetAnalyzer,
-		hotallocAnalyzer,
 		lockorderAnalyzer,
 		maporderAnalyzer,
 		mutexheldAnalyzer,

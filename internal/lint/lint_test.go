@@ -127,36 +127,6 @@ func TestRepoClean(t *testing.T) {
 	}
 }
 
-// TestHotpathRootsAnnotated pins the //lint:hotpath annotations on the
-// real hot paths: the router's frozen-decision issue path, the simulation
-// kernel's scheduler, event loop and event queue, and the admission gate.
-// Deleting one of these annotations silently removes hotalloc coverage
-// from that whole call tree, so their presence is load-bearing and
-// asserted here.
-func TestHotpathRootsAnnotated(t *testing.T) {
-	roots := lint.HotpathRoots(loadRepo(t))
-	have := make(map[string]bool, len(roots))
-	for _, r := range roots {
-		have[r] = true
-	}
-	for _, want := range []string{
-		"(router.DecisionTable).Call",
-		"(router.DecisionTable).Pick",
-		"(sim.Env).Schedule",
-		"(sim.Env).run",
-		"(sim.Lane).Push",
-		"(sim.Lane).tick",
-		"(sim.eventQueue).push",
-		"(sim.eventQueue).pop",
-		"(admission.Controller).Admit",
-		"(admission.Controller).Done",
-	} {
-		if !have[want] {
-			t.Errorf("missing //lint:hotpath annotation on %s (annotated roots: %v)", want, roots)
-		}
-	}
-}
-
 // wantMarkers scans the fixture tree for "//want rule[,rule]" trailing
 // comments and returns the expected "file:line: [rule]" set.
 func wantMarkers(t *testing.T) map[string]bool {

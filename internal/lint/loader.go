@@ -22,7 +22,7 @@ type Module struct {
 	Pkgs []*Package // every non-test package, sorted by import path
 
 	// Lazily built, shared analysis state (see callgraph.go and lint.go).
-	callgraph *CallGraph
+	funcs     []*FuncNode
 	cfgs      map[*ast.FuncDecl]*CFG
 	allows    allowSet
 	allowErrs []rawFinding

@@ -46,8 +46,8 @@ type lockEdge struct {
 }
 
 type lockorderState struct {
-	pass *Pass
-	g    *CallGraph
+	pass  *Pass
+	funcs []*FuncNode
 	// display memoizes human-readable mutex names: "(pkg.Type).field" for
 	// struct fields, "pkg.name" for variables.
 	display map[*types.Var]string
@@ -62,12 +62,12 @@ type lockorderState struct {
 func runLockorder(p *Pass) {
 	st := &lockorderState{
 		pass:     p,
-		g:        p.Mod.CallGraph(),
+		funcs:    p.Mod.Funcs(),
 		display:  make(map[*types.Var]string),
 		acquires: make(map[*types.Func]map[*types.Var]bool),
 	}
 	st.buildSummaries()
-	for _, node := range st.g.Ordered {
+	for _, node := range st.funcs {
 		st.collectEdges(node)
 	}
 	st.reportCycles()
@@ -155,7 +155,7 @@ func (st *lockorderState) mutexVar(info *types.Info, e ast.Expr) *types.Var {
 // buildSummaries computes the transitive may-acquire set of every module
 // function by fixpoint over the call graph.
 func (st *lockorderState) buildSummaries() {
-	for _, node := range st.g.Ordered {
+	for _, node := range st.funcs {
 		direct := make(map[*types.Var]bool)
 		ast.Inspect(node.Decl.Body, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
@@ -173,10 +173,10 @@ func (st *lockorderState) buildSummaries() {
 	}
 	for changed := true; changed; {
 		changed = false
-		for _, node := range st.g.Ordered {
+		for _, node := range st.funcs {
 			set := st.acquires[node.Obj]
-			for _, site := range node.Calls {
-				for mu := range st.acquires[site.Callee] {
+			for _, callee := range node.Calls {
+				for mu := range st.acquires[callee] {
 					if !set[mu] {
 						set[mu] = true
 						changed = true

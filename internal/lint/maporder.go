@@ -351,3 +351,13 @@ func (mo *maporderFunc) mentioned(e ast.Expr, st taintSet) []types.Object {
 	})
 	return objs
 }
+
+// isStringExpr reports whether e's static type is a string.
+func isStringExpr(info *types.Info, e ast.Expr) bool {
+	t := info.Types[e].Type
+	if t == nil {
+		return false
+	}
+	b, ok := t.Underlying().(*types.Basic)
+	return ok && b.Info()&types.IsString != 0
+}

@@ -81,10 +81,7 @@ func buildTableAt(s Strategy, dec Decision, m *mesh.Mesh, az string, memoryMB in
 
 // Call returns the prebuilt call, with or without the ban set. The result
 // is a value copy sharing the boxed behavior — callers must not mutate
-// Work. Zero allocations, enforced statically by skylint's hotalloc rule
-// and dynamically by TestRouteHotPathAllocs.
-//
-//lint:hotpath
+// Work. Zero allocations, pinned by TestRouteHotPathAllocs.
 func (t *DecisionTable) Call(enforceBans bool) faas.Call {
 	if enforceBans {
 		return t.banned
@@ -93,8 +90,6 @@ func (t *DecisionTable) Call(enforceBans bool) faas.Call {
 }
 
 // Pick returns the frozen decision. Zero allocations.
-//
-//lint:hotpath
 func (t *DecisionTable) Pick() (az string, banned cpu.Mask) {
 	return t.AZ, t.Banned
 }

@@ -76,16 +76,15 @@ func (l *Lane[T]) Len() int { return len(l.q) - l.head }
 // Push arms one timer: fn(v) runs at Now()+delay, in the order
 // Schedule(delay, func() { fn(v) }) called here would have given it,
 // unless the timer has gone stale by then. It returns the timer's seq, the
-// key stale is later asked about.
-//
-//lint:hotpath
+// key stale is later asked about. Once the lane has grown to its working
+// size it does not allocate (TestLaneAllocs).
 func (l *Lane[T]) Push(v T) uint64 {
 	e := l.env
 	e.seq++
 	if len(l.q) > 0 && len(l.q) == cap(l.q) {
 		l.compact()
 	}
-	l.q = append(l.q, laneTimer[T]{at: e.now + l.delay, seq: e.seq, v: v}) //lint:allow hotalloc -- amortized lane growth; steady state reuses capacity
+	l.q = append(l.q, laneTimer[T]{at: e.now + l.delay, seq: e.seq, v: v})
 	if len(l.q)-l.head == 1 {
 		l.arm()
 	}
@@ -110,7 +109,7 @@ func (l *Lane[T]) compact() {
 	clear(q[n:])
 	l.work += uint64(len(q) - l.head)
 	if 2*n > cap(q) {
-		q = append(make([]laneTimer[T], 0, 2*cap(q)), q[:n]...) //lint:allow hotalloc -- amortized lane growth, as append's
+		q = append(make([]laneTimer[T], 0, 2*cap(q)), q[:n]...)
 		l.work += uint64(n)
 	}
 	l.q, l.head = q[:n], 0
@@ -118,8 +117,6 @@ func (l *Lane[T]) compact() {
 
 // tick fires the head timer after putting the next live one in the queue,
 // so a Push from fn sees a lane whose head is already armed.
-//
-//lint:hotpath
 func (l *Lane[T]) tick() {
 	t := l.q[l.head]
 	l.q[l.head] = laneTimer[T]{} // release v to the GC

@@ -144,7 +144,8 @@ func TestLaneHoldsOneQueueEntry(t *testing.T) {
 }
 
 // TestLaneAllocs pins a warmed lane: pushing a timer and firing it must
-// not allocate (hotalloc proves it statically; this measures it).
+// not allocate, nor must compacting a lane whose every push voids the
+// last (the keep-alive pattern).
 func TestLaneAllocs(t *testing.T) {
 	e := NewEnv(epoch)
 	l := NewLane(e, time.Second, func(int) {}, never)
@@ -158,6 +159,20 @@ func TestLaneAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("Lane Push+fire allocates %.2f times per 64 timers, budget is 0", allocs)
+	}
+	gen := 0
+	kept := NewLane(e, time.Second, func(int) {}, func(g int, _ uint64) bool { return g != gen })
+	allocs = testing.AllocsPerRun(100, func() {
+		for j := 0; j < 64; j++ {
+			gen++
+			kept.Push(gen)
+		}
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("Lane compaction allocates %.2f times per 64 voided timers, budget is 0", allocs)
 	}
 }
 

@@ -100,8 +100,6 @@ func (q *eventQueue) empty() bool { return len(q.heap) == 0 }
 func (q *eventQueue) nextAt() time.Duration { return q.heap[0].at }
 
 // push queues fn under the key (at, seq), which must be unique.
-//
-//lint:hotpath
 func (q *eventQueue) push(at time.Duration, seq uint64, fn func()) {
 	k := key{at, seq}
 	// Find the first tail that does not come after k; tails before it do.
@@ -129,8 +127,8 @@ func (q *eventQueue) push(at time.Duration, seq uint64, fn func()) {
 	// k precedes every tail: it starts the run with the earliest tail.
 	id := q.newRun()
 	q.runs[id] = run{s, s}
-	q.tails = append(q.tails, ref{k, id}) //lint:allow hotalloc -- amortized index growth; steady state reuses capacity
-	q.heap = append(q.heap, ref{k, id})   //lint:allow hotalloc -- amortized heap growth; steady state reuses capacity
+	q.tails = append(q.tails, ref{k, id})
+	q.heap = append(q.heap, ref{k, id})
 	q.siftUp(len(q.heap) - 1)
 }
 
@@ -143,9 +141,9 @@ func (q *eventQueue) store(it item) int {
 		return s
 	}
 	if len(q.slots) == 0 {
-		q.slots = append(q.slots, slot{}) //lint:allow hotalloc -- once per queue: slot 0 stands for none
+		q.slots = append(q.slots, slot{}) // once per queue: slot 0 stands for none
 	}
-	q.slots = append(q.slots, slot{item: it}) //lint:allow hotalloc -- amortized slab growth to the queue's peak depth
+	q.slots = append(q.slots, slot{item: it})
 	return len(q.slots) - 1
 }
 
@@ -156,13 +154,11 @@ func (q *eventQueue) newRun() int {
 		q.freeRuns = q.freeRuns[:n-1]
 		return id
 	}
-	q.runs = append(q.runs, run{}) //lint:allow hotalloc -- amortized growth of the run table
+	q.runs = append(q.runs, run{})
 	return len(q.runs) - 1
 }
 
 // pop removes and returns the earliest item. The queue must not be empty.
-//
-//lint:hotpath
 func (q *eventQueue) pop() item {
 	top := &q.heap[0]
 	id := top.run
@@ -180,7 +176,7 @@ func (q *eventQueue) pop() item {
 	}
 	// The run is empty: its tail was the earliest one, the last in tails.
 	q.tails = q.tails[:len(q.tails)-1]
-	q.freeRuns = append(q.freeRuns, id) //lint:allow hotalloc -- amortized free-list growth; steady state reuses capacity
+	q.freeRuns = append(q.freeRuns, id)
 	last := len(q.heap) - 1
 	q.heap[0] = q.heap[last]
 	q.heap = q.heap[:last]

@@ -90,9 +90,8 @@ func (e *Env) Elapsed() time.Duration { return e.now }
 // Schedule runs fn at virtual time Now()+d. A negative d schedules at the
 // current instant (after events already queued for this instant).
 // Scheduling is the kernel's innermost operation — tens of millions of
-// calls per run — so it must stay allocation-free (hotalloc-enforced).
-//
-//lint:hotpath
+// calls per run — so it must stay allocation-free (TestScheduleRunAllocs
+// pins it).
 func (e *Env) Schedule(d time.Duration, fn func()) {
 	if d < 0 {
 		d = 0
@@ -133,16 +132,14 @@ func (e *Env) FinishFast() {
 }
 
 // run is the event loop proper: pop, advance the clock, fire. Per-event
-// work must not allocate (hotalloc-enforced) — the queue itself stores its
-// items by value for the same reason.
-//
-//lint:hotpath
+// work must not allocate (TestScheduleRunAllocs pins it) — the queue
+// itself stores its items by value for the same reason.
 func (e *Env) run(until time.Duration) error {
 	if e.running {
 		return errors.New("sim: Run re-entered")
 	}
 	e.running = true
-	defer func() { e.running = false }() //lint:allow hotalloc -- one closure per run, not per event
+	defer func() { e.running = false }()
 
 	for e.failure == nil && !e.queue.empty() {
 		if until >= 0 && e.queue.nextAt() > until {

@@ -128,15 +128,6 @@ func (s *Series) Add(t time.Time, v float64) {
 	s.Points = append(s.Points, Point{T: t, V: v})
 }
 
-// Values returns just the values, in insertion order.
-func (s *Series) Values() []float64 {
-	out := make([]float64, len(s.Points))
-	for i, p := range s.Points {
-		out[i] = p.V
-	}
-	return out
-}
-
 // Len returns the number of observations.
 func (s *Series) Len() int { return len(s.Points) }
 

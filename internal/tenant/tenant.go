@@ -467,7 +467,9 @@ func (r *Registry) Usage(id string, now time.Time) (Usage, bool) {
 	return r.usageLocked(a, now), true
 }
 
-// Usages snapshots every tenant's rollup at now, sorted by ID.
+// Usages snapshots every tenant's rollup at now, sorted by ID. Only tests
+// read it, among them internal/skyd's and internal/experiments' ledger
+// tests, which is why it is exported.
 func (r *Registry) Usages(now time.Time) []Usage {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -74,16 +74,7 @@ type (
 	CostAware = router.CostAware
 	// BurstSpec describes one routed batch of invocations.
 	BurstSpec = router.BurstSpec
-	// StrategySpec names a strategy declaratively for BuildStrategy.
-	StrategySpec = router.StrategySpec
 )
-
-// BuildStrategy turns a StrategySpec into a Strategy; unknown names yield
-// an error wrapping router.ErrUnknownStrategy listing the valid choices.
-func BuildStrategy(spec StrategySpec) (Strategy, error) { return router.Build(spec) }
-
-// StrategyNames lists the registered strategy names, sorted.
-func StrategyNames() []string { return router.Names() }
 
 // Resilience configures retries, hedging, circuit breaking, and failover
 // for a burst.
@@ -93,16 +84,9 @@ type Resilience = router.Resilience
 // failover, three attempts with jittered backoff.
 func DefaultResilience() *Resilience { return router.DefaultResilience() }
 
-// Fault injection (chaos engineering over the simulated sky).
-type (
-	// FaultKind names a pathology (outage, throttle-storm, ...).
-	FaultKind = chaos.Kind
-	// Scenario is a named, composable set of fault windows.
-	Scenario = chaos.Scenario
-)
-
-// FaultKinds lists every supported fault kind, in stable order.
-func FaultKinds() []FaultKind { return chaos.Kinds() }
+// Scenario is a named, composable set of fault windows: fault injection,
+// chaos engineering over the simulated sky.
+type Scenario = chaos.Scenario
 
 // ScenarioByName builds a canned chaos scenario targeting az.
 func ScenarioByName(name, az string) (Scenario, bool) { return chaos.ScenarioByName(name, az) }
