@@ -238,21 +238,6 @@ func (c *Controller) Seed(w workload.ID, serviceMS float64) {
 	st.seeded = true
 }
 
-// SetEnabled flips the gate. A disabled controller admits everything (still
-// tracking concurrency and service times) — the "no-admission" arm.
-func (c *Controller) SetEnabled(on bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.enabled = on
-}
-
-// Enabled reports whether the gate sheds.
-func (c *Controller) Enabled() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.enabled
-}
-
 // Admit asks the gate for weight concurrent slots for w at time now — one
 // slot per invocation, so a burst of N holds N. On success the returned
 // ticket must be released with Done. On overload it returns a *ShedError
@@ -343,22 +328,6 @@ func (c *Controller) publishLocked() {
 	c.mUtil.Set(float64(c.inflight) / float64(c.cfg.Slots))
 }
 
-// Utilization returns admitted concurrency over slots.
-func (c *Controller) Utilization() float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return float64(c.inflight) / float64(c.cfg.Slots)
-}
-
-// Pressured reports whether utilization has crossed PressureUtil — the
-// point where skyd stops re-running the routing strategy per request and
-// reuses pinned decisions.
-func (c *Controller) Pressured() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return float64(c.inflight) >= c.cfg.PressureUtil*float64(c.cfg.Slots)
-}
-
 // CapacityRPS is the Jindal-style sustainable request rate for w given the
 // current service-time estimate: TargetUtil×Slots×1000/serviceMS.
 func (c *Controller) CapacityRPS(w workload.ID) float64 {
@@ -410,6 +379,9 @@ func (c *Controller) RememberRoute(w workload.ID, az string, now time.Time) {
 // Retune applies a control-plane update. Zero-valued fields keep their
 // current setting; Enabled always applies.
 type Retune struct {
+	// Enabled flips the gate. A disabled controller admits everything
+	// (still tracking concurrency and service times): the "no-admission"
+	// arm.
 	Enabled      *bool   `json:"enabled,omitempty"`
 	Slots        int     `json:"slots,omitempty"`
 	TargetUtil   float64 `json:"targetUtil,omitempty"`

@@ -93,17 +93,21 @@ func TestAdmitDoneAllocs(t *testing.T) {
 
 func TestDisabledNeverSheds(t *testing.T) {
 	c := newController(t, Config{Slots: 2})
-	c.SetEnabled(false)
+	off := false
+	if err := c.Apply(Retune{Enabled: &off}); err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 50; i++ {
 		if _, err := c.Admit(t0, workload.Thumbnailer, 1); err != nil {
 			t.Fatalf("disabled gate shed request %d: %v", i, err)
 		}
 	}
-	if c.Enabled() {
-		t.Error("Enabled() true after SetEnabled(false)")
+	snap := c.Snapshot()
+	if snap.Enabled {
+		t.Error("snapshot reports the gate enabled after Apply(Enabled: false)")
 	}
-	if u := c.Utilization(); u < 20 {
-		t.Errorf("disabled gate should still track inflight; utilization %v", u)
+	if snap.Utilization < 20 {
+		t.Errorf("disabled gate should still track inflight; utilization %v", snap.Utilization)
 	}
 }
 
@@ -145,7 +149,7 @@ func TestPressureRouteCache(t *testing.T) {
 	// Cross the pressure threshold.
 	tk1, _ := c.Admit(t0, workload.Zipper, 1)
 	tk2, _ := c.Admit(t0, workload.Zipper, 1)
-	if !c.Pressured() {
+	if !c.Snapshot().Pressured {
 		t.Fatal("not pressured at 2/4 with PressureUtil 0.5")
 	}
 	az, ok := c.RouteFor(workload.Zipper, t0.Add(routeTTL/2))
@@ -158,7 +162,7 @@ func TestPressureRouteCache(t *testing.T) {
 	}
 	c.Done(tk1, t0, 100, true)
 	c.Done(tk2, t0, 100, true)
-	if c.Pressured() {
+	if c.Snapshot().Pressured {
 		t.Error("still pressured after drain")
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"skyfaas/internal/cloudsim"
 	"skyfaas/internal/cpu"
+	"skyfaas/internal/faas"
 	"skyfaas/internal/geo"
 	"skyfaas/internal/metrics"
 	"skyfaas/internal/sim"
@@ -137,10 +138,11 @@ func TestThrottleStormRejectsRequests(t *testing.T) {
 	if _, err := in.Inject(Fault{Kind: ThrottleStorm, AZ: "az-a", Magnitude: 1, Duration: time.Hour}); err != nil {
 		t.Fatal(err)
 	}
+	client, fn := faas.NewClient(cloud, "a"), faas.InvokeSpec{Call: faas.Call{AZ: "az-a", Function: "fn"}}
 	var resp cloudsim.Response
 	env.Go("caller", func(p *sim.Proc) error {
 		p.Sleep(time.Minute) // storm active
-		resp = cloud.Invoke(p, cloudsim.Request{Account: "a", AZ: "az-a", Function: "fn"})
+		resp = client.Do(p, fn)
 		return nil
 	})
 	if err := env.Run(); err != nil {
@@ -161,12 +163,13 @@ func TestOutageRejectsEverything(t *testing.T) {
 	if _, err := in.Inject(Fault{Kind: Outage, AZ: "az-a", Duration: time.Hour}); err != nil {
 		t.Fatal(err)
 	}
+	client, fn := faas.NewClient(cloud, "a"), faas.InvokeSpec{Call: faas.Call{AZ: "az-a", Function: "fn"}}
 	var during, after cloudsim.Response
 	env.Go("caller", func(p *sim.Proc) error {
 		p.Sleep(time.Minute)
-		during = cloud.Invoke(p, cloudsim.Request{Account: "a", AZ: "az-a", Function: "fn"})
+		during = client.Do(p, fn)
 		p.Sleep(time.Hour) // outage over
-		after = cloud.Invoke(p, cloudsim.Request{Account: "a", AZ: "az-a", Function: "fn"})
+		after = client.Do(p, fn)
 		return nil
 	})
 	if err := env.Run(); err != nil {
@@ -230,7 +233,9 @@ func TestScenariosByName(t *testing.T) {
 }
 
 func TestInjectScenarioArmsAllFaults(t *testing.T) {
-	env, _, in := world(t)
+	env, cloud, _ := world(t)
+	reg := metrics.NewRegistry()
+	in := NewInjector(cloud, reg)
 	sc, _ := ScenarioByName("degraded", "az-b")
 	ids, err := in.InjectScenario(sc)
 	if err != nil {
@@ -246,6 +251,14 @@ func TestInjectScenarioArmsAllFaults(t *testing.T) {
 	}
 	if active != 3 {
 		t.Errorf("active at +1m = %d, want 3", active)
+	}
+	// Each armed window counts under its kind, read back by name.
+	var injected uint64
+	for _, k := range Kinds() {
+		injected += reg.Counter("sky_chaos_faults_injected_total", "", metrics.L("kind", string(k))).Value()
+	}
+	if injected != 3 {
+		t.Errorf("sky_chaos_faults_injected_total sums to %d, want 3", injected)
 	}
 }
 

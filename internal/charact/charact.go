@@ -29,15 +29,6 @@ func (c Counts) Merge(other Counts) {
 	}
 }
 
-// Clone returns an independent copy.
-func (c Counts) Clone() Counts {
-	out := make(Counts, len(c))
-	for k, n := range c {
-		out[k] = n
-	}
-	return out
-}
-
 // Total returns the number of observations.
 func (c Counts) Total() int {
 	var t int
@@ -64,20 +55,6 @@ func (c Counts) Dist() Dist {
 // Share returns kind k's share (0 when absent).
 func (d Dist) Share(k cpu.Kind) float64 { return d[k] }
 
-// Top returns the most prevalent kind; ok is false for an empty
-// distribution. Ties break toward the lower catalogue ordinal for
-// determinism.
-func (d Dist) Top() (cpu.Kind, bool) {
-	var best cpu.Kind
-	bestShare := -1.0
-	for _, k := range cpu.Kinds() {
-		if s, present := d[k]; present && s > bestShare {
-			best, bestShare = k, s
-		}
-	}
-	return best, bestShare >= 0
-}
-
 // String renders the distribution compactly in catalogue order.
 func (d Dist) String() string {
 	var b strings.Builder
@@ -98,7 +75,7 @@ func (d Dist) String() string {
 
 // APE is the absolute percentage error between an estimate and a reference
 // distribution: the total-variation distance expressed in percent
-// (0 = identical, 100 = disjoint). Accuracy = 100 − APE.
+// (0 = identical, 100 = disjoint); accuracy is 100 − APE.
 func APE(est, ref Dist) float64 {
 	// Sum in catalog order so floating-point rounding is reproducible.
 	var l1 float64
@@ -110,15 +87,6 @@ func APE(est, ref Dist) float64 {
 		l1 += diff
 	}
 	return 100 * l1 / 2
-}
-
-// Accuracy returns 100 − APE, clamped to [0, 100].
-func Accuracy(est, ref Dist) float64 {
-	a := 100 - APE(est, ref)
-	if a < 0 {
-		return 0
-	}
-	return a
 }
 
 // Characterization is one zone's hardware profile at a point in time.
@@ -178,17 +146,6 @@ func StabilitySeries(baseline Dist, dists []Dist) []float64 {
 	return out
 }
 
-// Stable reports whether every observation stays within tolAPE of the
-// baseline.
-func Stable(series []float64, tolAPE float64) bool {
-	for _, v := range series {
-		if v > tolAPE {
-			return false
-		}
-	}
-	return true
-}
-
 // ---------------------------------------------------------------------------
 // Store
 
@@ -241,14 +198,4 @@ func (s *Store) Zones() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// TotalCost sums the sampling spend recorded across stored
-// characterizations.
-func (s *Store) TotalCost() float64 {
-	var sum float64
-	for _, ch := range s.by {
-		sum += ch.CostUSD
-	}
-	return sum
 }

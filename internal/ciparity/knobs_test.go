@@ -35,7 +35,6 @@ func TestKnobSurface(t *testing.T) {
 		"core.Config.Catalog", "core.Config.CloudOpts", "core.Config.Epoch", "core.Config.Metrics",
 		"core.Config.SamplerCfg", "core.Config.Seed", "core.Config.SkipMesh", "core.Config.StoreTTL",
 
-		"faas.HedgePolicy.After", "faas.HedgePolicy.Max",
 		"faas.RetryPolicy.BaseBackoff", "faas.RetryPolicy.JitterFrac", "faas.RetryPolicy.MaxAttempts",
 
 		"mesh.Config.AWSArchs", "mesh.Config.AWSMemoriesMB", "mesh.Config.DOMemoriesMB", "mesh.Config.IBMMemoriesMB",
@@ -46,6 +45,7 @@ func TestKnobSurface(t *testing.T) {
 
 		"router.BurstSpec.Candidates", "router.BurstSpec.N", "router.BurstSpec.Resilience",
 		"router.BurstSpec.Strategy", "router.BurstSpec.Workload",
+		"router.HedgePolicy.After", "router.HedgePolicy.Max",
 		"router.Resilience.Failover", "router.Resilience.Hedge", "router.Resilience.NoBreaker",
 		"router.Resilience.Retry",
 
@@ -63,8 +63,8 @@ func TestKnobSurface(t *testing.T) {
 	}
 	var got []string
 	for _, c := range []any{
-		admission.Config{}, cloudsim.Options{}, core.Config{}, faas.HedgePolicy{}, faas.RetryPolicy{},
-		mesh.Config{}, refresh.Config{}, router.BurstSpec{}, router.Resilience{}, sampler.Config{},
+		admission.Config{}, cloudsim.Options{}, core.Config{}, faas.RetryPolicy{},
+		mesh.Config{}, refresh.Config{}, router.BurstSpec{}, router.HedgePolicy{}, router.Resilience{}, sampler.Config{},
 		skyd.Config{}, tenant.Config{}, warmpool.Config{},
 	} {
 		typ := reflect.TypeOf(c)

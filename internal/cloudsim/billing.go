@@ -50,24 +50,21 @@ func (p PriceModel) Cost(memoryMB int, runtimeMS float64) float64 {
 // map iteration order.
 type Meter struct {
 	mu sync.Mutex
-	// byLabel is each label's spend and charge count; guarded by mu.
+	// byLabel is each label's spend; guarded by mu.
 	byLabel map[string]*meterLabel
 }
 
-// meterLabel is one label's spend, split by bucket, and its charge count.
+// meterLabel is one label's spend, split by bucket.
 type meterLabel struct {
-	buckets  map[string]*meterCell
-	requests int
+	buckets map[string]*meterCell
 }
 
 // meterCell is the accumulator of one (label, bucket): a caller that
 // charges the same pair again and again holds the cell instead of naming
 // the pair each time.
 type meterCell struct {
-	m     *Meter
-	label *meterLabel
-	// sum is the cell's spend, like the label's requests under the meter's
-	// mu.
+	m *Meter
+	// sum is the cell's spend, under the meter's mu.
 	sum float64
 }
 
@@ -88,23 +85,17 @@ func (m *Meter) cell(label, bucket string) *meterCell {
 	}
 	cell, ok := l.buckets[bucket]
 	if !ok {
-		cell = &meterCell{m: m, label: l}
+		cell = &meterCell{m: m}
 		l.buckets[bucket] = cell
 	}
 	return cell
 }
 
-// charge records cost in the cell and counts one charge under its label.
+// charge records cost in the cell.
 func (c *meterCell) charge(cost float64) {
 	c.m.mu.Lock()
 	defer c.m.mu.Unlock()
 	c.sum += cost
-	c.label.requests++
-}
-
-// Charge records cost under label in the default bucket.
-func (m *Meter) Charge(label string, cost float64) {
-	m.ChargeIn(label, "", cost)
 }
 
 // ChargeIn records cost under label in the named bucket. Callers that can
@@ -112,14 +103,6 @@ func (m *Meter) Charge(label string, cost float64) {
 // bucket so per-bucket accumulation order stays deterministic.
 func (m *Meter) ChargeIn(label, bucket string, cost float64) {
 	m.cell(label, bucket).charge(cost)
-}
-
-// Total returns the cumulative spend under label, summed over buckets in
-// sorted order so the float result is replay-stable.
-func (m *Meter) Total(label string) float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.byLabel[label].sum("")
 }
 
 // sum adds the label's buckets whose name starts with prefix, in sorted
@@ -146,21 +129,11 @@ func (l *meterLabel) sum(prefix string) float64 {
 // starts with prefix, summed in sorted order so the float result is
 // replay-stable. The cloud buckets warm-pool provisioning under
 // "warmpool/<region>", so TotalPrefix(account, "warmpool/") isolates that
-// spend from the same rollup Total reports in full.
+// spend from the rollup TotalPrefix(account, "") reports in full.
 func (m *Meter) TotalPrefix(label, prefix string) float64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.byLabel[label].sum(prefix)
-}
-
-// Requests returns the number of charges recorded under label.
-func (m *Meter) Requests(label string) int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if l := m.byLabel[label]; l != nil {
-		return l.requests
-	}
-	return 0
 }
 
 // GrandTotal returns spend across every label. Summation follows sorted

@@ -369,8 +369,8 @@ func (r Response) OK() bool { return r.Err == nil }
 // a time: step holds it as a method expression, and every Schedule passes
 // next, run bound once when the record was first made.
 // Records come from a sync.Pool and go back, zeroed but for next, at their
-// last use: in handOver after done, in Cloud.Invoke after it copies the
-// response, and for a fan-out child at its parent once gathered. No closure
+// last use: in handOver after done, and for a fan-out child at its parent
+// once gathered. No closure
 // may capture a record, since a recycled record is another request's; a
 // warm invocation therefore allocates nothing.
 type invocation struct {
@@ -381,10 +381,9 @@ type invocation struct {
 	dep      *Deployment
 	fi       *FI
 	behavior Behavior
-	// The response goes to done; or Cloud.Invoke waits on ev and reads
-	// resp; or, for a fan-out child, parent gathers resp.
+	// The response goes to done; or, for a fan-out child, parent gathers
+	// resp.
 	done func(Response)
-	ev   *sim.Event
 	// resp is filled in as the request goes: Sent at send, Cold and
 	// PayloadCached at placement, Started at behavior start, a fan-out
 	// node's Value at its last gather, the rest at finish.
@@ -437,18 +436,6 @@ func (inv *invocation) then(d time.Duration, s func(*invocation)) {
 
 // run is the record's one continuation: it runs the pending step.
 func (inv *invocation) run() { inv.step(inv) }
-
-// Invoke performs a blocking invocation from a client process.
-func (c *Cloud) Invoke(p *sim.Proc, req Request) Response {
-	ev := sim.NewEvent(p.Env())
-	inv := c.record(req)
-	inv.ev = ev
-	inv.send()
-	p.Wait(ev)
-	resp := inv.resp
-	inv.recycle()
-	return resp
-}
 
 // StartInvoke performs an asynchronous invocation; done runs when the
 // response arrives back at the caller (network latency included both ways).
@@ -510,19 +497,16 @@ func (inv *invocation) deliver() {
 // wakes its parent, at this instant, only if the parent is blocked on it —
 // where a process waiting on the child's event would have been woken.
 func (inv *invocation) handOver() {
-	switch parent := inv.parent; {
-	case parent != nil:
+	if parent := inv.parent; parent != nil {
 		inv.answered = true
 		if parent.waiting && parent.kid == inv {
 			parent.waiting = false
 			parent.then(0, (*invocation).gather)
 		}
-	case inv.ev != nil:
-		inv.ev.Trigger(nil)
-	default:
-		inv.done(inv.resp)
-		inv.recycle()
+		return
 	}
+	inv.done(inv.resp)
+	inv.recycle()
 }
 
 // arrive runs when the request reaches the region edge. Fault-injected
@@ -731,17 +715,4 @@ func (c *Cloud) modelRuntime(az *AZ, dep *Deployment, host *Host, w WorkBehavior
 		ms = 0.1
 	}
 	return time.Duration(ms * float64(time.Millisecond))
-}
-
-// Inflight reports an account's current concurrent executions in a region
-// (exposed for tests).
-func (c *Cloud) Inflight(account, region string) int {
-	r, ok := c.regionBy[region]
-	if !ok {
-		return 0
-	}
-	if a, ok := r.accounts[account]; ok {
-		return a.inflight
-	}
-	return 0
 }

@@ -49,12 +49,20 @@ func deploySleep(t *testing.T, c *Cloud, name string, d time.Duration) {
 	}
 }
 
+// invoke sends req and blocks p until its response is back: the blocking
+// form of StartInvoke.
+func invoke(p *sim.Proc, c *Cloud, req Request) Response {
+	ev := sim.NewEvent(p.Env())
+	c.StartInvoke(req, func(resp Response) { ev.Trigger(resp) })
+	return p.Wait(ev).(Response)
+}
+
 func TestInvokeSleepBasics(t *testing.T) {
 	env, c := testWorld(t, plainAZ(1024), Options{})
 	deploySleep(t, c, "fn", 250*time.Millisecond)
 	var resp Response
 	env.Go("client", func(p *sim.Proc) error {
-		resp = c.Invoke(p, Request{Account: "acct", AZ: "test-az-1a", Function: "fn"})
+		resp = invoke(p, c, Request{Account: "acct", AZ: "test-az-1a", Function: "fn"})
 		return nil
 	})
 	if err := env.Run(); err != nil {
@@ -81,7 +89,7 @@ func TestInvokeSleepBasics(t *testing.T) {
 	if resp.CostUSD <= 0 {
 		t.Error("no cost recorded")
 	}
-	if got := c.Meter().Total("acct"); math.Abs(got-resp.CostUSD) > 1e-12 {
+	if got := c.Meter().TotalPrefix("acct", ""); math.Abs(got-resp.CostUSD) > 1e-12 {
 		t.Errorf("meter %v != response cost %v", got, resp.CostUSD)
 	}
 }
@@ -108,8 +116,8 @@ func TestWarmReuse(t *testing.T) {
 	deploySleep(t, c, "fn", 10*time.Millisecond)
 	var first, second Response
 	env.Go("client", func(p *sim.Proc) error {
-		first = c.Invoke(p, Request{Account: "a", AZ: "test-az-1a", Function: "fn"})
-		second = c.Invoke(p, Request{Account: "a", AZ: "test-az-1a", Function: "fn"})
+		first = invoke(p, c, Request{Account: "a", AZ: "test-az-1a", Function: "fn"})
+		second = invoke(p, c, Request{Account: "a", AZ: "test-az-1a", Function: "fn"})
 		return nil
 	})
 	if err := env.Run(); err != nil {
@@ -159,7 +167,7 @@ func TestKeepAliveExpiry(t *testing.T) {
 	deploySleep(t, c, "fn", 10*time.Millisecond)
 	az, _ := c.AZ("test-az-1a")
 	env.Go("client", func(p *sim.Proc) error {
-		r := c.Invoke(p, Request{Account: "a", AZ: "test-az-1a", Function: "fn"})
+		r := invoke(p, c, Request{Account: "a", AZ: "test-az-1a", Function: "fn"})
 		if !r.OK() {
 			t.Errorf("invoke: %v", r.Err)
 		}
@@ -172,7 +180,7 @@ func TestKeepAliveExpiry(t *testing.T) {
 			t.Errorf("live FIs at 4min = %d, want 1", az.LiveFIs())
 		}
 		// ...and a new request reuses it, extending the window.
-		r2 := c.Invoke(p, Request{Account: "a", AZ: "test-az-1a", Function: "fn"})
+		r2 := invoke(p, c, Request{Account: "a", AZ: "test-az-1a", Function: "fn"})
 		if r2.Cold {
 			t.Error("reuse within keep-alive cold-started")
 		}
@@ -346,7 +354,7 @@ func TestWorkloadRuntimeFollowsCPUFactor(t *testing.T) {
 		gotN := 0
 		env.Go("client", func(p *sim.Proc) error {
 			for i := 0; i < n; i++ {
-				r := c.Invoke(p, Request{Account: "a", AZ: "r-az", Function: "fn"})
+				r := invoke(p, c, Request{Account: "a", AZ: "r-az", Function: "fn"})
 				if !r.OK() {
 					t.Errorf("invoke on %v: %v", kind, r.Err)
 					continue
@@ -364,7 +372,7 @@ func TestWorkloadRuntimeFollowsCPUFactor(t *testing.T) {
 	base := runtimeOn(cpu.Xeon25)
 	fast := runtimeOn(cpu.Xeon30)
 	slow := runtimeOn(cpu.EPYC)
-	spec := workload.MustGet(workload.MathService)
+	spec, _ := workload.Get(workload.MathService)
 	if ratio := fast / base; math.Abs(ratio-spec.CPUFactor(cpu.Xeon30)) > 0.05 {
 		t.Errorf("3.0GHz/baseline ratio = %.3f, want ~%.3f", ratio, spec.CPUFactor(cpu.Xeon30))
 	}
@@ -388,7 +396,7 @@ func TestMemoryStarvedDeploymentRunsSlower(t *testing.T) {
 		for _, name := range []string{"big", "small"} {
 			var sum float64
 			for i := 0; i < 20; i++ {
-				r := c.Invoke(p, Request{Account: "a", AZ: "test-az-1a", Function: name})
+				r := invoke(p, c, Request{Account: "a", AZ: "test-az-1a", Function: name})
 				if !r.OK() {
 					t.Errorf("%s: %v", name, r.Err)
 				}
@@ -418,11 +426,11 @@ func TestDynamicWorkOverride(t *testing.T) {
 	deploySleep(t, c, "static", time.Millisecond)
 	var dynResp, staticResp Response
 	env.Go("client", func(p *sim.Proc) error {
-		dynResp = c.Invoke(p, Request{
+		dynResp = invoke(p, c, Request{
 			Account: "a", AZ: "test-az-1a", Function: "dyn",
 			Work: WorkBehavior{Workload: workload.Sha1Hash},
 		})
-		staticResp = c.Invoke(p, Request{
+		staticResp = invoke(p, c, Request{
 			Account: "a", AZ: "test-az-1a", Function: "static",
 			Work: WorkBehavior{Workload: workload.Sha1Hash},
 		})
@@ -455,10 +463,10 @@ func TestPayloadCacheFlag(t *testing.T) {
 	var r1, r2, r3 Response
 	env.Go("client", func(p *sim.Proc) error {
 		req := Request{Account: "a", AZ: "test-az-1a", Function: "dyn", PayloadHash: "h1"}
-		r1 = c.Invoke(p, req)
-		r2 = c.Invoke(p, req)
+		r1 = invoke(p, c, req)
+		r2 = invoke(p, c, req)
 		req.PayloadHash = "h2"
-		r3 = c.Invoke(p, req)
+		r3 = invoke(p, c, req)
 		return nil
 	})
 	if err := env.Run(); err != nil {
@@ -513,7 +521,7 @@ func TestFanOutBehaviorNestedInvoke(t *testing.T) {
 	}
 	var resp Response
 	env.Go("client", func(p *sim.Proc) error {
-		resp = c.Invoke(p, Request{Account: "a", AZ: "test-az-1a", Function: "parent"})
+		resp = invoke(p, c, Request{Account: "a", AZ: "test-az-1a", Function: "parent"})
 		return nil
 	})
 	if err := env.Run(); err != nil {
@@ -597,7 +605,7 @@ func TestFanOutBehaviorGather(t *testing.T) {
 			}
 			var resp Response
 			env.Go("client", func(p *sim.Proc) error {
-				resp = c.Invoke(p, Request{Account: "a", AZ: "test-az-1a", Function: "node"})
+				resp = invoke(p, c, Request{Account: "a", AZ: "test-az-1a", Function: "node"})
 				return nil
 			})
 			if err := env.Run(); err != nil {
@@ -637,19 +645,43 @@ func TestFanOutBehaviorGather(t *testing.T) {
 	}
 }
 
+// foreignBehavior is a Behavior the cloud has no case for.
+type foreignBehavior struct{}
+
+func (foreignBehavior) isBehavior() {}
+
 func TestInvokeErrors(t *testing.T) {
 	env, c := testWorld(t, plainAZ(512), Options{})
-	var badAZ, badFn Response
+	for name, b := range map[string]Behavior{"bare": nil, "foreign": foreignBehavior{}} {
+		if _, err := c.Deploy("test-az-1a", name, DeployConfig{MemoryMB: 1024, Behavior: b}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cases := []struct {
+		name string
+		req  Request
+		want error
+	}{
+		{"unknown zone", Request{AZ: "nope", Function: "fn"}, ErrNoSuchDeployment},
+		{"unknown function", Request{AZ: "test-az-1a", Function: "ghost"}, ErrNoSuchDeployment},
+		{"no behavior", Request{AZ: "test-az-1a", Function: "bare"}, ErrBadRequest},
+		{"unknown behavior", Request{AZ: "test-az-1a", Function: "foreign"}, ErrBadRequest},
+	}
+	got := make([]Response, len(cases))
 	env.Go("client", func(p *sim.Proc) error {
-		badAZ = c.Invoke(p, Request{Account: "a", AZ: "nope", Function: "fn"})
-		badFn = c.Invoke(p, Request{Account: "a", AZ: "test-az-1a", Function: "ghost"})
+		for i, tc := range cases {
+			tc.req.Account = "a"
+			got[i] = invoke(p, c, tc.req)
+		}
 		return nil
 	})
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if !errors.Is(badAZ.Err, ErrNoSuchDeployment) || !errors.Is(badFn.Err, ErrNoSuchDeployment) {
-		t.Errorf("errs = %v / %v", badAZ.Err, badFn.Err)
+	for i, tc := range cases {
+		if !errors.Is(got[i].Err, tc.want) {
+			t.Errorf("%s: err = %v, want %v", tc.name, got[i].Err, tc.want)
+		}
 	}
 }
 
@@ -658,14 +690,14 @@ func TestDeployValidation(t *testing.T) {
 	if _, err := c.Deploy("test-az-1a", "fn", DeployConfig{MemoryMB: 2048, Behavior: SleepBehavior{}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Deploy("test-az-1a", "fn", DeployConfig{MemoryMB: 2048, Behavior: SleepBehavior{}}); err == nil {
-		t.Error("duplicate deploy accepted")
+	if _, err := c.Deploy("test-az-1a", "fn", DeployConfig{MemoryMB: 2048, Behavior: SleepBehavior{}}); !errors.Is(err, ErrDeploymentExists) {
+		t.Errorf("duplicate deploy: err = %v, want ErrDeploymentExists", err)
 	}
-	if _, err := c.Deploy("test-az-1a", "bad", DeployConfig{Behavior: SleepBehavior{}}); err == nil {
-		t.Error("zero-memory deploy accepted")
+	if _, err := c.Deploy("test-az-1a", "bad", DeployConfig{Behavior: SleepBehavior{}}); !errors.Is(err, ErrBadRequest) {
+		t.Errorf("zero-memory deploy: err = %v, want ErrBadRequest", err)
 	}
-	if _, err := c.Deploy("ghost-az", "fn", DeployConfig{MemoryMB: 128, Behavior: SleepBehavior{}}); err == nil {
-		t.Error("deploy to unknown AZ accepted")
+	if _, err := c.Deploy("ghost-az", "fn", DeployConfig{MemoryMB: 128, Behavior: SleepBehavior{}}); !errors.Is(err, ErrNoSuchAZ) {
+		t.Errorf("deploy to unknown AZ: err = %v, want ErrNoSuchAZ", err)
 	}
 }
 
@@ -691,11 +723,11 @@ func TestBillingGranularityAndRates(t *testing.T) {
 
 func TestMeter(t *testing.T) {
 	m := NewMeter()
-	m.Charge("a", 0.5)
-	m.Charge("a", 0.25)
-	m.Charge("b", 1)
-	if m.Total("a") != 0.75 || m.Requests("a") != 2 {
-		t.Errorf("a: %v/%d", m.Total("a"), m.Requests("a"))
+	m.ChargeIn("a", "", 0.5)
+	m.ChargeIn("a", "", 0.25)
+	m.ChargeIn("b", "", 1)
+	if got := m.TotalPrefix("a", ""); got != 0.75 {
+		t.Errorf("a: %v", got)
 	}
 	if m.GrandTotal() != 1.75 {
 		t.Errorf("grand total %v", m.GrandTotal())
@@ -706,13 +738,13 @@ func TestMeter(t *testing.T) {
 }
 
 // TestMeterCell checks that a cell and ChargeIn share one accumulator: an
-// empty cell adds nothing, and a cell's charges count under its label and
-// sum into its bucket beside ChargeIn's.
+// empty cell adds nothing, and a cell's charges sum into its bucket beside
+// ChargeIn's.
 func TestMeterCell(t *testing.T) {
 	m := NewMeter()
 	empty := m.cell("idle", "r1")
-	if m.Total("idle") != 0 || m.Requests("idle") != 0 || m.GrandTotal() != 0 {
-		t.Fatalf("an empty cell shows spend: %v/%d", m.Total("idle"), m.Requests("idle"))
+	if m.TotalPrefix("idle", "") != 0 || m.GrandTotal() != 0 {
+		t.Fatalf("an empty cell shows spend: %v", m.TotalPrefix("idle", ""))
 	}
 	cell := m.cell("a", "warmpool/r1")
 	cell.charge(0.5)
@@ -721,8 +753,8 @@ func TestMeterCell(t *testing.T) {
 	if m.cell("a", "warmpool/r1") != cell || empty == cell {
 		t.Fatal("cell does not resolve a pair to one accumulator")
 	}
-	if m.Total("a") != 1.75 || m.Requests("a") != 3 || m.TotalPrefix("a", "warmpool/") != 0.75 {
-		t.Errorf("a: total %v, %d requests, warm-pool %v", m.Total("a"), m.Requests("a"), m.TotalPrefix("a", "warmpool/"))
+	if m.TotalPrefix("a", "") != 1.75 || m.TotalPrefix("a", "warmpool/") != 0.75 {
+		t.Errorf("a: total %v, warm-pool %v", m.TotalPrefix("a", ""), m.TotalPrefix("a", "warmpool/"))
 	}
 }
 
@@ -947,7 +979,7 @@ func TestArmDeploymentsLandOnGraviton(t *testing.T) {
 	}
 	var resp Response
 	env.Go("client", func(p *sim.Proc) error {
-		resp = c.Invoke(p, Request{Account: "a", AZ: "test-az-1a", Function: "armfn"})
+		resp = invoke(p, c, Request{Account: "a", AZ: "test-az-1a", Function: "armfn"})
 		return nil
 	})
 	if err := env.Run(); err != nil {
@@ -1008,7 +1040,7 @@ func TestDeterministicReplay(t *testing.T) {
 		var log []string
 		env.Go("client", func(p *sim.Proc) error {
 			for i := 0; i < 30; i++ {
-				r := c.Invoke(p, Request{Account: "a", AZ: "test-az-1a", Function: "fn"})
+				r := invoke(p, c, Request{Account: "a", AZ: "test-az-1a", Function: "fn"})
 				log = append(log, fmt.Sprintf("%d/%s", r.Profile.Instance, r.CPU))
 			}
 			return nil

@@ -121,8 +121,8 @@ func TestAccessors(t *testing.T) {
 	}
 	var resp Response
 	env.Go("client", func(p *sim.Proc) error {
-		resp = cloud.Invoke(p, Request{Account: "a", AZ: "r-az", Function: "fn"})
-		resp2 := cloud.Invoke(p, Request{Account: "a", AZ: "r-az", Function: "fn"})
+		resp = invoke(p, cloud, Request{Account: "a", AZ: "r-az", Function: "fn"})
+		resp2 := invoke(p, cloud, Request{Account: "a", AZ: "r-az", Function: "fn"})
 		_ = resp2
 		return nil
 	})

@@ -44,7 +44,7 @@ func TestOnResponseHook(t *testing.T) {
 			Account: "a", AZ: "test-az-1a", Function: "dyn",
 			Work: ProbeBehavior{
 				Work:   WorkBehavior{Workload: workload.Sha1Hash},
-				Banned: cpu.MaskOf(cpu.Xeon25, cpu.Xeon29, cpu.Xeon30, cpu.EPYC),
+				Banned: cpu.Mask(0).Add(cpu.Xeon25).Add(cpu.Xeon29).Add(cpu.Xeon30).Add(cpu.EPYC),
 			},
 		}, func(Response) {})
 	})

@@ -24,7 +24,7 @@ func TestReuseKeepsOneKeepAliveTimer(t *testing.T) {
 	held := -1
 	env.Go("client", func(p *sim.Proc) error {
 		for i := 0; i < cycles; i++ {
-			if r := c.Invoke(p, Request{Account: "a", AZ: "test-az-1a", Function: "fn"}); !r.OK() || (i > 0 && r.Cold) {
+			if r := invoke(p, c, Request{Account: "a", AZ: "test-az-1a", Function: "fn"}); !r.OK() || (i > 0 && r.Cold) {
 				t.Fatalf("invocation %d: err %v, cold %v", i, r.Err, r.Cold)
 			}
 		}

@@ -98,7 +98,7 @@ func TestInvariantsUnderRandomChurn(t *testing.T) {
 			req.Function = "dyn"
 			req.Work = ProbeBehavior{
 				Work:   WorkBehavior{Workload: workload.Sha1Hash, Scale: 0.2},
-				Banned: maybeBan(cpu.MaskOf(cpu.EPYC), cpu.Xeon25, s.Bool(0.5)),
+				Banned: maybeBan(cpu.Mask(0).Add(cpu.EPYC), cpu.Xeon25, s.Bool(0.5)),
 				HoldMS: 50,
 			}
 		default:
@@ -130,7 +130,7 @@ func TestInvariantsUnderRandomChurn(t *testing.T) {
 	if responses != issued {
 		t.Fatalf("issued %d requests, %d responses", issued, responses)
 	}
-	if got := cloud.Inflight("acct", "r"); got != 0 {
+	if got := cloud.regionBy["r"].accounts["acct"].inflight; got != 0 {
 		t.Fatalf("inflight after drain = %d", got)
 	}
 	// After the keep-alive window with no traffic, instances are reaped.
@@ -206,7 +206,7 @@ func TestProbeDeclineReleasesQuota(t *testing.T) {
 			Account: "a", AZ: "r-az", Function: "dyn",
 			Work: ProbeBehavior{
 				Work:   WorkBehavior{Workload: workload.Sha1Hash},
-				Banned: cpu.MaskOf(cpu.EPYC),
+				Banned: cpu.Mask(0).Add(cpu.EPYC),
 			},
 		}, func(r Response) {
 			if r.OK() {
@@ -222,7 +222,7 @@ func TestProbeDeclineReleasesQuota(t *testing.T) {
 	if declined != 100 {
 		t.Fatalf("declined = %d, want all 100 (pure banned zone)", declined)
 	}
-	if got := cloud.Inflight("a", "r"); got != 0 {
+	if got := cloud.regionBy["r"].accounts["a"].inflight; got != 0 {
 		t.Fatalf("inflight after declines = %d", got)
 	}
 	// Terminated-on-decline: no instances linger.
@@ -250,7 +250,7 @@ func TestProbeKeepOnDecline(t *testing.T) {
 		Account: "a", AZ: "r-az", Function: "dyn",
 		Work: ProbeBehavior{
 			Work:          WorkBehavior{Workload: workload.Sha1Hash},
-			Banned:        cpu.MaskOf(cpu.EPYC),
+			Banned:        cpu.Mask(0).Add(cpu.EPYC),
 			KeepOnDecline: true,
 		},
 	}, func(Response) {})

@@ -64,7 +64,7 @@ func TestCloudCountsInvocationsAndColdStarts(t *testing.T) {
 	env.Go("client", func(p *sim.Proc) error {
 		// First call cold, second reuses the warm instance.
 		for i := 0; i < 2; i++ {
-			if resp := cloud.Invoke(p, Request{Account: "a", AZ: "m1-a", Function: "fn"}); !resp.OK() {
+			if resp := invoke(p, cloud, Request{Account: "a", AZ: "m1-a", Function: "fn"}); !resp.OK() {
 				t.Errorf("invoke %d: %v", i, resp.Err)
 			}
 		}
@@ -147,7 +147,7 @@ func TestCloudWithoutRegistryIsSilent(t *testing.T) {
 		t.Fatal(err)
 	}
 	env.Go("client", func(p *sim.Proc) error {
-		if resp := cloud.Invoke(p, Request{Account: "a", AZ: "m1-a", Function: "fn"}); !resp.OK() {
+		if resp := invoke(p, cloud, Request{Account: "a", AZ: "m1-a", Function: "fn"}); !resp.OK() {
 			t.Errorf("invoke: %v", resp.Err)
 		}
 		return nil

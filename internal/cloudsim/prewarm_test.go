@@ -31,7 +31,7 @@ func TestPreWarmServesWarmRequests(t *testing.T) {
 	var resp Response
 	env.Go("client", func(p *sim.Proc) error {
 		p.Sleep(10 * time.Second) // initialization (~140 ms) has finished
-		resp = c.Invoke(p, Request{Account: "acct", AZ: "test-az-1a", Function: "fn"})
+		resp = invoke(p, c, Request{Account: "acct", AZ: "test-az-1a", Function: "fn"})
 		return nil
 	})
 	env.Schedule(5*time.Second, func() {
@@ -70,7 +70,7 @@ func TestPreWarmedObeyKeepAliveReaping(t *testing.T) {
 	// and release re-arms from the release time.
 	env.Go("client", func(p *sim.Proc) error {
 		p.Sleep(55 * time.Second)
-		resp := c.Invoke(p, Request{Account: "acct", AZ: "test-az-1a", Function: "fn"})
+		resp := invoke(p, c, Request{Account: "acct", AZ: "test-az-1a", Function: "fn"})
 		if resp.Cold {
 			t.Error("reuse of a pre-warmed instance must be warm")
 		}
@@ -105,6 +105,13 @@ func TestWarmFloorHoldsThenLoweringReaps(t *testing.T) {
 		}
 		if _, _, err := az.PreWarm("fn", 5, "acct"); err != nil {
 			t.Errorf("PreWarm: %v", err)
+		}
+		// Neither names a function that is not deployed.
+		if err := az.SetWarmFloor("ghost", 2); !errors.Is(err, ErrNoSuchDeployment) {
+			t.Errorf("SetWarmFloor(ghost) = %v, want ErrNoSuchDeployment", err)
+		}
+		if _, _, err := az.PreWarm("ghost", 1, "acct"); !errors.Is(err, ErrNoSuchDeployment) {
+			t.Errorf("PreWarm(ghost) = %v, want ErrNoSuchDeployment", err)
 		}
 	})
 	env.Schedule(90*time.Second, func() {
@@ -218,7 +225,7 @@ func TestPreWarmBilledUnderWarmPoolBucket(t *testing.T) {
 	})
 	env.Go("client", func(p *sim.Proc) error {
 		p.Sleep(10 * time.Second)
-		c.Invoke(p, Request{Account: "acct", AZ: "test-az-1a", Function: "fn"})
+		invoke(p, c, Request{Account: "acct", AZ: "test-az-1a", Function: "fn"})
 		return nil
 	})
 	if err := env.Run(); err != nil {
@@ -233,7 +240,7 @@ func TestPreWarmBilledUnderWarmPoolBucket(t *testing.T) {
 	}
 	// The account's full rollup includes both the warm-pool bucket and the
 	// ordinary request charge.
-	if total := c.Meter().Total("acct"); total <= wp {
+	if total := c.Meter().TotalPrefix("acct", ""); total <= wp {
 		t.Fatalf("total %f should exceed warm-pool spend %f by the request charge", total, wp)
 	}
 }
@@ -241,10 +248,11 @@ func TestPreWarmBilledUnderWarmPoolBucket(t *testing.T) {
 func TestStartEnsureWarm(t *testing.T) {
 	env, c := testWorld(t, plainAZ(1024), Options{KeepAlive: time.Minute})
 	deploySleep(t, c, "fn", 50*time.Millisecond)
-	var first, second, missing ProvisionResult
+	var first, second, missing, ghost ProvisionResult
 	env.Schedule(0, func() {
 		c.StartEnsureWarm("test-az-1a", "fn", 4, 2, "acct", func(r ProvisionResult) { first = r })
 		c.StartEnsureWarm("nowhere", "fn", 1, 0, "acct", func(r ProvisionResult) { missing = r })
+		c.StartEnsureWarm("test-az-1a", "ghost", 1, 0, "acct", func(r ProvisionResult) { ghost = r })
 	})
 	env.Schedule(30*time.Second, func() {
 		// Pool already at target: the second actuation is a no-op that
@@ -265,5 +273,8 @@ func TestStartEnsureWarm(t *testing.T) {
 	}
 	if !errors.Is(missing.Err, ErrNoSuchAZ) {
 		t.Fatalf("missing zone err = %v, want ErrNoSuchAZ", missing.Err)
+	}
+	if !errors.Is(ghost.Err, ErrNoSuchDeployment) {
+		t.Fatalf("missing function err = %v, want ErrNoSuchDeployment", ghost.Err)
 	}
 }

@@ -54,7 +54,7 @@ func regionDigest(t *testing.T) string {
 			b.WriteByte('\n')
 		}
 	}
-	fmt.Fprintf(&b, "meter=%s inflight=%d\n", c.Meter().String(), c.Inflight("acct", "us-west-1"))
+	fmt.Fprintf(&b, "meter=%s inflight=%d\n", c.Meter().String(), c.regionBy["us-west-1"].accounts["acct"].inflight)
 	return b.String()
 }
 

@@ -7,17 +7,18 @@ import (
 	"testing"
 	"time"
 
+	"skyfaas/internal/metrics"
 	"skyfaas/internal/sim"
 )
 
 type mode string
 
-func newLoop(t *testing.T, env *sim.Env, step func()) *Loop[mode] {
+func newLoop(t *testing.T, env *sim.Env, step func(), reg *metrics.Registry) *Loop[mode] {
 	t.Helper()
 	l, err := NewLoop(env, Spec[mode]{
 		Name: "test", Modes: []mode{"off", "on"}, Mode: "off",
 		TickEvery: time.Minute, RatePerHour: 0.5, Cap: 1,
-	}, step, nil)
+	}, step, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,13 +30,14 @@ func newLoop(t *testing.T, env *sim.Env, step func()) *Loop[mode] {
 // the step schedules one period out fires before that tick.
 func TestTickOrder(t *testing.T) {
 	env := sim.NewEnv(epoch)
+	reg := metrics.NewRegistry()
 	var got []string
 	var l *Loop[mode]
 	l = newLoop(t, env, func() {
 		n := l.Ticks()
 		got = append(got, fmt.Sprint("tick ", n))
 		env.Schedule(time.Minute, func() { got = append(got, fmt.Sprint("step ", n)) })
-	})
+	}, reg)
 	l.Start()
 	env.Schedule(3*time.Minute+time.Second, l.Stop)
 	if err := env.Run(); err != nil {
@@ -45,6 +47,10 @@ func TestTickOrder(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("events = %q, want %q", got, want)
 	}
+	// The loop's tick counter is published under its name.
+	if n := reg.Counter("sky_test_ticks_total", "").Value(); n != 3 {
+		t.Errorf("sky_test_ticks_total = %d, want 3", n)
+	}
 }
 
 // TestStopTerminatesLoop is the termination property skyd's Close path
@@ -53,7 +59,7 @@ func TestTickOrder(t *testing.T) {
 // second Start must not arm a second loop.
 func TestStopTerminatesLoop(t *testing.T) {
 	env := sim.NewEnv(epoch)
-	l := newLoop(t, env, func() {})
+	l := newLoop(t, env, func() {}, nil)
 	l.Start()
 	l.Start()
 	env.Schedule(10*time.Minute+time.Second, l.Stop)
@@ -80,7 +86,7 @@ func TestStopTerminatesLoop(t *testing.T) {
 func TestStopFromAnotherGoroutine(t *testing.T) {
 	env := sim.NewEnv(epoch)
 	var l *Loop[mode]
-	l = newLoop(t, env, func() { l.Debit(env.Now(), 0.001) })
+	l = newLoop(t, env, func() { l.Debit(env.Now(), 0.001) }, nil)
 	l.Start()
 	done := make(chan error, 1)
 	go func() { done <- env.RunFor(10_000 * time.Hour) }()
@@ -99,7 +105,7 @@ func TestStopFromAnotherGoroutine(t *testing.T) {
 // all, and Status shows what was applied.
 func TestSetModeAndRetune(t *testing.T) {
 	env := sim.NewEnv(epoch)
-	l := newLoop(t, env, func() {})
+	l := newLoop(t, env, func() {}, nil)
 	if err := l.SetMode("warmish"); !errors.Is(err, ErrUnknownMode) {
 		t.Fatalf("SetMode(warmish) = %v, want ErrUnknownMode", err)
 	}

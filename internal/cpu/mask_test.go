@@ -3,14 +3,7 @@ package cpu
 import "testing"
 
 func TestMaskBasics(t *testing.T) {
-	var m Mask
-	if !m.Empty() || m.Count() != 0 || m.Set() != nil {
-		t.Fatal("zero mask not empty")
-	}
-	m = MaskOf(Xeon30, EPYC)
-	if m.Empty() || m.Count() != 2 {
-		t.Fatalf("count = %d, want 2", m.Count())
-	}
+	m := Mask(0).Add(Xeon30).Add(EPYC)
 	if !m.Has(Xeon30) || !m.Has(EPYC) || m.Has(Xeon25) {
 		t.Errorf("membership wrong: %b", m)
 	}
@@ -21,21 +14,16 @@ func TestMaskBasics(t *testing.T) {
 }
 
 func TestMaskCoversCatalog(t *testing.T) {
-	// Every catalogued kind fits, and the round trip through Set preserves
-	// membership exactly.
+	// Every catalogued kind fits in a bit of its own.
 	var m Mask
 	for _, k := range Kinds() {
+		if m.Has(k) {
+			t.Fatalf("%v shares a bit with an earlier kind", k)
+		}
 		m = m.Add(k)
-	}
-	if m.Count() != len(Kinds()) {
-		t.Fatalf("count = %d, want %d", m.Count(), len(Kinds()))
-	}
-	set := m.Set()
-	if len(set) != len(Kinds()) {
-		t.Fatalf("set size = %d", len(set))
-	}
-	if got := MaskOfSet(set); got != m {
-		t.Errorf("round trip %b != %b", got, m)
+		if !m.Has(k) {
+			t.Fatalf("%v did not fit", k)
+		}
 	}
 }
 
@@ -49,9 +37,5 @@ func TestMaskRejectsOutOfRange(t *testing.T) {
 	}
 	if m.Has(Kind(0)) || m.Has(Kind(100)) {
 		t.Error("out-of-range membership")
-	}
-	// MaskOfSet ignores false entries.
-	if got := MaskOfSet(map[Kind]bool{Xeon25: false, EPYC: true}); got != MaskOf(EPYC) {
-		t.Errorf("MaskOfSet kept false entry: %b", got)
 	}
 }

@@ -8,6 +8,7 @@ import (
 
 	"skyfaas/internal/cloudsim"
 	"skyfaas/internal/cpu"
+	"skyfaas/internal/faas"
 	"skyfaas/internal/geo"
 	"skyfaas/internal/rng"
 	"skyfaas/internal/sim"
@@ -144,15 +145,13 @@ func TestDeployAndInvokeThroughCloud(t *testing.T) {
 			t.Error(err)
 			return nil
 		}
-		req := cloudsim.Request{
-			Account: "a", AZ: "r1-a", Function: "dyn-2048",
-			Work: work, PayloadHash: wire.Hash,
-		}
-		first = cloud.Invoke(p, req)
+		client := faas.NewClient(cloud, "a")
+		call := faas.Call{AZ: "r1-a", Function: "dyn-2048", Work: work, PayloadHash: wire.Hash}
+		first = client.Do(p, faas.InvokeSpec{Call: call})
 		// Second call hits the same warm instance: payload cached.
 		work2, _ := WorkFor(Payload{Workload: "sha1_hash"}, len(wire.Blob), true)
-		req.Work = work2
-		second = cloud.Invoke(p, req)
+		call.Work = work2
+		second = client.Do(p, faas.InvokeSpec{Call: call})
 		return nil
 	})
 	if err := env.Run(); err != nil {

@@ -7,7 +7,6 @@ import (
 	"skyfaas/internal/chaos"
 	"skyfaas/internal/cloudsim"
 	"skyfaas/internal/core"
-	"skyfaas/internal/faas"
 	"skyfaas/internal/router"
 	"skyfaas/internal/sampler"
 	"skyfaas/internal/sim"
@@ -52,7 +51,7 @@ func DefaultEX6Arms() []EX6Arm {
 			Strategy: router.StrategySpec{Name: "hybrid"},
 			Resilience: &router.Resilience{
 				Failover: true,
-				Hedge:    faas.HedgePolicy{After: 2 * time.Second, Max: 1},
+				Hedge:    router.HedgePolicy{After: 2 * time.Second, Max: 1},
 			}},
 	}
 }

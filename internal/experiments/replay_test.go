@@ -23,7 +23,8 @@ const replayDigests = "testdata/replay.sha256"
 // an event reorder that one seed's draws happen to hide shows at the other.
 var replaySeeds = []uint64{5, 7}
 
-// TestExperimentsReplay is the replay contract of EX-1..EX-11: each
+// TestExperimentsReplay is the replay contract of EX-1..EX-11, the
+// ablations (ABL) and the §4.6 retry trade-off (TRADEOFF): each
 // experiment's reduced run at every replay seed must produce exactly the
 // bytes pinned in testdata/replay.sha256 — a run is a pure function of its
 // seed (§3.5), and a refactor must not move a single figure. The digest
@@ -64,6 +65,8 @@ func TestExperimentsReplay(t *testing.T) {
 			}},
 			{"EX10", outputs(RunEX10, EX10Config{Seed: seed}.Reduced())},
 			{"EX11", outputs(RunEX11, EX11Config{Seed: seed}.Reduced())},
+			{"ABL", outputs(RunAblations, StudyConfig{Seed: seed})},
+			{"TRADEOFF", outputs(RunRetryTradeoff, StudyConfig{Seed: seed})},
 		} {
 			cases = append(cases, replayCase{c.name + suffix, seed, c.run})
 		}

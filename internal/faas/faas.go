@@ -1,8 +1,9 @@
 // Package faas is the client-side SDK over the simulated cloud: the thin
 // layer an application (or our sampler and router) uses to deploy functions
 // and invoke them: one bare attempt with a callback (Start), or one logical
-// invocation under a retry, hedge and deadline envelope, with a callback
-// (DoFunc) or blocking a process (Do).
+// invocation under a retry envelope, with a callback (DoFunc) or blocking a
+// process (Do). Hedging and failover belong to the router's bursts
+// (router.Resilience), the one place a workload uses them.
 //
 // It deliberately mirrors the shape of a real FaaS SDK — an account-scoped
 // client — so the code above it reads like a program against AWS Lambda
@@ -21,7 +22,7 @@ type Client struct {
 	cloud   *cloudsim.Cloud
 	account string
 	rand    *rng.Stream
-	// free holds plain envelopes for reuse. A client runs on its cloud's
+	// free holds finished envelopes for reuse. A client runs on its cloud's
 	// one simulation thread, so the list needs no lock.
 	free []*envelope
 }

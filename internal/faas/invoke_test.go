@@ -70,124 +70,6 @@ func TestDoRespectsAttemptBudget(t *testing.T) {
 	}
 }
 
-func TestDoDeadline(t *testing.T) {
-	env, cloud := world(t)
-	client := NewClient(cloud, "acct")
-	deployEcho(t, cloud, client, 5*time.Second) // execution far exceeds the deadline
-	var resp cloudsim.Response
-	var elapsed time.Duration
-	env.Go("client", func(p *sim.Proc) error {
-		start := env.Now()
-		resp = client.Do(p, InvokeSpec{Call: fnCall, Deadline: 500 * time.Millisecond})
-		elapsed = env.Now().Sub(start)
-		return nil
-	})
-	if err := env.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !errors.Is(resp.Err, ErrDeadlineExceeded) {
-		t.Fatalf("err = %v, want deadline exceeded", resp.Err)
-	}
-	if elapsed != 500*time.Millisecond {
-		t.Errorf("returned after %v, want exactly the deadline", elapsed)
-	}
-}
-
-func TestDoHedgeWinsOnSlowPrimary(t *testing.T) {
-	env, cloud := world(t)
-	client := NewClient(cloud, "acct")
-	deployEcho(t, cloud, client, 50*time.Millisecond)
-	var resp cloudsim.Response
-	var start time.Time
-	env.Go("client", func(p *sim.Proc) error {
-		// The primary's cold start outlasts the 200 ms threshold but not
-		// twice it: one hedge launches, and the answer comes before the
-		// second would.
-		start = env.Now()
-		resp = client.Do(p, InvokeSpec{Call: fnCall, Hedge: HedgePolicy{After: 200 * time.Millisecond, Max: 2}})
-		return nil
-	})
-	if err := env.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !resp.OK() {
-		t.Fatalf("hedged Do failed: %v", resp.Err)
-	}
-	if took := resp.Ended.Sub(start); !resp.Cold || took < 200*time.Millisecond || took >= 400*time.Millisecond {
-		t.Fatalf("answered after %v (cold %v): the world no longer times one hedge", took, resp.Cold)
-	}
-	if got := cloud.Meter().Requests("acct"); got != 2 {
-		t.Errorf("billed %d invocations, want the primary and one hedge", got)
-	}
-}
-
-// TestEveryFormLaunchesTheHedge runs one hedged invocation through each
-// entry point that takes a spec. The 2 s execution outlasts the 200 ms
-// threshold, so each must bill the primary and its one hedge.
-func TestEveryFormLaunchesTheHedge(t *testing.T) {
-	spec := InvokeSpec{Call: fnCall, Hedge: HedgePolicy{After: 200 * time.Millisecond, Max: 1}}
-	forms := map[string]func(p *sim.Proc, c *Client) cloudsim.Response{
-		"Do": func(p *sim.Proc, c *Client) cloudsim.Response { return c.Do(p, spec) },
-		"DoFunc": func(p *sim.Proc, c *Client) cloudsim.Response {
-			ev := sim.NewEvent(p.Env())
-			c.DoFunc(spec, func(r cloudsim.Response) { ev.Trigger(r) })
-			return p.Wait(ev).(cloudsim.Response)
-		},
-	}
-	for name, form := range forms {
-		t.Run(name, func(t *testing.T) {
-			env, cloud := world(t)
-			client := NewClient(cloud, "acct")
-			deployEcho(t, cloud, client, 2*time.Second)
-			var resp cloudsim.Response
-			env.Go("client", func(p *sim.Proc) error {
-				resp = form(p, client)
-				return nil
-			})
-			if err := env.Run(); err != nil {
-				t.Fatal(err)
-			}
-			if !resp.OK() {
-				t.Fatalf("hedged %s failed: %v", name, resp.Err)
-			}
-			if got := cloud.Meter().Requests("acct"); got != 2 {
-				t.Errorf("%s billed %d invocations, want the primary and its hedge", name, got)
-			}
-		})
-	}
-}
-
-func TestDoDeadlineCutsTheBackoffShort(t *testing.T) {
-	env, cloud := world(t)
-	client := NewClient(cloud, "acct")
-	deployEcho(t, cloud, client, 20*time.Millisecond)
-	var resp cloudsim.Response
-	var elapsed time.Duration
-	env.Go("client", func(p *sim.Proc) error {
-		az, _ := cloud.AZ("r1-az-a")
-		az.SetOutage(true)
-		start := env.Now()
-		resp = client.Do(p, InvokeSpec{
-			Call:     fnCall,
-			Retry:    RetryPolicy{MaxAttempts: 10, BaseBackoff: 300 * time.Millisecond},
-			Deadline: time.Second,
-		})
-		elapsed = env.Now().Sub(start)
-		return nil
-	})
-	if err := env.Run(); err != nil {
-		t.Fatal(err)
-	}
-	// Attempts at 0, ~0.3 s; the third backoff (1.2 s) would end past the
-	// deadline, so the invocation gives up then, naming both causes.
-	if !errors.Is(resp.Err, ErrDeadlineExceeded) || !errors.Is(resp.Err, cloudsim.ErrZoneOutage) {
-		t.Fatalf("err = %v, want deadline exceeded wrapping the zone outage", resp.Err)
-	}
-	if elapsed >= time.Second {
-		t.Errorf("gave up after %v, want before the deadline", elapsed)
-	}
-}
-
 // doFunc runs spec through DoFunc on a fresh client and returns its one
 // answer, after setup has had its way with the zone.
 func doFunc(t *testing.T, spec InvokeSpec, setup func(env *sim.Env, az *cloudsim.AZ)) cloudsim.Response {
@@ -220,19 +102,6 @@ func TestDoFuncRetries(t *testing.T) {
 	}
 }
 
-func TestDoFuncDeadline(t *testing.T) {
-	resp := doFunc(t, InvokeSpec{
-		Call:     fnCall,
-		Retry:    RetryPolicy{MaxAttempts: 1000, BaseBackoff: 20 * time.Millisecond},
-		Deadline: 400 * time.Millisecond,
-	}, func(_ *sim.Env, az *cloudsim.AZ) {
-		az.SetOutage(true) // permanent: retries can never succeed
-	})
-	if !errors.Is(resp.Err, ErrDeadlineExceeded) {
-		t.Fatalf("err = %v, want deadline exceeded", resp.Err)
-	}
-}
-
 func TestRetryableClassification(t *testing.T) {
 	for err, want := range map[error]bool{
 		cloudsim.ErrThrottled:        true,
@@ -240,7 +109,6 @@ func TestRetryableClassification(t *testing.T) {
 		cloudsim.ErrZoneOutage:       true,
 		cloudsim.ErrBadRequest:       false,
 		cloudsim.ErrNoSuchDeployment: false,
-		ErrDeadlineExceeded:          false,
 		nil:                          false,
 	} {
 		if got := Retryable(err); got != want {

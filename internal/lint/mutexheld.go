@@ -2,18 +2,19 @@ package lint
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 	"regexp"
 )
 
 // mutexheld enforces "guarded by <mu>" field annotations: a struct field
 // whose doc or line comment says it is guarded by a sibling mutex field may
-// only be touched inside functions that lock that mutex on the same base
-// expression. The check is a per-function-body heuristic — it looks for a
-// <base>.<mu>.Lock() or <base>.<mu>.RLock() call anywhere in the enclosing
-// function, not for a dominating lock — which is exactly strong enough to
-// catch the "forgot to lock at all" class of race without a full
-// happens-before analysis.
+// only be touched after a lock of that mutex on the same base expression.
+// The check is a per-function-body heuristic — it looks for a
+// <base>.<mu>.Lock() or <base>.<mu>.RLock() call earlier in the enclosing
+// function's source than the access, not for a dominating lock — which
+// catches both the "forgot to lock at all" and the "read first, locked
+// later" class of race without a full happens-before analysis.
 var mutexheldAnalyzer = &Analyzer{
 	Name: "mutexheld",
 	Doc:  "fields documented as 'guarded by <mu>' are only accessed under that mutex",
@@ -48,9 +49,9 @@ func runMutexheld(p *Pass) {
 					return true
 				}
 				key := types.ExprString(sel.X) + "." + mu
-				if !locked[key] {
+				if at, ok := locked[key]; !ok || at > sel.Pos() {
 					p.Reportf(sel.Pos(),
-						"%s.%s is guarded by %s but this function never locks %s", structName, sel.Sel.Name, mu, key)
+						"%s.%s is guarded by %s but this function does not lock %s before it", structName, sel.Sel.Name, mu, key)
 				}
 				return true
 			})
@@ -96,10 +97,10 @@ func collectGuarded(p *Pass) map[string]map[string]string {
 	return guarded
 }
 
-// lockedMutexes returns the set of "<base>.<mu>" expressions on which body
-// calls Lock or RLock.
-func lockedMutexes(body *ast.BlockStmt) map[string]bool {
-	locked := make(map[string]bool)
+// lockedMutexes returns each "<base>.<mu>" expression on which body calls
+// Lock or RLock, with the position of its first such call.
+func lockedMutexes(body *ast.BlockStmt) map[string]token.Pos {
+	locked := make(map[string]token.Pos)
 	ast.Inspect(body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
@@ -110,7 +111,10 @@ func lockedMutexes(body *ast.BlockStmt) map[string]bool {
 			return true
 		}
 		if mu, ok := sel.X.(*ast.SelectorExpr); ok {
-			locked[types.ExprString(mu.X)+"."+mu.Sel.Name] = true
+			key := types.ExprString(mu.X) + "." + mu.Sel.Name
+			if _, seen := locked[key]; !seen { // Inspect walks in source order
+				locked[key] = call.Pos()
+			}
 		}
 		return true
 	})

@@ -36,3 +36,14 @@ func (m *Meter) SortedTotal() float64 {
 	}
 	return sum
 }
+
+// Lookup reads byLabel before it takes mu: the function does lock mu, but
+// only after the first access, so that access is unguarded.
+func (m *Meter) Lookup(label string) float64 {
+	if v, ok := m.byLabel[label]; ok { //want mutexheld
+		return v
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.byLabel[label]
+}

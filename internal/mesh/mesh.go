@@ -7,7 +7,6 @@ package mesh
 
 import (
 	"fmt"
-	"sort"
 
 	"skyfaas/internal/cloudsim"
 	"skyfaas/internal/cpu"
@@ -64,7 +63,6 @@ type Mesh struct {
 	cloud     *cloudsim.Cloud
 	endpoints []Endpoint
 	index     map[key]Endpoint
-	azs       []string
 }
 
 // Build deploys the mesh across every zone of the cloud.
@@ -86,7 +84,6 @@ func Build(cloud *cloudsim.Cloud, cfg Config) (*Mesh, error) {
 			return nil, fmt.Errorf("mesh: unknown provider %v", region.Provider())
 		}
 		for _, az := range region.AZs() {
-			m.azs = append(m.azs, az.Name())
 			for _, mem := range mems {
 				for _, arch := range archs {
 					name := fmt.Sprintf("skymesh-%s-%d-%s", az.Name(), mem, arch)
@@ -107,7 +104,6 @@ func Build(cloud *cloudsim.Cloud, cfg Config) (*Mesh, error) {
 			}
 		}
 	}
-	sort.Strings(m.azs)
 	return m, nil
 }
 
@@ -118,13 +114,6 @@ func (m *Mesh) Size() int { return len(m.endpoints) }
 func (m *Mesh) Endpoints() []Endpoint {
 	out := make([]Endpoint, len(m.endpoints))
 	copy(out, m.endpoints)
-	return out
-}
-
-// AZs returns every zone covered by the mesh, sorted.
-func (m *Mesh) AZs() []string {
-	out := make([]string, len(m.azs))
-	copy(out, m.azs)
 	return out
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"skyfaas/internal/cloudsim"
 	"skyfaas/internal/cpu"
+	"skyfaas/internal/faas"
 	"skyfaas/internal/geo"
 	"skyfaas/internal/sim"
 )
@@ -60,8 +61,12 @@ func TestBuildMatrix(t *testing.T) {
 	if m.Size() != 41 {
 		t.Errorf("total = %d, want 41", m.Size())
 	}
-	if azs := m.AZs(); len(azs) != 4 {
-		t.Errorf("AZs = %v", azs)
+	zones := map[string]bool{}
+	for _, ep := range m.Endpoints() {
+		zones[ep.AZ] = true
+	}
+	if len(zones) != 4 {
+		t.Errorf("endpoints cover zones %v, want 4", zones)
 	}
 }
 
@@ -138,9 +143,7 @@ func TestMeshEndpointsInvocable(t *testing.T) {
 	env := cloud.Env()
 	var resp cloudsim.Response
 	env.Go("client", func(p *sim.Proc) error {
-		resp = cloud.Invoke(p, cloudsim.Request{
-			Account: "a", AZ: ep.AZ, Function: ep.Function,
-		})
+		resp = faas.NewClient(cloud, "a").Do(p, faas.InvokeSpec{Call: faas.Call{AZ: ep.AZ, Function: ep.Function}})
 		return nil
 	})
 	if err := env.Run(); err != nil {

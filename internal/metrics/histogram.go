@@ -102,14 +102,6 @@ func (h *Histogram) bucketIdx(v float64) int {
 	return lo
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
-
 // Sum returns the sum of all observations.
 func (h *Histogram) Sum() float64 {
 	if h == nil {

@@ -260,9 +260,6 @@ func New(env *sim.Env, cfg Config, store *charact.Store, passive *charact.Passiv
 // applied; the live mode and budget are in Snapshot.
 func (m *Maintainer) Config() Config { return m.cfg }
 
-// Detector exposes the drift detector (read-only use from inside the sim).
-func (m *Maintainer) Detector() *Detector { return m.det }
-
 // ObserveTraffic records completed routed invocations landing on az; the
 // urgency score uses the accumulated share. Must be called from inside the
 // simulation (the router's burst path).

@@ -2,6 +2,7 @@ package refresh
 
 import (
 	"errors"
+	"maps"
 	"math"
 	"testing"
 	"time"
@@ -9,6 +10,7 @@ import (
 	"skyfaas/internal/charact"
 	"skyfaas/internal/control"
 	"skyfaas/internal/cpu"
+	"skyfaas/internal/metrics"
 	"skyfaas/internal/sim"
 )
 
@@ -44,7 +46,7 @@ func (f *fakeSampler) Resample(p *sim.Proc, az string, polls int) (charact.Chara
 		Taken:   p.Env().Now(),
 		Polls:   polls,
 		Samples: counts.Total(),
-		Counts:  counts.Clone(),
+		Counts:  maps.Clone(counts),
 		CostUSD: f.cost,
 	}, nil
 }
@@ -246,7 +248,11 @@ func TestForceBypassesModeAndDebits(t *testing.T) {
 	env := sim.NewEnv(epoch)
 	store := charact.NewStore(0)
 	fs := &fakeSampler{cost: 0.02}
-	m := newMaintainer(t, env, Config{Zones: []string{"az-a"}, Mode: ModeOff}, store, nil, fs)
+	reg := metrics.NewRegistry()
+	m, err := New(env, Config{Zones: []string{"az-a"}, Mode: ModeOff}, store, nil, fs, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	m.Start()
 	var forced charact.Characterization
 	var ferr error
@@ -271,6 +277,9 @@ func TestForceBypassesModeAndDebits(t *testing.T) {
 	st := mustSnapshot(t, env, m)
 	if st.Forced != 1 || st.Refreshes != 1 || !almost(st.SpentUSD, 0.02) {
 		t.Fatalf("snapshot = %+v, want forced=1 refreshes=1 spent=0.02", st)
+	}
+	if got := reg.Counter("sky_refresh_polls_total", "").Value(); got != 7 {
+		t.Errorf("sky_refresh_polls_total = %d, want the forced refresh's 7 polls", got)
 	}
 }
 

@@ -121,28 +121,6 @@ func (s *Stream) Bool(p float64) bool {
 	return s.Float64() < p
 }
 
-// Perm returns a pseudo-random permutation of [0, n) (Fisher–Yates).
-func (s *Stream) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := s.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}
-
-// Shuffle pseudo-randomly permutes n elements using the provided swap
-// function (Fisher–Yates).
-func (s *Stream) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := s.Intn(i + 1)
-		swap(i, j)
-	}
-}
-
 // WeightedChoice returns an index in [0, len(weights)) drawn with probability
 // proportional to weights[i]. All weights must be non-negative and at least
 // one must be positive; otherwise it returns 0.

@@ -142,26 +142,6 @@ func TestExpMean(t *testing.T) {
 	}
 }
 
-func TestPermIsPermutation(t *testing.T) {
-	if err := quick.Check(func(seed uint64, nRaw uint8) bool {
-		n := int(nRaw%64) + 1
-		p := New(seed).Perm(n)
-		if len(p) != n {
-			return false
-		}
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestWeightedChoiceRespectsZeros(t *testing.T) {
 	s := New(31)
 	weights := []float64{0, 1, 0, 3}
@@ -208,18 +188,5 @@ func TestJitterBounds(t *testing.T) {
 		return v >= 90 && v <= 110
 	}, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestShuffleKeepsElements(t *testing.T) {
-	s := New(77)
-	xs := []int{1, 2, 3, 4, 5, 6}
-	sum := 0
-	s.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-	for _, v := range xs {
-		sum += v
-	}
-	if sum != 21 {
-		t.Fatalf("shuffle lost elements: %v", xs)
 	}
 }

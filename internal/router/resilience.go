@@ -1,6 +1,8 @@
 package router
 
 import (
+	"time"
+
 	"skyfaas/internal/faas"
 	"skyfaas/internal/metrics"
 	"skyfaas/internal/rng"
@@ -21,7 +23,7 @@ type Resilience struct {
 	// first response wins and the loser is abandoned on arrival (its cost is
 	// still billed — a FaaS execution cannot be recalled, only ignored).
 	// Zero value = no hedging.
-	Hedge faas.HedgePolicy
+	Hedge HedgePolicy
 	// NoBreaker disables the circuit breaker (and with it, failover).
 	NoBreaker bool
 	// Failover lets the burst re-route queued slots to the next-best
@@ -29,6 +31,27 @@ type Resilience struct {
 	// traffic.
 	Failover bool
 }
+
+// HedgePolicy duplicates a slow slot: if no response arrives within After,
+// a hedge copy is issued and the first response wins. The zero value
+// disables hedging.
+type HedgePolicy struct {
+	// After is the latency threshold that triggers a hedge (0 = disabled).
+	After time.Duration
+	// Max is how many hedge copies may be issued per attempt (default 1).
+	Max int
+}
+
+// MaxHedges is the effective hedge budget per attempt (Max, min 1).
+func (h HedgePolicy) MaxHedges() int {
+	if h.Max < 1 {
+		return 1
+	}
+	return h.Max
+}
+
+// Enabled reports whether the policy triggers hedges.
+func (h HedgePolicy) Enabled() bool { return h.After > 0 }
 
 // DefaultResilience returns the full protection envelope: bounded retries
 // with jittered backoff, breaker, and failover (hedging stays opt-in).
@@ -58,16 +81,10 @@ func (rs *Resilience) breakerOn() bool { return rs != nil && !rs.NoBreaker }
 // not seed-varied.
 func (r *Router) UseSeed(seed uint64) { r.rand = rng.New(seed).Split("router") }
 
-// Breaker returns the zone's circuit breaker, if one has been created by a
-// resilient burst. Breakers persist across bursts: a zone tripped by one
-// burst stays avoided by the next until it proves healthy again.
-func (r *Router) Breaker(az string) (*Breaker, bool) {
-	b, ok := r.breakers[az]
-	return b, ok
-}
-
 // breakerFor lazily creates the zone's breaker. Later bursts share it,
-// which is the point — breaker memory must outlive any one burst.
+// which is the point — breaker memory must outlive any one burst: a zone
+// tripped by one burst stays avoided by the next until it proves healthy
+// again.
 func (r *Router) breakerFor(az string) *Breaker {
 	if b, ok := r.breakers[az]; ok {
 		return b

@@ -164,7 +164,7 @@ func TestBurstHedging(t *testing.T) {
 			N:        80,
 			Resilience: &Resilience{
 				NoBreaker: true,
-				Hedge:     faas.HedgePolicy{After: 500 * time.Millisecond},
+				Hedge:     HedgePolicy{After: 500 * time.Millisecond},
 			},
 		})
 		return err
@@ -204,7 +204,7 @@ func TestHedgedBurstPoolsSafely(t *testing.T) {
 		N:        60,
 		Resilience: &Resilience{
 			NoBreaker: true,
-			Hedge:     faas.HedgePolicy{After: 500 * time.Millisecond},
+			Hedge:     HedgePolicy{After: 500 * time.Millisecond},
 		},
 	}
 	var first, second BurstResult
@@ -290,7 +290,7 @@ func TestStaleCharacterizationSurfaced(t *testing.T) {
 	// Stale: deliberate fallback to the conservative slowest-N ban — the
 	// old code returned nil here (stale treated as uncharacterized).
 	b := (FocusFastest{AZ: "z"}).Ban(stale, "z")
-	if b.Empty() {
+	if b == 0 {
 		t.Fatal("stale focus-fastest lost its ban signal entirely")
 	}
 	if !b.Has(cpu.EPYC) {
@@ -300,7 +300,7 @@ func TestStaleCharacterizationSurfaced(t *testing.T) {
 		t.Errorf("stale focus banned the fastest kind: %v", b)
 	}
 	// Hybrid degrades the same way.
-	if b := (Hybrid{}).Ban(stale, "z"); b.Empty() || !b.Has(cpu.EPYC) || b.Has(cpu.Xeon30) {
+	if b := (Hybrid{}).Ban(stale, "z"); b == 0 || !b.Has(cpu.EPYC) || b.Has(cpu.Xeon30) {
 		t.Errorf("stale hybrid bans = %v", b)
 	}
 }

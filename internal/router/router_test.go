@@ -124,7 +124,7 @@ func TestStrategiesPickAndBan(t *testing.T) {
 	if az := (Baseline{AZ: "slow-az"}).PickAZ(dec); az != "slow-az" {
 		t.Errorf("baseline picked %s", az)
 	}
-	if banned := (Baseline{AZ: "slow-az"}).Ban(dec, "slow-az"); !banned.Empty() {
+	if banned := (Baseline{AZ: "slow-az"}).Ban(dec, "slow-az"); banned != 0 {
 		t.Errorf("baseline bans %v", banned)
 	}
 
@@ -195,7 +195,7 @@ func TestStrategyWithoutCharacterizationFallsBack(t *testing.T) {
 	if az := (Regional{}).PickAZ(dec); az != "a" {
 		t.Errorf("uncharacterized regional pick = %s, want first candidate", az)
 	}
-	if banned := (RetrySlow{AZ: "a"}).Ban(dec, "a"); !banned.Empty() {
+	if banned := (RetrySlow{AZ: "a"}).Ban(dec, "a"); banned != 0 {
 		t.Errorf("bans without characterization: %v", banned)
 	}
 }
@@ -226,7 +226,7 @@ func TestProfileLearnsFig9Ordering(t *testing.T) {
 		t.Errorf("learned ordering wrong: 3.0=%.0f 2.5=%.0f epyc=%.0f", m30, m25, mEpyc)
 	}
 	// Learned ratios approximate the hidden ground truth.
-	spec := workload.MustGet(workload.LogisticRegression)
+	spec, _ := workload.Get(workload.LogisticRegression)
 	if ratio := mEpyc / m25; math.Abs(ratio-spec.CPUFactor(cpu.EPYC)) > 0.12 {
 		t.Errorf("EPYC ratio learned %.2f, truth %.2f", ratio, spec.CPUFactor(cpu.EPYC))
 	}

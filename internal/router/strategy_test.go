@@ -46,7 +46,7 @@ func TestOptimalBanSetSkipsUnprofitableBans(t *testing.T) {
 		map[cpu.Kind]float64{cpu.Xeon25: 0.95, cpu.Xeon30: 0.05},
 		map[cpu.Kind]float64{cpu.Xeon25: 4000, cpu.Xeon30: 3950},
 	)
-	if banned := optimalBanSet(dec, dec.Lookup("z").Dist, 150); !banned.Empty() {
+	if banned := optimalBanSet(dec, dec.Lookup("z").Dist, 150); banned != 0 {
 		t.Fatalf("bans = %v, want none", banned)
 	}
 }
@@ -85,12 +85,12 @@ func TestOptimalBanSetDegenerateInputs(t *testing.T) {
 		map[cpu.Kind]float64{cpu.Xeon25: 1},
 		map[cpu.Kind]float64{cpu.Xeon25: 4000},
 	)
-	if banned := optimalBanSet(dec, dec.Lookup("z").Dist, 150); !banned.Empty() {
+	if banned := optimalBanSet(dec, dec.Lookup("z").Dist, 150); banned != 0 {
 		t.Fatalf("bans = %v", banned)
 	}
 	// No characterization.
 	empty := Decision{Workload: workload.Zipper, Store: charact.NewStore(0), Perf: NewPerfModel()}
-	if banned := optimalBanSet(empty, empty.Lookup("ghost").Dist, 150); !banned.Empty() {
+	if banned := optimalBanSet(empty, empty.Lookup("ghost").Dist, 150); banned != 0 {
 		t.Fatalf("bans without characterization = %v", banned)
 	}
 	// Characterized kinds with no perf observations are ignored.
@@ -98,7 +98,7 @@ func TestOptimalBanSetDegenerateInputs(t *testing.T) {
 		map[cpu.Kind]float64{cpu.Xeon25: 0.5, cpu.EPYC: 0.5},
 		map[cpu.Kind]float64{cpu.Xeon25: 4000}, // EPYC never profiled
 	)
-	if banned := optimalBanSet(dec2, dec2.Lookup("z").Dist, 150); !banned.Empty() {
+	if banned := optimalBanSet(dec2, dec2.Lookup("z").Dist, 150); banned != 0 {
 		t.Fatalf("bans with unprofiled kind = %v", banned)
 	}
 }
@@ -114,7 +114,7 @@ func TestHybridUsesOptimalBans(t *testing.T) {
 	}
 	// A custom hold changes the economics: with an enormous hold no ban
 	// can pay for itself.
-	if banned := (Hybrid{HoldMS: 1e6}).Ban(dec, "z"); !banned.Empty() {
+	if banned := (Hybrid{HoldMS: 1e6}).Ban(dec, "z"); banned != 0 {
 		t.Fatalf("hybrid with huge hold bans %v", banned)
 	}
 }

@@ -82,9 +82,9 @@ func apiErrf(status int, code, format string, args ...any) *apiError {
 // errFromExec classifies an error that surfaced from inside the simulation
 // (or the command queue): addressing errors and a control loop's rejected
 // mode or budget are the client's fault, a strategy with no zone to pick is
-// the state's (characterize first or name candidates), a closed server is
-// unavailability, anything else is an upstream failure of the simulated
-// cloud.
+// the state's (characterize first or name candidates), a closed server or a
+// stalled simulation loop is unavailability, anything else is an upstream
+// failure of the simulated cloud.
 func errFromExec(err error) *apiError {
 	switch {
 	case errors.Is(err, cloudsim.ErrNoSuchAZ):
@@ -95,7 +95,7 @@ func errFromExec(err error) *apiError {
 		return apiErrf(http.StatusBadRequest, "unknown_mode", "%v", err)
 	case errors.Is(err, control.ErrBadBudget):
 		return apiErrf(http.StatusBadRequest, "bad_budget", "%v", err)
-	case errors.Is(err, ErrClosed):
+	case errors.Is(err, ErrClosed), errors.Is(err, errStalled):
 		return apiErrf(http.StatusServiceUnavailable, "unavailable", "%v", err)
 	default:
 		return apiErrf(http.StatusBadGateway, "upstream_failure", "%v", err)

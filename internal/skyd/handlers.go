@@ -32,33 +32,50 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("GET /metrics.json", s.handleMetricsJSON)
 }
 
-// healthTimeout bounds how long /healthz waits for the simulation goroutine
-// to answer before reporting the loop stalled.
+// healthTimeout bounds how long a health probe waits for the simulation
+// goroutine to answer before reporting the loop stalled.
 const healthTimeout = 5 * time.Second
 
-// handleHealth reports whether the simulation goroutine is still taking
-// commands: it round-trips a no-op through the command channel, so a closed
-// server or a stalled loop answers non-200.
-func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	var now time.Time
-	errCh := make(chan error, 1)
+// errStalled is a health probe's answer when the simulation goroutine has
+// not taken its no-op within healthTimeout.
+var errStalled = errors.New("simulation loop stalled")
+
+// probeHealth reports whether the simulation goroutine is still taking
+// commands: it round-trips a no-op through the command channel and returns
+// the virtual time the no-op read. A closed server answers ErrClosed, a
+// loop that has not answered within healthTimeout errStalled; the no-op's
+// goroutine then waits on until the loop takes it or Close ends Exec. Both
+// health routes, /healthz and /v1/healthz, ask it.
+func (s *Server) probeHealth() (time.Time, error) {
+	type answer struct {
+		now time.Time
+		err error
+	}
+	ch := make(chan answer, 1)
 	go func() {
-		errCh <- s.Exec(func(p *sim.Proc) error {
-			now = p.Env().Now()
+		var a answer
+		a.err = s.Exec(func(p *sim.Proc) error {
+			a.now = p.Env().Now()
 			return nil
 		})
+		ch <- a
 	}()
 	select {
-	case err := <-errCh:
-		if err != nil {
-			writeJSON(w, http.StatusServiceUnavailable, map[string]any{
-				"status": "down", "error": err.Error(),
-			})
-			return
-		}
+	case a := <-ch:
+		return a.now, a.err
 	case <-time.After(healthTimeout):
+		return time.Time{}, errStalled
+	}
+}
+
+// handleHealth is the unversioned liveness probe: 200 with the virtual
+// time while the simulation goroutine takes commands, 503 with the reason
+// when the server is closed or the loop stalled.
+func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
+	now, err := s.probeHealth()
+	if err != nil {
 		writeJSON(w, http.StatusServiceUnavailable, map[string]any{
-			"status": "down", "error": "simulation loop stalled",
+			"status": "down", "error": err.Error(),
 		})
 		return
 	}
@@ -80,11 +97,7 @@ func (s *Server) handleMetricsJSON(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleHealthz(ctx context.Context, r *apiReq) (any, *apiError) {
-	var now time.Time
-	err := s.Exec(func(p *sim.Proc) error {
-		now = p.Env().Now()
-		return nil
-	})
+	now, err := s.probeHealth()
 	if err != nil {
 		return nil, errFromExec(err)
 	}

@@ -126,6 +126,45 @@ func TestQueueDepthGaugeSettles(t *testing.T) {
 	}
 }
 
+// TestQueueDepthGaugeCountsWaiting holds the simulation goroutine on a
+// command that blocks, queues two more behind it, and reads the depth
+// gauge back by name: it must count the two waiting, then settle to zero
+// once the loop takes them.
+func TestQueueDepthGaugeCountsWaiting(t *testing.T) {
+	s, reg := newMetricsServer(t, 0)
+	depth := func() float64 { return reg.Gauge("sky_skyd_cmd_queue_depth", "").Value() }
+	held, release := make(chan struct{}), make(chan struct{})
+	done := make(chan error, 3)
+	go func() {
+		done <- s.Exec(func(*sim.Proc) error {
+			close(held)
+			<-release
+			return nil
+		})
+	}()
+	<-held
+	for i := 0; i < 2; i++ {
+		go func() { done <- s.Exec(func(*sim.Proc) error { return nil }) }()
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for depth() != 2 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	waiting := depth()
+	close(release)
+	for i := 0; i < 3; i++ {
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if waiting != 2 {
+		t.Fatalf("sky_skyd_cmd_queue_depth behind a held loop = %v, want 2", waiting)
+	}
+	if d := depth(); d != 0 {
+		t.Fatalf("sky_skyd_cmd_queue_depth after the loop took them = %v, want 0", d)
+	}
+}
+
 // TestPacingGauges reads the paced loop's self-report off an idle server:
 // between two commands 20 ms apart nothing is due, so virtual time must
 // have advanced at the configured speedup, the loop must not be late, and

@@ -392,6 +392,90 @@ func TestClosedServer503(t *testing.T) {
 	wantErr(t, res, body, http.StatusServiceUnavailable, "unavailable")
 }
 
+// TestHealthProbesBounded holds the simulation goroutine on a command that
+// blocks, then asks both health routes at once: each must give up after
+// healthTimeout and answer 503, where an unbounded probe would wait for
+// the loop and run into the client's timeout.
+func TestHealthProbesBounded(t *testing.T) {
+	s := newTestServer(t)
+	srv := httptest.NewServer(s)
+	defer srv.Close()
+	held, release, execErr := make(chan struct{}), make(chan struct{}), make(chan error, 1)
+	go func() {
+		execErr <- s.Exec(func(*sim.Proc) error {
+			close(held)
+			<-release
+			return nil
+		})
+	}()
+	<-held
+	// Let the loop go before the listener's Close and the server's, which
+	// wait for their handlers and for the loop.
+	defer func() {
+		close(release)
+		if err := <-execErr; err != nil {
+			t.Error(err)
+		}
+	}()
+	client := &http.Client{Timeout: healthTimeout + 2*time.Second}
+
+	type answer struct {
+		path   string
+		status int
+		body   []byte
+		took   time.Duration
+		err    error
+	}
+	paths := []string{"/healthz", "/v1/healthz"}
+	answers := make(chan answer, len(paths))
+	for _, path := range paths {
+		go func(path string) {
+			a := answer{path: path}
+			start := time.Now()
+			res, err := client.Get(srv.URL + path)
+			if err == nil {
+				a.status = res.StatusCode
+				buf := new(bytes.Buffer)
+				_, err = buf.ReadFrom(res.Body)
+				res.Body.Close()
+				a.body = buf.Bytes()
+			}
+			a.took, a.err = time.Since(start), err
+			answers <- a
+		}(path)
+	}
+	for range paths {
+		a := <-answers
+		if a.err != nil {
+			t.Errorf("GET %s: %v", a.path, a.err)
+			continue
+		}
+		if a.status != http.StatusServiceUnavailable || a.took > healthTimeout+time.Second {
+			t.Errorf("GET %s on a held loop = %d after %v, want 503 within %v: %s",
+				a.path, a.status, a.took, healthTimeout+time.Second, a.body)
+			continue
+		}
+		var body struct {
+			Status string `json:"status"`
+			Error  any    `json:"error"`
+		}
+		if err := json.Unmarshal(a.body, &body); err != nil {
+			t.Errorf("GET %s: %v: %s", a.path, err, a.body)
+			continue
+		}
+		switch a.path {
+		case "/healthz":
+			if body.Status != "down" || body.Error != errStalled.Error() {
+				t.Errorf("GET /healthz on a held loop: %s", a.body)
+			}
+		case "/v1/healthz":
+			if e, _ := body.Error.(map[string]any); e["code"] != "unavailable" {
+				t.Errorf("GET /v1/healthz on a held loop: %s", a.body)
+			}
+		}
+	}
+}
+
 func TestWorkloadsEndpoint(t *testing.T) {
 	s := newTestServer(t)
 	res, body := do(t, s, "GET", "/v1/workloads", nil)

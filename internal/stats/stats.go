@@ -1,12 +1,8 @@
 // Package stats provides the small set of descriptive statistics the
-// experiments need: means, deviations, running accumulators, and time
-// series.
+// experiments need: means, deviations and a running mean.
 package stats
 
-import (
-	"math"
-	"time"
-)
+import "math"
 
 // Mean returns the arithmetic mean of xs, or 0 for an empty slice.
 func Mean(xs []float64) float64 {
@@ -35,60 +31,17 @@ func StdDev(xs []float64) float64 {
 	return math.Sqrt(ss / float64(len(xs)))
 }
 
-// Min returns the smallest element of xs, or 0 for an empty slice.
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Max returns the largest element of xs, or 0 for an empty slice.
-func Max(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Running accumulates count/mean/variance online (Welford's algorithm) so
-// hot loops avoid retaining every sample.
+// Running accumulates a count and mean online, so hot loops avoid
+// retaining every sample.
 type Running struct {
 	n    int
 	mean float64
-	m2   float64
-	min  float64
-	max  float64
 }
 
 // Add folds x into the accumulator.
 func (r *Running) Add(x float64) {
 	r.n++
-	if r.n == 1 {
-		r.min, r.max = x, x
-	} else {
-		if x < r.min {
-			r.min = x
-		}
-		if x > r.max {
-			r.max = x
-		}
-	}
-	delta := x - r.mean
-	r.mean += delta / float64(r.n)
-	r.m2 += delta * (x - r.mean)
+	r.mean += (x - r.mean) / float64(r.n)
 }
 
 // N returns the number of samples folded in.
@@ -96,45 +49,3 @@ func (r *Running) N() int { return r.n }
 
 // Mean returns the running mean.
 func (r *Running) Mean() float64 { return r.mean }
-
-// StdDev returns the running population standard deviation.
-func (r *Running) StdDev() float64 {
-	if r.n < 2 {
-		return 0
-	}
-	return math.Sqrt(r.m2 / float64(r.n))
-}
-
-// Min returns the smallest sample seen (0 before any Add).
-func (r *Running) Min() float64 { return r.min }
-
-// Max returns the largest sample seen (0 before any Add).
-func (r *Running) Max() float64 { return r.max }
-
-// Point is one (time, value) observation.
-type Point struct {
-	T time.Time
-	V float64
-}
-
-// Series is an append-only time series.
-type Series struct {
-	Name   string
-	Points []Point
-}
-
-// Add appends an observation.
-func (s *Series) Add(t time.Time, v float64) {
-	s.Points = append(s.Points, Point{T: t, V: v})
-}
-
-// Len returns the number of observations.
-func (s *Series) Len() int { return len(s.Points) }
-
-// Last returns the most recent observation; ok is false when empty.
-func (s *Series) Last() (Point, bool) {
-	if len(s.Points) == 0 {
-		return Point{}, false
-	}
-	return s.Points[len(s.Points)-1], true
-}

@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 func almost(a, b, eps float64) bool { return math.Abs(a-b) <= eps }
@@ -40,16 +39,6 @@ func TestStdDev(t *testing.T) {
 	}
 }
 
-func TestMinMax(t *testing.T) {
-	xs := []float64{3, -1, 7, 2}
-	if Min(xs) != -1 || Max(xs) != 7 {
-		t.Fatalf("min/max = %v/%v", Min(xs), Max(xs))
-	}
-	if Min(nil) != 0 || Max(nil) != 0 {
-		t.Fatal("empty min/max not 0")
-	}
-}
-
 func TestRunningMatchesBatch(t *testing.T) {
 	if err := quick.Check(func(raw []float64) bool {
 		xs := make([]float64, 0, len(raw))
@@ -65,13 +54,8 @@ func TestRunningMatchesBatch(t *testing.T) {
 		if r.N() != len(xs) {
 			return false
 		}
-		if len(xs) == 0 {
-			return r.Mean() == 0 && r.StdDev() == 0
-		}
 		scale := math.Max(1, math.Abs(Mean(xs)))
-		return almost(r.Mean(), Mean(xs), 1e-6*scale) &&
-			almost(r.StdDev(), StdDev(xs), 1e-6*scale) &&
-			r.Min() == Min(xs) && r.Max() == Max(xs)
+		return almost(r.Mean(), Mean(xs), 1e-6*scale)
 	}, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +63,7 @@ func TestRunningMatchesBatch(t *testing.T) {
 
 func TestRunningDirect(t *testing.T) {
 	var r Running
-	if r.N() != 0 || r.Mean() != 0 || r.StdDev() != 0 || r.Min() != 0 || r.Max() != 0 {
+	if r.N() != 0 || r.Mean() != 0 {
 		t.Fatal("zero value not neutral")
 	}
 	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
@@ -91,38 +75,10 @@ func TestRunningDirect(t *testing.T) {
 	if !almost(r.Mean(), 5, 1e-12) {
 		t.Fatalf("mean = %v", r.Mean())
 	}
-	if !almost(r.StdDev(), 2, 1e-12) {
-		t.Fatalf("stddev = %v", r.StdDev())
-	}
-	if r.Min() != 2 || r.Max() != 9 {
-		t.Fatalf("min/max = %v/%v", r.Min(), r.Max())
-	}
-	// Single sample: stddev stays 0, min == max.
+	// A single sample is its own mean.
 	var one Running
 	one.Add(-3)
-	if one.StdDev() != 0 || one.Min() != -3 || one.Max() != -3 {
-		t.Fatalf("single sample: %v %v %v", one.StdDev(), one.Min(), one.Max())
-	}
-}
-
-func TestSeries(t *testing.T) {
-	var s Series
-	if _, ok := s.Last(); ok {
-		t.Fatal("Last on empty series reported ok")
-	}
-	base := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
-	for i := 0; i < 5; i++ {
-		s.Add(base.Add(time.Duration(i)*time.Hour), float64(i*i))
-	}
-	if s.Len() != 5 {
-		t.Fatalf("Len = %d", s.Len())
-	}
-	vals := s.Values()
-	if len(vals) != 5 || vals[3] != 9 {
-		t.Fatalf("Values = %v", vals)
-	}
-	last, ok := s.Last()
-	if !ok || last.V != 16 || !last.T.Equal(base.Add(4*time.Hour)) {
-		t.Fatalf("Last = %+v ok=%v", last, ok)
+	if one.N() != 1 || one.Mean() != -3 {
+		t.Fatalf("single sample: n %d, mean %v", one.N(), one.Mean())
 	}
 }

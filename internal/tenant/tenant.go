@@ -251,17 +251,6 @@ func (r *Registry) Create(t Tenant, now time.Time) error {
 	return nil
 }
 
-// Get returns the tenant record for id.
-func (r *Registry) Get(id string) (Tenant, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	a, ok := r.accounts[id]
-	if !ok {
-		return Tenant{}, false
-	}
-	return a.t, true
-}
-
 // Delete removes a tenant and its keys; it reports whether the ID existed.
 // In-flight leases belonging to the deleted tenant release into the void
 // harmlessly.

@@ -170,7 +170,7 @@ func TestRecorderNamesInstances(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := cloud.Deploy("r-az", "probe", cloudsim.DeployConfig{
-		MemoryMB: 1024, Behavior: cloudsim.ProbeBehavior{Banned: cpu.MaskOf(cpu.Xeon25)},
+		MemoryMB: 1024, Behavior: cloudsim.ProbeBehavior{Banned: cpu.Mask(0).Add(cpu.Xeon25)},
 	}); err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"skyfaas/internal/control"
+	"skyfaas/internal/metrics"
 	"skyfaas/internal/sim"
 )
 
@@ -193,11 +194,15 @@ func TestPredictiveFloorReleasesBeforeFall(t *testing.T) {
 func TestPinnedHoldsFloorWithoutTraffic(t *testing.T) {
 	env := sim.NewEnv(epoch)
 	act := newFakeActuator(env)
-	m := newTestMaintainer(t, env, Config{
+	reg := metrics.NewRegistry()
+	m, err := New(env, Config{
 		Zones: []string{"az-a", "az-b"},
 		Mode:  ModePinned,
 		Floor: 3,
-	}, act)
+	}, act, constSvc(200), reg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	m.Start()
 	if err := env.RunFor(5 * time.Minute); err != nil {
 		t.Fatalf("RunFor: %v", err)
@@ -209,6 +214,9 @@ func TestPinnedHoldsFloorWithoutTraffic(t *testing.T) {
 	st := mustSnapshot(t, env, m)
 	if st.Provisioned != 6 {
 		t.Fatalf("provisioned = %d, want 6 (3 per zone, once)", st.Provisioned)
+	}
+	if got := reg.Counter("sky_warmpool_provisioned_total", "").Value(); got != 6 {
+		t.Errorf("sky_warmpool_provisioned_total = %d, want 6", got)
 	}
 	if st.SpentUSD <= 0 || math.Abs(st.SpentUSD-6*act.perInit) > 1e-9 {
 		t.Fatalf("spent = %f, want %f", st.SpentUSD, 6*act.perInit)

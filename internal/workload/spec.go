@@ -186,16 +186,6 @@ func Get(id ID) (Spec, bool) {
 	return specs[i], true
 }
 
-// MustGet returns the spec for id and panics for an unknown id; use only
-// with compile-time-known ids.
-func MustGet(id ID) Spec {
-	s, ok := Get(id)
-	if !ok {
-		panic(fmt.Sprintf("workload: unknown id %d", int(id)))
-	}
-	return s
-}
-
 // ByName resolves a workload by its snake_case name.
 func ByName(name string) (Spec, bool) {
 	for _, s := range specs {

@@ -42,8 +42,8 @@ func TestTable1VCPUs(t *testing.T) {
 		JSONFlattener: 1, MathService: 2, MatrixMultiply: 2, LogisticRegression: 2,
 	}
 	for id, v := range want {
-		if got := MustGet(id).VCPUs; got != v {
-			t.Errorf("%v vCPUs = %v, want %v", id, got, v)
+		if spec, _ := Get(id); spec.VCPUs != v {
+			t.Errorf("%v vCPUs = %v, want %v", id, spec.VCPUs, v)
 		}
 	}
 }
@@ -56,7 +56,10 @@ func TestGetAndByName(t *testing.T) {
 		t.Error("Get(99) succeeded")
 	}
 	for _, id := range IDs() {
-		spec := MustGet(id)
+		spec, ok := Get(id)
+		if !ok {
+			t.Fatalf("Get(%v) failed for a catalogued id", id)
+		}
 		byName, ok := ByName(spec.Name)
 		if !ok || byName.ID != id {
 			t.Errorf("ByName(%q) mismatch", spec.Name)
@@ -98,19 +101,22 @@ func TestFig9FactorShape(t *testing.T) {
 		}
 	}
 	// The named exceptions.
-	if f := MustGet(DiskWriter).CPUFactor(cpu.EPYC); f >= 1 {
+	disk, _ := Get(DiskWriter)
+	lr, _ := Get(LogisticRegression)
+	ms, _ := Get(MathService)
+	if f := disk.CPUFactor(cpu.EPYC); f >= 1 {
 		t.Errorf("disk_writer EPYC factor %v: paper observed EPYC slightly beating baseline", f)
 	}
-	if f := MustGet(LogisticRegression).CPUFactor(cpu.EPYC); f < 1.45 {
+	if f := lr.CPUFactor(cpu.EPYC); f < 1.45 {
 		t.Errorf("logistic_regression EPYC factor %v: should be among the worst (~1.5)", f)
 	}
-	if f := MustGet(MathService).CPUFactor(cpu.EPYC); f < 1.4 {
+	if f := ms.CPUFactor(cpu.EPYC); f < 1.4 {
 		t.Errorf("math_service EPYC factor %v: should be near-worst", f)
 	}
 }
 
 func TestCPUFactorFallback(t *testing.T) {
-	s := MustGet(GraphMST)
+	s, _ := Get(GraphMST)
 	// Unknown kind: neutral.
 	if got := s.CPUFactor(cpu.Kind(99)); got != 1 {
 		t.Fatalf("unknown kind factor = %v", got)
@@ -124,7 +130,7 @@ func TestCPUFactorFallback(t *testing.T) {
 }
 
 func TestMemoryFactor(t *testing.T) {
-	s := MustGet(MatrixMultiply) // 2 vCPUs -> needs ~3538 MB for full speed
+	s, _ := Get(MatrixMultiply) // 2 vCPUs -> needs ~3538 MB for full speed
 	if got := s.MemoryFactor(10240); got != 1 {
 		t.Errorf("10GB factor = %v, want 1", got)
 	}
@@ -138,7 +144,7 @@ func TestMemoryFactor(t *testing.T) {
 	if lo, hi := s.MemoryFactor(512), s.MemoryFactor(256); hi <= lo {
 		t.Errorf("memory factor not monotone: %v vs %v", lo, hi)
 	}
-	one := MustGet(GraphMST)
+	one, _ := Get(GraphMST)
 	if got := one.MemoryFactor(1769); got != 1 {
 		t.Errorf("1-vCPU workload at 1769MB = %v, want 1", got)
 	}
