@@ -149,7 +149,6 @@ type fnState struct {
 type routeEntry struct {
 	az      string
 	expires time.Time
-	reuses  uint64
 }
 
 // Controller is the admission gate. Construct with New; the zero value is
@@ -359,8 +358,6 @@ func (c *Controller) RouteFor(w workload.ID, now time.Time) (string, bool) {
 	if !ok || now.After(e.expires) {
 		return "", false
 	}
-	e.reuses++
-	c.routes[w] = e
 	c.mRouteHit.Inc()
 	return e.az, true
 }

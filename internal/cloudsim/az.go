@@ -48,7 +48,6 @@ type FI struct {
 	dep       *Deployment
 	busy      bool
 	destroyed bool
-	uses      int32 // beside the flags, in the word they pad out
 	// idleSeq is the seq of the keep-alive timer the last release armed:
 	// the timers that were armed before it are void (see timerStale).
 	idleSeq uint64
@@ -76,9 +75,6 @@ func (f *FI) ID() string { return string(AppendInstanceID(nil, f.dep.az.spec.Nam
 
 // Host returns the backing host.
 func (f *FI) Host() *Host { return f.host }
-
-// Uses returns how many invocations this instance has served.
-func (f *FI) Uses() int { return int(f.uses) }
 
 // Deployment is one function deployed to one availability zone.
 type Deployment struct {
@@ -438,7 +434,6 @@ func (az *AZ) releaseFI(fi *FI) {
 	if fi.destroyed {
 		return
 	}
-	fi.uses++
 	az.idle(fi)
 }
 

@@ -48,11 +48,8 @@ func DefaultEX6Arms() []EX6Arm {
 			Strategy:   router.StrategySpec{Name: "hybrid"},
 			Resilience: router.DefaultResilience()},
 		{Label: "hybrid+hedge",
-			Strategy: router.StrategySpec{Name: "hybrid"},
-			Resilience: &router.Resilience{
-				Failover: true,
-				Hedge:    router.HedgePolicy{After: 2 * time.Second, Max: 1},
-			}},
+			Strategy:   router.StrategySpec{Name: "hybrid"},
+			Resilience: &router.Resilience{Hedge: true}},
 	}
 }
 

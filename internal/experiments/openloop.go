@@ -63,7 +63,7 @@ var openLoopSampler = sampler.Config{
 // reach the client: EX-8's no-admission arm, where they turn into a retry
 // storm; behind EX-10's gate in-flight stays below the provider quota, so
 // it rarely fires.
-var clientRetry = faas.RetryPolicy{MaxAttempts: 6, BaseBackoff: 50 * time.Millisecond}
+var clientRetry = faas.RetryPolicy{MaxAttempts: 6}
 
 // openLoopWorld is one cell's world once the shared setup has run.
 type openLoopWorld struct {

@@ -16,9 +16,10 @@ import (
 // straight to the cloud, which is what the router's reissue loop and the
 // sampler's polls want.
 
-// Backoff grows by backoffMultiplier per retry and is capped at maxBackoff,
-// for every policy.
+// Backoff starts at baseBackoff, grows by backoffMultiplier per retry and
+// is capped at maxBackoff, for every policy.
 const (
+	baseBackoff       = 50 * time.Millisecond
 	backoffMultiplier = 2
 	maxBackoff        = 5 * time.Second
 )
@@ -30,9 +31,6 @@ type RetryPolicy struct {
 	// MaxAttempts is the total attempt budget including the first
 	// (0 or 1 = no retries).
 	MaxAttempts int
-	// BaseBackoff is the pause before the first retry (default 50 ms);
-	// each retry doubles it, up to maxBackoff.
-	BaseBackoff time.Duration
 	// JitterFrac spreads each backoff uniformly within ±JitterFrac of
 	// itself, drawn from the client's seeded stream so two same-seed runs
 	// jitter identically (default 0 = no jitter).
@@ -46,18 +44,11 @@ func (p RetryPolicy) maxAttempts() int {
 	return p.MaxAttempts
 }
 
-func (p RetryPolicy) base() time.Duration {
-	if p.BaseBackoff <= 0 {
-		return 50 * time.Millisecond
-	}
-	return p.BaseBackoff
-}
-
 // Backoff returns the pause before retry number n (1-based), applying
 // exponential growth, the cap, and jitter drawn from rand. A nil rand or
 // zero JitterFrac yields the deterministic un-jittered schedule.
 func (p RetryPolicy) Backoff(n int, rand JitterSource) time.Duration {
-	d := float64(p.base())
+	d := float64(baseBackoff)
 	for i := 1; i < n; i++ {
 		d *= backoffMultiplier
 		if d >= float64(maxBackoff) {

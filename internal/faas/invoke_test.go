@@ -36,7 +36,7 @@ func TestDoRetriesThroughThrottleStorm(t *testing.T) {
 		}
 		env.Schedule(100*time.Millisecond, func() { az.SetThrottleStorm(0) })
 		start := env.Now()
-		resp = client.Do(p, InvokeSpec{Call: fnCall, Retry: RetryPolicy{MaxAttempts: 50, BaseBackoff: 10 * time.Millisecond}})
+		resp = client.Do(p, InvokeSpec{Call: fnCall, Retry: RetryPolicy{MaxAttempts: 50}})
 		elapsed = env.Now().Sub(start)
 		return nil
 	})
@@ -59,7 +59,7 @@ func TestDoRespectsAttemptBudget(t *testing.T) {
 	env.Go("client", func(p *sim.Proc) error {
 		az, _ := cloud.AZ("r1-az-a")
 		az.SetOutage(true) // every attempt fails
-		resp = client.Do(p, InvokeSpec{Call: fnCall, Retry: RetryPolicy{MaxAttempts: 3, BaseBackoff: 10 * time.Millisecond}})
+		resp = client.Do(p, InvokeSpec{Call: fnCall, Retry: RetryPolicy{MaxAttempts: 3}})
 		return nil
 	})
 	if err := env.Run(); err != nil {
@@ -92,7 +92,7 @@ func doFunc(t *testing.T, spec InvokeSpec, setup func(env *sim.Env, az *cloudsim
 }
 
 func TestDoFuncRetries(t *testing.T) {
-	resp := doFunc(t, InvokeSpec{Call: fnCall, Retry: RetryPolicy{MaxAttempts: 20, BaseBackoff: 50 * time.Millisecond}},
+	resp := doFunc(t, InvokeSpec{Call: fnCall, Retry: RetryPolicy{MaxAttempts: 20}},
 		func(env *sim.Env, az *cloudsim.AZ) {
 			az.SetOutage(true)
 			env.Schedule(300*time.Millisecond, func() { az.SetOutage(false) })

@@ -21,9 +21,11 @@ import (
 //     or string built up inside a map-range body (append / string +=
 //     feeding off the range variables) is tainted; passing it through
 //     sort.* or slices.Sort* kills the taint; a tainted value reaching a
-//     sink after the loop is flagged. This is what blesses the idiomatic
-//     fix — collect keys, sort, then range the sorted slice — while still
-//     catching the version that forgets the sort.
+//     sink after the loop is flagged. Ranging over a tainted slice taints
+//     the value variable, so a sink fed one element at a time is flagged
+//     too. This is what blesses the idiomatic fix — collect keys, sort,
+//     then range the sorted slice — while still catching the version that
+//     forgets the sort.
 //
 // Sinks are the module's sim-visible surfaces: event scheduling on the
 // simulation Env, the trace and table/CSV writers, encoding/csv, and
@@ -221,9 +223,7 @@ func (mo *maporderFunc) taintPass() {
 		changed = false
 		for _, blk := range cfg.Blocks {
 			st := in[blk.Index].clone()
-			for _, n := range blk.Nodes {
-				mo.transfer(n, st, nil)
-			}
+			mo.transferBlock(blk, st, nil)
 			if !st.equal(out[blk.Index]) {
 				out[blk.Index] = st
 				changed = true
@@ -241,13 +241,28 @@ func (mo *maporderFunc) taintPass() {
 
 	// Reporting pass: replay each block's transfer from its final in-state.
 	for _, blk := range cfg.Blocks {
-		st := in[blk.Index].clone()
-		for _, n := range blk.Nodes {
-			mo.transfer(n, st, func(call *ast.CallExpr, desc string, obj types.Object) {
-				mo.pass.Reportf(call.Pos(),
-					"%s receives %q, which was built by ranging over a map and never sorted; map iteration order is randomized per run",
-					desc, obj.Name())
-			})
+		mo.transferBlock(blk, in[blk.Index].clone(), func(call *ast.CallExpr, desc string, obj types.Object) {
+			mo.pass.Reportf(call.Pos(),
+				"%s receives %q, which carries the order of a range over a map and was never sorted; map iteration order is randomized per run",
+				desc, obj.Name())
+		})
+	}
+}
+
+// transferBlock applies a block's nodes to the taint state. On a range
+// loop's head, a tainted ranged slice taints the value variable: each
+// iteration hands it the next element in map order. The index stays
+// clean, since it counts up whatever the order; a sink fed x[i] still
+// mentions the tainted x.
+func (mo *maporderFunc) transferBlock(blk *Block, st taintSet, report func(*ast.CallExpr, string, types.Object)) {
+	for _, n := range blk.Nodes {
+		mo.transfer(n, st, report)
+	}
+	if r := blk.Range; r != nil && r.Value != nil {
+		if obj := mo.baseObject(r.X); obj != nil && st[obj] {
+			if v := mo.baseObject(r.Value); v != nil {
+				st[v] = true
+			}
 		}
 	}
 }

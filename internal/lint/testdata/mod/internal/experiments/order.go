@@ -50,3 +50,28 @@ func Race(a, b chan string) {
 		}
 	}
 }
+
+// PerElement collects keys in iteration order and emits them one at a
+// time: the range over the unsorted slice hands its variable the map's
+// order, so the sink inside that loop is flagged.
+func PerElement(delays map[string]int) {
+	var keys []string
+	for k := range delays {
+		keys = append(keys, k)
+	}
+	for _, k := range keys {
+		sim.Trigger(k) //want maporder
+	}
+}
+
+// PerElementSorted sorts before the per-element loop and must stay clean.
+func PerElementSorted(delays map[string]int) {
+	var keys []string
+	for k := range delays {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		sim.Trigger(k)
+	}
+}

@@ -111,11 +111,6 @@ func (s *Stream) LogNorm(mu, sigma float64) float64 {
 	return math.Exp(s.Norm(mu, sigma))
 }
 
-// Exp returns an exponentially distributed value with the given mean.
-func (s *Stream) Exp(mean float64) float64 {
-	return -mean * math.Log(1-s.Float64())
-}
-
 // Bool returns true with probability p.
 func (s *Stream) Bool(p float64) bool {
 	return s.Float64() < p

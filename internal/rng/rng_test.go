@@ -130,18 +130,6 @@ func TestNormMoments(t *testing.T) {
 	}
 }
 
-func TestExpMean(t *testing.T) {
-	s := New(23)
-	const n = 200000
-	var sum float64
-	for i := 0; i < n; i++ {
-		sum += s.Exp(3)
-	}
-	if mean := sum / n; math.Abs(mean-3) > 0.05 {
-		t.Fatalf("Exp mean = %v, want ~3", mean)
-	}
-}
-
 func TestWeightedChoiceRespectsZeros(t *testing.T) {
 	s := New(31)
 	weights := []float64{0, 1, 0, 3}

@@ -13,14 +13,12 @@ import (
 // client–region distance heuristic, and optimizing dollars rather than
 // milliseconds when providers price differently.
 
-// LatencyBound wraps an inner strategy and removes candidate zones whose
-// round trip from the client exceeds MaxRTT — the paper's prior system
-// "bounded network latency with a client-region distance heuristic", and
-// §3.5 notes regional routing trades latency for billed-runtime savings.
+// LatencyBound removes candidate zones whose round trip from the client
+// exceeds MaxRTT, under geo's default latency model, and lets Hybrid
+// decide among the rest — the paper's prior system "bounded network
+// latency with a client-region distance heuristic", and §3.5 notes
+// regional routing trades latency for billed-runtime savings.
 type LatencyBound struct {
-	// Inner decides among the zones that survive the latency filter
-	// (default Hybrid{}).
-	Inner Strategy
 	// Client is the request origin.
 	Client geo.Coord
 	// MaxRTT is the highest acceptable round trip (default 120 ms).
@@ -28,8 +26,6 @@ type LatencyBound struct {
 	// Locator resolves a zone to its region location; wire it to
 	// Cloud-backed lookup via NewZoneLocator.
 	Locator ZoneLocator
-	// Model converts distance to RTT (zero value = DefaultLatencyModel).
-	Model geo.LatencyModel
 }
 
 // ZoneLocator resolves a zone name to its region's coordinates.
@@ -46,13 +42,6 @@ func NewZoneLocator(c *cloudsim.Cloud) ZoneLocator {
 	}
 }
 
-func (l LatencyBound) inner() Strategy {
-	if l.Inner == nil {
-		return Hybrid{}
-	}
-	return l.Inner
-}
-
 func (l LatencyBound) maxRTT() time.Duration {
 	if l.MaxRTT == 0 {
 		return 120 * time.Millisecond
@@ -60,24 +49,17 @@ func (l LatencyBound) maxRTT() time.Duration {
 	return l.MaxRTT
 }
 
-func (l LatencyBound) model() geo.LatencyModel {
-	if l.Model == (geo.LatencyModel{}) {
-		return geo.DefaultLatencyModel()
-	}
-	return l.Model
-}
-
 // Name implements Strategy.
-func (l LatencyBound) Name() string { return "latency-bound+" + l.inner().Name() }
+func (LatencyBound) Name() string { return "latency-bound+hybrid" }
 
 // filter returns the candidates within the RTT bound. If none qualify the
-// original list is kept — a too-strict bound should degrade to the inner
-// strategy, not strand the burst.
+// original list is kept — a too-strict bound should degrade to plain
+// hybrid, not strand the burst.
 func (l LatencyBound) filter(candidates []string) []string {
 	if l.Locator == nil {
 		return candidates
 	}
-	model := l.model()
+	model := geo.DefaultLatencyModel()
 	var kept []string
 	for _, az := range candidates {
 		loc, ok := l.Locator(az)
@@ -97,13 +79,13 @@ func (l LatencyBound) filter(candidates []string) []string {
 // PickAZ implements Strategy.
 func (l LatencyBound) PickAZ(dec Decision) string {
 	dec.Candidates = l.filter(dec.Candidates)
-	return l.inner().PickAZ(dec)
+	return Hybrid{}.PickAZ(dec)
 }
 
 // Ban implements Strategy.
 func (l LatencyBound) Ban(dec Decision, az string) cpu.Mask {
 	dec.Candidates = l.filter(dec.Candidates)
-	return l.inner().Ban(dec, az)
+	return Hybrid{}.Ban(dec, az)
 }
 
 // ---------------------------------------------------------------------------
@@ -186,9 +168,9 @@ func (c CostAware) Ban(dec Decision, az string) cpu.Mask {
 		return 0
 	}
 	if !info.Fresh {
-		return banSlowest(dec, info.Dist, 2)
+		return banSlowest(dec, info.Dist)
 	}
-	return optimalBanSet(dec, info.Dist, 150)
+	return optimalBanSet(dec, info.Dist, declineHoldMS)
 }
 
 var (

@@ -48,9 +48,9 @@ func TestLatencyBoundFiltersFarZones(t *testing.T) {
 	if az := (Regional{}).PickAZ(dec); az != "far-az" {
 		t.Fatalf("regional picked %s", az)
 	}
-	// Bounded at 100ms from London: Sydney is filtered out.
+	// Bounded at 100ms from London: Sydney is filtered out, and hybrid,
+	// which ranks zones as regional does, takes the near zone.
 	lb := LatencyBound{
-		Inner:   Regional{},
 		Client:  london,
 		MaxRTT:  100 * time.Millisecond,
 		Locator: locator,
@@ -58,7 +58,7 @@ func TestLatencyBoundFiltersFarZones(t *testing.T) {
 	if az := lb.PickAZ(dec); az != "near-az" {
 		t.Fatalf("latency-bound picked %s, want near-az", az)
 	}
-	if name := lb.Name(); name != "latency-bound+regional" {
+	if name := lb.Name(); name != "latency-bound+hybrid" {
 		t.Fatalf("name = %q", name)
 	}
 }
@@ -80,9 +80,6 @@ func TestLatencyBoundDegradesWhenNothingQualifies(t *testing.T) {
 
 func TestLatencyBoundDefaults(t *testing.T) {
 	lb := LatencyBound{}
-	if lb.inner().Name() != "hybrid" {
-		t.Errorf("default inner = %s", lb.inner().Name())
-	}
 	if lb.maxRTT() != 120*time.Millisecond {
 		t.Errorf("default maxRTT = %v", lb.maxRTT())
 	}

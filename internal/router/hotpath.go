@@ -1,8 +1,6 @@
 package router
 
 import (
-	"sync"
-
 	"skyfaas/internal/cloudsim"
 	"skyfaas/internal/cpu"
 	"skyfaas/internal/faas"
@@ -92,92 +90,4 @@ func (t *DecisionTable) Call(enforceBans bool) faas.Call {
 // Pick returns the frozen decision. Zero allocations.
 func (t *DecisionTable) Pick() (az string, banned cpu.Mask) {
 	return t.AZ, t.Banned
-}
-
-// ---------------------------------------------------------------------------
-
-// burstState is the reusable per-burst bookkeeping: the logical-invocation
-// slots and the retry queue. Bursts are created in volume (skyd serves one
-// per /v1/burst request, and EX-5 runs at least two per workload per day),
-// so the arrays are pooled; a burst takes a state at start and returns it
-// once every response that could touch a slot has settled.
-type burstState struct {
-	slots []burstSlot
-	queue []*burstSlot
-	// pending counts outstanding references across all slots: in-flight
-	// response callbacks and armed hedge timers that will still read slot
-	// state when they run. finished marks that Burst has returned. The
-	// state goes back to the pool only when both agree nobody can touch
-	// it — whichever of finish / the last settle happens second pools it.
-	pending  int
-	finished bool
-}
-
-// burstSlot is one logical invocation. gen advances every time the slot is
-// (re)issued or settled, so a response carrying a stale gen — a hedge
-// loser, or the twin of an attempt that already failed — identifies itself
-// and is dropped.
-type burstSlot struct {
-	attempts int // platform-failure attempts consumed
-	gen      int
-	// refs is this slot's share of burstState.pending: response callbacks
-	// and hedge timers that have not fired yet. Only the sim goroutine
-	// touches it.
-	refs int
-}
-
-var burstPool = sync.Pool{New: func() any { return new(burstState) }}
-
-// newBurstState returns a pooled state sized for n slots, all queued.
-func newBurstState(n int) *burstState {
-	st := burstPool.Get().(*burstState)
-	if cap(st.slots) < n {
-		st.slots = make([]burstSlot, n)
-		st.queue = make([]*burstSlot, 0, n)
-	}
-	st.slots = st.slots[:n]
-	st.queue = st.queue[:0]
-	for i := range st.slots {
-		st.slots[i] = burstSlot{}
-		st.queue = append(st.queue, &st.slots[i])
-	}
-	st.pending = 0
-	st.finished = false
-	return st
-}
-
-// retain records a reference to sl: a response callback or an armed hedge
-// timer that will read the slot when it fires.
-func (st *burstState) retain(sl *burstSlot) {
-	sl.refs++
-	st.pending++
-}
-
-// settle drops one reference to sl. The last settle after finish pools
-// the state.
-func (st *burstState) settle(sl *burstSlot) {
-	sl.refs--
-	st.pending--
-	if st.finished && st.pending == 0 {
-		st.release()
-	}
-}
-
-// finish marks the burst returned. With no references in flight the state
-// pools immediately; otherwise the final straggler's settle pools it.
-// This is what makes pooling safe with hedging on: a losing twin that
-// completes after the burst settles still holds its reference, so its
-// slot cannot have been recycled under it.
-func (st *burstState) finish() {
-	st.finished = true
-	if st.pending == 0 {
-		st.release()
-	}
-}
-
-// release returns the state to the pool. Callers outside the
-// retain/settle/finish protocol must guarantee no in-flight response can
-// still reach a slot.
-func (st *burstState) release() {
-	burstPool.Put(st)
 }

@@ -98,75 +98,3 @@ func TestDecisionTableFreezesStrategy(t *testing.T) {
 		}
 	}
 }
-
-// TestBurstStatePooling: states cycle through the pool and come back fully
-// reset.
-func TestBurstStatePooling(t *testing.T) {
-	st := newBurstState(4)
-	if len(st.slots) != 4 || len(st.queue) != 4 {
-		t.Fatalf("sized %d/%d", len(st.slots), len(st.queue))
-	}
-	st.slots[2].gen = 7
-	st.slots[2].attempts = 3
-	st.release()
-	st2 := newBurstState(4)
-	for i := range st2.slots {
-		if st2.slots[i] != (burstSlot{}) {
-			t.Fatalf("slot %d not reset: %+v", i, st2.slots[i])
-		}
-	}
-	if len(st2.queue) != 4 {
-		t.Fatalf("queue not rebuilt: %d", len(st2.queue))
-	}
-	st2.release()
-}
-
-// TestBurstStateRefcount pins the retain/settle/finish protocol: a state
-// whose burst has returned stays out of the pool until the last in-flight
-// reference (a hedge loser, an armed timer) settles, and states always
-// come back from the pool with the bookkeeping reset.
-func TestBurstStateRefcount(t *testing.T) {
-	st := newBurstState(2)
-	sl := &st.slots[0]
-	st.retain(sl) // primary response in flight
-	st.retain(sl) // hedge twin in flight
-	if sl.refs != 2 || st.pending != 2 {
-		t.Fatalf("refs=%d pending=%d after two retains", sl.refs, st.pending)
-	}
-	st.finish() // burst returns with both responses outstanding
-	if !st.finished {
-		t.Fatal("finish did not mark the state finished")
-	}
-	st.settle(sl) // winner arrives
-	if st.pending != 1 {
-		t.Fatalf("pending=%d after first settle", st.pending)
-	}
-	st.settle(sl) // losing twin straggles in — this settle pools the state
-	nxt := newBurstState(2)
-	if nxt.pending != 0 || nxt.finished {
-		t.Fatalf("pooled state not reset: pending=%d finished=%v", nxt.pending, nxt.finished)
-	}
-	for i := range nxt.slots {
-		if nxt.slots[i] != (burstSlot{}) {
-			t.Fatalf("slot %d not reset: %+v", i, nxt.slots[i])
-		}
-	}
-	nxt.release()
-
-	// The reverse interleaving: all references settle before the burst
-	// returns (hedging off, or every twin already resolved). finish alone
-	// must pool the state.
-	st3 := newBurstState(1)
-	sl3 := &st3.slots[0]
-	st3.retain(sl3)
-	st3.settle(sl3)
-	if st3.finished {
-		t.Fatal("settle before finish must not mark finished")
-	}
-	st3.finish()
-	st4 := newBurstState(1)
-	if st4.pending != 0 || st4.finished {
-		t.Fatalf("state after finish-last not reset: pending=%d finished=%v", st4.pending, st4.finished)
-	}
-	st4.release()
-}

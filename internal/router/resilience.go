@@ -8,70 +8,35 @@ import (
 	"skyfaas/internal/rng"
 )
 
-// Resilience is a burst's graceful-degradation envelope: per-slot retry
-// budgets with exponential backoff and jitter, tail-latency hedging, a
-// per-zone circuit breaker, and automatic failover to the next-best
-// characterized zone when the breaker opens. A nil *Resilience on BurstSpec
-// reproduces the legacy burst behavior exactly (unbounded retries, fixed
-// 50 ms failure backoff, no breaker).
+// Resilience is a burst's graceful-degradation envelope. Under it each
+// slot gets burstRetry's budget for platform failures, and a slot that
+// exhausts it is abandoned and counted in BurstResult.Abandoned. A
+// per-zone circuit breaker watches those failures, and while the current
+// zone's breaker rejects traffic, queued slots fail over to the next-best
+// characterized candidate zone. A nil *Resilience on BurstSpec reproduces
+// the legacy burst behavior exactly (unbounded retries, fixed 50 ms failure
+// backoff, no breaker).
 type Resilience struct {
-	// Retry bounds per-slot platform-failure attempts (default: 3 attempts,
-	// 50 ms base backoff doubling to a 5 s cap, ±20% jitter). Slots that
-	// exhaust the budget are abandoned and counted in BurstResult.Abandoned.
-	Retry faas.RetryPolicy
-	// Hedge duplicates slots that have not answered within Hedge.After; the
-	// first response wins and the loser is abandoned on arrival (its cost is
-	// still billed — a FaaS execution cannot be recalled, only ignored).
-	// Zero value = no hedging.
-	Hedge HedgePolicy
-	// NoBreaker disables the circuit breaker (and with it, failover).
+	// NoBreaker turns the circuit breaker off, and failover with it.
 	NoBreaker bool
-	// Failover lets the burst re-route queued slots to the next-best
-	// characterized candidate zone while the current zone's breaker rejects
-	// traffic.
-	Failover bool
+	// Hedge duplicates a slot that has not answered within hedgeAfter,
+	// once per attempt; the first response wins and the loser is dropped
+	// on arrival (its cost is still billed — a FaaS execution cannot be
+	// recalled, only ignored).
+	Hedge bool
 }
 
-// HedgePolicy duplicates a slow slot: if no response arrives within After,
-// a hedge copy is issued and the first response wins. The zero value
-// disables hedging.
-type HedgePolicy struct {
-	// After is the latency threshold that triggers a hedge (0 = disabled).
-	After time.Duration
-	// Max is how many hedge copies may be issued per attempt (default 1).
-	Max int
-}
+// burstRetry is a resilient slot's platform-failure budget: 3 attempts,
+// backoff from faas's 50 ms base doubling to its 5 s cap, ±20% jitter.
+var burstRetry = faas.RetryPolicy{MaxAttempts: 3, JitterFrac: 0.2}
 
-// MaxHedges is the effective hedge budget per attempt (Max, min 1).
-func (h HedgePolicy) MaxHedges() int {
-	if h.Max < 1 {
-		return 1
-	}
-	return h.Max
-}
-
-// Enabled reports whether the policy triggers hedges.
-func (h HedgePolicy) Enabled() bool { return h.After > 0 }
+// hedgeAfter is how long a hedged attempt waits for an answer before its
+// one hedge goes out.
+const hedgeAfter = 2 * time.Second
 
 // DefaultResilience returns the full protection envelope: bounded retries
 // with jittered backoff, breaker, and failover (hedging stays opt-in).
-func DefaultResilience() *Resilience {
-	return &Resilience{Failover: true}
-}
-
-func (rs *Resilience) withDefaults() *Resilience {
-	if rs == nil {
-		return nil
-	}
-	c := *rs
-	if c.Retry.MaxAttempts == 0 {
-		c.Retry.MaxAttempts = 3
-	}
-	if c.Retry.JitterFrac == 0 {
-		c.Retry.JitterFrac = 0.2
-	}
-	return &c
-}
+func DefaultResilience() *Resilience { return &Resilience{} }
 
 func (rs *Resilience) breakerOn() bool { return rs != nil && !rs.NoBreaker }
 

@@ -92,10 +92,7 @@ func TestResilientBurstDeterminism(t *testing.T) {
 			Workload:   workload.Sha1Hash,
 			N:          150,
 			Candidates: []string{"slow-az", "fast-az"},
-			Resilience: &Resilience{
-				Retry:    faas.RetryPolicy{MaxAttempts: 3, JitterFrac: 0.3},
-				Failover: true,
-			},
+			Resilience: DefaultResilience(),
 		})
 	}
 	a, b := run(), run()
@@ -110,7 +107,7 @@ func TestResilientBurstDeterminism(t *testing.T) {
 // TestBackoffJitterDeterminism: the jittered schedule is a pure function of
 // the stream's seed.
 func TestBackoffJitterDeterminism(t *testing.T) {
-	p := faas.RetryPolicy{MaxAttempts: 5, BaseBackoff: 100 * time.Millisecond, JitterFrac: 0.5}
+	p := faas.RetryPolicy{MaxAttempts: 5, JitterFrac: 0.5}
 	seq := func(seed uint64) []time.Duration {
 		src := rng.New(seed)
 		out := make([]time.Duration, 0, 4)
@@ -135,16 +132,20 @@ func TestBackoffJitterDeterminism(t *testing.T) {
 	if same {
 		t.Error("different seeds produced identical jitter (suspicious)")
 	}
-	// Un-jittered schedule grows exponentially and caps.
-	flat := faas.RetryPolicy{BaseBackoff: time.Second}
-	if d := flat.Backoff(1, nil); d != time.Second {
+	// Un-jittered schedule starts at the 50 ms base, grows exponentially
+	// and caps: 50 ms × 2^7 = 6.4 s is past the 5 s cap.
+	flat := faas.RetryPolicy{}
+	if d := flat.Backoff(1, nil); d != 50*time.Millisecond {
 		t.Errorf("backoff(1) = %v", d)
 	}
-	if d := flat.Backoff(2, nil); d != 2*time.Second {
+	if d := flat.Backoff(2, nil); d != 100*time.Millisecond {
 		t.Errorf("backoff(2) = %v", d)
 	}
-	if d := flat.Backoff(5, nil); d != 5*time.Second {
-		t.Errorf("backoff(5) = %v, want the 5s cap", d)
+	if d := flat.Backoff(7, nil); d != 3200*time.Millisecond {
+		t.Errorf("backoff(7) = %v", d)
+	}
+	if d := flat.Backoff(8, nil); d != 5*time.Second {
+		t.Errorf("backoff(8) = %v, want the 5s cap", d)
 	}
 }
 
@@ -159,13 +160,10 @@ func TestBurstHedging(t *testing.T) {
 		az.SetColdStartSpike(20) // multi-second cold starts: hedges fire
 		var err error
 		res, err = r.Burst(p, BurstSpec{
-			Strategy: Baseline{AZ: "slow-az"},
-			Workload: workload.Sha1Hash,
-			N:        80,
-			Resilience: &Resilience{
-				NoBreaker: true,
-				Hedge:     HedgePolicy{After: 500 * time.Millisecond},
-			},
+			Strategy:   Baseline{AZ: "slow-az"},
+			Workload:   workload.Sha1Hash,
+			N:          80,
+			Resilience: &Resilience{NoBreaker: true, Hedge: true},
 		})
 		return err
 	})
@@ -185,49 +183,6 @@ func TestBurstHedging(t *testing.T) {
 	// hedge loser (counted in Attempts when it arrives).
 	if res.Attempts < res.Completed {
 		t.Fatalf("attempts %d < completed %d", res.Attempts, res.Completed)
-	}
-}
-
-// TestHedgedBurstPoolsSafely: back-to-back hedged bursts share the
-// sync.Pool of burst states. Burst one's losing twins are still in flight
-// when burst two starts; the per-slot refcount keeps the first state out
-// of the pool until the last straggler settles, so the second burst can
-// never be handed a state a stale response still points into. RACE_PKGS
-// runs this under -race, which would catch a recycled slot being written
-// by both bursts.
-func TestHedgedBurstPoolsSafely(t *testing.T) {
-	env, cloud, r := world(t)
-	seedStore(cloud, r, "slow-az", "fast-az")
-	spec := BurstSpec{
-		Strategy: Baseline{AZ: "slow-az"},
-		Workload: workload.Sha1Hash,
-		N:        60,
-		Resilience: &Resilience{
-			NoBreaker: true,
-			Hedge:     HedgePolicy{After: 500 * time.Millisecond},
-		},
-	}
-	var first, second BurstResult
-	env.Go("hedge-pool", func(p *sim.Proc) error {
-		az, _ := cloud.AZ("slow-az")
-		az.SetColdStartSpike(20) // hedges fire; losers straggle past settle
-		var err error
-		if first, err = r.Burst(p, spec); err != nil {
-			return err
-		}
-		second, err = r.Burst(p, spec)
-		return err
-	})
-	if err := env.Run(); err != nil {
-		t.Fatal(err)
-	}
-	for i, res := range []BurstResult{first, second} {
-		if res.Completed != 60 {
-			t.Errorf("burst %d completed %d, want 60 (abandoned %d)", i+1, res.Completed, res.Abandoned)
-		}
-		if res.Hedges == 0 {
-			t.Errorf("burst %d fired no hedges despite 20x cold starts", i+1)
-		}
 	}
 }
 

@@ -101,8 +101,9 @@ type BurstSpec struct {
 	// Candidates are the zones the strategy may choose among.
 	Candidates []string
 	// Resilience enables graceful degradation: bounded retries with
-	// jittered backoff, hedging, the per-zone circuit breaker, and zone
-	// failover. Nil reproduces the legacy behavior exactly.
+	// jittered backoff and, unless switched off, the per-zone circuit
+	// breaker with zone failover, and optionally hedging. Nil reproduces
+	// the legacy behavior exactly.
 	Resilience *Resilience
 }
 
@@ -164,6 +165,16 @@ func (b BurstResult) RetryFrac() float64 {
 	return float64(b.Declined) / float64(placed)
 }
 
+// burstSlot is one logical invocation. gen advances every time the slot is
+// (re)issued or settled, so a response carrying a stale gen — a hedge
+// loser, or the twin of an attempt that already failed — identifies itself
+// and is dropped. Each burst makes its own slots, so a loser that answers
+// after Burst has returned still reads its own burst's slot.
+type burstSlot struct {
+	attempts int // platform-failure attempts consumed
+	gen      int
+}
+
 // Burst executes spec from the calling process and returns when all N
 // invocations have completed (or, under a Resilience envelope, been
 // abandoned after exhausting their retry budget).
@@ -174,10 +185,11 @@ func (b BurstResult) RetryFrac() float64 {
 // giveUp, stragglers are reissued without bans so the burst always
 // completes. Platform failures (throttle/saturation/outage) back off before
 // reissue — a fixed 50 ms without Resilience, exponential with jitter
-// under it. With Resilience, a per-zone circuit breaker watches those
-// failures and, once open, queued slots fail over to the next-best
-// characterized candidate zone; slow slots may additionally be hedged, the
-// first response winning and the loser being dropped on arrival.
+// under it. With Resilience, a per-zone circuit breaker (unless NoBreaker)
+// watches those failures and, once open, queued slots fail over to the
+// next-best characterized candidate zone; with Hedge, a slot silent for
+// hedgeAfter gets one hedge, the first response winning and the loser
+// being dropped on arrival.
 func (r *Router) Burst(p *sim.Proc, spec BurstSpec) (BurstResult, error) {
 	if spec.Strategy == nil {
 		return BurstResult{}, fmt.Errorf("router: nil strategy")
@@ -204,7 +216,7 @@ func (r *Router) Burst(p *sim.Proc, spec BurstSpec) (BurstResult, error) {
 	bm := r.burstMetrics(spec.Strategy.Name())
 	bm.recordDecision(az, spec.Candidates)
 
-	rs := spec.Resilience.withDefaults()
+	rs := spec.Resilience
 	res := BurstResult{
 		Strategy: spec.Strategy.Name(),
 		Workload: spec.Workload,
@@ -224,13 +236,12 @@ func (r *Router) Burst(p *sim.Proc, spec BurstSpec) (BurstResult, error) {
 	}
 	outstanding := 0
 
-	// Slots and the retry queue come from the pool (hotpath.go). Every
-	// in-flight response and armed hedge timer holds a reference on the
-	// state; it is recycled once the burst has returned AND the last
-	// reference settled, so hedge losers straggling in later never touch a
-	// reused slot.
-	st := newBurstState(spec.N)
-	queue := st.queue
+	// Every slot starts queued.
+	slots := make([]burstSlot, spec.N)
+	queue := make([]*burstSlot, spec.N)
+	for i := range slots {
+		queue[i] = &slots[i]
+	}
 
 	// Route state; failover replaces the frozen decision table, retargeting
 	// every slot issued afterward.
@@ -285,7 +296,7 @@ func (r *Router) Burst(p *sim.Proc, spec BurstSpec) (BurstResult, error) {
 		for outstanding < maxOutstanding && len(queue) > 0 {
 			if rs.breakerOn() && !env.Now().After(giveUpAt) &&
 				!r.breakerFor(routeAZ).Allow(env.Now()) {
-				if rs.Failover && failOver() {
+				if failOver() {
 					continue // re-gate against the new zone's breaker
 				}
 				// Nowhere to go: hold the queue and try again shortly.
@@ -314,12 +325,7 @@ func (r *Router) Burst(p *sim.Proc, spec BurstSpec) (BurstResult, error) {
 		call := tbl.Call(!env.Now().After(giveUpAt))
 		azAt := routeAZ
 		send := func(isHedge bool) {
-			st.retain(sl)
 			r.client.Start(call, func(resp cloudsim.Response) {
-				// Settle last: the gen checks below must read the slot
-				// before this reference is dropped (and the state possibly
-				// pooled).
-				defer st.settle(sl)
 				outstanding--
 				res.Attempts++
 				res.CostUSD += resp.CostUSD
@@ -343,7 +349,7 @@ func (r *Router) Burst(p *sim.Proc, spec BurstSpec) (BurstResult, error) {
 					res.Failed++
 					bm.failures.Inc()
 					sl.attempts++
-					if rs != nil && sl.attempts >= rs.Retry.MaxAttempts {
+					if rs != nil && sl.attempts >= burstRetry.MaxAttempts {
 						res.Abandoned++
 						bm.abandoned.Inc()
 						if finish() {
@@ -354,7 +360,7 @@ func (r *Router) Burst(p *sim.Proc, spec BurstSpec) (BurstResult, error) {
 					}
 					backoff := 50 * time.Millisecond
 					if rs != nil {
-						backoff = rs.Retry.Backoff(sl.attempts, r.rand)
+						backoff = burstRetry.Backoff(sl.attempts, r.rand)
 					}
 					requeue(sl, backoff)
 				case !outcome.Ran:
@@ -373,31 +379,20 @@ func (r *Router) Burst(p *sim.Proc, spec BurstSpec) (BurstResult, error) {
 			})
 		}
 		send(false)
-		if rs != nil && rs.Hedge.Enabled() {
-			var arm func(left int)
-			arm = func(left int) {
-				if left == 0 {
-					return
+		if rs != nil && rs.Hedge {
+			env.Schedule(hedgeAfter, func() {
+				if gen != sl.gen || outstanding >= maxOutstanding {
+					return // settled already, or no quota headroom
 				}
-				st.retain(sl) // the timer reads sl.gen when it fires
-				env.Schedule(rs.Hedge.After, func() {
-					defer st.settle(sl)
-					if gen != sl.gen || outstanding >= maxOutstanding {
-						return // settled already, or no quota headroom
-					}
-					outstanding++
-					res.Hedges++
-					bm.hedges.Inc()
-					send(true)
-					arm(left - 1)
-				})
-			}
-			arm(rs.Hedge.MaxHedges())
+				outstanding++
+				res.Hedges++
+				bm.hedges.Inc()
+				send(true)
+			})
 		}
 	}
 	pump()
 	p.Wait(done)
-	st.finish()
 	res.Elapsed = env.Now().Sub(start)
 	bm.recordResult(res, r.perf, res.Elapsed)
 	if r.trafficSink != nil && res.Completed > 0 {

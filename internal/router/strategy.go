@@ -139,10 +139,24 @@ func bestAZ(dec Decision) string {
 // slowest CPUs (typically AMD EPYC and the 2.9 GHz Xeon).
 type RetrySlow struct {
 	AZ string
-	// SlowCount is how many of the slowest observed kinds to ban
-	// (default 2, the paper's configuration).
-	SlowCount int
 }
+
+// Every strategy bans with the same tuning.
+const (
+	// slowCount is how many of the slowest observed kinds a slowest-N ban
+	// refuses: the paper's retry-slow configuration, and the conservative
+	// fallback of the strategies that focus on exact shares.
+	slowCount = 2
+	// minFocusShare is the least characterized share of the fastest kind
+	// for focus-fastest's full focus. Below ~15% share, the expected
+	// decline holds (>5 per completion) usually outweigh the gain — the
+	// paper's "overhead of additional retries grows rapidly" regime.
+	minFocusShare = 0.15
+	// minGainMS is the least learned runtime gain (vs the fastest kind) a
+	// CPU must cost before it gets banned; anything cheaper cannot repay
+	// the decline hold and retry churn (twice the paper's 150 ms hold).
+	minGainMS = 300
+)
 
 // Name implements Strategy.
 func (RetrySlow) Name() string { return "retry-slow" }
@@ -153,24 +167,20 @@ func (r RetrySlow) PickAZ(Decision) string { return r.AZ }
 // Ban implements Strategy. Stale characterizations are used as-is: the
 // slow/fast CPU ordering survives drift far better than exact shares, so a
 // conservative slowest-N ban stays worthwhile on old data.
-func (r RetrySlow) Ban(dec Decision, az string) cpu.Mask {
-	n := r.SlowCount
-	if n == 0 {
-		n = 2
-	}
+func (RetrySlow) Ban(dec Decision, az string) cpu.Mask {
 	info := dec.Lookup(az)
 	if !info.Known {
 		return 0
 	}
-	return banSlowest(dec, info.Dist, n)
+	return banSlowest(dec, info.Dist)
 }
 
-// banSlowest bans up to the n slowest kinds present in d, under three
+// banSlowest bans up to the slowCount slowest kinds present in d, under three
 // guards: never the fastest present kind, never a kind so close to the
 // fastest that retrying off it cannot repay the decline hold, and never so
 // much of the zone that fewer than ~30% of placements can run — the paper's
 // "only banning very poorly performing CPUs" mitigation.
-func banSlowest(dec Decision, d charact.Dist, n int) cpu.Mask {
+func banSlowest(dec Decision, d charact.Dist) cpu.Mask {
 	const minKeptShare = 0.3
 	if len(d) == 0 {
 		return 0
@@ -189,14 +199,12 @@ func banSlowest(dec Decision, d charact.Dist, n int) cpu.Mask {
 	if !ok {
 		return 0
 	}
-	if n > len(present)-1 {
-		n = len(present) - 1
-	}
+	n := min(slowCount, len(present)-1)
 	var banned cpu.Mask
 	bannedShare := 0.0
 	for i := len(present) - 1; i >= len(present)-n; i-- {
 		k := present[i]
-		if meanK, ok := dec.Perf.Mean(dec.Workload, k); !ok || meanK-fastMS < minGain(0) {
+		if meanK, ok := dec.Perf.Mean(dec.Workload, k); !ok || meanK-fastMS < minGainMS {
 			continue
 		}
 		if bannedShare+d.Share(k) > 1-minKeptShare {
@@ -211,20 +219,12 @@ func banSlowest(dec Decision, d charact.Dist, n int) cpu.Mask {
 // ---------------------------------------------------------------------------
 
 // FocusFastest pins bursts to one zone and aggressively retries anything
-// not on the fastest observed CPU. MinShare guards against banning
+// not on the fastest observed CPU. Below minFocusShare of the fastest kind
+// it degrades to banning the slowest two, which guards against banning
 // everything when the ideal CPU is nearly absent (the paper notes retry
 // overhead explodes when the target CPU is rare).
 type FocusFastest struct {
 	AZ string
-	// MinShare is the minimum characterized share of the fastest kind for
-	// full focus; below it the strategy degrades to banning the slowest
-	// two (default 0.03).
-	MinShare float64
-	// MinGainMS is the minimum learned runtime gain (vs the fastest kind)
-	// a CPU must cost before it gets banned; anything cheaper cannot repay
-	// the decline hold and retry churn (default 300 — twice the paper's
-	// 150 ms hold).
-	MinGainMS float64
 }
 
 // Name implements Strategy.
@@ -237,35 +237,18 @@ func (f FocusFastest) PickAZ(Decision) string { return f.AZ }
 // degrades deliberately to banning the slowest two kinds: full focus bets
 // on the exact share of one CPU, which drift invalidates first, while the
 // slow/fast ordering it falls back on decays much more slowly.
-func (f FocusFastest) Ban(dec Decision, az string) cpu.Mask {
+func (FocusFastest) Ban(dec Decision, az string) cpu.Mask {
 	info := dec.Lookup(az)
 	if !info.Known {
 		return 0
 	}
 	if !info.Fresh {
-		return banSlowest(dec, info.Dist, 2)
+		return banSlowest(dec, info.Dist)
 	}
-	return banAllButFastest(dec, info.Dist, f.minShare(), minGain(f.MinGainMS))
+	return banAllButFastest(dec, info.Dist)
 }
 
-func (f FocusFastest) minShare() float64 {
-	if f.MinShare == 0 {
-		// Below ~15% share, the expected decline holds (>5 per completion)
-		// usually outweigh the gain — the paper's "overhead of additional
-		// retries grows rapidly" regime.
-		return 0.15
-	}
-	return f.MinShare
-}
-
-func minGain(v float64) float64 {
-	if v == 0 {
-		return 300
-	}
-	return v
-}
-
-func banAllButFastest(dec Decision, d charact.Dist, minShare, minGainMS float64) cpu.Mask {
+func banAllButFastest(dec Decision, d charact.Dist) cpu.Mask {
 	if len(d) == 0 {
 		return 0
 	}
@@ -280,8 +263,8 @@ func banAllButFastest(dec Decision, d charact.Dist, minShare, minGainMS float64)
 	if fastest == 0 {
 		return 0
 	}
-	if d.Share(fastest) < minShare {
-		return banSlowest(dec, d, 2)
+	if d.Share(fastest) < minFocusShare {
+		return banSlowest(dec, d)
 	}
 	fastMS, ok := dec.Perf.Mean(dec.Workload, fastest)
 	if !ok {
@@ -310,12 +293,9 @@ func banAllButFastest(dec Decision, d charact.Dist, minShare, minGainMS float64)
 // evaluates every "ban the j slowest kinds" cutoff against the expected
 // decline-hold overhead and keeps the cheapest — the paper's observation
 // that the retry approach "can be tuned by specifying the CPUs that are
-// banned" turned into an explicit optimization.
-type Hybrid struct {
-	// HoldMS is the decline hold assumed by the overhead model
-	// (default 150, the hold every burst uses).
-	HoldMS float64
-}
+// banned" turned into an explicit optimization. The overhead model assumes
+// declineHoldMS, the hold every burst uses.
+type Hybrid struct{}
 
 // Name implements Strategy.
 func (Hybrid) Name() string { return "hybrid" }
@@ -326,19 +306,15 @@ func (Hybrid) PickAZ(dec Decision) string { return bestAZ(dec) }
 // Ban implements Strategy. The cost optimization leans on exact shares, so
 // on a stale characterization Hybrid degrades deliberately to the
 // conservative slowest-two ban rather than optimizing against drifted data.
-func (h Hybrid) Ban(dec Decision, az string) cpu.Mask {
-	hold := h.HoldMS
-	if hold == 0 {
-		hold = declineHoldMS
-	}
+func (Hybrid) Ban(dec Decision, az string) cpu.Mask {
 	info := dec.Lookup(az)
 	if !info.Known {
 		return 0
 	}
 	if !info.Fresh {
-		return banSlowest(dec, info.Dist, 2)
+		return banSlowest(dec, info.Dist)
 	}
-	return optimalBanSet(dec, info.Dist, hold)
+	return optimalBanSet(dec, info.Dist, declineHoldMS)
 }
 
 // optimalBanSet picks the ban cutoff minimizing expected per-completion

@@ -112,15 +112,15 @@ func TestHybridUsesOptimalBans(t *testing.T) {
 	if !banned.Has(cpu.Xeon25) || banned.Has(cpu.Xeon30) {
 		t.Fatalf("hybrid bans = %v", banned)
 	}
-	// A custom hold changes the economics: with an enormous hold no ban
-	// can pay for itself.
-	if banned := (Hybrid{HoldMS: 1e6}).Ban(dec, "z"); banned != 0 {
+	// The hold sets the economics: with an enormous hold no ban can pay
+	// for itself.
+	if banned := optimalBanSet(dec, dec.Lookup("z").Dist, 1e6); banned != 0 {
 		t.Fatalf("hybrid with huge hold bans %v", banned)
 	}
 }
 
 func TestFocusFastestMinShareDefault(t *testing.T) {
-	// Fastest kind holds 10% (< default 15% guard): focus degrades to
+	// Fastest kind holds 10% (< the 15% guard): focus degrades to
 	// banning the slowest kinds instead of chasing the rare CPU.
 	dec := mkDecision(t,
 		map[cpu.Kind]float64{cpu.Xeon30: 0.10, cpu.Xeon25: 0.60, cpu.EPYC: 0.30},

@@ -24,7 +24,7 @@
 //     poll loops it calls, a refresh pass, and each command skyd's pump
 //     runs (one per served call, however many invocations it makes).
 //     Per-invocation logic — a request's life in the cloud, the sampler's
-//     fan-out tree, a client's retry/hedge/deadline envelope, an open-loop
+//     fan-out tree, a client's retry envelope, an open-loop
 //     arrival — is a chain of callbacks instead, each scheduled where a
 //     process would have been started or woken, so the event order is the
 //     process form's.

@@ -90,11 +90,6 @@ func (c *Client) Post(path string, in, out any) error {
 	return c.roundTrip(http.MethodPost, path, body, out)
 }
 
-// Delete issues a DELETE and decodes the 200 body into out (nil to discard).
-func (c *Client) Delete(path string, out any) error {
-	return c.roundTrip(http.MethodDelete, path, nil, out)
-}
-
 func (c *Client) roundTrip(method, path string, body io.Reader, out any) error {
 	req, err := http.NewRequest(method, c.base+path, body)
 	if err != nil {

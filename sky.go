@@ -76,8 +76,8 @@ type (
 	BurstSpec = router.BurstSpec
 )
 
-// Resilience configures retries, hedging, circuit breaking, and failover
-// for a burst.
+// Resilience bounds a burst's retries and switches its circuit breaker
+// (with failover) and hedging.
 type Resilience = router.Resilience
 
 // DefaultResilience returns the recommended production posture: breaker,
