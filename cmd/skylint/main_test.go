@@ -56,7 +56,7 @@ func TestRunList(t *testing.T) {
 	if code := run([]string{"-list"}, &out, &errOut); code != 0 {
 		t.Fatalf("run(-list) = %d, stderr: %s", code, errOut.String())
 	}
-	for _, rule := range []string{"ctxgo", "floatdet", "mutexheld", "nilmetrics", "nodeterm", "sentinelerr"} {
+	for _, rule := range []string{"ctxgo", "floatdet", "mutexheld", "nilmetrics", "nodeterm"} {
 		if !strings.Contains(out.String(), rule) {
 			t.Errorf("-list output missing rule %s:\n%s", rule, out.String())
 		}

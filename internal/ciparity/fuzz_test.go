@@ -19,17 +19,24 @@ var (
 // under internal/lint/testdata, which are not packages of the module.
 func moduleTestFiles(t *testing.T) []string {
 	t.Helper()
+	return testFilesExcept(t, "bench", filepath.Join("internal", "lint", "testdata"))
+}
+
+// testFilesExcept returns the repo's test files, relative to the repo
+// root, outside the directories skip names (relative to the root too).
+func testFilesExcept(t *testing.T, skip ...string) []string {
+	t.Helper()
 	root := filepath.Join("..", "..")
-	skip := map[string]bool{
-		filepath.Join(root, "bench"):                        true,
-		filepath.Join(root, "internal", "lint", "testdata"): true,
+	skipped := map[string]bool{}
+	for _, dir := range skip {
+		skipped[filepath.Join(root, dir)] = true
 	}
 	var out []string
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
-		if d.IsDir() && (skip[path] || d.Name() == ".git") {
+		if d.IsDir() && (skipped[path] || d.Name() == ".git") {
 			return filepath.SkipDir
 		}
 		if d.IsDir() || !strings.HasSuffix(path, "_test.go") {

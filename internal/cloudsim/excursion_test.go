@@ -94,7 +94,6 @@ func TestExcursionSparesBusyHosts(t *testing.T) {
 	if got := az.TrueMix()[cpu.Xeon25]; got != 1 {
 		t.Fatalf("busy hosts were flipped: %v", az.TrueMix())
 	}
-	env.Shutdown()
 }
 
 // TestAccessors covers the thin read-only surface the experiments lean on.

@@ -29,8 +29,7 @@ type faultState struct {
 	extraRTT time.Duration
 }
 
-// FaultSnapshot reports a zone's currently injected faults (for admin
-// endpoints and tests).
+// FaultSnapshot reports a zone's currently injected faults.
 type FaultSnapshot struct {
 	AZ            string
 	Outage        bool
@@ -92,7 +91,9 @@ func (az *AZ) DriftBurst(frac, step float64) {
 	az.replaceIdleHostsFrom(frac, perturbed)
 }
 
-// FaultSnapshot returns the zone's current fault state.
+// FaultSnapshot returns the zone's current fault state. Only tests read
+// it, among them internal/chaos's window tests and internal/faas's invoke
+// tests, which is why it is exported.
 func (az *AZ) FaultSnapshot() FaultSnapshot {
 	return FaultSnapshot{
 		AZ:            az.spec.Name,

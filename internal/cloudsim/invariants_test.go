@@ -140,7 +140,6 @@ func TestInvariantsUnderRandomChurn(t *testing.T) {
 	if az.LiveFIs() != 0 {
 		t.Fatalf("live FIs after idle window = %d", az.LiveFIs())
 	}
-	env.Shutdown()
 }
 
 // TestDriftPreservesInvariants runs many drift cycles with live load and
@@ -182,7 +181,6 @@ func TestDriftPreservesInvariants(t *testing.T) {
 	if truth[cpu.Xeon25] == 0 || truth[cpu.Xeon30] == 0 {
 		t.Errorf("a CPU kind went extinct under drift: %v", truth)
 	}
-	env.Shutdown()
 }
 
 // TestProbeDeclineReleasesQuota verifies the decline path returns quota and
@@ -260,7 +258,6 @@ func TestProbeKeepOnDecline(t *testing.T) {
 	if az.LiveFIs() != 1 {
 		t.Fatalf("live FIs = %d, want 1 kept warm", az.LiveFIs())
 	}
-	env.Shutdown()
 }
 
 // maybeBan adds k to m when cond holds — a branch-free literal for

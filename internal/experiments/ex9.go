@@ -104,8 +104,7 @@ func RunEX9(c EX9Config) (EX9Result, error) {
 type MeshLoadConfig struct {
 	Seed uint64
 	// Shards is ignored: the simulator has one engine. The benchmark's
-	// traced probe still sets it, so it stays until that probe is deleted
-	// (ROADMAP.md item 4(b)).
+	// probes still set it, so it stays until bench/ stops setting it.
 	Shards int
 	// Invocations is the total invocation budget across all zones.
 	Invocations int

@@ -87,7 +87,6 @@ func Analyzers() []*Analyzer {
 		mutexheldAnalyzer,
 		nilmetricsAnalyzer,
 		nodetermAnalyzer,
-		sentinelerrAnalyzer,
 	}
 }
 

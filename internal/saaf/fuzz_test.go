@@ -1,11 +1,14 @@
 package saaf
 
-import "testing"
+import (
+	"encoding/json"
+	"testing"
+)
 
 // FuzzParse feeds Parse arbitrary bytes, the report a function response
 // carries back from an instance. It must never panic; every report it
 // accepts must name a catalogued processor kind, and must come back
-// unchanged from Marshal and a second Parse. The seed corpus under
+// unchanged from json.Marshal and a second Parse. The seed corpus under
 // testdata/fuzz/FuzzParse holds a report of every kind, unknown and
 // case-shifted models, trailing bytes, wrong types, nulls and huge numbers,
 // and runs under plain `go test`.
@@ -18,7 +21,7 @@ func FuzzParse(f *testing.F) {
 		if !r.Kind.Valid() {
 			t.Fatalf("Parse accepted a report of unknown kind %v: %+v", r.Kind, r)
 		}
-		blob, err := Marshal(r)
+		blob, err := json.Marshal(r)
 		if err != nil {
 			t.Fatalf("Marshal of a parsed report: %v", err)
 		}

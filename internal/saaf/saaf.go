@@ -21,7 +21,7 @@ import (
 // response. Field names follow SAAF's JSON attribute conventions.
 type Report struct {
 	// UUID identifies the function instance (stable across warm reuses) on
-	// the wire only: Parse fills it and Marshal writes it, but Collect
+	// the wire only: Parse fills it and encoding/json writes it, but Collect
 	// leaves it empty, since in process the instance is its number.
 	UUID string `json:"uuid"`
 	// Instance is the instance's number in its zone, which the platform
@@ -72,16 +72,6 @@ func Collect(cpuinfo string, instance int, host string, cold bool, runtimeMS flo
 		r.NewContainer = 1
 	}
 	return r, nil
-}
-
-// Marshal renders the report as SAAF-style JSON, the wire format a real
-// function response would embed.
-func Marshal(r Report) ([]byte, error) {
-	b, err := json.Marshal(r)
-	if err != nil {
-		return nil, fmt.Errorf("saaf: marshal: %w", err)
-	}
-	return b, nil
 }
 
 // Parse decodes SAAF-style JSON and re-derives the processor kind from the

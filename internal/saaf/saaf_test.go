@@ -1,6 +1,7 @@
 package saaf
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -62,7 +63,7 @@ func TestMarshalParseRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		orig.UUID = "fi-x"
-		blob, err := Marshal(orig)
+		blob, err := json.Marshal(orig)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -81,7 +82,7 @@ func TestMarshalUsesSAAFFieldNames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blob, err := Marshal(r)
+	blob, err := json.Marshal(r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,12 +112,12 @@ func TestMarshalOmitsInstance(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.UUID = "fi-us-west-1a-7"
-	blob, err := Marshal(r)
+	blob, err := json.Marshal(r)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if string(blob) != want {
-		t.Errorf("Marshal = %s\nwant      %s", blob, want)
+		t.Errorf("json.Marshal = %s\nwant      %s", blob, want)
 	}
 	back, err := Parse(blob)
 	if err != nil {

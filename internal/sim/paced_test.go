@@ -245,7 +245,10 @@ func pacedGaps(n int, lo, hi time.Duration) []time.Duration {
 // parks its timers in the network poller, whose timeout on Linux is whole
 // milliseconds, so a timer wait that is not a whole number of milliseconds
 // wakes up to a millisecond late. Events with irregular gaps of 0.3–3 wall
-// ms must still fire within 0.3 ms of their deadlines at the median.
+// ms must fire within 0.3 ms of their deadlines at the median, counted
+// beyond a control: the napper alone, woken at the same deadlines in the
+// same run. A busy host delays both alike, so the bound holds the loop to
+// what the host can do right now, not to an absolute time.
 func TestPacedWaitLateness(t *testing.T) {
 	// Without a descriptor in the poller the runtime sleeps on a futex with
 	// nanosecond timeouts, and the millisecond rounding does not show.
@@ -255,15 +258,43 @@ func TestPacedWaitLateness(t *testing.T) {
 	}
 	defer ln.Close()
 
-	const (
-		events  = 300
-		speedup = 1000
-	)
+	// The two take turns in rounds, so a burst of load on the host falls
+	// on both.
+	const rounds, events = 6, 50
+	gaps := pacedGaps(rounds*events, 300*time.Microsecond, 3*time.Millisecond)
+	naps := startNapper()
+	defer naps.stop()
+	var paced, control []time.Duration
+	for r := range rounds {
+		round := gaps[r*events : (r+1)*events]
+		if r%2 == 0 {
+			paced = append(paced, pacedLateness(t, round)...)
+			control = append(control, napLateness(naps, round)...)
+		} else {
+			control = append(control, napLateness(naps, round)...)
+			paced = append(paced, pacedLateness(t, round)...)
+		}
+	}
+	slices.Sort(paced)
+	slices.Sort(control)
+	n := len(paced)
+	median, p90, ctl := paced[n/2], paced[n*9/10], control[n/2]
+	t.Logf("wall lateness against the deadline: median %v, p90 %v; the napper alone: median %v", median, p90, ctl)
+	if median-ctl > 300*time.Microsecond {
+		t.Errorf("median wall lateness %v, %v beyond the napper's own, want under 300µs: waits wake on a coarser tick than their deadlines", median, median-ctl)
+	}
+}
+
+// pacedLateness runs one event per gap through RunPaced at speedup 1000
+// and returns how late each fired against its wall-clock deadline.
+func pacedLateness(t *testing.T, gaps []time.Duration) []time.Duration {
+	t.Helper()
+	const speedup = 1000
 	env := NewEnv(epoch)
-	lateness := make([]time.Duration, 0, events)
+	lateness := make([]time.Duration, 0, len(gaps))
 	var start time.Time
 	at := time.Duration(0)
-	for _, gap := range pacedGaps(events, 300*time.Microsecond, 3*time.Millisecond) {
+	for _, gap := range gaps {
 		at += gap * speedup
 		due := at / speedup
 		env.Schedule(at, func() { lateness = append(lateness, time.Since(start)-due) })
@@ -272,18 +303,25 @@ func TestPacedWaitLateness(t *testing.T) {
 	if err := env.RunPaced(speedup, nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	if len(lateness) != events {
-		t.Fatalf("fired %d of %d events", len(lateness), events)
+	if len(lateness) != len(gaps) {
+		t.Fatalf("fired %d of %d events", len(lateness), len(gaps))
 	}
-	slices.Sort(lateness)
-	median, p90 := lateness[events/2], lateness[events*9/10]
-	t.Logf("wall lateness against the deadline: median %v, p90 %v", median, p90)
-	// Waiting on the timer alone reads 0.53–0.66 ms here, plain and under
-	// -race; with the napper, 0.07–0.11 ms plain and 0.10–0.26 ms under
-	// -race, on a 2-core host.
-	if median > 300*time.Microsecond {
-		t.Errorf("median wall lateness %v, want under 300µs: waits wake on a coarser tick than their deadlines", median)
+	return lateness
+}
+
+// napLateness waits out the same deadlines on the napper alone and returns
+// how late each ring came.
+func napLateness(naps *napper, gaps []time.Duration) []time.Duration {
+	lateness := make([]time.Duration, 0, len(gaps))
+	start := time.Now()
+	at := time.Duration(0)
+	for _, gap := range gaps {
+		at += gap
+		naps.until(start.Add(at))
+		<-naps.ring
+		lateness = append(lateness, time.Since(start)-at)
 	}
+	return lateness
 }
 
 // TestPacedNapTakesCommands: the end of every wait is napped out, and a

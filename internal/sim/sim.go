@@ -41,8 +41,8 @@ import (
 	"time"
 )
 
-// ErrAborted is the cause recorded by a process that was shut down by
-// Env.Shutdown while blocked.
+// ErrAborted is the cause recorded by a process still blocked when its run
+// ended, which unwinds it.
 var ErrAborted = errors.New("sim: process aborted by shutdown")
 
 // errAbortSentinel is panicked inside a blocked process to unwind it during
@@ -161,9 +161,6 @@ func (e *Env) run(until time.Duration) error {
 	e.drainProcs()
 	return nil
 }
-
-// Shutdown aborts all live processes. It is safe to call when idle.
-func (e *Env) Shutdown() { e.drainProcs() }
 
 // drainProcs force-unwinds every blocked process so no goroutine leaks.
 func (e *Env) drainProcs() {

@@ -238,7 +238,6 @@ func TestRunFor(t *testing.T) {
 	if count != 15 {
 		t.Fatalf("after resume count = %d", count)
 	}
-	e.Shutdown()
 }
 
 func TestRunForLeavesBlockedProcsResumable(t *testing.T) {

@@ -70,12 +70,6 @@ func New(base, key string) *Client {
 	}
 }
 
-// Get issues a GET and decodes the 200 body into out (out may be nil to
-// discard it).
-func (c *Client) Get(path string, out any) error {
-	return c.roundTrip(http.MethodGet, path, nil, out)
-}
-
 // Post marshals in (nil for an empty body), issues a POST, and decodes the
 // 200 body into out (nil to discard).
 func (c *Client) Post(path string, in, out any) error {

@@ -30,7 +30,7 @@ func TestClientAuthAndDecode(t *testing.T) {
 	var out struct {
 		Answer int `json:"answer"`
 	}
-	if err := c.Get("/v1/ok", &out); err != nil {
+	if err := c.roundTrip(http.MethodGet, "/v1/ok", nil, &out); err != nil {
 		t.Fatal(err)
 	}
 	if out.Answer != 42 {
@@ -55,7 +55,7 @@ func TestClientAuthAndDecode(t *testing.T) {
 
 	// A non-envelope body (here net/http's 404 page) still comes back as a
 	// usable *Error rather than a decode failure.
-	err = c.Get("/v1/nope", nil)
+	err = c.roundTrip(http.MethodGet, "/v1/nope", nil, nil)
 	if !errors.As(err, &apiErr) {
 		t.Fatalf("error %T %v, want *Error", err, err)
 	}
@@ -72,7 +72,7 @@ func TestClientNoKeySendsNoCredentials(t *testing.T) {
 		_, _ = w.Write([]byte(`{}`))
 	}))
 	defer srv.Close()
-	if err := New(srv.URL, "").Get("/v1/zones", nil); err != nil {
+	if err := New(srv.URL, "").roundTrip(http.MethodGet, "/v1/zones", nil, nil); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -45,8 +45,9 @@ type Config struct {
 	// Speedup is the virtual-to-wall time ratio (default 1000: one
 	// virtual second per wall millisecond).
 	Speedup float64
-	// PumpEvery is ignored: commands are injected on arrival. Kept so
-	// existing callers compile; to be removed with ROADMAP 5(b).
+	// PumpEvery is ignored: commands are injected on arrival. The
+	// benchmark's served probe still sets it, so it stays until bench/
+	// stops setting it.
 	PumpEvery time.Duration
 	// Metrics is the registry /metrics serves and HTTP instrumentation
 	// reports into (default: the runtime's registry, so one scrape covers
