@@ -13,9 +13,11 @@ ci: build vet fmt-check lint test race fuzz smoke data-check bench-smoke
 # the refresh scheduler (EX-7), the admission gate and the overload frontier
 # (EX-8), tenant quotas and the fairness comparison (EX-10), and the
 # warm-pool forecaster with its budget governor (EX-11) each compose end to
-# end outside the test harness.
+# end outside the test harness. Then every program under examples/, the
+# public API's documentation, must run to a zero exit.
 smoke:
 	$(GO) run ./cmd/skybench -ex ex6,ex7,ex8,ex10,ex11 -scale reduced
+	@for ex in examples/*/; do echo "== $$ex"; $(GO) run "./$$ex" || exit 1; done
 
 # The checked-in reproduction CSVs in data/ must be what the code produces:
 # regenerate EX-1..EX-5 at full scale and the default seed into a scratch

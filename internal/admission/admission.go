@@ -34,8 +34,13 @@ import (
 	"skyfaas/internal/workload"
 )
 
-// Gate timings no caller varies.
+// Gate settings no caller varies.
 const (
+	// pressureUtil is the utilization at which the controller reports
+	// pressure and skyd switches to batched (pinned) routing decisions.
+	pressureUtil = 0.75
+	// ewmaAlpha weights new service-time observations.
+	ewmaAlpha = 0.2
 	// routeTTL bounds how long a pinned routing decision is reused under
 	// pressure.
 	routeTTL = time.Second
@@ -54,12 +59,6 @@ type Config struct {
 	// Slots (default 0.9). Admission stops once inflight reaches
 	// TargetUtil×Slots.
 	TargetUtil float64
-	// PressureUtil is the utilization at which the controller reports
-	// pressure and skyd switches to batched (pinned) routing decisions
-	// (default 0.75).
-	PressureUtil float64
-	// EWMAAlpha weights new service-time observations (default 0.2).
-	EWMAAlpha float64
 	// Metrics receives the sky_admission_* series; nil disables them.
 	Metrics *metrics.Registry
 }
@@ -67,12 +66,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.TargetUtil == 0 {
 		c.TargetUtil = 0.9
-	}
-	if c.PressureUtil == 0 {
-		c.PressureUtil = 0.75
-	}
-	if c.EWMAAlpha == 0 {
-		c.EWMAAlpha = 0.2
 	}
 	return c
 }
@@ -85,12 +78,6 @@ func (c Config) Validate() error {
 	}
 	if c.TargetUtil <= 0 || c.TargetUtil > 1 {
 		return fmt.Errorf("admission: target utilization %v outside (0, 1]", c.TargetUtil)
-	}
-	if c.PressureUtil <= 0 || c.PressureUtil > 1 {
-		return fmt.Errorf("admission: pressure utilization %v outside (0, 1]", c.PressureUtil)
-	}
-	if c.EWMAAlpha <= 0 || c.EWMAAlpha > 1 {
-		return fmt.Errorf("admission: EWMA alpha %v outside (0, 1]", c.EWMAAlpha)
 	}
 	return nil
 }
@@ -194,6 +181,12 @@ func (c *Controller) limit() int {
 		lim = 1
 	}
 	return lim
+}
+
+// pressuredLocked reports whether inflight has reached pressureUtil×Slots.
+// Callers hold mu.
+func (c *Controller) pressuredLocked() bool {
+	return float64(c.inflight) >= pressureUtil*float64(c.cfg.Slots)
 }
 
 func (c *Controller) fn(w workload.ID) *fnState {
@@ -315,8 +308,7 @@ func (c *Controller) Done(t Ticket, now time.Time, observedMS float64, ok bool) 
 		st.inflight = 0
 	}
 	if ok && observedMS > 0 {
-		a := c.cfg.EWMAAlpha
-		st.serviceMS = (1-a)*st.serviceMS + a*observedMS
+		st.serviceMS = (1-ewmaAlpha)*st.serviceMS + ewmaAlpha*observedMS
 		st.observed.Observe(observedMS)
 	}
 	c.publishLocked()
@@ -351,7 +343,7 @@ func (c *Controller) ServiceMS(w workload.ID) float64 {
 func (c *Controller) RouteFor(w workload.ID, now time.Time) (string, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if float64(c.inflight) < c.cfg.PressureUtil*float64(c.cfg.Slots) {
+	if !c.pressuredLocked() {
 		return "", false
 	}
 	e, ok := c.routes[w]
@@ -379,11 +371,9 @@ type Retune struct {
 	// Enabled flips the gate. A disabled controller admits everything
 	// (still tracking concurrency and service times): the "no-admission"
 	// arm.
-	Enabled      *bool   `json:"enabled,omitempty"`
-	Slots        int     `json:"slots,omitempty"`
-	TargetUtil   float64 `json:"targetUtil,omitempty"`
-	PressureUtil float64 `json:"pressureUtil,omitempty"`
-	EWMAAlpha    float64 `json:"ewmaAlpha,omitempty"`
+	Enabled    *bool   `json:"enabled,omitempty"`
+	Slots      int     `json:"slots,omitempty"`
+	TargetUtil float64 `json:"targetUtil,omitempty"`
 }
 
 // Apply validates and installs the retune.
@@ -396,12 +386,6 @@ func (c *Controller) Apply(r Retune) error {
 	}
 	if r.TargetUtil != 0 {
 		next.TargetUtil = r.TargetUtil
-	}
-	if r.PressureUtil != 0 {
-		next.PressureUtil = r.PressureUtil
-	}
-	if r.EWMAAlpha != 0 {
-		next.EWMAAlpha = r.EWMAAlpha
 	}
 	if err := next.Validate(); err != nil {
 		return err
@@ -448,11 +432,11 @@ func (c *Controller) Snapshot() Snapshot {
 		Enabled:      c.enabled,
 		Slots:        c.cfg.Slots,
 		TargetUtil:   c.cfg.TargetUtil,
-		PressureUtil: c.cfg.PressureUtil,
+		PressureUtil: pressureUtil,
 		Limit:        c.limit(),
 		Inflight:     c.inflight,
 		Utilization:  float64(c.inflight) / float64(c.cfg.Slots),
-		Pressured:    float64(c.inflight) >= c.cfg.PressureUtil*float64(c.cfg.Slots),
+		Pressured:    c.pressuredLocked(),
 	}
 	for w, st := range c.fns {
 		s.Functions = append(s.Functions, FnSnapshot{

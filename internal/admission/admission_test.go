@@ -29,8 +29,6 @@ func TestConfigValidate(t *testing.T) {
 	bad := []Config{
 		{Slots: 0},
 		{Slots: 10, TargetUtil: 1.5},
-		{Slots: 10, PressureUtil: -0.1},
-		{Slots: 10, EWMAAlpha: 2},
 	}
 	for i, cfg := range bad {
 		if err := cfg.Validate(); err == nil {
@@ -112,7 +110,7 @@ func TestDisabledNeverSheds(t *testing.T) {
 }
 
 func TestServiceTimeEWMAAndCapacity(t *testing.T) {
-	c := newController(t, Config{Slots: 100, TargetUtil: 0.9, EWMAAlpha: 0.5})
+	c := newController(t, Config{Slots: 100, TargetUtil: 0.9})
 	// Catalog fallback for sha1_hash is BaseMS=900 → capacity 0.9*100*1000/900 = 100.
 	if got := c.CapacityRPS(workload.Sha1Hash); got < 99 || got > 101 {
 		t.Fatalf("fallback capacity = %v, want ~100", got)
@@ -122,11 +120,11 @@ func TestServiceTimeEWMAAndCapacity(t *testing.T) {
 	if got := c.CapacityRPS(workload.Sha1Hash); got < 199 || got > 201 {
 		t.Fatalf("seeded capacity = %v, want ~200", got)
 	}
-	// Observed service times move the EWMA: alpha .5, obs 900 → 675ms.
+	// Observed service times move the EWMA: alpha .2, obs 900 → 540ms.
 	tk, _ := c.Admit(t0, workload.Sha1Hash, 1)
 	c.Done(tk, t0.Add(time.Second), 900, true)
 	snap := c.Snapshot()
-	if len(snap.Functions) != 1 || snap.Functions[0].ServiceMS != 675 {
+	if len(snap.Functions) != 1 || snap.Functions[0].ServiceMS != 540 {
 		t.Fatalf("EWMA after one obs: %+v", snap.Functions)
 	}
 	if snap.Functions[0].Observed.Count != 1 {
@@ -135,22 +133,24 @@ func TestServiceTimeEWMAAndCapacity(t *testing.T) {
 	// Failed requests must not pollute the estimate.
 	tk, _ = c.Admit(t0, workload.Sha1Hash, 1)
 	c.Done(tk, t0.Add(time.Second), 60000, false)
-	if got := c.Snapshot().Functions[0].ServiceMS; got != 675 {
+	if got := c.Snapshot().Functions[0].ServiceMS; got != 540 {
 		t.Errorf("failure moved EWMA to %v", got)
 	}
 }
 
 func TestPressureRouteCache(t *testing.T) {
-	c := newController(t, Config{Slots: 4, TargetUtil: 1, PressureUtil: 0.5})
+	c := newController(t, Config{Slots: 4, TargetUtil: 1})
 	c.RememberRoute(workload.Zipper, "aws/us-east-1/a", t0)
+	// Two of four slots is under the pressure threshold of 0.75.
+	tk1, _ := c.Admit(t0, workload.Zipper, 1)
+	tk2, _ := c.Admit(t0, workload.Zipper, 1)
 	if _, ok := c.RouteFor(workload.Zipper, t0); ok {
 		t.Fatal("route served while unpressured")
 	}
 	// Cross the pressure threshold.
-	tk1, _ := c.Admit(t0, workload.Zipper, 1)
-	tk2, _ := c.Admit(t0, workload.Zipper, 1)
+	tk3, _ := c.Admit(t0, workload.Zipper, 1)
 	if !c.Snapshot().Pressured {
-		t.Fatal("not pressured at 2/4 with PressureUtil 0.5")
+		t.Fatal("not pressured at 3/4")
 	}
 	az, ok := c.RouteFor(workload.Zipper, t0.Add(routeTTL/2))
 	if !ok || az != "aws/us-east-1/a" {
@@ -162,6 +162,7 @@ func TestPressureRouteCache(t *testing.T) {
 	}
 	c.Done(tk1, t0, 100, true)
 	c.Done(tk2, t0, 100, true)
+	c.Done(tk3, t0, 100, true)
 	if c.Snapshot().Pressured {
 		t.Error("still pressured after drain")
 	}

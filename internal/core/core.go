@@ -50,8 +50,8 @@ type Config struct {
 	SamplerCfg sampler.Config
 	// StoreTTL is the characterization lifespan (default 24h).
 	StoreTTL time.Duration
-	// SkipMesh replaces the full deployment matrix with a minimal one
-	// (one x86 endpoint per zone) for fast tests.
+	// SkipMesh deploys the mesh's minimal matrix (one x86 endpoint per
+	// zone) instead of the full one, for a fast start.
 	SkipMesh bool
 	// Metrics receives runtime instrumentation (router decisions, cloudsim
 	// per-zone counters, latency histograms). Nil means the process-wide
@@ -95,7 +95,8 @@ type Runtime struct {
 	trafficSinks []func(az string, completed int)
 }
 
-// New builds a Runtime (deploying the mesh unless cfg.SkipMesh).
+// New builds a Runtime, deploying the full mesh or, with cfg.SkipMesh, the
+// minimal one.
 func New(cfg Config) (*Runtime, error) {
 	cfg = cfg.withDefaults()
 	env := sim.NewEnv(cfg.Epoch)
@@ -114,17 +115,7 @@ func New(cfg Config) (*Runtime, error) {
 		metrics: cfg.Metrics,
 		sampled: make(map[string]bool),
 	}
-	var meshCfg mesh.Config // the paper's full matrix
-	if cfg.SkipMesh {
-		// Minimal matrix: one x86 endpoint per zone, enough for routing.
-		meshCfg = mesh.Config{
-			AWSMemoriesMB: []int{4096},
-			AWSArchs:      []cpu.Arch{cpu.X86},
-			IBMMemoriesMB: []int{4096},
-			DOMemoriesMB:  []int{1024},
-		}
-	}
-	m, err := mesh.Build(cloud, meshCfg)
+	m, err := mesh.Build(cloud, mesh.Config{Minimal: cfg.SkipMesh})
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}

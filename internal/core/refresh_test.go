@@ -20,7 +20,6 @@ func TestEnableRefreshWiresTrafficAndResampling(t *testing.T) {
 	m, err := rt.EnableRefresh(refresh.Config{
 		Zones: []string{"t1-slow", "t1-fast"},
 		Mode:  refresh.ModeOff,
-		Polls: 2,
 	})
 	if err != nil {
 		t.Fatal(err)

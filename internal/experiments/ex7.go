@@ -40,7 +40,6 @@ type EX7Arm struct {
 // policy's appetite, not the governor's clamp.
 func DefaultEX7Arms() []EX7Arm {
 	generous := func(c refresh.Config) refresh.Config {
-		c.TickEvery = time.Minute
 		c.RatePerHour = 10
 		c.Cap = 10
 		return c
@@ -94,8 +93,6 @@ const (
 	// ex7BurstEvery is the gap between bursts: past the 5m keep-alive, so
 	// each burst's placements re-sample the, possibly drifted, idle pool.
 	ex7BurstEvery = 12 * time.Minute
-	// ex7RefreshPolls is the maintainer's re-characterization depth.
-	ex7RefreshPolls = 3
 	// ex7DriftMagnitude is the chaos drift-burst idle-pool replacement
 	// fraction, and ex7DriftStep its mix-walk step: a hard regime change,
 	// not gentle churn.
@@ -169,7 +166,6 @@ func runEX7Cell(seed uint64, cfg ex7Preset, arm EX7Arm) (EX7Cell, error) {
 		rt.EnablePassiveCharacterization(ex7PassiveWindow)
 		rcfg := arm.Refresh
 		rcfg.Zones = append([]string(nil), hopZones...)
-		rcfg.Polls = ex7RefreshPolls
 		m, err := rt.EnableRefresh(rcfg)
 		if err != nil {
 			return err

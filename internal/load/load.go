@@ -64,11 +64,12 @@ type Schedule struct {
 	// Period is the diurnal cycle length (default Duration: one day fills
 	// the run).
 	Period time.Duration
-	// Slice is the rate-integration step (default 100ms). Arrivals are
-	// placed within each slice, so a finer slice tracks steep curves more
-	// closely at the cost of a longer schedule computation.
-	Slice time.Duration
 }
+
+// slice is the rate-integration step. Arrivals are placed within each
+// slice, so a finer slice tracks steep curves more closely at the cost of a
+// longer schedule computation.
+const slice = 100 * time.Millisecond
 
 func (s Schedule) withDefaults() Schedule {
 	if s.Pattern == "" {
@@ -79,9 +80,6 @@ func (s Schedule) withDefaults() Schedule {
 	}
 	if s.Period == 0 {
 		s.Period = s.Duration
-	}
-	if s.Slice == 0 {
-		s.Slice = 100 * time.Millisecond
 	}
 	return s
 }
@@ -152,13 +150,13 @@ func (s Schedule) Arrivals(stream *rng.Stream) []time.Duration {
 	}
 	out := make([]time.Duration, 0, int(s.OfferedRPS()*s.Duration.Seconds())+1)
 	credit := 0.0
-	for at := time.Duration(0); at < s.Duration; at += s.Slice {
-		slice := s.Slice
-		if at+slice > s.Duration {
-			slice = s.Duration - at
+	for at := time.Duration(0); at < s.Duration; at += slice {
+		step := slice
+		if at+step > s.Duration {
+			step = s.Duration - at
 		}
-		mid := at + slice/2
-		credit += s.Rate(mid) * slice.Seconds()
+		mid := at + step/2
+		credit += s.Rate(mid) * step.Seconds()
 		n := int(credit)
 		if n == 0 {
 			continue
@@ -171,7 +169,7 @@ func (s Schedule) Arrivals(stream *rng.Stream) []time.Duration {
 			} else {
 				frac = (float64(i) + 0.5) / float64(n)
 			}
-			out = append(out, at+time.Duration(frac*float64(slice)))
+			out = append(out, at+time.Duration(frac*float64(step)))
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })

@@ -13,34 +13,39 @@ import (
 	"skyfaas/internal/dynfunc"
 )
 
-// Config selects the deployment matrix per provider. Zero fields take the
-// paper's values.
+// Config selects the deployment matrix.
 type Config struct {
-	// AWSMemoriesMB are the Lambda memory settings (9 in the paper).
-	AWSMemoriesMB []int
-	// AWSArchs are the Lambda architectures (x86_64 and arm64).
-	AWSArchs []cpu.Arch
-	// IBMMemoriesMB are the Code Engine memory settings (3 in the paper).
-	IBMMemoriesMB []int
-	// DOMemoriesMB are the DigitalOcean Functions settings.
-	DOMemoriesMB []int
+	// Minimal deploys minimalMatrix, enough for routing, instead of the
+	// paper's fullMatrix.
+	Minimal bool
 }
 
-func (c Config) withDefaults() Config {
-	if len(c.AWSMemoriesMB) == 0 {
-		c.AWSMemoriesMB = []int{128, 256, 512, 1024, 2048, 4096, 6144, 8192, 10240}
-	}
-	if len(c.AWSArchs) == 0 {
-		c.AWSArchs = []cpu.Arch{cpu.X86, cpu.ARM}
-	}
-	if len(c.IBMMemoriesMB) == 0 {
-		c.IBMMemoriesMB = []int{1024, 2048, 4096}
-	}
-	if len(c.DOMemoriesMB) == 0 {
-		c.DOMemoriesMB = []int{512, 1024}
-	}
-	return c
+// matrix is one deployment matrix: the memory settings per provider, and
+// the architectures on AWS (the other providers run x86 only).
+type matrix struct {
+	awsMemoriesMB []int
+	awsArchs      []cpu.Arch
+	ibmMemoriesMB []int
+	doMemoriesMB  []int
 }
+
+var (
+	// fullMatrix is the paper's: Lambda's 9 memory settings on x86_64 and
+	// arm64, Code Engine's 3, and DigitalOcean Functions' 2.
+	fullMatrix = matrix{
+		awsMemoriesMB: []int{128, 256, 512, 1024, 2048, 4096, 6144, 8192, 10240},
+		awsArchs:      []cpu.Arch{cpu.X86, cpu.ARM},
+		ibmMemoriesMB: []int{1024, 2048, 4096},
+		doMemoriesMB:  []int{512, 1024},
+	}
+	// minimalMatrix is one x86 endpoint per zone.
+	minimalMatrix = matrix{
+		awsMemoriesMB: []int{4096},
+		awsArchs:      []cpu.Arch{cpu.X86},
+		ibmMemoriesMB: []int{4096},
+		doMemoriesMB:  []int{1024},
+	}
+)
 
 // Endpoint is one dynamic-function deployment in the mesh.
 type Endpoint struct {
@@ -67,19 +72,22 @@ type Mesh struct {
 
 // Build deploys the mesh across every zone of the cloud.
 func Build(cloud *cloudsim.Cloud, cfg Config) (*Mesh, error) {
-	cfg = cfg.withDefaults()
+	mx := fullMatrix
+	if cfg.Minimal {
+		mx = minimalMatrix
+	}
 	m := &Mesh{cloud: cloud, index: make(map[key]Endpoint)}
 	for _, region := range cloud.Regions() {
 		var mems []int
 		archs := []cpu.Arch{cpu.X86}
 		switch region.Provider() {
 		case cloudsim.AWS:
-			mems = cfg.AWSMemoriesMB
-			archs = cfg.AWSArchs
+			mems = mx.awsMemoriesMB
+			archs = mx.awsArchs
 		case cloudsim.IBM:
-			mems = cfg.IBMMemoriesMB
+			mems = mx.ibmMemoriesMB
 		case cloudsim.DO:
-			mems = cfg.DOMemoriesMB
+			mems = mx.doMemoriesMB
 		default:
 			return nil, fmt.Errorf("mesh: unknown provider %v", region.Provider())
 		}

@@ -70,6 +70,23 @@ func TestBuildMatrix(t *testing.T) {
 	}
 }
 
+func TestMinimalMatrix(t *testing.T) {
+	m, err := Build(smallCloud(t), Config{Minimal: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One x86 endpoint per zone: 4096 MB on AWS and IBM, 1024 MB on DO.
+	want := map[string]int{"aws-r1-a": 4096, "aws-r1-b": 4096, "ibm-r1-a": 4096, "do-r1-a": 1024}
+	if m.Size() != len(want) {
+		t.Errorf("total = %d, want %d", m.Size(), len(want))
+	}
+	for az, mem := range want {
+		if _, ok := m.Lookup(az, mem, cpu.X86); !ok {
+			t.Errorf("no %d MB x86 endpoint in %s", mem, az)
+		}
+	}
+}
+
 func TestPaperScaleMatrix(t *testing.T) {
 	// Over the full default catalog, the AWS matrix alone exceeds 600
 	// deployments (the paper's >1,600 includes its per-AZ sampling

@@ -74,6 +74,15 @@ const (
 	trafficWeight = 0.5
 )
 
+// Loop settings no caller varies.
+const (
+	// tickEvery is the control-loop cadence in virtual time.
+	tickEvery = time.Minute
+	// quickPolls is the re-characterization depth per refresh: the cheap
+	// quick mode, not a saturation run.
+	quickPolls = 3
+)
+
 // Config tunes a Maintainer. Zero fields take defaults.
 type Config struct {
 	// Zones restricts maintenance to a fixed set. Empty means dynamic:
@@ -82,11 +91,6 @@ type Config struct {
 	Zones []string
 	// Mode selects the trigger policy (default ModeDrift).
 	Mode Mode
-	// TickEvery is the control-loop cadence in virtual time (default 1m).
-	TickEvery time.Duration
-	// Polls is the re-characterization depth per refresh (default 3 — the
-	// cheap quick mode, not a saturation run).
-	Polls int
 	// MaxAge is the staleness trigger (default 1h). In ModeDrift it is the
 	// backstop for zones with too little traffic to observe.
 	MaxAge time.Duration
@@ -108,12 +112,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Mode == "" {
 		c.Mode = ModeDrift
-	}
-	if c.TickEvery == 0 {
-		c.TickEvery = time.Minute
-	}
-	if c.Polls == 0 {
-		c.Polls = 3
 	}
 	if c.MaxAge == 0 {
 		c.MaxAge = time.Hour
@@ -248,7 +246,7 @@ func New(env *sim.Env, cfg Config, store *charact.Store, passive *charact.Passiv
 	var err error
 	m.Loop, err = control.NewLoop(env, control.Spec[Mode]{
 		Name: "refresh", Modes: modes, Mode: cfg.Mode,
-		TickEvery: cfg.TickEvery, RatePerHour: cfg.RatePerHour, Cap: cfg.Cap,
+		TickEvery: tickEvery, RatePerHour: cfg.RatePerHour, Cap: cfg.Cap,
 	}, m.tick, reg)
 	if err != nil {
 		return nil, err
@@ -407,7 +405,7 @@ func (m *Maintainer) runDue(p *sim.Proc, due []dueZone) {
 		if !m.Allows(now) {
 			return
 		}
-		if _, err := m.refreshOne(p, d.az, m.cfg.Polls, d.reason); err != nil {
+		if _, err := m.refreshOne(p, d.az, quickPolls, d.reason); err != nil {
 			// A refresh that found nothing (e.g. the zone is mid-outage)
 			// leaves the old characterization in place; the next tick
 			// retries after the cooldown.
@@ -438,10 +436,11 @@ func (m *Maintainer) refreshOne(p *sim.Proc, az string, polls int, reason Reason
 
 // Force re-samples az immediately, bypassing mode, thresholds, and
 // cooldown (spend is still debited so the governor sees it). polls <= 0
-// uses the configured depth. Must be called from inside the simulation.
+// uses the maintainer's own depth. Must be called from inside the
+// simulation.
 func (m *Maintainer) Force(p *sim.Proc, az string, polls int) (charact.Characterization, error) {
 	if polls <= 0 {
-		polls = m.cfg.Polls
+		polls = quickPolls
 	}
 	return m.refreshOne(p, az, polls, ReasonForced)
 }

@@ -74,7 +74,7 @@ func TestNewValidates(t *testing.T) {
 		t.Fatalf("New: %v", err)
 	}
 	cfg := m.Config()
-	if cfg.Mode != ModeDrift || cfg.TickEvery != time.Minute || cfg.MaxAge != time.Hour {
+	if cfg.Mode != ModeDrift || cfg.MaxAge != time.Hour {
 		t.Fatalf("defaults not applied: %+v", cfg)
 	}
 }
@@ -85,11 +85,10 @@ func TestModeAgeRefreshesOnStalenessWithCooldown(t *testing.T) {
 	storedChar(store, "az-a", epoch, charact.Counts{cpu.Xeon30: 50})
 	fs := &fakeSampler{cost: 0.01, delay: 30 * time.Second}
 	m := newMaintainer(t, env, Config{
-		Zones:     []string{"az-a"},
-		Mode:      ModeAge,
-		TickEvery: time.Minute,
-		MaxAge:    10 * time.Minute,
-		Cooldown:  30 * time.Minute,
+		Zones:    []string{"az-a"},
+		Mode:     ModeAge,
+		MaxAge:   10 * time.Minute,
+		Cooldown: 30 * time.Minute,
 	}, store, nil, fs)
 	m.Start()
 	if err := env.RunFor(45 * time.Minute); err != nil {
@@ -128,7 +127,6 @@ func TestModeDriftRefreshesOnlyDriftedZone(t *testing.T) {
 	}}
 	m := newMaintainer(t, env, Config{
 		Mode:           ModeDrift,
-		TickEvery:      time.Minute,
 		MaxAge:         24 * time.Hour, // keep the age backstop out of the way
 		DriftThreshold: 0.10,
 		MinSamples:     10,
@@ -156,9 +154,8 @@ func TestTrafficShareOrdersUrgency(t *testing.T) {
 	store := charact.NewStore(0) // both zones unknown → both due
 	fs := &fakeSampler{cost: 0.001, delay: 10 * time.Second}
 	m := newMaintainer(t, env, Config{
-		Zones:     []string{"az-a", "az-b"},
-		Mode:      ModeAge,
-		TickEvery: time.Minute,
+		Zones: []string{"az-a", "az-b"},
+		Mode:  ModeAge,
 	}, store, nil, fs)
 	// az-b carries 9x the traffic; it must be re-characterized first even
 	// though az-a sorts first alphabetically.
@@ -183,7 +180,6 @@ func TestBudgetGovernsSpend(t *testing.T) {
 	m := newMaintainer(t, env, Config{
 		Zones:       []string{"az-a", "az-b", "az-c"},
 		Mode:        ModeAge,
-		TickEvery:   time.Minute,
 		RatePerHour: 1e-6, // effectively no refill within the run
 		Cap:         0.05,
 		Cooldown:    2 * time.Hour,
@@ -218,11 +214,10 @@ func TestResampleErrorLeavesOldModel(t *testing.T) {
 	storedChar(store, "az-a", epoch, charact.Counts{cpu.Xeon30: 50})
 	fs := &fakeSampler{cost: 0.01, fail: map[string]error{"az-a": errors.New("zone outage")}}
 	m := newMaintainer(t, env, Config{
-		Zones:     []string{"az-a"},
-		Mode:      ModeAge,
-		TickEvery: time.Minute,
-		MaxAge:    5 * time.Minute,
-		Cooldown:  20 * time.Minute,
+		Zones:    []string{"az-a"},
+		Mode:     ModeAge,
+		MaxAge:   5 * time.Minute,
+		Cooldown: 20 * time.Minute,
 	}, store, nil, fs)
 	m.Start()
 	if err := env.RunFor(30 * time.Minute); err != nil {

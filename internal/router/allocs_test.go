@@ -10,14 +10,11 @@ import (
 
 // TestBurstAllocs pins the allocation budget of the burst path: one cold,
 // unpaced hybrid burst of 500 zipper invocations on the test world, which
-// bans the slow CPU and so takes about 1.6 declines and 2.6 attempts per
-// completion, stays within 22 heap allocations per invocation. That covers
-// every attempt, decline and the cloudsim invocation under each (31.97
-// while cloudsim allocated a record and four method values a request, 20.94
-// once it recycled records with one bound continuation each, 20.96 once
-// voided keep-alive timers were dropped instead of queued; 21.7-21.8 under
-// the race detector, which is what keeps the budget at 22). An upper
-// bound: work that removes allocations only tightens it.
+// bans the slow CPU and so declines and retries, stays within 22 heap
+// allocations per invocation. That covers every attempt, decline and the
+// cloudsim invocation under each. The race detector adds allocations of
+// its own, and the budget is set to hold under it too. An upper bound: work
+// that removes allocations only tightens it.
 func TestBurstAllocs(t *testing.T) {
 	const n, budget = 500, 22
 	env, cloud, r := world(t)

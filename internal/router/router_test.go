@@ -32,10 +32,7 @@ func world(t *testing.T) (*sim.Env, *cloudsim.Cloud, *Router) {
 		},
 	}}
 	cloud := cloudsim.New(env, 21, catalog, cloudsim.Options{HorizonDays: 2})
-	m, err := mesh.Build(cloud, mesh.Config{
-		AWSMemoriesMB: []int{2048},
-		AWSArchs:      []cpu.Arch{cpu.X86},
-	})
+	m, err := mesh.Build(cloud, mesh.Config{Minimal: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,7 @@ import (
 // newAdmissionServer serves the one-zone world with the overload gate on,
 // at slots small enough that tests can saturate it with one burst.
 func newAdmissionServer(t *testing.T, slots int) *Server {
-	return newServer(t, 11, oneZone, Config{Admission: &admission.Config{Slots: slots, TargetUtil: 1}})
+	return newServer(t, 11, oneZone, nil, Config{Admission: &admission.Config{Slots: slots, TargetUtil: 1}})
 }
 
 func TestBurstShedsWith429(t *testing.T) {

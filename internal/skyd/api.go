@@ -221,7 +221,8 @@ func (s *Server) authorize(def routeDef, req *apiReq) *apiError {
 // instrumentation. The metric path label is the route pattern, not the
 // concrete URL, so {id} routes stay one series.
 func (s *Server) mount(def routeDef) {
-	hist := s.metrics.Histogram("sky_skyd_http_request_ms",
+	reg := s.rt.Metrics()
+	hist := reg.Histogram("sky_skyd_http_request_ms",
 		"wall-time handler latency (milliseconds)", httpBuckets, metrics.L("path", def.path))
 	h := def.h(s)
 	s.mux.HandleFunc(def.method+" "+def.path, func(w http.ResponseWriter, r *http.Request) {
@@ -238,7 +239,7 @@ func (s *Server) mount(def routeDef) {
 			writeJSON(w, http.StatusOK, resp)
 		}
 		hist.Observe(float64(time.Since(start)) / float64(time.Millisecond))
-		s.metrics.Counter("sky_skyd_http_requests_total",
+		reg.Counter("sky_skyd_http_requests_total",
 			"requests served, by endpoint and status code",
 			metrics.L("path", def.path), metrics.L("code", strconv.Itoa(code))).Inc()
 		if s.tenants != nil {
@@ -246,7 +247,7 @@ func (s *Server) mount(def routeDef) {
 			if req.acct != nil {
 				id = req.acct.ID
 			}
-			s.metrics.Counter("sky_tenant_http_requests_total",
+			reg.Counter("sky_tenant_http_requests_total",
 				"requests served, by tenant and status code",
 				metrics.L("tenant", id), metrics.L("code", strconv.Itoa(code))).Inc()
 		}

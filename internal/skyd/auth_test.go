@@ -34,7 +34,7 @@ func newAuthServer(t testing.TB, cfg Config) *Server {
 			t.Fatal(err)
 		}
 	}
-	return newServer(t, 13, oneZone, cfg)
+	return newServer(t, 13, oneZone, nil, cfg)
 }
 
 func TestAuthRequired(t *testing.T) {

@@ -31,8 +31,7 @@ type surface[R comparable] struct {
 var (
 	refreshSurface   = surface[refreshReq]{"refresh", "mode, budget, az", (*Server).refreshApply}
 	warmPoolSurface  = surface[control.Retune]{"warmpool", "mode, budget", (*Server).warmPoolApply}
-	admissionSurface = surface[admission.Retune]{"admission",
-		"enabled, slots, targetUtil, pressureUtil, ewmaAlpha", (*Server).admissionApply}
+	admissionSurface = surface[admission.Retune]{"admission", "enabled, slots, targetUtil", (*Server).admissionApply}
 )
 
 func (c surface[R]) get(s *Server) apiFunc  { return c.handler(s, false) }
@@ -73,7 +72,7 @@ func (s *Server) inSim(fn func(p *sim.Proc) (any, error)) (any, *apiError) {
 
 // refreshReq is /v1/refresh's body: a loop retune and/or a forced
 // re-characterization of AZ, bypassing mode and cooldown (still debited
-// against the budget), Polls deep (0 = the configured depth).
+// against the budget), Polls deep (0 = the maintainer's own depth).
 type refreshReq struct {
 	control.Retune
 	AZ    string `json:"az,omitempty"`

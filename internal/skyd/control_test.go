@@ -17,17 +17,16 @@ import (
 )
 
 // newControlServer serves the two-zone world with every control-plane
-// object on: both loops over both zones in their off mode, ticking hourly
-// (refresh two polls deep, each zone at most once in 1,000 hours unless
-// forced), and a 50-slot admission gate. The slow ticks keep a loop that a
-// test switches on from flooding the simulation at 5e6 pacing.
+// object on: both loops over both zones in their off mode (refresh each
+// zone at most once in 1,000 hours unless forced, the warm pool ticking
+// hourly), and a 50-slot admission gate. The long cooldown and the slow
+// warm-pool tick keep a loop that a test switches on from flooding the
+// simulation at 5e6 pacing.
 func newControlServer(t testing.TB) *Server {
 	t.Helper()
 	zones := []string{"t1-slow", "t1-fast"}
-	return newServer(t, 9, slowFast, Config{
-		Refresh: &refresh.Config{
-			Zones: zones, Mode: refresh.ModeOff, TickEvery: time.Hour, Polls: 2, Cooldown: 1000 * time.Hour,
-		},
+	return newServer(t, 9, slowFast, nil, Config{
+		Refresh:   &refresh.Config{Zones: zones, Mode: refresh.ModeOff, Cooldown: 1000 * time.Hour},
 		WarmPool:  &warmpool.Config{Zones: zones, Mode: warmpool.ModeOff, TickEvery: time.Hour},
 		Admission: &admission.Config{Slots: 50, TargetUtil: 1},
 	})

@@ -88,12 +88,12 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_ = s.metrics.WritePrometheus(w)
+	_ = s.rt.Metrics().WritePrometheus(w)
 }
 
 func (s *Server) handleMetricsJSON(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
-	_ = s.metrics.WriteJSON(w)
+	_ = s.rt.Metrics().WriteJSON(w)
 }
 
 func (s *Server) handleHealthz(ctx context.Context, r *apiReq) (any, *apiError) {

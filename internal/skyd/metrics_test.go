@@ -17,7 +17,7 @@ import (
 func newMetricsServer(t *testing.T, speedup float64) (*Server, *metrics.Registry) {
 	t.Helper()
 	reg := metrics.NewRegistry()
-	return newServer(t, 9, slowFast, Config{Metrics: reg, Speedup: speedup}), reg
+	return newServer(t, 9, slowFast, reg, Config{Speedup: speedup}), reg
 }
 
 // TestMetricsExposition drives traffic through all three instrumented

@@ -40,7 +40,9 @@ const warmPoolWorkload = workload.Sha1Hash
 
 // Config assembles a Server.
 type Config struct {
-	// Runtime is the assembled sky runtime to serve (required).
+	// Runtime is the assembled sky runtime to serve (required). /metrics
+	// serves its registry, which the HTTP layer reports into too, so one
+	// scrape covers the HTTP layer, the router, and the simulated cloud.
 	Runtime *core.Runtime
 	// Speedup is the virtual-to-wall time ratio (default 1000: one
 	// virtual second per wall millisecond).
@@ -49,22 +51,16 @@ type Config struct {
 	// benchmark's served probe still sets it, so it stays until bench/
 	// stops setting it.
 	PumpEvery time.Duration
-	// Metrics is the registry /metrics serves and HTTP instrumentation
-	// reports into (default: the runtime's registry, so one scrape covers
-	// the HTTP layer, the router, and the simulated cloud).
-	Metrics *metrics.Registry
 	// Refresh and WarmPool, when non-nil, enable the characterization-
-	// maintenance and pre-warming control loops on the runtime and start
-	// them with the server; /v1/refresh and /v1/warmpool inspect and steer
-	// them. Nil leaves an endpoint answering 409, unless the runtime
-	// already carries that loop: the server adopts it and stops it on Close.
+	// maintenance and pre-warming control loops on the runtime, start them
+	// with the server and stop them on Close; /v1/refresh and /v1/warmpool
+	// inspect and steer them. Nil leaves an endpoint answering 409.
 	Refresh  *refresh.Config
 	WarmPool *warmpool.Config
 	// Admission, when non-nil, enables the overload-control gate on the
 	// runtime: burst requests past estimated capacity answer 429 with
 	// Retry-After, and /v1/admission inspects and retunes the gate. Nil
-	// leaves the endpoints answering 409 (unless the runtime already
-	// carries a controller, which the server adopts).
+	// leaves the endpoints answering 409.
 	Admission *admission.Config
 	// Tenants, when non-nil, turns authentication on: every /v1 endpoint
 	// except /v1/healthz requires an API key resolving to a registered
@@ -79,15 +75,14 @@ type Config struct {
 type Server struct {
 	rt         *core.Runtime
 	speedup    float64
-	metrics    *metrics.Registry
 	queueDepth *metrics.Gauge
 	pacedLag   *metrics.Gauge
 	effSpeedup *metrics.Gauge
 	simPending *metrics.Gauge
 
-	// loops are the runtime's control loops, enabled here or before; Close
-	// must stop them or their self-rescheduling ticks would keep the event
-	// queue alive forever.
+	// loops are the control loops this server started; Close must stop
+	// them or their self-rescheduling ticks would keep the event queue
+	// alive forever.
 	loops []interface{ Stop() }
 
 	// gate is the overload-control layer in the burst path (nil when
@@ -123,25 +118,22 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Speedup == 0 {
 		cfg.Speedup = 1000
 	}
-	if cfg.Metrics == nil {
-		cfg.Metrics = cfg.Runtime.Metrics()
-	}
 	s := &Server{
 		rt:      cfg.Runtime,
 		speedup: cfg.Speedup,
-		metrics: cfg.Metrics,
 		mux:     http.NewServeMux(),
 		cmds:    make(chan func(), 64),
 		done:    make(chan struct{}),
 		tenants: cfg.Tenants,
 	}
-	s.queueDepth = s.metrics.Gauge("sky_skyd_cmd_queue_depth",
+	reg := cfg.Runtime.Metrics()
+	s.queueDepth = reg.Gauge("sky_skyd_cmd_queue_depth",
 		"commands enqueued for the simulation goroutine but not yet started")
-	s.pacedLag = s.metrics.Gauge("sky_skyd_paced_lag_ms",
+	s.pacedLag = reg.Gauge("sky_skyd_paced_lag_ms",
 		"how far the paced loop ran behind its wall-clock schedule at its last wait (0 = on time)")
-	s.effSpeedup = s.metrics.Gauge("sky_skyd_effective_speedup",
+	s.effSpeedup = reg.Gauge("sky_skyd_effective_speedup",
 		"virtual seconds per wall second between the paced loop's last two waits")
-	s.simPending = s.metrics.Gauge("sky_skyd_sim_pending",
+	s.simPending = reg.Gauge("sky_skyd_sim_pending",
 		"events in the simulation's queue at the paced loop's last wait, a keep-alive lane counting as one")
 	// Arm the maintenance loop before the simulation goroutine starts: the
 	// environment is not yet running, so scheduling its first tick here is
@@ -152,6 +144,7 @@ func New(cfg Config) (*Server, error) {
 			return nil, err
 		}
 		m.Start()
+		s.loops = append(s.loops, m)
 	}
 	if cfg.WarmPool != nil {
 		m, err := cfg.Runtime.EnableWarmPool(*cfg.WarmPool, warmPoolWorkload)
@@ -159,11 +152,6 @@ func New(cfg Config) (*Server, error) {
 			return nil, err
 		}
 		m.Start()
-	}
-	if m := cfg.Runtime.Refresher(); m != nil {
-		s.loops = append(s.loops, m)
-	}
-	if m := cfg.Runtime.WarmPool(); m != nil {
 		s.loops = append(s.loops, m)
 	}
 	if cfg.Admission != nil {
@@ -171,9 +159,6 @@ func New(cfg Config) (*Server, error) {
 		if err != nil {
 			return nil, err
 		}
-		s.gate = gate
-	} else if gate := cfg.Runtime.Admission(); gate != nil {
-		// Adopt an externally enabled controller.
 		s.gate = gate
 	}
 	s.pipeline = core.NewPipeline(s.tenants, s.gate, time.Now)

@@ -14,6 +14,7 @@ import (
 	"skyfaas/internal/core"
 	"skyfaas/internal/cpu"
 	"skyfaas/internal/geo"
+	"skyfaas/internal/metrics"
 	"skyfaas/internal/sampler"
 	"skyfaas/internal/sim"
 )
@@ -29,14 +30,14 @@ var (
 
 // newServer serves a tiny world of zones built from seed (small sampler, no
 // mesh) at very high pacing, so HTTP tests finish in milliseconds of wall
-// time, and closes it with the test. cfg supplies everything but the
-// runtime: a zero Speedup means 5e6, and a Metrics registry is the
-// runtime's too.
-func newServer(t testing.TB, seed uint64, zones []cloudsim.AZSpec, cfg Config) *Server {
+// time, and closes it with the test. reg is the runtime's registry (nil:
+// the process default). cfg supplies everything but the runtime: a zero
+// Speedup means 5e6.
+func newServer(t testing.TB, seed uint64, zones []cloudsim.AZSpec, reg *metrics.Registry, cfg Config) *Server {
 	t.Helper()
 	rt, err := core.New(core.Config{
 		Seed:    seed,
-		Metrics: cfg.Metrics,
+		Metrics: reg,
 		Catalog: []cloudsim.RegionSpec{{
 			Provider: cloudsim.AWS, Name: "t1", Loc: geo.Coord{Lat: 40, Lon: -80}, AZs: zones,
 		}},
@@ -62,7 +63,7 @@ func newServer(t testing.TB, seed uint64, zones []cloudsim.AZSpec, cfg Config) *
 }
 
 // newTestServer serves the two-zone world with nothing optional enabled.
-func newTestServer(t testing.TB) *Server { return newServer(t, 9, slowFast, Config{}) }
+func newTestServer(t testing.TB) *Server { return newServer(t, 9, slowFast, nil, Config{}) }
 
 func do(t *testing.T, s *Server, method, path string, body any) (*http.Response, []byte) {
 	t.Helper()
