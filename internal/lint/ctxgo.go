@@ -11,7 +11,6 @@ import (
 var ctxgoScope = []string{
 	"internal/skyd",
 	"cmd/skyd",
-	"internal/workload",
 	"internal/chaos",
 	"internal/tenant",
 	"internal/warmpool",

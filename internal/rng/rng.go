@@ -90,11 +90,6 @@ func (s *Stream) Intn(n int) int {
 	return int(s.Uint64() % uint64(n))
 }
 
-// Int63 returns a non-negative 63-bit value.
-func (s *Stream) Int63() int64 {
-	return int64(s.Uint64() >> 1)
-}
-
 // Norm returns a normally distributed value with the given mean and standard
 // deviation, using the Box–Muller transform.
 func (s *Stream) Norm(mean, stddev float64) float64 {

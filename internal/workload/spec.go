@@ -1,16 +1,11 @@
-// Package workload implements the twelve serverless functions of Table 1.
-//
-// Each workload exists in two forms:
-//
-//   - A real, runnable Go implementation (Run) used by the examples and by
-//     tests to validate functional behaviour.
-//   - A cost model (Spec) used by the cloud simulator: the mean billed
-//     runtime on the reference CPU (Intel Xeon 2.50 GHz, the most prevalent
-//     Lambda processor) plus a per-CPU runtime multiplier table. The
-//     multiplier table is the *ground truth* behind Fig. 9 — the hidden
-//     hardware performance the smart routing system must discover by
-//     profiling, because the simulation, like the real cloud, never exposes
-//     it directly.
+// Package workload is the cost model of Table 1's twelve serverless
+// functions. Each Spec carries the paper's vCPU demand, the mean billed
+// runtime on the reference CPU (Intel Xeon 2.50 GHz, the most prevalent
+// Lambda processor) and a per-CPU runtime multiplier table. The multiplier
+// table is the *ground truth* behind Fig. 9: the hidden hardware
+// performance the smart routing system must discover by profiling, because
+// the simulation, like the real cloud, never exposes it directly. Nothing
+// here runs the functions; SeBS describes what each one does.
 //
 // Multipliers encode the paper's observed hierarchy: the 3.0 GHz Xeon is
 // 5–15% faster than baseline, the 2.9 GHz Xeon is 15–30% slower, and the
@@ -63,18 +58,13 @@ type Spec struct {
 }
 
 // CPUFactor returns the ground-truth runtime multiplier of k relative to
-// the reference Xeon 2.50 GHz for this workload. Unknown kinds fall back to
-// a clock-ratio estimate.
+// the reference Xeon 2.50 GHz for this workload. A kind without an entry
+// returns 1.
 func (s Spec) CPUFactor(k cpu.Kind) float64 {
 	if f, ok := s.factors[k]; ok {
 		return f
 	}
-	info, ok := cpu.Lookup(k)
-	if !ok {
-		return 1
-	}
-	ref := cpu.MustLookup(cpu.Xeon25)
-	return ref.ClockGHz / info.ClockGHz
+	return 1
 }
 
 // mkFactors builds a multiplier table. x30, x29, epyc are the AWS-specific
